@@ -62,12 +62,7 @@ def run(n: int, seed: int, memory_ceiling: float) -> None:
     print(f"== pipelined MultiHopBroadcast over a Gilbert graph at n = {n:,} ==")
     print(f"radius               : {radius:.5f} (2x connectivity threshold)")
 
-    # Force the CSR backend so the smoke size exercises the same engine path
-    # as the full-scale row (above the crossover the automatic choice picks
-    # sparse anyway).
-    config = SimulationConfig(
-        n=n, seed=seed, topology=TopologySpec.gilbert(radius=radius, sparse=True)
-    )
+    config = SimulationConfig(n=n, seed=seed, topology=TopologySpec.gilbert(radius=radius))
     build_start = time.perf_counter()
     network = Network(config)
     build_elapsed = time.perf_counter() - build_start
@@ -83,7 +78,6 @@ def run(n: int, seed: int, memory_ceiling: float) -> None:
     run_elapsed = time.perf_counter() - run_start
 
     delivery = outcome.delivery
-    print(f"backend              : {network.topology.backend}")
     print(f"build time           : {build_elapsed:.1f}s")
     print(f"run time             : {run_elapsed:.1f}s (full protocol, PhaseEngine)")
     print(f"rounds executed      : {delivery.rounds_executed}")

@@ -53,7 +53,7 @@ CORNERS = [(0.25, 0.25), (0.75, 0.25), (0.75, 0.75), (0.25, 0.75)]
 
 
 def run_one(n: int, seed: int, adversary, retries: int, engine: str = "fast") -> dict:
-    spec = TopologySpec.gilbert(radius=2.0 * gilbert_connectivity_radius(n), sparse=True)
+    spec = TopologySpec.gilbert(radius=2.0 * gilbert_connectivity_radius(n))
     config = SimulationConfig(n=n, seed=seed, topology=spec)
     adversary.max_total_spend = 0.5 * config.adversary_total_budget
     # pipeline=False: like exp_mobile_jammer, the sweeps compare adversaries

@@ -1,20 +1,18 @@
 #!/usr/bin/env python3
-"""Benchmark — sparse (CSR) topology scaling versus the dense adjacency path.
+"""Benchmark — CSR topology scaling: graph construction and a large-n engine run.
 
-Two measurements, matching the large-n acceptance criteria of the sparse
-reachability refactor:
+Two measurements, matching the large-n acceptance criteria of the CSR
+topology layer:
 
 1. **Construction sweep**: build Gilbert (and scale-free) graphs at sizes up
-   to ``--max-n`` with the grid-indexed CSR backend, reporting wall time,
-   edge count, and resident adjacency memory, against the Θ(n²) bytes the
-   dense boolean matrix would need (built for real up to ``--dense-limit``,
-   extrapolated above it).
+   to ``--max-n`` with the grid-indexed CSR construction, reporting wall
+   time, mean degree, and resident adjacency memory, next to the Θ(n²) bytes
+   a boolean adjacency matrix would need (computed, never built).
 2. **Engine run**: one complete ``MultiHopBroadcast`` execution on a Gilbert
    graph at ``--engine-n`` (default 10⁵) under the vectorised
    :class:`~repro.simulation.fastengine.PhaseEngine`, verifying that peak
-   adjacency memory stays under 1 GiB — the dense matrix alone would need
-   ~10 GiB at that size, before the engine's own Θ(n·slots) indicator
-   matrices are even allocated.
+   adjacency memory stays under 1 GiB — a boolean matrix alone would need
+   ~10 GiB at that size.
 
 Usage::
 
@@ -54,50 +52,42 @@ def fmt_bytes(num: float) -> str:
 
 
 def dense_bytes(n: int) -> int:
-    """Bytes of the (n+1)² boolean adjacency the dense backend would hold."""
+    """Bytes an (n+1)² boolean adjacency matrix would hold."""
 
     return (n + 1) * (n + 1)
 
 
-def build_once(kind: str, n: int, sparse: bool, seed: int):
+def build_once(kind: str, n: int, seed: int):
     rng = np.random.default_rng(seed)
     tracemalloc.start()
     start = time.perf_counter()
     if kind == "gilbert":
-        topo = GilbertGraph.sample(
-            n, 2.0 * gilbert_connectivity_radius(n), rng, sparse=sparse
-        )
+        topo = GilbertGraph.sample(n, 2.0 * gilbert_connectivity_radius(n), rng)
     else:
-        topo = ScaleFreeGilbert.sample(
-            n, 2.5, gilbert_connectivity_radius(n), rng, sparse=sparse
-        )
+        topo = ScaleFreeGilbert.sample(n, 2.5, gilbert_connectivity_radius(n), rng)
     elapsed = time.perf_counter() - start
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     return topo, elapsed, peak
 
 
-def construction_sweep(sizes, dense_limit: int, seed: int) -> None:
-    print("== construction sweep: grid-indexed CSR vs dense all-pairs ==")
+def construction_sweep(sizes, seed: int) -> None:
+    print("== construction sweep: grid-indexed CSR ==")
     header = (
-        f"{'kind':<11} {'n':>8} {'backend':<7} {'build':>8} {'mean deg':>9} "
+        f"{'kind':<11} {'n':>8} {'build':>8} {'mean deg':>9} "
         f"{'adjacency':>11} {'build peak':>11} {'dense would need':>17}"
     )
     print(header)
     print("-" * len(header))
     for kind in ("gilbert", "scale_free"):
         for n in sizes:
-            rows = [("sparse", True)]
-            if n <= dense_limit:
-                rows.append(("dense", False))
-            for label, sparse in rows:
-                topo, elapsed, peak = build_once(kind, n, sparse, seed)
-                mean_deg = float(topo.degrees().mean())
-                print(
-                    f"{kind:<11} {n:>8} {label:<7} {elapsed:>7.2f}s {mean_deg:>9.1f} "
-                    f"{fmt_bytes(topo.memory_bytes()):>11} {fmt_bytes(peak):>11} "
-                    f"{fmt_bytes(dense_bytes(n)):>17}"
-                )
+            topo, elapsed, peak = build_once(kind, n, seed)
+            mean_deg = float(topo.degrees().mean())
+            print(
+                f"{kind:<11} {n:>8} {elapsed:>7.2f}s {mean_deg:>9.1f} "
+                f"{fmt_bytes(topo.memory_bytes()):>11} {fmt_bytes(peak):>11} "
+                f"{fmt_bytes(dense_bytes(n)):>17}"
+            )
     print()
 
 
@@ -107,12 +97,7 @@ def engine_run(n: int, seed: int) -> None:
 
     print(f"== PhaseEngine multi-hop run over a GilbertGraph at n = {n:,} ==")
     radius = 2.0 * gilbert_connectivity_radius(n)
-    # Force the CSR backend so small smoke sizes exercise the same engine
-    # path as the full-scale run (above the crossover `sparse=True` is what
-    # the automatic choice picks anyway).
-    config = SimulationConfig(
-        n=n, seed=seed, topology=TopologySpec.gilbert(radius=radius, sparse=True)
-    )
+    config = SimulationConfig(n=n, seed=seed, topology=TopologySpec.gilbert(radius=radius))
     build_start = time.perf_counter()
     network = Network(config)
     build_elapsed = time.perf_counter() - build_start
@@ -124,7 +109,6 @@ def engine_run(n: int, seed: int) -> None:
     ).run()
     run_elapsed = time.perf_counter() - run_start
 
-    print(f"backend              : {network.topology.backend}")
     print(f"build time           : {build_elapsed:.1f}s")
     print(f"run time             : {run_elapsed:.1f}s (full protocol, PhaseEngine)")
     print(f"rounds executed      : {outcome.delivery.rounds_executed}")
@@ -147,8 +131,6 @@ def main() -> None:
                         help="largest network size in the construction sweep")
     parser.add_argument("--engine-n", type=int, default=100_000,
                         help="network size for the full PhaseEngine run")
-    parser.add_argument("--dense-limit", type=int, default=4_000,
-                        help="build the dense backend for comparison up to this n")
     parser.add_argument("--seed", type=int, default=2012)
     parser.add_argument("--quick", action="store_true",
                         help="CI-sized smoke (max-n 20k, engine-n 20k)")
@@ -159,7 +141,7 @@ def main() -> None:
 
     sizes = [2_000, 10_000, 50_000, 100_000, 200_000]
     sizes = sorted({min(s, args.max_n) for s in sizes if s <= args.max_n} | {args.max_n})
-    construction_sweep(sizes, dense_limit=args.dense_limit, seed=args.seed)
+    construction_sweep(sizes, seed=args.seed)
     engine_run(args.engine_n, seed=args.seed)
     print("bench_sparse_topology: all checks passed")
 

@@ -67,7 +67,7 @@ def _workloads(smoke: bool):
 
     def multi_hop(recorder, seed):
         kwargs = {"recorder": recorder} if recorder is not None else {}
-        spec = TopologySpec.gilbert(radius=0.12, sparse=True)
+        spec = TopologySpec.gilbert(radius=0.12)
         return MultiHopBroadcast(
             SimulationConfig(n=n_multi, seed=seed, topology=spec), **kwargs
         )

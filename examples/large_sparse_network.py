@@ -6,9 +6,9 @@ Usage::
     PYTHONPATH=src python examples/large_sparse_network.py [n]
 
 Builds a Gilbert random geometric graph at ``n`` devices (default 50,000 —
-far beyond what the dense adjacency path could hold), prints the realised
+far beyond what a dense adjacency matrix could hold), prints the realised
 graph's statistics and memory footprint, and drives a short capped
-multi-hop broadcast through the vectorised engine's sparse (CSR) path.
+multi-hop broadcast through the vectorised engine's event-driven CSR path.
 
 The round cap keeps the demo under ~30 s; drop the ``max_round`` override to
 let the protocol run to its natural quiet-rule termination (about 12 rounds
@@ -38,7 +38,7 @@ def main() -> None:
     start = time.perf_counter()
     network = Network(config)
     topology = network.topology
-    print(f"  built in {time.perf_counter() - start:.1f}s, backend={topology.backend}")
+    print(f"  built in {time.perf_counter() - start:.1f}s")
 
     degrees = topology.degrees()
     reachable = len(topology.reachable_from_alice())

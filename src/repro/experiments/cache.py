@@ -43,7 +43,7 @@ from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 __all__ = ["CACHE_VERSION", "stable_token", "trial_key", "TrialCache", "PruneStats"]
 
-CACHE_VERSION = 3
+CACHE_VERSION = 4
 """Salt mixed into every trial key.
 
 Bump this whenever a change alters what any trial computes (engine semantics,
@@ -52,7 +52,9 @@ function's signature; existing stores then read as empty instead of serving
 stale records.
 
 Version history: 2 — the multi-hop request-phase quiet rule became per-node
-and degree-aware by default (E11/E13 trial records changed).
+and degree-aware by default (E11/E13 trial records changed).  4 — spatial
+topologies always run on the CSR adjacency and the event-driven multi-hop
+engine path (small-n E11/E13 trial records changed).
 """
 
 

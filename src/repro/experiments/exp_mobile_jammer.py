@@ -161,9 +161,7 @@ def _trial(seed: int, n: int, engine: str, scenario: str, roster_seed: int) -> d
     """
 
     radius = 2.0 * gilbert_connectivity_radius(n)
-    # Force the CSR backend: every E12 run exercises the same sparse
-    # nodes_in_disk / event-driven engine paths the large-n acceptance uses.
-    spec = TopologySpec.gilbert(radius=radius, sparse=True)
+    spec = TopologySpec.gilbert(radius=radius)
     config = SimulationConfig(n=n, k=2, f=1.0, seed=seed, topology=spec)
     adversary = scenario_roster(None, seed=roster_seed)[scenario]()
     adversary.max_total_spend = 0.5 * config.adversary_total_budget

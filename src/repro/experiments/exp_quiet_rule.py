@@ -139,11 +139,11 @@ def run(settings: ExperimentSettings) -> ExperimentResult:
         "Both misfire directions, one table: the paper rule pays the sub-threshold blowup "
         "(Alice-less components run to the round cap) and still dips below 1 near the "
         "threshold (locally quiet nodes give up at the earliest reliable round, ahead of the "
-        "relay frontier); the uniform retry cap fixes the cost but leaves near-threshold "
-        "delivery short of 1 (pipelined relay rounds shrank this deficit — fewer request "
-        "phases elapse before the frontier arrives — but the cap still strands whoever it "
-        "binds on); the degree-aware budgets fix the cost to within ~2x of the cap while "
-        "returning delivery_vs_reachable to ~1."
+        "relay frontier); the uniform retry cap fixes the cost but strands whoever it binds "
+        "on (pipelined relay rounds shrank its near-threshold deficit to the odd node — fewer "
+        "request phases elapse before the frontier arrives — and below the threshold it can "
+        "still starve Alice's own small components); the degree-aware budgets fix the cost "
+        "to within ~2x of the cap while returning delivery_vs_reachable to ~1."
     )
     result.add_note(
         "The hops=1 (plain-degree) budget row is why the rule derives budgets from the "

@@ -119,9 +119,9 @@ def engine_event(path: str, result: object, **extra: Scalar) -> TraceEvent:
     """Build the standard ``"engine"`` event from a ``PhaseResult``.
 
     Duck-typed on the result's channel-level tallies so both engines (and all
-    three fast-engine paths) share one payload shape; ``path`` names the code
-    path that executed the phase (``"single-hop"``, ``"multihop-dense"``,
-    ``"multihop-sparse"``, ``"slot"``).  Reads only values the engine has
+    fast-engine paths) share one payload shape; ``path`` names the code path
+    that executed the phase (``"single-hop"``, ``"multihop-sparse"``,
+    ``"slot"``).  Reads only values the engine has
     already computed.
     """
 

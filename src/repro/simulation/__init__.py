@@ -40,7 +40,6 @@ from .phaseplan import (
 )
 from .rng import RandomSource, derive_seed
 from .topology import (
-    SPARSE_NODE_THRESHOLD,
     GilbertGraph,
     NeighborCSR,
     ScaleFreeGilbert,
@@ -101,7 +100,6 @@ __all__ = [
     "ScaleFreeGilbert",
     "SimulationConfig",
     "SimulationError",
-    "SPARSE_NODE_THRESHOLD",
     "SingleHop",
     "SlotAction",
     "SlotClock",

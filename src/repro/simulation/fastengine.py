@@ -32,32 +32,12 @@ Spatial topologies
 Over a multi-hop :class:`~repro.simulation.topology.Topology` the aggregate
 shortcut above no longer applies — what a listener hears depends on *which*
 of its neighbours transmitted.  :meth:`PhaseEngine._run_phase_multihop`
-therefore samples per-device send/listen indicator matrices and resolves
-audibility with per-node reachability masks (boolean adjacency matmuls), so
-delivery, noise, and informed-truncation are computed per listener from its
-actual radio neighbourhood.  Memory is ``O(n·slots)``.  Remaining documented
-approximations of the multi-hop path (validated statistically against the
-slot engine):
-
-* a node informed mid-phase stops listening and nacking immediately (exact),
-  but other listeners keep "hearing" its pre-sampled nack/decoy schedule for
-  the rest of the phase (in the protocol's schedules nacks and payload never
-  share a phase, so this only perturbs decoy-variant noise counts);
-* decoy senders that become informed mid-phase keep sending decoys until the
-  phase ends (the slot engine mutes them).
-
-Sparse topologies (n ≫ 10⁴)
----------------------------
-
-The indicator-matrix path above is ``O(n·slots)`` in time *and* memory, which
-caps it well below the network sizes where Gilbert-graph asymptotics appear.
-When the topology reports the CSR backend
-(:attr:`~repro.simulation.topology.Topology.backend` == ``"sparse"``),
-:meth:`PhaseEngine._run_phase_multihop_sparse` runs instead.  It exploits the
-protocol's own sparsity: per-slot action probabilities are ``O(1/n)`` (sends)
-or geometrically decaying (listens), so the *events* of a phase — who
-transmitted in which slot — number ``O(n)`` rather than ``O(n·slots)``.  The
-sparse path:
+therefore resolves the phase from its transmission *events* over the
+topology's :class:`~repro.simulation.topology.NeighborCSR` adjacency.  It
+exploits the protocol's own sparsity: per-slot action probabilities are
+``O(1/n)`` (sends) or geometrically decaying (listens), so the events of a
+phase — who transmitted in which slot — number ``O(n)`` rather than
+``O(n·slots)``, and one path serves every network size.  The path:
 
 * samples transmission events exactly (a Bernoulli grid conditioned on its
   binomial count is a uniform subset of device×slot cells),
@@ -67,15 +47,22 @@ sparse path:
   (exact: collision, spoof, jamming, and half-duplex rules all applied per
   pair), and
 * draws listening costs and request-phase noisy-slot counts as binomials
-  over the per-listener slot classification — exact for request phases,
-  and the same marginal-truncation approximation as the single-hop path for
-  nodes informed mid-phase (listening stops at the delivery slot, but the
-  pre-delivery listening cost is drawn marginally).
+  over the per-listener slot classification.
 
-Both multi-hop paths implement the same phase semantics and are covered by
-the same statistical-equivalence suite; which one runs is purely a
-memory/speed trade governed by the topology's dense/sparse crossover
-(:data:`~repro.simulation.topology.SPARSE_NODE_THRESHOLD`).
+Documented approximations of the multi-hop path (validated statistically
+against the slot engine in ``tests/test_sparse_topology.py``):
+
+* a node informed mid-phase stops listening at its delivery slot (exact),
+  but its pre-delivery listening cost is drawn marginally over its active
+  window — the single-hop path's marginal truncation;
+* a listener's listening cost and its request-phase noisy-slot count are
+  independent binomial draws, so each marginal is exact but their joint
+  correlation is not preserved;
+* a node informed mid-phase keeps its sampled nack and decoy events until
+  the phase ends — neighbours still hear them, and its decoys still cost it
+  — where the slot engine mutes it.  The protocol's schedules never put
+  nacks and payload in one phase, so in protocol runs this only perturbs
+  the decoy variant; engine-API phases that mix them over-count noise.
 """
 
 from __future__ import annotations
@@ -167,8 +154,6 @@ class PhaseEngine:
 
         topology = network.topology
         if topology is not None and not topology.is_single_hop:
-            if topology.backend == "sparse":
-                return self._run_phase_multihop_sparse(plan, roles, jam_plan, start_slot)
             return self._run_phase_multihop(plan, roles, jam_plan, start_slot)
 
         uninformed = roles.active_uninformed_ids
@@ -346,232 +331,14 @@ class PhaseEngine:
         jam_plan: JamPlan,
         start_slot: int = 0,
     ) -> PhaseResult:
-        """Vectorised execution over a spatial topology.
-
-        Samples per-device send/listen indicators and resolves per-listener
-        audibility through the topology's reachability masks; see the module
-        docstring for the (documented) approximations.
-        """
-
-        network = self.network
-        topology = network.topology
-        rng = self._rng
-        s = plan.num_slots
-        f32 = np.float32
-
-        uninformed = roles.active_uninformed_ids
-        relays = roles.relay_ids
-        decoys = roles.decoy_ids
-        num_u, num_r, num_d = uninformed.size, relays.size, decoys.size
-
-        # ------------------------------------------------------------------ #
-        # 1. Per-device send/listen indicator matrices                        #
-        # ------------------------------------------------------------------ #
-        alice_sends = np.zeros(s, dtype=bool)
-        if roles.alice_active and plan.alice_send_prob > 0:
-            alice_sends = rng.random(s) < plan.alice_send_prob
-
-        relay_sends = np.zeros((num_r, s), dtype=bool)
-        if num_r and plan.relay_send_prob > 0:
-            relay_sends = rng.random((num_r, s)) < plan.relay_send_prob
-
-        nack_sends = np.zeros((num_u, s), dtype=bool)
-        listen_mask = np.zeros((num_u, s), dtype=bool)
-        if num_u:
-            if plan.nack_send_prob > 0:
-                nack_sends = rng.random((num_u, s)) < plan.nack_send_prob
-            if plan.uninformed_listen_prob > 0:
-                listen_mask = ~nack_sends & (rng.random((num_u, s)) < plan.uninformed_listen_prob)
-
-        decoy_sends = np.zeros((num_d, s), dtype=bool)
-        if num_d and plan.decoy_send_prob > 0:
-            decoy_sends = rng.random((num_d, s)) < plan.decoy_send_prob
-            if num_u:
-                # Half-duplex, mirroring the slot engine: a decoy sender that
-                # chose a nack keeps the nack; one that chose to listen
-                # transmits the decoy and forfeits the observation (the slot
-                # costs one unit either way).
-                position = {int(node): idx for idx, node in enumerate(uninformed)}
-                shared = [
-                    (d_idx, position[int(node)])
-                    for d_idx, node in enumerate(decoys)
-                    if int(node) in position
-                ]
-                if shared:
-                    d_rows = np.array([d for d, _ in shared], dtype=np.int64)
-                    u_rows = np.array([u for _, u in shared], dtype=np.int64)
-                    decoy_sends[d_rows] &= ~nack_sends[u_rows]
-                    listen_mask[u_rows] &= ~decoy_sends[d_rows]
-
-        # ------------------------------------------------------------------ #
-        # 2. Adversary actions (jamming + spoofed transmissions)              #
-        # ------------------------------------------------------------------ #
-        correct_tx = (
-            alice_sends.astype(np.int64)
-            + relay_sends.sum(axis=0)
-            + nack_sends.sum(axis=0)
-            + decoy_sends.sum(axis=0)
-        )
-        correct_activity = correct_tx > 0
-
-        (
-            jam_mask,
-            spoof_counts,
-            adversary_spend,
-            jammed_slots,
-            spoofed_transmissions,
-        ) = self._materialize_adversary_actions(jam_plan, s, rng, correct_activity)
-        busy_slots = int(np.count_nonzero((correct_tx + spoof_counts > 0) | jam_mask))
-
-        # ------------------------------------------------------------------ #
-        # 3. Per-listener audibility through reachability masks               #
-        # ------------------------------------------------------------------ #
-        newly_informed: Set[int] = set()
-        node_noisy: Dict[int, int] = {}
-        delivery_slots = 0
-        jam_victims = 0
-        if num_u:
-            # Authentic payload copies audible to each listener: Alice's sends
-            # if she is in range, plus in-range relays (spoofed "payloads" are
-            # unauthenticated and counted as noise below).
-            hears_alice = topology.reach_matrix_f32(uninformed, [ALICE_ID])
-            payload_heard = hears_alice * alice_sends.astype(f32)[None, :]
-            if num_r and plan.relay_send_prob > 0:
-                payload_heard += topology.reach_matrix_f32(uninformed, relays) @ relay_sends.astype(
-                    f32
-                )
-
-            other_heard = np.zeros((num_u, s), dtype=f32)
-            if spoofed_transmissions:
-                other_heard += spoof_counts.astype(f32)[None, :]
-            if plan.nack_send_prob > 0:
-                # Zero diagonal in the reach matrix: no one hears its own nack.
-                other_heard += topology.reach_matrix_f32(uninformed, uninformed) @ nack_sends.astype(
-                    f32
-                )
-            if num_d and plan.decoy_send_prob > 0:
-                other_heard += topology.reach_matrix_f32(uninformed, decoys) @ decoy_sends.astype(
-                    f32
-                )
-
-            jam_affects_listeners = jam_plan.targeting.mode is not JamMode.NONE
-            victim = (
-                self._victim_mask(uninformed, jam_plan)
-                if jam_affects_listeners
-                else np.zeros(num_u, dtype=bool)
-            )
-            jam_victims = int(victim.sum())
-            jam_for_node = jam_mask[None, :] & victim[:, None]
-
-            clean_delivery = (payload_heard == 1) & (other_heard == 0) & ~jam_for_node
-
-            active_until = np.full(num_u, s - 1, dtype=np.int64)
-            if plan.carries_payload and plan.uninformed_listen_prob > 0:
-                opportunity = listen_mask & clean_delivery
-                informed_mask = opportunity.any(axis=1)
-                if informed_mask.any():
-                    first_slot = opportunity.argmax(axis=1)
-                    active_until[informed_mask] = first_slot[informed_mask]
-                    newly_informed = set(int(x) for x in uninformed[informed_mask])
-                    delivery_slots = int(np.unique(first_slot[informed_mask]).size)
-
-            cols = np.arange(s, dtype=np.int64)
-            active = cols[None, :] <= active_until[:, None]
-
-            noisy_slot = jam_for_node | ((payload_heard + other_heard > 0) & ~clean_delivery)
-            heard_noisy = (listen_mask & active & noisy_slot).sum(axis=1)
-            listen_cost = (listen_mask & active).sum(axis=1)
-            nack_cost = (nack_sends & active).sum(axis=1)
-
-            network.node_ledgers.charge_bulk_many(EnergyOperation.LISTEN, uninformed, listen_cost)
-            network.node_ledgers.charge_bulk_many(EnergyOperation.SEND, uninformed, nack_cost)
-            if plan.kind is PhaseKind.REQUEST:
-                node_noisy = {
-                    int(uninformed[idx]): int(heard_noisy[idx]) for idx in range(num_u)
-                }
-
-        # ------------------------------------------------------------------ #
-        # 4. Alice                                                            #
-        # ------------------------------------------------------------------ #
-        alice_send_slots = int(np.count_nonzero(alice_sends))
-        if alice_send_slots:
-            network.alice.ledger.charge_bulk(EnergyOperation.SEND, float(alice_send_slots))
-
-        alice_noisy = 0
-        alice_listen_slots = 0
-        if roles.alice_active and plan.alice_listen_prob > 0:
-            alice_listens = (rng.random(s) < plan.alice_listen_prob) & ~alice_sends
-            audible_alice = np.zeros(s, dtype=f32)
-            if spoofed_transmissions:
-                audible_alice += spoof_counts.astype(f32)
-            if num_r and plan.relay_send_prob > 0:
-                audible_alice += (
-                    topology.reach_matrix_f32([ALICE_ID], relays) @ relay_sends.astype(f32)
-                )[0]
-            if num_u and plan.nack_send_prob > 0:
-                audible_alice += (
-                    topology.reach_matrix_f32([ALICE_ID], uninformed) @ nack_sends.astype(f32)
-                )[0]
-            if num_d and plan.decoy_send_prob > 0:
-                audible_alice += (
-                    topology.reach_matrix_f32([ALICE_ID], decoys) @ decoy_sends.astype(f32)
-                )[0]
-            jam_for_alice = (
-                jam_mask if jam_plan.targeting.affects(ALICE_ID) else np.zeros(s, dtype=bool)
-            )
-            alice_noisy = int((alice_listens & ((audible_alice > 0) | jam_for_alice)).sum())
-            alice_listen_slots = int(alice_listens.sum())
-            if alice_listen_slots:
-                network.alice.ledger.charge_bulk(EnergyOperation.LISTEN, float(alice_listen_slots))
-
-        # ------------------------------------------------------------------ #
-        # 5. Relay and decoy send costs (exact row sums)                      #
-        # ------------------------------------------------------------------ #
-        if num_r:
-            network.node_ledgers.charge_bulk_many(
-                EnergyOperation.SEND, relays, relay_sends.sum(axis=1)
-            )
-        if num_d:
-            network.node_ledgers.charge_bulk_many(
-                EnergyOperation.SEND, decoys, decoy_sends.sum(axis=1)
-            )
-
-        result = PhaseResult(
-            plan=plan,
-            newly_informed=frozenset(newly_informed),
-            jammed_slots=jammed_slots,
-            adversary_spend=adversary_spend,
-            alice_noisy_heard=alice_noisy,
-            node_noisy_heard=node_noisy,
-            delivery_slots=delivery_slots,
-            busy_slots=busy_slots,
-            alice_send_slots=alice_send_slots,
-            alice_listen_slots=alice_listen_slots,
-            spoofed_transmissions=spoofed_transmissions,
-        )
-        if self.recorder.enabled:
-            self.recorder.record(engine_event("multihop-dense", result, jam_victims=jam_victims))
-        return result
-
-    # ------------------------------------------------------------------ #
-    # Sparse multi-hop (CSR-topology) execution                           #
-    # ------------------------------------------------------------------ #
-
-    def _run_phase_multihop_sparse(
-        self,
-        plan: PhasePlan,
-        roles: PhaseRoles,
-        jam_plan: JamPlan,
-        start_slot: int = 0,
-    ) -> PhaseResult:
-        """Event-driven execution over a sparse (CSR-backed) topology.
+        """Event-driven execution over a spatial (CSR-backed) topology.
 
         Instead of materialising ``(devices × slots)`` indicator matrices, the
         phase is resolved from its transmission *events*: each sampled send is
         expanded through the sender's CSR neighbourhood slice onto only the
         currently-active listeners.  See the module docstring for the exact /
-        approximate split; statistical equivalence with the dense multi-hop
-        path is covered by the sparse-topology test suite.
+        approximate split; statistical equivalence with the slot engine is
+        covered by the sparse-topology test suite.
         """
 
         network = self.network
@@ -603,8 +370,8 @@ class PhaseEngine:
 
         nack_keys = uninformed[nack_idx] * s + nack_slots
         if decoy_idx.size and nack_keys.size:
-            # Half-duplex, mirroring the dense path: a decoy sender that chose
-            # a nack in the same slot keeps the nack.
+            # Half-duplex, mirroring the slot engine: a decoy sender that
+            # chose a nack in the same slot keeps the nack.
             decoy_device_keys = decoys[decoy_idx] * s + decoy_slots
             keep = ~np.isin(decoy_device_keys, nack_keys)
             decoy_idx, decoy_slots = decoy_idx[keep], decoy_slots[keep]
@@ -714,8 +481,8 @@ class PhaseEngine:
                 delivery_slots = int(np.unique(first_slot).size)
 
         informed_mask = informed_at >= 0
-        # Inclusive active window per listener (mirrors the dense path's
-        # `active_until`): a node informed in slot t stops after t.
+        # Inclusive active window per listener: a node informed in slot t
+        # stops after t.
         cutoff = np.where(informed_mask, informed_at, s - 1)
 
         # ------------------------------------------------------------------ #
@@ -751,9 +518,9 @@ class PhaseEngine:
                 # Exact per-listener noisy-slot counts within each listener's
                 # active window: globally-noisy slots (spoofing, and jamming
                 # for victims) plus the listener's own audible slots, minus
-                # clean deliveries, overlap, and half-duplex exclusions —
-                # mirroring the dense path's
-                # `jam | ((payload + other > 0) & ~clean_delivery)` per slot.
+                # clean deliveries, overlap, and half-duplex exclusions: a
+                # slot is noisy for a listener iff it is jammed for it, or
+                # anything is audible there and it is not a clean delivery.
                 global_noisy_victim = spoof_busy | jam_mask
                 victim_cum = np.cumsum(global_noisy_victim)
                 spared_cum = np.cumsum(spoof_busy)

@@ -41,10 +41,9 @@ class Network:
         Optional pre-built :class:`~repro.simulation.topology.Topology`.
         When omitted, the topology is realised from ``config.topology``
         (single-hop when that is ``None``) using the network's own seeded
-        random source, so runs stay a pure function of the seed.  The spec's
-        ``sparse`` field (or the device-count crossover) decides whether the
-        realised graph is held as a dense matrix or a CSR neighbour list;
-        :meth:`topology_memory_bytes` reports the resulting footprint.
+        random source, so runs stay a pure function of the seed; spatial
+        graphs are held as a CSR neighbour list, whose footprint
+        :meth:`topology_memory_bytes` reports.
     """
 
     def __init__(
@@ -115,10 +114,9 @@ class Network:
     def topology_memory_bytes(self) -> int:
         """Bytes held by the realised radio-graph adjacency.
 
-        Dense backends count the boolean matrix (plus its cached float32
-        cast, once built); sparse backends count the CSR arrays; the implicit
-        single-hop topology stores nothing.  Benchmarks use this to verify
-        that large-n runs stay within the sparse memory envelope.
+        Spatial topologies count their CSR arrays; the implicit single-hop
+        topology stores nothing.  Benchmarks use this to verify that large-n
+        runs stay within the ``O(n + |edges|)`` memory envelope.
         """
 
         return self.topology.memory_bytes()

@@ -20,31 +20,17 @@ message must travel multiple hops.  This module supplies the spatial layer:
   distribution, and ``u ~ v`` iff ``dist(u, v) <= max(r_u, r_v)``.  Nodes
   with large radii become hubs, producing a power-law degree tail.
 
-Dense and sparse adjacency backends
------------------------------------
+Adjacency storage
+-----------------
 
-Spatial topologies keep the realised radio graph in one of two backends:
-
-* **dense** — the original (n+1)×(n+1) boolean adjacency matrix, built from
-  all-pairs distances.  Exact, simple, and the right choice up to a few
-  thousand devices, but both its construction time and its memory are
-  Θ(n²): at ``n = 10⁵`` the matrix alone would need ~10 GiB.
-* **sparse** — a :class:`NeighborCSR` compressed-sparse-row neighbour list
-  built with a uniform-grid cell index: points are bucketed into cells of
-  the connection radius, and only points in adjacent cells are compared, so
-  construction is ``O(n · E[deg])`` and memory is ``O(n + |edges|)``.  This
-  is what lets :class:`~repro.simulation.fastengine.PhaseEngine` scale into
-  the ``n ≫ 10⁴`` regime where the Gilbert-graph asymptotics of
-  arXiv:1312.4861 / arXiv:1411.6824 actually bite.
-
-Both backends realise the *same* graph for the same positions (the edge
-predicate is evaluated with identical float arithmetic), so the choice is an
-implementation detail.  It is made automatically at construction: networks
-with more than :data:`SPARSE_NODE_THRESHOLD` devices go sparse, smaller ones
-stay dense; ``TopologySpec(sparse=True/False)`` (or the ``sparse=`` keyword
-of the topology constructors) overrides the crossover in either direction.
-:attr:`Topology.backend` reports which representation a realised topology
-uses, and :meth:`Topology.memory_bytes` its adjacency footprint.
+Spatial topologies hold the realised radio graph as a :class:`NeighborCSR`
+compressed-sparse-row neighbour list, built with a uniform-grid cell index:
+points are bucketed into cells of the connection radius, and only points in
+adjacent cells are compared, so construction is ``O(n · E[deg])`` and memory
+is ``O(n + |edges|)`` at every size.  The same representation serves a few
+dozen devices and the ``n ≫ 10⁴`` regime where the Gilbert-graph
+asymptotics of arXiv:1312.4861 / arXiv:1411.6824 actually bite.
+:meth:`Topology.memory_bytes` reports the adjacency footprint.
 
 Model notes and deliberate approximations
 -----------------------------------------
@@ -88,16 +74,7 @@ __all__ = [
     "NeighborCSR",
     "build_topology",
     "gilbert_connectivity_radius",
-    "SPARSE_NODE_THRESHOLD",
 ]
-
-
-SPARSE_NODE_THRESHOLD = 4096
-"""Device count (``n + 1``, nodes plus Alice) above which spatial topologies
-default to the sparse CSR backend.  At the threshold the dense boolean
-adjacency is ~16 MiB; one step past it the quadratic growth starts to crowd
-out the engines, while the CSR representation stays linear in the edge
-count."""
 
 
 def gilbert_connectivity_radius(n: int) -> float:
@@ -204,15 +181,6 @@ class NeighborCSR:
         flat = _gather_ranges(self.indptr[rows], counts)
         return origins, self.indices[flat].astype(np.int64, copy=False)
 
-    def to_dense(self) -> np.ndarray:
-        """Materialise the boolean adjacency matrix (Θ(num_rows²) memory)."""
-
-        m = self.num_rows
-        dense = np.zeros((m, m), dtype=bool)
-        rows = np.repeat(np.arange(m, dtype=np.int64), self.degrees())
-        dense[rows, self.indices.astype(np.int64, copy=False)] = True
-        return dense
-
     def memory_bytes(self) -> int:
         """Bytes held by the CSR arrays."""
 
@@ -314,10 +282,8 @@ def _gilbert_edges_grid(positions: np.ndarray, radius: float) -> Tuple[np.ndarra
     """Edge list of the Gilbert graph via a uniform grid: ``O(m · E[deg])``.
 
     Cells have side ``radius``, so every edge joins points in the same or
-    adjacent cells; only those candidate pairs are distance-checked.  The
-    predicate (``dist² <= radius²`` on the same float operations) matches the
-    dense all-pairs construction bit for bit, so both backends realise the
-    identical graph.
+    adjacent cells; only those candidate pairs are distance-checked, with the
+    predicate ``dist² <= radius²``.
     """
 
     grid = _CellGrid(positions, min(radius, 1.0))
@@ -429,14 +395,6 @@ def _scale_free_edges_grid(
     return np.concatenate(us), np.concatenate(vs)
 
 
-def _resolve_sparse(num_devices: int, sparse: Optional[bool]) -> bool:
-    """Apply the dense/sparse crossover: explicit override, else by size."""
-
-    if sparse is not None:
-        return bool(sparse)
-    return num_devices > SPARSE_NODE_THRESHOLD
-
-
 # --------------------------------------------------------------------------- #
 # Topology specification                                                      #
 # --------------------------------------------------------------------------- #
@@ -467,12 +425,6 @@ class TopologySpec:
     alice_placement:
         ``"center"`` (default) pins Alice to (0.5, 0.5); ``"random"`` samples
         her position like any node.
-    sparse:
-        Adjacency backend override: ``True`` forces the CSR representation,
-        ``False`` forces the dense matrix, ``None`` (default) crosses over
-        automatically at :data:`SPARSE_NODE_THRESHOLD` devices.  Both
-        backends realise the identical graph; this knob trades memory/speed
-        only.  Ignored by ``"single_hop"`` (which stores no adjacency).
     """
 
     kind: str = "single_hop"
@@ -480,7 +432,6 @@ class TopologySpec:
     alpha: float = 2.5
     min_radius: Optional[float] = None
     alice_placement: str = "center"
-    sparse: Optional[bool] = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("single_hop", "gilbert", "scale_free"):
@@ -498,38 +449,26 @@ class TopologySpec:
             raise ConfigurationError(
                 f"alice_placement must be 'center' or 'random', got {self.alice_placement!r}"
             )
-        if self.sparse is not None and not isinstance(self.sparse, bool):
-            raise ConfigurationError(
-                f"sparse must be True, False, or None (auto), got {self.sparse!r}"
-            )
 
     @staticmethod
     def single_hop() -> "TopologySpec":
         return TopologySpec(kind="single_hop")
 
     @staticmethod
-    def gilbert(
-        radius: Optional[float] = None,
-        alice_placement: str = "center",
-        sparse: Optional[bool] = None,
-    ) -> "TopologySpec":
-        return TopologySpec(
-            kind="gilbert", radius=radius, alice_placement=alice_placement, sparse=sparse
-        )
+    def gilbert(radius: Optional[float] = None, alice_placement: str = "center") -> "TopologySpec":
+        return TopologySpec(kind="gilbert", radius=radius, alice_placement=alice_placement)
 
     @staticmethod
     def scale_free(
         alpha: float = 2.5,
         min_radius: Optional[float] = None,
         alice_placement: str = "center",
-        sparse: Optional[bool] = None,
     ) -> "TopologySpec":
         return TopologySpec(
             kind="scale_free",
             alpha=alpha,
             min_radius=min_radius,
             alice_placement=alice_placement,
-            sparse=sparse,
         )
 
 
@@ -575,18 +514,6 @@ class Topology(abc.ABC):
 
         return False
 
-    @property
-    def backend(self) -> str:
-        """Adjacency representation: ``"dense"``, ``"sparse"``, or ``"implicit"``.
-
-        ``"implicit"`` means no adjacency is stored at all (single-hop: the
-        graph is a clique by definition).  The engines dispatch on this — the
-        sparse backend routes :class:`~repro.simulation.fastengine.PhaseEngine`
-        through its event-driven CSR path.
-        """
-
-        return "implicit"
-
     def _index(self, device_id: int) -> int:
         """Map a device id to its row (Alice last: nodes ``0..n-1``, Alice ``n``)."""
 
@@ -603,41 +530,12 @@ class Topology(abc.ABC):
 
     @abc.abstractmethod
     def can_hear(self, listener_id: int, sender_id: int) -> bool:
-        """Whether ``listener_id`` receives a transmission by ``sender_id``."""
+        """Whether ``listener_id`` receives a transmission by ``sender_id``.
 
-    @abc.abstractmethod
-    def reach_matrix(self, listener_ids: Sequence[int], sender_ids: Sequence[int]) -> np.ndarray:
-        """Boolean matrix ``M[i, j]`` = listener ``i`` hears sender ``j``.
-
-        Parameters
-        ----------
-        listener_ids:
-            Device ids (``0..n-1`` or :data:`~repro.simulation.auth.ALICE_ID`)
-            selecting the rows of the result, in order.
-        sender_ids:
-            Device ids selecting the columns.  May include synthetic
-            Byzantine sender ids (``<= -2``), which yield all-``True``
-            columns: the model grants Carol a transmitter wherever it hurts
-            most.
-
-        Returns
-        -------
-        numpy.ndarray
-            Shape ``(len(listener_ids), len(sender_ids))``, dtype ``bool``.
-            Self-pairs are always ``False`` (a radio never hears itself).
+        Synthetic Byzantine sender ids (``<= -2``) are audible everywhere
+        (the model grants Carol a transmitter wherever it hurts most); a
+        radio never hears itself.
         """
-
-    def reach_matrix_f32(
-        self, listener_ids: Sequence[int], sender_ids: Sequence[int]
-    ) -> np.ndarray:
-        """:meth:`reach_matrix` as ``float32``, ready for matmul accumulation.
-
-        Same shape and semantics as :meth:`reach_matrix`; dense spatial
-        backends slice a cached float32 cast of the adjacency so vectorised
-        engines do not re-convert the immutable graph every phase.
-        """
-
-        return self.reach_matrix(listener_ids, sender_ids).astype(np.float32)
 
     @abc.abstractmethod
     def neighbor_csr(self) -> NeighborCSR:
@@ -974,9 +872,8 @@ class SingleHop(Topology):
     This class exists so the rest of the stack can treat topology uniformly;
     both engines and the channel check :attr:`is_single_hop` and take their
     original code paths, keeping seed outcomes bit-identical.  No adjacency
-    is stored (:attr:`backend` is ``"implicit"``); :meth:`neighbor_csr`
-    materialises the clique on demand and is intended for small-``n``
-    diagnostics only.
+    is stored; :meth:`neighbor_csr` materialises the clique on demand and is
+    intended for small-``n`` diagnostics only.
     """
 
     name = "single_hop"
@@ -991,11 +888,6 @@ class SingleHop(Topology):
 
     def can_hear(self, listener_id: int, sender_id: int) -> bool:
         return listener_id != sender_id
-
-    def reach_matrix(self, listener_ids: Sequence[int], sender_ids: Sequence[int]) -> np.ndarray:
-        listeners = np.asarray(list(listener_ids), dtype=np.int64)
-        senders = np.asarray(list(sender_ids), dtype=np.int64)
-        return listeners[:, None] != senders[None, :]
 
     def neighbor_csr(self) -> NeighborCSR:
         if self._csr is None:
@@ -1042,50 +934,28 @@ class _SpatialTopology(Topology):
     """Shared implementation for position-based topologies.
 
     Subclasses provide positions (rows ``0..n-1`` for nodes, row ``n`` for
-    Alice) and the realised symmetric adjacency in exactly one backend:
-    either a dense boolean matrix with a zero diagonal, or a
-    :class:`NeighborCSR`.  Queries work identically against both; the dense
-    matrix (and its cached float32 cast) exists only below the memory
-    crossover, the CSR only above it unless forced.
+    Alice) and the realised symmetric adjacency as a :class:`NeighborCSR`
+    with an empty diagonal.
     """
 
-    def __init__(
-        self,
-        positions: np.ndarray,
-        adjacency: Optional[np.ndarray] = None,
-        csr: Optional[NeighborCSR] = None,
-    ) -> None:
+    def __init__(self, positions: np.ndarray, csr: NeighborCSR) -> None:
         n = positions.shape[0] - 1
         super().__init__(n)
         if positions.shape != (n + 1, 2):
             raise ConfigurationError(f"positions must have shape (n+1, 2), got {positions.shape}")
-        if (adjacency is None) == (csr is None):
-            raise ConfigurationError(
-                "exactly one adjacency backend (dense matrix or CSR) is required"
-            )
-        if adjacency is not None and adjacency.shape != (n + 1, n + 1):
-            raise ConfigurationError(f"adjacency must have shape (n+1, n+1), got {adjacency.shape}")
-        if csr is not None and csr.num_rows != n + 1:
+        if csr.num_rows != n + 1:
             raise ConfigurationError(
                 f"CSR adjacency must have {n + 1} rows, got {csr.num_rows}"
             )
         self._positions = positions
-        self._adjacency = adjacency
         self._csr = csr
         # The graph is immutable after construction, and the multi-hop relay
-        # layer asks for the same neighbourhoods every phase — memoise them,
-        # along with the float32 cast the vectorised engine matmuls against.
+        # layer asks for the same neighbourhoods every phase — memoise them.
         self._neighbor_cache: dict = {}
         self._node_neighbor_cache: dict = {}
-        self._adjacency_f32: Optional[np.ndarray] = None
         # Point index for disk queries: built lazily on the first
-        # nodes_in_disk call above the sparse crossover (mobile jammers query
-        # a disk every phase; the dense scan is O(n) per call).
+        # nodes_in_disk call (mobile jammers query a disk every phase).
         self._disk_grid: Optional[_CellGrid] = None
-
-    @property
-    def backend(self) -> str:
-        return "dense" if self._adjacency is not None else "sparse"
 
     @property
     def positions(self) -> np.ndarray:
@@ -1093,114 +963,21 @@ class _SpatialTopology(Topology):
 
         return self._positions.copy()
 
-    @property
-    def adjacency(self) -> np.ndarray:
-        """Copy of the full (n+1)×(n+1) boolean adjacency; row ``n`` is Alice.
-
-        On the sparse backend this *materialises* the dense matrix — Θ(n²)
-        memory — and is meant for tests and small-n diagnostics; large-n
-        code paths should slice :meth:`neighbor_csr` instead.
-        """
-
-        if self._adjacency is not None:
-            return self._adjacency.copy()
-        return self._csr.to_dense()
-
     def neighbor_csr(self) -> NeighborCSR:
-        if self._csr is None:
-            dense = self._adjacency
-            counts = dense.sum(axis=1, dtype=np.int64)
-            indptr = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(counts)])
-            indices = np.nonzero(dense)[1].astype(np.int32)
-            self._csr = NeighborCSR(indptr=indptr, indices=indices)
         return self._csr
 
     def memory_bytes(self) -> int:
-        total = 0
-        if self._adjacency is not None:
-            total += int(self._adjacency.nbytes)
-        if self._adjacency_f32 is not None:
-            total += int(self._adjacency_f32.nbytes)
-        if self._csr is not None:
-            total += self._csr.memory_bytes()
-        return total
+        return self._csr.memory_bytes()
 
     def can_hear(self, listener_id: int, sender_id: int) -> bool:
         if sender_id <= -2:  # synthetic Byzantine transmitter: audible everywhere
             return True
-        listener_row = self._index(listener_id)
-        sender_row = self._index(sender_id)
-        if self._adjacency is not None:
-            return bool(self._adjacency[listener_row, sender_row])
-        return self._csr.contains(listener_row, sender_row)
-
-    def _reach_from(
-        self, matrix: np.ndarray, listener_ids: Sequence[int], sender_ids: Sequence[int]
-    ) -> np.ndarray:
-        l_idx = np.array([self._index(d) for d in listener_ids], dtype=np.int64)
-        senders = np.asarray(list(sender_ids), dtype=np.int64)
-        out = np.zeros((l_idx.size, senders.size), dtype=matrix.dtype)
-        if l_idx.size == 0 or senders.size == 0:
-            return out
-        byzantine = senders <= -2  # synthetic transmitters: audible everywhere
-        out[:, byzantine] = 1
-        real = ~byzantine
-        if real.any():
-            s_idx = np.array([self._index(int(d)) for d in senders[real]], dtype=np.int64)
-            out[:, real] = matrix[np.ix_(l_idx, s_idx)]
-        return out
-
-    def _reach_sparse(
-        self, listener_ids: Sequence[int], sender_ids: Sequence[int], dtype
-    ) -> np.ndarray:
-        l_rows = np.array([self._index(d) for d in listener_ids], dtype=np.int64)
-        senders = np.asarray(list(sender_ids), dtype=np.int64)
-        out = np.zeros((l_rows.size, senders.size), dtype=dtype)
-        if l_rows.size == 0 or senders.size == 0:
-            return out
-        byzantine = senders <= -2
-        out[:, byzantine] = 1
-        real_cols = np.flatnonzero(~byzantine)
-        if real_cols.size:
-            s_rows = np.array(
-                [self._index(int(senders[c])) for c in real_cols], dtype=np.int64
-            )
-            # Deduplicate sender rows before the scatter: a row-to-column map
-            # can hold only one column, so repeated sender ids are resolved
-            # against the unique rows and broadcast back over the duplicates.
-            uniq_rows, inverse = np.unique(s_rows, return_inverse=True)
-            sender_pos = np.full(self.n + 1, -1, dtype=np.int64)
-            sender_pos[uniq_rows] = np.arange(uniq_rows.size, dtype=np.int64)
-            origins, nbrs = self._csr.expand(l_rows)
-            cols = sender_pos[nbrs]
-            hit = cols >= 0
-            reach = np.zeros((l_rows.size, uniq_rows.size), dtype=dtype)
-            reach[origins[hit], cols[hit]] = 1
-            out[:, real_cols] = reach[:, inverse]
-        return out
-
-    def reach_matrix(self, listener_ids: Sequence[int], sender_ids: Sequence[int]) -> np.ndarray:
-        if self._adjacency is not None:
-            return self._reach_from(self._adjacency, listener_ids, sender_ids)
-        return self._reach_sparse(listener_ids, sender_ids, bool)
-
-    def reach_matrix_f32(
-        self, listener_ids: Sequence[int], sender_ids: Sequence[int]
-    ) -> np.ndarray:
-        if self._adjacency is None:
-            return self._reach_sparse(listener_ids, sender_ids, np.float32)
-        if self._adjacency_f32 is None:
-            self._adjacency_f32 = self._adjacency.astype(np.float32)
-        return self._reach_from(self._adjacency_f32, listener_ids, sender_ids)
+        return self._csr.contains(self._index(listener_id), self._index(sender_id))
 
     def neighbors(self, device_id: int) -> FrozenSet[int]:
         cached = self._neighbor_cache.get(device_id)
         if cached is None:
-            row = self._index(device_id)
-            if self._adjacency is not None:
-                ids = np.flatnonzero(self._adjacency[row])
-            else:
-                ids = self._csr.row(row)
+            ids = self._csr.row(self._index(device_id))
             cached = frozenset(self._device_id(int(i)) for i in ids)
             self._neighbor_cache[device_id] = cached
         return cached
@@ -1219,27 +996,15 @@ class _SpatialTopology(Topology):
     def nodes_in_disk(self, center: Tuple[float, float], radius: float) -> FrozenSet[int]:
         if radius < 0:
             raise ConfigurationError(f"disk radius must be non-negative, got {radius}")
-        if self._positions.shape[0] > SPARSE_NODE_THRESHOLD:
-            inside = self._disk_rows_grid(center, radius)
-        else:
-            inside = self._disk_rows_scan(center, radius)
-        return frozenset(self._device_id(int(i)) for i in inside)
+        return frozenset(self._device_id(int(i)) for i in self._disk_rows(center, radius))
 
-    def _disk_rows_scan(self, center: Tuple[float, float], radius: float) -> np.ndarray:
-        """Rows inside the disk via the exact all-points distance scan."""
-
-        deltas = self._positions - np.asarray(center, dtype=float)[None, :]
-        return np.flatnonzero((deltas ** 2).sum(axis=1) <= radius ** 2)
-
-    def _disk_rows_grid(self, center: Tuple[float, float], radius: float) -> np.ndarray:
+    def _disk_rows(self, center: Tuple[float, float], radius: float) -> np.ndarray:
         """Rows inside the disk via a cached uniform-grid point index.
 
         Only cells intersecting the disk's bounding box are inspected, so a
         phase-by-phase mobile jammer pays ``O(points near the disk)`` instead
-        of ``O(n)`` per query.  Candidate points go through the *same* float
-        distance predicate as :meth:`_disk_rows_scan`, so the two paths select
-        identical rows for identical inputs (covered by the sparse/dense disk
-        equivalence tests).
+        of ``O(n)`` per query.  Candidate points go through the exact float
+        predicate ``dist² <= radius²``.
         """
 
         if self._disk_grid is None:
@@ -1278,11 +1043,6 @@ class _SpatialTopology(Topology):
         inside.sort()
         return inside
 
-    def _compute_degrees(self) -> np.ndarray:
-        if self._adjacency is not None:
-            return self._adjacency[: self.n, : self.n].sum(axis=1).astype(np.int64)
-        return super()._compute_degrees()
-
 
 def _sample_positions(n: int, rng: np.random.Generator, alice_placement: str) -> np.ndarray:
     positions = np.empty((n + 1, 2), dtype=float)
@@ -1307,27 +1067,15 @@ class GilbertGraph(_SpatialTopology):
         convention).
     radius:
         Connection radius in unit-square coordinates; must be positive.
-    sparse:
-        Backend override (``True`` CSR, ``False`` dense, ``None`` automatic
-        crossover at :data:`SPARSE_NODE_THRESHOLD` devices).  Either backend
-        realises the identical edge set.
     """
 
     name = "gilbert"
 
-    def __init__(
-        self, positions: np.ndarray, radius: float, sparse: Optional[bool] = None
-    ) -> None:
+    def __init__(self, positions: np.ndarray, radius: float) -> None:
         if radius <= 0:
             raise ConfigurationError(f"radius must be positive, got {radius}")
-        if _resolve_sparse(positions.shape[0], sparse):
-            us, vs = _gilbert_edges_grid(positions, radius)
-            super().__init__(positions, csr=_edges_to_csr(us, vs, positions.shape[0]))
-        else:
-            distances_sq = _pairwise_sq_distances(positions)
-            adjacency = distances_sq <= radius ** 2
-            np.fill_diagonal(adjacency, False)
-            super().__init__(positions, adjacency=adjacency)
+        us, vs = _gilbert_edges_grid(positions, radius)
+        super().__init__(positions, _edges_to_csr(us, vs, positions.shape[0]))
         self.radius = radius
 
     @classmethod
@@ -1337,19 +1085,17 @@ class GilbertGraph(_SpatialTopology):
         radius: float,
         rng: np.random.Generator,
         alice_placement: str = "center",
-        sparse: Optional[bool] = None,
     ) -> "GilbertGraph":
         """Sample positions from ``rng`` and realise the graph.
 
         ``n`` correct nodes plus Alice (pinned to the centre unless
-        ``alice_placement="random"``); ``sparse`` is forwarded to the
-        constructor's backend crossover.
+        ``alice_placement="random"``).
         """
 
-        return cls(_sample_positions(n, rng, alice_placement), radius, sparse=sparse)
+        return cls(_sample_positions(n, rng, alice_placement), radius)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"GilbertGraph(n={self.n}, radius={self.radius:.4f}, backend={self.backend})"
+        return f"GilbertGraph(n={self.n}, radius={self.radius:.4f})"
 
 
 class ScaleFreeGilbert(_SpatialTopology):
@@ -1373,8 +1119,6 @@ class ScaleFreeGilbert(_SpatialTopology):
         Alice-last like ``positions``.
     alpha, min_radius:
         The Pareto parameters the radii were drawn with (kept for reporting).
-    sparse:
-        Backend override; see :class:`GilbertGraph`.
     """
 
     name = "scale_free"
@@ -1385,21 +1129,11 @@ class ScaleFreeGilbert(_SpatialTopology):
         radii: np.ndarray,
         alpha: float,
         min_radius: float,
-        sparse: Optional[bool] = None,
     ) -> None:
         if radii.shape[0] != positions.shape[0]:
             raise ConfigurationError("one radius per device (including Alice) is required")
-        if _resolve_sparse(positions.shape[0], sparse):
-            us, vs = _scale_free_edges_grid(positions, radii)
-            super().__init__(
-                positions, csr=_directed_edges_to_csr(us, vs, positions.shape[0])
-            )
-        else:
-            distances_sq = _pairwise_sq_distances(positions)
-            link_radius = np.maximum(radii[:, None], radii[None, :])
-            adjacency = distances_sq <= link_radius ** 2
-            np.fill_diagonal(adjacency, False)
-            super().__init__(positions, adjacency=adjacency)
+        us, vs = _scale_free_edges_grid(positions, radii)
+        super().__init__(positions, _directed_edges_to_csr(us, vs, positions.shape[0]))
         self.alpha = alpha
         self.min_radius = min_radius
         self.radii = radii
@@ -1412,25 +1146,19 @@ class ScaleFreeGilbert(_SpatialTopology):
         min_radius: float,
         rng: np.random.Generator,
         alice_placement: str = "center",
-        sparse: Optional[bool] = None,
     ) -> "ScaleFreeGilbert":
         """Sample positions and Pareto radii from ``rng`` and realise the graph."""
 
         positions = _sample_positions(n, rng, alice_placement)
         uniforms = rng.random(n + 1)
         radii = np.minimum(min_radius * uniforms ** (-1.0 / alpha), math.sqrt(2.0))
-        return cls(positions, radii, alpha, min_radius, sparse=sparse)
+        return cls(positions, radii, alpha, min_radius)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ScaleFreeGilbert(n={self.n}, alpha={self.alpha:g}, "
-            f"min_radius={self.min_radius:.4f}, backend={self.backend})"
+            f"min_radius={self.min_radius:.4f})"
         )
-
-
-def _pairwise_sq_distances(positions: np.ndarray) -> np.ndarray:
-    deltas = positions[:, None, :] - positions[None, :, :]
-    return (deltas ** 2).sum(axis=-1)
 
 
 def build_topology(
@@ -1443,8 +1171,7 @@ def build_topology(
     ``random_source`` is the network's :class:`~repro.simulation.rng.RandomSource`;
     spatial topologies draw from its dedicated ``"topology"`` substream, so a
     single-hop build touches no random state at all (preserving seed-for-seed
-    compatibility with pre-topology code).  The spec's ``sparse`` field is
-    forwarded to the dense/sparse backend crossover.
+    compatibility with pre-topology code).
     """
 
     if spec is None or spec.kind == "single_hop":
@@ -1452,19 +1179,12 @@ def build_topology(
     rng = random_source.stream("topology")
     if spec.kind == "gilbert":
         radius = spec.radius if spec.radius is not None else 2.0 * gilbert_connectivity_radius(n)
-        return GilbertGraph.sample(
-            n, radius, rng, alice_placement=spec.alice_placement, sparse=spec.sparse
-        )
+        return GilbertGraph.sample(n, radius, rng, alice_placement=spec.alice_placement)
     if spec.kind == "scale_free":
         min_radius = (
             spec.min_radius if spec.min_radius is not None else gilbert_connectivity_radius(n)
         )
         return ScaleFreeGilbert.sample(
-            n,
-            spec.alpha,
-            min_radius,
-            rng,
-            alice_placement=spec.alice_placement,
-            sparse=spec.sparse,
+            n, spec.alpha, min_radius, rng, alice_placement=spec.alice_placement
         )
     raise ConfigurationError(f"unknown topology kind {spec.kind!r}")  # pragma: no cover

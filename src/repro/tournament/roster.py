@@ -329,8 +329,8 @@ def build_topology_spec(name: str, n: int) -> TopologySpec:
         return TopologySpec.single_hop()
     if entry.kind == "gilbert":
         radius = entry.radius_multiplier * gilbert_connectivity_radius(n)
-        return TopologySpec.gilbert(radius=radius, sparse=True)
-    return TopologySpec.scale_free(alpha=2.5, sparse=True)
+        return TopologySpec.gilbert(radius=radius)
+    return TopologySpec.scale_free(alpha=2.5)
 
 
 def adversary_supports_topology(adversary: str, topology_kind: str) -> bool:

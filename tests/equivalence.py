@@ -134,7 +134,9 @@ def phase_record(network: Network, result) -> Dict[str, float]:
         "node_total": float(network.node_costs().sum()),
         "adversary": float(network.adversary_cost),
         "alice_noisy": float(result.alice_noisy_heard),
+        "node_noisy_total": float(sum(result.node_noisy_heard.values())),
         "delivery_slots": float(result.delivery_slots),
+        "busy_slots": float(result.busy_slots),
         "jammed_slots": float(result.jammed_slots),
     }
 

@@ -89,13 +89,13 @@ def traced_snapshot(adversary_name, engine, seed):
     return snapshot, recorder
 
 
-def multihop_snapshot(recorder=None, *, sparse, pipeline=True):
-    spec = TopologySpec.gilbert(radius=SPARSE_MULTIHOP["radius"], sparse=sparse)
+def multihop_snapshot(recorder=None, *, pipeline=True, engine="fast"):
+    spec = TopologySpec.gilbert(radius=SPARSE_MULTIHOP["radius"])
     config = SimulationConfig(
         n=SPARSE_MULTIHOP["n"], seed=SPARSE_MULTIHOP["seed"], topology=spec
     )
     kwargs = {"recorder": recorder} if recorder is not None else {}
-    protocol = MultiHopBroadcast(config, engine="fast", pipeline=pipeline, **kwargs)
+    protocol = MultiHopBroadcast(config, engine=engine, pipeline=pipeline, **kwargs)
     outcome = protocol.run()
     snapshot = protocol.network.cost_snapshot()
     snapshot["informed"] = outcome.delivery.informed
@@ -134,31 +134,32 @@ class TestTraceNeutrality:
         snapshot["slots"] = outcome.delivery.slots_elapsed
         assert snapshot == GOLDEN[(adversary_name, engine, seed)]
 
-    @pytest.mark.parametrize("sparse", [True, False])
-    def test_traced_sparse_multihop_is_bit_identical(self, sparse):
+    @pytest.mark.parametrize("fast_engine", [True, False])
+    def test_traced_sparse_multihop_is_bit_identical(self, fast_engine):
         """Sub-threshold multi-hop: quiet expiries and truncation fire, and
-        their emission must not perturb the run on either engine path."""
+        their emission must not perturb the run on either engine."""
 
-        untraced = multihop_snapshot(sparse=sparse)
+        engine = "fast" if fast_engine else "slot"
+        untraced = multihop_snapshot(engine=engine)
         recorder = TraceCollector()
-        traced = multihop_snapshot(recorder, sparse=sparse)
+        traced = multihop_snapshot(recorder, engine=engine)
         assert traced == untraced
         kinds = {event.kind for event in recorder.events}
         assert "quiet-expire" in kinds
         assert "truncate" in kinds
-        path = "multihop-sparse" if sparse else "multihop-dense"
+        path = "multihop-sparse" if fast_engine else "slot"
         assert {e.data["path"] for e in recorder.of_kind("engine")} == {path}
 
     def test_traced_sequential_schedule_is_bit_identical(self):
         """The pipelined-truncation regression profile, sequential variant."""
 
-        untraced = multihop_snapshot(sparse=True, pipeline=False)
-        traced = multihop_snapshot(TraceCollector(), sparse=True, pipeline=False)
+        untraced = multihop_snapshot(pipeline=False)
+        traced = multihop_snapshot(TraceCollector(), pipeline=False)
         assert traced == untraced
 
     def test_trace_records_the_truncation_decision(self):
         recorder = TraceCollector()
-        snapshot = multihop_snapshot(recorder, sparse=True)
+        snapshot = multihop_snapshot(recorder)
         truncated = sum(
             int(e.data["count"]) for e in recorder.of_kind("truncate")
         ) + sum(int(e.data["count"]) for e in recorder.of_kind("quiet-expire"))
@@ -353,7 +354,7 @@ class TestTimedSpans:
 class TestJsonlRoundTrip:
     def test_round_trip_preserves_events(self, tmp_path):
         recorder = TraceCollector()
-        multihop_snapshot(recorder, sparse=True)
+        multihop_snapshot(recorder)
         path = tmp_path / "trace.jsonl"
         count = write_jsonl(recorder.events, str(path))
         assert count == len(recorder.events)
@@ -379,7 +380,7 @@ class TestJsonlRoundTrip:
 class TestTraceReports:
     def test_summary_covers_rounds_and_header(self):
         recorder = TraceCollector()
-        multihop_snapshot(recorder, sparse=True)
+        multihop_snapshot(recorder)
         text = summarise_trace(recorder.events)
         assert "run-start:" in text and "run-end:" in text
         assert "totals:" in text
@@ -389,8 +390,8 @@ class TestTraceReports:
 
     def test_identical_runs_diff_clean(self):
         a, b = TraceCollector(), TraceCollector()
-        multihop_snapshot(a, sparse=True)
-        multihop_snapshot(b, sparse=True)
+        multihop_snapshot(a)
+        multihop_snapshot(b)
         assert diff_phase_events(a.events, b.events) == []
         assert "traces agree" in diff_traces(a.events, b.events)
 
@@ -399,8 +400,8 @@ class TestTraceReports:
         the same seed diverge, and the diff names where."""
 
         pipelined, sequential = TraceCollector(), TraceCollector()
-        multihop_snapshot(pipelined, sparse=True, pipeline=True)
-        multihop_snapshot(sequential, sparse=True, pipeline=False)
+        multihop_snapshot(pipelined, pipeline=True)
+        multihop_snapshot(sequential, pipeline=False)
         divergences = diff_phase_events(pipelined.events, sequential.events)
         assert divergences, "pipelining must reshape the schedule at this profile"
         text = diff_traces(pipelined.events, sequential.events)

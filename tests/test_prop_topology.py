@@ -9,8 +9,12 @@ variant.  All trials are seeded, so every assertion is deterministic.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+
+from topology_reference import brute_force_reach_matrix, csr_to_dense
 
 from repro.simulation import (
     ALICE_ID,
@@ -61,7 +65,8 @@ class TestSeedDeterminism:
     def test_same_seed_same_graph(self, maker):
         a, b = maker(seed=42), maker(seed=42)
         assert np.array_equal(a.positions, b.positions)
-        assert np.array_equal(a.adjacency, b.adjacency)
+        assert np.array_equal(a.neighbor_csr().indptr, b.neighbor_csr().indptr)
+        assert np.array_equal(a.neighbor_csr().indices, b.neighbor_csr().indices)
 
     @pytest.mark.parametrize("maker", [make_gilbert, make_scale_free])
     def test_different_seed_different_graph(self, maker):
@@ -71,7 +76,9 @@ class TestSeedDeterminism:
     def test_network_realises_spec_deterministically(self):
         config = SimulationConfig(n=48, seed=7, topology=TopologySpec.gilbert(radius=0.25))
         net_a, net_b = Network(config), Network(config)
-        assert np.array_equal(net_a.topology.adjacency, net_b.topology.adjacency)
+        assert np.array_equal(
+            csr_to_dense(net_a.topology.neighbor_csr()), csr_to_dense(net_b.topology.neighbor_csr())
+        )
 
     def test_topology_build_does_not_perturb_engine_streams(self):
         plain = Network(SimulationConfig(n=32, seed=5))
@@ -85,7 +92,7 @@ class TestAdjacencyInvariants:
     @pytest.mark.parametrize("maker", [make_gilbert, make_scale_free])
     def test_symmetric_no_self_loops(self, maker):
         topo = maker(seed=3)
-        adjacency = topo.adjacency
+        adjacency = csr_to_dense(topo.neighbor_csr())
         assert np.array_equal(adjacency, adjacency.T)
         assert not adjacency.diagonal().any()
 
@@ -100,31 +107,24 @@ class TestAdjacencyInvariants:
 
     def test_byzantine_senders_audible_everywhere(self):
         topo = make_gilbert(n=16, radius=0.01, seed=0)
-        assert topo.can_hear(0, -2)
-        assert topo.can_hear(ALICE_ID, -5)
-        # reach_matrix must agree with can_hear on synthetic sender ids:
-        # an all-True column even on a radius so small no real edge exists.
-        matrix = topo.reach_matrix([ALICE_ID, 0, 1], [-2, 0])
-        assert matrix[:, 0].all()
-        assert not matrix[1, 1]  # self-pair stays False for real senders
-        assert np.array_equal(
-            topo.reach_matrix_f32([ALICE_ID, 0, 1], [-2, 0]),
-            matrix.astype(np.float32),
-        )
+        # Audible even on a radius so small no real edge exists.
+        for listener in (ALICE_ID, 0, 1):
+            assert topo.can_hear(listener, -2)
+            assert topo.can_hear(listener, -5)
+        assert not topo.can_hear(0, 0)  # a radio never hears itself
+        assert not topo.can_hear(0, 1)
 
     def test_reach_matrix_agrees_with_can_hear(self):
         topo = make_gilbert(n=24, seed=11)
-        listeners = [ALICE_ID, 0, 5, 7]
-        senders = [3, 5, ALICE_ID]
-        matrix = topo.reach_matrix(listeners, senders)
-        for i, u in enumerate(listeners):
-            for j, v in enumerate(senders):
-                assert matrix[i, j] == topo.can_hear(u, v)
+        matrix = brute_force_reach_matrix(topo)
+        for u in [ALICE_ID, 0, 5, 7]:
+            for v in [3, 5, ALICE_ID]:
+                assert matrix[topo._index(u), topo._index(v)] == topo.can_hear(u, v)
 
     def test_edges_match_radius_geometry(self):
         topo = make_gilbert(n=40, radius=0.2, seed=13)
         positions = topo.positions
-        adjacency = topo.adjacency
+        adjacency = csr_to_dense(topo.neighbor_csr())
         deltas = positions[:, None, :] - positions[None, :, :]
         distances = np.sqrt((deltas ** 2).sum(axis=-1))
         expected = distances <= 0.2
@@ -177,6 +177,73 @@ class TestConnectivityThreshold:
         neighbor_components = [c for c in components if c & topo.node_neighbors(ALICE_ID)]
         union = frozenset().union(*neighbor_components) if neighbor_components else frozenset()
         assert reachable == union
+
+
+def _disk_in_square_area(dx: np.ndarray, dy: np.ndarray, r: float) -> np.ndarray:
+    """Area of a radius-``r`` disk clipped to the unit square (``r <= 1/2``).
+
+    ``dx``/``dy`` are the centre's distances to the nearest vertical and
+    horizontal edge.  With ``r <= 1/2`` at most one edge per axis cuts the
+    disk, so the area is the full disk minus the two circular segments plus
+    the corner piece both segments remove.
+    """
+
+    def segment(d):
+        d = np.minimum(d, r)
+        return r * r * np.arccos(d / r) - d * np.sqrt(r * r - d * d)
+
+    def antiderivative(t):  # of sqrt(r² - t²)
+        return 0.5 * (t * np.sqrt(r * r - t * t) + r * r * np.arcsin(t / r))
+
+    corner = dx * dx + dy * dy < r * r
+    b = np.sqrt(np.maximum(r * r - dy * dy, 0.0))
+    overlap = np.where(
+        corner, antiderivative(b) - antiderivative(np.minimum(dx, b)) - dy * (b - dx), 0.0
+    )
+    return math.pi * r * r - segment(dx) - segment(dy) + overlap
+
+
+class TestClosedFormEdgeCount:
+    """Gilbert edge counts against the closed form of arXiv:1312.4861.
+
+    For ``n`` uniform points in the unit square two points link with
+    probability ``p = πr² − 8r³/3 + r⁴/2``, so ``E[edges] = C(n, 2)·p``.  The
+    edge count is a U-statistic, whose variance is
+    ``C(n, 2)·p(1 − p) + 6·C(n, 3)·(E[A(X)²] − p²)`` where ``A(X)`` is the
+    area of the radius-``r`` disk around a uniform point, clipped to the
+    square.  The panel mean over fixed seeds must sit within 3 standard
+    errors of ``E[edges]`` (Alice's edges excluded: she is not uniform).
+    """
+
+    SEEDS = range(20)
+
+    @staticmethod
+    def edge_probability(r: float) -> float:
+        return math.pi * r * r - 8.0 * r ** 3 / 3.0 + r ** 4 / 2.0
+
+    @staticmethod
+    def clipped_area_moments(r: float, grid: int = 1500) -> "tuple[float, float]":
+        # By symmetry the distance to the nearest vertical (horizontal) edge
+        # is uniform on [0, 1/2]: a midpoint rule over that quarter cell.
+        d = (np.arange(grid) + 0.5) / (2 * grid)
+        area = _disk_in_square_area(d[:, None], d[None, :], r)
+        return float(area.mean()), float((area ** 2).mean())
+
+    @pytest.mark.parametrize("n", [500, 5000])
+    def test_mean_edge_count_matches_closed_form(self, n):
+        r = 1.5 * gilbert_connectivity_radius(n)
+        p = self.edge_probability(r)
+        mean_area, mean_area_sq = self.clipped_area_moments(r)
+        assert mean_area == pytest.approx(p, rel=1e-5)  # quadrature self-check
+        pairs, triples = math.comb(n, 2), math.comb(n, 3)
+        variance = pairs * p * (1 - p) + 6 * triples * (mean_area_sq - p * p)
+        edges = [
+            int(build_topology(TopologySpec.gilbert(radius=r), n, RandomSource(seed)).degrees().sum())
+            // 2
+            for seed in self.SEEDS
+        ]
+        z = (np.mean(edges) - pairs * p) / math.sqrt(variance / len(edges))
+        assert abs(z) < 3.0, (n, np.mean(edges), pairs * p, z)
 
 
 class TestScaleFreeDegreeTail:

@@ -1,70 +1,61 @@
-"""Sparse (CSR) topology backend: equivalence, crossover, and engine parity.
+"""CSR topology layer: brute-force references and slot-engine parity.
 
-The sparse backend must be invisible except for memory and speed:
+Every spatial topology is held as a grid-built CSR neighbour list, and the
+vectorised engine resolves multi-hop phases from transmission events over
+it.  The checks here:
 
-* the CSR neighbourhoods must expand to exactly the boolean ``reach_matrix``
-  for every topology class (the grid construction realises the identical
-  edge set as the dense all-pairs construction);
-* the dense/sparse crossover must pick the CSR backend above
-  ``SPARSE_NODE_THRESHOLD`` devices and honour explicit overrides; and
-* the vectorised engine's event-driven sparse path must be statistically
-  equivalent to the dense indicator-matrix path (same KS/moment harness the
-  fast/slot engine pair uses).
+* the CSR neighbourhoods must expand to exactly the brute-force all-pairs
+  reach matrix for every topology class (``topology_reference``), and the
+  grid-indexed disk queries must select exactly the brute-force scan's rows;
+* no size threshold or backend knob remains; and
+* the event-driven multi-hop engine path must be statistically equivalent
+  to the slot engine (the ``equivalence`` KS/moment harness).
 
 All trials are seeded, so every assertion is deterministic.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from equivalence import assert_means_close, assert_same_distribution, column
+from equivalence import (
+    assert_means_close,
+    assert_same_distribution,
+    column,
+    paired_phase_records,
+)
+from topology_reference import brute_force_disk_rows, brute_force_reach_matrix, csr_to_dense
 
-import repro.simulation.topology as topology_module
 from repro.core.api import run_broadcast
+from repro.observability import TraceCollector
 from repro.simulation import (
     ALICE_ID,
     GilbertGraph,
     JamPlan,
     JamTargeting,
-    Network,
-    PhaseEngine,
     PhaseKind,
     PhasePlan,
     PhaseRoles,
     RandomSource,
     ScaleFreeGilbert,
-    SimulationConfig,
     SingleHop,
     TopologySpec,
     build_topology,
-    gilbert_connectivity_radius,
 )
 from repro.simulation.errors import ConfigurationError
 from repro.simulation.fastengine import _sample_bernoulli_events
-from repro.simulation.topology import _sample_positions
 
 
-def paired_topologies(kind: str, n: int = 64, seed: int = 0, **kwargs):
-    """The same realised graph under both backends (identical positions)."""
+def sample_topology(kind, n=64, seed=0, radius=0.25, alpha=2.0, min_radius=0.05):
+    """A Gilbert or scale-free graph sampled from a seeded generator."""
 
     rng = np.random.default_rng(seed)
-    pos = _sample_positions(n, rng, "center")
     if kind == "gilbert":
-        radius = kwargs.get("radius", 0.25)
-        return (
-            GilbertGraph(pos, radius, sparse=False),
-            GilbertGraph(pos, radius, sparse=True),
-        )
-    alpha = kwargs.get("alpha", 2.0)
-    min_radius = kwargs.get("min_radius", 0.05)
-    uniforms = rng.random(n + 1)
-    radii = np.minimum(min_radius * uniforms ** (-1.0 / alpha), np.sqrt(2.0))
-    return (
-        ScaleFreeGilbert(pos, radii, alpha, min_radius, sparse=False),
-        ScaleFreeGilbert(pos, radii, alpha, min_radius, sparse=True),
-    )
+        return GilbertGraph.sample(n, radius, rng)
+    return ScaleFreeGilbert.sample(n, alpha, min_radius, rng)
 
 
 ALL_SPECS = [
@@ -75,17 +66,13 @@ ALL_SPECS = [
 
 
 class TestCsrMatchesReachMatrix:
-    """`neighbor_csr()` expands to exactly `reach_matrix()` for every class."""
+    """`neighbor_csr()` expands to exactly the brute-force reach matrix."""
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
     @pytest.mark.parametrize("seed", [0, 7, 23])
     def test_csr_expands_to_reach_matrix(self, spec, seed):
-        n = 48
-        topo = build_topology(spec, n, RandomSource(seed))
-        # Device order matching the Alice-last row convention.
-        devices = list(range(n)) + [ALICE_ID]
-        expected = topo.reach_matrix(devices, devices)
-        assert np.array_equal(topo.neighbor_csr().to_dense(), expected)
+        topo = build_topology(spec, 48, RandomSource(seed))
+        assert np.array_equal(csr_to_dense(topo.neighbor_csr()), brute_force_reach_matrix(topo))
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
     def test_per_listener_slices_match(self, spec):
@@ -99,10 +86,10 @@ class TestCsrMatchesReachMatrix:
             assert topo._index(device) not in row  # empty diagonal
 
     def test_csr_is_symmetric_and_cached(self):
-        dense, sparse = paired_topologies("gilbert", n=80, seed=5)
-        csr = sparse.neighbor_csr()
-        assert csr is sparse.neighbor_csr()  # memoised
-        mat = csr.to_dense()
+        topo = sample_topology("gilbert", n=80, seed=5)
+        csr = topo.neighbor_csr()
+        assert csr is topo.neighbor_csr()  # memoised
+        mat = csr_to_dense(csr)
         assert np.array_equal(mat, mat.T)
         assert not mat.diagonal().any()
         assert csr.nnz == int(mat.sum())
@@ -114,59 +101,51 @@ class TestGridEqualsBruteForce:
     @pytest.mark.parametrize("radius", [0.03, 0.1, 0.25, 0.6, 1.3])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_gilbert(self, radius, seed):
-        dense, sparse = paired_topologies("gilbert", n=150, seed=seed, radius=radius)
-        assert dense.backend == "dense" and sparse.backend == "sparse"
-        assert np.array_equal(dense.adjacency, sparse.adjacency)
+        topo = sample_topology("gilbert", n=150, seed=seed, radius=radius)
+        assert np.array_equal(csr_to_dense(topo.neighbor_csr()), brute_force_reach_matrix(topo))
 
     @pytest.mark.parametrize("alpha,min_radius", [(2.5, 0.04), (1.2, 0.05), (0.7, 0.02)])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_scale_free(self, alpha, min_radius, seed):
-        dense, sparse = paired_topologies(
-            "scale_free", n=150, seed=seed, alpha=alpha, min_radius=min_radius
-        )
-        assert np.array_equal(dense.adjacency, sparse.adjacency)
+        topo = sample_topology("scale_free", n=150, seed=seed, alpha=alpha, min_radius=min_radius)
+        assert np.array_equal(csr_to_dense(topo.neighbor_csr()), brute_force_reach_matrix(topo))
 
     def test_statistics_agree_across_backends(self):
-        dense, sparse = paired_topologies("gilbert", n=200, seed=11, radius=0.08)
-        assert np.array_equal(dense.degrees(), sparse.degrees())
-        assert dense.reachable_from_alice() == sparse.reachable_from_alice()
-        assert sorted(map(sorted, dense.connected_components())) == sorted(
-            map(sorted, sparse.connected_components())
-        )
-        assert dense.largest_component_fraction() == sparse.largest_component_fraction()
+        """The CSR graph statistics equal those of the brute-force matrix."""
+
+        topo = sample_topology("gilbert", n=200, seed=11, radius=0.08)
+        reach = brute_force_reach_matrix(topo)
+        n = topo.n
+        assert np.array_equal(topo.degrees(), reach[:n, :n].sum(axis=1))
+        # Plain BFS over the reference matrix: Alice's component, and all
+        # node components (Alice excluded).
+        reached = set(np.flatnonzero(reach[n, :n]).tolist())
+        frontier = list(reached)
+        while frontier:
+            nxt = set(np.flatnonzero(reach[frontier][:, :n].any(axis=0)).tolist()) - reached
+            reached |= nxt
+            frontier = list(nxt)
+        assert topo.reachable_from_alice() == frozenset(reached)
+        sizes = sorted(len(c) for c in topo.connected_components())
+        assert sum(sizes) == n
+        assert topo.largest_component_fraction() == sizes[-1] / n
 
     def test_reach_matrix_and_can_hear_on_sparse_backend(self):
-        dense, sparse = paired_topologies("gilbert", n=60, seed=2, radius=0.2)
-        listeners = [ALICE_ID, 0, 7, 31]
-        senders = [-3, 5, 7, ALICE_ID]  # includes a synthetic Byzantine sender
-        expected = dense.reach_matrix(listeners, senders)
-        assert np.array_equal(sparse.reach_matrix(listeners, senders), expected)
-        assert np.array_equal(
-            sparse.reach_matrix_f32(listeners, senders), expected.astype(np.float32)
-        )
-        for u in listeners:
-            for v in senders:
-                assert sparse.can_hear(u, v) == dense.can_hear(u, v)
-
-    def test_reach_matrix_with_duplicate_senders(self):
-        # Regression: repeated sender ids must fill every duplicate column on
-        # the sparse backend, exactly as the dense np.ix_ slice does.
-        dense, sparse = paired_topologies("gilbert", n=60, seed=2, radius=0.2)
-        listeners = [0, 1, 2, ALICE_ID]
-        senders = [5, 5, 7, ALICE_ID, 5, -2, -2]
-        expected = dense.reach_matrix(listeners, senders)
-        assert np.array_equal(sparse.reach_matrix(listeners, senders), expected)
-        assert np.array_equal(expected[:, 0], expected[:, 1])  # duplicates agree
+        topo = sample_topology("gilbert", n=60, seed=2, radius=0.2)
+        reach = brute_force_reach_matrix(topo)
+        for u in [ALICE_ID, 0, 7, 31]:
+            for v in [5, 7, ALICE_ID]:
+                assert topo.can_hear(u, v) == bool(reach[topo._index(u), topo._index(v)])
+            assert topo.can_hear(u, -3)  # synthetic Byzantine sender: audible everywhere
 
     def test_any_neighbor_in_matches_set_intersection(self):
-        dense, sparse = paired_topologies("scale_free", n=90, seed=4)
+        topo = sample_topology("scale_free", n=90, seed=4)
         members = set(range(0, 90, 7))
         devices = list(range(0, 90, 3)) + [ALICE_ID]
         expected = np.array(
-            [bool(dense.node_neighbors(d) & members) for d in devices], dtype=bool
+            [bool(topo.node_neighbors(d) & members) for d in devices], dtype=bool
         )
-        for topo in (dense, sparse):
-            assert np.array_equal(topo.any_neighbor_in(devices, members), expected)
+        assert np.array_equal(topo.any_neighbor_in(devices, members), expected)
         # SingleHop: every other member is a neighbour.
         clique = SingleHop(10)
         got = clique.any_neighbor_in([0, 1, 9], {1})
@@ -174,55 +153,29 @@ class TestGridEqualsBruteForce:
 
 
 class TestCrossover:
-    """The dense/sparse crossover and its explicit overrides."""
-
-    def test_crossover_picks_sparse_above_threshold(self, monkeypatch):
-        monkeypatch.setattr(topology_module, "SPARSE_NODE_THRESHOLD", 32)
-        rng = np.random.default_rng(0)
-        small = GilbertGraph.sample(20, 0.3, rng)
-        large = GilbertGraph.sample(64, 0.3, rng)
-        assert small.backend == "dense"
-        assert large.backend == "sparse"
-        sf = ScaleFreeGilbert.sample(64, 2.0, 0.05, rng)
-        assert sf.backend == "sparse"
+    """No dense/sparse crossover remains: one CSR representation at every size."""
 
     def test_real_threshold_value(self):
-        # The unpatched crossover sits at SPARSE_NODE_THRESHOLD devices;
-        # a build just above it must come out sparse without being forced.
-        n = topology_module.SPARSE_NODE_THRESHOLD  # devices = n + 1 > threshold
+        # 4096 devices is where the removed crossover sat; at and below it
+        # graphs used to be held as an (n+1)² boolean matrix.
+        n = 4096
         topo = GilbertGraph.sample(n, 0.05, np.random.default_rng(1))
-        assert topo.backend == "sparse"
-        assert topo.memory_bytes() < (n + 1) ** 2  # far below the dense bool matrix
-
-    def test_explicit_overrides_win(self):
-        rng = np.random.default_rng(3)
-        forced_sparse = GilbertGraph.sample(24, 0.3, rng, sparse=True)
-        forced_dense = GilbertGraph.sample(24, 0.3, rng, sparse=False)
-        assert forced_sparse.backend == "sparse"
-        assert forced_dense.backend == "dense"
-
-    def test_spec_sparse_field_threads_through_network(self):
-        config = SimulationConfig(
-            n=40, seed=9, topology=TopologySpec.gilbert(radius=0.3, sparse=True)
-        )
-        network = Network(config)
-        assert network.topology.backend == "sparse"
-        assert network.topology_memory_bytes() == network.topology.memory_bytes()
-        dense_net = Network(
-            SimulationConfig(n=40, seed=9, topology=TopologySpec.gilbert(radius=0.3))
-        )
-        assert dense_net.topology.backend == "dense"
-        # Same seed => identical realised graph regardless of backend.
-        assert np.array_equal(network.topology.adjacency, dense_net.topology.adjacency)
+        assert topo.memory_bytes() == topo.neighbor_csr().memory_bytes()
+        assert topo.memory_bytes() < (n + 1) ** 2 // 4
 
     def test_spec_rejects_non_bool_sparse(self):
-        with pytest.raises(ConfigurationError):
-            TopologySpec(kind="gilbert", sparse="yes")
+        # The removed backend knob fails loudly instead of being ignored.
+        for value in ("yes", True, False):
+            with pytest.raises(TypeError):
+                TopologySpec(kind="gilbert", sparse=value)
+            with pytest.raises(ConfigurationError):
+                run_broadcast(
+                    n=16, seed=1, variant="multihop", topology="gilbert",
+                    topology_kwargs={"radius": 0.3, "sparse": value},
+                )
 
     def test_single_hop_stores_nothing(self):
-        topo = SingleHop(50)
-        assert topo.backend == "implicit"
-        assert topo.memory_bytes() == 0
+        assert SingleHop(50).memory_bytes() == 0
 
 
 class TestBernoulliEventSampler:
@@ -250,55 +203,47 @@ class TestBernoulliEventSampler:
         assert idx.size == 12  # p = 1 fills the grid
 
 
-def paired_backend_phase_records(plan, roles_builder, jam_builder=JamPlan.idle,
-                                 n=48, trials=30, base_seed=500, spec_kwargs=None):
-    """Run one phase through the dense and sparse engine paths across seeds.
+def multihop_phase_records(plan, roles_builder, jam_builder=JamPlan.idle, n=48):
+    """One phase on the slot and fast engines over a Gilbert graph, 30 seeds."""
 
-    Mirrors ``equivalence.paired_phase_records`` but pairs topology *backends*
-    (same realised graph per seed) instead of engines.
-    """
-
-    records = {"dense": [], "sparse": []}
-    for trial in range(trials):
-        for backend, sparse in (("dense", False), ("sparse", True)):
-            spec = TopologySpec.gilbert(sparse=sparse, **(spec_kwargs or {"radius": 0.3}))
-            config = SimulationConfig(n=n, seed=base_seed + trial, topology=spec)
-            network = Network(config)
-            engine = PhaseEngine(network)
-            result = engine.run_phase(plan, roles_builder(network), jam_builder())
-            records[backend].append(
-                {
-                    "informed": float(len(result.newly_informed)),
-                    "alice_cost": float(network.alice_cost),
-                    "node_total": float(network.node_costs().sum()),
-                    "alice_noisy": float(result.alice_noisy_heard),
-                    "node_noisy_total": float(sum(result.node_noisy_heard.values())),
-                    "delivery_slots": float(result.delivery_slots),
-                    "busy_slots": float(result.busy_slots),
-                }
-            )
-    return records
+    return paired_phase_records(
+        plan,
+        roles_builder,
+        jam_builder,
+        n=n,
+        trials=30,
+        base_seed=500,
+        config_kwargs={"topology": TopologySpec.gilbert(radius=0.3)},
+    )
 
 
 class TestEnginePathEquivalence:
-    """The event-driven sparse path matches the dense indicator-matrix path."""
+    """The event-driven multi-hop fast path matches the slot engine."""
 
     N = 48
 
     def _check(self, records, keys, rel=0.2):
         for key in keys:
-            a, b = column(records["dense"], key), column(records["sparse"], key)
+            a, b = column(records["slot"], key), column(records["fast"], key)
             assert_same_distribution(a, b, alpha=0.01, label=key)
             assert_means_close(a, b, rel=rel, abs_tol=2.0, label=key)
+
+    def _check_overcount(self, records, keys, max_ratio):
+        """The documented approximation: nodes informed mid-phase keep their
+        sampled nack/decoy events, so the fast engine hears more noise than
+        the slot engine, which mutes them — by at most ``max_ratio``."""
+
+        for key in keys:
+            slot = float(np.mean(column(records["slot"], key)))
+            fast = float(np.mean(column(records["fast"], key)))
+            assert slot <= fast <= max_ratio * slot, (key, slot, fast)
 
     def test_inform_phase(self):
         plan = PhasePlan(
             name="inform", kind=PhaseKind.INFORM, round_index=5, num_slots=256,
             alice_send_prob=0.05, uninformed_listen_prob=0.2,
         )
-        records = paired_backend_phase_records(
-            plan, lambda net: PhaseRoles.of(range(net.n)), n=self.N
-        )
+        records = multihop_phase_records(plan, lambda net: PhaseRoles.of(range(net.n)), n=self.N)
         self._check(records, ["informed", "alice_cost", "node_total", "busy_slots"])
 
     def test_propagation_phase_with_relays(self):
@@ -306,7 +251,7 @@ class TestEnginePathEquivalence:
             name="propagation:1", kind=PhaseKind.PROPAGATION, round_index=5,
             num_slots=256, step=1, relay_send_prob=0.02, uninformed_listen_prob=0.25,
         )
-        records = paired_backend_phase_records(
+        records = multihop_phase_records(
             plan,
             lambda net: PhaseRoles.of(range(net.n // 2), relays=range(net.n // 2, net.n)),
             n=self.N,
@@ -318,9 +263,7 @@ class TestEnginePathEquivalence:
             name="request", kind=PhaseKind.REQUEST, round_index=5, num_slots=256,
             alice_listen_prob=0.3, uninformed_listen_prob=0.3, nack_send_prob=0.05,
         )
-        records = paired_backend_phase_records(
-            plan, lambda net: PhaseRoles.of(range(net.n)), n=self.N
-        )
+        records = multihop_phase_records(plan, lambda net: PhaseRoles.of(range(net.n)), n=self.N)
         self._check(
             records, ["alice_noisy", "node_noisy_total", "node_total", "alice_cost"]
         )
@@ -333,29 +276,28 @@ class TestEnginePathEquivalence:
         jam = lambda: JamPlan(
             jam_rate=0.3, targeting=JamTargeting.only(range(0, self.N, 2))
         )
-        records = paired_backend_phase_records(
+        records = multihop_phase_records(
             plan, lambda net: PhaseRoles.of(range(net.n)), jam_builder=jam, n=self.N
         )
         self._check(records, ["alice_noisy", "node_noisy_total", "node_total"])
 
     def test_request_phase_with_payload_senders(self):
-        # Regression: a request phase that also carries payload (never built
-        # by the protocol schedules, but legal through the engine API) must
-        # exclude clean deliveries from the noisy counts and stop counting at
-        # each listener's informed cutoff, exactly like the dense path.
+        # A request phase that also carries payload (never built by the
+        # protocol schedules, but legal through the engine API): delivery and
+        # costs are exact; noise over-counts because nodes informed mid-phase
+        # keep nacking for their neighbours (measured x1.8-2.0).
         plan = PhasePlan(
             name="request+payload", kind=PhaseKind.REQUEST, round_index=5,
             num_slots=256, alice_listen_prob=0.3, uninformed_listen_prob=0.3,
             nack_send_prob=0.03, relay_send_prob=0.02,
         )
-        records = paired_backend_phase_records(
+        records = multihop_phase_records(
             plan,
             lambda net: PhaseRoles.of(range(net.n // 2), relays=range(net.n // 2, net.n)),
             n=self.N,
         )
-        self._check(
-            records, ["informed", "node_noisy_total", "node_total", "alice_noisy"]
-        )
+        self._check(records, ["informed", "node_total", "delivery_slots"])
+        self._check_overcount(records, ["node_noisy_total", "alice_noisy"], max_ratio=2.5)
 
     def test_inform_phase_with_spoofing_and_decoys(self):
         plan = PhasePlan(
@@ -363,77 +305,74 @@ class TestEnginePathEquivalence:
             alice_send_prob=0.08, uninformed_listen_prob=0.25, decoy_send_prob=0.02,
         )
         jam = lambda: JamPlan(spoof_payload_slots=20, spoof_nack_slots=10)
-        records = paired_backend_phase_records(
+        records = multihop_phase_records(
             plan,
             lambda net: PhaseRoles.of(range(net.n), decoy_senders=range(net.n)),
             jam_builder=jam,
             n=self.N,
         )
-        self._check(records, ["informed", "node_total", "busy_slots"])
+        self._check(records, ["informed", "node_total"])
+        # Decoy senders informed mid-phase keep sending (measured x1.12).
+        self._check_overcount(records, ["busy_slots"], max_ratio=1.25)
 
 
 class TestFullRunEquivalence:
-    """Whole multi-hop executions agree across backends in distribution."""
+    """Whole multi-hop executions agree across engines in distribution."""
 
-    def _outcomes(self, sparse, trials=12, **kwargs):
-        outcomes = []
-        for seed in range(trials):
-            outcomes.append(
-                run_broadcast(
-                    n=64,
-                    seed=900 + seed,
-                    variant="multihop",
-                    topology="gilbert",
-                    topology_kwargs={"radius": 0.3, "sparse": sparse},
-                    **kwargs,
-                )
+    def _outcomes(self, engine, trials=12, **kwargs):
+        return [
+            run_broadcast(
+                n=64,
+                seed=900 + seed,
+                variant="multihop",
+                engine=engine,
+                topology="gilbert",
+                topology_kwargs={"radius": 0.3},
+                **kwargs,
             )
-        return outcomes
+            for seed in range(trials)
+        ]
 
     def test_delivery_and_costs_match(self):
-        dense = self._outcomes(sparse=False)
-        sparse = self._outcomes(sparse=True)
+        slot = self._outcomes("slot")
+        fast = self._outcomes("fast")
         assert_same_distribution(
-            [o.delivery.informed for o in dense],
-            [o.delivery.informed for o in sparse],
+            [o.delivery.informed for o in slot],
+            [o.delivery.informed for o in fast],
             alpha=0.01,
             label="informed",
         )
         assert_means_close(
-            [o.mean_node_cost for o in dense],
-            [o.mean_node_cost for o in sparse],
+            [o.mean_node_cost for o in slot],
+            [o.mean_node_cost for o in fast],
             rel=0.3,
             label="mean_node_cost",
         )
         assert_means_close(
-            [o.delivery.slots_elapsed for o in dense],
-            [o.delivery.slots_elapsed for o in sparse],
+            [o.delivery.slots_elapsed for o in slot],
+            [o.delivery.slots_elapsed for o in fast],
             rel=0.3,
             label="slots_elapsed",
         )
 
     def test_sparse_run_is_seed_deterministic(self):
-        a = run_broadcast(
+        kwargs = dict(
             n=64, seed=42, variant="multihop", topology="gilbert",
-            topology_kwargs={"radius": 0.3, "sparse": True},
+            topology_kwargs={"radius": 0.3},
         )
-        b = run_broadcast(
-            n=64, seed=42, variant="multihop", topology="gilbert",
-            topology_kwargs={"radius": 0.3, "sparse": True},
-        )
+        a, b = run_broadcast(**kwargs), run_broadcast(**kwargs)
         assert a.delivery.informed == b.delivery.informed
         assert a.delivery.slots_elapsed == b.delivery.slots_elapsed
         assert a.mean_node_cost == b.mean_node_cost
 
 
 class TestDiskQueryGrid:
-    """Grid-accelerated nodes_in_disk selects exactly the dense scan's rows.
+    """Grid-accelerated nodes_in_disk selects exactly the brute-force scan's rows.
 
-    Mobile jammers query a disk every phase, so above the sparse crossover
-    the query goes through a cached point grid; the distance predicate is the
-    same float arithmetic, so the two paths must agree bit for bit — on every
-    backend, including disks that are empty, huge, or (partly) outside the
-    unit square.
+    Mobile jammers query a disk every phase, so the query goes through a
+    cached point grid at every network size; it must agree with scanning
+    every point — including disks that are empty, huge, or (partly) outside
+    the unit square.
     """
 
     PROBES = [
@@ -448,22 +387,71 @@ class TestDiskQueryGrid:
 
     @pytest.mark.parametrize("kind", ["gilbert", "scale_free"])
     def test_grid_path_equals_scan_path(self, kind):
-        dense, sparse = paired_topologies(kind, n=300, seed=6)
-        for topo in (dense, sparse):
-            for center, radius in self.PROBES:
-                scan = np.sort(topo._disk_rows_scan(center, radius))
-                grid = np.asarray(topo._disk_rows_grid(center, radius))
-                assert np.array_equal(scan, grid), (kind, topo.backend, center, radius)
+        topo = sample_topology(kind, n=300, seed=6)
+        for center, radius in self.PROBES:
+            scan = brute_force_disk_rows(topo.positions, center, radius)
+            grid = np.asarray(topo._disk_rows(center, radius))
+            assert np.array_equal(scan, grid), (kind, center, radius)
 
     def test_backends_agree_on_disk_queries(self):
-        dense, sparse = paired_topologies("gilbert", n=150, seed=1, radius=0.1)
-        for center, radius in self.PROBES:
-            assert dense.nodes_in_disk(center, radius) == sparse.nodes_in_disk(center, radius)
+        """The public query maps the grid's rows to device ids (Alice = row n)."""
 
-    def test_dispatch_by_device_count(self, monkeypatch):
-        dense, _ = paired_topologies("gilbert", n=64, seed=3, radius=0.2)
-        baseline = dense.nodes_in_disk((0.4, 0.4), 0.3)
-        assert dense._disk_grid is None  # small n: the scan path ran
-        monkeypatch.setattr(topology_module, "SPARSE_NODE_THRESHOLD", 16)
-        assert dense.nodes_in_disk((0.4, 0.4), 0.3) == baseline
-        assert dense._disk_grid is not None  # the grid path ran and cached
+        topo = sample_topology("gilbert", n=150, seed=1, radius=0.1)
+        for center, radius in self.PROBES:
+            rows = brute_force_disk_rows(topo.positions, center, radius)
+            expected = frozenset(ALICE_ID if r == topo.n else int(r) for r in rows)
+            assert topo.nodes_in_disk(center, radius) == expected
+
+    def test_dispatch_by_device_count(self):
+        # Even a tiny graph answers disk queries through the cached grid.
+        topo = sample_topology("gilbert", n=8, seed=3, radius=0.2)
+        assert topo._disk_grid is None
+        first = topo.nodes_in_disk((0.4, 0.4), 0.3)
+        grid = topo._disk_grid
+        assert grid is not None
+        assert topo.nodes_in_disk((0.4, 0.4), 0.3) == first
+        assert topo._disk_grid is grid  # built once, reused
+
+
+EXTREME_INPUTS = [
+    # (label, run_broadcast kwargs, expected outcome)
+    ("n=2 complete", dict(n=2, topology_kwargs={"radius": math.sqrt(2.0)}), "all"),
+    ("n=3 complete", dict(n=3, topology_kwargs={"radius": math.sqrt(2.0)}), "all"),
+    ("n=16 isolated Alice", dict(n=16, topology_kwargs={"radius": 1e-9}), "none"),
+    ("scale-free n=4", dict(n=4, topology="scale_free", topology_kwargs=None), "runs"),
+    ("n=1", dict(n=1, topology_kwargs={"radius": 0.5}), ConfigurationError),
+    ("r=0", dict(n=16, topology_kwargs={"radius": 0.0}), ConfigurationError),
+]
+
+
+class TestExtremeInputs:
+    """Sizes the removed dense path used to serve, pinned on the CSR path."""
+
+    @pytest.mark.parametrize("engine", ["fast", "slot"])
+    @pytest.mark.parametrize(
+        "kwargs,expected", [case[1:] for case in EXTREME_INPUTS], ids=[c[0] for c in EXTREME_INPUTS]
+    )
+    def test_outcome(self, kwargs, expected, engine):
+        kwargs = {"topology": "gilbert", **kwargs}
+        run = dict(seed=1, variant="multihop", engine=engine, **kwargs)
+        if expected is ConfigurationError:
+            with pytest.raises(ConfigurationError):
+                run_broadcast(**run)
+            return
+        recorder = TraceCollector()
+        outcome = run_broadcast(**run, recorder=recorder)
+        delivery = outcome.delivery
+        assert not outcome.terminated_by_cap
+        if expected == "all":
+            assert delivery.informed == kwargs["n"]
+        elif expected == "none":
+            assert delivery.informed == 0
+            # Every node is retired by the multi-hop termination rules.
+            retired = sum(
+                int(event.data["count"])
+                for event in recorder.events
+                if event.kind in ("quiet-expire", "truncate")
+            )
+            assert delivery.terminated_uninformed == retired == kwargs["n"]
+        else:
+            assert delivery.informed <= kwargs["n"]

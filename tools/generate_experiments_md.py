@@ -151,10 +151,10 @@ COMMENTARY = {
         "other's nacks to the round cap — the one policy still exempt from PR 6's cap-aware "
         "truncation, because that blowup is the measured protocol behaviour) and still dips near the threshold (mass give-up at the "
         "earliest reliable round, ahead of the relay frontier); a uniform retry cap fixes the "
-        "cost but leaves near-threshold delivery short of 1 (it used to destroy it outright; "
-        "with pipelined relay rounds far fewer request phases elapse before the frontier "
-        "arrives, so the budget rarely binds — yet the degree-aware rule still dominates it "
-        "on every profile); a "
+        "cost but strands whoever its budget binds on (it used to destroy near-threshold "
+        "delivery outright; with pipelined relay rounds far fewer request phases elapse before "
+        "the frontier arrives, so near the threshold it now binds only rarely, and below it the "
+        "stranded nodes are those of Alice's own small components); a "
         "plain-degree (hops=1) budget fails both ways because sub- and super-critical degree "
         "distributions overlap; the default degree-aware rule — budgets from the three-hop "
         "neighbourhood size, unlimited patience where the ball clears the Gilbert connectivity "
