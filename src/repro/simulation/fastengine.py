@@ -15,6 +15,17 @@ reception is exact: conditioned on the sampled channel outcomes, node ``u``
 receives ``m`` with probability ``1 - (1 - p_listen)^{g_u}`` where ``g_u`` is
 the number of delivery slots not jammed for ``u``.
 
+The single-hop path draws a per-slot array only for a sender class the phase
+actually has (Alice's sends, relay, nack, or decoy counts), and
+:meth:`PhaseEngine._materialize_adversary_actions` hands back the jammed and
+spoofed slots as sorted offsets rather than s-length masks.  Every channel
+count — busy slots, noisy slots for a jammed or a spared listener, clean
+deliveries with and without jamming — is an exact integer identity over
+those arrays and offsets (e.g. noisy-for-victim = active + spoofs on idle
+slots + jams − jams on active slots).  Apart from a nonzero count per array,
+the O(s) work left in a phase is the random draws themselves; the multi-hop
+path builds its own s-length masks from the same offsets.
+
 Two deliberate, documented approximations (both validated against
 :class:`~repro.simulation.engine.SlotEngine` by integration tests):
 
@@ -67,7 +78,7 @@ against the slot engine in ``tests/test_sparse_topology.py``):
 
 from __future__ import annotations
 
-from typing import Dict, Set
+from typing import Callable, Dict, Optional, Set
 
 import numpy as np
 
@@ -112,6 +123,40 @@ def _sample_bernoulli_events(
         extra = rng.integers(0, cells, size=m - flat.size, dtype=np.int64)
         flat = np.unique(np.concatenate([flat, extra]))
     return flat // s, flat % s
+
+
+def _sum_counts(
+    a: Optional[np.ndarray], b: Optional[np.ndarray]
+) -> Optional[np.ndarray]:
+    """Per-slot sum of two optional transmission arrays (``None`` = no sender).
+
+    Allocates only when both are present, so a phase with one source keeps
+    its draw array as the sum.
+    """
+
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return np.add(a, b, dtype=np.int64)
+
+
+def _count_nonzero(per_slot: Optional[np.ndarray]) -> int:
+    return 0 if per_slot is None else int(np.count_nonzero(per_slot))
+
+
+def _count_at(per_slot: Optional[np.ndarray], offsets: np.ndarray) -> int:
+    """Nonzero entries of ``per_slot`` at sorted, distinct ``offsets``.
+
+    A prefix ``[0, k)`` — what a budget-truncated full-phase jam leaves — is
+    read as a slice; any other offset set is gathered.
+    """
+
+    if per_slot is None or offsets.size == 0:
+        return 0
+    if offsets[-1] == offsets.size - 1:
+        return int(np.count_nonzero(per_slot[: offsets.size]))
+    return int(np.count_nonzero(per_slot[offsets]))
 
 
 class PhaseEngine:
@@ -161,80 +206,79 @@ class PhaseEngine:
         decoys = roles.decoy_ids
 
         # ------------------------------------------------------------------ #
-        # 1. Per-slot correct-side transmission counts                        #
+        # 1. Per-slot draws, one array per source the phase has              #
         # ------------------------------------------------------------------ #
-        alice_sends = np.zeros(s, dtype=bool)
+        alice_sends: Optional[np.ndarray] = None
         if roles.alice_active and plan.alice_send_prob > 0:
             alice_sends = rng.random(s) < plan.alice_send_prob
-
-        relay_counts = np.zeros(s, dtype=np.int64)
+        relay_counts: Optional[np.ndarray] = None
         if relays.size and plan.relay_send_prob > 0:
             relay_counts = rng.binomial(relays.size, plan.relay_send_prob, size=s)
-
-        nack_counts = np.zeros(s, dtype=np.int64)
+        nack_counts: Optional[np.ndarray] = None
         if uninformed.size and plan.nack_send_prob > 0:
             nack_counts = rng.binomial(uninformed.size, plan.nack_send_prob, size=s)
-
-        decoy_counts = np.zeros(s, dtype=np.int64)
+        decoy_counts: Optional[np.ndarray] = None
         if decoys.size and plan.decoy_send_prob > 0:
             decoy_counts = rng.binomial(decoys.size, plan.decoy_send_prob, size=s)
 
-        correct_tx = alice_sends.astype(np.int64) + relay_counts + nack_counts + decoy_counts
-        correct_activity = correct_tx > 0
+        # Payload (m) and noise (nacks, decoys) transmissions per slot, and
+        # all correct-side transmissions; ``None`` where no source sends.
+        payload_tx = _sum_counts(alice_sends, relay_counts)
+        noise_tx = _sum_counts(nack_counts, decoy_counts)
+        correct_tx = _sum_counts(payload_tx, noise_tx)
 
         # ------------------------------------------------------------------ #
         # 2. Adversary actions (jamming + spoofed transmissions)              #
         # ------------------------------------------------------------------ #
-        (
-            jam_mask,
-            spoof_counts,
-            adversary_spend,
-            jammed_slots,
-            spoofed_transmissions,
-        ) = self._materialize_adversary_actions(jam_plan, s, rng, correct_activity)
+        def correct_activity() -> np.ndarray:
+            return np.zeros(s, dtype=bool) if correct_tx is None else correct_tx > 0
 
-        total_tx = correct_tx + spoof_counts
-        busy_slots = int(np.count_nonzero((total_tx > 0) | jam_mask))
+        jam_offsets, spoof_slots, adversary_spend = self._materialize_adversary_actions(
+            jam_plan, s, rng, correct_activity
+        )
+        jammed_slots = int(jam_offsets.size)
+        spoofed_transmissions = int(spoof_slots.size)
+
+        # Channel counts as integer identities over the sorted offsets.  Jam
+        # and spoof slots are disjoint, and a spoof carries one forged frame.
+        active = _count_nonzero(correct_tx)
+        spoof_on_idle = spoofed_transmissions - _count_at(correct_tx, spoof_slots)
+        noisy_for_spared = active + spoof_on_idle
+        noisy_for_victim = noisy_for_spared + jammed_slots - _count_at(correct_tx, jam_offsets)
+        busy_slots = noisy_for_victim
 
         # ------------------------------------------------------------------ #
         # 3. Delivery slots: exactly one transmission and it is authentic m   #
         # ------------------------------------------------------------------ #
-        one_tx = total_tx == 1
-        payload_tx = alice_sends.astype(np.int64) + relay_counts
-        delivers = one_tx & (payload_tx == 1)
+        delivers: Optional[np.ndarray] = None
+        if payload_tx is not None:
+            delivers = payload_tx if payload_tx.dtype == bool else payload_tx == 1
+            if noise_tx is not None:
+                delivers = delivers & (noise_tx == 0)
+        good_unjammed = _count_nonzero(delivers) - _count_at(delivers, spoof_slots)
+        good_when_victim = good_unjammed - _count_at(delivers, jam_offsets)
         jam_affects_listeners = jam_plan.targeting.mode is not JamMode.NONE
+        victim = self._victim_mask(uninformed, jam_plan)
 
         newly_informed: Set[int] = set()
         informed_mask: np.ndarray | None = None
         good_per_node: np.ndarray | None = None
         if plan.carries_payload and uninformed.size:
-            good_unjammed = int(np.count_nonzero(delivers))
-            good_when_victim = int(np.count_nonzero(delivers & ~jam_mask))
             p_listen = plan.uninformed_listen_prob
             if p_listen > 0:
-                victim = self._victim_mask(uninformed, jam_plan) if jam_affects_listeners else np.zeros(
-                    uninformed.size, dtype=bool
-                )
                 good_per_node = np.where(victim, good_when_victim, good_unjammed)
                 p_informed = 1.0 - np.power(1.0 - p_listen, good_per_node)
                 informed_mask = rng.random(uninformed.size) < p_informed
                 newly_informed = set(int(x) for x in uninformed[informed_mask])
 
-        delivery_slots = int(np.count_nonzero(delivers & ~jam_mask)) if jam_affects_listeners else int(
-            np.count_nonzero(delivers)
-        )
+        delivery_slots = good_when_victim if jam_affects_listeners else good_unjammed
 
         # ------------------------------------------------------------------ #
         # 4. Costs                                                            #
         # ------------------------------------------------------------------ #
-        alice_send_slots = int(np.count_nonzero(alice_sends))
+        alice_send_slots = _count_nonzero(alice_sends)
         if alice_send_slots:
             network.alice.ledger.charge_bulk(EnergyOperation.SEND, float(alice_send_slots))
-
-        # Noisy-for-a-listener slots: any transmission, or jamming that hits it.
-        noisy_any_tx = total_tx > 0
-        noisy_for_victim = int(np.count_nonzero(noisy_any_tx | jam_mask))
-        noisy_for_spared = int(np.count_nonzero(noisy_any_tx))
 
         alice_listen_slots = 0
         alice_noisy = 0
@@ -251,9 +295,6 @@ class PhaseEngine:
         node_noisy: Dict[int, int] = {}
         jam_victims = 0
         if uninformed.size:
-            victim = self._victim_mask(uninformed, jam_plan) if jam_affects_listeners else np.zeros(
-                uninformed.size, dtype=bool
-            )
             jam_victims = int(victim.sum())
             noisy_per_node = np.where(victim, noisy_for_victim, noisy_for_spared)
             quiet_per_node = s - noisy_per_node
@@ -397,14 +438,15 @@ class PhaseEngine:
         correct_activity[nack_slots] = True
         correct_activity[decoy_slots] = True
 
-        (
-            jam_mask,
-            spoof_counts,
-            adversary_spend,
-            jammed_slots,
-            spoofed_transmissions,
-        ) = self._materialize_adversary_actions(jam_plan, s, rng, correct_activity)
-        spoof_busy = spoof_counts > 0
+        jam_offsets, spoof_slots, adversary_spend = self._materialize_adversary_actions(
+            jam_plan, s, rng, lambda: correct_activity
+        )
+        jammed_slots = int(jam_offsets.size)
+        spoofed_transmissions = int(spoof_slots.size)
+        jam_mask = np.zeros(s, dtype=bool)
+        jam_mask[jam_offsets] = True
+        spoof_busy = np.zeros(s, dtype=bool)
+        spoof_busy[spoof_slots] = True
         busy_slots = int(np.count_nonzero(correct_activity | spoof_busy | jam_mask))
 
         jam_affects_listeners = jam_plan.targeting.mode is not JamMode.NONE
@@ -625,34 +667,37 @@ class PhaseEngine:
         jam_plan: JamPlan,
         s: int,
         rng: np.random.Generator,
-        correct_activity: np.ndarray,
-    ) -> "tuple[np.ndarray, np.ndarray, float, int, int]":
+        correct_activity: Callable[[], np.ndarray],
+    ) -> "tuple[np.ndarray, np.ndarray, float]":
         """Materialise jamming and spoofing for one phase under the budget.
 
         Shared by the single-hop and multi-hop paths so the truncation rules
         (jams charged first; spoof truncation drops nack spoofs before
         payload spoofs — arbitrary but deterministic) cannot diverge.
-        Returns ``(jam_mask, spoof_counts, adversary_spend, jammed_slots,
-        spoofed_transmissions)``.
+        ``correct_activity`` builds the per-slot correct-side activity mask;
+        it is called only for reactive plans.  Returns ``(jam_offsets,
+        spoof_slots, adversary_spend)``: the sorted, pairwise-disjoint slot
+        offsets jammed and spoofed (one forged frame each) within budget.
         """
 
         adversary_ledger = self.network.adversary_ledger
-        jam_offsets = materialize_jam_slots(jam_plan, s, rng, activity_mask=correct_activity)
+        activity_mask = correct_activity() if jam_plan.reactive else None
+        jam_offsets = materialize_jam_slots(jam_plan, s, rng, activity_mask=activity_mask)
         affordable_jams = int(min(len(jam_offsets), np.floor(adversary_ledger.remaining)))
         jam_offsets = jam_offsets[:affordable_jams]
         jam_spend = adversary_ledger.charge_bulk(EnergyOperation.JAM, float(len(jam_offsets)))
         jam_offsets = jam_offsets[: int(jam_spend)]
-        jam_mask = np.zeros(s, dtype=bool)
-        jam_mask[jam_offsets] = True
 
         spoof_payload = materialize_spoof_slots(
-            jam_plan.spoof_payload_slots, s, rng, exclude=jam_offsets.tolist()
+            jam_plan.spoof_payload_slots, s, rng, exclude=jam_offsets
         )
         spoof_nack = materialize_spoof_slots(
             jam_plan.spoof_nack_slots,
             s,
             rng,
-            exclude=jam_offsets.tolist() + spoof_payload.tolist(),
+            exclude=np.concatenate([jam_offsets, spoof_payload])
+            if jam_plan.spoof_nack_slots > 0
+            else (),
         )
         spoof_budget = adversary_ledger.charge_bulk(
             EnergyOperation.SPOOF, float(len(spoof_payload) + len(spoof_nack))
@@ -660,19 +705,10 @@ class PhaseEngine:
         total_spoofs = int(spoof_budget)
         keep_payload = min(len(spoof_payload), total_spoofs)
         keep_nack = min(len(spoof_nack), total_spoofs - keep_payload)
-        spoof_payload = spoof_payload[:keep_payload]
-        spoof_nack = spoof_nack[:keep_nack]
-
-        spoof_counts = np.zeros(s, dtype=np.int64)
-        if len(spoof_payload):
-            spoof_counts[spoof_payload] += 1
-        if len(spoof_nack):
-            spoof_counts[spoof_nack] += 1
-
-        adversary_spend = float(jam_spend + spoof_budget)
-        jammed_slots = int(jam_mask.sum())
-        spoofed_transmissions = int(len(spoof_payload) + len(spoof_nack))
-        return jam_mask, spoof_counts, adversary_spend, jammed_slots, spoofed_transmissions
+        spoof_slots = np.sort(
+            np.concatenate([spoof_payload[:keep_payload], spoof_nack[:keep_nack]])
+        )
+        return jam_offsets, spoof_slots, float(jam_spend + spoof_budget)
 
     @staticmethod
     def _truncate_informed_listening(

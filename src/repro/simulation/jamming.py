@@ -16,7 +16,7 @@ how much of Carol's aggregate budget remains at the moment of each attack.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -71,25 +71,40 @@ def materialize_jam_slots(
     count = min(plan.num_jam_slots, num_slots)
     if count <= 0:
         return np.empty(0, dtype=np.int64)
-    return np.sort(rng.choice(num_slots, size=count, replace=False))
+    # Draw the subset even when it is the whole phase, so the generator
+    # advances identically for every count.  Sorting it is a scatter into a
+    # slot mask (O(s), no comparison sort), or nothing for the whole phase.
+    chosen = rng.choice(num_slots, size=count, replace=False)
+    if count == num_slots:
+        return np.arange(num_slots, dtype=np.int64)
+    mask = np.zeros(num_slots, dtype=bool)
+    mask[chosen] = True
+    return np.flatnonzero(mask)
 
 
 def materialize_spoof_slots(
     count: int,
     num_slots: int,
     rng: np.random.Generator,
-    exclude: Sequence[int] = (),
+    exclude: Union[np.ndarray, Iterable[int]] = (),
 ) -> np.ndarray:
     """Pick ``count`` distinct slots for Byzantine spoofed transmissions.
 
-    ``exclude`` lists slots that should not be chosen (e.g. slots already
-    being jammed — jamming and spoofing the same slot would waste energy).
+    ``exclude`` (an array or any iterable of slot offsets) lists slots that
+    should not be chosen (e.g. slots already being jammed — jamming and
+    spoofing the same slot would waste energy).  Offsets outside the phase
+    are ignored.
     """
 
     if count <= 0 or num_slots <= 0:
         return np.empty(0, dtype=np.int64)
-    excluded = set(int(x) for x in exclude)
-    candidates = np.array([s for s in range(num_slots) if s not in excluded], dtype=np.int64)
+    if isinstance(exclude, np.ndarray):
+        excluded = exclude.astype(np.int64, copy=False).reshape(-1)
+    else:
+        excluded = np.fromiter((int(x) for x in exclude), dtype=np.int64)
+    keep = np.ones(num_slots, dtype=bool)
+    keep[excluded[(excluded >= 0) & (excluded < num_slots)]] = False
+    candidates = np.flatnonzero(keep)
     if candidates.size == 0:
         return np.empty(0, dtype=np.int64)
     chosen = min(count, candidates.size)

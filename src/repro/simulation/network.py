@@ -8,6 +8,7 @@ devices, the shared channel, the authenticator, and the root random source.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, List, Sequence
 
 import numpy as np
@@ -76,10 +77,6 @@ class Network:
         self.node_ledgers = LedgerArray(
             "node", config.n, config.node_budget, policy=BudgetPolicy.RECORD
         )
-        self.nodes: List[Device] = [
-            Device(device_id=i, role=Role.CORRECT, ledger=self.node_ledgers.view(i))
-            for i in range(config.n)
-        ]
         adversary_policy = BudgetPolicy.CAP if enforce_adversary_budget else BudgetPolicy.RECORD
         self.adversary_ledger = EnergyLedger(
             owner="carol",
@@ -90,6 +87,20 @@ class Network:
     # ------------------------------------------------------------------ #
     # Lookup helpers                                                      #
     # ------------------------------------------------------------------ #
+
+    @cached_property
+    def nodes(self) -> List[Device]:
+        """The ``n`` correct devices, each a view of its ``node_ledgers`` row.
+
+        Built on first access: only per-device lookups and the slot engine's
+        per-slot charging need them, and ``n`` device objects are most of a
+        large network's construction time.
+        """
+
+        return [
+            Device(device_id=i, role=Role.CORRECT, ledger=self.node_ledgers.view(i))
+            for i in range(self.config.n)
+        ]
 
     @property
     def n(self) -> int:
@@ -102,7 +113,7 @@ class Network:
 
         if device_id == ALICE_ID:
             return self.alice
-        if 0 <= device_id < len(self.nodes):
+        if 0 <= device_id < self.config.n:
             return self.nodes[device_id]
         raise ConfigurationError(f"unknown device id {device_id}")
 
@@ -139,12 +150,12 @@ class Network:
         return self.node_ledgers.spent_array()
 
     def max_node_cost(self) -> float:
-        if not self.nodes:
+        if not self.config.n:
             return 0.0
         return float(self.node_ledgers.spent_array().max())
 
     def mean_node_cost(self) -> float:
-        if not self.nodes:
+        if not self.config.n:
             return 0.0
         return float(np.mean(self.node_costs()))
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import singlehop_reference as reference
 from repro.simulation import (
     JamPlan,
     JamTargeting,
@@ -125,3 +126,61 @@ class TestMaterializeSpoofSlots:
 
     def test_zero_count(self):
         assert materialize_spoof_slots(0, 10, np.random.default_rng(0)).size == 0
+
+
+def _same_draws(current, old, seed=3):
+    """Run both implementations on equal generators; outputs and states must match."""
+
+    rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, expected = current(rng_new), old(rng_old)
+    assert got.dtype == expected.dtype
+    assert got.tolist() == expected.tolist()
+    assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+
+class TestMaterializeAgainstReference:
+    """The mask-based materialisers equal the earlier sort/loop ones, draw for draw."""
+
+    ACTIVITY = np.random.default_rng(9).random(1000) < 0.3
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            JamPlan(num_jam_slots=1),
+            JamPlan(num_jam_slots=17),
+            JamPlan(num_jam_slots=999),
+            JamPlan(num_jam_slots=1000),
+            JamPlan(num_jam_slots=5000),
+            JamPlan(jam_rate=0.25),
+            JamPlan(slot_indices=(-1, 0, 4, 4, 999, 1000, 70)),
+            JamPlan(num_jam_slots=40, reactive=True),
+            JamPlan(jam_rate=0.5, reactive=True),
+            JamPlan(),
+        ],
+        ids=["one", "few", "all-but-one", "full-phase", "over-phase", "rate", "indices",
+             "reactive-count", "reactive-rate", "empty"],
+    )
+    @pytest.mark.parametrize("num_slots", [0, 1, 10, 1000])
+    def test_jam_slots(self, plan, num_slots):
+        activity = self.ACTIVITY[:num_slots]
+        _same_draws(
+            lambda rng: materialize_jam_slots(plan, num_slots, rng, activity),
+            lambda rng: reference.materialize_jam_slots(plan, num_slots, rng, activity),
+        )
+
+    @pytest.mark.parametrize("container", [set, list, np.array, tuple, iter])
+    @pytest.mark.parametrize("count", [0, 1, 6, 500])
+    @pytest.mark.parametrize("num_slots", [0, 1, 12, 300])
+    def test_spoof_slots(self, container, count, num_slots):
+        exclude = [-2, 0, 3, 3, 11, 40, 299, 300, 4000]
+        _same_draws(
+            lambda rng: materialize_spoof_slots(count, num_slots, rng, exclude=container(exclude)),
+            lambda rng: reference.materialize_spoof_slots(count, num_slots, rng, exclude=exclude),
+        )
+
+    @pytest.mark.parametrize("container", [set, list, np.array])
+    def test_spoof_slots_with_every_slot_excluded(self, container):
+        _same_draws(
+            lambda rng: materialize_spoof_slots(4, 9, rng, exclude=container(range(9))),
+            lambda rng: reference.materialize_spoof_slots(4, 9, rng, exclude=range(9)),
+        )
