@@ -24,9 +24,10 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_mobile_jammer.py           # full (n = 10^4, ~1 min)
     PYTHONPATH=src python benchmarks/bench_mobile_jammer.py --smoke   # CI-sized (n = 256)
 
-Runs use ``max_quiet_retries`` so the protocol ends while jamming still
-binds; without it every run ends at full delivery once the budget dies and
-the sweeps cannot discriminate (see ``repro.experiments.exp_mobile_jammer``).
+Runs use a ``ConstantQuietRule`` horizon so the protocol ends while jamming
+still binds; without it every run ends at full delivery once the budget dies
+and the sweeps cannot discriminate (see
+``repro.experiments.exp_mobile_jammer``).
 """
 
 from __future__ import annotations
@@ -154,7 +155,7 @@ def main() -> None:
         "--retries",
         type=int,
         default=None,
-        help="max_quiet_retries horizon (default: 8 at n >= 4096, 6 below)",
+        help="ConstantQuietRule retries horizon (default: 8 at n >= 4096, 6 below)",
     )
     parser.add_argument(
         "--smoke", action="store_true", help="CI-sized smoke (n=256, 2 trials)"

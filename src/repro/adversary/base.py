@@ -1,13 +1,13 @@
 """Adversary strategy base class.
 
-Every concrete adversary ("Carol") derives from :class:`Adversary`.  The
-orchestrator shows the strategy a
-:class:`~repro.simulation.phaseplan.PhaseContext` before each phase — the full
-history plus everything an adaptive adversary is allowed to know — and the
-strategy answers with a :class:`~repro.simulation.phaseplan.JamPlan`.  After
-the phase executes, the strategy is shown the
-:class:`~repro.simulation.phaseplan.PhaseResult` so adaptive strategies can
-update their internal state.
+Every concrete adversary ("Carol") derives from :class:`Adversary`.  Each
+orchestrator's :class:`~repro.core.driver.PhaseDriver` shows the strategy a
+:class:`~repro.simulation.phaseplan.PhaseContext` before each phase — the
+upcoming plan and roles plus everything else an adaptive adversary is allowed
+to know — and the strategy answers with a
+:class:`~repro.simulation.phaseplan.JamPlan`.  After the phase executes, the
+strategy is shown the :class:`~repro.simulation.phaseplan.PhaseResult`, so
+adaptive strategies keep whatever history they need in their own state.
 
 Budget enforcement is *not* the strategy's job: the engines cap every plan by
 Carol's aggregate ledger.  Strategies may nevertheless budget themselves (for

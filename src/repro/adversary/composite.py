@@ -199,6 +199,5 @@ def _with_allowance(context: PhaseContext, allowance: float) -> PhaseContext:
         plan=context.plan,
         roles=context.roles,
         config=context.config,
-        history=context.history,
         adversary_remaining_budget=allowance,
     )

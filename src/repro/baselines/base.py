@@ -23,15 +23,11 @@ from typing import Optional
 
 from ..adversary.base import Adversary
 from ..adversary.none import NullAdversary
-from ..simulation.clock import SlotClock
+from ..observability.trace import NULL_RECORDER, TraceRecorder
 from ..simulation.config import SimulationConfig
-from ..simulation.engine import SlotEngine
-from ..simulation.errors import ConfigurationError
-from ..simulation.events import EventLog, PhaseRecord
-from ..simulation.fastengine import PhaseEngine
-from ..simulation.metrics import CostBreakdown, DeliveryStats
 from ..simulation.network import Network
-from ..simulation.phaseplan import PhaseContext, PhaseKind, PhasePlan, PhaseRoles
+from ..simulation.phaseplan import PhaseKind, PhasePlan, PhaseResult, PhaseRoles
+from ..core.driver import EngineSpec, PhaseDriver, resolve_engine
 from ..core.outcome import BroadcastOutcome
 from ..core.state import ProtocolState
 
@@ -41,6 +37,10 @@ __all__ = ["EpochBaseline"]
 class EpochBaseline(abc.ABC):
     """Base class for epoch-structured baseline broadcast protocols.
 
+    The run stops after epoch :attr:`max_epoch`: two epochs past the point
+    where a single epoch outlasts Carol's entire aggregate budget, so a
+    baseline always finishes once the jamming stops.
+
     Parameters
     ----------
     config:
@@ -49,10 +49,13 @@ class EpochBaseline(abc.ABC):
         Carol's strategy; defaults to no attack.
     engine:
         ``"fast"`` (default), ``"slot"``, or an engine instance.
-    max_epoch:
-        Last epoch index before the run is abandoned; defaults to two epochs
-        past the point where a single epoch outlasts Carol's entire aggregate
-        budget, so a baseline always finishes once the jamming stops.
+    network:
+        An existing :class:`~repro.simulation.network.Network` to reuse;
+        constructed from ``config`` when omitted.
+    recorder:
+        A :class:`~repro.observability.trace.TraceRecorder` for the run's
+        ``"run-start"`` / ``"phase"`` / ``"run-end"`` events, installed on the
+        engine too — the same stream ε-Broadcast runs emit.
     """
 
     protocol_name = "epoch-baseline"
@@ -61,31 +64,22 @@ class EpochBaseline(abc.ABC):
         self,
         config: SimulationConfig,
         adversary: Optional[Adversary] = None,
-        engine: str | SlotEngine | PhaseEngine = "fast",
+        engine: EngineSpec = "fast",
         network: Optional[Network] = None,
-        max_epoch: Optional[int] = None,
+        recorder: Optional[TraceRecorder] = None,
     ) -> None:
         self.config = config
+        self.recorder = recorder if recorder is not None else NULL_RECORDER
         self.adversary = adversary if adversary is not None else NullAdversary()
         self.network = network if network is not None else Network(config)
         # Topology-dependent strategies (e.g. spatial disk jammers) resolve
         # their victim sets against the realised network; no-op by default.
         self.adversary.bind_network(self.network)
-        self.engine = self._resolve_engine(engine)
-        if max_epoch is not None:
-            self.max_epoch = max_epoch
-        else:
-            horizon = max(config.adversary_total_budget, float(config.n))
-            self.max_epoch = int(math.ceil(math.log2(horizon))) + 2
-
-    def _resolve_engine(self, engine):
-        if isinstance(engine, (SlotEngine, PhaseEngine)):
-            return engine
-        if engine == "fast":
-            return PhaseEngine(self.network)
-        if engine == "slot":
-            return SlotEngine(self.network)
-        raise ConfigurationError(f"unknown engine specification {engine!r}")
+        self.engine = resolve_engine(engine, self.network)
+        if recorder is not None:
+            self.engine.recorder = self.recorder
+        horizon = max(config.adversary_total_budget, float(config.n))
+        self.max_epoch = int(math.ceil(math.log2(horizon))) + 2
 
     # ------------------------------------------------------------------ #
     # Per-epoch behaviour supplied by subclasses                          #
@@ -123,85 +117,35 @@ class EpochBaseline(abc.ABC):
         """Execute the baseline until every node is informed (or the cap)."""
 
         state = ProtocolState(self.config.n)
-        clock = SlotClock()
-        log = EventLog()
+        driver = PhaseDriver(
+            self.protocol_name, self.config, self.network, self.engine, self.adversary, self.recorder
+        )
+        driver.start()
         terminated_by_cap = True
-
+        epoch = 0
         for epoch in range(1, self.max_epoch + 1):
-            plan = self.epoch_plan(epoch)
-            roles = PhaseRoles(
-                active_uninformed=state.active_uninformed(),
-                alice_active=True,
-            )
-            context = PhaseContext(
-                plan=plan,
-                roles=roles,
-                config=self.config,
-                history=log.phases,
-                adversary_remaining_budget=self.network.adversary_ledger.remaining,
-            )
-            # Same per-phase re-resolution hook as the ε-Broadcast family:
-            # mobile strategies track time against baselines too.
-            self.adversary.observe_phase(context)
-            jam_plan = self.adversary.plan_phase(context)
-
-            alice_before = self.network.alice_cost
-            nodes_before = float(self.network.node_costs().sum())
-            clock.begin_phase(epoch, plan.name)
-            result = self.engine.run_phase(plan, roles, jam_plan, start_slot=clock.now)
-            clock.advance(plan.num_slots)
-            clock.end_phase()
-
-            if result.newly_informed:
-                state.mark_informed(result.newly_informed, slot=clock.now)
-                # Baseline receivers stop as soon as they hold the message.
-                state.terminate_informed(result.newly_informed, epoch)
-
-            self.adversary.observe_result(context, result)
-            log.record_phase(
-                PhaseRecord(
-                    round_index=epoch,
-                    phase_name=plan.name,
-                    num_slots=plan.num_slots,
-                    start_slot=clock.now - plan.num_slots,
-                    jammed_slots=result.jammed_slots,
-                    adversary_spend=result.adversary_spend,
-                    newly_informed=len(result.newly_informed),
-                    alice_cost=self.network.alice_cost - alice_before,
-                    nodes_cost=float(self.network.node_costs().sum()) - nodes_before,
-                    active_uninformed_after=len(state.active_uninformed()),
-                    terminated_after=state.terminated_informed_count()
-                    + state.terminated_uninformed_count(),
-                )
-            )
-
-            if not state.active_uninformed():
+            roles = PhaseRoles(active_uninformed=state.active_uninformed_array(), alice_active=True)
+            driver.step(self.epoch_plan(epoch), roles, state, epoch, self._apply_result)
+            if state.active_uninformed_count() == 0:
                 terminated_by_cap = False
                 break
 
         # The oracle stops Alice the moment the last node is informed.
-        state.terminate_alice(min(self.max_epoch, log.phases[-1].round_index if log.phases else 0))
-        state.terminate_uninformed(state.active_uninformed(), self.max_epoch)
+        state.terminate_alice(epoch)
+        state.terminate_uninformed(state.active_uninformed_array(), self.max_epoch)
         self.final_state = state
+        return driver.finish(state, round_index=epoch, terminated_by_cap=terminated_by_cap)
 
-        delivery = DeliveryStats(
-            n=self.config.n,
-            informed=state.terminated_informed_count(),
-            terminated_informed=state.terminated_informed_count(),
-            terminated_uninformed=state.terminated_uninformed_count(),
-            slots_elapsed=clock.now,
-            rounds_executed=log.rounds_executed(),
-            alice_terminated=True,
-        )
-        costs = CostBreakdown.from_snapshot(
-            self.network.cost_snapshot(), per_node=self.network.node_costs()
-        )
-        return BroadcastOutcome(
-            protocol=self.protocol_name,
-            adversary=getattr(self.adversary, "name", type(self.adversary).__name__),
-            config=self.config,
-            delivery=delivery,
-            costs=costs,
-            events=log,
-            terminated_by_cap=terminated_by_cap,
-        )
+    def _apply_result(
+        self,
+        plan: PhasePlan,
+        roles: PhaseRoles,
+        result: PhaseResult,
+        state: ProtocolState,
+        round_index: int,
+        slot: int,
+    ) -> None:
+        if result.newly_informed:
+            state.mark_informed(result.newly_informed, slot=slot)
+            # Baseline receivers stop as soon as they hold the message.
+            state.terminate_informed(result.newly_informed, round_index)

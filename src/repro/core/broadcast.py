@@ -18,34 +18,28 @@ recovers exactly the single-hop termination behaviour on a clique.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 
 from ..adversary.base import Adversary
 from ..adversary.none import NullAdversary
-from ..simulation.clock import SlotClock
 from ..simulation.config import SimulationConfig
-from ..simulation.engine import SlotEngine
 from ..simulation.errors import ConfigurationError
-from ..simulation.events import EventLog, PhaseRecord
-from ..simulation.fastengine import PhaseEngine
-from ..simulation.metrics import CostBreakdown, DeliveryStats
 from ..simulation.network import Network
-from ..simulation.phaseplan import PhaseContext, PhaseKind, PhasePlan, PhaseResult, PhaseRoles
+from ..simulation.phaseplan import PhaseKind, PhasePlan, PhaseResult, PhaseRoles
 from ..observability.trace import NULL_RECORDER, TraceEvent, TraceRecorder
 from .alice import AlicePolicy
+from .driver import EngineSpec, PhaseDriver, resolve_engine
 from .outcome import BroadcastOutcome
 from .params import ProtocolParameters
 from .phases import ScheduleBuilder
 from .quietrule import QuietRule, resolve_quiet_rule
 from .receiver import ReceiverPolicy
-from .state import NodeStatus, ProtocolState
+from .state import ProtocolState
 from .termination import apply_request_phase
 
 __all__ = ["EpsilonBroadcast", "MultiHopBroadcast"]
-
-EngineSpec = Union[str, SlotEngine, PhaseEngine]
 
 # Shared empty role cohort: roles are built every phase, so the common empty
 # arrays (no relays, no decoys) are allocated once.
@@ -109,7 +103,7 @@ class EpsilonBroadcast:
                 f"protocol k ({self.params.k}) disagrees with configuration k ({config.k})"
             )
         self.network = network if network is not None else Network(config)
-        self.engine = self._resolve_engine(engine)
+        self.engine = resolve_engine(engine, self.network)
         if recorder is not None:
             # Same sink for orchestrator-level "phase" events and the engine's
             # channel-level "engine" events; pre-built engines keep whatever
@@ -130,15 +124,6 @@ class EpsilonBroadcast:
     # ------------------------------------------------------------------ #
     # Construction hooks (overridden by protocol variants)                #
     # ------------------------------------------------------------------ #
-
-    def _resolve_engine(self, engine: EngineSpec) -> Union[SlotEngine, PhaseEngine]:
-        if isinstance(engine, (SlotEngine, PhaseEngine)):
-            return engine
-        if engine == "fast":
-            return PhaseEngine(self.network)
-        if engine == "slot":
-            return SlotEngine(self.network)
-        raise ConfigurationError(f"unknown engine specification {engine!r}")
 
     def _protocol_n(self) -> int:
         """The network-size value plugged into the probability formulas."""
@@ -169,20 +154,19 @@ class EpsilonBroadcast:
         """Execute the protocol to completion and return its outcome."""
 
         state = ProtocolState(self.config.n)
-        clock = SlotClock()
-        log = EventLog()
+        driver = PhaseDriver(
+            self.protocol_name, self.config, self.network, self.engine, self.adversary, self.recorder
+        )
         start_round = self.params.start_round
         max_round = self.params.resolved_max_round(self.config.n)
         terminated_by_cap = False
-
-        if self.recorder.enabled:
-            self.recorder.record(TraceEvent(kind="run-start", data=self._run_start_data()))
+        driver.start(**self._run_start_data())
 
         round_index = start_round
         while round_index <= max_round:
             for plan in self._iter_round_phases(round_index, state):
                 roles = self._roles_for(plan, state)
-                self._execute_phase(plan, roles, state, clock, log, round_index)
+                driver.step(plan, roles, state, round_index, self._apply_result)
                 if state.everyone_done():
                     break
             if state.everyone_done():
@@ -196,39 +180,21 @@ class EpsilonBroadcast:
         # delivery by population (e.g. a spatial jammer's victims) need node
         # identities, which the aggregate outcome deliberately drops.
         self.final_state = state
-        outcome = self._build_outcome(state, clock, log, terminated_by_cap)
-        if self.recorder.enabled:
-            snapshot = self.network.cost_snapshot()
-            self.recorder.record(
-                TraceEvent(
-                    kind="run-end",
-                    round_index=round_index if not terminated_by_cap else max_round,
-                    data={
-                        "informed": outcome.delivery.informed,
-                        "slots_elapsed": outcome.delivery.slots_elapsed,
-                        "rounds_executed": outcome.delivery.rounds_executed,
-                        "terminated_by_cap": terminated_by_cap,
-                        "alice_cost": float(snapshot["alice"]),
-                        "adversary_spend": float(snapshot["adversary"]),
-                        "nodes_cost": float(snapshot["node_total"]),
-                    },
-                )
-            )
-        return outcome
+        extra: Dict[str, float] = {}
+        if state.alice_terminated_at_round is not None:
+            extra["alice_terminated_round"] = float(state.alice_terminated_at_round)
+        return driver.finish(
+            state,
+            round_index=max_round if terminated_by_cap else round_index,
+            terminated_by_cap=terminated_by_cap,
+            record_events=self.record_events,
+            extra=extra,
+        )
 
     def _run_start_data(self) -> Dict[str, object]:
-        """Payload of the ``"run-start"`` event (variants extend it)."""
+        """Variant-specific additions to the ``"run-start"`` event payload."""
 
-        spec = self.config.topology
-        return {
-            "protocol": self.protocol_name,
-            "adversary": getattr(self.adversary, "name", type(self.adversary).__name__),
-            "engine": type(self.engine).__name__,
-            "n": self.config.n,
-            "seed": self.config.seed,
-            "k": self.params.k,
-            "topology": spec.kind if spec is not None else "single_hop",
-        }
+        return {}
 
     # ------------------------------------------------------------------ #
     # Per-phase machinery                                                 #
@@ -284,90 +250,6 @@ class EpsilonBroadcast:
             alice_active=not state.alice_terminated,
         )
 
-    def _execute_phase(
-        self,
-        plan: PhasePlan,
-        roles: PhaseRoles,
-        state: ProtocolState,
-        clock: SlotClock,
-        log: EventLog,
-        round_index: int,
-    ) -> PhaseResult:
-        context = PhaseContext(
-            plan=plan,
-            roles=roles,
-            config=self.config,
-            history=log.phases,
-            adversary_remaining_budget=self.network.adversary_ledger.remaining,
-        )
-        # Per-phase re-resolution hook: mobile/adaptive spatial strategies
-        # advance their trajectory and re-resolve victims before planning.
-        self.adversary.observe_phase(context)
-        jam_plan = self.adversary.plan_phase(context)
-
-        alice_before = self.network.alice_cost
-        nodes_before = float(self.network.node_costs().sum())
-
-        clock.begin_phase(round_index, plan.name)
-        result = self.engine.run_phase(plan, roles, jam_plan, start_slot=clock.now)
-        clock.advance(plan.num_slots)
-        clock.end_phase()
-
-        self._apply_result(plan, roles, result, state, round_index, clock)
-
-        self.adversary.observe_result(context, result)
-        alice_delta = self.network.alice_cost - alice_before
-        nodes_delta = float(self.network.node_costs().sum()) - nodes_before
-        # Phase records are cheap (one per phase) and outcome assembly relies
-        # on them, so they are always recorded; ``record_events`` only controls
-        # whether the log is attached to the returned outcome.
-        log.record_phase(
-            PhaseRecord(
-                round_index=round_index,
-                phase_name=plan.name,
-                num_slots=plan.num_slots,
-                start_slot=clock.now - plan.num_slots,
-                jammed_slots=result.jammed_slots,
-                adversary_spend=result.adversary_spend,
-                newly_informed=len(result.newly_informed),
-                alice_cost=alice_delta,
-                nodes_cost=nodes_delta,
-                active_uninformed_after=state.active_uninformed_count(),
-                terminated_after=state.terminated_informed_count()
-                + state.terminated_uninformed_count(),
-            )
-        )
-        if self.recorder.enabled:
-            self.recorder.record(
-                TraceEvent(
-                    kind="phase",
-                    round_index=round_index,
-                    phase=plan.name,
-                    data={
-                        "kind": plan.kind.value,
-                        "step": plan.step,
-                        "num_slots": plan.num_slots,
-                        "start_slot": clock.now - plan.num_slots,
-                        "newly_informed": len(result.newly_informed),
-                        "informed_total": state.informed_count(),
-                        "frontier": state.active_informed_count(),
-                        "active_uninformed": state.active_uninformed_count(),
-                        "terminated_informed": state.terminated_informed_count(),
-                        "terminated_uninformed": state.terminated_uninformed_count(),
-                        "jammed_slots": result.jammed_slots,
-                        "busy_slots": result.busy_slots,
-                        "delivery_slots": result.delivery_slots,
-                        "spoofed_transmissions": result.spoofed_transmissions,
-                        "adversary_spend": result.adversary_spend,
-                        "alice_cost": alice_delta,
-                        "nodes_cost": nodes_delta,
-                        "alice_noisy_heard": result.alice_noisy_heard,
-                        "request_noisy_total": float(sum(result.node_noisy_heard.values())),
-                    },
-                )
-            )
-        return result
-
     def _apply_result(
         self,
         plan: PhasePlan,
@@ -375,12 +257,12 @@ class EpsilonBroadcast:
         result: PhaseResult,
         state: ProtocolState,
         round_index: int,
-        clock: SlotClock,
+        slot: int,
     ) -> None:
         """Apply protocol state transitions implied by a phase result."""
 
         if result.newly_informed:
-            state.mark_informed(result.newly_informed, slot=clock.now)
+            state.mark_informed(result.newly_informed, slot=slot)
 
         if plan.kind is PhaseKind.PROPAGATION:
             # Relays transmitted during this step and terminate at its end.
@@ -424,44 +306,6 @@ class EpsilonBroadcast:
         state.terminate_informed(state.active_informed_array(), max_round)
         state.terminate_uninformed(state.active_uninformed_array(), max_round)
         state.terminate_alice(max_round)
-
-    # ------------------------------------------------------------------ #
-    # Outcome assembly                                                    #
-    # ------------------------------------------------------------------ #
-
-    def _build_outcome(
-        self,
-        state: ProtocolState,
-        clock: SlotClock,
-        log: EventLog,
-        terminated_by_cap: bool,
-    ) -> BroadcastOutcome:
-        informed = state.informed_count()
-        delivery = DeliveryStats(
-            n=self.config.n,
-            informed=informed,
-            terminated_informed=state.terminated_informed_count(),
-            terminated_uninformed=state.terminated_uninformed_count(),
-            slots_elapsed=clock.now,
-            rounds_executed=log.rounds_executed(),
-            alice_terminated=state.alice_terminated,
-        )
-        costs = CostBreakdown.from_snapshot(
-            self.network.cost_snapshot(), per_node=self.network.node_costs()
-        )
-        extra = {}
-        if state.alice_terminated_at_round is not None:
-            extra["alice_terminated_round"] = float(state.alice_terminated_at_round)
-        return BroadcastOutcome(
-            protocol=self.protocol_name,
-            adversary=getattr(self.adversary, "name", type(self.adversary).__name__),
-            config=self.config,
-            delivery=delivery,
-            costs=costs,
-            events=log if self.record_events else None,
-            terminated_by_cap=terminated_by_cap,
-            extra=extra,
-        )
 
 
 class MultiHopBroadcast(EpsilonBroadcast):
@@ -517,13 +361,6 @@ class MultiHopBroadcast(EpsilonBroadcast):
         in both directions on sparse topologies (early give-up inside Alice's
         component, run-to-the-cap mutual sustain in Alice-less components);
         see :mod:`repro.core.quietrule` for the policy catalogue.
-    max_quiet_retries:
-        Deprecated alias for
-        ``quiet_rule=ConstantQuietRule(retries=max_quiet_retries)`` — the
-        paper's rule plus a uniform budget of that many request phases,
-        bit-identical to the old run-level retry cap.  Cannot be combined
-        with an explicit ``quiet_rule``.  Deprecated: passing it emits a
-        ``DeprecationWarning``.
     pipeline:
         Keep appending propagation steps to a round while the frontier
         advances (see the class docstring).  ``False`` restores the
@@ -537,12 +374,10 @@ class MultiHopBroadcast(EpsilonBroadcast):
         self,
         *args: object,
         quiet_rule: Optional[QuietRule | str] = None,
-        max_quiet_retries: Optional[int] = None,
         pipeline: bool = True,
         **kwargs: object,
     ) -> None:
-        self.quiet_rule = resolve_quiet_rule(quiet_rule, max_quiet_retries)
-        self.max_quiet_retries = max_quiet_retries
+        self.quiet_rule = resolve_quiet_rule(quiet_rule)
         self.pipeline = pipeline
         # Budgets are a pure function of the realised topology (fixed for the
         # orchestrator's lifetime); resolved lazily so single-hop runs — which
@@ -612,14 +447,14 @@ class MultiHopBroadcast(EpsilonBroadcast):
         result: PhaseResult,
         state: ProtocolState,
         round_index: int,
-        clock: SlotClock,
+        slot: int,
     ) -> None:
         if self.network.topology.is_single_hop:
-            super()._apply_result(plan, roles, result, state, round_index, clock)
+            super()._apply_result(plan, roles, result, state, round_index, slot)
             return
 
         if result.newly_informed:
-            state.mark_informed(result.newly_informed, slot=clock.now)
+            state.mark_informed(result.newly_informed, slot=slot)
 
         if plan.kind is PhaseKind.REQUEST:
             apply_request_phase(

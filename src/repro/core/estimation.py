@@ -32,11 +32,11 @@ import math
 from typing import List, Optional
 
 from ..adversary.base import Adversary
-from ..simulation.clock import SlotClock
 from ..simulation.config import SimulationConfig
 from ..simulation.errors import ConfigurationError
 from ..simulation.phaseplan import PhaseKind, PhasePlan, PhaseResult, PhaseRoles, clip_probability
-from .broadcast import EngineSpec, EpsilonBroadcast
+from .broadcast import EpsilonBroadcast
+from .driver import EngineSpec
 from .params import ProtocolParameters
 from .receiver import ReceiverPolicy
 from .state import ProtocolState
@@ -135,7 +135,7 @@ class SizeEstimateBroadcast(EpsilonBroadcast):
         result: PhaseResult,
         state: ProtocolState,
         round_index: int,
-        clock: SlotClock,
+        slot: int,
     ) -> None:
         """Delay relay termination until the final sweep repetition of a step.
 
@@ -147,9 +147,9 @@ class SizeEstimateBroadcast(EpsilonBroadcast):
 
         if plan.kind is PhaseKind.PROPAGATION and not self._is_final_sweep(plan):
             if result.newly_informed:
-                state.mark_informed(result.newly_informed, slot=clock.now)
+                state.mark_informed(result.newly_informed, slot=slot)
             return
-        super()._apply_result(plan, roles, result, state, round_index, clock)
+        super()._apply_result(plan, roles, result, state, round_index, slot)
 
     def _is_final_sweep(self, plan: PhasePlan) -> bool:
         return plan.name.endswith(f"@g={self.sweep_exponents[-1]}")

@@ -20,7 +20,8 @@ from typing import Optional
 
 from ..adversary.base import Adversary
 from ..simulation.config import SimulationConfig
-from .broadcast import EngineSpec, EpsilonBroadcast
+from .broadcast import EpsilonBroadcast
+from .driver import EngineSpec
 from .params import ProtocolParameters
 
 __all__ = ["GeneralKBroadcast"]

@@ -32,8 +32,7 @@ The rules themselves:
 * :class:`PaperQuietRule` — the unmodified §2.2 behaviour (channel test, no
   budget).  Bit-identical to the pre-rule orchestrator.
 * :class:`ConstantQuietRule` — the paper rule plus one global budget for
-  every node.  ``MultiHopBroadcast(max_quiet_retries=R)`` is a deprecated
-  alias for this rule and remains bit-identical to the old retry cap.
+  every node.
 * :class:`DegreeAwareQuietRule` (the default) — budgets derived from each
   node's *local neighbourhood size*.  The Gilbert-graph limit theory
   (arXiv:1312.4861) says local neighbourhood counts concentrate around
@@ -53,7 +52,6 @@ from __future__ import annotations
 
 import abc
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -118,11 +116,10 @@ class PaperQuietRule(QuietRule):
 
 @dataclass(frozen=True)
 class ConstantQuietRule(QuietRule):
-    """The paper rule plus one global budget (the old ``max_quiet_retries``).
+    """The paper rule plus one global budget of request phases.
 
     Every active uninformed node takes part in every request phase, so one
-    global budget caps each node's futile patience uniformly; outcomes are
-    bit-identical to the run-level retry cap this rule replaces.
+    global budget caps each node's futile patience uniformly.
     """
 
     retries: int = 6
@@ -262,35 +259,14 @@ _NAMED_RULES = {
 }
 
 
-def resolve_quiet_rule(
-    quiet_rule: Union[QuietRule, str, None],
-    max_quiet_retries: Optional[int] = None,
-) -> QuietRule:
+def resolve_quiet_rule(quiet_rule: Union[QuietRule, str, None]) -> QuietRule:
     """Resolve the orchestrator's quiet-rule configuration.
 
-    ``max_quiet_retries`` is the deprecated spelling of
-    ``ConstantQuietRule(retries)`` and cannot be combined with an explicit
-    ``quiet_rule``.  ``quiet_rule`` may be a :class:`QuietRule` instance or a
-    rule name (``"paper"``, ``"constant"``, ``"degree-aware"``); ``None``
-    selects the default :class:`DegreeAwareQuietRule`.
+    ``quiet_rule`` may be a :class:`QuietRule` instance or a rule name
+    (``"paper"``, ``"constant"``, ``"degree-aware"``); ``None`` selects the
+    default :class:`DegreeAwareQuietRule`.
     """
 
-    if max_quiet_retries is not None:
-        if quiet_rule is not None:
-            raise ConfigurationError(
-                "pass either quiet_rule or the deprecated max_quiet_retries, not both"
-            )
-        if not isinstance(max_quiet_retries, int) or max_quiet_retries < 1:
-            raise ConfigurationError(
-                f"max_quiet_retries must be a positive integer or None, got {max_quiet_retries}"
-            )
-        warnings.warn(
-            "max_quiet_retries is deprecated; pass "
-            "quiet_rule=ConstantQuietRule(retries=...) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return ConstantQuietRule(retries=max_quiet_retries)
     if quiet_rule is None:
         return DegreeAwareQuietRule()
     if isinstance(quiet_rule, str):

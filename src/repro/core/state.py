@@ -17,15 +17,15 @@ slot/round ledgers, so the hot-path queries (`active_uninformed_array`,
 `active_informed_array`, the counts) are numpy mask operations instead of
 dict scans.  The sorted active-id arrays are cached and invalidated by a
 transition counter — repeated reads between transitions return the *same*
-array object, which the relay-retirement hot path relies on.  Dict-shaped
-views (``statuses``, ``informed_at_slot``, ``terminated_at_round``) are kept
-for observers; they are read-only adapters over the arrays.
+array object, which the relay-retirement hot path relies on.  Observers read
+the per-node ledgers (``informed_at_slot``, ``terminated_at_round``) as
+read-only ``int64`` arrays with ``-1`` meaning unset.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import FrozenSet, Iterable, Iterator, Optional, Set, Tuple
+from typing import Iterable, Optional, Set
 
 import numpy as np
 
@@ -65,86 +65,10 @@ _CODE_TO_STATUS = {
 }
 
 
-class _StatusView:
-    """Read-only dict-shaped view over the status-code array."""
-
-    __slots__ = ("_codes",)
-
-    def __init__(self, codes: np.ndarray) -> None:
-        self._codes = codes
-
-    def __getitem__(self, node_id: int) -> NodeStatus:
-        if not 0 <= node_id < self._codes.size:
-            raise KeyError(node_id)
-        return _CODE_TO_STATUS[int(self._codes[node_id])]
-
-    def get(self, node_id: int, default: Optional[NodeStatus] = None) -> Optional[NodeStatus]:
-        if not 0 <= node_id < self._codes.size:
-            return default
-        return _CODE_TO_STATUS[int(self._codes[node_id])]
-
-    def __len__(self) -> int:
-        return self._codes.size
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(self._codes.size))
-
-    def __contains__(self, node_id: object) -> bool:
-        return isinstance(node_id, int) and 0 <= node_id < self._codes.size
-
-    def keys(self) -> Iterator[int]:
-        return iter(range(self._codes.size))
-
-    def values(self) -> Iterator[NodeStatus]:
-        for code in self._codes:
-            yield _CODE_TO_STATUS[int(code)]
-
-    def items(self) -> Iterator[Tuple[int, NodeStatus]]:
-        for node_id, code in enumerate(self._codes):
-            yield node_id, _CODE_TO_STATUS[int(code)]
-
-
-class _LedgerView:
-    """Read-only dict-shaped view over an ``int64`` ledger with ``-1`` = unset."""
-
-    __slots__ = ("_values",)
-
-    def __init__(self, values: np.ndarray) -> None:
-        self._values = values
-
-    def __getitem__(self, node_id: int) -> int:
-        if not 0 <= node_id < self._values.size or self._values[node_id] < 0:
-            raise KeyError(node_id)
-        return int(self._values[node_id])
-
-    def get(self, node_id: int, default: Optional[int] = None) -> Optional[int]:
-        if not 0 <= node_id < self._values.size or self._values[node_id] < 0:
-            return default
-        return int(self._values[node_id])
-
-    def __len__(self) -> int:
-        return int(np.count_nonzero(self._values >= 0))
-
-    def __contains__(self, node_id: object) -> bool:
-        return (
-            isinstance(node_id, int)
-            and 0 <= node_id < self._values.size
-            and self._values[node_id] >= 0
-        )
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(np.flatnonzero(self._values >= 0).tolist())
-
-    def keys(self) -> Iterator[int]:
-        return iter(self)
-
-    def values(self) -> Iterator[int]:
-        for node_id in np.flatnonzero(self._values >= 0):
-            yield int(self._values[node_id])
-
-    def items(self) -> Iterator[Tuple[int, int]]:
-        for node_id in np.flatnonzero(self._values >= 0):
-            yield int(node_id), int(self._values[node_id])
+def _read_only(values: np.ndarray) -> np.ndarray:
+    view = values.view()
+    view.setflags(write=False)
+    return view
 
 
 class ProtocolState:
@@ -189,22 +113,16 @@ class ProtocolState:
     # ------------------------------------------------------------------ #
 
     @property
-    def statuses(self) -> _StatusView:
-        """Dict-shaped view ``{node_id: NodeStatus}`` over the code array."""
+    def informed_at_slot(self) -> np.ndarray:
+        """Per-node slot at which ``m`` arrived (``-1``: never), read-only."""
 
-        return _StatusView(self._codes)
-
-    @property
-    def informed_at_slot(self) -> _LedgerView:
-        """Dict-shaped view ``{node_id: slot}`` for nodes that received ``m``."""
-
-        return _LedgerView(self._informed_at_slot)
+        return _read_only(self._informed_at_slot)
 
     @property
-    def terminated_at_round(self) -> _LedgerView:
-        """Dict-shaped view ``{node_id: round}`` for terminated nodes."""
+    def terminated_at_round(self) -> np.ndarray:
+        """Per-node round of termination (``-1``: still active), read-only."""
 
-        return _LedgerView(self._terminated_at_round)
+        return _read_only(self._terminated_at_round)
 
     def status(self, node_id: int) -> NodeStatus:
         return _CODE_TO_STATUS[int(self._codes[node_id])]
@@ -219,36 +137,25 @@ class ProtocolState:
             self._cached_informed.setflags(write=False)
             self._cache_version = self._version
 
-    def active_uninformed(self) -> FrozenSet[int]:
-        """Nodes still executing the protocol without the message."""
-
-        self._refresh_cache()
-        return frozenset(self._cached_uninformed.tolist())
-
-    def active_informed(self) -> FrozenSet[int]:
-        """Nodes holding the message that have not yet terminated (relays)."""
-
-        self._refresh_cache()
-        return frozenset(self._cached_informed.tolist())
-
     def active_uninformed_array(self) -> np.ndarray:
-        """:meth:`active_uninformed` as a sorted read-only ``int64`` array.
+        """Nodes still executing the protocol without the message.
 
-        The vectorised view the quiet-rule machinery indexes budget and
-        streak arrays with.  Cached between transitions: repeated calls
-        return the *same* array object until the state mutates, so hot
-        paths can call this every phase without re-materialising sets.
+        A sorted read-only ``int64`` id array, which the engines consume and
+        the quiet-rule machinery indexes budget and streak arrays with.
+        Cached between transitions: repeated calls return the *same* array
+        object until the state mutates, so hot paths can call this every
+        phase without re-materialising it.
         """
 
         self._refresh_cache()
         return self._cached_uninformed
 
     def active_informed_array(self) -> np.ndarray:
-        """:meth:`active_informed` as a sorted read-only ``int64`` array.
+        """Nodes holding the message that have not yet terminated (relays).
 
-        Same caching contract as :meth:`active_uninformed_array`; this is
-        the relay frontier the multi-hop orchestrator serves to the engine
-        and to relay retirement without rebuilding sorted sets.
+        A sorted read-only ``int64`` id array with the same caching contract
+        as :meth:`active_uninformed_array`: the relay frontier the multi-hop
+        orchestrator serves to the engine and to relay retirement.
         """
 
         self._refresh_cache()

@@ -17,10 +17,10 @@ graph at equal spend caps and measures where the budget goes:
   (:class:`~repro.adversary.mobility.ReactiveDiskJammer`) re-centring each
   phase on the densest cluster of active uninformed listeners.
 
-Runs use a fixed ``ConstantQuietRule`` horizon (the ``max_quiet_retries``
-spelling) so they end while jamming still binds (otherwise every scenario
-trivially ends at full delivery once the budget dies and the metrics cannot
-discriminate).  Two headline metrics at equal spend caps:
+Runs use a fixed ``ConstantQuietRule`` horizon so they end while jamming
+still binds (otherwise every scenario trivially ends at full delivery once
+the budget dies and the metrics cannot discriminate).  Two headline metrics
+at equal spend caps:
 
 * ``delivery_per_mspend`` — the victimised network's delivery fraction per
   thousand units of Carol's spend.  Disk jamming is full-phase denial, so a
@@ -135,12 +135,8 @@ def victim_metrics(protocol, outcome, adversary, n: int) -> dict:
     """
 
     covered = sorted(v for v in adversary.coverage if v >= 0)
-    informed = {
-        node_id
-        for node_id, status in protocol.final_state.statuses.items()
-        if status.is_informed
-    }
-    stranded = sum(1 for node in covered if node not in informed)
+    informed_at = protocol.final_state.informed_at_slot
+    stranded = sum(1 for node in covered if informed_at[node] < 0)
     victim_delivery = (
         (len(covered) - stranded) / len(covered) if covered else 1.0
     )

@@ -21,7 +21,7 @@ from .errors import (
     ReproError,
     SimulationError,
 )
-from .events import EventLog, PhaseRecord, SlotEvent
+from .events import EventLog, PhaseRecord
 from .fastengine import PhaseEngine
 from .messages import Message, MessageKind, make_decoy, make_nack, make_payload, make_spoof
 from .metrics import CostBreakdown, DeliveryStats, resource_competitive_ratio
@@ -104,7 +104,6 @@ __all__ = [
     "SlotAction",
     "SlotClock",
     "SlotEngine",
-    "SlotEvent",
     "SlotResolution",
     "Topology",
     "TopologySpec",

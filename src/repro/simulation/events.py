@@ -1,10 +1,10 @@
 """Structured trace of a simulation run.
 
-The event log records *phase-level* summaries (always) and optionally
-*slot-level* events (bounded, for debugging small runs).  Experiments use the
-phase records to reconstruct how a run unfolded — how many slots Carol jammed
-in each phase, how many nodes became informed, when Alice terminated — without
-paying the memory cost of a full slot trace for million-slot executions.
+The event log records one *phase-level* summary per executed phase.
+Experiments use the phase records to reconstruct how a run unfolded — how
+many slots Carol jammed in each phase, how many nodes became informed, when
+Alice terminated — without paying the memory cost of a slot trace for
+million-slot executions.
 """
 
 from __future__ import annotations
@@ -12,19 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-__all__ = ["PhaseRecord", "SlotEvent", "EventLog"]
-
-
-@dataclass(frozen=True)
-class SlotEvent:
-    """A single slot's channel-level outcome (debug traces only)."""
-
-    slot: int
-    round_index: int
-    phase_name: str
-    transmissions: int
-    jammed: bool
-    deliveries: int
+__all__ = ["PhaseRecord", "EventLog"]
 
 
 @dataclass(frozen=True)
@@ -54,39 +42,17 @@ class PhaseRecord:
 
 
 class EventLog:
-    """Collects phase records and (optionally) bounded slot-level events."""
+    """Collects the phase records of one run, in execution order."""
 
-    def __init__(self, record_slots: bool = False, max_slot_events: int = 100_000) -> None:
+    def __init__(self) -> None:
         self._phases: List[PhaseRecord] = []
-        self._slots: List[SlotEvent] = []
-        self._record_slots = record_slots
-        self._max_slot_events = max_slot_events
-        self._dropped_slot_events = 0
 
     @property
     def phases(self) -> Tuple[PhaseRecord, ...]:
         return tuple(self._phases)
 
-    @property
-    def slot_events(self) -> Tuple[SlotEvent, ...]:
-        return tuple(self._slots)
-
-    @property
-    def dropped_slot_events(self) -> int:
-        """Number of slot events discarded because the cap was reached."""
-
-        return self._dropped_slot_events
-
     def record_phase(self, record: PhaseRecord) -> None:
         self._phases.append(record)
-
-    def record_slot(self, event: SlotEvent) -> None:
-        if not self._record_slots:
-            return
-        if len(self._slots) >= self._max_slot_events:
-            self._dropped_slot_events += 1
-            return
-        self._slots.append(event)
 
     def phases_in_round(self, round_index: int) -> Tuple[PhaseRecord, ...]:
         return tuple(p for p in self._phases if p.round_index == round_index)
@@ -107,4 +73,4 @@ class EventLog:
         return len(self._phases)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"EventLog(phases={len(self._phases)}, slots={len(self._slots)})"
+        return f"EventLog(phases={len(self._phases)})"

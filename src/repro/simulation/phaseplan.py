@@ -9,9 +9,10 @@ state transitions between phases.
 
 The adversary participates through the :class:`AdversaryStrategy` protocol: at
 the start of every phase she is shown a :class:`PhaseContext` (everything an
-adaptive adversary is allowed to know — the full history and the protocol's
-public parameters) and must commit to a :class:`JamPlan`.  Reactive
-capabilities (jamming conditioned on within-slot channel activity) are
+adaptive adversary is allowed to know about the upcoming phase — the plan, the
+node roles, the configuration, and her remaining budget) and must commit to a
+:class:`JamPlan`; afterwards she observes the phase's :class:`PhaseResult`.
+Reactive capabilities (jamming conditioned on within-slot channel activity) are
 expressed by the plan's ``reactive`` flag and are honoured by both engines.
 """
 
@@ -25,7 +26,6 @@ import numpy as np
 
 from .channel import JamTargeting
 from .config import SimulationConfig
-from .events import PhaseRecord
 
 __all__ = [
     "PhaseKind",
@@ -263,14 +263,15 @@ class PhaseContext:
     Per §1.1, Carol "possesses full information on how nodes have behaved in
     the past" and knows the protocol and its parameters, but not the outcome
     of coin flips in the current slot.  The context therefore exposes the
-    upcoming plan, the identities of active/informed nodes, and the full phase
-    history — but nothing about future randomness.
+    upcoming plan, the identities of active/informed nodes, and her remaining
+    budget — but nothing about future randomness.  Past phases reach her
+    through :meth:`AdversaryStrategy.observe_result`, so a strategy that
+    adapts to history keeps whatever it needs of it itself.
     """
 
     plan: PhasePlan
     roles: PhaseRoles
     config: SimulationConfig
-    history: Tuple[PhaseRecord, ...] = ()
     adversary_remaining_budget: float = float("inf")
 
     @property

@@ -36,7 +36,8 @@ from ..adversary import (
 )
 from ..baselines import BalancedBackoffBroadcast, KSYStyleBroadcast, NaiveBroadcast
 from ..baselines.base import EpochBaseline
-from ..core.broadcast import EngineSpec, EpsilonBroadcast, MultiHopBroadcast
+from ..core.broadcast import EpsilonBroadcast, MultiHopBroadcast
+from ..core.driver import EngineSpec
 from ..core.quietrule import ConstantQuietRule
 from ..simulation.config import SimulationConfig
 from ..simulation.errors import ConfigurationError

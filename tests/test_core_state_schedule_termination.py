@@ -15,7 +15,7 @@ from repro.simulation import PhaseKind, PhasePlan, PhaseResult, ProtocolViolatio
 class TestProtocolState:
     def test_initial_state_all_uninformed(self):
         state = ProtocolState(5)
-        assert state.active_uninformed() == frozenset(range(5))
+        assert state.active_uninformed_array().tolist() == [0, 1, 2, 3, 4]
         assert state.informed_count() == 0
         assert not state.everyone_done()
 
@@ -24,8 +24,8 @@ class TestProtocolState:
         changed = state.mark_informed([1, 3], slot=10)
         assert changed == {1, 3}
         assert state.status(1) is NodeStatus.INFORMED
-        assert state.active_informed() == frozenset({1, 3})
-        assert state.informed_at_slot[1] == 10
+        assert state.active_informed_array().tolist() == [1, 3]
+        assert state.informed_at_slot.tolist() == [-1, 10, -1, 10, -1]
 
     def test_duplicate_inform_is_harmless(self):
         state = ProtocolState(5)

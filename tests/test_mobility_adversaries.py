@@ -4,7 +4,7 @@ Covers the spatial-adversary edge cases named in the issue — unbound-use
 errors, empty-disk idling, single-hop degradation to phase blocking, and
 seeded-trajectory determinism across processes — plus the per-phase
 ``observe_phase`` re-resolution hook (forwarded by the composites and both
-orchestrator families) and the ``max_quiet_retries`` quiet-rule cap.
+orchestrator families) and the constant quiet-rule retry cap.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from repro.adversary import (
 )
 from repro.baselines import NaiveBroadcast
 from repro.core.broadcast import EpsilonBroadcast, MultiHopBroadcast
+from repro.core.quietrule import ConstantQuietRule
 from repro.simulation import SimulationConfig, TopologySpec
 from repro.simulation.channel import JamMode
 from repro.simulation.errors import ConfigurationError
@@ -342,7 +343,7 @@ class TestObservePhaseForwarding:
 
 
 class TestMaxQuietRetries:
-    """The deprecated ``max_quiet_retries`` alias (now a ConstantQuietRule)."""
+    """The uniform retry cap, ``quiet_rule=ConstantQuietRule(retries=R)``."""
 
     FRAGMENTED = dict(
         n=96,
@@ -356,9 +357,9 @@ class TestMaxQuietRetries:
     def test_validation(self):
         config = SimulationConfig(n=16, seed=1, topology=GILBERT)
         with pytest.raises(ConfigurationError):
-            MultiHopBroadcast(config, max_quiet_retries=0)
+            MultiHopBroadcast(config, quiet_rule=ConstantQuietRule(retries=0))
         with pytest.raises(ConfigurationError):
-            MultiHopBroadcast(config, max_quiet_retries=4, quiet_rule="paper")
+            MultiHopBroadcast(config, quiet_rule="no-such-rule")
 
     def test_unreached_cap_is_bit_identical_to_paper_rule(self):
         """The cap only *adds* a termination rule to the paper's quiet test;
@@ -366,7 +367,7 @@ class TestMaxQuietRetries:
         outcomes)."""
 
         paper = run_broadcast(**self.FRAGMENTED, quiet_rule="paper")
-        capped = run_broadcast(**self.FRAGMENTED, max_quiet_retries=99)
+        capped = run_broadcast(**self.FRAGMENTED, quiet_rule=ConstantQuietRule(retries=99))
         assert capped.delivery.slots_elapsed == paper.delivery.slots_elapsed
         assert capped.delivery.informed == paper.delivery.informed
         assert capped.mean_node_cost == paper.mean_node_cost
@@ -378,7 +379,7 @@ class TestMaxQuietRetries:
         orders of magnitude sooner without changing what is deliverable."""
 
         uncapped = run_broadcast(**self.FRAGMENTED, quiet_rule="paper")
-        capped = run_broadcast(**self.FRAGMENTED, max_quiet_retries=4)
+        capped = run_broadcast(**self.FRAGMENTED, quiet_rule=ConstantQuietRule(retries=4))
         assert capped.mean_node_cost < 0.1 * uncapped.mean_node_cost
         assert capped.delivery.slots_elapsed < uncapped.delivery.slots_elapsed
         # Delivery is bounded by Alice's component either way.
@@ -386,6 +387,8 @@ class TestMaxQuietRetries:
 
     def test_single_hop_ignores_the_cap(self):
         base = run_broadcast(n=48, seed=21, variant="multihop")
-        capped = run_broadcast(n=48, seed=21, variant="multihop", max_quiet_retries=1)
+        capped = run_broadcast(
+            n=48, seed=21, variant="multihop", quiet_rule=ConstantQuietRule(retries=1)
+        )
         assert capped.delivery.slots_elapsed == base.delivery.slots_elapsed
         assert capped.delivery_fraction == base.delivery_fraction == 1.0

@@ -5,8 +5,9 @@ The telemetry contract has two hard halves, both pinned here:
 * **Trace neutrality** — attaching a recorder must not move a single random
   draw or schedule decision.  Traced runs are asserted *bit-identical* to the
   untraced golden snapshots of ``test_regression_singlehop.py`` on the
-  single-hop engines, and to fresh untraced runs on the sparse multi-hop and
-  pipelined-truncation paths (where quiet-expiry and truncation events fire).
+  single-hop engines (ε-Broadcast and the epoch baselines), and to fresh
+  untraced runs on the sparse multi-hop and pipelined-truncation paths (where
+  quiet-expiry and truncation events fire).
 * **Progress completeness** — with a sink active, :func:`run_sweep` emits
   exactly one event per work unit (cache hit or computed; serial or in the
   process pool) and the instrumented sweep's results equal the plain sweep's.
@@ -22,7 +23,13 @@ import io
 
 import pytest
 
-from test_regression_singlehop import ADVERSARIES, GOLDEN
+from test_regression_singlehop import (
+    ADVERSARIES,
+    BASELINE_GOLDEN,
+    GOLDEN,
+    golden_phase_records,
+    run_baseline,
+)
 
 from repro.core.broadcast import EpsilonBroadcast, MultiHopBroadcast
 from repro.experiments import ExperimentSettings
@@ -169,6 +176,56 @@ class TestTraceNeutrality:
         assert run_end.data["informed"] == snapshot["informed"]
         assert run_end.data["slots_elapsed"] == snapshot["slots"]
         assert run_end.data["terminated_by_cap"] is False
+
+
+# Baseline cells: every baseline, multi-epoch (blocker) and single-epoch runs,
+# both engines.
+BASELINE_TRACE_CELLS = [
+    ("naive", "blocker", "fast", 3),
+    ("naive", "none", "slot", 11),
+    ("ksy", "blocker", "slot", 11),
+    ("ksy", "random", "fast", 11),
+    ("backoff", "blocker", "fast", 11),
+    ("backoff", "random", "slot", 3),
+]
+
+
+class TestBaselineTraces:
+    @pytest.mark.parametrize("cell", BASELINE_TRACE_CELLS)
+    def test_traced_baseline_matches_untraced_golden(self, cell):
+        recorder = TraceCollector()
+        snapshot, phases, _ = run_baseline(*cell, recorder=recorder)
+        assert snapshot == BASELINE_GOLDEN[cell][0]
+        assert phases == golden_phase_records(cell)
+
+    @pytest.mark.parametrize("cell", BASELINE_TRACE_CELLS)
+    def test_baseline_trace_has_one_phase_event_per_epoch(self, cell):
+        recorder = TraceCollector()
+        snapshot, phases, outcome = run_baseline(*cell, recorder=recorder)
+        run_kinds = [event.kind for event in recorder.events if event.kind != "engine"]
+        assert run_kinds == ["run-start"] + ["phase"] * len(phases) + ["run-end"]
+        assert len(recorder.of_kind("engine")) == len(phases)
+
+        phase_events = recorder.of_kind("phase")
+        assert [e.phase for e in phase_events] == [r.phase_name for r in phases]
+        assert [e.round_index for e in phase_events] == [r.round_index for r in phases]
+        assert [e.data["nodes_cost"] for e in phase_events] == [r.nodes_cost for r in phases]
+        assert [e.data["alice_cost"] for e in phase_events] == [r.alice_cost for r in phases]
+        (run_start,) = recorder.of_kind("run-start")
+        assert run_start.data["protocol"] == outcome.protocol
+        (run_end,) = recorder.of_kind("run-end")
+        assert run_end.data["informed"] == snapshot["informed"]
+        assert run_end.data["slots_elapsed"] == snapshot["slots"]
+        assert run_end.data["terminated_by_cap"] is outcome.terminated_by_cap
+
+    def test_summarise_accepts_a_baseline_trace(self):
+        recorder = TraceCollector()
+        snapshot, phases, _ = run_baseline("ksy", "blocker", "fast", 3, recorder=recorder)
+        text = summarise_trace(recorder.events)
+        assert "run-start:" in text and "run-end:" in text and "totals:" in text
+        rounds = round_rows(recorder.events)
+        assert len(rounds) == len(phases)  # one epoch per round row
+        assert sum(int(row["slots"]) for row in rounds) == snapshot["slots"]
 
 
 # --------------------------------------------------------------------------- #

@@ -10,10 +10,10 @@ The sub-threshold E11 stall fix has two halves, each pinned here:
   terminated immediately, so the schedule ends as soon as every component
   has delivered or provably stalled instead of running to the round cap.
 
-Also pinned alongside (same PR): pipelined-vs-sequential statistical
-equivalence on Gilbert and scale-free graphs, the ``max_quiet_retries``
-deprecation warning, and the no-allocation contract of the cached
-active-id arrays the hot path now runs on.
+Also pinned alongside: pipelined-vs-sequential statistical equivalence on
+Gilbert and scale-free graphs, that configuring a quiet rule emits no
+deprecation warning, and the no-allocation contract of the cached active-id
+arrays the hot path now runs on.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from repro import run_broadcast
 from repro.core.broadcast import MultiHopBroadcast
 from repro.core.quietrule import ConstantQuietRule, resolve_quiet_rule
 from repro.core.state import ProtocolState
+from repro.simulation.phaseplan import PhaseRoles
 from repro.simulation import SimulationConfig, TopologySpec
 
 # The E11 sub-threshold profile: radius well below the Gilbert connectivity
@@ -187,28 +188,17 @@ class TestPipelinedEquivalence:
 
 
 # --------------------------------------------------------------------------- #
-# max_quiet_retries deprecation                                               #
+# Quiet-rule configuration emits no deprecation warning                       #
 # --------------------------------------------------------------------------- #
 
 
 class TestMaxQuietRetriesDeprecation:
-    def test_resolve_quiet_rule_warns(self):
-        with pytest.warns(DeprecationWarning, match="max_quiet_retries is deprecated"):
-            rule = resolve_quiet_rule(None, 3)
-        assert rule == ConstantQuietRule(retries=3)
-
-    def test_orchestrator_keyword_warns(self):
-        config = SimulationConfig(n=16, seed=1, topology=TopologySpec.gilbert(radius=0.3))
-        with pytest.warns(DeprecationWarning, match="max_quiet_retries"):
-            protocol = MultiHopBroadcast(config, max_quiet_retries=2)
-        assert protocol.quiet_rule == ConstantQuietRule(retries=2)
-
     def test_modern_spelling_is_silent(self):
         config = SimulationConfig(n=16, seed=1, topology=TopologySpec.gilbert(radius=0.3))
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             MultiHopBroadcast(config, quiet_rule=ConstantQuietRule(retries=2))
-            resolve_quiet_rule("degree-aware", None)
+            resolve_quiet_rule("degree-aware")
 
 
 # --------------------------------------------------------------------------- #
@@ -235,13 +225,16 @@ class TestHotPathAllocations:
     def test_run_never_materialises_frozensets(self, monkeypatch):
         """A full pipelined multi-hop run must be served entirely from the
         cached arrays; building a frozenset anywhere on the hot path is a
-        regression."""
+        regression.  The state has no frozenset queries at all, and the
+        phase roles' lazy frozenset views must stay unread."""
 
         def boom(self):
             raise AssertionError("frozenset materialised on the hot path")
 
-        monkeypatch.setattr(ProtocolState, "active_uninformed", boom)
-        monkeypatch.setattr(ProtocolState, "active_informed", boom)
+        assert not hasattr(ProtocolState, "active_uninformed")
+        assert not hasattr(ProtocolState, "active_informed")
+        for view in ("active_uninformed", "relays", "decoy_senders"):
+            monkeypatch.setattr(PhaseRoles, view, property(boom))
         outcome = run_broadcast(
             n=48,
             seed=5,

@@ -1,7 +1,7 @@
 """Tests for the per-node, degree-aware quiet-rule termination machinery.
 
-Covers the :mod:`repro.core.quietrule` policy catalogue (budgets, validation,
-the deprecated ``max_quiet_retries`` alias), the topology-side neighbourhood
+Covers the :mod:`repro.core.quietrule` policy catalogue (budgets,
+validation), the topology-side neighbourhood
 statistics the budgets derive from, the per-run streak state (including the
 reused-orchestrator regression), both E11 misfire directions as behavioural
 regressions, cross-engine statistical equivalence of the degree-aware rule on
@@ -202,17 +202,13 @@ class TestQuietRulePolicies:
 
     def test_resolve(self):
         assert isinstance(resolve_quiet_rule(None), DegreeAwareQuietRule)
-        assert resolve_quiet_rule(None, 7) == ConstantQuietRule(retries=7)
+        assert resolve_quiet_rule("constant") == ConstantQuietRule()
         assert isinstance(resolve_quiet_rule("paper"), PaperQuietRule)
         assert isinstance(resolve_quiet_rule("degree-aware"), DegreeAwareQuietRule)
         custom = DegreeAwareQuietRule(coefficient=3.0)
         assert resolve_quiet_rule(custom) is custom
         with pytest.raises(ConfigurationError):
             resolve_quiet_rule("no-such-rule")
-        with pytest.raises(ConfigurationError):
-            resolve_quiet_rule(PaperQuietRule(), 4)
-        with pytest.raises(ConfigurationError):
-            resolve_quiet_rule(None, 0)
         with pytest.raises(ConfigurationError):
             resolve_quiet_rule(object())
 
@@ -250,7 +246,7 @@ class TestQuietRuleBehaviour:
         cured — within 2× of the uniform ConstantQuietRule(6) reference."""
 
         paper = run_broadcast(**FRAGMENTED, quiet_rule="paper")
-        constant = run_broadcast(**FRAGMENTED, max_quiet_retries=6)
+        constant = run_broadcast(**FRAGMENTED, quiet_rule=ConstantQuietRule(retries=6))
         degree = run_broadcast(**FRAGMENTED)
         assert degree.mean_node_cost <= 2.0 * constant.mean_node_cost
         assert degree.mean_node_cost <= 0.2 * paper.mean_node_cost
@@ -325,7 +321,9 @@ class TestQuietRuleBehaviour:
         config = SimulationConfig(
             n=48, seed=13, topology=TopologySpec.gilbert(radius=0.4)
         )
-        protocol = MultiHopBroadcast(config, engine="fast", max_quiet_retries=8)
+        protocol = MultiHopBroadcast(
+            config, engine="fast", quiet_rule=ConstantQuietRule(retries=8)
+        )
         first = protocol.run()
         assert first.delivery_fraction == 1.0
         second = protocol.run()
@@ -420,9 +418,9 @@ class TestDegreeRuleEngineEquivalence:
                 protocol.run()
                 state = protocol.final_state
                 rounds[engine] = sorted(
-                    state.terminated_at_round[node]
-                    for node, status in state.statuses.items()
-                    if status.value == "terminated_uninformed"
+                    int(state.terminated_at_round[node])
+                    for node in range(state.n)
+                    if state.status(node).value == "terminated_uninformed"
                 )
             # Identical topology (seeded) and deterministic budgets: the two
             # engines may differ on *who* got informed, but every node that

@@ -13,6 +13,11 @@ the seed originally used was salted per process) on ``n = 40`` for a roster
 of adversaries, both engines, and two seeds.  Any change to these numbers
 means the RNG draw sequence of the default model moved — which is exactly
 what this test exists to catch.
+
+The epoch baselines get the same treatment: ``BASELINE_GOLDEN`` pins their
+cost snapshots, delivery, and full per-epoch ``PhaseRecord`` sequence at
+``n = 40``, captured from the hand-written baseline epoch loop before the
+baselines moved onto the shared phase driver.
 """
 
 from __future__ import annotations
@@ -25,8 +30,9 @@ from repro.adversary import (
     PhaseBlockingAdversary,
     RandomJammer,
 )
+from repro.baselines import BalancedBackoffBroadcast, KSYStyleBroadcast, NaiveBroadcast
 from repro.core.broadcast import EpsilonBroadcast, MultiHopBroadcast
-from repro.simulation import SimulationConfig, TopologySpec
+from repro.simulation import PhaseRecord, SimulationConfig, TopologySpec
 
 ADVERSARIES = {
     "none": NullAdversary,
@@ -92,3 +98,378 @@ def test_same_seed_same_outcome_within_process(engine):
     a = run_snapshot("random", engine, 3)
     b = run_snapshot("random", engine, 3)
     assert a == b
+
+
+# --------------------------------------------------------------------------- #
+# Epoch baselines                                                             #
+# --------------------------------------------------------------------------- #
+
+BASELINES = {
+    "naive": NaiveBroadcast,
+    "ksy": KSYStyleBroadcast,
+    "backoff": BalancedBackoffBroadcast,
+}
+
+# (baseline, adversary, engine, seed) -> (cost snapshot with informed/slots,
+# PhaseRecord field tuples in execution order) at n = 40.
+BASELINE_GOLDEN = {
+    ("naive", "none", "fast", 3): (
+        {"alice": 2.0, "adversary": 0.0, "node_mean": 1.0, "node_max": 1.0, "node_total": 40.0, "informed": 40, "slots": 2},
+        (
+            (1, "epoch:1", 2, 0, 0, 0.0, 40, 2.0, 40.0, 0, 40),
+        ),
+    ),
+    ("naive", "none", "fast", 11): (
+        {"alice": 2.0, "adversary": 0.0, "node_mean": 1.0, "node_max": 1.0, "node_total": 40.0, "informed": 40, "slots": 2},
+        (
+            (1, "epoch:1", 2, 0, 0, 0.0, 40, 2.0, 40.0, 0, 40),
+        ),
+    ),
+    ("naive", "none", "slot", 3): (
+        {"alice": 2.0, "adversary": 0.0, "node_mean": 1.0, "node_max": 1.0, "node_total": 40.0, "informed": 40, "slots": 2},
+        (
+            (1, "epoch:1", 2, 0, 0, 0.0, 40, 2.0, 40.0, 0, 40),
+        ),
+    ),
+    ("naive", "none", "slot", 11): (
+        {"alice": 2.0, "adversary": 0.0, "node_mean": 1.0, "node_max": 1.0, "node_total": 40.0, "informed": 40, "slots": 2},
+        (
+            (1, "epoch:1", 2, 0, 0, 0.0, 40, 2.0, 40.0, 0, 40),
+        ),
+    ),
+    ("naive", "blocker", "fast", 3): (
+        {"alice": 2046.0, "adversary": 2000.0, "node_mean": 1045.0, "node_max": 1045.0, "node_total": 41800.0, "informed": 40, "slots": 2046},
+        (
+            (1, "epoch:1", 2, 0, 2, 2.0, 0, 2.0, 80.0, 40, 0),
+            (2, "epoch:2", 4, 2, 4, 4.0, 0, 4.0, 160.0, 40, 0),
+            (3, "epoch:3", 8, 6, 8, 8.0, 0, 8.0, 320.0, 40, 0),
+            (4, "epoch:4", 16, 14, 16, 16.0, 0, 16.0, 640.0, 40, 0),
+            (5, "epoch:5", 32, 30, 32, 32.0, 0, 32.0, 1280.0, 40, 0),
+            (6, "epoch:6", 64, 62, 64, 64.0, 0, 64.0, 2560.0, 40, 0),
+            (7, "epoch:7", 128, 126, 128, 128.0, 0, 128.0, 5120.0, 40, 0),
+            (8, "epoch:8", 256, 254, 256, 256.0, 0, 256.0, 10240.0, 40, 0),
+            (9, "epoch:9", 512, 510, 512, 512.0, 0, 512.0, 20480.0, 40, 0),
+            (10, "epoch:10", 1024, 1022, 978, 978.0, 40, 1024.0, 920.0, 0, 40),
+        ),
+    ),
+    ("naive", "blocker", "fast", 11): (
+        {"alice": 2046.0, "adversary": 2000.0, "node_mean": 1045.0, "node_max": 1045.0, "node_total": 41800.0, "informed": 40, "slots": 2046},
+        (
+            (1, "epoch:1", 2, 0, 2, 2.0, 0, 2.0, 80.0, 40, 0),
+            (2, "epoch:2", 4, 2, 4, 4.0, 0, 4.0, 160.0, 40, 0),
+            (3, "epoch:3", 8, 6, 8, 8.0, 0, 8.0, 320.0, 40, 0),
+            (4, "epoch:4", 16, 14, 16, 16.0, 0, 16.0, 640.0, 40, 0),
+            (5, "epoch:5", 32, 30, 32, 32.0, 0, 32.0, 1280.0, 40, 0),
+            (6, "epoch:6", 64, 62, 64, 64.0, 0, 64.0, 2560.0, 40, 0),
+            (7, "epoch:7", 128, 126, 128, 128.0, 0, 128.0, 5120.0, 40, 0),
+            (8, "epoch:8", 256, 254, 256, 256.0, 0, 256.0, 10240.0, 40, 0),
+            (9, "epoch:9", 512, 510, 512, 512.0, 0, 512.0, 20480.0, 40, 0),
+            (10, "epoch:10", 1024, 1022, 978, 978.0, 40, 1024.0, 920.0, 0, 40),
+        ),
+    ),
+    ("naive", "blocker", "slot", 3): (
+        {"alice": 2046.0, "adversary": 2000.0, "node_mean": 1026.0, "node_max": 1026.0, "node_total": 41040.0, "informed": 40, "slots": 2046},
+        (
+            (1, "epoch:1", 2, 0, 2, 2.0, 0, 2.0, 80.0, 40, 0),
+            (2, "epoch:2", 4, 2, 4, 4.0, 0, 4.0, 160.0, 40, 0),
+            (3, "epoch:3", 8, 6, 8, 8.0, 0, 8.0, 320.0, 40, 0),
+            (4, "epoch:4", 16, 14, 16, 16.0, 0, 16.0, 640.0, 40, 0),
+            (5, "epoch:5", 32, 30, 32, 32.0, 0, 32.0, 1280.0, 40, 0),
+            (6, "epoch:6", 64, 62, 64, 64.0, 0, 64.0, 2560.0, 40, 0),
+            (7, "epoch:7", 128, 126, 128, 128.0, 0, 128.0, 5120.0, 40, 0),
+            (8, "epoch:8", 256, 254, 256, 256.0, 0, 256.0, 10240.0, 40, 0),
+            (9, "epoch:9", 512, 510, 512, 512.0, 0, 512.0, 20480.0, 40, 0),
+            (10, "epoch:10", 1024, 1022, 978, 978.0, 40, 1024.0, 160.0, 0, 40),
+        ),
+    ),
+    ("naive", "blocker", "slot", 11): (
+        {"alice": 2046.0, "adversary": 2000.0, "node_mean": 1040.0, "node_max": 1040.0, "node_total": 41600.0, "informed": 40, "slots": 2046},
+        (
+            (1, "epoch:1", 2, 0, 2, 2.0, 0, 2.0, 80.0, 40, 0),
+            (2, "epoch:2", 4, 2, 4, 4.0, 0, 4.0, 160.0, 40, 0),
+            (3, "epoch:3", 8, 6, 8, 8.0, 0, 8.0, 320.0, 40, 0),
+            (4, "epoch:4", 16, 14, 16, 16.0, 0, 16.0, 640.0, 40, 0),
+            (5, "epoch:5", 32, 30, 32, 32.0, 0, 32.0, 1280.0, 40, 0),
+            (6, "epoch:6", 64, 62, 64, 64.0, 0, 64.0, 2560.0, 40, 0),
+            (7, "epoch:7", 128, 126, 128, 128.0, 0, 128.0, 5120.0, 40, 0),
+            (8, "epoch:8", 256, 254, 256, 256.0, 0, 256.0, 10240.0, 40, 0),
+            (9, "epoch:9", 512, 510, 512, 512.0, 0, 512.0, 20480.0, 40, 0),
+            (10, "epoch:10", 1024, 1022, 978, 978.0, 40, 1024.0, 720.0, 0, 40),
+        ),
+    ),
+    ("naive", "random", "fast", 3): (
+        {"alice": 2.0, "adversary": 1.0, "node_mean": 2.0, "node_max": 2.0, "node_total": 80.0, "informed": 40, "slots": 2},
+        (
+            (1, "epoch:1", 2, 0, 1, 1.0, 40, 2.0, 80.0, 0, 40),
+        ),
+    ),
+    ("naive", "random", "fast", 11): (
+        {"alice": 2.0, "adversary": 1.0, "node_mean": 2.0, "node_max": 2.0, "node_total": 80.0, "informed": 40, "slots": 2},
+        (
+            (1, "epoch:1", 2, 0, 1, 1.0, 40, 2.0, 80.0, 0, 40),
+        ),
+    ),
+    ("naive", "random", "slot", 3): (
+        {"alice": 2.0, "adversary": 1.0, "node_mean": 2.0, "node_max": 2.0, "node_total": 80.0, "informed": 40, "slots": 2},
+        (
+            (1, "epoch:1", 2, 0, 1, 1.0, 40, 2.0, 80.0, 0, 40),
+        ),
+    ),
+    ("naive", "random", "slot", 11): (
+        {"alice": 2.0, "adversary": 1.0, "node_mean": 1.0, "node_max": 1.0, "node_total": 40.0, "informed": 40, "slots": 2},
+        (
+            (1, "epoch:1", 2, 0, 1, 1.0, 40, 2.0, 40.0, 0, 40),
+        ),
+    ),
+    ("ksy", "none", "fast", 3): (
+        {"alice": 2.0, "adversary": 0.0, "node_mean": 1.0, "node_max": 1.0, "node_total": 40.0, "informed": 40, "slots": 2},
+        (
+            (1, "epoch:1", 2, 0, 0, 0.0, 40, 2.0, 40.0, 0, 40),
+        ),
+    ),
+    ("ksy", "none", "fast", 11): (
+        {"alice": 1.0, "adversary": 0.0, "node_mean": 2.0, "node_max": 2.0, "node_total": 80.0, "informed": 40, "slots": 2},
+        (
+            (1, "epoch:1", 2, 0, 0, 0.0, 40, 1.0, 80.0, 0, 40),
+        ),
+    ),
+    ("ksy", "none", "slot", 3): (
+        {"alice": 2.0, "adversary": 0.0, "node_mean": 1.0, "node_max": 1.0, "node_total": 40.0, "informed": 40, "slots": 2},
+        (
+            (1, "epoch:1", 2, 0, 0, 0.0, 40, 2.0, 40.0, 0, 40),
+        ),
+    ),
+    ("ksy", "none", "slot", 11): (
+        {"alice": 1.0, "adversary": 0.0, "node_mean": 2.0, "node_max": 2.0, "node_total": 80.0, "informed": 40, "slots": 2},
+        (
+            (1, "epoch:1", 2, 0, 0, 0.0, 40, 1.0, 80.0, 0, 40),
+        ),
+    ),
+    ("ksy", "blocker", "fast", 3): (
+        {"alice": 224.0, "adversary": 2000.0, "node_mean": 2046.0, "node_max": 2046.0, "node_total": 81840.0, "informed": 40, "slots": 2046},
+        (
+            (1, "epoch:1", 2, 0, 2, 2.0, 0, 2.0, 80.0, 40, 0),
+            (2, "epoch:2", 4, 2, 4, 4.0, 0, 3.0, 160.0, 40, 0),
+            (3, "epoch:3", 8, 6, 8, 8.0, 0, 4.0, 320.0, 40, 0),
+            (4, "epoch:4", 16, 14, 16, 16.0, 0, 8.0, 640.0, 40, 0),
+            (5, "epoch:5", 32, 30, 32, 32.0, 0, 10.0, 1280.0, 40, 0),
+            (6, "epoch:6", 64, 62, 64, 64.0, 0, 14.0, 2560.0, 40, 0),
+            (7, "epoch:7", 128, 126, 128, 128.0, 0, 21.0, 5120.0, 40, 0),
+            (8, "epoch:8", 256, 254, 256, 256.0, 0, 30.0, 10240.0, 40, 0),
+            (9, "epoch:9", 512, 510, 512, 512.0, 0, 52.0, 20480.0, 40, 0),
+            (10, "epoch:10", 1024, 1022, 978, 978.0, 40, 80.0, 40960.0, 0, 40),
+        ),
+    ),
+    ("ksy", "blocker", "fast", 11): (
+        {"alice": 195.0, "adversary": 2000.0, "node_mean": 1364.0, "node_max": 1364.0, "node_total": 54560.0, "informed": 40, "slots": 2046},
+        (
+            (1, "epoch:1", 2, 0, 2, 2.0, 0, 1.0, 80.0, 40, 0),
+            (2, "epoch:2", 4, 2, 4, 4.0, 0, 1.0, 160.0, 40, 0),
+            (3, "epoch:3", 8, 6, 8, 8.0, 0, 3.0, 320.0, 40, 0),
+            (4, "epoch:4", 16, 14, 16, 16.0, 0, 9.0, 640.0, 40, 0),
+            (5, "epoch:5", 32, 30, 32, 32.0, 0, 9.0, 1280.0, 40, 0),
+            (6, "epoch:6", 64, 62, 64, 64.0, 0, 13.0, 2560.0, 40, 0),
+            (7, "epoch:7", 128, 126, 128, 128.0, 0, 20.0, 5120.0, 40, 0),
+            (8, "epoch:8", 256, 254, 256, 256.0, 0, 26.0, 10240.0, 40, 0),
+            (9, "epoch:9", 512, 510, 512, 512.0, 0, 42.0, 20480.0, 40, 0),
+            (10, "epoch:10", 1024, 1022, 978, 978.0, 40, 71.0, 13680.0, 0, 40),
+        ),
+    ),
+    ("ksy", "blocker", "slot", 3): (
+        {"alice": 188.0, "adversary": 2000.0, "node_mean": 1852.0, "node_max": 1852.0, "node_total": 74080.0, "informed": 40, "slots": 2046},
+        (
+            (1, "epoch:1", 2, 0, 2, 2.0, 0, 2.0, 80.0, 40, 0),
+            (2, "epoch:2", 4, 2, 4, 4.0, 0, 3.0, 160.0, 40, 0),
+            (3, "epoch:3", 8, 6, 8, 8.0, 0, 5.0, 320.0, 40, 0),
+            (4, "epoch:4", 16, 14, 16, 16.0, 0, 5.0, 640.0, 40, 0),
+            (5, "epoch:5", 32, 30, 32, 32.0, 0, 5.0, 1280.0, 40, 0),
+            (6, "epoch:6", 64, 62, 64, 64.0, 0, 9.0, 2560.0, 40, 0),
+            (7, "epoch:7", 128, 126, 128, 128.0, 0, 19.0, 5120.0, 40, 0),
+            (8, "epoch:8", 256, 254, 256, 256.0, 0, 33.0, 10240.0, 40, 0),
+            (9, "epoch:9", 512, 510, 512, 512.0, 0, 43.0, 20480.0, 40, 0),
+            (10, "epoch:10", 1024, 1022, 978, 978.0, 40, 64.0, 33200.0, 0, 40),
+        ),
+    ),
+    ("ksy", "blocker", "slot", 11): (
+        {"alice": 211.0, "adversary": 2000.0, "node_mean": 1445.0, "node_max": 1445.0, "node_total": 57800.0, "informed": 40, "slots": 2046},
+        (
+            (1, "epoch:1", 2, 0, 2, 2.0, 0, 1.0, 80.0, 40, 0),
+            (2, "epoch:2", 4, 2, 4, 4.0, 0, 3.0, 160.0, 40, 0),
+            (3, "epoch:3", 8, 6, 8, 8.0, 0, 2.0, 320.0, 40, 0),
+            (4, "epoch:4", 16, 14, 16, 16.0, 0, 8.0, 640.0, 40, 0),
+            (5, "epoch:5", 32, 30, 32, 32.0, 0, 10.0, 1280.0, 40, 0),
+            (6, "epoch:6", 64, 62, 64, 64.0, 0, 14.0, 2560.0, 40, 0),
+            (7, "epoch:7", 128, 126, 128, 128.0, 0, 24.0, 5120.0, 40, 0),
+            (8, "epoch:8", 256, 254, 256, 256.0, 0, 28.0, 10240.0, 40, 0),
+            (9, "epoch:9", 512, 510, 512, 512.0, 0, 38.0, 20480.0, 40, 0),
+            (10, "epoch:10", 1024, 1022, 978, 978.0, 40, 83.0, 16920.0, 0, 40),
+        ),
+    ),
+    ("ksy", "random", "fast", 3): (
+        {"alice": 2.0, "adversary": 1.0, "node_mean": 2.0, "node_max": 2.0, "node_total": 80.0, "informed": 40, "slots": 2},
+        (
+            (1, "epoch:1", 2, 0, 1, 1.0, 40, 2.0, 80.0, 0, 40),
+        ),
+    ),
+    ("ksy", "random", "fast", 11): (
+        {"alice": 4.0, "adversary": 2.0, "node_mean": 4.0, "node_max": 4.0, "node_total": 160.0, "informed": 40, "slots": 6},
+        (
+            (1, "epoch:1", 2, 0, 1, 1.0, 0, 1.0, 80.0, 40, 0),
+            (2, "epoch:2", 4, 2, 1, 1.0, 40, 3.0, 80.0, 0, 40),
+        ),
+    ),
+    ("ksy", "random", "slot", 3): (
+        {"alice": 2.0, "adversary": 1.0, "node_mean": 2.0, "node_max": 2.0, "node_total": 80.0, "informed": 40, "slots": 2},
+        (
+            (1, "epoch:1", 2, 0, 1, 1.0, 40, 2.0, 80.0, 0, 40),
+        ),
+    ),
+    ("ksy", "random", "slot", 11): (
+        {"alice": 4.0, "adversary": 2.0, "node_mean": 4.0, "node_max": 4.0, "node_total": 160.0, "informed": 40, "slots": 6},
+        (
+            (1, "epoch:1", 2, 0, 1, 1.0, 0, 1.0, 80.0, 40, 0),
+            (2, "epoch:2", 4, 2, 1, 1.0, 40, 3.0, 80.0, 0, 40),
+        ),
+    ),
+    ("backoff", "none", "fast", 3): (
+        {"alice": 2.0, "adversary": 0.0, "node_mean": 1.0, "node_max": 1.0, "node_total": 40.0, "informed": 40, "slots": 2},
+        (
+            (1, "epoch:1", 2, 0, 0, 0.0, 40, 2.0, 40.0, 0, 40),
+        ),
+    ),
+    ("backoff", "none", "fast", 11): (
+        {"alice": 2.0, "adversary": 0.0, "node_mean": 1.0, "node_max": 1.0, "node_total": 40.0, "informed": 40, "slots": 2},
+        (
+            (1, "epoch:1", 2, 0, 0, 0.0, 40, 2.0, 40.0, 0, 40),
+        ),
+    ),
+    ("backoff", "none", "slot", 3): (
+        {"alice": 2.0, "adversary": 0.0, "node_mean": 1.0, "node_max": 1.0, "node_total": 40.0, "informed": 40, "slots": 2},
+        (
+            (1, "epoch:1", 2, 0, 0, 0.0, 40, 2.0, 40.0, 0, 40),
+        ),
+    ),
+    ("backoff", "none", "slot", 11): (
+        {"alice": 2.0, "adversary": 0.0, "node_mean": 1.0, "node_max": 1.0, "node_total": 40.0, "informed": 40, "slots": 2},
+        (
+            (1, "epoch:1", 2, 0, 0, 0.0, 40, 2.0, 40.0, 0, 40),
+        ),
+    ),
+    ("backoff", "blocker", "fast", 3): (
+        {"alice": 634.0, "adversary": 2000.0, "node_mean": 402.5, "node_max": 457.0, "node_total": 16100.0, "informed": 40, "slots": 4094},
+        (
+            (1, "epoch:1", 2, 0, 2, 2.0, 0, 2.0, 80.0, 40, 0),
+            (2, "epoch:2", 4, 2, 4, 4.0, 0, 4.0, 160.0, 40, 0),
+            (3, "epoch:3", 8, 6, 8, 8.0, 0, 8.0, 320.0, 40, 0),
+            (4, "epoch:4", 16, 14, 16, 16.0, 0, 16.0, 640.0, 40, 0),
+            (5, "epoch:5", 32, 30, 32, 32.0, 0, 25.0, 904.0, 40, 0),
+            (6, "epoch:6", 64, 62, 64, 64.0, 0, 34.0, 1286.0, 40, 0),
+            (7, "epoch:7", 128, 126, 128, 128.0, 0, 56.0, 1770.0, 40, 0),
+            (8, "epoch:8", 256, 254, 256, 256.0, 0, 54.0, 2527.0, 40, 0),
+            (9, "epoch:9", 512, 510, 512, 512.0, 0, 103.0, 3519.0, 40, 0),
+            (10, "epoch:10", 1024, 1022, 978, 978.0, 11, 124.0, 4634.0, 29, 11),
+            (11, "epoch:11", 2048, 2046, 0, 0.0, 29, 208.0, 260.0, 0, 40),
+        ),
+    ),
+    ("backoff", "blocker", "fast", 11): (
+        {"alice": 578.0, "adversary": 2000.0, "node_mean": 409.3, "node_max": 463.0, "node_total": 16372.0, "informed": 40, "slots": 4094},
+        (
+            (1, "epoch:1", 2, 0, 2, 2.0, 0, 2.0, 80.0, 40, 0),
+            (2, "epoch:2", 4, 2, 4, 4.0, 0, 4.0, 160.0, 40, 0),
+            (3, "epoch:3", 8, 6, 8, 8.0, 0, 8.0, 320.0, 40, 0),
+            (4, "epoch:4", 16, 14, 16, 16.0, 0, 16.0, 640.0, 40, 0),
+            (5, "epoch:5", 32, 30, 32, 32.0, 0, 23.0, 905.0, 40, 0),
+            (6, "epoch:6", 64, 62, 64, 64.0, 0, 24.0, 1290.0, 40, 0),
+            (7, "epoch:7", 128, 126, 128, 128.0, 0, 43.0, 1813.0, 40, 0),
+            (8, "epoch:8", 256, 254, 256, 256.0, 0, 64.0, 2582.0, 40, 0),
+            (9, "epoch:9", 512, 510, 512, 512.0, 0, 95.0, 3619.0, 40, 0),
+            (10, "epoch:10", 1024, 1022, 978, 978.0, 12, 129.0, 4576.0, 28, 12),
+            (11, "epoch:11", 2048, 2046, 0, 0.0, 28, 170.0, 387.0, 0, 40),
+        ),
+    ),
+    ("backoff", "blocker", "slot", 3): (
+        {"alice": 556.0, "adversary": 2000.0, "node_mean": 393.475, "node_max": 485.0, "node_total": 15739.0, "informed": 40, "slots": 4094},
+        (
+            (1, "epoch:1", 2, 0, 2, 2.0, 0, 2.0, 80.0, 40, 0),
+            (2, "epoch:2", 4, 2, 4, 4.0, 0, 4.0, 160.0, 40, 0),
+            (3, "epoch:3", 8, 6, 8, 8.0, 0, 8.0, 320.0, 40, 0),
+            (4, "epoch:4", 16, 14, 16, 16.0, 0, 16.0, 640.0, 40, 0),
+            (5, "epoch:5", 32, 30, 32, 32.0, 0, 20.0, 895.0, 40, 0),
+            (6, "epoch:6", 64, 62, 64, 64.0, 0, 32.0, 1282.0, 40, 0),
+            (7, "epoch:7", 128, 126, 128, 128.0, 0, 51.0, 1784.0, 40, 0),
+            (8, "epoch:8", 256, 254, 256, 256.0, 0, 57.0, 2540.0, 40, 0),
+            (9, "epoch:9", 512, 510, 512, 512.0, 0, 88.0, 3689.0, 40, 0),
+            (10, "epoch:10", 1024, 1022, 978, 978.0, 20, 121.0, 4018.0, 20, 20),
+            (11, "epoch:11", 2048, 2046, 0, 0.0, 20, 157.0, 331.0, 0, 40),
+        ),
+    ),
+    ("backoff", "blocker", "slot", 11): (
+        {"alice": 584.0, "adversary": 2000.0, "node_mean": 367.45, "node_max": 477.0, "node_total": 14698.0, "informed": 40, "slots": 4094},
+        (
+            (1, "epoch:1", 2, 0, 2, 2.0, 0, 2.0, 80.0, 40, 0),
+            (2, "epoch:2", 4, 2, 4, 4.0, 0, 4.0, 160.0, 40, 0),
+            (3, "epoch:3", 8, 6, 8, 8.0, 0, 8.0, 320.0, 40, 0),
+            (4, "epoch:4", 16, 14, 16, 16.0, 0, 16.0, 640.0, 40, 0),
+            (5, "epoch:5", 32, 30, 32, 32.0, 0, 26.0, 940.0, 40, 0),
+            (6, "epoch:6", 64, 62, 64, 64.0, 0, 28.0, 1289.0, 40, 0),
+            (7, "epoch:7", 128, 126, 128, 128.0, 0, 45.0, 1794.0, 40, 0),
+            (8, "epoch:8", 256, 254, 256, 256.0, 0, 55.0, 2560.0, 40, 0),
+            (9, "epoch:9", 512, 510, 512, 512.0, 0, 77.0, 3741.0, 40, 0),
+            (10, "epoch:10", 1024, 1022, 978, 978.0, 25, 134.0, 3060.0, 15, 25),
+            (11, "epoch:11", 2048, 2046, 0, 0.0, 15, 189.0, 114.0, 0, 40),
+        ),
+    ),
+    ("backoff", "random", "fast", 3): (
+        {"alice": 2.0, "adversary": 1.0, "node_mean": 2.0, "node_max": 2.0, "node_total": 80.0, "informed": 40, "slots": 2},
+        (
+            (1, "epoch:1", 2, 0, 1, 1.0, 40, 2.0, 80.0, 0, 40),
+        ),
+    ),
+    ("backoff", "random", "fast", 11): (
+        {"alice": 2.0, "adversary": 1.0, "node_mean": 2.0, "node_max": 2.0, "node_total": 80.0, "informed": 40, "slots": 2},
+        (
+            (1, "epoch:1", 2, 0, 1, 1.0, 40, 2.0, 80.0, 0, 40),
+        ),
+    ),
+    ("backoff", "random", "slot", 3): (
+        {"alice": 2.0, "adversary": 1.0, "node_mean": 2.0, "node_max": 2.0, "node_total": 80.0, "informed": 40, "slots": 2},
+        (
+            (1, "epoch:1", 2, 0, 1, 1.0, 40, 2.0, 80.0, 0, 40),
+        ),
+    ),
+    ("backoff", "random", "slot", 11): (
+        {"alice": 2.0, "adversary": 1.0, "node_mean": 1.0, "node_max": 1.0, "node_total": 40.0, "informed": 40, "slots": 2},
+        (
+            (1, "epoch:1", 2, 0, 1, 1.0, 40, 2.0, 40.0, 0, 40),
+        ),
+    ),
+}
+
+
+def run_baseline(baseline_name, adversary_name, engine, seed, recorder=None):
+    """One golden-grid baseline run: ``(snapshot, phase records, outcome)``."""
+
+    kwargs = {"recorder": recorder} if recorder is not None else {}
+    protocol = BASELINES[baseline_name](
+        SimulationConfig(n=40, seed=seed),
+        adversary=ADVERSARIES[adversary_name](),
+        engine=engine,
+        **kwargs,
+    )
+    outcome = protocol.run()
+    snapshot = protocol.network.cost_snapshot()
+    snapshot["informed"] = outcome.delivery.informed
+    snapshot["slots"] = outcome.delivery.slots_elapsed
+    return snapshot, outcome.events.phases, outcome
+
+
+def golden_phase_records(key):
+    return tuple(PhaseRecord(*fields) for fields in BASELINE_GOLDEN[key][1])
+
+
+@pytest.mark.parametrize("baseline_name,adversary_name,engine,seed", sorted(BASELINE_GOLDEN))
+def test_baseline_matches_golden(baseline_name, adversary_name, engine, seed):
+    key = (baseline_name, adversary_name, engine, seed)
+    snapshot, phases, _ = run_baseline(*key)
+    assert snapshot == BASELINE_GOLDEN[key][0]
+    assert phases == golden_phase_records(key)

@@ -12,7 +12,6 @@ from repro.simulation import (
     PhaseRecord,
     SimulationError,
     SlotClock,
-    SlotEvent,
     resource_competitive_ratio,
 )
 
@@ -89,18 +88,6 @@ class TestEventLog:
     def test_jammed_fraction(self):
         record = make_record(slots=10, jammed=5)
         assert record.jammed_fraction == 0.5
-
-    def test_slot_events_disabled_by_default(self):
-        log = EventLog()
-        log.record_slot(SlotEvent(0, 1, "inform", 1, False, 0))
-        assert log.slot_events == ()
-
-    def test_slot_events_capped(self):
-        log = EventLog(record_slots=True, max_slot_events=2)
-        for slot in range(5):
-            log.record_slot(SlotEvent(slot, 1, "inform", 1, False, 0))
-        assert len(log.slot_events) == 2
-        assert log.dropped_slot_events == 3
 
     def test_empty_log(self):
         log = EventLog()
