@@ -44,9 +44,9 @@ import tempfile
 import time
 
 from repro.experiments import ExperimentSettings, FaultInjector, FaultPolicy, render_result
-from repro.experiments.faults import fault_scope
 from repro.experiments.registry import run_experiment
 from repro.experiments.runner import track_stats
+from repro.observability import TraceCollector, observe
 
 EXPERIMENTS = ("E1", "E2", "E3")
 
@@ -123,10 +123,11 @@ def main() -> int:
             fault_injector=injector,
         )
         start = time.perf_counter()
-        with track_stats() as stats, fault_scope() as events:
+        trace = TraceCollector()
+        with track_stats() as stats, observe(trace):
             chaos = run_experiments(chaos_settings)
         elapsed = time.perf_counter() - start
-        kinds = sorted({event.kind for event in events})
+        kinds = sorted({str(event.data["fault"]) for event in trace.of_kind("fault")})
         print(
             f"chaos: {elapsed:6.2f}s   worker_deaths={stats.worker_deaths} "
             f"timeouts={stats.timeouts} retries={stats.retries} "

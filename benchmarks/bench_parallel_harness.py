@@ -37,12 +37,10 @@ import sys
 import tempfile
 import time
 
-from contextlib import nullcontext
-
 from repro.experiments import ExperimentSettings
 from repro.experiments.registry import experiment_ids, run_experiment
-from repro.experiments.runner import EXECUTION_STATS, progress_scope
-from repro.observability import CliProgressRenderer
+from repro.experiments.runner import track_stats
+from repro.observability import CliProgressRenderer, observe
 
 
 def run_registry(settings: ExperimentSettings) -> dict:
@@ -102,8 +100,7 @@ def main() -> int:
         """One full-registry run, optionally followed by a live progress line."""
 
         renderer = CliProgressRenderer(label=label) if args.progress else None
-        follower = progress_scope(renderer) if renderer is not None else nullcontext()
-        with follower:
+        with observe(renderer):
             results = run_registry(settings)
         if renderer is not None:
             renderer.finish()
@@ -134,11 +131,10 @@ def main() -> int:
         cold = registry_pass("cache-cold", settings)
         cold_seconds = time.perf_counter() - start
 
-        before = EXECUTION_STATS.snapshot()
         start = time.perf_counter()
-        warm = registry_pass("cache-warm", settings)
+        with track_stats() as delta:
+            warm = registry_pass("cache-warm", settings)
         warm_seconds = time.perf_counter() - start
-        delta = EXECUTION_STATS.since(before)
 
         speedup = cold_seconds / warm_seconds if warm_seconds else float("inf")
         print(

@@ -38,12 +38,10 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from conftest import bench_settings  # noqa: E402
 
-from contextlib import nullcontext  # noqa: E402
-
 from repro.experiments import ExperimentSettings, render_result  # noqa: E402
 from repro.experiments.registry import run_experiment  # noqa: E402
-from repro.experiments.runner import progress_scope, track_stats  # noqa: E402
-from repro.observability import CliProgressRenderer  # noqa: E402
+from repro.experiments.runner import track_stats  # noqa: E402
+from repro.observability import CliProgressRenderer, observe  # noqa: E402
 from repro.tournament import (  # noqa: E402
     TournamentCell,
     adversary_roster,
@@ -148,11 +146,9 @@ def main() -> int:
     if args.jobs is not None:
         settings = dataclasses.replace(settings, jobs=args.jobs)
     renderer = CliProgressRenderer(label="E14") if args.progress else None
-    follower = progress_scope(renderer) if renderer is not None else nullcontext()
     start = time.perf_counter()
-    with follower:
-        with track_stats() as stats:
-            result = run_experiment("E14", settings)
+    with observe(renderer), track_stats() as stats:
+        result = run_experiment("E14", settings)
     if renderer is not None:
         renderer.finish()
     elapsed = time.perf_counter() - start

@@ -3,12 +3,10 @@
 from .cache import CACHE_VERSION, TrialCache, trial_key
 from .faults import (
     DEFAULT_FAULT_POLICY,
-    FaultEvent,
     FaultInjector,
     FaultPolicy,
     QuarantineError,
     TrialFailure,
-    fault_scope,
 )
 from .harness import ExperimentResult, ExperimentSettings, run_trials
 from .reporting import render_result, render_results, render_table
@@ -19,14 +17,12 @@ __all__ = [
     "DEFAULT_FAULT_POLICY",
     "ExperimentResult",
     "ExperimentSettings",
-    "FaultEvent",
     "FaultInjector",
     "FaultPolicy",
     "QuarantineError",
     "TrialCache",
     "TrialFailure",
     "TrialSpec",
-    "fault_scope",
     "render_result",
     "render_results",
     "render_table",

@@ -4,8 +4,10 @@ Every trial an experiment runs is a pure function of a small, explicit input
 tuple: the (picklable, top-level) trial function, the sweep-point labels the
 per-trial seed was derived from, the derived seed itself, and the keyword
 parameters the experiment passed.  :func:`trial_key` hashes that tuple — plus
-a package-level :data:`CACHE_VERSION` salt — into a stable content address,
-and :class:`TrialCache` maps addresses to pickled trial records on disk.
+a package-level :data:`CACHE_VERSION` salt and numpy's feature version, since
+numpy does not promise identical ``Generator`` streams across feature
+releases — into a stable content address, and :class:`TrialCache` maps
+addresses to pickled trial records on disk.
 
 Warm re-runs of a sweep (EXPERIMENTS.md regeneration, benchmark repeats,
 interrupted sweeps resumed) therefore skip every trial they have already
@@ -40,6 +42,8 @@ import time
 import warnings
 from pathlib import Path
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 __all__ = ["CACHE_VERSION", "stable_token", "trial_key", "TrialCache", "PruneStats"]
 
@@ -101,11 +105,17 @@ def trial_key(
     seed: int,
     params: Mapping[str, object],
 ) -> str:
-    """The content address of one trial: sha-256 over every input that shapes it."""
+    """The content address of one trial: sha-256 over every input that shapes it.
 
+    The inputs include numpy's ``major.minor`` version: a numpy upgrade may
+    change the random streams a trial draws, so its records are not reused.
+    """
+
+    numpy_feature = ".".join(np.__version__.split(".")[:2])
     payload = "\n".join(
         [
             f"cache-version={CACHE_VERSION}",
+            f"numpy={numpy_feature}",
             f"fn={trial_fn.__module__}:{trial_fn.__qualname__}",
             f"labels={stable_token(tuple(labels))}",
             f"seed={int(seed)}",

@@ -18,11 +18,12 @@ deterministic input to the execution layer:
   *what* failed and *why*, instead of killing the other 10,000 trials.
   Aggregation (:func:`repro.analysis.stats.aggregate_records`) skips these,
   and EXPERIMENTS.md generation surfaces them in an explicit footer note.
-* :class:`FaultEvent` / :func:`fault_scope` — the runner publishes one event
-  per fault-handling decision (``retry``, ``timeout``, ``worker-death``,
-  ``quarantine``, ``cache-disabled``, ``pool-degraded``); scopes collect them
-  and :meth:`FaultEvent.as_trace_event` bridges into the
-  :mod:`repro.observability` trace machinery.
+* :func:`fault_event` — the runner publishes one ``"fault"``
+  :class:`~repro.observability.trace.TraceEvent` per fault-handling decision
+  (``retry``, ``timeout``, ``worker-death``, ``quarantine``,
+  ``cache-disabled``, ``pool-degraded``) to the sinks opened with
+  :func:`repro.observability.trace.observe`; :func:`quarantine_note`
+  summarises the quarantines among them.
 * :class:`FaultInjector` — the deterministic chaos harness: crash a worker,
   hang a chunk, or corrupt a just-written cache entry at chosen
   ``(labels, trial)`` coordinates.  Injection decisions are pure functions of
@@ -42,10 +43,9 @@ import multiprocessing
 import os
 import time
 import zlib
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Integral, Real
-from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from ..observability.trace import TraceEvent
 
@@ -58,9 +58,7 @@ __all__ = [
     "DEFAULT_FAULT_POLICY",
     "TrialFailure",
     "QuarantineError",
-    "FaultEvent",
-    "fault_scope",
-    "emit_fault",
+    "fault_event",
     "backoff_delay",
     "FaultInjector",
     "quarantine_note",
@@ -218,9 +216,15 @@ class QuarantineError(RuntimeError):
         self.failure = failure
 
 
-@dataclass(frozen=True)
-class FaultEvent:
-    """One fault-handling decision made by the runner.
+def fault_event(
+    kind: str,
+    labels: Tuple[object, ...] = (),
+    trial_index: int = -1,
+    attempt: int = 0,
+    detail: str = "",
+    delay_s: float = 0.0,
+) -> TraceEvent:
+    """One fault-handling decision made by the runner, as a ``"fault"`` event.
 
     ``kind`` is one of ``"retry"`` (a unit re-dispatched, with its backoff
     delay), ``"timeout"`` (a chunk exceeded ``FaultPolicy.timeout_s`` and its
@@ -228,79 +232,42 @@ class FaultEvent:
     respawned), ``"quarantine"`` (a trial exhausted its retries),
     ``"cache-disabled"`` (the trial store hit a write failure and switched
     itself off for the rest of the run), or ``"pool-degraded"`` (breakage
-    exceeded the respawn budget; the sweep finished serially).
+    exceeded the respawn budget; the sweep finished serially).  It is stored
+    as ``data["fault"]``.
     """
 
-    kind: str
-    labels: Tuple[object, ...] = ()
-    trial_index: int = -1
-    attempt: int = 0
-    detail: str = ""
-    delay_s: float = 0.0
-
-    def as_trace_event(self) -> TraceEvent:
-        """Bridge into the observability layer: one ``"fault"`` trace event."""
-
-        return TraceEvent(
-            kind="fault",
-            data={
-                "fault": self.kind,
-                "labels": repr(self.labels),
-                "trial_index": int(self.trial_index),
-                "attempt": int(self.attempt),
-                "detail": self.detail,
-                "delay_s": float(self.delay_s),
-            },
-        )
+    return TraceEvent(
+        kind="fault",
+        data={
+            "fault": kind,
+            "labels": repr(labels),
+            "trial_index": int(trial_index),
+            "attempt": int(attempt),
+            "detail": detail,
+            "delay_s": float(delay_s),
+        },
+    )
 
 
-_FAULT_SINKS: List[List[FaultEvent]] = []
-
-
-@contextmanager
-def fault_scope() -> Iterator[List[FaultEvent]]:
-    """Collect every :class:`FaultEvent` published while the scope is open.
-
-    ::
-
-        with fault_scope() as events:
-            run_experiment("E11", settings)
-        quarantines = [e for e in events if e.kind == "quarantine"]
-
-    Scopes nest — each open scope receives every event.  With no scope open,
-    publishing is a no-op list check, so the fault-free hot path pays nothing.
-    """
-
-    events: List[FaultEvent] = []
-    _FAULT_SINKS.append(events)
-    try:
-        yield events
-    finally:
-        _FAULT_SINKS.remove(events)
-
-
-def emit_fault(event: FaultEvent) -> None:
-    """Publish one event to every open :func:`fault_scope`."""
-
-    for sink in _FAULT_SINKS:
-        sink.append(event)
-
-
-def quarantine_note(events: Sequence[FaultEvent]) -> Optional[str]:
-    """A one-line human summary of a scope's quarantines, or ``None`` if clean.
+def quarantine_note(events: Sequence[TraceEvent]) -> Optional[str]:
+    """A one-line human summary of a trace's quarantines, or ``None`` if clean.
 
     Used by ``tools/generate_experiments_md.py`` to surface failed trials in
     the generated document explicitly (count + first failing coordinates)
     instead of silently dropping them from the aggregated tables.
     """
 
-    quarantined = [event for event in events if event.kind == "quarantine"]
+    quarantined = [
+        event
+        for event in events
+        if event.kind == "fault" and event.data.get("fault") == "quarantine"
+    ]
     if not quarantined:
         return None
-    first = quarantined[0]
+    first = quarantined[0].data
     return (
         f"{len(quarantined)} trial(s) quarantined; first failure at "
-        f"labels={first.labels!r} trial={first.trial_index} ({first.detail})"
+        f"labels={first['labels']} trial={first['trial_index']} ({first['detail']})"
     )
 
 

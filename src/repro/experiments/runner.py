@@ -19,7 +19,9 @@ Three invariants make parallel runs **bit-identical** to serial ones:
 * **Trial functions are top-level module functions** taking
   ``(seed, **params)`` with picklable params.  They carry no shared state, so
   process boundaries cannot perturb them (and closures, which cannot cross a
-  process boundary, are rejected by pickling up front).
+  process boundary, are rejected by pickling up front: a pooled sweep
+  pickles each spec's function and params before it starts a worker, and
+  raises :class:`TypeError` naming the spec's labels).
 * **Results are ordered by (spec index, trial index)**, never by completion
   order.
 
@@ -49,65 +51,73 @@ Failure is an ordinary input to the execution layer, governed by the sweep's
 Retries consume no RNG — a unit's seed is a pure function of
 ``(labels, trial_index)`` — so a sweep that recovered from faults is
 bit-identical to an undisturbed one.  Each handling decision is published as
-a :class:`~repro.experiments.faults.FaultEvent` (collect with
-:func:`~repro.experiments.faults.fault_scope`, or pass ``recorder=`` to store
-``"fault"`` trace events), and counted on :class:`ExecutionStats`.
+a ``"fault"`` event (:func:`~repro.experiments.faults.fault_event`).
 
 Observability
 -------------
 
-Two opt-in, parent-side instruments ride on the runner without touching the
-invariants above:
+The runner reports through one event stream: the sinks opened with
+:func:`repro.observability.trace.observe` (or passed as ``recorder=``).
+Events are built in the parent only, after the work they describe, so they
+cannot touch the invariants above:
 
-* **Progress** — with a sink active (:func:`progress_scope`, or the
-  ``progress=`` keyword), :func:`run_sweep` emits one
-  :class:`~repro.observability.progress.ProgressEvent` per completed work
-  unit — cache hits during the scan, computed trials as the streaming
-  collection receives them.  Events are emitted in the parent only, and with
-  no sink active (and no fault handling under way) the runner never even
-  reads the clock, so instrumented and plain sweeps produce byte-identical
-  results and documents.
-* **Stage spans** — inside a :func:`span_scope`, the :func:`timed_span`
-  contextmanager attributes wall-clock to the runner's stages (``schedule``,
-  ``fan-out``, ``reassemble``); ``tools/trace_report.py`` renders them.
-  With no scope open ``timed_span`` is a no-op that skips the clock.
+* ``"progress"`` — one per completed work unit: cache hits during the scan,
+  computed trials as the streaming collection receives them (payload in
+  :mod:`repro.observability.progress`);
+* ``"fault"`` — one per fault-handling decision;
+* ``"span"`` — :func:`timed_span` attributes wall-clock to the runner's
+  stages (``schedule``, ``fan-out``, ``reassemble``);
+  ``tools/trace_report.py`` renders them.
+
+:class:`ExecutionStats` is a sink that folds ``"progress"`` and ``"fault"``
+events into counters (:func:`track_stats` opens one).  Whether any open sink
+wants progress or spans is decided once per sweep and once per stage; with
+none, the runner never reads the clock, so instrumented and plain sweeps
+produce byte-identical results and documents.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import pickle
 import sys
 import time
 import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields as dataclass_fields, replace
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import (
+    Callable,
+    ClassVar,
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
-from ..observability.progress import ProgressEvent
-from ..observability.trace import NULL_RECORDER, TraceRecorder
+from ..observability.trace import TraceEvent, TraceRecorder, observe, observers
 from .cache import TrialCache, trial_key
 from .faults import (
-    FaultEvent,
     FaultInjector,
     FaultPolicy,
     QuarantineError,
     TrialFailure,
     backoff_delay,
-    emit_fault,
+    fault_event,
 )
 from .harness import ExperimentSettings
 
 __all__ = [
     "TrialSpec",
     "ExecutionStats",
-    "EXECUTION_STATS",
     "track_stats",
-    "TimedSpan",
-    "span_scope",
     "timed_span",
-    "progress_scope",
     "run_sweep",
     "run_point",
 ]
@@ -145,20 +155,31 @@ class TrialSpec:
         return cls(trial_fn=trial_fn, labels=tuple(labels), params=params)
 
 
+_FAULT_COUNTERS = {
+    "retry": "retries",
+    "timeout": "timeouts",
+    "worker-death": "worker_deaths",
+    "quarantine": "quarantined",
+    "cache-disabled": "cache_disabled",
+}
+
+
 @dataclass
 class ExecutionStats:
-    """Counters the runner maintains across :func:`run_sweep` calls.
+    """Runner counters folded from ``"progress"`` and ``"fault"`` events.
 
-    ``executed`` counts trials actually computed (serially or in a worker);
-    ``cache_hits`` / ``cache_misses`` count store lookups when a cache is
-    active.  The fault counters record handling *incidents*: ``retries`` is
-    unit re-dispatches (whatever the cause), ``timeouts`` and
-    ``worker_deaths`` are pool-level kill/respawn incidents, ``quarantined``
-    counts trials given up on, and ``cache_disabled`` counts stores that shut
-    themselves off mid-run.  Callers that want per-phase numbers (the
-    EXPERIMENTS.md generator, tests probing the cache-warm path) snapshot
-    before and after.
+    A sink for :func:`~repro.observability.trace.observe`.  ``executed``
+    counts trials actually computed (serially or in a worker);
+    ``cache_hits`` / ``cache_misses`` count the store lookups of completed
+    units when a cache is active.  The fault counters record handling
+    *incidents*: ``retries`` is unit re-dispatches (whatever the cause),
+    ``timeouts`` and ``worker_deaths`` are pool-level kill/respawn incidents,
+    ``quarantined`` counts trials given up on, and ``cache_disabled`` counts
+    stores that shut themselves off mid-run.
     """
+
+    enabled: ClassVar[bool] = True
+    kinds: ClassVar[FrozenSet[str]] = frozenset({"progress", "fault"})
 
     executed: int = 0
     cache_hits: int = 0
@@ -169,29 +190,19 @@ class ExecutionStats:
     quarantined: int = 0
     cache_disabled: int = 0
 
-    def snapshot(self) -> "ExecutionStats":
-        return replace(self)
-
-    def since(self, before: "ExecutionStats") -> "ExecutionStats":
-        return ExecutionStats(
-            **{
-                f.name: getattr(self, f.name) - getattr(before, f.name)
-                for f in dataclass_fields(self)
-            }
-        )
-
-
-EXECUTION_STATS = ExecutionStats()
-"""Process-global *aggregate* runner counters (incremented in the parent only).
-
-This is the lifetime total across every sweep the process ran.  Because it is
-a mutable global, two back-to-back sweeps cannot be told apart through it
-without snapshot arithmetic — callers that want the counters of *one* sweep
-(or one experiment) should scope them with :func:`track_stats`, which hands
-out a fresh per-scope ``ExecutionStats`` and leaves the aggregate intact.
-"""
-
-_STATS_SINKS: List[ExecutionStats] = []
+    def record(self, event: TraceEvent) -> None:
+        data = event.data
+        if event.kind == "progress":
+            if data["source"] == "cache":
+                self.cache_hits += 1
+            elif data["source"] == "run":
+                self.executed += 1
+            if data["cache_miss"]:
+                self.cache_misses += 1
+        elif event.kind == "fault":
+            counter = _FAULT_COUNTERS.get(str(data["fault"]))
+            if counter is not None:
+                setattr(self, counter, getattr(self, counter) + 1)
 
 
 @contextmanager
@@ -204,109 +215,39 @@ def track_stats() -> Iterator[ExecutionStats]:
             run_experiment("E11", settings)
         print(stats.executed, stats.cache_hits, stats.cache_misses)
 
-    The yielded object starts at zero and only counts trials processed while
-    the context is open; the :data:`EXECUTION_STATS` aggregate keeps counting
-    globally, so existing snapshot/``since`` consumers are unaffected.
-    Scopes nest — each open scope receives every increment.
+    Shorthand for ``observe(ExecutionStats())``; scopes nest — each open
+    scope counts every sweep run inside it.
     """
 
     stats = ExecutionStats()
-    _STATS_SINKS.append(stats)
-    try:
+    with observe(stats):
         yield stats
-    finally:
-        _STATS_SINKS.remove(stats)
-
-
-def _count(field_name: str) -> None:
-    """Increment one counter on the aggregate and every open scope."""
-
-    setattr(EXECUTION_STATS, field_name, getattr(EXECUTION_STATS, field_name) + 1)
-    for sink in _STATS_SINKS:
-        setattr(sink, field_name, getattr(sink, field_name) + 1)
-
-
-@dataclass(frozen=True)
-class TimedSpan:
-    """One named wall-clock measurement recorded by :func:`timed_span`."""
-
-    name: str
-    seconds: float
-
-
-_SPAN_SINKS: List[List[TimedSpan]] = []
-
-
-@contextmanager
-def span_scope() -> Iterator[List[TimedSpan]]:
-    """Collect :func:`timed_span` measurements made while the scope is open.
-
-    ::
-
-        with span_scope() as spans:
-            run_sweep(specs, settings)
-        for span in spans:
-            print(span.name, span.seconds)
-
-    Scopes nest — each open scope receives every span.  Convert the collected
-    list with :func:`repro.observability.report.span_events` to store it in a
-    JSONL trace alongside run events.
-    """
-
-    spans: List[TimedSpan] = []
-    _SPAN_SINKS.append(spans)
-    try:
-        yield spans
-    finally:
-        _SPAN_SINKS.remove(spans)
 
 
 @contextmanager
 def timed_span(name: str) -> Iterator[None]:
     """Attribute the wall-clock of the enclosed block to ``name``.
 
-    A profiling primitive, not a profiler: with no :func:`span_scope` open it
-    yields immediately without reading the clock, so permanently-wrapped code
-    (the runner's stages) costs one list check per span when unobserved.
+    A profiling primitive, not a profiler: the block's duration goes to the
+    open sinks as one ``"span"`` event (stage name in ``phase``, seconds in
+    ``data["seconds"]``).  With no sink wanting spans it yields immediately
+    without reading the clock, so permanently-wrapped code (the runner's
+    stages) costs one registry scan per span when unobserved.
     """
 
-    if not _SPAN_SINKS:
+    sinks = observers("span")
+    if not sinks:
         yield
         return
     start = time.perf_counter()
     try:
         yield
     finally:
-        span = TimedSpan(name=name, seconds=time.perf_counter() - start)
-        for sink in _SPAN_SINKS:
-            sink.append(span)
-
-
-_PROGRESS_SINKS: List[Callable[[ProgressEvent], None]] = []
-
-
-@contextmanager
-def progress_scope(sink: Callable[[ProgressEvent], None]) -> Iterator[Callable[[ProgressEvent], None]]:
-    """Register ``sink`` to receive one event per work unit of enclosed sweeps.
-
-    ::
-
-        renderer = CliProgressRenderer(label="E11")
-        with progress_scope(renderer):
-            run_experiment("E11", settings)
-        renderer.finish()
-
-    The scoped registration means registered experiments need no signature
-    changes to become followable; the ``progress=`` keyword of
-    :func:`run_sweep` covers direct calls.  Scopes nest — every open sink
-    receives every event.
-    """
-
-    _PROGRESS_SINKS.append(sink)
-    try:
-        yield sink
-    finally:
-        _PROGRESS_SINKS.remove(sink)
+        event = TraceEvent(
+            kind="span", phase=name, data={"seconds": time.perf_counter() - start}
+        )
+        for sink in sinks:
+            sink.record(event)
 
 
 @dataclass
@@ -399,7 +340,6 @@ def run_sweep(
     *,
     jobs: Optional[int] = None,
     cache: Optional[TrialCache] = None,
-    progress: Optional[Callable[[ProgressEvent], None]] = None,
     policy: Optional[FaultPolicy] = None,
     injector: Optional[FaultInjector] = None,
     recorder: Optional[TraceRecorder] = None,
@@ -420,11 +360,6 @@ def run_sweep(
     cache:
         Trial-store override; ``None`` defers to the settings/env (and no
         configured directory means caching is off).
-    progress:
-        Extra progress sink for this call, on top of any open
-        :func:`progress_scope`.  One event fires per completed work unit,
-        from the parent process only; with no sink anywhere the runner never
-        reads the clock.
     policy:
         Fault-handling override (:class:`~repro.experiments.faults.FaultPolicy`);
         ``None`` defers to ``settings.resolved_fault_policy``.
@@ -433,9 +368,10 @@ def run_sweep(
         (:class:`~repro.experiments.faults.FaultInjector`); ``None`` defers
         to ``settings.fault_injector`` (normally: no injection).
     recorder:
-        Optional :class:`~repro.observability.trace.TraceRecorder`; when
-        enabled, every fault-handling decision is stored as a ``"fault"``
-        trace event alongside whatever else the recorder collects.
+        Optional :class:`~repro.observability.trace.TraceRecorder` opened
+        with :func:`~repro.observability.trace.observe` for this call only:
+        it receives the sweep's ``"progress"``, ``"fault"`` and ``"span"``
+        events (those its ``kinds`` admit), on top of any open scope.
 
     Returns
     -------
@@ -454,7 +390,45 @@ def run_sweep(
         orphaned), every trial that finished before the interrupt has been
         written to the cache, and a one-line partial-progress summary is
         printed to stderr — re-running the same sweep resumes warm.
+    TypeError
+        When the sweep needs worker processes and a spec's trial function or
+        params cannot be pickled; raised before any worker starts.
     """
+
+    with observe(recorder):
+        return _sweep(specs, settings, jobs, cache, policy, injector)
+
+
+def _assert_picklable(units: Sequence[_Unit]) -> None:
+    """Pickle each distinct spec's ``(trial_fn, params)`` before a pool starts.
+
+    A closure or lambda that reached the pool would kill its feeder thread
+    instead of raising here, in the caller.
+    """
+
+    checked: Set[int] = set()
+    for unit in units:
+        if unit.spec_index in checked:
+            continue
+        checked.add(unit.spec_index)
+        try:
+            pickle.dumps((unit.trial_fn, unit.params))
+        except (pickle.PicklingError, AttributeError, TypeError) as exc:
+            raise TypeError(
+                f"spec {unit.labels!r}: trial function and params must be "
+                f"picklable to run in worker processes ({exc})"
+            ) from exc
+
+
+def _sweep(
+    specs: Sequence[TrialSpec],
+    settings: ExperimentSettings,
+    jobs: Optional[int],
+    cache: Optional[TrialCache],
+    policy: Optional[FaultPolicy],
+    injector: Optional[FaultInjector],
+) -> List[List[Dict[str, object]]]:
+    """The body of :func:`run_sweep`, run inside its ``recorder`` scope."""
 
     jobs = settings.resolved_jobs if jobs is None else int(jobs)
     if jobs < 1:
@@ -463,16 +437,16 @@ def run_sweep(
         policy = settings.resolved_fault_policy
     if injector is None:
         injector = settings.fault_injector
-    if recorder is None:
-        recorder = NULL_RECORDER
     if cache is None:
         cache_dir = settings.resolved_cache_dir
         cache = TrialCache(cache_dir) if cache_dir is not None else None
 
-    def publish(event: FaultEvent) -> None:
-        emit_fault(event)
-        if recorder.enabled:
-            recorder.record(event.as_trace_event())
+    fault_sinks = observers("fault")
+    progress_sinks = observers("progress")
+
+    def publish(event: TraceEvent) -> None:
+        for sink in fault_sinks:
+            sink.record(event)
 
     cache_disabled_noted = False
 
@@ -482,31 +456,37 @@ def run_sweep(
         nonlocal cache_disabled_noted
         if cache is not None and cache.disabled and not cache_disabled_noted:
             cache_disabled_noted = True
-            _count("cache_disabled")
-            publish(
-                FaultEvent(kind="cache-disabled", detail=cache.disabled_reason or "")
-            )
+            publish(fault_event("cache-disabled", detail=cache.disabled_reason or ""))
 
     note_cache_disabled()
 
-    sinks: List[Callable[[ProgressEvent], None]] = list(_PROGRESS_SINKS)
-    if progress is not None:
-        sinks.append(progress)
     total = len(specs) * settings.trials
     completed = 0
-    sweep_start = time.perf_counter() if sinks else 0.0
+    sweep_start = time.perf_counter() if progress_sinks else 0.0
 
-    def emit(labels: Tuple[object, ...], trial_index: int, cache_hit: bool) -> None:
-        event = ProgressEvent(
-            labels=labels,
-            trial_index=trial_index,
-            cache_hit=cache_hit,
-            completed=completed,
-            total=total,
-            elapsed=time.perf_counter() - sweep_start,
+    def progressed(
+        labels: Tuple[object, ...], trial_index: int, source: str, cache_miss: bool
+    ) -> None:
+        """Publish one completed work unit (``source``: cache/run/quarantine)."""
+
+        nonlocal completed
+        if not progress_sinks:
+            return
+        completed += 1
+        event = TraceEvent(
+            kind="progress",
+            data={
+                "labels": repr(labels),
+                "trial_index": trial_index,
+                "source": source,
+                "cache_miss": cache_miss,
+                "completed": completed,
+                "total": total,
+                "elapsed": time.perf_counter() - sweep_start,
+            },
         )
-        for sink in sinks:
-            sink(event)
+        for sink in progress_sinks:
+            sink.record(event)
 
     results: List[List[Optional[Dict[str, object]]]] = [
         [None] * settings.trials for _ in specs
@@ -522,16 +502,12 @@ def run_sweep(
                     key = trial_key(spec.trial_fn, spec.labels, seed, spec.params)
                     record = cache.get(key)
                     if record is not None:
-                        _count("cache_hits")
                         # Refresh the entry's mtime so prune()'s LRU order keeps
                         # recently *served* records, not just recently written ones.
                         cache.touch(key)
                         results[spec_index][trial_index] = record
-                        if sinks:
-                            completed += 1
-                            emit(spec.labels, trial_index, True)
+                        progressed(spec.labels, trial_index, "cache", False)
                         continue
-                    _count("cache_misses")
                 pending.append(
                     _Unit(
                         spec_index=spec_index,
@@ -545,24 +521,19 @@ def run_sweep(
                 )
 
     def complete(unit: _Unit, record: Dict[str, object]) -> None:
-        """Count, store, cache (and maybe chaos-corrupt) one computed record."""
+        """Store, cache (and maybe chaos-corrupt) one computed record."""
 
-        nonlocal completed
-        _count("executed")
         results[unit.spec_index][unit.trial_index] = record
         if cache is not None and unit.key is not None:
             cache.put(unit.key, record)
             if injector is not None and injector.corrupts(unit.labels, unit.trial_index):
                 injector.corrupt_entry(cache, unit.key)
             note_cache_disabled()
-        if sinks:
-            completed += 1
-            emit(unit.labels, unit.trial_index, False)
+        progressed(unit.labels, unit.trial_index, "run", unit.key is not None)
 
     def quarantine(unit: _Unit, kind: str, error_type: str, message: str) -> None:
         """Give up on one unit: sentinel in its slot, or raise under strict."""
 
-        nonlocal completed
         failure = TrialFailure(
             labels=unit.labels,
             trial_index=unit.trial_index,
@@ -572,22 +543,19 @@ def run_sweep(
             error_message=message,
             attempts=unit.attempts,
         )
-        _count("quarantined")
         publish(
-            FaultEvent(
-                kind="quarantine",
+            fault_event(
+                "quarantine",
                 labels=unit.labels,
                 trial_index=unit.trial_index,
                 attempt=unit.attempts,
                 detail=f"[{kind}] {error_type}: {message}",
             )
         )
+        progressed(unit.labels, unit.trial_index, "quarantine", unit.key is not None)
         if policy.strict:
             raise QuarantineError(failure)
         results[unit.spec_index][unit.trial_index] = failure
-        if sinks:
-            completed += 1
-            emit(unit.labels, unit.trial_index, False)
 
     def retry_delay(unit: _Unit, kind: str, detail: str) -> Optional[float]:
         """Burn one failure: the backoff delay before re-dispatch, or ``None``
@@ -595,10 +563,9 @@ def run_sweep(
 
         if unit.attempts <= policy.max_retries:
             delay = backoff_delay(policy, unit.labels, unit.trial_index, unit.attempts)
-            _count("retries")
             publish(
-                FaultEvent(
-                    kind="retry",
+                fault_event(
+                    "retry",
                     labels=unit.labels,
                     trial_index=unit.trial_index,
                     attempt=unit.attempts,
@@ -640,6 +607,7 @@ def run_sweep(
                 break
 
     def run_pooled(units: Sequence[_Unit], workers: int) -> None:
+        _assert_picklable(units)
         queue: List[_Chunk] = []
         size = _chunksize(len(units), workers)
         block: List[_Unit] = []
@@ -671,11 +639,10 @@ def run_sweep(
         def breakage(kind: str, detail: str, victims: List[_Unit]) -> None:
             nonlocal pool, breakages, degraded
             breakages += 1
-            _count("worker_deaths" if kind == "worker-death" else "timeouts")
             first = victims[0] if victims else None
             publish(
-                FaultEvent(
-                    kind=kind,
+                fault_event(
+                    kind,
                     labels=first.labels if first else (),
                     trial_index=first.trial_index if first else -1,
                     attempt=first.attempts if first else 0,
@@ -690,8 +657,8 @@ def run_sweep(
             if breakages > policy.max_pool_respawns:
                 degraded = True
                 publish(
-                    FaultEvent(
-                        kind="pool-degraded",
+                    fault_event(
+                        "pool-degraded",
                         detail=f"{breakages} pool breakages exceed "
                         f"max_pool_respawns={policy.max_pool_respawns}",
                     )

@@ -1,72 +1,53 @@
-"""Live sweep progress: per-work-unit events, aggregation, CLI rendering.
+"""Live sweep progress: aggregation and CLI rendering of ``"progress"`` events.
 
 The experiment runner (:func:`repro.experiments.runner.run_sweep`) completes
 one *work unit* per (sweep point × trial) — served from the trial cache or
-computed by a worker process — and, when a progress sink is active, emits one
-:class:`ProgressEvent` per unit **in the parent process**.  Nothing here runs
-in a worker, so progress observation cannot perturb trial execution, and with
-no sink active the runner does not even read the clock.
+computed by a worker process — and, when an open sink wants them, publishes
+one ``"progress"`` :class:`~repro.observability.trace.TraceEvent` per unit
+**in the parent process**.  Nothing here runs in a worker, so progress
+observation cannot perturb trial execution, and with no sink wanting
+progress the runner does not even read the clock.
+
+A progress event's ``data`` carries ``labels`` (the repr of the unit's
+sweep-point labels), ``trial_index``, ``source`` (``"cache"`` when the trial
+store served it, ``"run"`` when it was computed, ``"quarantine"`` when the
+fault policy gave up on it), ``cache_miss`` (a store was consulted and
+missed), ``completed`` / ``total`` (units done so far in this sweep,
+including this one, and the sweep's ``len(specs) × trials``), and
+``elapsed`` (parent-side seconds since the sweep started).
 
 :class:`ProgressMonitor` folds the event stream into throughput / ETA /
 cache-hit-rate aggregates; :class:`CliProgressRenderer` draws a throttled
 single-line follower on a terminal stream (opt-in via ``--progress`` on the
 generator tools and benchmarks — off by default, so generated documents and
-benchmark output stay byte-identical).
-
-This event shape is deliberately the wire format of the ROADMAP's distributed
-sweep fabric: a remote coordinator streaming per-unit completions to a
-dashboard sends exactly these fields.
+benchmark output stay byte-identical).  Both are sinks for
+:func:`~repro.observability.trace.observe`.
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass
-from typing import IO, Optional, Tuple
+from typing import IO, Optional
 
-__all__ = ["ProgressEvent", "ProgressMonitor", "CliProgressRenderer"]
+from .trace import TraceEvent
 
-
-@dataclass(frozen=True)
-class ProgressEvent:
-    """One completed work unit of a sweep.
-
-    Attributes
-    ----------
-    labels:
-        The sweep-point labels of the unit's :class:`~repro.experiments.runner.TrialSpec`.
-    trial_index:
-        Trial number within the sweep point.
-    cache_hit:
-        Whether the unit was served from the trial store (``True``) or
-        computed (``False``).
-    completed:
-        Units completed so far in this sweep, including this one.
-    total:
-        Total units of the sweep (``len(specs) × settings.trials``).
-    elapsed:
-        Parent-side wall-clock seconds since the sweep started.
-    """
-
-    labels: Tuple[object, ...]
-    trial_index: int
-    cache_hit: bool
-    completed: int
-    total: int
-    elapsed: float
+__all__ = ["ProgressMonitor", "CliProgressRenderer"]
 
 
 class ProgressMonitor:
-    """Aggregate a :class:`ProgressEvent` stream into rates and an ETA.
+    """Aggregate a ``"progress"`` event stream into rates and an ETA.
 
-    Feed it events via :meth:`observe` (the callable shape the runner's
-    progress sinks expect).  Sweeps may arrive back to back — an experiment
-    is often several nested ``run_sweep`` calls — so the monitor detects
-    sweep boundaries (the per-event ``completed`` counter restarting, or the
-    per-sweep ``total`` changing) and accumulates totals and wall-clock
-    across them.
+    A sink: open it with :func:`~repro.observability.trace.observe`, or feed
+    it events via :meth:`record`.  Sweeps may arrive back to back — an
+    experiment is often several nested ``run_sweep`` calls — so the monitor
+    detects sweep boundaries (the per-event ``completed`` counter
+    restarting, or the per-sweep ``total`` changing) and accumulates totals
+    and wall-clock across them.
     """
+
+    enabled = True
+    kinds = frozenset({"progress"})
 
     def __init__(self) -> None:
         self.completed = 0
@@ -78,21 +59,23 @@ class ProgressMonitor:
         self._banked_elapsed = 0.0
         self._current_elapsed = 0.0
 
-    def observe(self, event: ProgressEvent) -> None:
+    def record(self, event: TraceEvent) -> None:
+        total = int(event.data["total"])
+        completed = int(event.data["completed"])
         new_sweep = (
             self._sweep_total is None
-            or event.total != self._sweep_total
-            or event.completed <= self._last_completed
+            or total != self._sweep_total
+            or completed <= self._last_completed
         )
         if new_sweep:
-            self.total += event.total
-            self._sweep_total = event.total
+            self.total += total
+            self._sweep_total = total
             self._banked_elapsed += self._current_elapsed
             self._current_elapsed = 0.0
-        self._last_completed = event.completed
-        self._current_elapsed = max(self._current_elapsed, event.elapsed)
+        self._last_completed = completed
+        self._current_elapsed = max(self._current_elapsed, float(event.data["elapsed"]))
         self.completed += 1
-        if event.cache_hit:
+        if event.data["source"] == "cache":
             self.cache_hits += 1
         else:
             self.executed += 1
@@ -147,12 +130,15 @@ class ProgressMonitor:
 class CliProgressRenderer:
     """Throttled single-line CLI follower over a :class:`ProgressMonitor`.
 
-    Call the instance with each event (it is a valid progress sink); call
-    :meth:`finish` when the followed task completes to seal the line with a
-    newline.  Rendering goes to ``stream`` (stderr by default) so stdout and
-    generated artefacts stay byte-identical whether or not a follower is
-    attached.
+    A sink like the monitor it wraps (open it with
+    :func:`~repro.observability.trace.observe`); call :meth:`finish` when
+    the followed task completes to seal the line with a newline.  Rendering
+    goes to ``stream`` (stderr by default) so stdout and generated artefacts
+    stay byte-identical whether or not a follower is attached.
     """
+
+    enabled = True
+    kinds = ProgressMonitor.kinds
 
     def __init__(
         self,
@@ -167,11 +153,11 @@ class CliProgressRenderer:
         self._last_render = 0.0
         self._rendered_any = False
 
-    def __call__(self, event: ProgressEvent) -> None:
-        self.monitor.observe(event)
+    def record(self, event: TraceEvent) -> None:
+        self.monitor.record(event)
         now = time.monotonic()
         if (
-            event.completed == event.total
+            event.data["completed"] == event.data["total"]
             or now - self._last_render >= self.min_interval
         ):
             self._last_render = now

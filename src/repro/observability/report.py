@@ -27,7 +27,6 @@ __all__ = [
     "phase_rows",
     "round_rows",
     "runner_spans",
-    "span_events",
     "fault_rows",
     "summarise_trace",
     "PhaseDivergence",
@@ -135,18 +134,6 @@ def runner_spans(events: Sequence[TraceEvent]) -> List[Dict[str, object]]:
         {"stage": event.phase, "seconds": float(event.data.get("seconds", 0.0))}
         for event in events
         if event.kind == "span"
-    ]
-
-
-def span_events(spans: Iterable[object]) -> List[TraceEvent]:
-    """Convert runner :class:`~repro.experiments.runner.TimedSpan` records
-    (anything with ``name`` and ``seconds`` attributes) into ``"span"`` trace
-    events, so sweep-stage wall-clock can live in the same JSONL file as a
-    run trace."""
-
-    return [
-        TraceEvent(kind="span", phase=str(span.name), data={"seconds": float(span.seconds)})
-        for span in spans
     ]
 
 

@@ -18,6 +18,12 @@ The default sink is :data:`NULL_RECORDER`, whose :attr:`~TraceRecorder.enabled`
 flag is ``False``; producers check the flag before building an event, so the
 untraced hot path pays one attribute read per phase and allocates nothing.
 
+The trial runner publishes its events — per-unit ``"progress"``, fault
+handling ``"fault"``, stage ``"span"`` — to the sinks opened with
+:func:`observe`.  A sink may declare the kinds it wants in a ``kinds`` set
+(absent or ``None`` means every kind); the runner asks :func:`observers`
+once per sweep, so an unobserved sweep builds no event and reads no clock.
+
 Events serialise to JSONL (one event per line) via :func:`write_jsonl` /
 :func:`read_jsonl`; ``tools/trace_report.py`` summarises one trace or diffs
 two.
@@ -28,8 +34,18 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Protocol, Union, runtime_checkable
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Protocol,
+    Union,
+    runtime_checkable,
+)
 
 __all__ = [
     "TraceEvent",
@@ -37,6 +53,8 @@ __all__ = [
     "NullRecorder",
     "NULL_RECORDER",
     "TraceCollector",
+    "observe",
+    "observers",
     "engine_event",
     "write_jsonl",
     "read_jsonl",
@@ -59,16 +77,20 @@ class TraceEvent:
           per-round trace the report tooling aggregates);
         * ``"engine"`` — the executing engine path's channel-level tallies
           for the same phase (emitted before the orchestrator's ``"phase"``
-          record, one per engine invocation);
+          record, one per engine invocation); ``data["path"]`` names the
+          code path (``"single-hop"``, ``"multihop-sparse"``, ``"slot"``, or
+          ``"empty"`` for a phase with no slots);
         * ``"quiet-expire"`` — a request-phase quiet-rule budget expiry
           cohort (multi-hop only);
         * ``"truncate"`` — a cap-aware truncation decision (multi-hop only);
         * ``"cap"`` — the safety-cap finalisation of a run that never
           terminated on its own;
+        * ``"progress"`` — one completed work unit of a trial-runner sweep
+          (see ``repro.experiments.runner.run_sweep``);
         * ``"span"`` — a named wall-clock span (runner-stage profiling);
         * ``"fault"`` — one fault-handling decision by the trial runner
           (retry / timeout / worker-death / quarantine / cache-disabled /
-          pool-degraded; see ``repro.experiments.faults.FaultEvent``).
+          pool-degraded; see ``repro.experiments.faults.fault_event``).
     round_index:
         Protocol round the event belongs to; ``-1`` for run-level events.
     phase:
@@ -102,6 +124,45 @@ class TraceRecorder(Protocol):
         """Receive one event."""
 
 
+_SINKS: List[TraceRecorder] = []
+
+
+@contextmanager
+def observe(sink: Optional[TraceRecorder]) -> Iterator[Optional[TraceRecorder]]:
+    """Open ``sink`` to the trial runner's events while the scope is open.
+
+    ::
+
+        with observe(TraceCollector()) as trace:
+            run_experiment("E11", settings)
+        faults = trace.of_kind("fault")
+
+    A sink that declares ``kinds`` receives only events of those kinds.
+    Scopes nest — every open sink receives every event it wants.
+    ``observe(None)`` opens nothing, so optional sinks need no branch.
+    """
+
+    if sink is None:
+        yield None
+        return
+    _SINKS.append(sink)
+    try:
+        yield sink
+    finally:
+        _SINKS.remove(sink)
+
+
+def observers(kind: str) -> List[TraceRecorder]:
+    """The open, enabled sinks that want events of ``kind``."""
+
+    wanted: List[TraceRecorder] = []
+    for sink in _SINKS:
+        kinds = getattr(sink, "kinds", None)
+        if sink.enabled and (kinds is None or kind in kinds):
+            wanted.append(sink)
+    return wanted
+
+
 class NullRecorder:
     """The default sink: discards everything, advertises ``enabled = False``."""
 
@@ -121,8 +182,8 @@ def engine_event(path: str, result: object, **extra: Scalar) -> TraceEvent:
     Duck-typed on the result's channel-level tallies so both engines (and all
     fast-engine paths) share one payload shape; ``path`` names the code path
     that executed the phase (``"single-hop"``, ``"multihop-sparse"``,
-    ``"slot"``).  Reads only values the engine has
-    already computed.
+    ``"slot"``, or ``"empty"`` for a zero-slot phase on either engine).
+    Reads only values the engine has already computed.
     """
 
     plan = result.plan  # type: ignore[attr-defined]

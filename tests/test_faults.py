@@ -25,12 +25,11 @@ from repro.experiments.faults import (
     QuarantineError,
     TrialFailure,
     backoff_delay,
-    fault_scope,
     quarantine_note,
 )
-from repro.experiments.runner import EXECUTION_STATS, TrialSpec, run_sweep, track_stats
+from repro.experiments.runner import TrialSpec, run_sweep, track_stats
 from repro.observability.report import fault_rows, summarise_trace
-from repro.observability.trace import TraceCollector
+from repro.observability.trace import TraceCollector, observe
 from repro.simulation.errors import ConfigurationError
 
 
@@ -200,7 +199,7 @@ class TestQuarantine:
             TrialSpec.point(_failing_trial, "bad"),
         ]
         policy = FaultPolicy(max_retries=2, backoff_base_s=0.0)
-        with track_stats() as stats, fault_scope() as events:
+        with track_stats() as stats, observe(TraceCollector()) as trace:
             results = run_sweep(specs, _settings(), policy=policy)
 
         assert results[0][0]["seed"] == float(_settings().trial_seed("ok", 0))
@@ -214,8 +213,8 @@ class TestQuarantine:
 
         assert stats.retries == 2
         assert stats.quarantined == 1
-        assert [e.kind for e in events] == ["retry", "retry", "quarantine"]
-        note = quarantine_note(events)
+        assert [e.data["fault"] for e in trace.of_kind("fault")] == ["retry", "retry", "quarantine"]
+        note = quarantine_note(trace.events)
         assert note is not None and "1 trial(s) quarantined" in note
         assert "('bad',)" in note
 
@@ -237,10 +236,10 @@ class TestQuarantine:
         assert excinfo.value.failure.attempts == 1
 
     def test_quarantine_note_is_none_when_clean(self):
-        with fault_scope() as events:
+        with observe(TraceCollector()) as trace:
             run_sweep([TrialSpec.point(_toy_trial, "ok")], _settings())
-        assert events == []
-        assert quarantine_note(events) is None
+        assert trace.of_kind("fault") == []
+        assert quarantine_note(trace.events) is None
 
     def test_transient_failure_retries_to_an_identical_record(self, tmp_path):
         settings = _settings(trials=2, seed=5)
@@ -282,48 +281,47 @@ class TestChaosRecovery:
         serial = run_sweep(self._specs(), _settings(trials=2))
         injector = FaultInjector(crashes=[(("p", 0), 0)])
         policy = FaultPolicy(max_retries=3, backoff_base_s=0.0)
-        with track_stats() as stats, fault_scope() as events:
+        with track_stats() as stats, observe(TraceCollector()) as trace:
             chaos = run_sweep(
                 self._specs(), _settings(trials=2, jobs=2), policy=policy, injector=injector
             )
         assert chaos == serial
         assert stats.worker_deaths >= 1
         assert stats.quarantined == 0
-        assert "worker-death" in {e.kind for e in events}
+        assert "worker-death" in {e.data["fault"] for e in trace.of_kind("fault")}
 
     def test_hung_chunk_is_killed_and_redispatched(self):
         serial = run_sweep(self._specs(), _settings())
         injector = FaultInjector(hangs=[(("p", 1), 0)], hang_s=600.0)
         policy = FaultPolicy(timeout_s=1.0, max_retries=3, backoff_base_s=0.0)
-        with track_stats() as stats, fault_scope() as events:
+        with track_stats() as stats, observe(TraceCollector()) as trace:
             chaos = run_sweep(
                 self._specs(), _settings(jobs=2), policy=policy, injector=injector
             )
         assert chaos == serial
         assert stats.timeouts >= 1
         assert stats.quarantined == 0
-        assert "timeout" in {e.kind for e in events}
+        assert "timeout" in {e.data["fault"] for e in trace.of_kind("fault")}
 
     def test_repeated_breakage_degrades_to_serial(self):
         serial = run_sweep(self._specs(), _settings())
         injector = FaultInjector(crashes=[(("p", 0), 0)])
         policy = FaultPolicy(max_retries=3, backoff_base_s=0.0, max_pool_respawns=0)
         with pytest.warns(RuntimeWarning, match="degraded to serial"):
-            with fault_scope() as events:
+            with observe(TraceCollector()) as trace:
                 chaos = run_sweep(
                     self._specs(), _settings(jobs=2), policy=policy, injector=injector
                 )
         assert chaos == serial
-        assert "pool-degraded" in {e.kind for e in events}
+        assert "pool-degraded" in {e.data["fault"] for e in trace.of_kind("fault")}
 
     def test_injected_corruption_forces_a_warm_recompute(self, tmp_path):
         settings = _settings(cache_dir=str(tmp_path))
         injector = FaultInjector(seed=7, corruptions=[(("p", 2), 0)])
         cold = run_sweep(self._specs(), settings, injector=injector)
 
-        before = EXECUTION_STATS.snapshot()
-        warm = run_sweep(self._specs(), settings)
-        delta = EXECUTION_STATS.since(before)
+        with track_stats() as delta:
+            warm = run_sweep(self._specs(), settings)
         assert warm == cold
         assert delta.executed == 1  # exactly the torn entry
         assert delta.cache_hits == 3
@@ -367,11 +365,11 @@ class TestCacheResilience:
         settings = _settings(cache_dir=str(squatter / "store"))
         specs = [TrialSpec.point(_toy_trial, "p", i) for i in range(3)]
         with pytest.warns(RuntimeWarning, match="trial cache disabled"):
-            with track_stats() as stats, fault_scope() as events:
+            with track_stats() as stats, observe(TraceCollector()) as trace:
                 results = run_sweep(specs, settings)
         assert results == run_sweep(specs, _settings())
         assert stats.cache_disabled == 1
-        assert [e.kind for e in events] == ["cache-disabled"]
+        assert [e.data["fault"] for e in trace.of_kind("fault")] == ["cache-disabled"]
 
     def test_torn_write_reads_as_miss(self, tmp_path):
         cache = TrialCache(tmp_path, torn_write_bytes=4)
@@ -398,9 +396,8 @@ class TestCacheResilience:
 
         # The runner treats the miss as ordinary work: recompute and rewrite.
         settings = _settings(cache_dir=str(tmp_path))
-        before = EXECUTION_STATS.snapshot()
-        results = run_sweep([TrialSpec.point(_toy_trial, "rewrite")], settings)
-        delta = EXECUTION_STATS.since(before)
+        with track_stats() as delta:
+            results = run_sweep([TrialSpec.point(_toy_trial, "rewrite")], settings)
         assert delta.executed == 1
         rewrite_key = trial_key(
             _toy_trial, ("rewrite",), settings.trial_seed("rewrite", 0), {}
@@ -477,9 +474,8 @@ class TestKeyboardInterrupt:
         assert "flushed to the trial cache" in err
 
         # A re-run resumes warm from the flushed records.
-        before = EXECUTION_STATS.snapshot()
-        resumed = run_sweep(specs[:2], settings)
-        delta = EXECUTION_STATS.since(before)
+        with track_stats() as delta:
+            resumed = run_sweep(specs[:2], settings)
         assert delta.executed == 0
         assert delta.cache_hits == 2
         assert [r["seed"] for (r,) in resumed] == [

@@ -8,18 +8,21 @@ The telemetry contract has two hard halves, both pinned here:
   single-hop engines (ε-Broadcast and the epoch baselines), and to fresh
   untraced runs on the sparse multi-hop and pipelined-truncation paths (where
   quiet-expiry and truncation events fire).
-* **Progress completeness** — with a sink active, :func:`run_sweep` emits
-  exactly one event per work unit (cache hit or computed; serial or in the
-  process pool) and the instrumented sweep's results equal the plain sweep's.
+* **Progress completeness** — with a sink open, :func:`run_sweep` emits
+  exactly one ``"progress"`` event per work unit (cache hit or computed;
+  serial or in the process pool) and the instrumented sweep's results equal
+  the plain sweep's; with no sink open it never reads the clock.
 
-Plus the supporting machinery: JSONL round-trips (including non-finite
-floats), monitor aggregation across back-to-back sweeps, runner stage spans,
-and the positional phase diff that ``tools/trace_report.py`` renders.
+Plus the supporting machinery: the one sink scope and its kind filter, JSONL
+round-trips (including non-finite floats), monitor aggregation across
+back-to-back sweeps, runner stage spans, and the positional phase diff that
+``tools/trace_report.py`` renders.
 """
 
 from __future__ import annotations
 
 import io
+import time
 
 import pytest
 
@@ -34,28 +37,22 @@ from test_regression_singlehop import (
 from repro.core.broadcast import EpsilonBroadcast, MultiHopBroadcast
 from repro.experiments import ExperimentSettings
 from repro.experiments.cache import TrialCache
-from repro.experiments.runner import (
-    TrialSpec,
-    progress_scope,
-    run_sweep,
-    span_scope,
-    timed_span,
-)
+from repro.experiments.runner import TrialSpec, run_sweep, timed_span
 from repro.observability import (
     CliProgressRenderer,
     NullRecorder,
-    ProgressEvent,
     ProgressMonitor,
     TraceCollector,
     TraceEvent,
     diff_phase_events,
     diff_traces,
+    observe,
     read_jsonl,
     round_rows,
-    span_events,
     summarise_trace,
     write_jsonl,
 )
+from repro.observability.trace import observers
 from repro.simulation import SimulationConfig, TopologySpec
 
 # --------------------------------------------------------------------------- #
@@ -251,18 +248,19 @@ class TestProgressCompleteness:
     def test_one_event_per_work_unit(self, jobs):
         settings = ExperimentSettings(n=8, trials=4, seed=2012, jobs=jobs, cache_dir="")
         plain = run_sweep(_specs(), settings)
-        events = []
-        with progress_scope(events.append):
+        trace = TraceCollector()
+        with observe(trace):
             instrumented = run_sweep(_specs(), settings)
         assert instrumented == plain  # observation changes nothing
         total = len(_specs()) * settings.trials
+        events = [e.data for e in trace.of_kind("progress")]
         assert len(events) == total
-        assert [e.completed for e in events] == list(range(1, total + 1))
-        assert all(e.total == total for e in events)
-        assert all(not e.cache_hit for e in events)  # cache off: all computed
-        assert all(e.elapsed >= 0.0 for e in events)
+        assert [e["completed"] for e in events] == list(range(1, total + 1))
+        assert all(e["total"] == total for e in events)
+        assert all(e["source"] == "run" for e in events)  # cache off: all computed
+        assert all(e["elapsed"] >= 0.0 for e in events)
         # Every (labels, trial) unit reported exactly once.
-        units = {(e.labels, e.trial_index) for e in events}
+        units = {(e["labels"], e["trial_index"]) for e in events}
         assert len(units) == total
 
     @pytest.mark.parametrize("jobs", [1, 4])
@@ -271,24 +269,86 @@ class TestProgressCompleteness:
         cache = TrialCache(str(tmp_path / "store"))
         total = len(_specs()) * settings.trials
 
-        cold_events, warm_events = [], []
-        with progress_scope(cold_events.append):
+        cold_trace, warm_trace = TraceCollector(), TraceCollector()
+        with observe(cold_trace):
             cold = run_sweep(_specs(), settings, cache=cache)
-        with progress_scope(warm_events.append):
+        with observe(warm_trace):
             warm = run_sweep(_specs(), settings, cache=cache)
+        cold_events = cold_trace.of_kind("progress")
+        warm_events = warm_trace.of_kind("progress")
 
         assert warm == cold
         assert len(cold_events) == len(warm_events) == total
-        assert all(not e.cache_hit for e in cold_events)
-        assert all(e.cache_hit for e in warm_events)
+        assert all(e.data["source"] == "run" for e in cold_events)
+        assert all(e.data["cache_miss"] for e in cold_events)
+        assert all(e.data["source"] == "cache" for e in warm_events)
 
-    def test_progress_keyword_and_scope_both_receive_events(self):
+    def test_recorder_and_scope_both_receive_events(self):
         settings = ExperimentSettings(n=8, trials=2, seed=2012, jobs=1, cache_dir="")
-        scoped, direct = [], []
-        with progress_scope(scoped.append):
-            run_sweep(_specs(), settings, progress=direct.append)
-        assert scoped == direct
-        assert len(direct) == len(_specs()) * settings.trials
+        scoped, direct = TraceCollector(), TraceCollector()
+        with observe(scoped):
+            run_sweep(_specs(), settings, recorder=direct)
+        assert scoped.events == direct.events
+        assert len(direct.of_kind("progress")) == len(_specs()) * settings.trials
+
+
+class _CountingClock:
+    """Stands in for the runner's ``time`` module and counts clock reads."""
+
+    def __init__(self):
+        self.reads = 0
+
+    def perf_counter(self):
+        self.reads += 1
+        return time.perf_counter()
+
+    def monotonic(self):
+        self.reads += 1
+        return time.monotonic()
+
+    def sleep(self, seconds):
+        time.sleep(seconds)
+
+
+class TestUnobservedSweep:
+    """With no sink open and no ``recorder=``, a sweep never reads the clock."""
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_serial_sweep_reads_no_clock(self, tmp_path, monkeypatch, cached):
+        import repro.experiments.runner as runner
+
+        clock = _CountingClock()
+        monkeypatch.setattr(runner, "time", clock)
+        settings = ExperimentSettings(n=8, trials=2, seed=2012, jobs=1, cache_dir="")
+        cache = TrialCache(str(tmp_path / "store")) if cached else None
+        cold = run_sweep(_specs(), settings, cache=cache)
+        warm = run_sweep(_specs(), settings, cache=cache)
+        assert warm == cold
+        assert clock.reads == 0
+
+        # The same sweep with a progress sink open does read it.
+        with observe(ProgressMonitor()):
+            run_sweep(_specs(), settings, cache=cache)
+        assert clock.reads > 0
+
+
+class TestObserveScope:
+    def test_declared_kinds_filter_what_a_sink_receives(self):
+        settings = ExperimentSettings(n=8, trials=2, seed=2012, jobs=1, cache_dir="")
+        everything, monitor = TraceCollector(), ProgressMonitor()
+        with observe(everything), observe(monitor):
+            assert observers("span") == [everything]
+            assert observers("progress") == [everything, monitor]
+            run_sweep(_specs(), settings)
+        assert {e.kind for e in everything.events} == {"progress", "span"}
+        assert monitor.completed == len(everything.of_kind("progress"))
+        assert monitor.completed == len(_specs()) * settings.trials
+
+    def test_disabled_and_absent_sinks_are_not_observers(self):
+        with observe(NullRecorder()), observe(None) as absent:
+            assert absent is None
+            assert observers("progress") == []
+        assert observers("fault") == []
 
 
 # --------------------------------------------------------------------------- #
@@ -297,21 +357,25 @@ class TestProgressCompleteness:
 
 
 def _event(completed, total, *, cache_hit=False, elapsed=0.0):
-    return ProgressEvent(
-        labels=("x",),
-        trial_index=0,
-        cache_hit=cache_hit,
-        completed=completed,
-        total=total,
-        elapsed=elapsed,
+    return TraceEvent(
+        kind="progress",
+        data={
+            "labels": "('x',)",
+            "trial_index": 0,
+            "source": "cache" if cache_hit else "run",
+            "cache_miss": False,
+            "completed": completed,
+            "total": total,
+            "elapsed": elapsed,
+        },
     )
 
 
 class TestProgressMonitor:
     def test_single_sweep_aggregates(self):
         monitor = ProgressMonitor()
-        monitor.observe(_event(1, 4, elapsed=1.0))
-        monitor.observe(_event(2, 4, cache_hit=True, elapsed=2.0))
+        monitor.record(_event(1, 4, elapsed=1.0))
+        monitor.record(_event(2, 4, cache_hit=True, elapsed=2.0))
         assert monitor.completed == 2
         assert monitor.total == 4
         assert monitor.remaining == 2
@@ -327,9 +391,9 @@ class TestProgressMonitor:
 
         monitor = ProgressMonitor()
         for completed in (1, 2):
-            monitor.observe(_event(completed, 2, elapsed=float(completed)))
+            monitor.record(_event(completed, 2, elapsed=float(completed)))
         for completed in (1, 2, 3):
-            monitor.observe(_event(completed, 3, elapsed=float(completed)))
+            monitor.record(_event(completed, 3, elapsed=float(completed)))
         assert monitor.total == 5
         assert monitor.completed == 5
         assert monitor.remaining == 0
@@ -347,7 +411,7 @@ class TestCliProgressRenderer:
         stream = io.StringIO()
         renderer = CliProgressRenderer(label="E99", stream=stream, min_interval=0.0)
         for completed in (1, 2):
-            renderer(_event(completed, 2, elapsed=float(completed)))
+            renderer.record(_event(completed, 2, elapsed=float(completed)))
         renderer.finish()
         output = stream.getvalue()
         assert "E99:" in output
@@ -363,7 +427,7 @@ class TestCliProgressRenderer:
         stream = io.StringIO()
         renderer = CliProgressRenderer(label="probe", stream=stream, min_interval=0.0)
         settings = ExperimentSettings(n=8, trials=2, seed=2012, jobs=1, cache_dir="")
-        with progress_scope(renderer):
+        with observe(renderer):
             run_sweep(_specs(), settings)
         renderer.finish()
         assert renderer.monitor.completed == len(_specs()) * settings.trials
@@ -375,29 +439,33 @@ class TestCliProgressRenderer:
 # --------------------------------------------------------------------------- #
 
 
-class TestTimedSpans:
+class TestRunnerStageSpans:
     def test_sweep_stages_are_attributed(self):
         settings = ExperimentSettings(n=8, trials=2, seed=2012, jobs=1, cache_dir="")
-        with span_scope() as spans:
+        trace = TraceCollector()
+        with observe(trace):
             run_sweep(_specs(), settings)
-        assert [span.name for span in spans] == ["schedule", "fan-out", "reassemble"]
-        assert all(span.seconds >= 0.0 for span in spans)
+        spans = trace.of_kind("span")
+        assert [span.phase for span in spans] == ["schedule", "fan-out", "reassemble"]
+        assert all(span.data["seconds"] >= 0.0 for span in spans)
 
     def test_no_scope_means_no_measurement(self):
         # Permanently-wrapped code must be free when unobserved; the span
         # list only fills inside a scope.
+        trace = TraceCollector()
         with timed_span("orphan"):
             pass
-        with span_scope() as spans:
+        with observe(trace):
             with timed_span("seen"):
                 pass
-        assert [span.name for span in spans] == ["seen"]
+        assert [span.phase for span in trace.events] == ["seen"]
 
-    def test_spans_convert_to_trace_events(self):
-        with span_scope() as spans:
+    def test_spans_are_trace_events(self):
+        trace = TraceCollector()
+        with observe(trace):
             with timed_span("stage-a"):
                 pass
-        events = span_events(spans)
+        events = trace.events
         assert [e.phase for e in events] == ["stage-a"]
         assert events[0].kind == "span"
         assert events[0].data["seconds"] >= 0.0

@@ -18,7 +18,8 @@ from repro.experiments import ExperimentSettings, run_experiment
 from repro.experiments.cache import CACHE_VERSION, TrialCache, stable_token, trial_key
 from repro.experiments.faults import FaultPolicy, QuarantineError, TrialFailure
 from repro.experiments.registry import experiment_ids
-from repro.experiments.runner import EXECUTION_STATS, TrialSpec, run_point, run_sweep
+import repro.experiments.runner as runner_module
+from repro.experiments.runner import TrialSpec, run_point, run_sweep, track_stats
 from repro.simulation.errors import ConfigurationError
 
 # Registry-wide settings for the golden tests: small enough that running all
@@ -113,6 +114,18 @@ class TestStableToken:
         monkeypatch.setattr(cache_module, "CACHE_VERSION", CACHE_VERSION + 1)
         assert trial_key(_toy_trial, (), 0, {}) != key
 
+    def test_numpy_feature_version_is_part_of_the_key(self, monkeypatch):
+        # numpy may change Generator streams between feature releases, so a
+        # store filled under one must not serve records under the next.
+        import numpy
+
+        key = trial_key(_toy_trial, (), 0, {})
+        major, minor = numpy.__version__.split(".")[:2]
+        monkeypatch.setattr(numpy, "__version__", f"{major}.{minor}.999")
+        assert trial_key(_toy_trial, (), 0, {}) == key  # patch releases share keys
+        monkeypatch.setattr(numpy, "__version__", f"{major}.{int(minor) + 1}.0")
+        assert trial_key(_toy_trial, (), 0, {}) != key
+
 
 class TestTrialCache:
     def test_round_trip(self, tmp_path):
@@ -155,15 +168,13 @@ class TestRunSweep:
 
     def test_cache_round_trip_and_probe(self, tmp_path):
         settings = ExperimentSettings(n=16, trials=3, seed=2, jobs=1, cache_dir=str(tmp_path))
-        before = EXECUTION_STATS.snapshot()
-        cold = run_point(_toy_trial, settings, "probe", scale=2.0)
-        after_cold = EXECUTION_STATS.since(before)
+        with track_stats() as after_cold:
+            cold = run_point(_toy_trial, settings, "probe", scale=2.0)
         assert after_cold.executed == settings.trials
         assert after_cold.cache_misses == settings.trials
 
-        before = EXECUTION_STATS.snapshot()
-        warm = run_point(_toy_trial, settings, "probe", scale=2.0)
-        after_warm = EXECUTION_STATS.since(before)
+        with track_stats() as after_warm:
+            warm = run_point(_toy_trial, settings, "probe", scale=2.0)
         assert warm == cold
         assert after_warm.executed == 0
         assert after_warm.cache_hits == settings.trials
@@ -192,9 +203,8 @@ class TestRunSweep:
         with pytest.raises(QuarantineError, match="interruption"):
             run_sweep(specs, settings, policy=strict)
 
-        before = EXECUTION_STATS.snapshot()
-        resumed = run_sweep(specs[:2], settings)
-        delta = EXECUTION_STATS.since(before)
+        with track_stats() as delta:
+            resumed = run_sweep(specs[:2], settings)
         assert delta.executed == 0
         assert delta.cache_hits == 2
         assert [r["seed"] for (r,) in resumed] == [
@@ -202,13 +212,21 @@ class TestRunSweep:
             float(settings.trial_seed("b", 0)),
         ]
 
-    def test_trial_functions_must_be_picklable_for_parallel_runs(self):
-        # A closure cannot cross the process boundary: the runner should fail
-        # loudly (pickling error) rather than silently serialise differently.
+    def test_trial_functions_must_be_picklable_for_parallel_runs(self, monkeypatch):
+        # A closure cannot cross the process boundary: the runner must refuse
+        # it in the caller, naming the spec, before any worker process starts.
+        pools = []
+
+        def no_pool(*args, **kwargs):
+            pools.append(args)
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(runner_module, "ProcessPoolExecutor", no_pool)
         local = lambda seed: {"seed": seed}  # noqa: E731
         settings = ExperimentSettings(n=16, trials=2, seed=2, jobs=2, cache_dir="")
-        with pytest.raises(Exception):
+        with pytest.raises(TypeError, match=r"spec \('x',\).*picklable"):
             run_sweep([TrialSpec.point(local, "x")], settings)
+        assert pools == []
 
 
 class TestRegistryGolden:
@@ -235,9 +253,8 @@ class TestRegistryGolden:
         settings = ExperimentSettings(**GOLDEN, jobs=1, cache_dir=cache_dir)
         cold = {eid: run_experiment(eid, settings) for eid in experiment_ids()}
 
-        before = EXECUTION_STATS.snapshot()
-        warm = {eid: run_experiment(eid, settings) for eid in experiment_ids()}
-        delta = EXECUTION_STATS.since(before)
+        with track_stats() as delta:
+            warm = {eid: run_experiment(eid, settings) for eid in experiment_ids()}
 
         assert delta.executed == 0, "warm re-run recomputed trials"
         assert delta.cache_hits > 0

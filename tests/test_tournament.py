@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from repro.adversary import ParamSpec
 from repro.analysis.competitiveness import ExponentFit, fit_cell_exponent
 from repro.experiments import ExperimentSettings
-from repro.experiments.runner import EXECUTION_STATS
+from repro.experiments.runner import track_stats
 from repro.simulation.errors import ConfigurationError
 from repro.tournament import (
     TournamentCell,
@@ -81,9 +81,8 @@ class TestTournamentGolden:
         cache_dir = str(tmp_path / "trial-cache")
         cold = run_golden(jobs=1, cache_dir=cache_dir)
 
-        before = EXECUTION_STATS.snapshot()
-        warm = run_golden(jobs=1, cache_dir=cache_dir)
-        delta = EXECUTION_STATS.since(before)
+        with track_stats() as delta:
+            warm = run_golden(jobs=1, cache_dir=cache_dir)
 
         assert delta.executed == 0, "warm re-run recomputed trials"
         assert delta.cache_hits > 0

@@ -27,7 +27,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 from conftest import bench_settings  # noqa: E402
 
 from repro.experiments.registry import run_experiment  # noqa: E402
-from repro.experiments.runner import EXECUTION_STATS  # noqa: E402
+from repro.experiments.runner import track_stats  # noqa: E402
 
 
 def main() -> int:
@@ -37,10 +37,9 @@ def main() -> int:
         print("FAIL: no trial cache configured (set REPRO_CACHE_DIR)")
         return 1
 
-    before = EXECUTION_STATS.snapshot()
-    for eid in experiment_ids:
-        run_experiment(eid, settings)
-    delta = EXECUTION_STATS.since(before)
+    with track_stats() as delta:
+        for eid in experiment_ids:
+            run_experiment(eid, settings)
 
     print(
         f"warm re-run of {', '.join(experiment_ids)} against "

@@ -31,13 +31,12 @@ import sys
 import time
 from datetime import date
 
-from contextlib import nullcontext
 
 from repro.experiments import ExperimentSettings, render_result, render_table
-from repro.experiments.faults import fault_scope, quarantine_note
+from repro.experiments.faults import quarantine_note
 from repro.experiments.registry import experiment_ids, run_experiment
-from repro.experiments.runner import progress_scope, track_stats
-from repro.observability import CliProgressRenderer
+from repro.experiments.runner import track_stats
+from repro.observability import CliProgressRenderer, TraceCollector, observe
 
 COMMENTARY = {
     "E1": (
@@ -270,21 +269,19 @@ def main() -> None:
     all_ids = experiment_ids()
     try:
         for eid in all_ids:
-            # Per-experiment counters are scoped, not derived from the process
-            # global: registry experiments may themselves run nested sweeps, and
-            # snapshot arithmetic against the mutable global cross-contaminated
-            # back-to-back experiments in one process.
+            # Per-experiment counters and fault notes come from sinks opened
+            # around this experiment only; registry experiments may run
+            # several nested sweeps, and every one of them reports here.
             renderer = CliProgressRenderer(label=eid) if args.progress else None
-            follower = progress_scope(renderer) if renderer is not None else nullcontext()
+            trace = TraceCollector()
             start = time.perf_counter()
-            with follower:
-                with track_stats() as stats, fault_scope() as faults:
-                    result = run_experiment(eid, settings)
+            with observe(renderer), observe(trace), track_stats() as stats:
+                result = run_experiment(eid, settings)
             elapsed = time.perf_counter() - start
             if renderer is not None:
                 renderer.finish()
             results.append(result)
-            note = quarantine_note(faults)
+            note = quarantine_note(trace.events)
             if note is not None:
                 fault_notes.append((eid, note))
             trials_total = stats.executed + stats.cache_hits

@@ -25,12 +25,11 @@ import argparse
 import sys
 import time
 
-from contextlib import nullcontext
 
 from repro.experiments import ExperimentSettings
 from repro.experiments.reporting import render_table
-from repro.experiments.runner import progress_scope, track_stats
-from repro.observability import CliProgressRenderer
+from repro.experiments.runner import track_stats
+from repro.observability import CliProgressRenderer, observe
 from repro.tournament import (
     SPEND_FRACTIONS,
     TournamentCell,
@@ -139,12 +138,10 @@ def main() -> None:
     )
 
     renderer = CliProgressRenderer(label="tournament") if args.progress else None
-    follower = progress_scope(renderer) if renderer is not None else nullcontext()
     start = time.perf_counter()
     try:
-        with follower:
-            with track_stats() as stats:
-                tournament = run_tournament(settings, cells=tournament_cells())
+        with observe(renderer), track_stats() as stats:
+            tournament = run_tournament(settings, cells=tournament_cells())
     except KeyboardInterrupt:
         # run_sweep has already shut its pool down and printed the trial-level
         # partial-progress line; add the stage context and exit 130.
@@ -225,12 +222,10 @@ def main() -> None:
 
     if not args.skip_search:
         renderer = CliProgressRenderer(label="search") if args.progress else None
-        follower = progress_scope(renderer) if renderer is not None else nullcontext()
         start = time.perf_counter()
         try:
-            with follower:
-                with track_stats() as stats:
-                    searches = [optimise_cell(cell, settings) for cell in SEARCH_CELLS]
+            with observe(renderer), track_stats() as stats:
+                searches = [optimise_cell(cell, settings) for cell in SEARCH_CELLS]
         except KeyboardInterrupt:
             print(
                 "leaderboard generation interrupted during the worst-case search "
