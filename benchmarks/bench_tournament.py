@@ -4,10 +4,10 @@
 Measures the tournament harness end to end and gates the properties the
 leaderboard depends on:
 
-1. **E14 smoke** — run the registered experiment at the benchmark profile
-   (``REPRO_BENCH_N`` / ``REPRO_BENCH_TRIALS`` / ``REPRO_JOBS`` /
-   ``REPRO_CACHE_DIR``, exactly as ``tools/assert_warm_cache.py`` will
-   re-resolve them), printing the per-cell exponent table.
+1. **E14 at the docs profile** — run the registered experiment at
+   ``repro.experiments.DOCS_PROFILE`` (``REPRO_JOBS`` / ``REPRO_CACHE_DIR``
+   resolved exactly as ``tools/assert_warm_cache.py`` will re-resolve them),
+   printing the per-cell exponent table.
 2. **Cell contract** — every cell carries a fitted exponent (finite, with a
    finite confidence interval) or one of the known flagged sentinels; an
    unknown flag or a NaN exponent on an unflagged cell fails the run.
@@ -21,8 +21,8 @@ leaderboard depends on:
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_tournament.py            # bench profile
-    PYTHONPATH=src python benchmarks/bench_tournament.py --smoke    # CI-sized
+    PYTHONPATH=src python benchmarks/bench_tournament.py
+    PYTHONPATH=src python benchmarks/bench_tournament.py --smoke    # CI-sized checks 3 and 4
     PYTHONPATH=src python benchmarks/bench_tournament.py --smoke --jobs 2
 """
 
@@ -33,16 +33,12 @@ import dataclasses
 import math
 import sys
 import time
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-from conftest import bench_settings  # noqa: E402
-
-from repro.experiments import ExperimentSettings, render_result  # noqa: E402
-from repro.experiments.registry import run_experiment  # noqa: E402
-from repro.experiments.runner import track_stats  # noqa: E402
-from repro.observability import CliProgressRenderer, observe  # noqa: E402
-from repro.tournament import (  # noqa: E402
+from repro.experiments import DOCS_PROFILE, ExperimentSettings, render_result
+from repro.experiments.registry import run_experiment
+from repro.experiments.runner import track_stats
+from repro.observability import CliProgressRenderer, observe
+from repro.tournament import (
     TournamentCell,
     adversary_roster,
     optimise_cell,
@@ -141,8 +137,8 @@ def main() -> int:
 
     failures = 0
 
-    # -- 1: E14 at the benchmark profile (fills REPRO_CACHE_DIR when set) ---
-    settings = bench_settings()
+    # -- 1: E14 at the docs profile (fills REPRO_CACHE_DIR when set) -------
+    settings = DOCS_PROFILE
     if args.jobs is not None:
         settings = dataclasses.replace(settings, jobs=args.jobs)
     renderer = CliProgressRenderer(label="E14") if args.progress else None

@@ -10,7 +10,7 @@ The package is organised in four layers:
 * :mod:`repro.core` — the ε-Broadcast protocol (k = 2, general k, decoy
   traffic, unknown n) and the high-level :func:`repro.run_broadcast` API;
 * :mod:`repro.baselines`, :mod:`repro.analysis`, :mod:`repro.experiments` —
-  the comparators, theory utilities, and the benchmark harness that
+  the comparators, theory utilities, and the experiment harness that
   regenerates every quantitative claim of the paper.
 """
 

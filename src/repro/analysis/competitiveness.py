@@ -58,7 +58,7 @@ class CompetitivenessReport:
         return self.node_fit.exponent - self.predicted_exponent
 
     def lines(self) -> List[str]:
-        """Human-readable report lines used by the benchmark harness."""
+        """Human-readable report lines (E1 adds them to its notes)."""
 
         rows = [
             f"protocol={self.protocol}  k={self.k}  predicted exponent 1/(k+1)={self.predicted_exponent:.3f}",

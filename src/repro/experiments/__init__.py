@@ -1,4 +1,4 @@
-"""The benchmark harness: one experiment per quantitative claim of the paper."""
+"""The experiment harness: one experiment per quantitative claim of the paper."""
 
 from .cache import CACHE_VERSION, TrialCache, trial_key
 from .faults import (
@@ -8,13 +8,15 @@ from .faults import (
     QuarantineError,
     TrialFailure,
 )
-from .harness import ExperimentResult, ExperimentSettings, run_trials
+from .harness import DOCS_PROFILE, Claim, ExperimentResult, ExperimentSettings, run_trials
 from .reporting import render_result, render_results, render_table
 from .runner import TrialSpec, run_point, run_sweep
 
 __all__ = [
     "CACHE_VERSION",
+    "Claim",
     "DEFAULT_FAULT_POLICY",
+    "DOCS_PROFILE",
     "ExperimentResult",
     "ExperimentSettings",
     "FaultInjector",

@@ -10,14 +10,16 @@ delay they buy, and the per-device costs they force.
 
 from __future__ import annotations
 
+from typing import Dict, Sequence
+
 from ..analysis.stats import aggregate_records
 from ..core.api import run_broadcast
 from ..simulation.config import SimulationConfig
-from .harness import ExperimentResult, ExperimentSettings
+from .harness import Claim, ExperimentResult, ExperimentSettings
 from .runner import TrialSpec, run_sweep
 from .workloads import ablation_roster
 
-__all__ = ["run", "EXPERIMENT_ID", "TITLE", "CLAIM"]
+__all__ = ["run", "EXPERIMENT_ID", "TITLE", "CLAIM", "CHECKS"]
 
 EXPERIMENT_ID = "E9"
 TITLE = "Jamming-strategy ablation at equal spend"
@@ -104,3 +106,20 @@ def run(settings: ExperimentSettings) -> ExperimentResult:
         "delivery at far lower spend — the decoy variant (E7) is the designed response."
     )
     return result
+
+
+def _by_strategy(panel: Sequence[ExperimentResult]) -> Dict[str, dict]:
+    return {row["strategy"]: row for row in panel[0].rows}
+
+
+CHECKS: Dict[str, Claim] = {
+    # No non-reactive strategy defeats delivery.
+    "non_reactive_delivers": lambda panel: all(
+        row["delivery_fraction"] >= 0.9
+        for name, row in _by_strategy(panel).items()
+        if name != "reactive"
+    ),
+    # Oblivious jamming (random) buys less delay than targeted phase blocking.
+    "blocker_outdelays_random": lambda panel: _by_strategy(panel)["phase_blocker"]["slots"]
+    >= _by_strategy(panel)["random"]["slots"],
+}

@@ -11,16 +11,17 @@ a sub-linear, roughly matching exponent for Alice (load balance).
 from __future__ import annotations
 
 from types import SimpleNamespace
+from typing import Dict
 
 from ..analysis.competitiveness import analyze_outcomes
 from ..analysis.stats import aggregate_records
 from ..core.api import run_broadcast
 from ..simulation.config import SimulationConfig
-from .harness import ExperimentResult, ExperimentSettings
+from .harness import Claim, ExperimentResult, ExperimentSettings
 from .runner import TrialSpec, run_sweep
 from .workloads import blocking_adversary, saturation_spend, spend_sweep
 
-__all__ = ["run", "EXPERIMENT_ID", "TITLE", "CLAIM"]
+__all__ = ["run", "EXPERIMENT_ID", "TITLE", "CLAIM", "CHECKS"]
 
 EXPERIMENT_ID = "E1"
 TITLE = "Per-device cost vs adversary spend T (k = 2)"
@@ -115,3 +116,15 @@ def run(settings: ExperimentSettings) -> ExperimentResult:
     for line in report.lines():
         result.add_note(line)
     return result
+
+
+CHECKS: Dict[str, Claim] = {
+    # Costs must respond strongly sublinearly to the adversary's spend; a
+    # sweep that loses the fit fails rather than passes.
+    "node_exponent": lambda panel: "node_exponent" in panel[0].summaries
+    and panel[0].summaries["node_exponent"] < 0.9,
+    # Delivery holds at every spend level in the sweep.
+    "delivery_every_spend": lambda panel: all(
+        row["delivery_fraction"] >= 0.9 for row in panel[0].rows
+    ),
+}

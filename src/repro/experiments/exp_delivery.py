@@ -12,14 +12,16 @@ while Carol must spend a constant fraction of her entire budget.
 
 from __future__ import annotations
 
+from typing import Dict, Sequence
+
 from ..analysis.stats import aggregate_records
 from ..core.api import run_broadcast
 from ..simulation.config import SimulationConfig
-from .harness import ExperimentResult, ExperimentSettings
+from .harness import Claim, ExperimentResult, ExperimentSettings
 from .runner import TrialSpec, run_sweep
 from .workloads import blocking_adversary, splitting_adversary
 
-__all__ = ["run", "EXPERIMENT_ID", "TITLE", "CLAIM"]
+__all__ = ["run", "EXPERIMENT_ID", "TITLE", "CLAIM", "CHECKS"]
 
 EXPERIMENT_ID = "E2"
 TITLE = "Delivery fraction under worst-case n-uniform attacks"
@@ -117,3 +119,24 @@ def run(settings: ExperimentSettings) -> ExperimentResult:
         "is larger than the paper's asymptotic ε but still bounded and paid for at full price."
     )
     return result
+
+
+def _by_scenario(panel: Sequence[ExperimentResult]) -> Dict[str, dict]:
+    return {row["scenario"]: row for row in panel[0].rows}
+
+
+CHECKS: Dict[str, Claim] = {
+    # Without a stranding attack everyone is informed.
+    "no_attack_informs_all": lambda panel: _by_scenario(panel)["no attack"]["delivery_fraction"]
+    == 1.0,
+    "blocker_delivers": lambda panel: _by_scenario(panel)["blocker (full budget)"][
+        "delivery_fraction"
+    ]
+    >= 0.99,
+    # Stranding anyone costs Carol a large fraction of her total budget.
+    "stranding_costs_budget": lambda panel: all(
+        row["carol_budget_fraction"] > 0.5
+        for name, row in _by_scenario(panel).items()
+        if name.startswith("split")
+    ),
+}

@@ -10,16 +10,18 @@ per-k round length to exhibit the Θ(k) overhead.
 
 from __future__ import annotations
 
+from typing import Dict, Sequence
+
 from ..analysis.bounds import cost_exponent
 from ..analysis.fitting import fit_power_law_with_offset
 from ..analysis.stats import aggregate_records
 from ..core.api import run_broadcast
 from ..simulation.config import SimulationConfig
-from .harness import ExperimentResult, ExperimentSettings
+from .harness import Claim, ExperimentResult, ExperimentSettings
 from .runner import TrialSpec, run_sweep
 from .workloads import blocking_adversary, saturation_spend, spend_sweep
 
-__all__ = ["run", "EXPERIMENT_ID", "TITLE", "CLAIM"]
+__all__ = ["run", "EXPERIMENT_ID", "TITLE", "CLAIM", "CHECKS"]
 
 EXPERIMENT_ID = "E6"
 TITLE = "General k: cost exponent 1/(k+1) and Θ(k) latency overhead"
@@ -117,3 +119,27 @@ def run(settings: ExperimentSettings) -> ExperimentResult:
         "The per-round slot counts grow by the extra propagation steps, the Θ(k) overhead of §3.2."
     )
     return result
+
+
+def _node_below_spend_at_largest(panel: Sequence[ExperimentResult]) -> bool:
+    rows = panel[0].rows
+    for k in sorted({row["k"] for row in rows}):
+        largest = max((row for row in rows if row["k"] == k), key=lambda row: row["T_spent"])
+        if not largest["node_max_cost"] < largest["T_spent"]:
+            return False
+    return True
+
+
+CHECKS: Dict[str, Claim] = {
+    # Every (k, T) row still delivers the message.
+    "delivery_every_k": lambda panel: all(
+        row["delivery_fraction"] >= 0.9 for row in panel[0].rows
+    ),
+    # Resource competitiveness in absolute form, per k: at the largest spend
+    # in its sweep a node pays less than Carol's total.  The per-k fitted
+    # exponents are reported in the summary but not checked: the Figure-2
+    # constants (which scale with 1/ε') keep quick-profile sweeps largely in
+    # the saturated regime, so the k-dependence of the exponent only emerges
+    # as a trend at larger n (see EXPERIMENTS.md).
+    "node_below_spend_at_largest": _node_below_spend_at_largest,
+}

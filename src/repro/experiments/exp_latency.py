@@ -11,14 +11,16 @@ polylog-driven quantity) is reported alongside for contrast.
 
 from __future__ import annotations
 
+from typing import Dict
+
 from ..adversary import ContinuousJammer
 from ..analysis.fitting import fit_power_law
 from ..analysis.stats import aggregate_records
 from ..core.api import run_broadcast
-from .harness import ExperimentResult, ExperimentSettings
+from .harness import Claim, ExperimentResult, ExperimentSettings
 from .runner import TrialSpec, run_sweep
 
-__all__ = ["run", "EXPERIMENT_ID", "TITLE", "CLAIM"]
+__all__ = ["run", "EXPERIMENT_ID", "TITLE", "CLAIM", "CHECKS"]
 
 EXPERIMENT_ID = "E3"
 TITLE = "Latency vs network size under maximal jamming"
@@ -95,3 +97,12 @@ def run(settings: ExperimentSettings) -> ExperimentResult:
         "latency is dominated by the fixed 3·lg ln n warm-up rounds — both as the paper predicts."
     )
     return result
+
+
+CHECKS: Dict[str, Claim] = {
+    # The fitted latency exponent should straddle the predicted 1 + 1/k = 1.5.
+    "latency_exponent_band": lambda panel: 1.3 <= panel[0].summaries["latency_exponent"] <= 1.7,
+    "delivery_every_size": lambda panel: all(
+        row["delivery_fraction"] >= 0.9 for row in panel[0].rows
+    ),
+}

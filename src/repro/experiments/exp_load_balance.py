@@ -14,17 +14,17 @@ from __future__ import annotations
 
 import math
 
-from typing import Optional
+from typing import Dict, Optional
 
 from ..analysis.stats import aggregate_records
 from ..baselines import KSYStyleBroadcast
 from ..core.api import run_broadcast
 from ..simulation.config import SimulationConfig
-from .harness import ExperimentResult, ExperimentSettings
+from .harness import Claim, ExperimentResult, ExperimentSettings
 from .runner import TrialSpec, run_sweep
 from .workloads import blocking_adversary
 
-__all__ = ["run", "EXPERIMENT_ID", "TITLE", "CLAIM"]
+__all__ = ["run", "EXPERIMENT_ID", "TITLE", "CLAIM", "CHECKS"]
 
 EXPERIMENT_ID = "E4"
 TITLE = "Load balance: Alice cost vs per-node cost"
@@ -136,3 +136,20 @@ def run(settings: ExperimentSettings) -> ExperimentResult:
         "must keep executing until her termination round — the polylog-vs-polylog regime of Lemma 9."
     )
     return result
+
+
+CHECKS: Dict[str, Claim] = {
+    # Under jamming Alice never pays more than a small polylog multiple of a
+    # node's cost (in practice she pays less: nodes shoulder the listening).
+    "alice_within_polylog_under_jamming": lambda panel: all(
+        row["alice_over_max"] < 50
+        for row in panel[0].rows
+        if row["protocol"] == "epsilon-broadcast" and row["scenario"] != "no jamming"
+    ),
+    # The KSY-style baseline shows the imbalance the paper criticises.
+    "ksy_imbalanced": lambda panel: all(
+        row["alice_over_max"] < 0.2
+        for row in panel[0].rows
+        if row["protocol"] == "ksy-style baseline"
+    ),
+}

@@ -41,7 +41,7 @@ damage.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 from ..adversary import (
     MobileJammer,
@@ -57,10 +57,10 @@ from ..core.broadcast import MultiHopBroadcast
 from ..core.quietrule import ConstantQuietRule
 from ..simulation.config import SimulationConfig
 from ..simulation.topology import TopologySpec, gilbert_connectivity_radius
-from .harness import ExperimentResult, ExperimentSettings
+from .harness import Claim, ExperimentResult, ExperimentSettings
 from .runner import TrialSpec, run_sweep
 
-__all__ = ["run", "EXPERIMENT_ID", "TITLE", "CLAIM", "scenario_roster"]
+__all__ = ["run", "EXPERIMENT_ID", "TITLE", "CLAIM", "CHECKS", "scenario_roster"]
 
 EXPERIMENT_ID = "E12"
 TITLE = "Mobile and adaptive spatial adversaries over Gilbert graphs"
@@ -247,3 +247,8 @@ def run(settings: ExperimentSettings) -> ExperimentResult:
         "thinner."
     )
     return result
+
+
+# The acceptance checks of this experiment need their own runs, beyond the
+# registry profile; they live in ``benchmarks/bench_mobile_jammer.py``.
+CHECKS: Dict[str, Claim] = {}

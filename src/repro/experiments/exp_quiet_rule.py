@@ -18,15 +18,19 @@ the *same* realised graphs: the comparison is paired.
 
 from __future__ import annotations
 
+from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
+
 from ..analysis.stats import aggregate_records
 from ..core.broadcast import MultiHopBroadcast
 from ..core.quietrule import ConstantQuietRule, DegreeAwareQuietRule, PaperQuietRule, QuietRule
 from ..simulation.config import SimulationConfig
 from ..simulation.topology import TopologySpec, gilbert_connectivity_radius
-from .harness import ExperimentResult, ExperimentSettings
+from .harness import Claim, ExperimentResult, ExperimentSettings
 from .runner import TrialSpec, run_sweep
 
-__all__ = ["run", "EXPERIMENT_ID", "TITLE", "CLAIM", "BASELINE_RETRIES"]
+__all__ = ["run", "EXPERIMENT_ID", "TITLE", "CLAIM", "CHECKS", "BASELINE_RETRIES"]
 
 EXPERIMENT_ID = "E13"
 TITLE = "Quiet-rule ablation: request-phase termination policies on sparse Gilbert graphs"
@@ -40,13 +44,20 @@ CLAIM = (
 BASELINE_RETRIES = 6
 """The reference ``ConstantQuietRule`` horizon (the repo's E12 convention)."""
 
+SUB = "sub-threshold 0.6·r_c"
+NEAR = "near-threshold 1.3·r_c"
+PAPER = "paper"
+CONSTANT = f"constant R={BASELINE_RETRIES}"
+DEGREE = "degree-aware (default)"
+DEGREE_HOPS_ONE = "degree hops=1"
+
 
 def _rules() -> "list[tuple[str, QuietRule]]":
     return [
-        ("paper", PaperQuietRule()),
-        (f"constant R={BASELINE_RETRIES}", ConstantQuietRule(retries=BASELINE_RETRIES)),
-        ("degree hops=1", DegreeAwareQuietRule(hops=1)),
-        ("degree-aware (default)", DegreeAwareQuietRule()),
+        (PAPER, PaperQuietRule()),
+        (CONSTANT, ConstantQuietRule(retries=BASELINE_RETRIES)),
+        (DEGREE_HOPS_ONE, DegreeAwareQuietRule(hops=1)),
+        (DEGREE, DegreeAwareQuietRule()),
     ]
 
 
@@ -70,7 +81,7 @@ def _trial(seed: int, n: int, engine: str, radius: float, quiet_rule: QuietRule)
 def run(settings: ExperimentSettings) -> ExperimentResult:
     n = settings.n
     r_c = gilbert_connectivity_radius(n)
-    scenarios = [("sub-threshold 0.6·r_c", 0.6), ("near-threshold 1.3·r_c", 1.3)]
+    scenarios = [(SUB, 0.6), (NEAR, 1.3)]
     rules = _rules()
 
     result = ExperimentResult(
@@ -122,18 +133,11 @@ def run(settings: ExperimentSettings) -> ExperimentResult:
                 slots=summary["slots"].mean,
             )
 
-    sub, near = scenarios[0][0], scenarios[1][0]
-    constant_label = f"constant R={BASELINE_RETRIES}"
-    degree_label = "degree-aware (default)"
-    result.summaries["sub_cost_degree_vs_constant"] = (
-        cost[(sub, degree_label)] / cost[(sub, constant_label)]
-    )
-    result.summaries["sub_cost_paper_vs_degree"] = (
-        cost[(sub, "paper")] / cost[(sub, degree_label)]
-    )
-    result.summaries["near_dvr_paper"] = dvr[(near, "paper")]
-    result.summaries["near_dvr_constant"] = dvr[(near, constant_label)]
-    result.summaries["near_dvr_degree"] = dvr[(near, degree_label)]
+    result.summaries["sub_cost_degree_vs_constant"] = cost[(SUB, DEGREE)] / cost[(SUB, CONSTANT)]
+    result.summaries["sub_cost_paper_vs_degree"] = cost[(SUB, PAPER)] / cost[(SUB, DEGREE)]
+    result.summaries["near_dvr_paper"] = dvr[(NEAR, PAPER)]
+    result.summaries["near_dvr_constant"] = dvr[(NEAR, CONSTANT)]
+    result.summaries["near_dvr_degree"] = dvr[(NEAR, DEGREE)]
 
     result.add_note(
         "Both misfire directions, one table: the paper rule pays the sub-threshold blowup "
@@ -160,3 +164,73 @@ def run(settings: ExperimentSettings) -> ExperimentResult:
         "the other."
     )
     return result
+
+
+# Every check below reads rows pooled over a panel of paired seeds.  At one
+# seed a single node stranded or spared by chance moves delivery-vs-reachable
+# by about 0.01, so a one-seed comparison of two rules that both sit near 1
+# is a coin flip.
+PANEL_SEEDS = 12
+"""Experiment seeds ``settings.seed + i`` pooled by every check."""
+
+
+def pool(panel: Sequence[ExperimentResult], column: str) -> Dict[Tuple[str, str], float]:
+    """Panel mean of one column per ``(scenario, rule)`` row."""
+
+    values: Dict[Tuple[str, str], List[float]] = {}
+    for result in panel:
+        for row in result.rows:
+            values.setdefault((row["scenario"], row["rule"]), []).append(row[column])
+    return {key: float(np.mean(column_values)) for key, column_values in values.items()}
+
+
+def delivery_gate(dvr: Dict[Tuple[str, str], float], rule: str) -> List[str]:
+    """Why ``rule``'s pooled delivery rows fail the gate (empty when it passes).
+
+    Near the threshold the rule must not trail the uniform cap by more than
+    0.01, nor the paper rule by more than 0.03; below it, the reachable nodes
+    of Alice's own small components must still be served (≥ 0.99).
+    """
+
+    failures = []
+    if dvr[(NEAR, rule)] < dvr[(NEAR, CONSTANT)] - 0.01:
+        failures.append(
+            f"near: {dvr[(NEAR, rule)]:.4f} < constant {dvr[(NEAR, CONSTANT)]:.4f} - 0.01"
+        )
+    if dvr[(NEAR, rule)] < dvr[(NEAR, PAPER)] - 0.03:
+        failures.append(f"near: {dvr[(NEAR, rule)]:.4f} < paper {dvr[(NEAR, PAPER)]:.4f} - 0.03")
+    if dvr[(SUB, rule)] < 0.99:
+        failures.append(f"sub: {dvr[(SUB, rule)]:.4f} < 0.99")
+    return failures
+
+
+def _cost(panel: Sequence[ExperimentResult]) -> Dict[Tuple[str, str], float]:
+    return pool(panel, "mean_node_cost")
+
+
+def _dvr(panel: Sequence[ExperimentResult]) -> Dict[Tuple[str, str], float]:
+    return pool(panel, "delivery_vs_reachable")
+
+
+CHECKS: Dict[str, Claim] = {
+    # Direction 2 (sub-threshold blowup): no retry cap configured, yet the
+    # degree-aware default lands within 2x of the constant-R reference and
+    # multiples below the paper rule.
+    "sub_cost_degree_within_2x_constant": lambda panel: _cost(panel)[(SUB, DEGREE)]
+    <= 2.0 * _cost(panel)[(SUB, CONSTANT)],
+    "sub_cost_paper_4x_degree": lambda panel: _cost(panel)[(SUB, PAPER)]
+    >= 4.0 * _cost(panel)[(SUB, DEGREE)],
+    # Direction 1 (near-threshold early give-up): delivery-vs-reachable stays
+    # high under the degree-aware rule, level with the uniform cap and within
+    # a hair of the paper rule.  Pipelined relay rounds closed most of the
+    # constant rule's old near-threshold deficit (delivery now needs far
+    # fewer request phases, so a uniform budget rarely binds before the
+    # frontier arrives), which is why the degree-vs-constant gate is a small
+    # tolerance rather than a margin.
+    "near_dvr_degree": lambda panel: _dvr(panel)[(NEAR, DEGREE)] >= 0.85,
+    "degree_delivery_gate": lambda panel: delivery_gate(_dvr(panel), DEGREE) == [],
+    # The gate still catches the misfire it was written for: the plain-degree
+    # budget strands giant-component fringe nodes near the threshold.
+    "hops_one_fails_delivery_gate": lambda panel: delivery_gate(_dvr(panel), DEGREE_HOPS_ONE)
+    != [],
+}

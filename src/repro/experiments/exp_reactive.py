@@ -13,14 +13,16 @@ have any effect.
 
 from __future__ import annotations
 
+from typing import Dict, List, Sequence
+
 from ..analysis.bounds import reactive_f_threshold
 from ..analysis.stats import aggregate_records
 from ..core.api import run_broadcast
-from .harness import ExperimentResult, ExperimentSettings
+from .harness import Claim, ExperimentResult, ExperimentSettings
 from .runner import TrialSpec, run_sweep
 from .workloads import reactive_adversary
 
-__all__ = ["run", "EXPERIMENT_ID", "TITLE", "CLAIM"]
+__all__ = ["run", "EXPERIMENT_ID", "TITLE", "CLAIM", "CHECKS"]
 
 EXPERIMENT_ID = "E7"
 TITLE = "Reactive jamming vs the decoy-traffic variant"
@@ -112,3 +114,29 @@ def run(settings: ExperimentSettings) -> ExperimentResult:
         "gives Carol enough aggregate budget to outlast the decoy traffic."
     )
     return result
+
+
+def _rows(panel: Sequence[ExperimentResult], prefix: str) -> List[dict]:
+    return [row for row in panel[0].rows if row["scenario"].startswith(prefix)]
+
+
+CHECKS: Dict[str, Claim] = {
+    # Without decoys the reactive jammer suppresses delivery whenever her
+    # budget suffices (the f = 1/24 row; at this profile the f = 1/48 budget
+    # is too small to outlast Alice, which is itself on-message).
+    "plain_suppressed": lambda panel: any(
+        row["delivery_fraction"] < 0.5 for row in _rows(panel, "plain")
+    ),
+    # With decoys delivery recovers and Carol pays a multiple of Alice's cost,
+    # whereas against the plain protocol she pays less than Alice does.
+    "decoy_delivers": lambda panel: all(
+        row["delivery_fraction"] >= 0.9 for row in _rows(panel, "decoy + reactive")
+    ),
+    "decoy_carol_outspends_alice": lambda panel: all(
+        row["carol_over_alice"] > 1.0 for row in _rows(panel, "decoy + reactive")
+    ),
+    "decoy_raises_carol_cost": lambda panel: max(
+        row["carol_over_alice"] for row in _rows(panel, "plain")
+    )
+    < min(row["carol_over_alice"] for row in _rows(panel, "decoy + reactive")),
+}

@@ -13,16 +13,16 @@ cost/latency inflation factors, which should be ≈ constant for ``ν = 2n`` and
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Dict, Optional
 
 from ..analysis.stats import aggregate_records
 from ..core.api import run_broadcast
 from ..simulation.config import SimulationConfig
-from .harness import ExperimentResult, ExperimentSettings
+from .harness import Claim, ExperimentResult, ExperimentSettings
 from .runner import TrialSpec, run_sweep
 from .workloads import blocking_adversary
 
-__all__ = ["run", "EXPERIMENT_ID", "TITLE", "CLAIM"]
+__all__ = ["run", "EXPERIMENT_ID", "TITLE", "CLAIM", "CHECKS"]
 
 EXPERIMENT_ID = "E8"
 TITLE = "Unknown n: polynomial overestimates cost only a logarithmic factor"
@@ -132,3 +132,15 @@ def run(settings: ExperimentSettings) -> ExperimentResult:
         "probability is within a factor two of the true 1/n."
     )
     return result
+
+
+CHECKS: Dict[str, Claim] = {
+    # Delivery is preserved under every estimate.
+    "delivery_every_estimate": lambda panel: all(
+        row["delivery_fraction"] >= 0.99 for row in panel[0].rows
+    ),
+    # The measured latency inflation tracks the predicted O(lg ν) factor.
+    "latency_inflation_tracks_lg_nu": lambda panel: all(
+        row["latency_inflation"] <= 2.0 * row["predicted_factor"] + 0.5 for row in panel[0].rows
+    ),
+}

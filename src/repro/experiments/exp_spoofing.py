@@ -13,15 +13,17 @@ extra rounds bought per unit of Carol's spend.
 
 from __future__ import annotations
 
+from typing import Dict
+
 from ..analysis.fitting import fit_power_law_with_offset
 from ..analysis.stats import aggregate_records
 from ..core.api import run_broadcast
 from ..simulation.config import SimulationConfig
-from .harness import ExperimentResult, ExperimentSettings
+from .harness import Claim, ExperimentResult, ExperimentSettings
 from .runner import TrialSpec, run_sweep
 from .workloads import spoofing_adversary
 
-__all__ = ["run", "EXPERIMENT_ID", "TITLE", "CLAIM"]
+__all__ = ["run", "EXPERIMENT_ID", "TITLE", "CLAIM", "CHECKS"]
 
 EXPERIMENT_ID = "E10"
 TITLE = "Request-phase spoofing: the price of delaying termination"
@@ -104,3 +106,21 @@ def run(settings: ExperimentSettings) -> ExperimentResult:
         "miss the message, because silence cannot be forged and m itself is authenticated."
     )
     return result
+
+
+CHECKS: Dict[str, Claim] = {
+    # Spoofing can delay termination but never prevents delivery.
+    "delivery_every_spend": lambda panel: all(
+        row["delivery_fraction"] >= 0.99 for row in panel[0].rows
+    ),
+    # Alice's cost grows only sublinearly in the spoofer's spend; a sweep that
+    # loses the fit fails rather than passes.
+    "alice_exponent_vs_spoof_spend": lambda panel: "alice_exponent_vs_spoof_spend"
+    in panel[0].summaries
+    and panel[0].summaries["alice_exponent_vs_spoof_spend"] < 0.8,
+    # Delay (in rounds) grows with spend.
+    "delay_grows_with_spend": lambda panel: [
+        row["alice_terminated_round"] for row in panel[0].rows
+    ]
+    == sorted(row["alice_terminated_round"] for row in panel[0].rows),
+}

@@ -20,11 +20,12 @@ sub-grid so the registry stays cheap.
 from __future__ import annotations
 
 import math
+from typing import Dict
 
 from ..tournament import run_tournament, tournament_cells
-from .harness import ExperimentResult, ExperimentSettings
+from .harness import Claim, ExperimentResult, ExperimentSettings
 
-__all__ = ["run", "EXPERIMENT_ID", "TITLE", "CLAIM", "quick_grid"]
+__all__ = ["run", "EXPERIMENT_ID", "TITLE", "CLAIM", "CHECKS", "quick_grid"]
 
 EXPERIMENT_ID = "E14"
 TITLE = "Adversary-protocol tournament: fitted competitiveness exponents per cell"
@@ -139,3 +140,8 @@ def run(settings: ExperimentSettings) -> ExperimentResult:
         "representative single-hop and near-threshold columns."
     )
     return result
+
+
+# The acceptance checks of this experiment need their own runs, beyond the
+# registry profile; they live in ``benchmarks/bench_tournament.py``.
+CHECKS: Dict[str, Claim] = {}

@@ -5,7 +5,10 @@ Every experiment in :mod:`repro.experiments` produces an
 sweep point) plus free-form notes comparing the measurement against the
 paper's claim.  :class:`ExperimentSettings` centralises the knobs that every
 experiment shares — network size, number of repeated trials, base seed, and a
-``quick`` flag used by the pytest-benchmark harness to keep runtimes sensible.
+``quick`` flag that shrinks sweeps to keep runtimes sensible.
+:data:`DOCS_PROFILE` is the one profile EXPERIMENTS.md is generated (and its
+claims checked) at, and a :data:`Claim` is one named check of an experiment's
+claim over the results of its seed panel.
 """
 
 from __future__ import annotations
@@ -19,7 +22,14 @@ from ..simulation.errors import ConfigurationError
 from ..simulation.rng import derive_seed
 from .faults import DEFAULT_FAULT_POLICY, FaultInjector, FaultPolicy
 
-__all__ = ["ExperimentSettings", "ExperimentResult", "run_trials", "VALID_ENGINES"]
+__all__ = [
+    "Claim",
+    "DOCS_PROFILE",
+    "ExperimentSettings",
+    "ExperimentResult",
+    "run_trials",
+    "VALID_ENGINES",
+]
 
 VALID_ENGINES = ("fast", "slot")
 """Engine names the experiments accept (see ``repro.core.broadcast``)."""
@@ -278,6 +288,22 @@ class ExperimentResult:
                         index.setdefault(key, []).append(float(value))
             self._numeric_index = (len(self.rows), index)
         return list(self._numeric_index[1].get(column, ()))
+
+
+DOCS_PROFILE = ExperimentSettings(n=256, trials=2, seed=2012, quick=True)
+"""The profile EXPERIMENTS.md is generated at and every experiment's claims are checked at.
+
+``jobs`` and ``cache_dir`` stay unset (resolved from ``REPRO_JOBS`` /
+``REPRO_CACHE_DIR``): they never change a table, only how fast it is made.
+"""
+
+Claim = Callable[[Sequence[ExperimentResult]], bool]
+"""One named check of an experiment's claim.
+
+It receives the results of the experiment's seed panel — the run at the
+profile's own seed first, then ``seed + 1``, ``seed + 2``, … — and returns
+whether the claim holds.
+"""
 
 
 def run_trials(

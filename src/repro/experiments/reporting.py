@@ -1,7 +1,7 @@
 """Plain-text rendering of experiment results.
 
 The paper has no numeric tables of its own (it is a theory paper), so the
-benchmark harness prints its regenerated claims in a consistent tabular format
+experiment harness prints its regenerated claims in a consistent tabular format
 that EXPERIMENTS.md mirrors: one table per experiment id, a "claim" line
 quoting what the paper predicts, and notes interpreting the measured shape.
 """

@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""Assert the trial store is warm for the current benchmark profile.
+"""Assert the trial store is warm for the EXPERIMENTS.md profile.
 
-CI runs the experiment benchmark smoke cold (filling ``REPRO_CACHE_DIR``),
-then runs this script: it re-executes the given experiments with the **same**
-settings source the smoke used (``benchmarks/conftest.bench_settings``, so
-the two steps cannot drift apart) and fails unless every trial was served
-from the content-addressed store — zero recomputation, checked through the
-runner's execution counters.  A cache-key regression (settings drift, label
+CI regenerates EXPERIMENTS.md cold (filling ``REPRO_CACHE_DIR``), then runs
+this script: it re-executes the given experiments at the **same** profile the
+generator used (``repro.experiments.DOCS_PROFILE``, so the two steps cannot
+drift apart) and fails unless every trial was served from the
+content-addressed store — zero recomputation, checked through the runner's
+execution counters.  A cache-key regression (settings drift, label
 or params change, broken key derivation) therefore fails this step loudly
 instead of silently recomputing behind a green check.
 
@@ -18,21 +18,15 @@ Usage::
 from __future__ import annotations
 
 import sys
-from pathlib import Path
 
-# The benchmark profile lives in benchmarks/conftest.py; import it from there
-# rather than duplicating the settings (duplication is exactly the drift this
-# script exists to catch).
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
-from conftest import bench_settings  # noqa: E402
-
-from repro.experiments.registry import run_experiment  # noqa: E402
-from repro.experiments.runner import track_stats  # noqa: E402
+from repro.experiments import DOCS_PROFILE
+from repro.experiments.registry import run_experiment
+from repro.experiments.runner import track_stats
 
 
 def main() -> int:
     experiment_ids = sys.argv[1:] or ["E2", "E11"]
-    settings = bench_settings()
+    settings = DOCS_PROFILE
     if settings.resolved_cache_dir is None:
         print("FAIL: no trial cache configured (set REPRO_CACHE_DIR)")
         return 1
@@ -49,7 +43,7 @@ def main() -> int:
     if delta.executed:
         print(
             f"FAIL: {delta.executed} trial(s) were recomputed — the store the "
-            "cold smoke filled did not serve them (cache-key drift?)"
+            "cold regeneration filled did not serve them (cache-key drift?)"
         )
         return 1
     if delta.cache_hits == 0:

@@ -11,12 +11,16 @@ The commentary blocks below interpret each experiment's measured shape against
 the paper's claim; the tables themselves are regenerated from the current code
 on every invocation so the document never drifts from the implementation.
 
+The defaults are :data:`repro.experiments.DOCS_PROFILE`, the profile the
+tier-1 claim tests check the committed document against.  The document holds
+nothing else that varies between runs, so ``cmp`` against the committed file
+is a complete check.
+
 ``--jobs`` fans the trials of each experiment across worker processes and
 ``--cache-dir`` re-uses a content-addressed trial store, so regeneration after
 a docs-only change costs seconds instead of minutes; both leave the tables
-bit-identical to a serial cold run.  The generation-profile footer records the
-per-experiment wall-clock and cache-hit counts of the run that produced the
-document, keeping the perf trajectory visible in-repo.
+bit-identical to a serial cold run.  Per-experiment wall-clock and cache-hit
+counts, and the total wall-clock, go to stderr.
 
 ``--prune-cache`` evicts old/excess trial-store entries after generation
 (LRU by mtime — cache hits refresh an entry's mtime), so a long-lived store
@@ -29,10 +33,9 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from datetime import date
+from dataclasses import replace
 
-
-from repro.experiments import ExperimentSettings, render_result, render_table
+from repro.experiments import DOCS_PROFILE, render_result
 from repro.experiments.faults import quarantine_note
 from repro.experiments.registry import experiment_ids, run_experiment
 from repro.experiments.runner import track_stats
@@ -195,9 +198,10 @@ regenerates one of its quantitative claims on the simulated network substrate
 described in DESIGN.md.  Absolute numbers are not comparable to the paper
 (there is nothing to compare against — the paper proves asymptotic bounds);
 the reproduced quantities are the *shapes*: exponents, orderings, thresholds,
-and crossovers.  Every table below is regenerated by
-`pytest benchmarks/ --benchmark-only` (one benchmark per experiment) or by
-rerunning `python tools/generate_experiments_md.py`.
+and crossovers.  Every table below is regenerated by rerunning
+`python tools/generate_experiments_md.py`; the tier-1 tests
+(`tests/test_paper_claims.py`) check each table against this file and each
+experiment's named claims at the same profile.
 
 Known, deliberate deviations at laptop scale (all discussed in DESIGN.md):
 
@@ -212,8 +216,8 @@ Known, deliberate deviations at laptop scale (all discussed in DESIGN.md):
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n", type=int, default=256)
-    parser.add_argument("--trials", type=int, default=2)
+    parser.add_argument("--n", type=int, default=DOCS_PROFILE.n)
+    parser.add_argument("--trials", type=int, default=DOCS_PROFILE.trials)
     parser.add_argument("--full", action="store_true")
     parser.add_argument("--output", default="EXPERIMENTS.md")
     parser.add_argument(
@@ -254,17 +258,17 @@ def main() -> None:
     )
     args = parser.parse_args()
 
-    settings = ExperimentSettings(
+    settings = replace(
+        DOCS_PROFILE,
         n=args.n,
         trials=args.trials,
         quick=not args.full,
-        seed=2012,
         jobs=args.jobs,
         cache_dir=args.cache_dir,
     )
 
     results = []
-    profile_rows = []
+    total_seconds = 0.0
     fault_notes = []
     all_ids = experiment_ids()
     try:
@@ -284,17 +288,7 @@ def main() -> None:
             note = quarantine_note(trace.events)
             if note is not None:
                 fault_notes.append((eid, note))
-            trials_total = stats.executed + stats.cache_hits
-            profile_rows.append(
-                {
-                    "experiment": eid,
-                    "seconds": elapsed,
-                    "trials_executed": stats.executed,
-                    "cache_hits": stats.cache_hits,
-                    "trials_per_sec": trials_total / elapsed if elapsed > 0 else 0.0,
-                    "hit_rate": stats.cache_hits / trials_total if trials_total else 0.0,
-                }
-            )
+            total_seconds += elapsed
             print(
                 f"{eid}: {elapsed:.2f}s ({stats.executed} trials executed, "
                 f"{stats.cache_hits} cache hits)",
@@ -304,7 +298,7 @@ def main() -> None:
         # run_sweep has already torn its pool down and flushed every finished
         # trial to the cache; report where generation stopped and exit with
         # the conventional SIGINT status instead of a traceback.
-        done = [str(row["experiment"]) for row in profile_rows]
+        done = [result.experiment_id for result in results]
         print(
             f"generation interrupted: {len(done)}/{len(all_ids)} experiments "
             f"complete ({', '.join(done) if done else 'none'}); finished trials "
@@ -312,11 +306,16 @@ def main() -> None:
             file=sys.stderr,
         )
         sys.exit(130)
+    print(
+        f"total: {total_seconds:.2f}s (jobs = {settings.resolved_jobs}, "
+        f"trial cache = {settings.resolved_cache_dir or 'disabled'})",
+        file=sys.stderr,
+    )
 
     lines = [PREAMBLE]
     lines.append(
         f"Profile used for the tables below: n = {settings.n}, trials = {settings.trials}, "
-        f"quick = {settings.quick}, generated on {date.today().isoformat()}.\n"
+        f"seed = {settings.seed}, quick = {settings.quick}.\n"
     )
     for result in results:
         lines.append(f"## {result.experiment_id} — {result.title}\n")
@@ -326,36 +325,6 @@ def main() -> None:
         lines.append("```text")
         lines.append(render_result(result))
         lines.append("```\n")
-
-    # Generation profile: the perf trajectory of the harness itself, kept
-    # in-repo so a regression in experiment wall-clock shows up in the diff.
-    cache_state = settings.resolved_cache_dir or "disabled"
-    total_seconds = sum(row["seconds"] for row in profile_rows)
-    lines.append("## Generation profile\n")
-    lines.append(
-        f"Runner: jobs = {settings.resolved_jobs}, trial cache = {cache_state}; "
-        f"total wall-clock {total_seconds:.2f}s.  `trials_executed` counts trials "
-        "actually computed by this run; `cache_hits` counts trials served from the "
-        "content-addressed store (a fully warm regeneration executes zero).  "
-        "`trials_per_sec` is the experiment's completed work units (computed + "
-        "served) per second of its wall-clock; `hit_rate` is the served "
-        "fraction.\n"
-    )
-    lines.append("```text")
-    lines.append(
-        render_table(
-            [
-                "experiment",
-                "seconds",
-                "trials_executed",
-                "cache_hits",
-                "trials_per_sec",
-                "hit_rate",
-            ],
-            profile_rows,
-        )
-    )
-    lines.append("```\n")
 
     # Quarantined trials (lenient fault policy) are surfaced explicitly rather
     # than silently thinning the aggregates; with no failures this section is

@@ -1,21 +1,22 @@
 #!/usr/bin/env bash
-# Tier-1 verification: the full unit/property/integration suite, the
-# repro-lint determinism gate (plus mypy when installed), a quick-mode
-# benchmark smoke over a representative experiment subset, the mobile-jammer
-# benchmark smoke, and the docs code-snippet smoke (README / docs quickstarts
-# must stay runnable).
+# Tier-1 verification: the full unit/property/integration suite (which also
+# checks every experiment's named claims and tables at the EXPERIMENTS.md
+# profile), the repro-lint determinism gate (plus mypy when installed), the
+# generated documents (EXPERIMENTS.md and LEADERBOARD.md must regenerate
+# byte-identical), the benchmark smokes with their own acceptance gates, and
+# the docs code-snippet smoke (README / docs quickstarts must stay runnable).
 #
 # Usage:
-#   tools/run_checks.sh            # tests + benchmark smoke + docs snippets
+#   tools/run_checks.sh            # tests + generated docs + benchmark smokes + docs snippets
 #   tools/run_checks.sh --no-bench # tests + docs snippets (fast pre-commit check)
 #
 # Every step runs even if an earlier one fails; the script exits non-zero if
 # ANY step failed, and lists the failures at the end — so CI cannot "pass"
 # on the strength of the first step alone.
 #
-# Environment knobs (forwarded to benchmarks/conftest.py):
-#   REPRO_BENCH_N       network size for the smoke benchmarks (default 96 here)
-#   REPRO_BENCH_TRIALS  trials per sweep point (default 1 here)
+# REPRO_JOBS / REPRO_CACHE_DIR, when set, reach every step but the test
+# suite: the EXPERIMENTS.md regeneration then fills the trial cache that
+# tools/assert_warm_cache.py re-runs warm in CI.
 
 set -uo pipefail
 cd "$(dirname "$0")/.."
@@ -39,8 +40,8 @@ run_step() {
 
 # The test suite must behave identically everywhere, so the runner's env
 # knobs (REPRO_JOBS / REPRO_CACHE_DIR / REPRO_TRIAL_* — which CI sets for the
-# benchmark smokes below) are stripped here: tests choose jobs/cache/fault
-# policy explicitly.
+# document regeneration and benchmark smokes below) are stripped here: tests
+# choose jobs/cache/fault policy explicitly.
 run_step "tier-1 test suite" env -u REPRO_JOBS -u REPRO_CACHE_DIR \
     -u REPRO_TRIAL_TIMEOUT_S -u REPRO_TRIAL_RETRIES -u REPRO_STRICT_FAULTS \
     python -m pytest -x -q
@@ -61,12 +62,25 @@ else
     echo "-- mypy: SKIPPED (mypy not installed; CI runs it in the lint job)"
 fi
 
+# A generated document must regenerate byte-identical from the committed code:
+# `regenerates_identically DOC GENERATOR...` writes to a temp file, then cmp.
+regenerates_identically() {
+    local doc="$1"
+    shift
+    local tmp status
+    tmp="$(mktemp)"
+    "$@" --output "$tmp" && cmp "$tmp" "$doc"
+    status=$?
+    rm -f "$tmp"
+    return "$status"
+}
+
 if [[ "${1:-}" != "--no-bench" ]]; then
-    REPRO_BENCH_N="${REPRO_BENCH_N:-96}" REPRO_BENCH_TRIALS="${REPRO_BENCH_TRIALS:-1}" \
-        run_step "quick-mode benchmark smoke (E2 delivery + E11 multihop + E13 quiet rule)" \
-        python -m pytest benchmarks/bench_delivery.py benchmarks/bench_multihop.py \
-        benchmarks/bench_quiet_rule.py \
-        --benchmark-only --benchmark-disable-gc -q
+    run_step "EXPERIMENTS.md regenerates byte-identical" \
+        regenerates_identically EXPERIMENTS.md python tools/generate_experiments_md.py
+
+    run_step "LEADERBOARD.md regenerates byte-identical (--jobs 2)" \
+        regenerates_identically LEADERBOARD.md python tools/generate_leaderboard_md.py --jobs 2
 
     run_step "mobile-jammer benchmark smoke" python benchmarks/bench_mobile_jammer.py --smoke
 
@@ -76,8 +90,7 @@ if [[ "${1:-}" != "--no-bench" ]]; then
     run_step "million-device pipelined benchmark smoke" \
         python benchmarks/bench_million_device.py --smoke
 
-    REPRO_BENCH_N="${REPRO_BENCH_N:-96}" REPRO_BENCH_TRIALS="${REPRO_BENCH_TRIALS:-1}" \
-        run_step "tournament benchmark smoke (E14 grid + parallel identity + worst-case search)" \
+    run_step "tournament benchmark smoke (E14 grid + parallel identity + worst-case search)" \
         python benchmarks/bench_tournament.py --smoke --jobs 2
 
     run_step "trace-overhead benchmark smoke (null-recorder neutrality)" \
