@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
+import numpy as np
+
 from ..simulation.channel import JamTargeting
 from ..simulation.errors import ConfigurationError
 from ..simulation.phaseplan import JamPlan, PhaseContext
@@ -80,13 +82,8 @@ class BurstyJammer(Adversary):
     def burst_slots(self, num_slots: int) -> Tuple[int, ...]:
         """The explicit slot offsets jammed within a phase of ``num_slots``."""
 
-        slots = []
-        start = self.offset
-        while start < num_slots:
-            for slot in range(start, min(start + self.burst_length, num_slots)):
-                slots.append(slot)
-            start += self.period
-        return tuple(slots)
+        slots = np.arange(self.offset, num_slots, dtype=np.int64)
+        return tuple(slots[(slots - self.offset) % self.period < self.burst_length].tolist())
 
     def _plan(self, context: PhaseContext, allowance: float) -> JamPlan:
         return JamPlan(

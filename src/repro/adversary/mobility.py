@@ -565,12 +565,10 @@ class ReactiveDiskJammer(_PerPhaseDiskJammer):
         network = self._require_bound()
         topology = network.topology
         if self._positions is not None:
-            active = np.fromiter(
-                (node for node in context.roles.active_uninformed if node >= 0),
-                dtype=np.int64,
-            )
+            # Sorted, non-negative node ids, which are topology rows
+            # (Alice-last convention).
+            active = context.roles.active_uninformed_ids
             if active.size:
-                # Node ids are topology rows (Alice-last convention).
-                positions = self._positions[np.sort(active)]
+                positions = self._positions[active]
                 self._center = self._step_towards(self._densest_cluster(positions))
         return topology.nodes_in_disk(self._center, self.radius)

@@ -145,7 +145,7 @@ class EpochBaseline(abc.ABC):
         round_index: int,
         slot: int,
     ) -> None:
-        if result.newly_informed:
+        if result.newly_informed.size:
             state.mark_informed(result.newly_informed, slot=slot)
             # Baseline receivers stop as soon as they hold the message.
             state.terminate_informed(result.newly_informed, round_index)

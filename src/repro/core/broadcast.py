@@ -261,7 +261,7 @@ class EpsilonBroadcast:
     ) -> None:
         """Apply protocol state transitions implied by a phase result."""
 
-        if result.newly_informed:
+        if result.newly_informed.size:
             state.mark_informed(result.newly_informed, slot=slot)
 
         if plan.kind is PhaseKind.PROPAGATION:
@@ -453,7 +453,7 @@ class MultiHopBroadcast(EpsilonBroadcast):
             super()._apply_result(plan, roles, result, state, round_index, slot)
             return
 
-        if result.newly_informed:
+        if result.newly_informed.size:
             state.mark_informed(result.newly_informed, slot=slot)
 
         if plan.kind is PhaseKind.REQUEST:

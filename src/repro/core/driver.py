@@ -155,7 +155,7 @@ class PhaseDriver:
             start_slot=start_slot,
             jammed_slots=result.jammed_slots,
             adversary_spend=result.adversary_spend,
-            newly_informed=len(result.newly_informed),
+            newly_informed=int(result.newly_informed.size),
             alice_cost=network.alice_cost - alice_before,
             nodes_cost=float(network.node_costs().sum()) - nodes_before,
             active_uninformed_after=state.active_uninformed_count(),
@@ -188,7 +188,7 @@ class PhaseDriver:
                         "alice_cost": record.alice_cost,
                         "nodes_cost": record.nodes_cost,
                         "alice_noisy_heard": result.alice_noisy_heard,
-                        "request_noisy_total": float(sum(result.node_noisy_heard.values())),
+                        "request_noisy_total": float(result.node_noisy_heard.sum()),
                     },
                 )
             )

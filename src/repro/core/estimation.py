@@ -146,7 +146,7 @@ class SizeEstimateBroadcast(EpsilonBroadcast):
         """
 
         if plan.kind is PhaseKind.PROPAGATION and not self._is_final_sweep(plan):
-            if result.newly_informed:
+            if result.newly_informed.size:
                 state.mark_informed(result.newly_informed, slot=slot)
             return
         super()._apply_result(plan, roles, result, state, round_index, slot)

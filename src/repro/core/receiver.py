@@ -27,6 +27,9 @@ boost ``e^{decoy_rate}`` — and expose the rate as ``decoy_rate`` (default
 from __future__ import annotations
 
 import math
+from typing import overload
+
+import numpy as np
 
 from ..simulation.phaseplan import clip_probability
 from .params import ProtocolParameters
@@ -175,9 +178,8 @@ class ReceiverPolicy:
         """The first round in which a node's termination test may fire.
 
         Memoised: the value is a pure function of the (immutable) policy
-        parameters, and :meth:`should_terminate` consults it once per active
-        node per request phase — recomputing the round scan n times per phase
-        dominated large-n request phases before the cache.
+        parameters, and :meth:`should_terminate` consults it every request
+        phase.
         """
 
         cached = getattr(self, "_earliest_termination_round", None)
@@ -189,12 +191,25 @@ class ReceiverPolicy:
             self._earliest_termination_round = cached
         return cached
 
-    def should_terminate(self, noisy_slots_heard: int, round_index: int) -> bool:
-        """The uninformed node's termination test at the end of a request phase."""
+    @overload
+    def should_terminate(self, noisy_slots_heard: int, round_index: int) -> bool: ...
 
-        if round_index < self.earliest_termination_round():
-            return False
-        return noisy_slots_heard <= self.termination_threshold()
+    @overload
+    def should_terminate(self, noisy_slots_heard: np.ndarray, round_index: int) -> np.ndarray: ...
+
+    def should_terminate(
+        self, noisy_slots_heard: int | np.ndarray, round_index: int
+    ) -> bool | np.ndarray:
+        """The uninformed node's termination test at the end of a request phase.
+
+        Takes one node's noisy-slot count and returns a bool, or an array of
+        counts (a whole cohort) and returns the boolean mask of nodes that
+        terminate.
+        """
+
+        quiet = np.asarray(noisy_slots_heard) <= self.termination_threshold()
+        quiet &= round_index >= self.earliest_termination_round()
+        return quiet if quiet.ndim else bool(quiet)
 
     # ------------------------------------------------------------------ #
     # §4.1 decoy traffic                                                   #

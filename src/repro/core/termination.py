@@ -16,9 +16,11 @@ testable in isolation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Set
+
+import numpy as np
 
 from ..simulation.phaseplan import PhaseResult
+from ..simulation.setops import isin_sorted
 from .alice import AlicePolicy
 from .receiver import ReceiverPolicy
 from .state import ProtocolState
@@ -31,7 +33,7 @@ class RequestPhaseDecision:
     """The outcome of applying the termination rules after a request phase."""
 
     round_index: int
-    terminated_nodes: FrozenSet[int]
+    terminated_nodes: np.ndarray
     alice_terminated: bool
     alice_noisy_heard: int
     threshold: float
@@ -40,7 +42,7 @@ class RequestPhaseDecision:
 
     @property
     def any_terminated(self) -> bool:
-        return self.alice_terminated or bool(self.terminated_nodes)
+        return self.alice_terminated or self.terminated_nodes.size > 0
 
 
 def apply_request_phase(
@@ -67,18 +69,18 @@ def apply_request_phase(
     """
 
     threshold = receiver_policy.termination_threshold()
-    terminating: Set[int] = set()
+    terminating = np.empty(0, dtype=np.int64)
     nodes_evaluated = 0
     if node_channel_test:
-        # Served from the cached active-id array; the frozenset accessors are
-        # off the hot path (quiet-rule runs skip this branch entirely).
+        # Served from the cached active-id array (quiet-rule runs skip this
+        # branch entirely).  An active node the phase did not report as a
+        # listener heard nothing.
         active = state.active_uninformed_array()
         nodes_evaluated = int(active.size)
-        for node_id in active.tolist():
-            heard = result.node_noisy_heard.get(node_id, 0)
-            if receiver_policy.should_terminate(heard, round_index):
-                terminating.add(node_id)
-    if terminating:
+        if active.size:
+            heard = _heard_by(result, active)
+            terminating = active[receiver_policy.should_terminate(heard, round_index)]
+    if terminating.size:
         state.terminate_uninformed(terminating, round_index)
 
     alice_terminates = False
@@ -89,9 +91,19 @@ def apply_request_phase(
 
     return RequestPhaseDecision(
         round_index=round_index,
-        terminated_nodes=frozenset(terminating),
+        terminated_nodes=terminating,
         alice_terminated=alice_terminates,
         alice_noisy_heard=result.alice_noisy_heard,
         threshold=threshold,
         nodes_evaluated=nodes_evaluated,
     )
+
+
+def _heard_by(result: PhaseResult, node_ids: np.ndarray) -> np.ndarray:
+    """Noisy slots each of the sorted ``node_ids`` heard (0 if not a listener)."""
+
+    listeners = result.noisy_listeners
+    heard = np.zeros(node_ids.size, dtype=np.int64)
+    found = isin_sorted(node_ids, listeners)
+    heard[found] = result.node_noisy_heard[np.searchsorted(listeners, node_ids[found])]
+    return heard

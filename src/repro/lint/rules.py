@@ -29,6 +29,7 @@ __all__ = [
     "TunableContractRule",
     "FrozenMutationRule",
     "NoPrintRule",
+    "HashUniqueRule",
 ]
 
 
@@ -575,4 +576,39 @@ class NoPrintRule(LintRule):
                     "print() writes to stdout; route diagnostics to stderr "
                     "(file=sys.stderr) or an observability renderer",
                 )
+        self.generic_visit(node)
+
+
+@register_rule
+class HashUniqueRule(LintRule):
+    """R9: no hash-path ``np.unique`` and no ``np.isin``; use ``setops``."""
+
+    rule_id = "R9"
+    title = "hash-path np.unique / np.isin (use repro.simulation.setops)"
+    rationale = (
+        "numpy 2.4 answers np.unique() without a return_* flag from a hash "
+        "table, 15-60x slower than sort-then-mask for 10^3 or more ints "
+        "(numpy 2.4.6: 1k 803 us vs 17 us, 10k 1.7 ms vs 96 us, 100k 25 ms vs "
+        "1.0 ms, 1M 889 ms vs 14 ms), and np.isin runs that path on its second "
+        "argument.  It was the largest single cost of the multi-hop engine.  "
+        "Use unique_sorted / isin_sorted from repro.simulation.setops, the "
+        "one module exempt from this rule."
+    )
+
+    def visit_Call(self, node: ast.Call) -> None:
+        name = _call_name(self, node)
+        if name == "numpy.isin":
+            self.report(
+                node,
+                "np.isin() uniques its second argument on numpy's hash path; "
+                "use setops.isin_sorted(values, setops.unique_sorted(members))",
+            )
+        elif name == "numpy.unique" and not any(
+            (keyword.arg or "").startswith("return_") for keyword in node.keywords
+        ):
+            self.report(
+                node,
+                "np.unique() without a return_* flag takes numpy's hash path; "
+                "use setops.unique_sorted()",
+            )
         self.generic_visit(node)

@@ -194,11 +194,11 @@ def engine_event(path: str, result: object, **extra: Scalar) -> TraceEvent:
         "jammed_slots": int(result.jammed_slots),  # type: ignore[attr-defined]
         "busy_slots": int(result.busy_slots),  # type: ignore[attr-defined]
         "delivery_slots": int(result.delivery_slots),  # type: ignore[attr-defined]
-        "newly_informed": len(result.newly_informed),  # type: ignore[attr-defined]
+        "newly_informed": int(result.newly_informed.size),  # type: ignore[attr-defined]
         "spoofed_transmissions": int(result.spoofed_transmissions),  # type: ignore[attr-defined]
         "adversary_spend": float(result.adversary_spend),  # type: ignore[attr-defined]
         "alice_noisy_heard": int(result.alice_noisy_heard),  # type: ignore[attr-defined]
-        "request_noisy_total": float(sum(result.node_noisy_heard.values())),  # type: ignore[attr-defined]
+        "request_noisy_total": float(result.node_noisy_heard.sum()),  # type: ignore[attr-defined]
     }
     data.update(extra)
     return TraceEvent(

@@ -80,7 +80,10 @@ class SlotEngine:
         s = plan.num_slots
         if s == 0:
             result = PhaseResult(
-                plan=plan, newly_informed=frozenset(), jammed_slots=0, adversary_spend=0.0
+                plan=plan,
+                newly_informed=np.empty(0, dtype=np.int64),
+                jammed_slots=0,
+                adversary_spend=0.0,
             )
             if self.recorder.enabled:
                 self.recorder.record(engine_event("empty", result))
@@ -118,9 +121,9 @@ class SlotEngine:
         reactive_jams_remaining = jam_plan.num_jam_slots if reactive else 0
 
         newly_informed: Set[int] = set()
-        # Sorted so the mapping's insertion order (observable through
-        # PhaseResult.node_noisy_heard and any trace that serialises it) is a
-        # function of the cohort's *contents*, not the set's hash layout.
+        # Keyed in sorted cohort order, so the one conversion to the result's
+        # aligned (noisy_listeners, node_noisy_heard) arrays at the end of the
+        # phase needs no sort.
         node_noisy: Dict[int, int] = {u: 0 for u in sorted(active_uninformed)}
         alice_noisy = 0
         alice_send_slots = 0
@@ -282,11 +285,14 @@ class SlotEngine:
 
         result = PhaseResult(
             plan=plan,
-            newly_informed=frozenset(newly_informed),
+            newly_informed=np.array(sorted(newly_informed), dtype=np.int64),
             jammed_slots=jammed_slots,
             adversary_spend=adversary_spend,
             alice_noisy_heard=alice_noisy,
-            node_noisy_heard=node_noisy,
+            noisy_listeners=np.fromiter(node_noisy.keys(), dtype=np.int64, count=len(node_noisy)),
+            node_noisy_heard=np.fromiter(
+                node_noisy.values(), dtype=np.int64, count=len(node_noisy)
+            ),
             delivery_slots=delivery_slots,
             busy_slots=busy_slots,
             alice_send_slots=alice_send_slots,

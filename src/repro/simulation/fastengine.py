@@ -26,6 +26,14 @@ slots + jams − jams on active slots).  Apart from a nonzero count per array,
 the O(s) work left in a phase is the random draws themselves; the multi-hop
 path builds its own s-length masks from the same offsets.
 
+Results are arrays: ``newly_informed`` is a sorted ``int64`` id array, and a
+request phase reports its cohort's noisy-slot counts as the ``int64``
+``node_noisy_heard`` array aligned with the sorted ``noisy_listeners`` ids
+(both empty in other phases).  Set operations on ids and on event keys
+(``device·s + slot``) go through :mod:`repro.simulation.setops`, which sorts:
+numpy's ``np.unique`` without a ``return_*`` flag, and ``np.isin`` on its
+second argument, take a hash path that is 15–60× slower (lint rule R9).
+
 Two deliberate, documented approximations (both validated against
 :class:`~repro.simulation.engine.SlotEngine` by integration tests):
 
@@ -78,7 +86,7 @@ against the slot engine in ``tests/test_sparse_topology.py``):
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Set
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -88,9 +96,15 @@ from .energy import EnergyOperation
 from .jamming import materialize_jam_slots, materialize_spoof_slots
 from .network import Network
 from .phaseplan import JamPlan, PhaseKind, PhasePlan, PhaseResult, PhaseRoles
+from .setops import isin_sorted, unique_sorted
 from ..observability.trace import NULL_RECORDER, TraceRecorder, engine_event
 
 __all__ = ["PhaseEngine"]
+
+# Shared "nobody" id array for results with no newly informed or noisy
+# listeners; read-only, so no result can alias a mutation into another.
+_NO_IDS = np.empty(0, dtype=np.int64)
+_NO_IDS.setflags(write=False)
 
 
 def _sample_bernoulli_events(
@@ -118,10 +132,10 @@ def _sample_bernoulli_events(
     m = int(rng.binomial(cells, p))
     if m == 0:
         return empty, empty
-    flat = np.unique(rng.integers(0, cells, size=m, dtype=np.int64))
+    flat = unique_sorted(rng.integers(0, cells, size=m, dtype=np.int64))
     while flat.size < m:
         extra = rng.integers(0, cells, size=m - flat.size, dtype=np.int64)
-        flat = np.unique(np.concatenate([flat, extra]))
+        flat = unique_sorted(np.concatenate([flat, extra]))
     return flat // s, flat % s
 
 
@@ -191,7 +205,7 @@ class PhaseEngine:
         s = plan.num_slots
         if s == 0:
             result = PhaseResult(
-                plan=plan, newly_informed=frozenset(), jammed_slots=0, adversary_spend=0.0
+                plan=plan, newly_informed=_NO_IDS, jammed_slots=0, adversary_spend=0.0
             )
             if self.recorder.enabled:
                 self.recorder.record(engine_event("empty", result))
@@ -260,7 +274,7 @@ class PhaseEngine:
         jam_affects_listeners = jam_plan.targeting.mode is not JamMode.NONE
         victim = self._victim_mask(uninformed, jam_plan)
 
-        newly_informed: Set[int] = set()
+        newly_informed = _NO_IDS
         informed_mask: np.ndarray | None = None
         good_per_node: np.ndarray | None = None
         if plan.carries_payload and uninformed.size:
@@ -269,7 +283,7 @@ class PhaseEngine:
                 good_per_node = np.where(victim, good_when_victim, good_unjammed)
                 p_informed = 1.0 - np.power(1.0 - p_listen, good_per_node)
                 informed_mask = rng.random(uninformed.size) < p_informed
-                newly_informed = set(int(x) for x in uninformed[informed_mask])
+                newly_informed = uninformed[informed_mask]
 
         delivery_slots = good_when_victim if jam_affects_listeners else good_unjammed
 
@@ -292,7 +306,7 @@ class PhaseEngine:
             if alice_listen_slots:
                 network.alice.ledger.charge_bulk(EnergyOperation.LISTEN, float(alice_listen_slots))
 
-        node_noisy: Dict[int, int] = {}
+        noisy_listeners = node_noisy = _NO_IDS
         jam_victims = 0
         if uninformed.size:
             jam_victims = int(victim.sum())
@@ -324,9 +338,7 @@ class PhaseEngine:
             network.node_ledgers.charge_bulk_many(EnergyOperation.LISTEN, uninformed, listen_cost)
             network.node_ledgers.charge_bulk_many(EnergyOperation.SEND, uninformed, nack_cost)
             if plan.kind is PhaseKind.REQUEST:
-                node_noisy = {
-                    int(node_id): int(heard[idx]) for idx, node_id in enumerate(uninformed)
-                }
+                noisy_listeners, node_noisy = uninformed, heard
 
         if relays.size and plan.relay_send_prob > 0:
             relay_cost = rng.binomial(s, plan.relay_send_prob, size=relays.size)
@@ -338,10 +350,11 @@ class PhaseEngine:
 
         result = PhaseResult(
             plan=plan,
-            newly_informed=frozenset(newly_informed),
+            newly_informed=newly_informed,
             jammed_slots=jammed_slots,
             adversary_spend=adversary_spend,
             alice_noisy_heard=alice_noisy,
+            noisy_listeners=noisy_listeners,
             node_noisy_heard=node_noisy,
             delivery_slots=delivery_slots,
             busy_slots=busy_slots,
@@ -409,12 +422,14 @@ class PhaseEngine:
         nack_idx, nack_slots = _sample_bernoulli_events(rng, num_u, s, plan.nack_send_prob)
         decoy_idx, decoy_slots = _sample_bernoulli_events(rng, num_d, s, plan.decoy_send_prob)
 
+        # Event keys ``device·s + slot`` come out strictly increasing: the
+        # cohorts are sorted and events are grouped by row, slots ascending.
         nack_keys = uninformed[nack_idx] * s + nack_slots
         if decoy_idx.size and nack_keys.size:
             # Half-duplex, mirroring the slot engine: a decoy sender that
             # chose a nack in the same slot keeps the nack.
             decoy_device_keys = decoys[decoy_idx] * s + decoy_slots
-            keep = ~np.isin(decoy_device_keys, nack_keys)
+            keep = ~isin_sorted(decoy_device_keys, nack_keys)
             decoy_idx, decoy_slots = decoy_idx[keep], decoy_slots[keep]
 
         # Slots in which each *listener* transmits (it cannot listen there).
@@ -426,7 +441,7 @@ class PhaseEngine:
             active_decoy = decoy_lpos >= 0
             own_parts.append(decoy_lpos[active_decoy] * s + decoy_slots[active_decoy])
         own_keys = (
-            np.unique(np.concatenate(own_parts)) if own_parts else np.empty(0, dtype=np.int64)
+            unique_sorted(np.concatenate(own_parts)) if own_parts else np.empty(0, dtype=np.int64)
         )
 
         # ------------------------------------------------------------------ #
@@ -492,7 +507,7 @@ class PhaseEngine:
         # ------------------------------------------------------------------ #
         # 4. Delivery (payload phases)                                       #
         # ------------------------------------------------------------------ #
-        newly_informed: Set[int] = set()
+        newly_informed = _NO_IDS
         delivery_slots = 0
         informed_at = np.full(num_u, -1, dtype=np.int64)
         clean_keys = np.empty(0, dtype=np.int64)
@@ -501,9 +516,9 @@ class PhaseEngine:
             cand, payload_count = np.unique(payload_keys, return_counts=True)
             clean = payload_count == 1
             if noise_keys.size:
-                clean &= ~np.isin(cand, noise_keys)
+                clean &= ~isin_sorted(cand, unique_sorted(noise_keys))
             if own_keys.size:
-                clean &= ~np.isin(cand, own_keys)
+                clean &= ~isin_sorted(cand, own_keys)
             cand_pos = cand // s
             cand_slot = cand % s
             clean &= ~spoof_busy[cand_slot]
@@ -519,8 +534,8 @@ class PhaseEngine:
                 first_pos, first_index = np.unique(heard_pos, return_index=True)
                 first_slot = heard_slot[first_index]
                 informed_at[first_pos] = first_slot
-                newly_informed = set(int(x) for x in uninformed[first_pos])
-                delivery_slots = int(np.unique(first_slot).size)
+                newly_informed = uninformed[first_pos]
+                delivery_slots = int(unique_sorted(first_slot).size)
 
         informed_mask = informed_at >= 0
         # Inclusive active window per listener: a node informed in slot t
@@ -530,7 +545,7 @@ class PhaseEngine:
         # ------------------------------------------------------------------ #
         # 5. Listener costs and request-phase noise counts                   #
         # ------------------------------------------------------------------ #
-        node_noisy: Dict[int, int] = {}
+        noisy_listeners = node_noisy = _NO_IDS
         if num_u:
             nack_cost = np.zeros(num_u, dtype=np.int64)
             if nack_idx.size:
@@ -569,9 +584,9 @@ class PhaseEngine:
                 # Count of globally-noisy slots in [0, cutoff], per listener.
                 n_noisy = np.where(victim, victim_cum[cutoff], spared_cum[cutoff])
 
-                audible_keys = np.unique(np.concatenate([noise_keys, payload_keys]))
+                audible_keys = unique_sorted(np.concatenate([noise_keys, payload_keys]))
                 if clean_keys.size:
-                    audible_keys = audible_keys[~np.isin(audible_keys, clean_keys)]
+                    audible_keys = audible_keys[~isin_sorted(audible_keys, clean_keys)]
                 if audible_keys.size:
                     a_pos = audible_keys // s
                     a_slot = audible_keys % s
@@ -593,12 +608,10 @@ class PhaseEngine:
                         victim[own_pos], global_noisy_victim[own_slot], spoof_busy[own_slot]
                     )
                     if audible_keys.size:
-                        own_noisy |= np.isin(own_in, audible_keys)
+                        own_noisy |= isin_sorted(own_in, audible_keys)
                     n_noisy = n_noisy - np.bincount(own_pos[own_noisy], minlength=num_u)
-                heard_noisy = rng.binomial(np.maximum(n_noisy, 0), p_listen)
-                node_noisy = {
-                    int(uninformed[i]): int(heard_noisy[i]) for i in range(num_u)
-                }
+                noisy_listeners = uninformed
+                node_noisy = rng.binomial(np.maximum(n_noisy, 0), p_listen)
 
             network.node_ledgers.charge_bulk_many(EnergyOperation.LISTEN, uninformed, listen_cost)
             network.node_ledgers.charge_bulk_many(EnergyOperation.SEND, uninformed, nack_cost)
@@ -641,10 +654,11 @@ class PhaseEngine:
 
         result = PhaseResult(
             plan=plan,
-            newly_informed=frozenset(newly_informed),
+            newly_informed=newly_informed,
             jammed_slots=jammed_slots,
             adversary_spend=adversary_spend,
             alice_noisy_heard=alice_noisy,
+            noisy_listeners=noisy_listeners,
             node_noisy_heard=node_noisy,
             delivery_slots=delivery_slots,
             busy_slots=busy_slots,

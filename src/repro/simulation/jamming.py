@@ -21,6 +21,7 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 from .phaseplan import JamPlan
+from .setops import unique_sorted
 
 __all__ = ["materialize_jam_slots", "materialize_spoof_slots"]
 
@@ -51,7 +52,7 @@ def materialize_jam_slots(
         return np.empty(0, dtype=np.int64)
 
     if plan.slot_indices is not None:
-        indices = np.unique(np.asarray(plan.slot_indices, dtype=np.int64))
+        indices = unique_sorted(np.asarray(plan.slot_indices, dtype=np.int64))
         return indices[(indices >= 0) & (indices < num_slots)]
 
     if plan.reactive:

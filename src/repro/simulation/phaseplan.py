@@ -19,13 +19,14 @@ expressed by the plan's ``reactive`` flag and are honoured by both engines.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Protocol, Sequence, Tuple, runtime_checkable
+from dataclasses import dataclass, field, fields
+from typing import FrozenSet, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 import numpy as np
 
 from .channel import JamTargeting
 from .config import SimulationConfig
+from .setops import unique_sorted
 
 __all__ = [
     "PhaseKind",
@@ -140,10 +141,10 @@ def _as_sorted_ids(ids: "Sequence[int] | FrozenSet[int] | np.ndarray") -> np.nda
     if isinstance(ids, np.ndarray) and ids.dtype == np.int64:
         if ids.size <= 1 or bool(np.all(np.diff(ids) > 0)):
             return ids
-        return np.unique(ids)
+        return unique_sorted(ids)
     arr = np.asarray(sorted(ids), dtype=np.int64)
     if arr.size > 1 and not bool(np.all(np.diff(arr) > 0)):
-        arr = np.unique(arr)
+        arr = unique_sorted(arr)
     return arr
 
 
@@ -274,10 +275,6 @@ class PhaseContext:
     config: SimulationConfig
     adversary_remaining_budget: float = float("inf")
 
-    @property
-    def num_active_uninformed(self) -> int:
-        return len(self.roles.active_uninformed)
-
 
 @dataclass(frozen=True)
 class JamPlan:
@@ -322,26 +319,48 @@ class JamPlan:
         )
 
 
-@dataclass(frozen=True)
+def _no_ids() -> np.ndarray:
+    return np.empty(0, dtype=np.int64)
+
+
+@dataclass(frozen=True, eq=False)
 class PhaseResult:
     """What happened during one executed phase.
 
     The engines charge energy ledgers directly; the result carries the
     protocol-visible consequences (who got informed, what the request-phase
     listeners heard) plus channel-level statistics for reporting.
+
+    ``newly_informed`` is a sorted ``int64`` id array.  ``node_noisy_heard``
+    is an ``int64`` count array aligned with the sorted ``noisy_listeners``
+    ids: entry ``i`` is how many noisy slots listener ``noisy_listeners[i]``
+    heard, so a result stands on its own without the phase's roles.
     """
 
     plan: PhasePlan
-    newly_informed: FrozenSet[int]
+    newly_informed: np.ndarray
     jammed_slots: int
     adversary_spend: float
     alice_noisy_heard: int = 0
-    node_noisy_heard: Dict[int, int] = field(default_factory=dict)
+    noisy_listeners: np.ndarray = field(default_factory=_no_ids)
+    node_noisy_heard: np.ndarray = field(default_factory=_no_ids)
     delivery_slots: int = 0
     busy_slots: int = 0
     alice_send_slots: int = 0
     alice_listen_slots: int = 0
     spoofed_transmissions: int = 0
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PhaseResult):
+            return NotImplemented
+        for item in fields(self):
+            mine, theirs = getattr(self, item.name), getattr(other, item.name)
+            if isinstance(mine, np.ndarray):
+                if not np.array_equal(mine, theirs):
+                    return False
+            elif mine != theirs:
+                return False
+        return True
 
     @property
     def jammed_fraction(self) -> float:

@@ -1,0 +1,41 @@
+"""Sort-based set operations on integer id and key arrays.
+
+numpy's ``np.unique`` without a ``return_*`` flag takes a hash-table path
+that is 15–60× slower than sorting for 10³ or more integers, and
+``np.isin`` calls it on its second argument.  The engine, topology and
+request-phase hot paths therefore do their set work here, on sorted arrays
+only.  Both helpers return exactly what the numpy calls they replace return
+for integer input, dtype included.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+__all__ = ["unique_sorted", "isin_sorted"]
+
+
+def unique_sorted(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct entries of ``values`` (flattened), as ``np.unique``."""
+
+    ordered = np.sort(np.asarray(values), axis=None)
+    if ordered.size <= 1:
+        return ordered
+    keep = np.empty(ordered.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
+def isin_sorted(values: np.ndarray, sorted_unique: np.ndarray) -> np.ndarray:
+    """Boolean mask, shaped like ``values``: is each entry in ``sorted_unique``?
+
+    ``sorted_unique`` must be strictly increasing (e.g. a :func:`unique_sorted`
+    result); membership is one ``searchsorted`` per entry.
+    """
+
+    values = np.asarray(values)
+    if sorted_unique.size == 0:
+        return np.zeros(values.shape, dtype=bool)
+    pos = np.minimum(np.searchsorted(sorted_unique, values), sorted_unique.size - 1)
+    return sorted_unique[pos] == values

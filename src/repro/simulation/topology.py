@@ -64,6 +64,7 @@ import numpy as np
 
 from .auth import ALICE_ID
 from .errors import ConfigurationError
+from .setops import unique_sorted
 
 __all__ = [
     "Topology",
@@ -209,7 +210,7 @@ def _directed_edges_to_csr(us: np.ndarray, vs: np.ndarray, num_rows: int) -> Nei
 
     m = np.int64(num_rows)
     keys = np.concatenate([us * m + vs, vs * m + us])
-    keys = np.unique(keys)
+    keys = unique_sorted(keys)
     rows = keys // m
     cols = keys % m
     counts = np.bincount(rows, minlength=num_rows)
@@ -356,7 +357,7 @@ def _scale_free_edges_grid(
     us: List[np.ndarray] = []
     vs: List[np.ndarray] = []
 
-    for k in np.unique(bands[grid_devices]):
+    for k in unique_sorted(bands[grid_devices]):
         group = np.flatnonzero(grid_devices & (bands == k))
         gx = grid.coords[group, 0]
         gy = grid.coords[group, 1]
@@ -625,12 +626,12 @@ class Topology(abc.ABC):
         csr = self.neighbor_csr()
         _, nbrs = csr.expand(source_rows.astype(np.int64, copy=False))
         nbrs = nbrs[nbrs < self.n]
-        frontier = np.unique(nbrs[passable[nbrs]])
+        frontier = unique_sorted(nbrs[passable[nbrs]])
         reached[frontier] = True
         while frontier.size:
             _, nbrs = csr.expand(frontier)
             nbrs = nbrs[nbrs < self.n]
-            nbrs = np.unique(nbrs)
+            nbrs = unique_sorted(nbrs)
             new = nbrs[passable[nbrs] & ~reached[nbrs]]
             reached[new] = True
             frontier = new
@@ -758,7 +759,7 @@ class Topology(abc.ABC):
                 break
             within[frontier] = True
             _, nbrs = csr.expand(frontier)
-            frontier = np.unique(nbrs[nbrs < self.n])
+            frontier = unique_sorted(nbrs[nbrs < self.n])
         return within
 
     def _compute_neighborhood_sizes(self, hops: int, cap: Optional[int] = None) -> np.ndarray:
@@ -817,7 +818,7 @@ class Topology(abc.ABC):
         while frontier.size:
             _, nbrs = csr.expand(frontier)
             nbrs = nbrs[nbrs < self.n]
-            nbrs = np.unique(nbrs)
+            nbrs = unique_sorted(nbrs)
             new = nbrs[~seen[nbrs]]
             seen[new] = True
             members.append(new)

@@ -129,12 +129,12 @@ def phase_record(network: Network, result) -> Dict[str, float]:
     """The standard scalar record extracted after one phase execution."""
 
     return {
-        "informed": float(len(result.newly_informed)),
+        "informed": float(result.newly_informed.size),
         "alice_cost": float(network.alice_cost),
         "node_total": float(network.node_costs().sum()),
         "adversary": float(network.adversary_cost),
         "alice_noisy": float(result.alice_noisy_heard),
-        "node_noisy_total": float(sum(result.node_noisy_heard.values())),
+        "node_noisy_total": float(result.node_noisy_heard.sum()),
         "delivery_slots": float(result.delivery_slots),
         "busy_slots": float(result.busy_slots),
         "jammed_slots": float(result.jammed_slots),

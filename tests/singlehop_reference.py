@@ -120,7 +120,8 @@ def run_phase(
     s = plan.num_slots
     if s == 0:
         result = PhaseResult(
-            plan=plan, newly_informed=frozenset(), jammed_slots=0, adversary_spend=0.0
+            plan=plan, newly_informed=np.empty(0, dtype=np.int64), jammed_slots=0,
+            adversary_spend=0.0,
         )
         if self.recorder.enabled:
             self.recorder.record(engine_event("empty", result))
@@ -267,11 +268,12 @@ def run_phase(
 
     result = PhaseResult(
         plan=plan,
-        newly_informed=frozenset(newly_informed),
+        newly_informed=np.array(sorted(newly_informed), dtype=np.int64),
         jammed_slots=jammed_slots,
         adversary_spend=adversary_spend,
         alice_noisy_heard=alice_noisy,
-        node_noisy_heard=node_noisy,
+        noisy_listeners=np.array(list(node_noisy), dtype=np.int64),
+        node_noisy_heard=np.array(list(node_noisy.values()), dtype=np.int64),
         delivery_slots=delivery_slots,
         busy_slots=busy_slots,
         alice_send_slots=alice_send_slots,

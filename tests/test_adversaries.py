@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.adversary import (
@@ -55,7 +56,7 @@ def make_context(kind=PhaseKind.INFORM, num_slots=256, round_index=5, remaining=
 def fake_result(context, spend):
     return PhaseResult(
         plan=context.plan,
-        newly_informed=frozenset(),
+        newly_informed=np.empty(0, dtype=np.int64),
         jammed_slots=int(spend),
         adversary_spend=float(spend),
     )
@@ -127,6 +128,27 @@ class TestBurstyJammer:
     def test_plan_uses_explicit_slots(self):
         plan = BurstyJammer(burst_length=2, period=8).plan_phase(make_context(num_slots=16))
         assert plan.slot_indices == (0, 1, 8, 9)
+
+    @staticmethod
+    def loop_burst_slots(burst_length, period, offset, num_slots):
+        """The per-slot loop ``burst_slots`` replaced, as the oracle."""
+
+        slots = []
+        start = offset
+        while start < num_slots:
+            for slot in range(start, min(start + burst_length, num_slots)):
+                slots.append(slot)
+            start += period
+        return tuple(slots)
+
+    @pytest.mark.parametrize("burst_length,period", [(1, 1), (1, 4), (3, 3), (3, 7), (5, 16)])
+    @pytest.mark.parametrize("offset", [0, 1, 6, 40])
+    @pytest.mark.parametrize("num_slots", [0, 1, 6, 7, 40, 41, 257])
+    def test_burst_slots_match_loop(self, burst_length, period, offset, num_slots):
+        jammer = BurstyJammer(burst_length=burst_length, period=period, offset=offset)
+        slots = jammer.burst_slots(num_slots)
+        assert slots == self.loop_burst_slots(burst_length, period, offset, num_slots)
+        assert all(type(slot) is int for slot in slots)
 
 
 class TestPhaseBlocker:

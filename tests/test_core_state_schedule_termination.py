@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core import ProtocolParameters, ScheduleBuilder
@@ -141,13 +142,15 @@ class TestRequestPhaseTermination:
         plan = PhasePlan(
             name="request", kind=PhaseKind.REQUEST, round_index=round_index, num_slots=1024
         )
+        listeners = sorted(node_noise)
         return PhaseResult(
             plan=plan,
-            newly_informed=frozenset(),
+            newly_informed=np.empty(0, dtype=np.int64),
             jammed_slots=0,
             adversary_spend=0.0,
             alice_noisy_heard=alice_noise,
-            node_noisy_heard=node_noise,
+            noisy_listeners=np.array(listeners, dtype=np.int64),
+            node_noisy_heard=np.array([node_noise[i] for i in listeners], dtype=np.int64),
         )
 
     def test_quiet_phase_terminates_everyone(self):
@@ -160,7 +163,7 @@ class TestRequestPhaseTermination:
         result = self.make_result(n, {i: 0 for i in range(n)}, 0, round_index)
         decision = apply_request_phase(state, result, alice_policy, receiver_policy, round_index)
         assert decision.alice_terminated
-        assert len(decision.terminated_nodes) == n
+        assert decision.terminated_nodes.size == n
         assert state.alice_terminated
 
     def test_noisy_phase_keeps_everyone_running(self):
@@ -172,7 +175,7 @@ class TestRequestPhaseTermination:
         result = self.make_result(n, noisy, 10_000, round_index)
         decision = apply_request_phase(state, result, alice_policy, receiver_policy, round_index)
         assert not decision.alice_terminated
-        assert decision.terminated_nodes == frozenset()
+        assert decision.terminated_nodes.size == 0
 
     def test_termination_blocked_before_earliest_round(self):
         n = 256
@@ -190,7 +193,7 @@ class TestRequestPhaseTermination:
         noise = {i: (0 if i < 10 else 10_000) for i in range(n)}
         result = self.make_result(n, noise, 10_000, round_index)
         decision = apply_request_phase(state, result, alice_policy, receiver_policy, round_index)
-        assert decision.terminated_nodes == frozenset(range(10))
+        assert decision.terminated_nodes.tolist() == list(range(10))
         assert state.terminated_uninformed_count() == 10
 
     def test_informed_nodes_are_not_evaluated(self):
@@ -203,3 +206,92 @@ class TestRequestPhaseTermination:
         decision = apply_request_phase(state, result, alice_policy, receiver_policy, round_index)
         assert decision.nodes_evaluated == 32
         assert all(node >= 32 for node in decision.terminated_nodes)
+
+
+class TestVectorisedTerminationRule:
+    """``apply_request_phase`` applies the scalar rule to a whole cohort at once.
+
+    The per-node reference is the rule as a node states it: terminate iff
+    ``round_index >= earliest_termination_round()`` and ``heard <=
+    termination_threshold()``, with ``heard`` 0 for an active node the phase
+    did not report as a listener.
+    """
+
+    N = 300
+
+    def run(self, round_offset, seed):
+        params = ProtocolParameters(k=2)
+        alice_policy, receiver_policy = AlicePolicy(params, self.N), ReceiverPolicy(params, self.N)
+        rng = np.random.default_rng(seed)
+        state = ProtocolState(self.N)
+        state.mark_informed(rng.choice(self.N, size=40, replace=False), slot=1)
+        state.terminate_uninformed(
+            [i for i in rng.choice(self.N, size=40, replace=False).tolist()
+             if state.status(i) is NodeStatus.UNINFORMED],
+            round_index=0,
+        )
+        active = state.active_uninformed_array().copy()
+        # Listeners: a random subset of the active cohort plus ids that are
+        # no longer active; the rest of the cohort is missing from the result.
+        listeners = np.union1d(
+            rng.choice(active, size=active.size * 2 // 3, replace=False),
+            rng.choice(self.N, size=30, replace=False),
+        )
+        threshold = receiver_policy.termination_threshold()
+        heard = rng.integers(0, int(2 * threshold) + 2, size=listeners.size)
+        round_index = receiver_policy.earliest_termination_round() + round_offset
+        plan = PhasePlan(
+            name="request", kind=PhaseKind.REQUEST, round_index=round_index, num_slots=1024
+        )
+        result = PhaseResult(
+            plan=plan,
+            newly_informed=np.empty(0, dtype=np.int64),
+            jammed_slots=0,
+            adversary_spend=0.0,
+            alice_noisy_heard=10_000,
+            noisy_listeners=listeners,
+            node_noisy_heard=heard,
+        )
+        by_node = dict(zip(listeners.tolist(), heard.tolist()))
+        expected = [
+            node for node in active.tolist()
+            if round_index >= receiver_policy.earliest_termination_round()
+            and by_node.get(node, 0) <= threshold
+        ]
+        decision = apply_request_phase(state, result, alice_policy, receiver_policy, round_index)
+        return active, listeners, expected, decision, state
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_scalar_rule(self, seed):
+        active, listeners, expected, decision, state = self.run(0, seed)
+        missing = np.setdiff1d(active, listeners)
+        assert missing.size > 0  # the cohort has nodes absent from the result
+        assert set(missing.tolist()) <= set(expected)  # absent means 0 heard
+        assert 0 < len(expected) < active.size
+        assert decision.terminated_nodes.dtype == np.int64
+        assert decision.terminated_nodes.tolist() == expected
+        assert decision.nodes_evaluated == active.size
+        assert state.terminated_uninformed_count() >= len(expected)
+        for node in expected:
+            assert state.status(node) is NodeStatus.TERMINATED_UNINFORMED
+
+    def test_round_before_earliest_terminates_nobody(self):
+        active, _, expected, decision, state = self.run(-1, 5)
+        assert expected == []
+        assert decision.terminated_nodes.size == 0
+        assert not decision.any_terminated
+        np.testing.assert_array_equal(state.active_uninformed_array(), active)
+
+    def test_scalar_and_array_calls_agree(self):
+        receiver = ReceiverPolicy(ProtocolParameters(k=2), self.N)
+        threshold = receiver.termination_threshold()
+        counts = np.arange(0, int(2 * threshold) + 2, dtype=np.int64)
+        for round_index in (
+            receiver.earliest_termination_round() - 1,
+            receiver.earliest_termination_round(),
+        ):
+            mask = receiver.should_terminate(counts, round_index)
+            assert mask.dtype == bool and mask.shape == counts.shape
+            scalar = [receiver.should_terminate(int(c), round_index) for c in counts]
+            assert all(isinstance(flag, bool) for flag in scalar)
+            assert mask.tolist() == scalar

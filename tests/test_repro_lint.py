@@ -2,7 +2,7 @@
 
 Coverage contract (see docs/architecture.md "Static analysis"):
 
-* one positive and one negative fixture per built-in rule R1–R8,
+* one positive and one negative fixture per built-in rule R1–R9,
 * suppression-comment handling with and without a reason,
 * the JSON report schema,
 * registry validation,
@@ -419,6 +419,41 @@ class TestR8NoPrint:
         assert rules_hit(violations) == set()
 
 
+class TestR9HashUnique:
+    def test_flags_flagless_unique_and_isin(self):
+        violations = lint(
+            """
+            import numpy as np
+            from numpy import unique
+
+            def dedupe(keys, members):
+                keys = np.unique(keys)
+                frontier = unique(members)
+                return keys[np.isin(keys, frontier)]
+            """
+        )
+        assert [v.rule for v in violations] == ["R9", "R9", "R9"]
+
+    def test_allows_sort_path_unique_and_setops(self):
+        violations = lint(
+            """
+            import numpy as np
+            from repro.simulation.setops import isin_sorted, unique_sorted
+
+            def dedupe(keys, members):
+                cand, counts = np.unique(keys, return_counts=True)
+                first, index = np.unique(members, return_index=True)
+                return cand[isin_sorted(cand, unique_sorted(members))], counts, first
+            """
+        )
+        assert rules_hit(violations) == set()
+
+    def test_setops_module_is_exempt_in_repo_config(self):
+        config = LintConfig.discover(REPO_ROOT / "src" / "repro")
+        assert config.is_exempt("R9", "src/repro/simulation/setops.py")
+        assert not config.is_exempt("R9", "src/repro/simulation/fastengine.py")
+
+
 # --------------------------------------------------------------------- #
 # Suppressions                                                           #
 # --------------------------------------------------------------------- #
@@ -516,7 +551,7 @@ class TestFramework:
     def test_catalogue_has_the_eight_rules(self):
         rules = registered_rules()
         assert list(rules) == sorted(rules)
-        assert set(rules) >= {"R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8"}
+        assert set(rules) >= {"R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9"}
         for cls in rules.values():
             assert cls.title
             assert cls.rationale

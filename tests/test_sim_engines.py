@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.simulation import (
@@ -71,7 +72,7 @@ class TestEngineBasics:
         engine = engine_factory(network)
         plan = inform_plan(num_slots=0)
         result = engine.run_phase(plan, PhaseRoles.of(range(network.n)), JamPlan.idle())
-        assert result.newly_informed == frozenset()
+        assert result.newly_informed.size == 0
         assert network.alice_cost == 0
 
     def test_unjammed_inform_phase_informs_everyone(self, engine_factory):
@@ -81,7 +82,7 @@ class TestEngineBasics:
         result = engine.run_phase(plan, PhaseRoles.of(range(network.n)), JamPlan.idle())
         # With ~150 solo transmissions and listen probability 0.8 every node
         # catches at least one copy with overwhelming probability.
-        assert len(result.newly_informed) == network.n
+        assert result.newly_informed.size == network.n
 
     def test_costs_are_charged(self, engine_factory):
         network = make_network()
@@ -99,7 +100,7 @@ class TestEngineBasics:
         plan = inform_plan(num_slots=300)
         jam = JamPlan(num_jam_slots=300, targeting=JamTargeting.everyone())
         result = engine.run_phase(plan, PhaseRoles.of(range(network.n)), jam)
-        assert result.newly_informed == frozenset()
+        assert result.newly_informed.size == 0
         assert result.jammed_slots == 300
         assert network.adversary_cost == 300
 
@@ -110,7 +111,7 @@ class TestEngineBasics:
         plan = inform_plan(num_slots=300, alice=0.5, listen=0.8)
         jam = JamPlan(num_jam_slots=300, targeting=JamTargeting.sparing(spared))
         result = engine.run_phase(plan, PhaseRoles.of(range(network.n)), jam)
-        assert result.newly_informed == spared
+        assert result.newly_informed.tolist() == sorted(spared)
 
     def test_alice_inactive_means_no_delivery(self, engine_factory):
         network = make_network()
@@ -118,7 +119,7 @@ class TestEngineBasics:
         plan = inform_plan(num_slots=200)
         roles = PhaseRoles.of(range(network.n), alice_active=False)
         result = engine.run_phase(plan, roles, JamPlan.idle())
-        assert result.newly_informed == frozenset()
+        assert result.newly_informed.size == 0
         assert network.alice_cost == 0
 
     def test_adversary_budget_caps_jamming(self, engine_factory):
@@ -139,8 +140,8 @@ class TestEngineBasics:
         uninformed = frozenset(range(8, network.n))
         plan = propagation_plan(num_slots=400, relay=0.2, listen=0.8)
         result = engine.run_phase(plan, PhaseRoles.of(uninformed, relays=relays), JamPlan.idle())
-        assert len(result.newly_informed) > len(uninformed) * 0.8
-        assert result.newly_informed <= uninformed
+        assert result.newly_informed.size > len(uninformed) * 0.8
+        assert set(result.newly_informed.tolist()) <= uninformed
 
     def test_request_phase_counts_noise_for_alice_and_nodes(self, engine_factory):
         network = make_network()
@@ -149,7 +150,7 @@ class TestEngineBasics:
         result = engine.run_phase(plan, PhaseRoles.of(range(network.n)), JamPlan.idle())
         assert result.alice_noisy_heard > 0
         assert result.alice_listen_slots >= result.alice_noisy_heard
-        assert sum(result.node_noisy_heard.values()) > 0
+        assert result.node_noisy_heard.sum() > 0
 
     def test_request_phase_silent_when_nobody_nacks(self, engine_factory):
         network = make_network()
@@ -174,7 +175,7 @@ class TestEngineBasics:
         plan = inform_plan(num_slots=300, alice=0.0, listen=1.0)
         jam = JamPlan(spoof_payload_slots=200, targeting=JamTargeting.none())
         result = engine.run_phase(plan, PhaseRoles.of(range(network.n)), jam)
-        assert result.newly_informed == frozenset()
+        assert result.newly_informed.size == 0
         assert result.spoofed_transmissions == 200
 
     def test_reactive_jamming_suppresses_delivery_cheaply(self, engine_factory):
@@ -183,7 +184,7 @@ class TestEngineBasics:
         plan = inform_plan(num_slots=300, alice=0.3, listen=0.8)
         jam = JamPlan(num_jam_slots=10_000, reactive=True, targeting=JamTargeting.everyone())
         result = engine.run_phase(plan, PhaseRoles.of(range(network.n)), jam)
-        assert result.newly_informed == frozenset()
+        assert result.newly_informed.size == 0
         # A reactive jammer only pays for slots that actually carried traffic.
         assert network.adversary_cost == result.jammed_slots
         assert result.jammed_slots < 300
@@ -207,7 +208,7 @@ class TestEngineBasics:
         # phase as informed nodes stop sending decoys in the slot engine), so
         # 60 reactive jams cannot cover Alice's ~90 transmissions and some
         # nodes still learn m.
-        assert len(result.newly_informed) > 0
+        assert result.newly_informed.size > 0
         assert result.busy_slots > 100
 
 
@@ -232,10 +233,10 @@ class TestResultBookkeeping:
 class TestDeterministicResultOrdering:
     """Pinned regression for the sorted ``node_noisy`` cohort iteration.
 
-    ``PhaseResult.node_noisy_heard`` is a dict whose insertion order leaks
-    into every trace or record that serialises it.  Before the fix the slot
-    engine seeded it from the raw uninformed *set*, so the order tracked
-    hash-table layout: ``{1, 8}`` iterates ``[8, 1]``.
+    ``PhaseResult.noisy_listeners`` orders the per-listener counts, and that
+    order leaks into every trace or record that serialises them.  The slot
+    engine once seeded its counts from the raw uninformed *set*, so the
+    order tracked hash-table layout: ``{1, 8}`` iterates ``[8, 1]``.
     """
 
     def test_node_noisy_heard_keys_follow_sorted_cohort(self, engine_factory):
@@ -246,4 +247,15 @@ class TestDeterministicResultOrdering:
         assert list(cohort) != sorted(cohort)
         plan = request_plan(num_slots=50)
         result = engine.run_phase(plan, PhaseRoles.of(cohort), JamPlan.idle())
-        assert list(result.node_noisy_heard) == sorted(cohort)
+        assert result.noisy_listeners.tolist() == sorted(cohort)
+
+    def test_result_arrays_are_aligned_int64(self, engine_factory):
+        network = make_network()
+        engine = engine_factory(network)
+        plan = request_plan(num_slots=200, nack=0.1, listen=0.5)
+        result = engine.run_phase(plan, PhaseRoles.of(range(5, 20)), JamPlan.idle())
+        assert result.noisy_listeners.tolist() == list(range(5, 20))
+        assert result.noisy_listeners.dtype == np.int64
+        assert result.node_noisy_heard.dtype == np.int64
+        assert result.node_noisy_heard.shape == result.noisy_listeners.shape
+        assert result.newly_informed.dtype == np.int64

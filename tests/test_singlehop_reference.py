@@ -6,7 +6,7 @@ offsets.  :mod:`singlehop_reference` keeps the earlier dense body, which
 zero-fills an array per absent source and materialises s-length jam and
 spoof arrays.  Both consume the same random draws in the same order, so on
 identically seeded networks they must agree on the :class:`PhaseResult`
-(including the insertion order of ``node_noisy_heard``), on every ledger,
+(including the order and dtype of its id and count arrays), on every ledger,
 and on the engine generator's state afterwards.
 """
 
@@ -72,7 +72,14 @@ def run_once(runner, plan, roles, jam_plan, seed, adversary_remaining):
     result = runner(engine, plan, roles, jam_plan)
     return {
         "result": result,
-        "node_noisy_order": list(result.node_noisy_heard.items()),
+        "node_noisy_order": list(
+            zip(result.noisy_listeners.tolist(), result.node_noisy_heard.tolist())
+        ),
+        "array_dtypes": [
+            result.newly_informed.dtype.str,
+            result.noisy_listeners.dtype.str,
+            result.node_noisy_heard.dtype.str,
+        ],
         "nodes": [network.node_ledgers.view(i).snapshot() for i in range(N)],
         "alice": network.alice.ledger.snapshot(),
         "adversary": network.adversary_ledger.snapshot(),
