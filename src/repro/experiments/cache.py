@@ -47,7 +47,7 @@ import numpy as np
 
 __all__ = ["CACHE_VERSION", "stable_token", "trial_key", "TrialCache", "PruneStats"]
 
-CACHE_VERSION = 4
+CACHE_VERSION = 5
 """Salt mixed into every trial key.
 
 Bump this whenever a change alters what any trial computes (engine semantics,

@@ -7,24 +7,25 @@ slot.  It exploits two structural facts about ε-Broadcast (and the baselines):
   with a fixed probability, and
 * the adversary commits to a per-phase :class:`~repro.simulation.phaseplan.JamPlan`.
 
-The engine therefore samples per-slot *aggregate* channel outcomes (how many
-transmissions, whether the slot was jammed, whether it delivered the message)
-and per-device *aggregate* costs (how many slots each device used) from the
-exact distributions the slot-faithful engine induces.  Per-node message
-reception is exact: conditioned on the sampled channel outcomes, node ``u``
-receives ``m`` with probability ``1 - (1 - p_listen)^{g_u}`` where ``g_u`` is
-the number of delivery slots not jammed for ``u``.
+The engine therefore samples *aggregate* channel outcomes (how many slots
+carried a lone authentic frame, were busy, were jammed) and per-device
+*aggregate* costs (how many slots each device used) from the exact
+distributions the slot-faithful engine induces.  Per-node message reception
+is exact: conditioned on the sampled channel outcomes, node ``u`` receives
+``m`` with probability ``1 - (1 - p_listen)^{g_u}`` where ``g_u`` is the
+number of delivery slots not jammed for ``u``.
 
-The single-hop path draws a per-slot array only for a sender class the phase
-actually has (Alice's sends, relay, nack, or decoy counts), and
-:meth:`PhaseEngine._materialize_adversary_actions` hands back the jammed and
-spoofed slots as sorted offsets rather than s-length masks.  Every channel
-count — busy slots, noisy slots for a jammed or a spared listener, clean
-deliveries with and without jamming — is an exact integer identity over
-those arrays and offsets (e.g. noisy-for-victim = active + spoofs on idle
-slots + jams − jams on active slots).  Apart from a nonzero count per array,
-the O(s) work left in a phase is the random draws themselves; the multi-hop
-path builds its own s-length masks from the same offsets.
+The single-hop path does no work proportional to the phase's slot count
+``s``.  Its slots are iid, so its channel is fully described by *how many*
+slots fall in each of five classes (:func:`slot_class_probabilities`): one
+multinomial draw.  Carol picks her slots independently of the correct side's
+coins, so her jams and spoofs are per-class draws from that histogram
+(:meth:`PhaseEngine._draw_adversary_counts`), and every channel count is an
+integer identity over the three count vectors (e.g. noisy-for-victim =
+active + spoofs on idle slots + jams on idle slots).  Alice is half-duplex:
+she listens only in slots she does not send in.  The multi-hop path needs
+*which* slots, so it materialises sorted offsets and s-length masks;
+:func:`charge_adversary_actions` is the budget rule both paths share.
 
 Results are arrays: ``newly_informed`` is a sorted ``int64`` id array, and a
 request phase reports its cohort's noisy-slot counts as the ``int64``
@@ -34,7 +35,7 @@ request phase reports its cohort's noisy-slot counts as the ``int64``
 numpy's ``np.unique`` without a ``return_*`` flag, and ``np.isin`` on its
 second argument, take a hash path that is 15–60× slower (lint rule R9).
 
-Two deliberate, documented approximations (both validated against
+Three deliberate, documented approximations (validated against
 :class:`~repro.simulation.engine.SlotEngine` by integration tests):
 
 * per-device cost draws are sampled marginally, so the joint correlation
@@ -43,7 +44,9 @@ Two deliberate, documented approximations (both validated against
 * a node that becomes informed stops listening at a *sampled* position within
   the phase (a truncated-geometric draw over its delivery opportunities,
   placed proportionally in the phase) rather than at the exact slot the slot
-  engine would have chosen.
+  engine would have chosen;
+* a listener's own nacks and decoys do not take slots from its listening,
+  and an informed listener keeps decoying (the slot engine mutes it).
 
 Spatial topologies
 ------------------
@@ -86,16 +89,14 @@ against the slot engine in ``tests/test_sparse_topology.py``):
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
 import numpy as np
 
 from .auth import ALICE_ID
 from .channel import JamMode
-from .energy import EnergyOperation
+from .energy import EnergyLedger, EnergyOperation
 from .jamming import materialize_jam_slots, materialize_spoof_slots
 from .network import Network
-from .phaseplan import JamPlan, PhaseKind, PhasePlan, PhaseResult, PhaseRoles
+from .phaseplan import JamPlan, PhaseKind, PhasePlan, PhaseResult, PhaseRoles, clip_probability
 from .setops import isin_sorted, unique_sorted
 from ..observability.trace import NULL_RECORDER, TraceRecorder, engine_event
 
@@ -139,38 +140,68 @@ def _sample_bernoulli_events(
     return flat // s, flat % s
 
 
-def _sum_counts(
-    a: Optional[np.ndarray], b: Optional[np.ndarray]
-) -> Optional[np.ndarray]:
-    """Per-slot sum of two optional transmission arrays (``None`` = no sender).
+# Single-hop slot classes: indices into slot_class_probabilities' result.
+IDLE, CLEAN_ALICE, CLEAN_RELAY, BUSY_ALICE, BUSY_OTHER = range(5)
+_CLEAN = [CLEAN_ALICE, CLEAN_RELAY]
+_ACTIVE = np.array([0, 1, 1, 1, 1])  # reactive jams hit only slots with traffic
 
-    Allocates only when both are present, so a phase with one source keeps
-    its draw array as the sum.
+
+def slot_class_probabilities(plan: PhasePlan, roles: PhaseRoles) -> np.ndarray:
+    """Per-slot probabilities of the five single-hop slot classes of a phase.
+
+    With ``a`` = Alice sends, ``r`` = relays sending and ``z`` = nacks plus
+    decoys sent in a slot, the classes are IDLE (``a=0, r=0, z=0``),
+    CLEAN_ALICE (``a=1, r=0, z=0``), CLEAN_RELAY (``a=0, r=1, z=0``),
+    BUSY_ALICE (``a=1, r+z≥1``) and BUSY_OTHER (the rest).  Every sender acts
+    independently, so each class has a closed form; BUSY_OTHER is the
+    remainder, clipped at zero and not renormalised.
     """
 
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return np.add(a, b, dtype=np.int64)
+    alice_p = plan.alice_send_prob if roles.alice_active else 0.0
+    relays, relay_p = roles.relay_ids.size, plan.relay_send_prob
+    no_noise = (1.0 - plan.nack_send_prob) ** roles.active_uninformed_ids.size
+    no_noise *= (1.0 - plan.decoy_send_prob) ** roles.decoy_ids.size
+    quiet = (1.0 - relay_p) ** relays * no_noise  # r = 0 and z = 0
+    lone_relay = relays * relay_p * (1.0 - relay_p) ** (relays - 1) * no_noise if relays else 0.0
+    probs = np.zeros(5)
+    probs[IDLE] = (1.0 - alice_p) * quiet
+    probs[CLEAN_ALICE] = alice_p * quiet
+    probs[CLEAN_RELAY] = (1.0 - alice_p) * lone_relay
+    probs[BUSY_ALICE] = alice_p * (1.0 - quiet)
+    probs[BUSY_OTHER] = max(1.0 - float(probs.sum()), 0.0)
+    return probs
 
 
-def _count_nonzero(per_slot: Optional[np.ndarray]) -> int:
-    return 0 if per_slot is None else int(np.count_nonzero(per_slot))
+def _draw_from(rng: np.random.Generator, counts: np.ndarray, k: int) -> np.ndarray:
+    """Per-class counts of ``k`` slots drawn without replacement from ``counts``."""
+
+    if k <= 0:
+        return np.zeros_like(counts)
+    if k >= int(counts.sum()):
+        return counts.copy()
+    return rng.multivariate_hypergeometric(counts, k)
 
 
-def _count_at(per_slot: Optional[np.ndarray], offsets: np.ndarray) -> int:
-    """Nonzero entries of ``per_slot`` at sorted, distinct ``offsets``.
+def charge_adversary_actions(
+    ledger: EnergyLedger, s: int, jams: int, jam_plan: JamPlan
+) -> "tuple[int, int, int, float]":
+    """Charge a phase's ``jams`` selected slots and its spoofs to Carol's ledger.
 
-    A prefix ``[0, k)`` — what a budget-truncated full-phase jam leaves — is
-    read as a slice; any other offset set is gathered.
+    The one budget rule of both :class:`PhaseEngine` paths: jams are charged
+    first; payload spoofs go in unjammed slots, nack spoofs in the slots
+    still free; when the budget binds, nack spoofs are dropped before payload
+    spoofs.  Returns the kept ``(jams, payload_spoofs, nack_spoofs, spend)``.
     """
 
-    if per_slot is None or offsets.size == 0:
-        return 0
-    if offsets[-1] == offsets.size - 1:
-        return int(np.count_nonzero(per_slot[: offsets.size]))
-    return int(np.count_nonzero(per_slot[offsets]))
+    affordable = int(min(jams, np.floor(ledger.remaining)))
+    jam_spend = ledger.charge_bulk(EnergyOperation.JAM, float(affordable))
+    jams = int(jam_spend)
+    payload = min(max(jam_plan.spoof_payload_slots, 0), s - jams)
+    nack = min(max(jam_plan.spoof_nack_slots, 0), s - jams - payload)
+    spoof_spend = ledger.charge_bulk(EnergyOperation.SPOOF, float(payload + nack))
+    spoofs = int(spoof_spend)
+    kept_payload = min(payload, spoofs)
+    return jams, kept_payload, min(nack, spoofs - kept_payload), float(jam_spend + spoof_spend)
 
 
 class PhaseEngine:
@@ -220,59 +251,23 @@ class PhaseEngine:
         decoys = roles.decoy_ids
 
         # ------------------------------------------------------------------ #
-        # 1. Per-slot draws, one array per source the phase has              #
+        # 1. How many slots fall in each slot class                          #
         # ------------------------------------------------------------------ #
-        alice_sends: Optional[np.ndarray] = None
-        if roles.alice_active and plan.alice_send_prob > 0:
-            alice_sends = rng.random(s) < plan.alice_send_prob
-        relay_counts: Optional[np.ndarray] = None
-        if relays.size and plan.relay_send_prob > 0:
-            relay_counts = rng.binomial(relays.size, plan.relay_send_prob, size=s)
-        nack_counts: Optional[np.ndarray] = None
-        if uninformed.size and plan.nack_send_prob > 0:
-            nack_counts = rng.binomial(uninformed.size, plan.nack_send_prob, size=s)
-        decoy_counts: Optional[np.ndarray] = None
-        if decoys.size and plan.decoy_send_prob > 0:
-            decoy_counts = rng.binomial(decoys.size, plan.decoy_send_prob, size=s)
-
-        # Payload (m) and noise (nacks, decoys) transmissions per slot, and
-        # all correct-side transmissions; ``None`` where no source sends.
-        payload_tx = _sum_counts(alice_sends, relay_counts)
-        noise_tx = _sum_counts(nack_counts, decoy_counts)
-        correct_tx = _sum_counts(payload_tx, noise_tx)
+        hist = rng.multinomial(s, slot_class_probabilities(plan, roles))
 
         # ------------------------------------------------------------------ #
-        # 2. Adversary actions (jamming + spoofed transmissions)              #
+        # 2. Carol's jams and spoofs per class (disjoint, one frame per      #
+        #    spoof), and the channel counts they leave                       #
         # ------------------------------------------------------------------ #
-        def correct_activity() -> np.ndarray:
-            return np.zeros(s, dtype=bool) if correct_tx is None else correct_tx > 0
-
-        jam_offsets, spoof_slots, adversary_spend = self._materialize_adversary_actions(
-            jam_plan, s, rng, correct_activity
-        )
-        jammed_slots = int(jam_offsets.size)
-        spoofed_transmissions = int(spoof_slots.size)
-
-        # Channel counts as integer identities over the sorted offsets.  Jam
-        # and spoof slots are disjoint, and a spoof carries one forged frame.
-        active = _count_nonzero(correct_tx)
-        spoof_on_idle = spoofed_transmissions - _count_at(correct_tx, spoof_slots)
-        noisy_for_spared = active + spoof_on_idle
-        noisy_for_victim = noisy_for_spared + jammed_slots - _count_at(correct_tx, jam_offsets)
-        busy_slots = noisy_for_victim
-
-        # ------------------------------------------------------------------ #
-        # 3. Delivery slots: exactly one transmission and it is authentic m   #
-        # ------------------------------------------------------------------ #
-        delivers: Optional[np.ndarray] = None
-        if payload_tx is not None:
-            delivers = payload_tx if payload_tx.dtype == bool else payload_tx == 1
-            if noise_tx is not None:
-                delivers = delivers & (noise_tx == 0)
-        good_unjammed = _count_nonzero(delivers) - _count_at(delivers, spoof_slots)
-        good_when_victim = good_unjammed - _count_at(delivers, jam_offsets)
+        jammed, spoofed, adversary_spend = self._draw_adversary_counts(jam_plan, s, rng, hist)
+        noisy_for_spared = s - int(hist[IDLE]) + int(spoofed[IDLE])
+        noisy_for_victim = noisy_for_spared + int(jammed[IDLE])
+        good_unjammed = int(hist[_CLEAN].sum() - spoofed[_CLEAN].sum())
+        good_when_victim = good_unjammed - int(jammed[_CLEAN].sum())
         jam_affects_listeners = jam_plan.targeting.mode is not JamMode.NONE
-        victim = self._victim_mask(uninformed, jam_plan)
+        # Victims come from the plan's targeting every phase: mobile and
+        # reactive disk jammers re-target, so nothing here is cached per run.
+        victim = jam_plan.targeting.affects_array(uninformed)
 
         newly_informed = _NO_IDS
         informed_mask: np.ndarray | None = None
@@ -288,9 +283,9 @@ class PhaseEngine:
         delivery_slots = good_when_victim if jam_affects_listeners else good_unjammed
 
         # ------------------------------------------------------------------ #
-        # 4. Costs                                                            #
+        # 3. Costs                                                            #
         # ------------------------------------------------------------------ #
-        alice_send_slots = _count_nonzero(alice_sends)
+        alice_send_slots = int(hist[CLEAN_ALICE] + hist[BUSY_ALICE])
         if alice_send_slots:
             network.alice.ledger.charge_bulk(EnergyOperation.SEND, float(alice_send_slots))
 
@@ -300,9 +295,11 @@ class PhaseEngine:
             alice_is_victim = jam_plan.targeting.affects(ALICE_ID)
             noisy_for_alice = noisy_for_victim if alice_is_victim else noisy_for_spared
             quiet_for_alice = s - noisy_for_alice
-            alice_noisy = int(rng.binomial(noisy_for_alice, plan.alice_listen_prob))
-            alice_quiet_listens = int(rng.binomial(max(quiet_for_alice, 0), plan.alice_listen_prob))
-            alice_listen_slots = alice_noisy + alice_quiet_listens
+            # Half-duplex: Alice listens only in slots she does not send in,
+            # and every slot she sends in is noisy.
+            p_alice = plan.alice_listen_prob
+            alice_noisy = int(rng.binomial(noisy_for_alice - alice_send_slots, p_alice))
+            alice_listen_slots = alice_noisy + int(rng.binomial(quiet_for_alice, p_alice))
             if alice_listen_slots:
                 network.alice.ledger.charge_bulk(EnergyOperation.LISTEN, float(alice_listen_slots))
 
@@ -351,16 +348,16 @@ class PhaseEngine:
         result = PhaseResult(
             plan=plan,
             newly_informed=newly_informed,
-            jammed_slots=jammed_slots,
+            jammed_slots=int(jammed.sum()),
             adversary_spend=adversary_spend,
             alice_noisy_heard=alice_noisy,
             noisy_listeners=noisy_listeners,
             node_noisy_heard=node_noisy,
             delivery_slots=delivery_slots,
-            busy_slots=busy_slots,
+            busy_slots=noisy_for_victim,
             alice_send_slots=alice_send_slots,
             alice_listen_slots=alice_listen_slots,
-            spoofed_transmissions=spoofed_transmissions,
+            spoofed_transmissions=int(spoofed.sum()),
         )
         if self.recorder.enabled:
             self.recorder.record(
@@ -454,7 +451,7 @@ class PhaseEngine:
         correct_activity[decoy_slots] = True
 
         jam_offsets, spoof_slots, adversary_spend = self._materialize_adversary_actions(
-            jam_plan, s, rng, lambda: correct_activity
+            jam_plan, s, rng, correct_activity
         )
         jammed_slots = int(jam_offsets.size)
         spoofed_transmissions = int(spoof_slots.size)
@@ -465,11 +462,7 @@ class PhaseEngine:
         busy_slots = int(np.count_nonzero(correct_activity | spoof_busy | jam_mask))
 
         jam_affects_listeners = jam_plan.targeting.mode is not JamMode.NONE
-        victim = (
-            self._victim_mask(uninformed, jam_plan)
-            if jam_affects_listeners
-            else np.zeros(num_u, dtype=bool)
-        )
+        victim = jam_plan.targeting.affects_array(uninformed)
 
         # ------------------------------------------------------------------ #
         # 3. CSR neighbourhood expansion of the events                       #
@@ -676,32 +669,54 @@ class PhaseEngine:
     # Internals                                                           #
     # ------------------------------------------------------------------ #
 
-    def _materialize_adversary_actions(
-        self,
-        jam_plan: JamPlan,
-        s: int,
-        rng: np.random.Generator,
-        correct_activity: Callable[[], np.ndarray],
+    def _draw_adversary_counts(
+        self, jam_plan: JamPlan, s: int, rng: np.random.Generator, hist: np.ndarray
     ) -> "tuple[np.ndarray, np.ndarray, float]":
-        """Materialise jamming and spoofing for one phase under the budget.
+        """Resolve a single-hop phase's jams and spoofs as per-class counts.
 
-        Shared by the single-hop and multi-hop paths so the truncation rules
-        (jams charged first; spoof truncation drops nack spoofs before
-        payload spoofs — arbitrary but deterministic) cannot diverge.
-        ``correct_activity`` builds the per-slot correct-side activity mask;
-        it is called only for reactive plans.  Returns ``(jam_offsets,
-        spoof_slots, adversary_spend)``: the sorted, pairwise-disjoint slot
-        offsets jammed and spoofed (one forged frame each) within budget.
+        Slots are iid within the phase and Carol picks hers independently of
+        the correct side's coins, so the classes of any set she picks — a
+        random subset, explicit indices, a sorted prefix of either, the
+        earliest active slots — are a draw without replacement from ``hist``.
+        Returns per-class ``(jammed, spoofed)`` slot counts and the spend.
         """
 
-        adversary_ledger = self.network.adversary_ledger
-        activity_mask = correct_activity() if jam_plan.reactive else None
-        jam_offsets = materialize_jam_slots(jam_plan, s, rng, activity_mask=activity_mask)
-        affordable_jams = int(min(len(jam_offsets), np.floor(adversary_ledger.remaining)))
-        jam_offsets = jam_offsets[:affordable_jams]
-        jam_spend = adversary_ledger.charge_bulk(EnergyOperation.JAM, float(len(jam_offsets)))
-        jam_offsets = jam_offsets[: int(jam_spend)]
+        pool = hist  # the slots Carol's jams are drawn from, per class
+        if jam_plan.slot_indices is not None:
+            wanted = materialize_jam_slots(jam_plan, s, rng).size
+        else:
+            if jam_plan.reactive:
+                pool = hist * _ACTIVE
+            if jam_plan.jam_rate is None:
+                wanted = min(max(jam_plan.num_jam_slots, 0), int(pool.sum()))
+            else:
+                pool = rng.binomial(pool, clip_probability(jam_plan.jam_rate))
+                wanted = int(pool.sum())
+        jams, payload, nack, spend = charge_adversary_actions(
+            self.network.adversary_ledger, s, wanted, jam_plan
+        )
+        jammed = _draw_from(rng, pool, jams)
+        free = hist - jammed
+        spoofed = _draw_from(rng, free, payload)
+        spoofed += _draw_from(rng, free - spoofed, nack)
+        return jammed, spoofed, spend
 
+    def _materialize_adversary_actions(
+        self, jam_plan: JamPlan, s: int, rng: np.random.Generator, correct_activity: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray, float]":
+        """Materialise one multi-hop phase's jams and spoofs within budget.
+
+        ``correct_activity`` is the per-slot activity mask reactive plans
+        read.  Returns ``(jam_offsets, spoof_slots, adversary_spend)``: sorted,
+        pairwise-disjoint offsets, one forged frame per spoofed slot.
+        """
+
+        activity_mask = correct_activity if jam_plan.reactive else None
+        jam_offsets = materialize_jam_slots(jam_plan, s, rng, activity_mask=activity_mask)
+        jams, payload, nack, spend = charge_adversary_actions(
+            self.network.adversary_ledger, s, jam_offsets.size, jam_plan
+        )
+        jam_offsets = jam_offsets[:jams]
         spoof_payload = materialize_spoof_slots(
             jam_plan.spoof_payload_slots, s, rng, exclude=jam_offsets
         )
@@ -713,16 +728,8 @@ class PhaseEngine:
             if jam_plan.spoof_nack_slots > 0
             else (),
         )
-        spoof_budget = adversary_ledger.charge_bulk(
-            EnergyOperation.SPOOF, float(len(spoof_payload) + len(spoof_nack))
-        )
-        total_spoofs = int(spoof_budget)
-        keep_payload = min(len(spoof_payload), total_spoofs)
-        keep_nack = min(len(spoof_nack), total_spoofs - keep_payload)
-        spoof_slots = np.sort(
-            np.concatenate([spoof_payload[:keep_payload], spoof_nack[:keep_nack]])
-        )
-        return jam_offsets, spoof_slots, float(jam_spend + spoof_budget)
+        spoof_slots = np.sort(np.concatenate([spoof_payload[:payload], spoof_nack[:nack]]))
+        return jam_offsets, spoof_slots, spend
 
     @staticmethod
     def _truncate_informed_listening(
@@ -762,15 +769,3 @@ class PhaseEngine:
         result = listen_cost.copy()
         result[informed_idx] = np.minimum(truncated, listen_cost[informed_idx] + 1)
         return result
-
-    @staticmethod
-    def _victim_mask(node_ids: np.ndarray, jam_plan: JamPlan) -> np.ndarray:
-        """Boolean mask of which nodes are affected by the plan's jamming.
-
-        Recomputed every phase from the plan's (possibly freshly re-targeted)
-        :class:`~repro.simulation.channel.JamTargeting` — mobile and reactive
-        disk jammers change victims per phase, so nothing here may be cached
-        per run — via the targeting's vectorised membership test.
-        """
-
-        return jam_plan.targeting.affects_array(node_ids)

@@ -12,6 +12,8 @@ same *kind* of attack regardless of which engine executes it:
 
 Budget capping is applied by the caller (the engines), because only they know
 how much of Carol's aggregate budget remains at the moment of each attack.
+The fast engine's single-hop path needs only how many slots of each kind an
+attack hits, so it draws those counts from the same distributions instead.
 """
 
 from __future__ import annotations

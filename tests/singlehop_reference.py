@@ -1,15 +1,20 @@
-"""The dense single-hop phase body, kept as a test oracle.
+"""The dense single-hop phase body, kept as a distributional oracle.
 
 :meth:`repro.simulation.fastengine.PhaseEngine.run_phase` resolves a
-single-hop phase from the per-slot draws of the sources the phase actually
-has and the adversary's sorted slot offsets.  The functions here are the
-earlier dense formulation of the same phase: four s-length per-slot count
-arrays (zero-filled for absent sources), an s-length jam mask and spoof-count
-array, and the old jam/spoof slot materialisers (a sort of the drawn subset,
-a Python loop over the phase for spoof candidates).  They make exactly the
-same random draws in the same order, so running them and the engine on
-identically seeded generators must give identical results, ledgers and
-generator states.
+single-hop phase from a draw of its slot-class histogram — how many slots
+are idle, carry a lone Alice or relay frame, or are busy — and resolves
+Carol's jams and spoofs as per-class counts.  The functions here are the
+dense formulation it replaced: four s-length per-slot transmission-count
+arrays, an s-length jam mask and spoof-count array, and slot materialisers
+that pick concrete offsets (a sorted random subset, a Python loop over the
+phase for spoof candidates).  Every channel count is then read off those
+arrays slot by slot.
+
+The two formulations consume different random draws, so they agree in
+distribution, not draw for draw: ``tests/test_singlehop_reference.py``
+compares them field by field with two-sample KS tests.  The one change from
+the historical body is Alice's half-duplex rule (she listens only in slots
+she does not send in), which both the slot engine and the fast engine apply.
 
 ``run_phase`` takes a :class:`~repro.simulation.fastengine.PhaseEngine` in
 place of ``self``; it supports only single-hop networks.
@@ -183,8 +188,10 @@ def run_phase(
         good_when_victim = int(np.count_nonzero(delivers & ~jam_mask))
         p_listen = plan.uninformed_listen_prob
         if p_listen > 0:
-            victim = self._victim_mask(uninformed, jam_plan) if jam_affects_listeners else np.zeros(
-                uninformed.size, dtype=bool
+            victim = (
+                jam_plan.targeting.affects_array(uninformed)
+                if jam_affects_listeners
+                else np.zeros(uninformed.size, dtype=bool)
             )
             good_per_node = np.where(victim, good_when_victim, good_unjammed)
             p_informed = 1.0 - np.power(1.0 - p_listen, good_per_node)
@@ -213,7 +220,8 @@ def run_phase(
         alice_is_victim = jam_plan.targeting.affects(ALICE_ID)
         noisy_for_alice = noisy_for_victim if alice_is_victim else noisy_for_spared
         quiet_for_alice = s - noisy_for_alice
-        alice_noisy = int(rng.binomial(noisy_for_alice, plan.alice_listen_prob))
+        # Half-duplex: Alice listens only in the (noisy) slots she does not send in.
+        alice_noisy = int(rng.binomial(noisy_for_alice - alice_send_slots, plan.alice_listen_prob))
         alice_quiet_listens = int(rng.binomial(max(quiet_for_alice, 0), plan.alice_listen_prob))
         alice_listen_slots = alice_noisy + alice_quiet_listens
         if alice_listen_slots:
@@ -222,8 +230,10 @@ def run_phase(
     node_noisy: Dict[int, int] = {}
     jam_victims = 0
     if uninformed.size:
-        victim = self._victim_mask(uninformed, jam_plan) if jam_affects_listeners else np.zeros(
-            uninformed.size, dtype=bool
+        victim = (
+            jam_plan.targeting.affects_array(uninformed)
+            if jam_affects_listeners
+            else np.zeros(uninformed.size, dtype=bool)
         )
         jam_victims = int(victim.sum())
         noisy_per_node = np.where(victim, noisy_for_victim, noisy_for_spared)

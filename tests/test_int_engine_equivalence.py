@@ -115,6 +115,87 @@ class TestPhaseLevelEquivalence:
         stats = mean_by_engine(records)
         assert stats["fast"]["alice_noisy"] == pytest.approx(stats["slot"]["alice_noisy"], rel=0.3, abs=5)
 
+    # The single-hop fast path draws a phase's slot-class histogram; these
+    # cases check it against the slot engine where classes collide or
+    # Carol's counts are drawn from the histogram.  Small networks and
+    # phases keep the slot engine quick enough for KS-sized samples.
+
+    @staticmethod
+    def _assert_fields_match(records, fields):
+        for field in fields:
+            assert_same_distribution(
+                column(records["slot"], field),
+                column(records["fast"], field),
+                label=f"{field} (single-hop)",
+            )
+
+    def test_relays_colliding_with_alice_match_slot_engine(self):
+        plan = PhasePlan(
+            name="propagation:1",
+            kind=PhaseKind.PROPAGATION,
+            round_index=5,
+            num_slots=120,
+            alice_send_prob=0.15,
+            relay_send_prob=0.06,
+            uninformed_listen_prob=0.05,
+        )
+        records = paired_phase_records(plan, split_roles, n=12, trials=60)
+        self._assert_fields_match(records, ["informed", "alice_cost", "busy_slots"])
+
+    def test_decoys_match_slot_engine(self):
+        plan = PhasePlan(
+            name="inform",
+            kind=PhaseKind.INFORM,
+            round_index=5,
+            num_slots=120,
+            alice_send_prob=0.2,
+            decoy_send_prob=0.03,
+            uninformed_listen_prob=0.05,
+        )
+
+        def decoy_roles(network):
+            # Decoy senders outside the listener cohort: a listener that is
+            # informed mid-phase keeps its decoys in the fast engine (a
+            # documented approximation), so it is kept out of this check.
+            half = network.n // 2
+            return PhaseRoles.of(range(half, network.n), decoy_senders=range(half))
+
+        records = paired_phase_records(plan, decoy_roles, n=12, trials=60)
+        self._assert_fields_match(records, ["informed", "alice_cost", "busy_slots"])
+
+    @pytest.mark.parametrize(
+        "kind", [PhaseKind.INFORM, PhaseKind.REQUEST], ids=lambda k: k.value
+    )
+    def test_spoofed_payload_and_nacks_match_slot_engine(self, kind):
+        plan = PhasePlan(
+            name=kind.value,
+            kind=kind,
+            round_index=5,
+            num_slots=120,
+            alice_send_prob=0.2 if kind is PhaseKind.INFORM else 0.0,
+            alice_listen_prob=0.3 if kind is PhaseKind.REQUEST else 0.0,
+            nack_send_prob=0.01 if kind is PhaseKind.REQUEST else 0.0,
+            uninformed_listen_prob=0.05,
+        )
+        jam = lambda: JamPlan(num_jam_slots=20, spoof_payload_slots=30, spoof_nack_slots=30)
+        records = paired_phase_records(plan, all_listening_roles, jam, n=12, trials=60)
+        stats = mean_by_engine(records)
+        assert stats["fast"]["adversary"] == stats["slot"]["adversary"] == 80
+        self._assert_fields_match(records, ["informed", "alice_noisy", "busy_slots"])
+
+    def test_reactive_count_jam_matches_slot_engine(self):
+        plan = PhasePlan(
+            name="inform",
+            kind=PhaseKind.INFORM,
+            round_index=5,
+            num_slots=120,
+            alice_send_prob=0.2,
+            uninformed_listen_prob=0.05,
+        )
+        jam = lambda: JamPlan(num_jam_slots=25, reactive=True)
+        records = paired_phase_records(plan, all_listening_roles, jam, n=12, trials=60)
+        self._assert_fields_match(records, ["informed", "jammed_slots", "busy_slots", "adversary"])
+
 
 class TestMultiHopPhaseEquivalence:
     """The multi-hop fast path resolves audibility per listener; its phase

@@ -12,7 +12,10 @@ makes runs reproducible across interpreter processes — the built-in ``hash``
 the seed originally used was salted per process) on ``n = 40`` for a roster
 of adversaries, both engines, and two seeds.  Any change to these numbers
 means the RNG draw sequence of the default model moved — which is exactly
-what this test exists to catch.
+what this test exists to catch.  The ``fast`` entries (here and below) were
+re-captured once, when the fast engine's single-hop path moved from per-slot
+arrays to drawing each phase's slot-class histogram: the same distributions
+from different draws.  The ``slot`` entries are the original captures.
 
 The epoch baselines get the same treatment: ``BASELINE_GOLDEN`` pins their
 cost snapshots, delivery, and full per-epoch ``PhaseRecord`` sequence at
@@ -43,20 +46,20 @@ ADVERSARIES = {
 
 # (adversary, engine, seed) -> pre-refactor snapshot at n = 40.
 GOLDEN = {
-    ("none", "fast", 3): {"alice": 484.0, "adversary": 0.0, "node_mean": 1.05, "node_max": 2.0, "node_total": 42.0, "informed": 40, "slots": 2373},
-    ("none", "fast", 11): {"alice": 517.0, "adversary": 0.0, "node_mean": 1.075, "node_max": 2.0, "node_total": 43.0, "informed": 40, "slots": 2373},
+    ("none", "fast", 3): {"alice": 530.0, "adversary": 0.0, "node_mean": 1.025, "node_max": 2.0, "node_total": 41.0, "informed": 40, "slots": 2373},
+    ("none", "fast", 11): {"alice": 502.0, "adversary": 0.0, "node_mean": 1.075, "node_max": 2.0, "node_total": 43.0, "informed": 40, "slots": 2373},
     ("none", "slot", 3): {"alice": 492.0, "adversary": 0.0, "node_mean": 1.075, "node_max": 2.0, "node_total": 43.0, "informed": 40, "slots": 2373},
     ("none", "slot", 11): {"alice": 494.0, "adversary": 0.0, "node_mean": 1.05, "node_max": 2.0, "node_total": 42.0, "informed": 40, "slots": 2373},
-    ("blocker", "fast", 3): {"alice": 736.0, "adversary": 2000.0, "node_mean": 1570.525, "node_max": 1607.0, "node_total": 62821.0, "informed": 40, "slots": 6717},
-    ("blocker", "fast", 11): {"alice": 717.0, "adversary": 2000.0, "node_mean": 1614.075, "node_max": 1650.0, "node_total": 64563.0, "informed": 40, "slots": 6717},
+    ("blocker", "fast", 3): {"alice": 727.0, "adversary": 2000.0, "node_mean": 1592.075, "node_max": 1640.0, "node_total": 63683.0, "informed": 40, "slots": 6717},
+    ("blocker", "fast", 11): {"alice": 696.0, "adversary": 2000.0, "node_mean": 1569.35, "node_max": 1595.0, "node_total": 62774.0, "informed": 40, "slots": 6717},
     ("blocker", "slot", 3): {"alice": 670.0, "adversary": 2000.0, "node_mean": 1674.6, "node_max": 1705.0, "node_total": 66984.0, "informed": 40, "slots": 6717},
     ("blocker", "slot", 11): {"alice": 725.0, "adversary": 2000.0, "node_mean": 1752.175, "node_max": 1791.0, "node_total": 70087.0, "informed": 40, "slots": 6717},
-    ("random", "fast", 3): {"alice": 770.0, "adversary": 1500.0, "node_mean": 2.075, "node_max": 3.0, "node_total": 83.0, "informed": 40, "slots": 6717},
-    ("random", "fast", 11): {"alice": 725.0, "adversary": 1500.0, "node_mean": 2.075, "node_max": 3.0, "node_total": 83.0, "informed": 40, "slots": 6717},
+    ("random", "fast", 3): {"alice": 700.0, "adversary": 1500.0, "node_mean": 2.075, "node_max": 3.0, "node_total": 83.0, "informed": 40, "slots": 6717},
+    ("random", "fast", 11): {"alice": 495.0, "adversary": 711.0, "node_mean": 2.075, "node_max": 3.0, "node_total": 83.0, "informed": 40, "slots": 2373},
     ("random", "slot", 3): {"alice": 492.0, "adversary": 711.0, "node_mean": 1.075, "node_max": 2.0, "node_total": 43.0, "informed": 40, "slots": 2373},
     ("random", "slot", 11): {"alice": 725.0, "adversary": 1500.0, "node_mean": 1.05, "node_max": 2.0, "node_total": 42.0, "informed": 40, "slots": 6717},
-    ("splitter", "fast", 3): {"alice": 494.0, "adversary": 4421.0, "node_mean": 765.45, "node_max": 10255.0, "node_total": 30618.0, "informed": 37, "slots": 53760},
-    ("splitter", "fast", 11): {"alice": 512.0, "adversary": 4421.0, "node_mean": 759.5, "node_max": 10240.0, "node_total": 30380.0, "informed": 37, "slots": 53760},
+    ("splitter", "fast", 3): {"alice": 507.0, "adversary": 4421.0, "node_mean": 760.45, "node_max": 10173.0, "node_total": 30418.0, "informed": 37, "slots": 53760},
+    ("splitter", "fast", 11): {"alice": 487.0, "adversary": 4421.0, "node_mean": 764.5, "node_max": 10245.0, "node_total": 30580.0, "informed": 37, "slots": 53760},
     ("splitter", "slot", 3): {"alice": 492.0, "adversary": 4421.0, "node_mean": 758.7, "node_max": 10159.0, "node_total": 30348.0, "informed": 37, "slots": 53760},
     ("splitter", "slot", 11): {"alice": 494.0, "adversary": 4421.0, "node_mean": 760.55, "node_max": 10208.0, "node_total": 30422.0, "informed": 37, "slots": 53760},
 }
@@ -246,33 +249,33 @@ BASELINE_GOLDEN = {
         ),
     ),
     ("ksy", "blocker", "fast", 3): (
-        {"alice": 224.0, "adversary": 2000.0, "node_mean": 2046.0, "node_max": 2046.0, "node_total": 81840.0, "informed": 40, "slots": 2046},
+        {"alice": 199.0, "adversary": 2000.0, "node_mean": 1278.0, "node_max": 1278.0, "node_total": 51120.0, "informed": 40, "slots": 2046},
         (
             (1, "epoch:1", 2, 0, 2, 2.0, 0, 2.0, 80.0, 40, 0),
             (2, "epoch:2", 4, 2, 4, 4.0, 0, 3.0, 160.0, 40, 0),
-            (3, "epoch:3", 8, 6, 8, 8.0, 0, 4.0, 320.0, 40, 0),
-            (4, "epoch:4", 16, 14, 16, 16.0, 0, 8.0, 640.0, 40, 0),
-            (5, "epoch:5", 32, 30, 32, 32.0, 0, 10.0, 1280.0, 40, 0),
-            (6, "epoch:6", 64, 62, 64, 64.0, 0, 14.0, 2560.0, 40, 0),
-            (7, "epoch:7", 128, 126, 128, 128.0, 0, 21.0, 5120.0, 40, 0),
+            (3, "epoch:3", 8, 6, 8, 8.0, 0, 2.0, 320.0, 40, 0),
+            (4, "epoch:4", 16, 14, 16, 16.0, 0, 9.0, 640.0, 40, 0),
+            (5, "epoch:5", 32, 30, 32, 32.0, 0, 9.0, 1280.0, 40, 0),
+            (6, "epoch:6", 64, 62, 64, 64.0, 0, 11.0, 2560.0, 40, 0),
+            (7, "epoch:7", 128, 126, 128, 128.0, 0, 20.0, 5120.0, 40, 0),
             (8, "epoch:8", 256, 254, 256, 256.0, 0, 30.0, 10240.0, 40, 0),
-            (9, "epoch:9", 512, 510, 512, 512.0, 0, 52.0, 20480.0, 40, 0),
-            (10, "epoch:10", 1024, 1022, 978, 978.0, 40, 80.0, 40960.0, 0, 40),
+            (9, "epoch:9", 512, 510, 512, 512.0, 0, 49.0, 20480.0, 40, 0),
+            (10, "epoch:10", 1024, 1022, 978, 978.0, 40, 64.0, 10240.0, 0, 40),
         ),
     ),
     ("ksy", "blocker", "fast", 11): (
-        {"alice": 195.0, "adversary": 2000.0, "node_mean": 1364.0, "node_max": 1364.0, "node_total": 54560.0, "informed": 40, "slots": 2046},
+        {"alice": 217.0, "adversary": 2000.0, "node_mean": 1534.0, "node_max": 1534.0, "node_total": 61360.0, "informed": 40, "slots": 2046},
         (
             (1, "epoch:1", 2, 0, 2, 2.0, 0, 1.0, 80.0, 40, 0),
-            (2, "epoch:2", 4, 2, 4, 4.0, 0, 1.0, 160.0, 40, 0),
-            (3, "epoch:3", 8, 6, 8, 8.0, 0, 3.0, 320.0, 40, 0),
-            (4, "epoch:4", 16, 14, 16, 16.0, 0, 9.0, 640.0, 40, 0),
-            (5, "epoch:5", 32, 30, 32, 32.0, 0, 9.0, 1280.0, 40, 0),
-            (6, "epoch:6", 64, 62, 64, 64.0, 0, 13.0, 2560.0, 40, 0),
-            (7, "epoch:7", 128, 126, 128, 128.0, 0, 20.0, 5120.0, 40, 0),
-            (8, "epoch:8", 256, 254, 256, 256.0, 0, 26.0, 10240.0, 40, 0),
-            (9, "epoch:9", 512, 510, 512, 512.0, 0, 42.0, 20480.0, 40, 0),
-            (10, "epoch:10", 1024, 1022, 978, 978.0, 40, 71.0, 13680.0, 0, 40),
+            (2, "epoch:2", 4, 2, 4, 4.0, 0, 4.0, 160.0, 40, 0),
+            (3, "epoch:3", 8, 6, 8, 8.0, 0, 4.0, 320.0, 40, 0),
+            (4, "epoch:4", 16, 14, 16, 16.0, 0, 3.0, 640.0, 40, 0),
+            (5, "epoch:5", 32, 30, 32, 32.0, 0, 7.0, 1280.0, 40, 0),
+            (6, "epoch:6", 64, 62, 64, 64.0, 0, 17.0, 2560.0, 40, 0),
+            (7, "epoch:7", 128, 126, 128, 128.0, 0, 33.0, 5120.0, 40, 0),
+            (8, "epoch:8", 256, 254, 256, 256.0, 0, 32.0, 10240.0, 40, 0),
+            (9, "epoch:9", 512, 510, 512, 512.0, 0, 43.0, 20480.0, 40, 0),
+            (10, "epoch:10", 1024, 1022, 978, 978.0, 40, 73.0, 20480.0, 0, 40),
         ),
     ),
     ("ksy", "blocker", "slot", 3): (
@@ -356,35 +359,35 @@ BASELINE_GOLDEN = {
         ),
     ),
     ("backoff", "blocker", "fast", 3): (
-        {"alice": 634.0, "adversary": 2000.0, "node_mean": 402.5, "node_max": 457.0, "node_total": 16100.0, "informed": 40, "slots": 4094},
+        {"alice": 572.0, "adversary": 2000.0, "node_mean": 386.95, "node_max": 484.0, "node_total": 15478.0, "informed": 40, "slots": 4094},
         (
             (1, "epoch:1", 2, 0, 2, 2.0, 0, 2.0, 80.0, 40, 0),
             (2, "epoch:2", 4, 2, 4, 4.0, 0, 4.0, 160.0, 40, 0),
             (3, "epoch:3", 8, 6, 8, 8.0, 0, 8.0, 320.0, 40, 0),
             (4, "epoch:4", 16, 14, 16, 16.0, 0, 16.0, 640.0, 40, 0),
-            (5, "epoch:5", 32, 30, 32, 32.0, 0, 25.0, 904.0, 40, 0),
-            (6, "epoch:6", 64, 62, 64, 64.0, 0, 34.0, 1286.0, 40, 0),
-            (7, "epoch:7", 128, 126, 128, 128.0, 0, 56.0, 1770.0, 40, 0),
-            (8, "epoch:8", 256, 254, 256, 256.0, 0, 54.0, 2527.0, 40, 0),
-            (9, "epoch:9", 512, 510, 512, 512.0, 0, 103.0, 3519.0, 40, 0),
-            (10, "epoch:10", 1024, 1022, 978, 978.0, 11, 124.0, 4634.0, 29, 11),
-            (11, "epoch:11", 2048, 2046, 0, 0.0, 29, 208.0, 260.0, 0, 40),
+            (5, "epoch:5", 32, 30, 32, 32.0, 0, 20.0, 899.0, 40, 0),
+            (6, "epoch:6", 64, 62, 64, 64.0, 0, 32.0, 1338.0, 40, 0),
+            (7, "epoch:7", 128, 126, 128, 128.0, 0, 46.0, 1824.0, 40, 0),
+            (8, "epoch:8", 256, 254, 256, 256.0, 0, 59.0, 2564.0, 40, 0),
+            (9, "epoch:9", 512, 510, 512, 512.0, 0, 97.0, 3626.0, 40, 0),
+            (10, "epoch:10", 1024, 1022, 978, 978.0, 23, 121.0, 3759.0, 17, 23),
+            (11, "epoch:11", 2048, 2046, 0, 0.0, 17, 167.0, 268.0, 0, 40),
         ),
     ),
     ("backoff", "blocker", "fast", 11): (
-        {"alice": 578.0, "adversary": 2000.0, "node_mean": 409.3, "node_max": 463.0, "node_total": 16372.0, "informed": 40, "slots": 4094},
+        {"alice": 612.0, "adversary": 2000.0, "node_mean": 365.325, "node_max": 489.0, "node_total": 14613.0, "informed": 40, "slots": 4094},
         (
             (1, "epoch:1", 2, 0, 2, 2.0, 0, 2.0, 80.0, 40, 0),
             (2, "epoch:2", 4, 2, 4, 4.0, 0, 4.0, 160.0, 40, 0),
             (3, "epoch:3", 8, 6, 8, 8.0, 0, 8.0, 320.0, 40, 0),
             (4, "epoch:4", 16, 14, 16, 16.0, 0, 16.0, 640.0, 40, 0),
-            (5, "epoch:5", 32, 30, 32, 32.0, 0, 23.0, 905.0, 40, 0),
-            (6, "epoch:6", 64, 62, 64, 64.0, 0, 24.0, 1290.0, 40, 0),
-            (7, "epoch:7", 128, 126, 128, 128.0, 0, 43.0, 1813.0, 40, 0),
-            (8, "epoch:8", 256, 254, 256, 256.0, 0, 64.0, 2582.0, 40, 0),
-            (9, "epoch:9", 512, 510, 512, 512.0, 0, 95.0, 3619.0, 40, 0),
-            (10, "epoch:10", 1024, 1022, 978, 978.0, 12, 129.0, 4576.0, 28, 12),
-            (11, "epoch:11", 2048, 2046, 0, 0.0, 28, 170.0, 387.0, 0, 40),
+            (5, "epoch:5", 32, 30, 32, 32.0, 0, 27.0, 913.0, 40, 0),
+            (6, "epoch:6", 64, 62, 64, 64.0, 0, 38.0, 1260.0, 40, 0),
+            (7, "epoch:7", 128, 126, 128, 128.0, 0, 44.0, 1759.0, 40, 0),
+            (8, "epoch:8", 256, 254, 256, 256.0, 0, 66.0, 2512.0, 40, 0),
+            (9, "epoch:9", 512, 510, 512, 512.0, 0, 102.0, 3662.0, 40, 0),
+            (10, "epoch:10", 1024, 1022, 978, 978.0, 29, 135.0, 3094.0, 11, 29),
+            (11, "epoch:11", 2048, 2046, 0, 0.0, 11, 170.0, 213.0, 0, 40),
         ),
     ),
     ("backoff", "blocker", "slot", 3): (
