@@ -18,17 +18,21 @@ Gilbert graph, on one machine.  Three things make the row honest:
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_million_device.py            # full row, n = 10⁶ (~8 min)
+    PYTHONPATH=src python benchmarks/bench_million_device.py            # full row, n = 10⁶ (~6 min)
     PYTHONPATH=src python benchmarks/bench_million_device.py --smoke    # CI-sized, n = 5·10⁴ (~4 s)
 
-Reference row (one machine, single process): n = 10⁶ informs all 1,000,000 nodes in
-17 rounds / 9.1·10⁸ slots (the static cap schedule is 3.2·10¹¹ slots) with
-217.7 MiB of CSR adjacency — 85 s build + 352 s run.
+Reference row (default seed; one process on a 2-vCPU Intel Xeon VM, Python 3.11,
+numpy 2.4): n = 10⁶ informs all 1,000,000 nodes in 19 rounds / 1.9·10⁹ slots (the
+static cap schedule is 3.2·10¹¹ slots) with 217.7 MiB of CSR adjacency — 32 s
+build + 326 s run, 3.7 GiB peak RSS.  The round count varies from seed to seed
+(11–16 rounds over 16 seeds at n = 5·10⁴); phase lengths grow geometrically
+with the round, and slot count, run time and peak RSS grow with them.
 """
 
 from __future__ import annotations
 
 import argparse
+import resource
 import time
 
 from repro.core.broadcast import MultiHopBroadcast
@@ -80,6 +84,9 @@ def run(n: int, seed: int, memory_ceiling: float) -> None:
     delivery = outcome.delivery
     print(f"build time           : {build_elapsed:.1f}s")
     print(f"run time             : {run_elapsed:.1f}s (full protocol, PhaseEngine)")
+    # Linux reports ru_maxrss in KiB: the process's peak over build and run.
+    peak_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+    print(f"peak RSS             : {fmt_bytes(peak_rss)} (build + run)")
     print(f"rounds executed      : {delivery.rounds_executed}")
     print(f"slots simulated      : {delivery.slots_elapsed:,} "
           f"(cap schedule: {budget:,})")

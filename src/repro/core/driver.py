@@ -131,7 +131,7 @@ class PhaseDriver:
         jam_plan = adversary.plan_phase(context)
 
         alice_before = network.alice_cost
-        nodes_before = float(network.node_costs().sum())
+        nodes_before = network.node_ledgers.total_spent
 
         clock = self.clock
         start_slot = clock.now
@@ -157,7 +157,7 @@ class PhaseDriver:
             adversary_spend=result.adversary_spend,
             newly_informed=int(result.newly_informed.size),
             alice_cost=network.alice_cost - alice_before,
-            nodes_cost=float(network.node_costs().sum()) - nodes_before,
+            nodes_cost=network.node_ledgers.total_spent - nodes_before,
             active_uninformed_after=state.active_uninformed_count(),
             terminated_after=terminated_informed + terminated_uninformed,
         )

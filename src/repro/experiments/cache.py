@@ -47,7 +47,7 @@ import numpy as np
 
 __all__ = ["CACHE_VERSION", "stable_token", "trial_key", "TrialCache", "PruneStats"]
 
-CACHE_VERSION = 5
+CACHE_VERSION = 6
 """Salt mixed into every trial key.
 
 Bump this whenever a change alters what any trial computes (engine semantics,
@@ -58,7 +58,10 @@ stale records.
 Version history: 2 — the multi-hop request-phase quiet rule became per-node
 and degree-aware by default (E11/E13 trial records changed).  4 — spatial
 topologies always run on the CSR adjacency and the event-driven multi-hop
-engine path (small-n E11/E13 trial records changed).
+engine path (small-n E11/E13 trial records changed).  5 — single-hop
+phases draw their slot-class histogram and Alice is half-duplex (every
+single-hop record changed).  6 — multi-hop transmission events come from one
+sparse sampler at every grid size (E11–E14 multi-hop records changed).
 """
 
 

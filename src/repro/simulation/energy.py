@@ -217,6 +217,13 @@ class LedgerArray:
         self.policy = policy
         self._spent = np.zeros(count, dtype=float)
         self._by_operation: Dict[EnergyOperation, np.ndarray] = {}
+        self.total_spent = 0.0
+        """Running sum of every row's expenditure, kept by each charge path.
+
+        Equal to ``spent_array().sum()`` without copying or summing the rows;
+        exact while charges are integer-valued (every engine charges whole
+        slots).
+        """
 
     # ------------------------------------------------------------------ #
     # Bulk interface (the vectorised engine's hot path)                   #
@@ -260,6 +267,7 @@ class LedgerArray:
             if self.policy is BudgetPolicy.CAP:
                 units = np.minimum(units, np.maximum(self.budget - self._spent[indices], 0.0))
         self._spent[indices] += units
+        self.total_spent += float(units.sum())
         per_op = self._by_operation.get(operation)
         if per_op is None:
             per_op = self._by_operation.setdefault(operation, np.zeros(self.count, dtype=float))
@@ -371,6 +379,7 @@ class LedgerView:
 
     def _apply(self, operation: EnergyOperation, units: float) -> None:
         self._array._spent[self._index] += units
+        self._array.total_spent += units
         per_op = self._array._by_operation.get(operation)
         if per_op is None:
             per_op = self._array._by_operation.setdefault(

@@ -61,8 +61,10 @@ exploits the protocol's own sparsity: per-slot action probabilities are
 phase — who transmitted in which slot — number ``O(n)`` rather than
 ``O(n·slots)``, and one path serves every network size.  The path:
 
-* samples transmission events exactly (a Bernoulli grid conditioned on its
-  binomial count is a uniform subset of device×slot cells),
+* samples each sender class's transmission events exactly in ``O(events)``
+  time and memory, with no device×slot grid at any size: a binomial count
+  of successes, then a uniform subset of that many device×slot cells
+  (:func:`_sample_bernoulli_events`),
 * expands each event to the sender's CSR neighbourhood restricted to the
   currently-active listener set (``O(events · E[deg])`` pairs),
 * resolves delivery per listener from its candidate clean-delivery slots
@@ -114,29 +116,32 @@ def _sample_bernoulli_events(
     """Sample the success cells of a ``num × s`` Bernoulli(``p``) grid.
 
     Returns ``(idx, slots)`` — the row (device) and column (slot) of every
-    success, grouped by row with slots ascending.  Distribution-exact: a
-    Bernoulli grid conditioned on its total count ``m ~ Binomial(num·s, p)``
-    is a uniform ``m``-subset of the cells, which is drawn by rejection of
-    duplicates.  Cost is ``O(m log m)`` — independent of the grid size — so
-    phases with millions of slots but thousands of events stay cheap.
+    success, as ``int64`` arrays grouped by row with slots ascending (the
+    flat keys ``idx·s + slots`` are strictly increasing).  Distribution-exact
+    at every grid size: a Bernoulli grid conditioned on its total count
+    ``m ~ Binomial(num·s, p)`` is a uniform ``m``-subset of the cells, drawn
+    by rejection of duplicates.  When ``m`` exceeds half the cells, the
+    ``cells − m`` *empty* cells are drawn instead and complemented, so every
+    rejection round keeps at least half its draws.  Time and memory are
+    ``O(m log m)`` — the grid is never materialised unless the output
+    already fills most of it — so phases with millions of slots but
+    thousands of events stay cheap.
     """
 
     empty = np.empty(0, dtype=np.int64)
     if num <= 0 or s <= 0 or p <= 0.0:
         return empty, empty
     cells = num * s
-    if cells <= (1 << 21) or p > 0.25:
-        # Small grids (and the clipped-probability early rounds): sampling the
-        # grid directly is cheaper than rejection and trivially exact.
-        idx, slots = np.nonzero(rng.random((num, s)) < p)
-        return idx.astype(np.int64), slots.astype(np.int64)
-    m = int(rng.binomial(cells, p))
-    if m == 0:
-        return empty, empty
-    flat = unique_sorted(rng.integers(0, cells, size=m, dtype=np.int64))
-    while flat.size < m:
-        extra = rng.integers(0, cells, size=m - flat.size, dtype=np.int64)
+    m = cells if p >= 1.0 else int(rng.binomial(cells, p))
+    drawn = min(m, cells - m)
+    flat = empty
+    while flat.size < drawn:
+        extra = rng.integers(0, cells, size=drawn - flat.size, dtype=np.int64)
         flat = unique_sorted(np.concatenate([flat, extra]))
+    if drawn < m:
+        keep = np.ones(cells, dtype=bool)
+        keep[flat] = False
+        flat = np.flatnonzero(keep)
     return flat // s, flat % s
 
 

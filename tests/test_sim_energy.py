@@ -222,6 +222,30 @@ class TestLedgerArray:
         assert snapshot["spent"] == 3.0 and snapshot["send"] == 1.0
         assert view.charge_bulk(EnergyOperation.LISTEN, 5.0) == 0.0
 
+    @pytest.mark.parametrize("policy", list(BudgetPolicy))
+    def test_total_spent_tracks_every_charge_path(self, policy):
+        """The running total equals the rows' sum after bulk, view and clipped charges."""
+
+        import numpy as np
+
+        array = self._array(budget=6.0, policy=policy)
+        assert array.total_spent == 0.0
+        array.charge_bulk_many(EnergyOperation.LISTEN, np.array([0, 2, 3]), np.array([4.0, 1.0, 0.0]))
+        array.view(1).charge(EnergyOperation.SEND)
+        array.view(1).charge_bulk(EnergyOperation.LISTEN, 2.0)
+        overdraw = (EnergyOperation.SEND, np.array([0, 2]), np.array([5.0, 6.0]))
+        if policy is BudgetPolicy.ENFORCE:
+            with pytest.raises(BudgetExceededError):  # refused whole: nothing charged
+                array.charge_bulk_many(*overdraw)
+        else:
+            # RECORD overdraws; CAP clips both rows at the budget, then refuses row 0's.
+            array.charge_bulk_many(*overdraw)
+            array.view(0).charge(EnergyOperation.SEND)
+            array.view(0).charge_bulk(EnergyOperation.LISTEN, 4.0)
+        assert array.total_spent == array.spent_array().sum()
+        expected = {BudgetPolicy.RECORD: 24.0, BudgetPolicy.CAP: 15.0, BudgetPolicy.ENFORCE: 8.0}
+        assert array.total_spent == expected[policy]
+
     def test_view_out_of_range_rejected(self):
         with pytest.raises(ConfigurationError):
             self._array().view(4)

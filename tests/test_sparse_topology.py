@@ -17,6 +17,7 @@ All trials are seeded, so every assertion is deterministic.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -178,7 +179,45 @@ class TestCrossover:
         assert SingleHop(50).memory_bytes() == 0
 
 
+def chi_square_fits(observed, expected, alpha_z=3.09):
+    """Pearson's χ² goodness of fit at α ≈ 10⁻³ (Wilson–Hilferty critical value).
+
+    ``observed`` and ``expected`` are per-bin counts over the same total;
+    adjacent bins are pooled left to right until each expects at least 5.
+    """
+
+    pooled_obs, pooled_exp, obs_acc, exp_acc = [], [], 0.0, 0.0
+    for obs, exp in zip(observed, expected):
+        obs_acc, exp_acc = obs_acc + obs, exp_acc + exp
+        if exp_acc >= 5:
+            pooled_obs.append(obs_acc)
+            pooled_exp.append(exp_acc)
+            obs_acc = exp_acc = 0.0
+    pooled_obs[-1] += obs_acc
+    pooled_exp[-1] += exp_acc
+    obs, exp = np.array(pooled_obs), np.array(pooled_exp)
+    statistic = float(((obs - exp) ** 2 / exp).sum())
+    df = obs.size - 1
+    assert df >= 1, "too few bins for a χ² test"
+    critical = df * (1 - 2 / (9 * df) + alpha_z * math.sqrt(2 / (9 * df))) ** 3
+    return statistic < critical, statistic, critical
+
+
+def binomial_pmf(trials, p):
+    """``P(m = k)`` for ``k = 0..trials`` (log-space, so large ``trials`` stay finite)."""
+
+    k = np.arange(trials + 1)
+    log_choose = np.array(
+        [math.lgamma(trials + 1) - math.lgamma(i + 1) - math.lgamma(trials - i + 1) for i in k]
+    )
+    return np.exp(log_choose + k * math.log(p) + (trials - k) * math.log1p(-p))
+
+
 class TestBernoulliEventSampler:
+    """The multi-hop path's exact ``O(events)`` sampler of a Bernoulli grid."""
+
+    DRAWS = 2000
+
     def test_matches_bernoulli_grid_moments(self):
         rng = np.random.default_rng(0)
         num, s, p = 40, 5000, 0.001
@@ -194,13 +233,68 @@ class TestBernoulliEventSampler:
         expected = num * s * p
         assert abs(np.mean(counts) - expected) < 5 * np.sqrt(expected / 30)
 
+    @pytest.mark.parametrize(
+        "num,s,p",
+        [
+            (1, 1, 0.5),  # one cell
+            (6, 5, 0.25),
+            (6, 5, 0.5),
+            (6, 5, 0.6),  # from here on the complement branch draws most grids
+            (6, 5, 0.9),
+            (40, 50, 0.01),
+            (20, 10_000, 0.0005),
+        ],
+    )
+    def test_exact_distribution_and_contract(self, num, s, p):
+        """Count ~ Binomial(num·s, p); rows and slots hit uniformly; sorted int64 keys."""
+
+        rng = np.random.default_rng(num * 1000 + s)
+        cells = num * s
+        counts = np.zeros(self.DRAWS, dtype=np.int64)
+        row_hits = np.zeros(num, dtype=np.int64)
+        slot_hits = np.zeros(s, dtype=np.int64)
+        for draw in range(self.DRAWS):
+            idx, slots = _sample_bernoulli_events(rng, num, s, p)
+            assert idx.dtype == np.int64 and slots.dtype == np.int64
+            keys = idx * s + slots
+            assert (np.diff(keys) > 0).all()  # grouped by row, slots ascending, no duplicates
+            assert keys.size == 0 or (0 <= keys[0] and keys[-1] < cells)
+            counts[draw] = keys.size
+            row_hits += np.bincount(idx, minlength=num)
+            slot_hits += np.bincount(slots, minlength=s)
+
+        observed = np.bincount(counts, minlength=cells + 1)
+        fits, statistic, critical = chi_square_fits(observed, self.DRAWS * binomial_pmf(cells, p))
+        assert fits, f"count χ² {statistic:.1f} ≥ {critical:.1f}"
+        for hits in (row_hits, slot_hits):
+            if hits.size > 1:
+                uniform = np.full(hits.size, hits.sum() / hits.size)
+                fits, statistic, critical = chi_square_fits(hits, uniform)
+                assert fits, f"uniformity χ² {statistic:.1f} ≥ {critical:.1f}"
+
     def test_degenerate_inputs(self):
         rng = np.random.default_rng(1)
-        for num, s, p in [(0, 10, 0.5), (10, 0, 0.5), (10, 10, 0.0)]:
+        for num, s, p in [(0, 10, 0.5), (10, 0, 0.5), (10, 10, 0.0), (0, 0, 1.0), (4, 4, -0.1)]:
             idx, slots = _sample_bernoulli_events(rng, num, s, p)
             assert idx.size == 0 and slots.size == 0
-        idx, slots = _sample_bernoulli_events(rng, 3, 4, 1.0)
-        assert idx.size == 12  # p = 1 fills the grid
+            assert idx.dtype == np.int64 and slots.dtype == np.int64
+        for p in (1.0, 1.5):  # p ≥ 1 fills the grid, in row-major order
+            idx, slots = _sample_bernoulli_events(rng, 3, 4, p)
+            assert idx.tolist() == [0] * 4 + [1] * 4 + [2] * 4
+            assert slots.tolist() == [0, 1, 2, 3] * 3
+
+    def test_memory_is_proportional_to_events(self):
+        """A sparse draw over 2·10⁶ cells allocates nothing grid-sized."""
+
+        rng = np.random.default_rng(2)
+        tracemalloc.start()
+        try:
+            idx, _ = _sample_bernoulli_events(rng, 20_000, 100, 5e-5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0 < idx.size < 1000
+        assert peak < 1 << 20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def multihop_phase_records(plan, roles_builder, jam_builder=JamPlan.idle, n=48):
