@@ -16,6 +16,7 @@ Adding a rule: subclass :class:`~repro.lint.framework.LintRule`, set
 from __future__ import annotations
 
 import ast
+import sys
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .framework import FileContext, LintRule, register_rule
@@ -30,6 +31,7 @@ __all__ = [
     "FrozenMutationRule",
     "NoPrintRule",
     "HashUniqueRule",
+    "UndeclaredImportRule",
 ]
 
 
@@ -612,3 +614,39 @@ class HashUniqueRule(LintRule):
                 "use setops.unique_sorted()",
             )
         self.generic_visit(node)
+
+
+@register_rule
+class UndeclaredImportRule(LintRule):
+    """R10: library code imports only the standard library, numpy and repro."""
+
+    rule_id = "R10"
+    title = "import of a package setup.py does not declare"
+    rationale = (
+        "setup.py's install_requires is numpy alone, and CI installs nothing "
+        "else, so any other third-party import either fails on a clean install "
+        "or, behind a try/except ImportError, silently switches to another code "
+        "path.  The offset power-law fit once lazily imported scipy.optimize: "
+        "without scipy it fell back to a different estimator and E1/E5 printed "
+        "other exponents, and with scipy the import alone added 43 MiB RSS."
+    )
+
+    #: The non-stdlib top-level packages library code may import.
+    DECLARED = frozenset({"numpy", "repro"})
+
+    def visit_Import(self, node: ast.Import) -> None:
+        for item in node.names:
+            self._check(node, item.name)
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        if not node.level and node.module is not None:
+            self._check(node, node.module)
+
+    def _check(self, node: ast.stmt, module: str) -> None:
+        root = module.split(".")[0]
+        if root not in sys.stdlib_module_names and root not in self.DECLARED:
+            self.report(
+                node,
+                f"import of {module!r}: library code may import only the standard "
+                "library, numpy and repro (setup.py install_requires)",
+            )

@@ -192,14 +192,15 @@ def _edges_to_csr(us: np.ndarray, vs: np.ndarray, num_rows: int) -> NeighborCSR:
     """Build a symmetric :class:`NeighborCSR` from unordered edge endpoints.
 
     ``(us[i], vs[i])`` are undirected edges with ``us[i] != vs[i]``, each
-    unordered pair appearing exactly once.
+    unordered pair appearing exactly once, so the directed keys
+    ``row·num_rows + col`` are distinct and one sort orders them by row,
+    then column.
     """
 
-    rows = np.concatenate([us, vs])
-    cols = np.concatenate([vs, us])
-    order = np.lexsort((cols, rows))
-    rows = rows[order]
-    cols = cols[order]
+    m = np.int64(num_rows)
+    keys = np.sort(np.concatenate([us * m + vs, vs * m + us]))
+    rows = keys // m
+    cols = keys % m
     counts = np.bincount(rows, minlength=num_rows)
     indptr = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(counts, dtype=np.int64)])
     return NeighborCSR(indptr=indptr, indices=cols.astype(np.int32))

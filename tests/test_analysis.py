@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import (
     CompetitivenessReport,
@@ -146,6 +148,174 @@ class TestFitting:
         fit = fit_power_law(xs, ys)
         assert 0.3 < fit.exponent < 0.5
         assert fit.r_squared < 1.0
+
+
+#: The ten offset fits the docs-profile registry makes (E1: Alice then node
+#: max cost; E5: node then Alice cost for each protocol), with the
+#: ``(α, c, y₀)`` that scipy's ``curve_fit`` returned for them when the fit
+#: used it.
+REGISTRY_FITS = [
+    ("E1-alice", [2186.0, 6605.0, 19951.0, 60260.0], [1395.0, 1769.0, 2331.0, 3052.0],
+     0.2945097278893438, 104.52610652033952, 385.8483718756163),
+    ("E1-node", [2186.0, 6605.0, 19951.0, 60260.0], [1859.0, 6371.0, 10512.0, 16937.0],
+     0.6591390424298421, 13.487684975002209, 1.5749544011988606e-13),
+    ("E5-epsilon-broadcast-node", [724.0, 3161.0, 13802.0, 60260.0], [701.5, 3513.0, 7381.0, 16704.5],
+     0.7103143526307937, 7.553054898222966, 4.3339830766044774e-13),
+    ("E5-epsilon-broadcast-alice", [724.0, 3161.0, 13802.0, 60260.0], [1348.5, 1335.0, 1786.5, 2979.5],
+     0.882831222589742, 0.10385633147129492, 1271.3941932187977),
+    ("E5-naive-node", [724.0, 3161.0, 13802.0, 60260.0], [512.0, 2049.0, 8194.0, 32773.0],
+     0.9405878726204102, 1.0459715017448965, 3.0522195958052143e-07),
+    ("E5-naive-alice", [724.0, 3161.0, 13802.0, 60260.0], [1022.0, 4094.0, 16382.0, 65534.0],
+     0.9409899754051984, 2.0827438832170655, 6.014144961799224e-10),
+    ("E5-ksy-node", [724.0, 3161.0, 13802.0, 60260.0], [527.5, 2082.0, 8295.0, 33110.0],
+     0.9397894591033311, 1.0657358656362517, 8.45203177875486),
+    ("E5-ksy-alice", [724.0, 3161.0, 13802.0, 60260.0], [143.0, 302.0, 780.5, 1747.0],
+     0.6115403412743585, 2.099474251303403, 23.792458414436982),
+    ("E5-balanced-backoff-node", [724.0, 3161.0, 13802.0, 60260.0], [262.5, 579.0, 1203.0, 2705.0],
+     0.5291166440793258, 7.900698131111317, 6.181523679580233),
+    ("E5-balanced-backoff-alice", [724.0, 3161.0, 13802.0, 60260.0], [293.5, 715.5, 1470.5, 3541.0],
+     0.5558650006743026, 7.682091999819153, 9.803949178435246e-15),
+]
+
+positive = st.floats(min_value=1e-2, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def positive_series(draw):
+    """4–10 points with strictly positive x and y."""
+
+    size = draw(st.integers(4, 10))
+    xs = draw(st.lists(positive, min_size=size, max_size=size))
+    ys = draw(st.lists(positive, min_size=size, max_size=size))
+    return np.array(xs), np.array(ys)
+
+
+def weighted_sse(x, y, offset, coefficient, exponent):
+    """The offset fit's objective: squared residuals weighted by σ = max(y, 1)."""
+
+    residual = (y - offset - coefficient * x**exponent) / np.maximum(y, 1.0)
+    return float(np.sum(residual * residual))
+
+
+def reference_sse(x, y, alphas, iterations=60):
+    """The bounded inner minimum at each α, found independently of the fit.
+
+    Minimising over ``c ≥ 1e-12`` in closed form leaves a convex function of
+    ``y₀`` alone, which a ternary search over ``[0, max y]`` brackets.
+    """
+
+    weights = 1.0 / np.maximum(y, 1.0) ** 2
+    u = x[None, :] ** alphas[:, None]
+    sum_uu = np.sum(weights * u * u, axis=1)
+
+    def sse(y0):
+        c = np.sum(weights * u * (y - y0[:, None]), axis=1) / sum_uu
+        residual = y - y0[:, None] - np.maximum(c, 1e-12)[:, None] * u
+        return np.sum(weights * residual * residual, axis=1)
+
+    low, high = np.zeros(alphas.size), np.full(alphas.size, y.max())
+    for _ in range(iterations):
+        left, right = low + (high - low) / 3, high - (high - low) / 3
+        keep_left = sse(left) <= sse(right)
+        low, high = np.where(keep_left, low, left), np.where(keep_left, right, high)
+    return np.minimum(sse(low), sse(high))
+
+
+class TestOffsetFit:
+    """The exact numpy-only ``y ≈ y₀ + c·x^α`` fit (four or more points)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(positive_series())
+    def test_fit_stays_within_bounds(self, series):
+        x, y = series
+        fit = fit_power_law_with_offset(x, y)
+        assert 0.0 <= fit.exponent <= 2.0
+        assert fit.coefficient >= 1e-12
+        assert 0.0 <= fit.offset <= y.max()
+        assert fit.n_points == x.size
+
+    @settings(max_examples=60, deadline=None)
+    @given(positive_series())
+    def test_fit_is_no_worse_than_a_dense_reference_grid(self, series):
+        x, y = series
+        fit = fit_power_law_with_offset(x, y)
+        measured = weighted_sse(x, y, fit.offset, fit.coefficient, fit.exponent)
+        # Midpoints of a 1,000-cell grid: none of them is on the fit's first grid.
+        alphas = (np.arange(1000) + 0.5) / 500.0
+        reference = reference_sse(x, y, alphas).min()
+        assert measured <= reference * (1 + 1e-9) + 1e-300
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(1, 100_000), min_size=4, max_size=10, unique=True).filter(
+            lambda xs: max(xs) >= 10 * min(xs)
+        ),
+        st.floats(0.0, 1_000.0),
+        st.floats(0.1, 100.0),
+        st.floats(0.1, 1.9),
+    )
+    def test_noise_free_series_recovered(self, xs, offset, coefficient, exponent):
+        x = np.array(xs, dtype=float)
+        y = offset + coefficient * x**exponent
+        fit = fit_power_law_with_offset(x, y)
+        assert fit.exponent == pytest.approx(exponent, abs=1e-6)
+        assert fit.coefficient == pytest.approx(coefficient, rel=1e-6)
+        assert fit.offset == pytest.approx(offset, abs=1e-6 * y.max())
+
+    @pytest.mark.parametrize("exponent", [0.0, 2.0])
+    def test_exponent_on_its_bounds(self, exponent):
+        x = np.array([3.0, 30.0, 300.0, 3000.0])
+        y = 40.0 + 0.5 * x**exponent
+        fit = fit_power_law_with_offset(x, y)
+        assert weighted_sse(x, y, fit.offset, fit.coefficient, fit.exponent) < 1e-20
+        if exponent == 2.0:
+            assert fit.exponent == pytest.approx(2.0, abs=1e-6)
+            assert fit.coefficient == pytest.approx(0.5, rel=1e-6)
+            assert fit.offset == pytest.approx(40.0, abs=1e-6 * y.max())
+
+    @pytest.mark.parametrize(
+        "xs, ys",
+        [
+            ([10.0, 100.0, 1000.0, 10_000.0], [7.0, 7.0, 7.0, 7.0]),
+            ([5.0, 5.0, 5.0, 50.0], [100.0, 120.0, 110.0, 400.0]),
+            ([5.0, 50.0, 50.0, 50.0], [100.0, 380.0, 400.0, 420.0]),
+            ([1.0, 2.0, 3.0, 4.0], [0.2, 0.3, 0.1, 0.4]),
+        ],
+        ids=["constant-y", "one-large-x", "one-small-x", "y-below-one"],
+    )
+    def test_degenerate_series(self, xs, ys):
+        x, y = np.array(xs), np.array(ys)
+        fit = fit_power_law_with_offset(x, y)
+        values = (fit.exponent, fit.coefficient, fit.offset, fit.r_squared)
+        assert all(math.isfinite(value) for value in values)
+        assert 0.0 <= fit.exponent <= 2.0 and fit.coefficient >= 1e-12
+        assert 0.0 <= fit.offset <= y.max()
+        measured = weighted_sse(x, y, fit.offset, fit.coefficient, fit.exponent)
+        reference = reference_sse(x, y, np.linspace(0.0, 2.0, 201)).min()
+        assert measured <= reference * (1 + 1e-9) + 1e-300
+
+    def test_repeat_calls_return_identical_floats(self):
+        for _, xs, ys, *_ in REGISTRY_FITS:
+            assert fit_power_law_with_offset(xs, ys) == fit_power_law_with_offset(xs, ys)
+
+    @pytest.mark.parametrize(
+        "xs, ys, exponent, coefficient, offset",
+        [fit[1:] for fit in REGISTRY_FITS],
+        ids=[fit[0] for fit in REGISTRY_FITS],
+    )
+    def test_registry_fits_match_curve_fit(self, xs, ys, exponent, coefficient, offset):
+        fit = fit_power_law_with_offset(xs, ys)
+        assert fit.exponent == pytest.approx(exponent, rel=1e-3)
+        assert fit.coefficient == pytest.approx(coefficient, rel=1e-3)
+        if offset < 1e-6:
+            assert fit.offset == pytest.approx(offset, abs=1e-6)
+        else:
+            assert fit.offset == pytest.approx(offset, rel=1e-3)
+
+    def test_str_always_shows_offset_and_points(self):
+        fit = fit_power_law_with_offset(*REGISTRY_FITS[1][1:3])
+        assert fit.offset == 0.0
+        assert str(fit) == "y ≈ 0 + 13.5·x^0.659 (R²=0.918, n=4)"
 
 
 class TestStats:

@@ -11,14 +11,22 @@ pass:
 * the trial records the pass stored hash to the digest committed next to
   this file for the current ``CACHE_VERSION``, so a change to what trials
   compute cannot reach a warm trial cache without a version bump.
+
+The fitted-exponent experiments (E1, E5) are also run once more in a
+process where scipy cannot be imported: numpy is the only declared
+dependency, so their tables must not depend on what else is installed.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import pickle
 import re
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 from pathlib import Path
 
@@ -92,3 +100,41 @@ def test_trial_records_match_committed_digest(docs_pass):
         "so stale cached records are never served, then commit the new digest. "
         "(A new numpy major.minor can also change the random streams.)"
     )
+
+
+WITHOUT_SCIPY = textwrap.dedent(
+    """
+    import json, sys
+    from dataclasses import replace
+
+    sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+
+    from repro.experiments import DOCS_PROFILE, render_result
+    from repro.experiments.registry import run_panel
+
+    settings = replace(DOCS_PROFILE, jobs=1, cache_dir=sys.argv[1])
+    tables = {eid: render_result(run_panel(eid, settings)[0]) for eid in ("E1", "E5")}
+    imported = sorted(
+        name for name, module in sys.modules.items()
+        if name.split(".")[0] == "scipy" and module is not None
+    )
+    print(json.dumps({"tables": tables, "scipy_modules": imported}))
+    """
+)
+
+
+def test_fitted_tables_do_not_need_scipy(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", WITHOUT_SCIPY, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["scipy_modules"] == []
+    committed = experiments_md_tables()
+    for eid, table in report["tables"].items():
+        assert table == committed[eid], f"{eid}'s table differs from EXPERIMENTS.md without scipy"

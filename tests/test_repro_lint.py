@@ -2,7 +2,7 @@
 
 Coverage contract (see docs/architecture.md "Static analysis"):
 
-* one positive and one negative fixture per built-in rule R1–R9,
+* one positive and one negative fixture per built-in rule R1–R10,
 * suppression-comment handling with and without a reason,
 * the JSON report schema,
 * registry validation,
@@ -454,6 +454,53 @@ class TestR9HashUnique:
         assert not config.is_exempt("R9", "src/repro/simulation/fastengine.py")
 
 
+class TestR10UndeclaredImport:
+    def test_flags_top_level_import(self):
+        violations = lint(
+            """
+            import scipy.optimize as optimize
+            """
+        )
+        assert [(v.rule, v.line) for v in violations] == [("R10", 2)]
+        assert "'scipy.optimize'" in violations[0].message
+
+    def test_flags_function_local_import(self):
+        violations = lint(
+            """
+            def fit(x, y):
+                try:
+                    from scipy.optimize import curve_fit
+                except ImportError:
+                    return None
+                return curve_fit
+            """
+        )
+        assert [(v.rule, v.line) for v in violations] == [("R10", 4)]
+
+    def test_flags_from_import(self):
+        violations = lint(
+            """
+            from pandas import DataFrame
+            """
+        )
+        assert [v.rule for v in violations] == ["R10"]
+
+    def test_allows_stdlib_numpy_repro_and_relative_imports(self):
+        violations = lint(
+            """
+            from __future__ import annotations
+            import collections.abc
+            import numpy as np
+            from numpy.typing import NDArray
+            import repro.simulation
+            from repro.analysis import fitting
+            from . import sibling
+            from ..analysis.fitting import fit_power_law
+            """
+        )
+        assert rules_hit(violations) == set()
+
+
 # --------------------------------------------------------------------- #
 # Suppressions                                                           #
 # --------------------------------------------------------------------- #
@@ -551,7 +598,7 @@ class TestFramework:
     def test_catalogue_has_the_eight_rules(self):
         rules = registered_rules()
         assert list(rules) == sorted(rules)
-        assert set(rules) >= {"R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9"}
+        assert set(rules) >= {f"R{i}" for i in range(1, 11)}
         for cls in rules.values():
             assert cls.title
             assert cls.rationale

@@ -48,6 +48,7 @@ from repro.simulation import (
 )
 from repro.simulation.errors import ConfigurationError
 from repro.simulation.fastengine import _sample_bernoulli_events
+from repro.simulation.topology import _edges_to_csr, _gilbert_edges_grid
 
 
 def sample_topology(kind, n=64, seed=0, radius=0.25, alpha=2.0, min_radius=0.05):
@@ -151,6 +152,62 @@ class TestGridEqualsBruteForce:
         clique = SingleHop(10)
         got = clique.any_neighbor_in([0, 1, 9], {1})
         assert got.tolist() == [True, False, True]
+
+
+def lexsort_csr(us, vs, num_rows):
+    """The ``np.lexsort`` CSR construction ``_edges_to_csr`` replaced."""
+
+    rows = np.concatenate([us, vs])
+    cols = np.concatenate([vs, us])
+    order = np.lexsort((cols, rows))
+    counts = np.bincount(rows[order], minlength=num_rows)
+    indptr = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(counts, dtype=np.int64)])
+    return indptr, cols[order].astype(np.int32)
+
+
+class TestEdgesToCsr:
+    """The int64-key sort builds the same CSR as the lexsort it replaced."""
+
+    @staticmethod
+    def assert_matches_lexsort(us, vs, num_rows):
+        csr = _edges_to_csr(us, vs, num_rows)
+        indptr, indices = lexsort_csr(us, vs, num_rows)
+        assert csr.indptr.dtype == indptr.dtype and csr.indices.dtype == indices.dtype
+        assert np.array_equal(csr.indptr, indptr)
+        assert np.array_equal(csr.indices, indices)
+
+    @staticmethod
+    def scrambled(us, vs, seed):
+        """The same unordered pairs in a random order, endpoints randomly swapped."""
+
+        rng = np.random.default_rng(seed)
+        order = rng.permutation(us.size)
+        us, vs = us[order], vs[order]
+        swap = rng.random(us.size) < 0.5
+        return np.where(swap, vs, us), np.where(swap, us, vs)
+
+    @pytest.mark.parametrize("radius", [0.03, 0.1, 0.3])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_gilbert_edge_lists(self, radius, seed):
+        positions = np.random.default_rng(seed).random((301, 2))
+        us, vs = _gilbert_edges_grid(positions, radius)
+        assert us.size > 0
+        self.assert_matches_lexsort(us, vs, 301)
+        self.assert_matches_lexsort(*self.scrambled(us, vs, seed), 301)
+
+    @pytest.mark.parametrize("alpha,min_radius", [(2.5, 0.04), (1.2, 0.05)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_scale_free_edge_lists(self, alpha, min_radius, seed):
+        topo = sample_topology("scale_free", n=300, seed=seed, alpha=alpha, min_radius=min_radius)
+        origins, targets = topo.neighbor_csr().expand(np.arange(topo.n + 1))
+        upper = origins < targets
+        us, vs = self.scrambled(origins[upper], targets[upper], seed)
+        self.assert_matches_lexsort(us, vs, topo.n + 1)
+
+    def test_empty_and_single_edge(self):
+        empty = np.empty(0, dtype=np.int64)
+        self.assert_matches_lexsort(empty, empty, 5)
+        self.assert_matches_lexsort(np.array([3], dtype=np.int64), np.array([1], dtype=np.int64), 5)
 
 
 class TestCrossover:
