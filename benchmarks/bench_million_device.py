@@ -70,7 +70,7 @@ def run(n: int, seed: int, memory_ceiling: float) -> None:
     build_start = time.perf_counter()
     network = Network(config)
     build_elapsed = time.perf_counter() - build_start
-    adjacency_memory = network.topology_memory_bytes()
+    adjacency_memory = network.topology.memory_bytes()
     dense_would_need = (n + 1) * (n + 1)
 
     protocol = MultiHopBroadcast(

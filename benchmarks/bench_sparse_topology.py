@@ -101,7 +101,7 @@ def engine_run(n: int, seed: int) -> None:
     build_start = time.perf_counter()
     network = Network(config)
     build_elapsed = time.perf_counter() - build_start
-    adjacency_memory = network.topology_memory_bytes()
+    adjacency_memory = network.topology.memory_bytes()
 
     run_start = time.perf_counter()
     outcome = MultiHopBroadcast(

@@ -45,7 +45,7 @@ def main() -> None:
     dense_gb = (n + 1) ** 2 / 1e9
     print(f"  mean degree {degrees.mean():.1f} (min {degrees.min()}, max {degrees.max()})")
     print(f"  nodes reachable from Alice: {reachable:,} ({reachable / n:.1%})")
-    print(f"  adjacency memory: {network.topology_memory_bytes() / 1e6:.1f} MB "
+    print(f"  adjacency memory: {network.topology.memory_bytes() / 1e6:.1f} MB "
           f"(dense matrix would need {dense_gb:.1f} GB)")
 
     # Cap the round schedule so the demo stays interactive; phase lengths grow

@@ -285,7 +285,7 @@ class _PerPhaseDiskJammer(Adversary):
 
     @property
     def victims(self) -> FrozenSet[int]:
-        """Device ids targeted during the current phase (empty before binding)."""
+        """Ids of the devices targeted during the current phase (empty before binding)."""
 
         return self._victims if self._victims is not None else frozenset()
 

@@ -126,7 +126,7 @@ class SpatialJammer(Adversary):
 
     @property
     def victims(self) -> FrozenSet[int]:
-        """Device ids inside the jammed disk (empty before binding)."""
+        """Ids of the devices inside the jammed disk (empty before binding)."""
 
         return self._victims if self._victims is not None else frozenset()
 

@@ -5,11 +5,13 @@ a loop over phases.  The loop *shape* differs between them (rounds of
 inform / propagation / request phases versus one growing epoch at a time),
 but every phase goes through the same steps: show the adversary a
 :class:`~repro.simulation.phaseplan.PhaseContext`, let it commit to a jam
-plan, hand the phase to the engine, advance the slot clock, apply the
+plan, hand the phase to the engine, advance the slot counter, apply the
 protocol's state transitions, let the adversary observe the result, and
-record the phase.  :class:`PhaseDriver` owns those steps, the run's
-:class:`~repro.simulation.clock.SlotClock` and
-:class:`~repro.simulation.events.EventLog`, the ``"run-start"`` /
+record the phase.  :class:`PhaseDriver` owns those steps, the run's slot
+counter (an ``int``: each phase's slot window is its
+:class:`~repro.simulation.events.PhaseRecord`'s ``start_slot`` and
+``num_slots``) and :class:`~repro.simulation.events.EventLog`, the
+``"run-start"`` /
 ``"phase"`` / ``"run-end"`` trace events, and outcome assembly.  The
 orchestrators keep only their loop shape and their state-transition hook, so
 ε-Broadcast and the baselines it is compared against are measured by the same
@@ -22,7 +24,6 @@ from typing import Callable, Dict, Optional, Union
 
 from ..adversary.base import Adversary
 from ..observability.trace import TraceEvent, TraceRecorder
-from ..simulation.clock import SlotClock
 from ..simulation.config import SimulationConfig
 from ..simulation.engine import SlotEngine
 from ..simulation.errors import ConfigurationError
@@ -41,7 +42,7 @@ EngineSpec = Union[str, SlotEngine, PhaseEngine]
 
 #: A protocol's state-transition hook, called once per phase as
 #: ``apply(plan, roles, result, state, round_index, slot)`` where ``slot`` is
-#: the clock reading at the end of the phase.
+#: the slot counter at the end of the phase.
 StateTransition = Callable[[PhasePlan, PhaseRoles, PhaseResult, ProtocolState, int, int], None]
 
 
@@ -82,7 +83,8 @@ class PhaseDriver:
         self.engine = engine
         self.adversary = adversary
         self.recorder = recorder
-        self.clock = SlotClock()
+        self.slot = 0
+        """Slots executed so far: the index of the next phase's first slot."""
         self.log = EventLog()
 
     @property
@@ -133,14 +135,11 @@ class PhaseDriver:
         alice_before = network.alice_cost
         nodes_before = network.node_ledgers.total_spent
 
-        clock = self.clock
-        start_slot = clock.now
-        clock.begin_phase(round_index, plan.name)
+        start_slot = self.slot
         result = self.engine.run_phase(plan, roles, jam_plan, start_slot=start_slot)
-        clock.advance(plan.num_slots)
-        clock.end_phase()
+        self.slot += plan.num_slots
 
-        apply(plan, roles, result, state, round_index, clock.now)
+        apply(plan, roles, result, state, round_index, self.slot)
 
         adversary.observe_result(context, result)
         terminated_informed = state.terminated_informed_count()
@@ -216,11 +215,12 @@ class PhaseDriver:
             informed=state.informed_count(),
             terminated_informed=state.terminated_informed_count(),
             terminated_uninformed=state.terminated_uninformed_count(),
-            slots_elapsed=self.clock.now,
+            slots_elapsed=self.slot,
             rounds_executed=self.log.rounds_executed(),
             alice_terminated=state.alice_terminated,
         )
-        costs = CostBreakdown.from_snapshot(network.cost_snapshot(), per_node=network.node_costs())
+        snapshot = network.cost_snapshot()
+        costs = CostBreakdown.from_snapshot(snapshot, per_node=network.node_costs())
         outcome = BroadcastOutcome(
             protocol=self.protocol_name,
             adversary=self.adversary_name,
@@ -233,7 +233,6 @@ class PhaseDriver:
         )
         recorder = self.recorder
         if recorder.enabled:
-            snapshot = network.cost_snapshot()
             recorder.record(
                 TraceEvent(
                     kind="run-end",

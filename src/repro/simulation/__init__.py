@@ -1,17 +1,17 @@
 """The wireless-sensor-network simulation substrate.
 
 This subpackage implements the slotted, single-channel, energy-budgeted
-network model of Gilbert & Young (PODC 2012): devices, the collision/jamming
-channel with n-uniform targeting, energy ledgers, deterministic randomness,
-and two interchangeable phase-execution engines (slot-faithful and
-vectorised).
+network model of Gilbert & Young (PODC 2012): the network container (the
+radio graph plus one energy ledger per side — Alice, the correct nodes as
+rows of one array, and Carol), the collision/jamming channel with n-uniform
+targeting, deterministic randomness, and two interchangeable
+phase-execution engines (slot-faithful and vectorised).
 """
 
 from .auth import ALICE_ID, Authenticator
 from .channel import Channel, JamMode, JamTargeting, SlotResolution
-from .clock import PhaseWindow, SlotClock
 from .config import SimulationConfig
-from .energy import BudgetPolicy, EnergyLedger, EnergyOperation, LedgerArray, LedgerView
+from .energy import BudgetPolicy, EnergyLedger, EnergyOperation, LedgerArray
 from .engine import SlotEngine
 from .errors import (
     AuthenticationError,
@@ -26,7 +26,6 @@ from .fastengine import PhaseEngine
 from .messages import Message, MessageKind, make_decoy, make_nack, make_payload, make_spoof
 from .metrics import CostBreakdown, DeliveryStats, resource_competitive_ratio
 from .network import Network
-from .node import ActionKind, Device, Role, SlotAction
 from .observation import ChannelState, Observation
 from .phaseplan import (
     AdversaryStrategy,
@@ -52,7 +51,6 @@ from .topology import (
 
 __all__ = [
     "ALICE_ID",
-    "ActionKind",
     "AdversaryStrategy",
     "AuthenticationError",
     "Authenticator",
@@ -65,11 +63,9 @@ __all__ = [
     "CostBreakdown",
     "DeliveryStats",
     "derive_seed",
-    "Device",
     "EnergyLedger",
     "EnergyOperation",
     "LedgerArray",
-    "LedgerView",
     "EventLog",
     "GilbertGraph",
     "NeighborCSR",
@@ -91,18 +87,14 @@ __all__ = [
     "PhaseRecord",
     "PhaseResult",
     "PhaseRoles",
-    "PhaseWindow",
     "ProtocolViolationError",
     "RandomSource",
     "ReproError",
     "resource_competitive_ratio",
-    "Role",
     "ScaleFreeGilbert",
     "SimulationConfig",
     "SimulationError",
     "SingleHop",
-    "SlotAction",
-    "SlotClock",
     "SlotEngine",
     "SlotResolution",
     "Topology",

@@ -184,14 +184,14 @@ class Channel:
         transmissions:
             Frames transmitted this slot (one per transmitting device).
         listeners:
-            Device ids listening this slot.  A device both sending and
+            Ids of the devices listening this slot.  A device both sending and
             listening is a protocol violation (half-duplex radios).
         jam:
             The adversary's :class:`JamTargeting` for this slot.
         slot:
             Global slot index recorded on the observations (for traces).
         senders:
-            Device ids of the transmitters, used only for the half-duplex
+            Ids of the transmitters, used only for the half-duplex
             sanity check; Byzantine transmitters may be omitted.
         """
 

@@ -7,15 +7,12 @@ optionally *enforce* the budget (used for Carol, whose jamming must stop when
 her budget is exhausted) or merely *record* it (used for correct devices, whose
 budget sufficiency is a theorem we check rather than a constraint we impose).
 
-For the ``n`` correct nodes — a homogeneous population charged in bulk every
-phase by the vectorised engine — per-device ``EnergyLedger`` objects are a
-large-``n`` bottleneck: ~``n`` Python-level ``charge_bulk`` calls per phase.
-:class:`LedgerArray` therefore keeps the whole population's accounting in
-numpy arrays and charges any subset in one vector operation
-(:meth:`LedgerArray.charge_bulk_many`); :meth:`LedgerArray.view` hands out
-per-device :class:`LedgerView` objects that satisfy the full
-:class:`EnergyLedger` interface, so everything that inspects or charges one
-node at a time (the slot engine, metrics, tests) is unaffected by the layout.
+The ``n`` correct nodes are a homogeneous population (one budget, one
+policy), so their accounting is not ``n`` ledger objects but one
+:class:`LedgerArray`: numpy rows indexed by node id, any subset of which is
+charged in one vector operation (:meth:`LedgerArray.charge_bulk_many`).  Both
+engines charge nodes only through it — the vectorised engine once per phase
+cohort, the slot engine once per operation at the end of each phase.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, ConfigurationError
 
-__all__ = ["EnergyOperation", "EnergyLedger", "BudgetPolicy", "LedgerArray", "LedgerView"]
+__all__ = ["EnergyOperation", "EnergyLedger", "BudgetPolicy", "LedgerArray"]
 
 
 class EnergyOperation(enum.Enum):
@@ -181,10 +178,9 @@ class EnergyLedger:
 class LedgerArray:
     """Array-backed energy accounting for a homogeneous device population.
 
-    One shared ``budget``/``policy`` pair and one numpy row per device.  The
-    vectorised engine charges whole phase cohorts through
-    :meth:`charge_bulk_many`; per-device access goes through :meth:`view`,
-    which behaves exactly like an :class:`EnergyLedger` for that row.
+    One shared ``budget``/``policy`` pair and one numpy row per device.  Every
+    charge goes through :meth:`charge_bulk_many`; reads go through
+    :meth:`spent_array`, :meth:`spent_on_array` and :meth:`overdraft_array`.
 
     Parameters
     ----------
@@ -279,19 +275,16 @@ class LedgerArray:
 
         return self._spent.copy()
 
+    def spent_on_array(self, operation: EnergyOperation) -> np.ndarray:
+        """Copy of per-device expenditure on ``operation`` (zeros if never charged)."""
+
+        per_op = self._by_operation.get(operation)
+        return np.zeros(self.count, dtype=float) if per_op is None else per_op.copy()
+
     def overdraft_array(self) -> np.ndarray:
         """Per-device overdraft (zeros when every budget held)."""
 
         return np.maximum(self._spent - self.budget, 0.0)
-
-    def view(self, index: int) -> "LedgerView":
-        """An :class:`EnergyLedger`-compatible handle on one device's row."""
-
-        if not (0 <= index < self.count):
-            raise ConfigurationError(
-                f"ledger array {self.owner_prefix!r} has {self.count} rows, asked for {index}"
-            )
-        return LedgerView(self, index)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -299,99 +292,3 @@ class LedgerArray:
             f"budget={self.budget:g})"
         )
 
-
-class LedgerView:
-    """One device's slice of a :class:`LedgerArray`.
-
-    Implements the :class:`EnergyLedger` interface (``spent``, ``charge``,
-    ``charge_bulk``, ``snapshot``, ...) against the shared arrays, so code
-    that charges or inspects a single device — the slot engine, metrics,
-    tests — cannot tell the two layouts apart.
-    """
-
-    __slots__ = ("_array", "_index", "owner")
-
-    def __init__(self, array: LedgerArray, index: int) -> None:
-        self._array = array
-        self._index = index
-        self.owner = f"{array.owner_prefix}:{index}"
-
-    @property
-    def budget(self) -> float:
-        return self._array.budget
-
-    @property
-    def policy(self) -> BudgetPolicy:
-        return self._array.policy
-
-    @property
-    def spent(self) -> float:
-        return float(self._array._spent[self._index])
-
-    @property
-    def remaining(self) -> float:
-        return max(self.budget - self.spent, 0.0)
-
-    @property
-    def exhausted(self) -> bool:
-        return self.remaining < 1.0 and not math.isinf(self.budget)
-
-    @property
-    def overdraft(self) -> float:
-        return max(self.spent - self.budget, 0.0)
-
-    def spent_on(self, operation: EnergyOperation) -> float:
-        per_op = self._array._by_operation.get(operation)
-        return float(per_op[self._index]) if per_op is not None else 0.0
-
-    def can_afford(self, units: float = 1.0) -> bool:
-        if math.isinf(self.budget):
-            return True
-        return self.spent + units <= self.budget + 1e-9
-
-    def charge(self, operation: EnergyOperation, units: float = 1.0) -> bool:
-        if units < 0:
-            raise ConfigurationError(f"cannot charge negative energy ({units}) to {self.owner!r}")
-        if units == 0:
-            return True
-        if not self.can_afford(units):
-            if self.policy is BudgetPolicy.ENFORCE:
-                raise BudgetExceededError(self.owner, self.budget, self.spent + units)
-            if self.policy is BudgetPolicy.CAP:
-                return False
-        self._apply(operation, units)
-        return True
-
-    def charge_bulk(self, operation: EnergyOperation, units: float) -> float:
-        if units < 0:
-            raise ConfigurationError(f"cannot charge negative energy ({units}) to {self.owner!r}")
-        if units == 0:
-            return 0.0
-        if not self.can_afford(units):
-            if self.policy is BudgetPolicy.ENFORCE:
-                raise BudgetExceededError(self.owner, self.budget, self.spent + units)
-            if self.policy is BudgetPolicy.CAP:
-                units = self.remaining
-                if units <= 0:
-                    return 0.0
-        self._apply(operation, units)
-        return units
-
-    def _apply(self, operation: EnergyOperation, units: float) -> None:
-        self._array._spent[self._index] += units
-        self._array.total_spent += units
-        per_op = self._array._by_operation.get(operation)
-        if per_op is None:
-            per_op = self._array._by_operation.setdefault(
-                operation, np.zeros(self._array.count, dtype=float)
-            )
-        per_op[self._index] += units
-
-    def snapshot(self) -> Dict[str, float]:
-        summary = {"spent": self.spent, "budget": self.budget, "overdraft": self.overdraft}
-        for operation in EnergyOperation:
-            summary[operation.value] = self.spent_on(operation)
-        return summary
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"LedgerView(owner={self.owner!r}, spent={self.spent:g}, budget={self.budget:g})"

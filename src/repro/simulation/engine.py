@@ -2,7 +2,11 @@
 
 :class:`SlotEngine` executes a phase exactly as the paper describes it: slot
 by slot, every participant flips its own coins, the channel resolves
-collisions and per-listener jamming, and energy is charged one unit at a time.
+collisions and per-listener jamming, and Alice and Carol are charged one unit
+at a time.  Correct nodes' send and listen slots are counted during the phase
+and charged to their ledger rows once per operation when it ends: nodes never
+refuse a charge (``RECORD`` policy) and nothing reads their ledgers mid-phase,
+so the final ledgers equal per-slot charging's exactly.
 It is the reference semantics — the vectorised
 :class:`~repro.simulation.fastengine.PhaseEngine` is validated against it — and
 it is the engine of choice for unit and property tests at small ``n``.
@@ -17,7 +21,7 @@ multi-hop statistical-equivalence tests validate the fast engine against.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 import numpy as np
 
@@ -28,7 +32,7 @@ from .errors import SimulationError
 from .jamming import materialize_jam_slots, materialize_spoof_slots
 from .messages import Message, MessageKind, make_decoy, make_nack, make_payload, make_spoof
 from .network import Network
-from .phaseplan import JamPlan, PhaseKind, PhasePlan, PhaseResult, PhaseRoles
+from .phaseplan import JamPlan, PhasePlan, PhaseResult, PhaseRoles
 from ..observability.trace import NULL_RECORDER, TraceRecorder, engine_event
 
 __all__ = ["SlotEngine"]
@@ -73,7 +77,7 @@ class SlotEngine:
         """Execute one phase and return its :class:`PhaseResult`.
 
         Energy ledgers of Alice, the correct nodes, and the adversary are
-        charged as a side effect.
+        charged as a side effect (the nodes' at the end of the phase).
         """
 
         network = self.network
@@ -134,8 +138,10 @@ class SlotEngine:
         busy_slots = 0
         spoofed_transmissions = 0
 
-        alice_ledger = network.alice.ledger
+        alice_ledger = network.alice_ledger
         adversary_ledger = network.adversary_ledger
+        node_send_slots = np.zeros(network.n, dtype=np.int64)
+        node_listen_slots = np.zeros(network.n, dtype=np.int64)
 
         for j in range(s):
             transmissions: List[Message] = []
@@ -162,7 +168,7 @@ class SlotEngine:
                         )
                         senders.add(relay_id)
                         sending_nodes.add(relay_id)
-                        network.nodes[relay_id].ledger.charge(EnergyOperation.SEND)
+                        node_send_slots[relay_id] += 1
 
             # -- Uninformed node actions (nacks + listening) ------------ #
             ordered_uninformed = sorted(active_uninformed)
@@ -174,10 +180,10 @@ class SlotEngine:
                         transmissions.append(make_nack(node_id))
                         senders.add(node_id)
                         sending_nodes.add(node_id)
-                        network.nodes[node_id].ledger.charge(EnergyOperation.SEND)
+                        node_send_slots[node_id] += 1
                     elif plan.uninformed_listen_prob > 0 and coins[idx, 1] < plan.uninformed_listen_prob:
                         listeners.add(node_id)
-                        network.nodes[node_id].ledger.charge(EnergyOperation.LISTEN)
+                        node_listen_slots[node_id] += 1
 
             # -- Decoy traffic (§4.1) ----------------------------------- #
             if decoy_senders and plan.decoy_send_prob > 0:
@@ -186,19 +192,16 @@ class SlotEngine:
                     if node_id in sending_nodes or node_id in newly_informed:
                         continue
                     if coins[idx] < plan.decoy_send_prob:
+                        transmissions.append(make_decoy(node_id))
+                        senders.add(node_id)
+                        sending_nodes.add(node_id)
                         if node_id in listeners:
                             # Half-duplex: a node that chose to transmit a decoy
-                            # gives up its listening slot (cost already charged
-                            # for the radio-on slot; do not double charge).
+                            # gives up its listening slot (already counted for
+                            # the radio-on slot; do not double charge).
                             listeners.discard(node_id)
-                            transmissions.append(make_decoy(node_id))
-                            senders.add(node_id)
-                            sending_nodes.add(node_id)
                         else:
-                            transmissions.append(make_decoy(node_id))
-                            senders.add(node_id)
-                            sending_nodes.add(node_id)
-                            network.nodes[node_id].ledger.charge(EnergyOperation.SEND)
+                            node_send_slots[node_id] += 1
 
             # -- Byzantine spoofed transmissions ------------------------ #
             if j in spoof_payload_slots:
@@ -282,6 +285,13 @@ class SlotEngine:
 
             if delivered_this_slot:
                 delivery_slots += 1
+
+        for operation, slots in (
+            (EnergyOperation.SEND, node_send_slots),
+            (EnergyOperation.LISTEN, node_listen_slots),
+        ):
+            charged = np.flatnonzero(slots)
+            network.node_ledgers.charge_bulk_many(operation, charged, slots[charged])
 
         result = PhaseResult(
             plan=plan,

@@ -292,7 +292,7 @@ class PhaseEngine:
         # ------------------------------------------------------------------ #
         alice_send_slots = int(hist[CLEAN_ALICE] + hist[BUSY_ALICE])
         if alice_send_slots:
-            network.alice.ledger.charge_bulk(EnergyOperation.SEND, float(alice_send_slots))
+            network.alice_ledger.charge_bulk(EnergyOperation.SEND, float(alice_send_slots))
 
         alice_listen_slots = 0
         alice_noisy = 0
@@ -306,7 +306,7 @@ class PhaseEngine:
             alice_noisy = int(rng.binomial(noisy_for_alice - alice_send_slots, p_alice))
             alice_listen_slots = alice_noisy + int(rng.binomial(quiet_for_alice, p_alice))
             if alice_listen_slots:
-                network.alice.ledger.charge_bulk(EnergyOperation.LISTEN, float(alice_listen_slots))
+                network.alice_ledger.charge_bulk(EnergyOperation.LISTEN, float(alice_listen_slots))
 
         noisy_listeners = node_noisy = _NO_IDS
         jam_victims = 0
@@ -619,7 +619,7 @@ class PhaseEngine:
         # ------------------------------------------------------------------ #
         alice_send_slots = int(alice_slots.size)
         if alice_send_slots:
-            network.alice.ledger.charge_bulk(EnergyOperation.SEND, float(alice_send_slots))
+            network.alice_ledger.charge_bulk(EnergyOperation.SEND, float(alice_send_slots))
 
         alice_noisy = 0
         alice_listen_slots = 0
@@ -636,7 +636,7 @@ class PhaseEngine:
                 rng.binomial(max(n_quiet_alice, 0), plan.alice_listen_prob)
             )
             if alice_listen_slots:
-                network.alice.ledger.charge_bulk(EnergyOperation.LISTEN, float(alice_listen_slots))
+                network.alice_ledger.charge_bulk(EnergyOperation.LISTEN, float(alice_listen_slots))
 
         # ------------------------------------------------------------------ #
         # 7. Relay and decoy send costs (exact event counts)                 #

@@ -1,24 +1,25 @@
 """The network container.
 
 :class:`Network` instantiates the whole cast of the Alice-versus-Carol game
-from a :class:`~repro.simulation.config.SimulationConfig`: Alice, the ``n``
-correct nodes, the (aggregate) adversary ledger for Carol plus her Byzantine
-devices, the shared channel, the authenticator, and the root random source.
+from a :class:`~repro.simulation.config.SimulationConfig`.  Each side of the
+game is its energy ledger: Alice's :class:`EnergyLedger`, one
+:class:`LedgerArray` row per correct node (node ``i`` is row ``i``), and the
+aggregate ledger of Carol plus her Byzantine devices.  Protocol state lives in
+:mod:`repro.core.state`; the network adds the radio graph, the shared channel,
+the authenticator, and the root random source.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-from typing import Dict, List, Sequence
+from typing import Dict
 
 import numpy as np
 
-from .auth import ALICE_ID, Authenticator
+from .auth import Authenticator
 from .channel import Channel
 from .config import SimulationConfig
 from .energy import BudgetPolicy, EnergyLedger, LedgerArray
 from .errors import ConfigurationError
-from .node import Device, Role
 from .rng import RandomSource
 from .topology import Topology, build_topology
 
@@ -26,7 +27,7 @@ __all__ = ["Network"]
 
 
 class Network:
-    """All devices and shared infrastructure for one simulation run.
+    """Every side's energy ledger and the shared infrastructure for one run.
 
     Parameters
     ----------
@@ -44,7 +45,7 @@ class Network:
         (single-hop when that is ``None``) using the network's own seeded
         random source, so runs stay a pure function of the seed; spatial
         graphs are held as a CSR neighbour list, whose footprint
-        :meth:`topology_memory_bytes` reports.
+        ``network.topology.memory_bytes()`` reports.
     """
 
     def __init__(
@@ -69,11 +70,9 @@ class Network:
         self.message_payload = "m"
         self.message_signature = self.authenticator.sign(self.message_payload)
 
-        self.alice = Device.alice(budget=config.alice_budget)
-        # The n correct nodes are a homogeneous population charged in bulk by
-        # the vectorised engine every phase: their accounting lives in one
-        # array-backed ledger, and each Device holds a per-row view that
-        # satisfies the full EnergyLedger interface.
+        self.alice_ledger = EnergyLedger("alice", config.alice_budget)
+        # The n correct nodes are a homogeneous population: their accounting
+        # is one array-backed ledger whose row i is node i.
         self.node_ledgers = LedgerArray(
             "node", config.n, config.node_budget, policy=BudgetPolicy.RECORD
         )
@@ -84,53 +83,11 @@ class Network:
             policy=adversary_policy,
         )
 
-    # ------------------------------------------------------------------ #
-    # Lookup helpers                                                      #
-    # ------------------------------------------------------------------ #
-
-    @cached_property
-    def nodes(self) -> List[Device]:
-        """The ``n`` correct devices, each a view of its ``node_ledgers`` row.
-
-        Built on first access: only per-device lookups and the slot engine's
-        per-slot charging need them, and ``n`` device objects are most of a
-        large network's construction time.
-        """
-
-        return [
-            Device(device_id=i, role=Role.CORRECT, ledger=self.node_ledgers.view(i))
-            for i in range(self.config.n)
-        ]
-
     @property
     def n(self) -> int:
         """Number of correct nodes."""
 
         return self.config.n
-
-    def device(self, device_id: int) -> Device:
-        """Return the device with the given id (Alice is ``-1``)."""
-
-        if device_id == ALICE_ID:
-            return self.alice
-        if 0 <= device_id < self.config.n:
-            return self.nodes[device_id]
-        raise ConfigurationError(f"unknown device id {device_id}")
-
-    def node_ids(self) -> Sequence[int]:
-        """All correct node ids, in order."""
-
-        return range(self.config.n)
-
-    def topology_memory_bytes(self) -> int:
-        """Bytes held by the realised radio-graph adjacency.
-
-        Spatial topologies count their CSR arrays; the implicit single-hop
-        topology stores nothing.  Benchmarks use this to verify that large-n
-        runs stay within the ``O(n + |edges|)`` memory envelope.
-        """
-
-        return self.topology.memory_bytes()
 
     # ------------------------------------------------------------------ #
     # Cost accounting                                                     #
@@ -138,7 +95,7 @@ class Network:
 
     @property
     def alice_cost(self) -> float:
-        return self.alice.ledger.spent
+        return self.alice_ledger.spent
 
     @property
     def adversary_cost(self) -> float:
@@ -148,21 +105,6 @@ class Network:
         """Vector of per-node energy expenditure (index = node id)."""
 
         return self.node_ledgers.spent_array()
-
-    def max_node_cost(self) -> float:
-        if not self.config.n:
-            return 0.0
-        return float(self.node_ledgers.spent_array().max())
-
-    def mean_node_cost(self) -> float:
-        if not self.config.n:
-            return 0.0
-        return float(np.mean(self.node_costs()))
-
-    def total_correct_cost(self) -> float:
-        """Aggregate cost of Alice plus every correct node."""
-
-        return self.alice_cost + float(self.node_costs().sum())
 
     def cost_snapshot(self) -> Dict[str, float]:
         """A flat summary used by outcomes, metrics, and reports."""
@@ -180,11 +122,11 @@ class Network:
         """Per-participant budget overdrafts (empty when all budgets held)."""
 
         overruns: Dict[str, float] = {}
-        if self.alice.ledger.overdraft > 0:
-            overruns["alice"] = self.alice.ledger.overdraft
+        if self.alice_ledger.overdraft > 0:
+            overruns["alice"] = self.alice_ledger.overdraft
         node_overdrafts = self.node_ledgers.overdraft_array()
         for node_id in np.flatnonzero(node_overdrafts > 0):
-            overruns[self.nodes[int(node_id)].label] = float(node_overdrafts[node_id])
+            overruns[f"correct:{node_id}"] = float(node_overdrafts[node_id])
         if self.adversary_ledger.overdraft > 0:
             overruns["carol"] = self.adversary_ledger.overdraft
         return overruns

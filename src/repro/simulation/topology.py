@@ -482,7 +482,7 @@ class TopologySpec:
 class Topology(abc.ABC):
     """Who can hear whom.
 
-    Device addressing follows the rest of the simulator: correct nodes are
+    Addressing follows the rest of the simulator: correct nodes are
     ``0 .. n-1`` and Alice is :data:`~repro.simulation.auth.ALICE_ID` (-1).
     Synthetic adversarial sender ids (``<= -2``) are audible everywhere.
 
@@ -551,7 +551,7 @@ class Topology(abc.ABC):
         """
 
     def neighbor_slice(self, device_id: int) -> np.ndarray:
-        """Device ids audible from ``device_id`` as a sorted ``int64`` array.
+        """Ids of the devices audible from ``device_id`` as a sorted ``int64`` array.
 
         The array view of :meth:`neighbors`: node ids ascending, with
         :data:`~repro.simulation.auth.ALICE_ID` (-1) *first* when Alice is in
@@ -653,7 +653,7 @@ class Topology(abc.ABC):
         return None
 
     def nodes_in_disk(self, center: Tuple[float, float], radius: float) -> FrozenSet[int]:
-        """Device ids (nodes, plus Alice if she is inside) within a disk.
+        """Ids of the devices (nodes, plus Alice if inside) within a disk.
 
         This is how a *spatial* Carol targets her jamming: instead of the
         paper's global channel blast, she blankets a disk of the deployment

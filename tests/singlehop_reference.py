@@ -207,7 +207,7 @@ def run_phase(
     # ------------------------------------------------------------------ #
     alice_send_slots = int(np.count_nonzero(alice_sends))
     if alice_send_slots:
-        network.alice.ledger.charge_bulk(EnergyOperation.SEND, float(alice_send_slots))
+        network.alice_ledger.charge_bulk(EnergyOperation.SEND, float(alice_send_slots))
 
     # Noisy-for-a-listener slots: any transmission, or jamming that hits it.
     noisy_any_tx = total_tx > 0
@@ -225,7 +225,7 @@ def run_phase(
         alice_quiet_listens = int(rng.binomial(max(quiet_for_alice, 0), plan.alice_listen_prob))
         alice_listen_slots = alice_noisy + alice_quiet_listens
         if alice_listen_slots:
-            network.alice.ledger.charge_bulk(EnergyOperation.LISTEN, float(alice_listen_slots))
+            network.alice_ledger.charge_bulk(EnergyOperation.LISTEN, float(alice_listen_slots))
 
     node_noisy: Dict[int, int] = {}
     jam_victims = 0

@@ -25,6 +25,8 @@ baselines moved onto the shared phase driver.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.adversary import (
@@ -35,7 +37,8 @@ from repro.adversary import (
 )
 from repro.baselines import BalancedBackoffBroadcast, KSYStyleBroadcast, NaiveBroadcast
 from repro.core.broadcast import EpsilonBroadcast, MultiHopBroadcast
-from repro.simulation import PhaseRecord, SimulationConfig, TopologySpec
+from repro.core.decoy import DecoyBroadcast
+from repro.simulation import EnergyOperation, PhaseRecord, SimulationConfig, TopologySpec
 
 ADVERSARIES = {
     "none": NullAdversary,
@@ -78,6 +81,47 @@ def run_snapshot(adversary_name, engine, seed, protocol_cls=EpsilonBroadcast, co
 @pytest.mark.parametrize("adversary_name,engine,seed", sorted(GOLDEN))
 def test_default_model_matches_pre_refactor_golden(adversary_name, engine, seed):
     assert run_snapshot(adversary_name, engine, seed) == GOLDEN[(adversary_name, engine, seed)]
+
+
+# (adversary, "slot", seed) -> sha-256 over the final per-node ledgers: the
+# node_ledgers spent_array() bytes, then each EnergyOperation's per-row array
+# in enum order.  The golden snapshots above pin only the nodes' mean, max and
+# total; this pins every row of every operation, captured while the slot
+# engine still charged each node slot by slot.
+SLOT_NODE_LEDGER_DIGESTS = {
+    ("blocker", "slot", 3): "76e44f65ac0ef6eb0f1d9b45a6d255b0d4eb1c85edb5b2f55a67da4897265e93",
+    ("blocker", "slot", 11): "24aa8fc6239237b4e8f49f178143768bb38baa353e2cce80fef325d3c59f996b",
+    ("none", "slot", 3): "0b2a4b54aa3f0f6195dc4ad9648fb6041740a5d4167e3407256803fe10a18201",
+    ("none", "slot", 11): "863377196af5e502bd349c51302f6e58e311c26745006fe9195ab8cc747c7b60",
+    ("random", "slot", 3): "0b2a4b54aa3f0f6195dc4ad9648fb6041740a5d4167e3407256803fe10a18201",
+    ("random", "slot", 11): "863377196af5e502bd349c51302f6e58e311c26745006fe9195ab8cc747c7b60",
+    ("splitter", "slot", 3): "6cd01351994bac926fd5f354470533475e3bbdac035d3f54310860938cccd615",
+    ("splitter", "slot", 11): "a61d367ac93bfcd77e941eb2ab4c0993b3c16470ceaeab4d87d4c8722e2359e5",
+}
+
+
+def node_ledger_digest(adversary_name, engine, seed, protocol_cls=EpsilonBroadcast):
+    config = SimulationConfig(n=40, seed=seed)
+    protocol = protocol_cls(config, adversary=ADVERSARIES[adversary_name](), engine=engine)
+    protocol.run()
+    ledgers = protocol.network.node_ledgers
+    digest = hashlib.sha256(ledgers.spent_array().tobytes())
+    for operation in EnergyOperation:
+        digest.update(ledgers.spent_on_array(operation).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("adversary_name,engine,seed", sorted(SLOT_NODE_LEDGER_DIGESTS))
+def test_slot_engine_per_node_ledgers_match_golden(adversary_name, engine, seed):
+    digest = node_ledger_digest(adversary_name, engine, seed)
+    assert digest == SLOT_NODE_LEDGER_DIGESTS[(adversary_name, engine, seed)]
+
+
+def test_slot_engine_decoy_ledgers_match_golden():
+    """Pins the half-duplex rule: a listener that sends a decoy pays one slot, not two."""
+
+    digest = node_ledger_digest("none", "slot", 3, protocol_cls=DecoyBroadcast)
+    assert digest == "7b6a65b3bbe71aef487429c459319b4d76c2c2064ad56338393a9772e6f34f83"
 
 
 @pytest.mark.parametrize("engine", ["fast", "slot"])

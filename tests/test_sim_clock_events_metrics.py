@@ -1,17 +1,22 @@
-"""Unit tests for the slot clock, event log, and shared metrics helpers."""
+"""Unit tests for the run's slot counter, the event log, and the shared metrics helpers."""
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from repro.adversary import RandomJammer
+from repro.baselines import KSYStyleBroadcast
+from repro.core.broadcast import EpsilonBroadcast
+from repro.core.driver import PhaseDriver
 from repro.simulation import (
     CostBreakdown,
     DeliveryStats,
     EventLog,
     PhaseRecord,
-    SimulationError,
-    SlotClock,
+    SimulationConfig,
     resource_competitive_ratio,
 )
 
@@ -32,39 +37,74 @@ def make_record(round_index=1, name="inform", slots=8, jammed=2, informed=3):
     )
 
 
+class TestRunSlotCounter:
+    """``PhaseDriver.slot`` is the run's clock: phase windows tile the run."""
+
+    @pytest.mark.parametrize("engine", ["fast", "slot"])
+    @pytest.mark.parametrize("protocol_cls", [EpsilonBroadcast, KSYStyleBroadcast])
+    def test_phase_records_tile_the_run(self, protocol_cls, engine):
+        apply_slots = []
+        step = PhaseDriver.step
+
+        def recording_step(driver, plan, roles, state, round_index, apply):
+            def recording_apply(*args):
+                apply_slots.append(args[-1])
+                return apply(*args)
+
+            return step(driver, plan, roles, state, round_index, recording_apply)
+
+        config = SimulationConfig(n=24, seed=5)
+        protocol = protocol_cls(
+            config, adversary=RandomJammer(rate=0.3, max_total_spend=300), engine=engine
+        )
+        with mock.patch.object(PhaseDriver, "step", recording_step):
+            outcome = protocol.run()
+
+        phases = outcome.events.phases
+        assert phases and len(apply_slots) == len(phases)
+        end = 0
+        for record, apply_slot in zip(phases, apply_slots):
+            assert record.start_slot == end
+            end += record.num_slots
+            assert apply_slot == end  # the state hook sees the slot at phase end
+        assert outcome.delivery.slots_elapsed == end == outcome.events.total_slots()
+
+
+def record_driver_slots(protocol_cls, engine="fast"):
+    """``(slot before, plan.num_slots, slot after)`` for every phase of one run."""
+
+    steps = []
+    step = PhaseDriver.step
+
+    def recording_step(driver, plan, roles, state, round_index, apply):
+        before = driver.slot
+        result = step(driver, plan, roles, state, round_index, apply)
+        steps.append((before, plan.num_slots, driver.slot))
+        return result
+
+    config = SimulationConfig(n=24, seed=5)
+    protocol = protocol_cls(
+        config, adversary=RandomJammer(rate=0.3, max_total_spend=300), engine=engine
+    )
+    with mock.patch.object(PhaseDriver, "step", recording_step):
+        outcome = protocol.run()
+    return steps, outcome
+
+
 class TestSlotClock:
+    """The run's slot clock is the ``int`` counter ``PhaseDriver.slot``."""
+
     def test_initial_time(self):
-        assert SlotClock().now == 0
+        steps, _ = record_driver_slots(EpsilonBroadcast)
+        assert steps and steps[0][0] == 0
 
     def test_advance(self):
-        clock = SlotClock()
-        clock.advance(5)
-        clock.advance(3)
-        assert clock.now == 8
-
-    def test_negative_advance_rejected(self):
-        with pytest.raises(SimulationError):
-            SlotClock().advance(-1)
-
-    def test_phase_window_recording(self):
-        clock = SlotClock()
-        clock.begin_phase(1, "inform")
-        clock.advance(10)
-        window = clock.end_phase()
-        assert window.start == 0 and window.end == 10
-        assert window.num_slots == 10
-        assert clock.phase_of(5) == window
-        assert clock.phase_of(10) is None
-
-    def test_nested_phase_rejected(self):
-        clock = SlotClock()
-        clock.begin_phase(1, "inform")
-        with pytest.raises(SimulationError):
-            clock.begin_phase(1, "request")
-
-    def test_end_without_begin_rejected(self):
-        with pytest.raises(SimulationError):
-            SlotClock().end_phase()
+        steps, outcome = record_driver_slots(EpsilonBroadcast)
+        for before, num_slots, after in steps:
+            assert after == before + num_slots
+        for (_, _, after), (next_before, _, _) in zip(steps, steps[1:]):
+            assert next_before == after
+        assert steps[-1][2] == outcome.delivery.slots_elapsed
 
 
 class TestEventLog:

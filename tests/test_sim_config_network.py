@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.simulation import (
     ALICE_ID,
     BudgetPolicy,
     ConfigurationError,
+    EnergyOperation,
     Network,
-    Role,
     SimulationConfig,
 )
 
@@ -94,21 +95,16 @@ class TestDerivedBudgets:
 class TestNetwork:
     def test_device_counts(self, small_config):
         network = Network(small_config)
-        assert len(network.nodes) == small_config.n
-        assert network.alice.role is Role.ALICE
-        assert all(node.role is Role.CORRECT for node in network.nodes)
-
-    def test_device_lookup(self, small_config):
-        network = Network(small_config)
-        assert network.device(ALICE_ID) is network.alice
-        assert network.device(3) is network.nodes[3]
-        with pytest.raises(ConfigurationError):
-            network.device(10_000)
+        assert network.n == network.node_ledgers.count == small_config.n
+        assert network.node_costs().shape == (small_config.n,)
+        assert network.alice_ledger.owner == "alice"
+        assert network.node_ledgers.owner_prefix == "node"
+        assert network.node_ledgers.policy is BudgetPolicy.RECORD
 
     def test_budgets_assigned(self, small_config):
         network = Network(small_config)
-        assert network.alice.ledger.budget == pytest.approx(small_config.alice_budget)
-        assert network.nodes[0].ledger.budget == pytest.approx(small_config.node_budget)
+        assert network.alice_ledger.budget == pytest.approx(small_config.alice_budget)
+        assert network.node_ledgers.budget == pytest.approx(small_config.node_budget)
         assert network.adversary_ledger.budget == pytest.approx(small_config.adversary_total_budget)
 
     def test_adversary_budget_enforced_by_default(self, small_config):
@@ -131,6 +127,25 @@ class TestNetwork:
 
     def test_budget_overruns_empty_initially(self, small_config):
         assert Network(small_config).budget_overruns() == {}
+
+    def test_budget_overruns_names_each_overdrawn_participant(self):
+        network = Network(SimulationConfig(n=8, seed=1))
+        node_budget = network.config.node_budget
+        network.node_ledgers.charge_bulk_many(
+            EnergyOperation.LISTEN, np.array([1, 3]), np.array([2.0, node_budget + 7.0])
+        )
+        network.alice_ledger.charge_bulk(EnergyOperation.SEND, network.config.alice_budget + 3.0)
+        assert network.budget_overruns() == {"alice": 3.0, "correct:3": 7.0}
+
+    def test_budget_overruns_reports_carol_when_unenforced(self):
+        network = Network(SimulationConfig(n=8, seed=1), enforce_adversary_budget=False)
+        network.adversary_ledger.charge_bulk(
+            EnergyOperation.JAM, network.config.adversary_total_budget + 4.0
+        )
+        network.node_ledgers.charge_bulk_many(
+            EnergyOperation.SEND, np.array([3, 5]), np.full(2, network.config.node_budget + 1.0)
+        )
+        assert network.budget_overruns() == {"correct:3": 1.0, "correct:5": 1.0, "carol": 4.0}
 
     def test_message_signature_verifies(self, small_config):
         network = Network(small_config)

@@ -160,8 +160,8 @@ class TestLedgerArray:
         )
         assert charged.tolist() == [3.0, 5.0]
         assert array.spent_array().tolist() == [3.0, 0.0, 5.0, 0.0]
-        assert array.view(2).spent_on(EnergyOperation.LISTEN) == 5.0
-        assert array.view(1).spent == 0.0
+        assert array.spent_on_array(EnergyOperation.LISTEN).tolist() == [3.0, 0.0, 5.0, 0.0]
+        assert array.spent_on_array(EnergyOperation.SEND).tolist() == [0.0] * 4
 
     def test_charge_bulk_many_matches_per_device_charge_bulk(self):
         """The vector op must be indistinguishable from n charge_bulk calls."""
@@ -176,8 +176,8 @@ class TestLedgerArray:
         for index, amount in zip(indices, units):
             reference[index].charge_bulk(EnergyOperation.SEND, float(amount))
         for i in range(4):
-            assert array.view(i).spent == reference[i].spent
-            assert array.view(i).spent_on(EnergyOperation.SEND) == reference[i].spent_on(
+            assert array.spent_array()[i] == reference[i].spent
+            assert array.spent_on_array(EnergyOperation.SEND)[i] == reference[i].spent_on(
                 EnergyOperation.SEND
             )
 
@@ -190,8 +190,7 @@ class TestLedgerArray:
             EnergyOperation.JAM, np.array([0, 1]), np.array([3.0, 3.0])
         )
         assert charged.tolist() == [1.0, 3.0]  # device 0 clipped at its budget
-        assert array.view(0).spent == 5.0
-        assert array.view(0).remaining == 0.0
+        assert array.spent_array().tolist() == [5.0, 3.0, 0.0, 0.0]
 
     def test_enforce_policy_raises_on_any_overdraft(self):
         import numpy as np
@@ -209,30 +208,17 @@ class TestLedgerArray:
         with pytest.raises(ConfigurationError):
             array.charge_bulk_many(EnergyOperation.SEND, np.array([0]), np.array([-1.0]))
 
-    def test_view_satisfies_the_energy_ledger_interface(self):
-        array = self._array(budget=3.0, policy=BudgetPolicy.CAP)
-        view = array.view(1)
-        assert view.owner == "node:1"
-        assert view.charge(EnergyOperation.SEND)
-        assert view.charge(EnergyOperation.LISTEN, 2.0)
-        assert not view.charge(EnergyOperation.SEND)  # CAP refuses the 4th unit
-        assert view.spent == 3.0
-        assert view.exhausted
-        snapshot = view.snapshot()
-        assert snapshot["spent"] == 3.0 and snapshot["send"] == 1.0
-        assert view.charge_bulk(EnergyOperation.LISTEN, 5.0) == 0.0
-
     @pytest.mark.parametrize("policy", list(BudgetPolicy))
     def test_total_spent_tracks_every_charge_path(self, policy):
-        """The running total equals the rows' sum after bulk, view and clipped charges."""
+        """The running total equals the rows' sum after bulk, one-row and clipped charges."""
 
         import numpy as np
 
         array = self._array(budget=6.0, policy=policy)
         assert array.total_spent == 0.0
         array.charge_bulk_many(EnergyOperation.LISTEN, np.array([0, 2, 3]), np.array([4.0, 1.0, 0.0]))
-        array.view(1).charge(EnergyOperation.SEND)
-        array.view(1).charge_bulk(EnergyOperation.LISTEN, 2.0)
+        array.charge_bulk_many(EnergyOperation.SEND, np.array([1]), np.array([1.0]))
+        array.charge_bulk_many(EnergyOperation.LISTEN, np.array([1]), np.array([2.0]))
         overdraw = (EnergyOperation.SEND, np.array([0, 2]), np.array([5.0, 6.0]))
         if policy is BudgetPolicy.ENFORCE:
             with pytest.raises(BudgetExceededError):  # refused whole: nothing charged
@@ -240,15 +226,11 @@ class TestLedgerArray:
         else:
             # RECORD overdraws; CAP clips both rows at the budget, then refuses row 0's.
             array.charge_bulk_many(*overdraw)
-            array.view(0).charge(EnergyOperation.SEND)
-            array.view(0).charge_bulk(EnergyOperation.LISTEN, 4.0)
+            array.charge_bulk_many(EnergyOperation.SEND, np.array([0]), np.array([1.0]))
+            array.charge_bulk_many(EnergyOperation.LISTEN, np.array([0]), np.array([4.0]))
         assert array.total_spent == array.spent_array().sum()
         expected = {BudgetPolicy.RECORD: 24.0, BudgetPolicy.CAP: 15.0, BudgetPolicy.ENFORCE: 8.0}
         assert array.total_spent == expected[policy]
-
-    def test_view_out_of_range_rejected(self):
-        with pytest.raises(ConfigurationError):
-            self._array().view(4)
 
     def test_network_nodes_are_array_backed(self):
         import numpy as np
@@ -256,11 +238,11 @@ class TestLedgerArray:
         from repro.simulation import Network, SimulationConfig
 
         network = Network(SimulationConfig(n=8, seed=1))
-        network.nodes[3].ledger.charge(EnergyOperation.LISTEN)
+        network.node_ledgers.charge_bulk_many(EnergyOperation.LISTEN, np.array([3]), np.array([1.0]))
         network.node_ledgers.charge_bulk_many(
             EnergyOperation.SEND, np.arange(8), np.full(8, 2.0)
         )
         costs = network.node_costs()
         assert costs[3] == 3.0 and costs[0] == 2.0
-        assert network.nodes[3].ledger.spent == 3.0
-        assert network.max_node_cost() == 3.0
+        assert network.node_ledgers.spent_on_array(EnergyOperation.LISTEN)[3] == 1.0
+        assert costs.max() == 3.0

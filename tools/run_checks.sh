@@ -3,12 +3,13 @@
 # checks every experiment's named claims and tables at the EXPERIMENTS.md
 # profile), the repro-lint determinism gate (plus mypy when installed), the
 # generated documents (EXPERIMENTS.md and LEADERBOARD.md must regenerate
-# byte-identical), the benchmark smokes with their own acceptance gates, and
-# the docs code-snippet smoke (README / docs quickstarts must stay runnable).
+# byte-identical), the benchmark smokes with their own acceptance gates, the
+# docs code-snippet smoke (README / docs quickstarts must stay runnable), and
+# every examples/*.py script.
 #
 # Usage:
-#   tools/run_checks.sh            # tests + generated docs + benchmark smokes + docs snippets
-#   tools/run_checks.sh --no-bench # tests + docs snippets (fast pre-commit check)
+#   tools/run_checks.sh            # tests + generated docs + benchmark smokes + docs snippets + examples
+#   tools/run_checks.sh --no-bench # tests + docs snippets + examples (fast pre-commit check)
 #
 # Every step runs even if an earlier one fails; the script exits non-zero if
 # ANY step failed, and lists the failures at the end — so CI cannot "pass"
@@ -101,6 +102,22 @@ if [[ "${1:-}" != "--no-bench" ]]; then
 fi
 
 run_step "docs code snippets" python tools/run_doc_snippets.py README.md docs/architecture.md
+
+# Every examples/*.py must run to exit 0.  Each runs from a fresh temp
+# directory, so no example can depend on, or leave files in, the repo root.
+run_examples() {
+    local root tmp example status=0
+    root="$(pwd)"
+    tmp="$(mktemp -d)"
+    for example in "$root"/examples/*.py; do
+        echo "-- ${example#"$root"/}"
+        (cd "$tmp" && PYTHONPATH="$root/src" python "$example" >/dev/null) || status=1
+    done
+    rm -rf "$tmp"
+    return "$status"
+}
+
+run_step "examples run to exit 0" run_examples
 
 if ((${#failures[@]})); then
     echo
