@@ -53,6 +53,12 @@ def fmt_bytes(num: float) -> str:
     return f"{num:.1f} GiB"
 
 
+def peak_rss_bytes() -> int:
+    """The process's peak resident set so far (Linux reports ru_maxrss in KiB)."""
+
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+
+
 def cap_slots(protocol: MultiHopBroadcast) -> int:
     """Slots of the full static schedule up to the round cap."""
 
@@ -70,6 +76,7 @@ def run(n: int, seed: int, memory_ceiling: float) -> None:
     build_start = time.perf_counter()
     network = Network(config)
     build_elapsed = time.perf_counter() - build_start
+    build_rss = peak_rss_bytes()
     adjacency_memory = network.topology.memory_bytes()
     dense_would_need = (n + 1) * (n + 1)
 
@@ -84,9 +91,10 @@ def run(n: int, seed: int, memory_ceiling: float) -> None:
     delivery = outcome.delivery
     print(f"build time           : {build_elapsed:.1f}s")
     print(f"run time             : {run_elapsed:.1f}s (full protocol, PhaseEngine)")
-    # Linux reports ru_maxrss in KiB: the process's peak over build and run.
-    peak_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
-    print(f"peak RSS             : {fmt_bytes(peak_rss)} (build + run)")
+    # The peak after the build next to the whole-run peak: when they are
+    # equal, the topology build set the peak, not the protocol run.
+    print(f"peak RSS after build : {fmt_bytes(build_rss)}")
+    print(f"peak RSS             : {fmt_bytes(peak_rss_bytes())} (build + run)")
     print(f"rounds executed      : {delivery.rounds_executed}")
     print(f"slots simulated      : {delivery.slots_elapsed:,} "
           f"(cap schedule: {budget:,})")

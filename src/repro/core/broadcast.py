@@ -540,9 +540,18 @@ class MultiHopBroadcast(EpsilonBroadcast):
         behaviour on sparse topologies is measured protocol behaviour, and
         finite-budget nodes keep their exact streak semantics (a constant
         budget still reproduces the old retry cap bit for bit).
+
+        The BFS runs only if some node or Alice terminated since the last
+        one, and skipping it is exact.  Without a termination no holder is
+        lost, and each new holder heard ``m`` from a neighbouring holder, so
+        the last BFS reached it.  A path from a holder through a new holder
+        now starts at that holder, so every node the last BFS reached is
+        still reached, and none is doomed.
         """
 
         if self.quiet_rule.channel_quiet_test:
+            return
+        if state.terminations == state.reach_checked_at:
             return
         budgets = self._quiet_rule_budgets()
         if not np.isinf(budgets).any():
@@ -575,6 +584,8 @@ class MultiHopBroadcast(EpsilonBroadcast):
                         },
                     )
                 )
+        # Terminating nodes the BFS did not reach cuts no holder's path.
+        state.reach_checked_at = state.terminations
 
     def _retire_satisfied_relays(self, state: ProtocolState, round_index: int) -> None:
         relays = state.active_informed_array()

@@ -220,7 +220,7 @@ class PhaseDriver:
             alice_terminated=state.alice_terminated,
         )
         snapshot = network.cost_snapshot()
-        costs = CostBreakdown.from_snapshot(snapshot, per_node=network.node_costs())
+        costs = CostBreakdown.from_snapshot(snapshot)
         outcome = BroadcastOutcome(
             protocol=self.protocol_name,
             adversary=self.adversary_name,

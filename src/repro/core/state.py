@@ -79,6 +79,8 @@ class ProtocolState:
         "alice_terminated",
         "alice_terminated_at_round",
         "quiet_streaks",
+        "terminations",
+        "reach_checked_at",
         "_codes",
         "_informed_at_slot",
         "_terminated_at_round",
@@ -99,6 +101,13 @@ class ProtocolState:
         # every run by construction; a reused orchestrator cannot leak a
         # previous run's count.
         self.quiet_streaks = np.zeros(n, dtype=np.int64)
+        # Termination transitions so far (a batch of nodes counts once, as
+        # does Alice), and the count at the multi-hop orchestrator's last
+        # reachability check (-1: none yet).  Reachability from the message
+        # holders can only shrink when something terminates, so an unchanged
+        # count lets that check skip its BFS.
+        self.terminations = 0
+        self.reach_checked_at = -1
         self._codes = np.zeros(n, dtype=np.int8)
         self._informed_at_slot = np.full(n, -1, dtype=np.int64)
         self._terminated_at_round = np.full(n, -1, dtype=np.int64)
@@ -251,6 +260,7 @@ class ProtocolState:
         self._codes[fresh] = _TERM_INFORMED
         self._terminated_at_round[fresh] = round_index
         self._version += 1
+        self.terminations += 1
 
     def terminate_uninformed(self, node_ids: Iterable[int], round_index: int) -> None:
         """Transition ``UNINFORMED -> TERMINATED_UNINFORMED`` (the ε-loss path)."""
@@ -272,8 +282,10 @@ class ProtocolState:
         self._codes[fresh] = _TERM_UNINFORMED
         self._terminated_at_round[fresh] = round_index
         self._version += 1
+        self.terminations += 1
 
     def terminate_alice(self, round_index: int) -> None:
         if not self.alice_terminated:
             self.alice_terminated = True
             self.alice_terminated_at_round = round_index
+            self.terminations += 1

@@ -234,8 +234,9 @@ class LedgerArray:
         per device: under ``CAP`` each device's charge is clipped to its own
         remaining budget, under ``ENFORCE`` any overdraft raises, and under
         ``RECORD`` (the correct-node policy) the whole call is two fancy-index
-        operations.  ``indices`` must not contain duplicates (phase cohorts
-        never do).  Returns the per-device units actually charged.
+        operations.  ``indices`` must be distinct rows in ``[0, count)``, else
+        :class:`ConfigurationError`.  Returns the per-device units actually
+        charged.
         """
 
         indices = np.asarray(indices, dtype=np.int64)
@@ -247,6 +248,24 @@ class LedgerArray:
             )
         if indices.size == 0:
             return units.copy()
+        # Every engine passes a strictly increasing cohort, which one pass
+        # confirms, and its range is then its first and last row; only
+        # other orders pay for a sorted copy.
+        ordered = indices
+        if np.count_nonzero(indices[1:] <= indices[:-1]):
+            ordered = np.sort(indices)
+            repeated = ordered[1:] == ordered[:-1]
+            if repeated.any():
+                raise ConfigurationError(
+                    f"charge_bulk_many got row {int(ordered[1:][repeated][0])} "
+                    f"of {self.owner_prefix!r} more than once"
+                )
+        if ordered[0] < 0 or ordered[-1] >= self.count:
+            bad = int(ordered[0] if ordered[0] < 0 else ordered[-1])
+            raise ConfigurationError(
+                f"charge_bulk_many got row {bad} outside {self.owner_prefix!r}'s "
+                f"{self.count} rows"
+            )
         if np.any(units < 0):
             raise ConfigurationError(
                 f"cannot charge negative energy to {self.owner_prefix!r}"

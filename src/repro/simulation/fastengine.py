@@ -65,13 +65,22 @@ phase — who transmitted in which slot — number ``O(n)`` rather than
   time and memory, with no device×slot grid at any size: a binomial count
   of successes, then a uniform subset of that many device×slot cells
   (:func:`_sample_bernoulli_events`),
-* expands each event to the sender's CSR neighbourhood restricted to the
-  currently-active listener set (``O(events · E[deg])`` pairs),
+* maps the events onto the active listeners (:func:`_listener_pairs`):
+  each distinct sender's CSR row is sliced once and cut to the listeners
+  still active, and each of its events repeats those positions as keys
+  ``pos·s + slot`` — ``O(events · active degree)`` pairs, built in place,
+  never the ``events × degree`` pairs of whole rows,
 * resolves delivery per listener from its candidate clean-delivery slots
   (exact: collision, spoof, jamming, and half-duplex rules all applied per
-  pair), and
+  pair); a candidate is a payload key that, after an in-place sort, equals
+  neither neighbour, and
 * draws listening costs and request-phase noisy-slot counts as binomials
-  over the per-listener slot classification.
+  over the per-listener slot classification; a request phase sorts its
+  audible keys in place and counts them through one mask.
+
+A phase's working set is therefore about two ``int64`` arrays of its
+active-listener pairs, its O(events) event arrays, and the slot-length
+masks below.
 
 Documented approximations of the multi-hop path (validated statistically
 against the slot engine in ``tests/test_sparse_topology.py``):
@@ -100,6 +109,7 @@ from .jamming import materialize_jam_slots, materialize_spoof_slots
 from .network import Network
 from .phaseplan import JamPlan, PhaseKind, PhasePlan, PhaseResult, PhaseRoles, clip_probability
 from .setops import isin_sorted, unique_sorted
+from .topology import NeighborCSR, _gather_ranges
 from ..observability.trace import NULL_RECORDER, TraceRecorder, engine_event
 
 __all__ = ["PhaseEngine"]
@@ -143,6 +153,67 @@ def _sample_bernoulli_events(
         keep[flat] = False
         flat = np.flatnonzero(keep)
     return flat // s, flat % s
+
+
+def _listener_pairs(
+    csr: NeighborCSR,
+    u_pos: np.ndarray,
+    s: int,
+    cohort: np.ndarray,
+    idx: np.ndarray,
+    slots: np.ndarray,
+    alice_listens: bool,
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Listener keys ``pos·s + slot`` of every event's active neighbours.
+
+    Event ``e`` is sent by row ``cohort[idx[e]]`` in slot ``slots[e]``, with
+    ``idx`` non-decreasing (events grouped by sender, as
+    :func:`_sample_bernoulli_events` returns them); ``u_pos`` maps a row to
+    its listener position, ``-1`` for rows not listening.  Each distinct
+    sender's CSR row is sliced once and cut to its active listeners, and each
+    event repeats its sender's positions.  Keys come out event by event,
+    positions ascending within an event: the order of expanding every
+    event's row and then dropping the inactive listeners, without the
+    ``events × degree`` pairs in between.  Also returns the slot of every
+    event whose sender neighbours Alice (empty unless ``alice_listens``).
+    """
+
+    if idx.size == 0:
+        return np.empty(0, dtype=np.int64), _NO_IDS
+    events = np.bincount(idx)
+    senders = np.flatnonzero(events)
+    events = events[senders]
+    rows = cohort[senders]
+    starts = csr.indptr[rows]
+    degree = csr.indptr[rows + 1] - starts
+    heard = _NO_IDS
+    if alice_listens:
+        alice_nbrs = csr.row(csr.num_rows - 1)
+        heard = slots[np.repeat(isin_sorted(rows, alice_nbrs), events)]
+    pos = u_pos[csr.indices[_gather_ranges(starts, degree)]]
+    active = pos >= 0
+    if not active.any():
+        return np.empty(0, dtype=np.int64), heard
+    # Each sender's active listeners form one block of `pos[active]`; the
+    # running count of `active` at the sender's row bounds gives the block.
+    seen = np.zeros(pos.size + 1, dtype=np.int64)
+    np.cumsum(active, out=seen[1:])
+    ends = np.cumsum(degree)
+    first = seen[ends - degree]
+    per_event = np.repeat(seen[ends] - first, events)
+    keys = pos[active][_gather_ranges(np.repeat(first, events), per_event)]
+    keys *= s
+    keys += np.repeat(slots, per_event)
+    return keys, heard
+
+
+def _joined(parts: "list[np.ndarray]") -> np.ndarray:
+    """The parts' concatenation; a lone non-empty part is returned as is."""
+
+    parts = [part for part in parts if part.size]
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
 
 # Single-hop slot classes: indices into slot_class_probabilities' result.
@@ -390,9 +461,9 @@ class PhaseEngine:
         """Event-driven execution over a spatial (CSR-backed) topology.
 
         Instead of materialising ``(devices × slots)`` indicator matrices, the
-        phase is resolved from its transmission *events*: each sampled send is
-        expanded through the sender's CSR neighbourhood slice onto only the
-        currently-active listeners.  See the module docstring for the exact /
+        phase is resolved from its transmission *events*: each sender's CSR
+        row is sliced once onto the currently-active listeners, and each of
+        its sends repeats them.  See the module docstring for the exact /
         approximate split; statistical equivalence with the slot engine is
         covered by the sparse-topology test suite.
         """
@@ -424,27 +495,26 @@ class PhaseEngine:
         nack_idx, nack_slots = _sample_bernoulli_events(rng, num_u, s, plan.nack_send_prob)
         decoy_idx, decoy_slots = _sample_bernoulli_events(rng, num_d, s, plan.decoy_send_prob)
 
-        # Event keys ``device·s + slot`` come out strictly increasing: the
-        # cohorts are sorted and events are grouped by row, slots ascending.
-        nack_keys = uninformed[nack_idx] * s + nack_slots
-        if decoy_idx.size and nack_keys.size:
-            # Half-duplex, mirroring the slot engine: a decoy sender that
-            # chose a nack in the same slot keeps the nack.
-            decoy_device_keys = decoys[decoy_idx] * s + decoy_slots
-            keep = ~isin_sorted(decoy_device_keys, nack_keys)
-            decoy_idx, decoy_slots = decoy_idx[keep], decoy_slots[keep]
-
-        # Slots in which each *listener* transmits (it cannot listen there).
-        own_parts = []
-        if nack_idx.size:
-            own_parts.append(u_pos[uninformed[nack_idx]] * s + nack_slots)
+        # Slots in which each *listener* transmits (it cannot listen there),
+        # as keys ``pos·s + slot``.  `nack_idx` already indexes into
+        # `uninformed`, i.e. it *is* the sender's listener position, and the
+        # sampler returns keys strictly increasing.
+        own_keys = nack_idx * s + nack_slots
         if decoy_idx.size:
+            if nack_idx.size:
+                # Half-duplex, mirroring the slot engine: a decoy sender that
+                # chose a nack in the same slot keeps the nack.
+                nack_device_keys = uninformed[nack_idx] * s + nack_slots
+                keep = ~isin_sorted(decoys[decoy_idx] * s + decoy_slots, nack_device_keys)
+                decoy_idx, decoy_slots = decoy_idx[keep], decoy_slots[keep]
             decoy_lpos = u_pos[decoys[decoy_idx]]
             active_decoy = decoy_lpos >= 0
-            own_parts.append(decoy_lpos[active_decoy] * s + decoy_slots[active_decoy])
-        own_keys = (
-            unique_sorted(np.concatenate(own_parts)) if own_parts else np.empty(0, dtype=np.int64)
-        )
+            if active_decoy.any():
+                own_keys = unique_sorted(
+                    np.concatenate(
+                        [own_keys, decoy_lpos[active_decoy] * s + decoy_slots[active_decoy]]
+                    )
+                )
 
         # ------------------------------------------------------------------ #
         # 2. Adversary actions (jamming + spoofed transmissions)             #
@@ -465,42 +535,33 @@ class PhaseEngine:
         spoof_busy = np.zeros(s, dtype=bool)
         spoof_busy[spoof_slots] = True
         busy_slots = int(np.count_nonzero(correct_activity | spoof_busy | jam_mask))
+        del correct_activity
 
         jam_affects_listeners = jam_plan.targeting.mode is not JamMode.NONE
         victim = jam_plan.targeting.affects_array(uninformed)
 
         # ------------------------------------------------------------------ #
-        # 3. CSR neighbourhood expansion of the events                       #
+        # 3. Events onto their senders' active listeners                     #
         # ------------------------------------------------------------------ #
-        alice_audible = np.zeros(s, dtype=bool)  # slots in which Alice hears activity
-
-        def expand(sender_rows: np.ndarray, slots: np.ndarray) -> np.ndarray:
-            """Listener-position keys ``pos·s + slot`` of all audible pairs."""
-
-            if sender_rows.size == 0:
-                return np.empty(0, dtype=np.int64)
-            origins, nbrs = csr.expand(sender_rows)
-            pair_slots = slots[origins]
-            alice_audible[pair_slots[nbrs == n]] = True
-            pos = u_pos[nbrs]
-            active = pos >= 0
-            return pos[active] * s + pair_slots[active]
-
-        payload_parts = [expand(relays[relay_idx], relay_slots)]
-        if alice_slots.size:
-            alice_nbrs = csr.row(n).astype(np.int64, copy=False)
-            pos = u_pos[alice_nbrs]
-            pos = pos[pos >= 0]
-            payload_parts.append(
-                (pos[:, None] * s + alice_slots[None, :]).reshape(-1)
-            )
-        payload_keys = np.concatenate(payload_parts)
-        noise_keys = np.concatenate(
-            [
-                expand(uninformed[nack_idx], nack_slots),
-                expand(decoys[decoy_idx], decoy_slots),
-            ]
+        alice_listens = roles.alice_active and plan.alice_listen_prob > 0
+        relay_keys, relay_heard = _listener_pairs(
+            csr, u_pos, s, relays, relay_idx, relay_slots, alice_listens
         )
+        alice_keys = _NO_IDS
+        if alice_slots.size:
+            # Alice is one sender: her active listeners, repeated per send.
+            alice_pos = u_pos[csr.row(n)]
+            alice_pos = alice_pos[alice_pos >= 0]
+            alice_keys = (alice_slots[:, None] + alice_pos[None, :] * s).reshape(-1)
+        payload_keys = _joined([relay_keys, alice_keys])
+        nack_keys, nack_heard = _listener_pairs(
+            csr, u_pos, s, uninformed, nack_idx, nack_slots, alice_listens
+        )
+        decoy_keys, decoy_heard = _listener_pairs(
+            csr, u_pos, s, decoys, decoy_idx, decoy_slots, alice_listens
+        )
+        noise_keys = _joined([nack_keys, decoy_keys])
+        del relay_keys, alice_keys, nack_keys, decoy_keys
 
         # ------------------------------------------------------------------ #
         # 4. Delivery (payload phases)                                       #
@@ -508,13 +569,23 @@ class PhaseEngine:
         newly_informed = _NO_IDS
         delivery_slots = 0
         informed_at = np.full(num_u, -1, dtype=np.int64)
-        clean_keys = np.empty(0, dtype=np.int64)
+        clean_keys = _NO_IDS
         p_listen = plan.uninformed_listen_prob
         if plan.carries_payload and num_u and p_listen > 0 and payload_keys.size:
-            cand, payload_count = np.unique(payload_keys, return_counts=True)
-            clean = payload_count == 1
+            # A delivery candidate is a key exactly one payload sender hit:
+            # after an in-place sort, one that equals neither neighbour.
+            payload_keys.sort()
+            repeated = payload_keys[1:] == payload_keys[:-1]
+            lone = np.ones(payload_keys.size, dtype=bool)
+            lone[1:] &= ~repeated
+            lone[:-1] &= ~repeated
+            del repeated
+            cand = payload_keys[lone]
+            del lone
+            clean = np.ones(cand.size, dtype=bool)
             if noise_keys.size:
-                clean &= ~isin_sorted(cand, unique_sorted(noise_keys))
+                noise_keys.sort()
+                clean &= ~isin_sorted(cand, noise_keys)
             if own_keys.size:
                 clean &= ~isin_sorted(cand, own_keys)
             cand_pos = cand // s
@@ -547,19 +618,21 @@ class PhaseEngine:
         if num_u:
             nack_cost = np.zeros(num_u, dtype=np.int64)
             if nack_idx.size:
-                # `nack_idx` already indexes into `uninformed`, i.e. it *is*
-                # the listener position of the sender.
                 in_window = nack_slots <= cutoff[nack_idx]
-                np.add.at(nack_cost, nack_idx[in_window], 1)
+                nack_cost = np.bincount(nack_idx[in_window], minlength=num_u)
 
-            own_sends = np.zeros(num_u, dtype=np.int64)
+            # Each listener's own sends within its active window.
+            own_in = own_pos = own_slot = _NO_IDS
             if own_keys.size:
                 own_pos = own_keys // s
-                in_window = (own_keys % s) <= cutoff[own_pos]
-                np.add.at(own_sends, own_pos[in_window], 1)
+                own_slot = own_keys % s
+                in_window = own_slot <= cutoff[own_pos]
+                own_in, own_pos, own_slot = (
+                    own_keys[in_window], own_pos[in_window], own_slot[in_window]
+                )
 
             if p_listen > 0:
-                listenable = np.maximum(cutoff + 1 - own_sends, 0)
+                listenable = np.maximum(cutoff + 1 - np.bincount(own_pos, minlength=num_u), 0)
                 # Marginal truncation (documented approximation, as in the
                 # single-hop path): an informed node's pre-delivery listening
                 # cost is a binomial over its active window, plus the delivery
@@ -576,38 +649,44 @@ class PhaseEngine:
                 # clean deliveries, overlap, and half-duplex exclusions: a
                 # slot is noisy for a listener iff it is jammed for it, or
                 # anything is audible there and it is not a clean delivery.
-                global_noisy_victim = spoof_busy | jam_mask
-                victim_cum = np.cumsum(global_noisy_victim)
+                victim_cum = np.cumsum(spoof_busy | jam_mask)
                 spared_cum = np.cumsum(spoof_busy)
                 # Count of globally-noisy slots in [0, cutoff], per listener.
                 n_noisy = np.where(victim, victim_cum[cutoff], spared_cum[cutoff])
+                del victim_cum, spared_cum
 
-                audible_keys = unique_sorted(np.concatenate([noise_keys, payload_keys]))
-                if clean_keys.size:
-                    audible_keys = audible_keys[~isin_sorted(audible_keys, clean_keys)]
-                if audible_keys.size:
-                    a_pos = audible_keys // s
-                    a_slot = audible_keys % s
-                    in_window = a_slot <= cutoff[a_pos]
-                    a_pos, a_slot = a_pos[in_window], a_slot[in_window]
-                    is_global = np.where(
-                        victim[a_pos], global_noisy_victim[a_slot], spoof_busy[a_slot]
-                    )
-                    n_noisy = n_noisy + np.bincount(a_pos[~is_global], minlength=num_u)
-                if own_keys.size:
+                # Every audible key, sorted in place (repeats kept).
+                audible = _joined([noise_keys, payload_keys])
+                del noise_keys, payload_keys
+                audible.sort()
+                if own_in.size:
                     # A transmitting node cannot hear the slot it sends in.
-                    own_pos = own_keys // s
-                    own_slot = own_keys % s
-                    in_window = own_slot <= cutoff[own_pos]
-                    own_in, own_pos, own_slot = (
-                        own_keys[in_window], own_pos[in_window], own_slot[in_window]
-                    )
-                    own_noisy = np.where(
-                        victim[own_pos], global_noisy_victim[own_slot], spoof_busy[own_slot]
-                    )
-                    if audible_keys.size:
-                        own_noisy |= isin_sorted(own_in, audible_keys)
-                    n_noisy = n_noisy - np.bincount(own_pos[own_noisy], minlength=num_u)
+                    # Own keys are never clean deliveries, so membership in
+                    # `audible` is membership in its non-clean part.
+                    own_noisy = spoof_busy[own_slot]
+                    if jammed_slots:
+                        own_noisy |= jam_mask[own_slot] & victim[own_pos]
+                    own_noisy |= isin_sorted(own_in, audible)
+                    n_noisy -= np.bincount(own_pos[own_noisy], minlength=num_u)
+                if audible.size:
+                    # Count each key once, unless it is a clean delivery (each
+                    # occurs exactly once in `audible`), outside its
+                    # listener's window, or already globally noisy.
+                    counted = np.empty(audible.size, dtype=bool)
+                    counted[0] = True
+                    np.not_equal(audible[1:], audible[:-1], out=counted[1:])
+                    if clean_keys.size:
+                        counted[np.searchsorted(audible, clean_keys)] = False
+                    a_slot = audible % s
+                    a_pos = np.floor_divide(audible, s, out=audible)
+                    if informed_mask.any():
+                        counted &= a_slot <= cutoff[a_pos]
+                    if spoofed_transmissions:
+                        counted &= ~spoof_busy[a_slot]
+                    if jammed_slots:
+                        counted &= ~(jam_mask[a_slot] & victim[a_pos])
+                    del a_slot
+                    n_noisy += np.bincount(a_pos[counted], minlength=num_u)
                 noisy_listeners = uninformed
                 node_noisy = rng.binomial(np.maximum(n_noisy, 0), p_listen)
 
@@ -623,10 +702,12 @@ class PhaseEngine:
 
         alice_noisy = 0
         alice_listen_slots = 0
-        if roles.alice_active and plan.alice_listen_prob > 0:
-            noisy_for_alice = alice_audible | spoof_busy
+        if alice_listens:
+            noisy_for_alice = spoof_busy.copy()
+            for heard_slots in (relay_heard, nack_heard, decoy_heard):
+                noisy_for_alice[heard_slots] = True
             if jam_plan.targeting.affects(ALICE_ID):
-                noisy_for_alice = noisy_for_alice | jam_mask
+                noisy_for_alice |= jam_mask
             if alice_send_slots:
                 noisy_for_alice[alice_slots] = False  # half-duplex
             n_noisy_alice = int(np.count_nonzero(noisy_for_alice))

@@ -7,10 +7,8 @@ protocols apples-to-apples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Dict, Mapping
 
 __all__ = ["CostBreakdown", "DeliveryStats", "resource_competitive_ratio"]
 
@@ -24,17 +22,15 @@ class CostBreakdown:
     node_max: float
     node_total: float
     adversary: float
-    per_node: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     @staticmethod
-    def from_snapshot(snapshot: Mapping[str, float], per_node: Optional[np.ndarray] = None) -> "CostBreakdown":
+    def from_snapshot(snapshot: Mapping[str, float]) -> "CostBreakdown":
         return CostBreakdown(
             alice=float(snapshot["alice"]),
             node_mean=float(snapshot["node_mean"]),
             node_max=float(snapshot["node_max"]),
             node_total=float(snapshot["node_total"]),
             adversary=float(snapshot["adversary"]),
-            per_node=per_node,
         )
 
     @property

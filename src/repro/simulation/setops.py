@@ -30,8 +30,9 @@ def unique_sorted(values: np.ndarray) -> np.ndarray:
 def isin_sorted(values: np.ndarray, sorted_unique: np.ndarray) -> np.ndarray:
     """Boolean mask, shaped like ``values``: is each entry in ``sorted_unique``?
 
-    ``sorted_unique`` must be strictly increasing (e.g. a :func:`unique_sorted`
-    result); membership is one ``searchsorted`` per entry.
+    ``sorted_unique`` must be sorted ascending, e.g. a :func:`unique_sorted`
+    result; repeated entries give the same answer, so an array sorted in
+    place will do.  Membership is one ``searchsorted`` per entry.
     """
 
     values = np.asarray(values)

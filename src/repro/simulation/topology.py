@@ -103,16 +103,20 @@ def _gather_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
     The workhorse behind every CSR multi-row slice: given per-row start
     offsets and lengths it returns the flat index array selecting all of the
-    rows' entries at once, without a Python loop.
+    rows' entries at once, without a Python loop.  Output entry ``i`` of
+    range ``r`` is ``starts[r] + i − (entries before range r)``: one
+    ``arange`` shifted in place by one per-range ``repeat``, so the working
+    set is two output-length arrays.
     """
 
     counts = np.asarray(counts, dtype=np.int64)
     total = int(counts.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64)
-    ends = np.cumsum(counts)
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
-    return np.repeat(np.asarray(starts, dtype=np.int64), counts) + offsets
+    shift = np.asarray(starts, dtype=np.int64) - (np.cumsum(counts) - counts)
+    flat = np.arange(total, dtype=np.int64)
+    flat += np.repeat(shift, counts)
+    return flat
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro import BroadcastOutcome, SimulationConfig, run_broadcast
@@ -26,7 +25,6 @@ def make_outcome(alice=10.0, node_mean=5.0, node_max=8.0, adversary=100.0, infor
         node_max=node_max,
         node_total=node_mean * n,
         adversary=adversary,
-        per_node=np.full(n, node_mean),
     )
     return BroadcastOutcome(
         protocol="epsilon-broadcast",

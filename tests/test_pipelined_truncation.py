@@ -119,6 +119,47 @@ class TestCapAwareTruncation:
         assert delivery.terminated_uninformed >= outside
         assert delivery.terminated_informed + delivery.terminated_uninformed == config.n
 
+    def test_bfs_skipped_only_when_nothing_terminated(self, monkeypatch):
+        """The truncation BFS runs only after a termination, and skipping it
+        changes nothing: a run that forces the BFS after every request phase
+        ends in the same state, at the same slot, with the same costs."""
+
+        def run(radius, seed, force_bfs):
+            config = SimulationConfig(n=96, seed=seed, topology=TopologySpec.gilbert(radius=radius))
+            protocol = MultiHopBroadcast(config, engine="fast")
+            topology = protocol.network.topology
+            calls = []
+            reachable = topology.frontier_reachable
+            truncate = protocol._truncate_stalled
+
+            def counted(*args):
+                calls.append(args)
+                return reachable(*args)
+
+            def forced(state, round_index):
+                if force_bfs:
+                    state.reach_checked_at = -1
+                truncate(state, round_index)
+
+            monkeypatch.setattr(topology, "frontier_reachable", counted)
+            monkeypatch.setattr(protocol, "_truncate_stalled", forced)
+            return protocol.run(), protocol.final_state, len(calls)
+
+        total_skipped = total_forced = 0
+        for radius, seed in [(0.09, 11), (0.09, 12), (0.12, 13), (0.2, 14)]:
+            skipped, skipped_state, skipped_calls = run(radius, seed, force_bfs=False)
+            forced, forced_state, forced_calls = run(radius, seed, force_bfs=True)
+            assert skipped.delivery == forced.delivery
+            assert skipped.costs == forced.costs
+            assert np.array_equal(skipped_state.informed_at_slot, forced_state.informed_at_slot)
+            assert np.array_equal(
+                skipped_state.terminated_at_round, forced_state.terminated_at_round
+            )
+            assert 0 < skipped_calls <= forced_calls
+            total_skipped += skipped_calls
+            total_forced += forced_calls
+        assert total_skipped < total_forced
+
 
 # --------------------------------------------------------------------------- #
 # Pipelined vs sequential statistical equivalence                             #

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from unittest import mock
 
-import numpy as np
 import pytest
 
 from repro.adversary import RandomJammer
@@ -138,8 +137,9 @@ class TestEventLog:
 class TestMetrics:
     def test_cost_breakdown_from_snapshot(self):
         snapshot = {"alice": 5.0, "adversary": 100.0, "node_mean": 2.0, "node_max": 4.0, "node_total": 20.0}
-        costs = CostBreakdown.from_snapshot(snapshot, per_node=np.array([1.0, 3.0]))
+        costs = CostBreakdown.from_snapshot(snapshot)
         assert costs.alice == 5.0
+        assert costs.node_mean == 2.0 and costs.node_max == 4.0 and costs.node_total == 20.0
         assert costs.correct_total == 25.0
         assert costs.as_dict()["adversary"] == 100.0
 

@@ -208,6 +208,29 @@ class TestLedgerArray:
         with pytest.raises(ConfigurationError):
             array.charge_bulk_many(EnergyOperation.SEND, np.array([0]), np.array([-1.0]))
 
+    @pytest.mark.parametrize(
+        "rows", [[1, 1], [3, 0, 3], [-1], [0, -2], [4], [2, 4, 1]], ids=repr
+    )
+    def test_repeated_or_out_of_range_rows_rejected(self, rows):
+        """A repeated row would be charged once but totalled twice, and a
+        negative row would charge a row counted from the end."""
+
+        import numpy as np
+
+        array = self._array()
+        with pytest.raises(ConfigurationError):
+            array.charge_bulk_many(EnergyOperation.SEND, np.array(rows), np.ones(len(rows)))
+        assert array.spent_array().tolist() == [0.0] * 4
+        assert array.total_spent == 0.0
+
+    def test_rows_in_any_order_are_accepted(self):
+        import numpy as np
+
+        array = self._array()
+        array.charge_bulk_many(EnergyOperation.SEND, np.array([3, 0, 2]), np.array([1.0, 2.0, 3.0]))
+        assert array.spent_array().tolist() == [2.0, 0.0, 3.0, 1.0]
+        assert array.total_spent == array.spent_array().sum()
+
     @pytest.mark.parametrize("policy", list(BudgetPolicy))
     def test_total_spent_tracks_every_charge_path(self, policy):
         """The running total equals the rows' sum after bulk, one-row and clipped charges."""

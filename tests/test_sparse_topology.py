@@ -21,6 +21,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equivalence import (
     assert_means_close,
@@ -37,18 +39,21 @@ from repro.simulation import (
     GilbertGraph,
     JamPlan,
     JamTargeting,
+    Network,
     PhaseKind,
     PhasePlan,
     PhaseRoles,
     RandomSource,
     ScaleFreeGilbert,
+    SimulationConfig,
     SingleHop,
     TopologySpec,
     build_topology,
+    gilbert_connectivity_radius,
 )
 from repro.simulation.errors import ConfigurationError
-from repro.simulation.fastengine import _sample_bernoulli_events
-from repro.simulation.topology import _edges_to_csr, _gilbert_edges_grid
+from repro.simulation.fastengine import PhaseEngine, _listener_pairs, _sample_bernoulli_events
+from repro.simulation.topology import _edges_to_csr, _gather_ranges, _gilbert_edges_grid
 
 
 def sample_topology(kind, n=64, seed=0, radius=0.25, alpha=2.0, min_radius=0.05):
@@ -352,6 +357,147 @@ class TestBernoulliEventSampler:
             tracemalloc.stop()
         assert 0 < idx.size < 1000
         assert peak < 1 << 20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def expand_then_filter(csr, u_pos, s, cohort, idx, slots):
+    """The per-pair expansion ``_listener_pairs`` replaced: every event's whole
+    CSR row, then the inactive listeners dropped.  Alice (the last row) hears
+    the slot of every event whose sender neighbours her."""
+
+    heard = np.zeros(s, dtype=bool)
+    if idx.size == 0:
+        return np.empty(0, dtype=np.int64), heard
+    origins, nbrs = csr.expand(cohort[idx])
+    pair_slots = slots[origins]
+    heard[pair_slots[nbrs == csr.num_rows - 1]] = True
+    pos = u_pos[nbrs]
+    active = pos >= 0
+    return pos[active] * s + pair_slots[active], heard
+
+
+def listener_positions(listeners, num_rows):
+    u_pos = np.full(num_rows, -1, dtype=np.int64)
+    u_pos[np.asarray(listeners, dtype=np.int64)] = np.arange(len(listeners), dtype=np.int64)
+    return u_pos
+
+
+@st.composite
+def phase_events(draw):
+    """A small graph (last row Alice), a listener set, a cohort and its events."""
+
+    n = draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(n + 1) for v in range(u + 1, n + 1)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    us = np.array([u for u, _ in edges], dtype=np.int64)
+    vs = np.array([v for _, v in edges], dtype=np.int64)
+    csr = _edges_to_csr(us, vs, n + 1)
+    listeners = sorted(draw(st.sets(st.integers(0, n - 1))))
+    # Cohorts are sorted rows; Alice's row n is a cohort of its own in the engine.
+    cohort = np.array(sorted(draw(st.sets(st.integers(0, n), min_size=1))), dtype=np.int64)
+    s = draw(st.integers(1, 5))
+    flat = np.array(sorted(draw(st.sets(st.integers(0, cohort.size * s - 1)))), dtype=np.int64)
+    return csr, listener_positions(listeners, n + 1), s, cohort, flat // s, flat % s
+
+
+class TestListenerPairs:
+    """Per-sender expansion onto active listeners equals per-event expansion."""
+
+    @staticmethod
+    def assert_matches_reference(csr, u_pos, s, cohort, idx, slots):
+        reference_keys, reference_heard = expand_then_filter(csr, u_pos, s, cohort, idx, slots)
+        for alice_listens in (False, True):
+            keys, heard = _listener_pairs(csr, u_pos, s, cohort, idx, slots, alice_listens)
+            assert keys.dtype == np.int64
+            assert keys.tolist() == reference_keys.tolist()  # same keys, same order
+            heard_mask = np.zeros(s, dtype=bool)
+            heard_mask[heard] = True
+            expected = reference_heard if alice_listens else np.zeros(s, dtype=bool)
+            assert heard_mask.tolist() == expected.tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(phase_events())
+    def test_matches_expand_then_filter(self, case):
+        self.assert_matches_reference(*case)
+
+    # Rows 0–3 are nodes and row 4 is Alice; node 1 neighbours Alice.
+    GRAPH = _edges_to_csr(np.array([0, 0, 1, 2]), np.array([1, 2, 4, 3]), 5)
+
+    @pytest.mark.parametrize(
+        "listeners,cohort,idx,slots",
+        [
+            ([0, 2, 3], [0, 1, 2], [], []),  # no events
+            ([1, 2, 3], [0], [0, 0, 0], [1, 4, 5]),  # one sender, several events
+            ([0, 3], [1, 2], [0, 0, 1], [0, 3, 3]),  # sender 1 neighbours Alice
+            ([], [0, 1, 2, 3], [0, 1, 1, 3], [2, 0, 5, 5]),  # no active listener
+            ([1], [4], [0, 0], [2, 3]),  # Alice as the sender
+            ([0, 1, 2], [3], [0], [5]),  # sender with no active neighbour
+        ],
+    )
+    def test_edge_cases(self, listeners, cohort, idx, slots):
+        self.assert_matches_reference(
+            self.GRAPH,
+            listener_positions(listeners, 5),
+            6,
+            np.array(cohort, dtype=np.int64),
+            np.array(idx, dtype=np.int64),
+            np.array(slots, dtype=np.int64),
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 50), st.integers(0, 4)), max_size=8))
+    def test_gather_ranges_concatenates_ranges(self, ranges):
+        starts = np.array([start for start, _ in ranges], dtype=np.int64)
+        counts = np.array([count for _, count in ranges], dtype=np.int64)
+        expected = [i for start, count in ranges for i in range(start, start + count)]
+        flat = _gather_ranges(starts, counts)
+        assert flat.dtype == np.int64 and flat.tolist() == expected
+
+
+class TestMultiHopPhaseMemory:
+    """A multi-hop phase's working set is its active-listener pairs.
+
+    The phase shapes are the worst of the quick registry at n = 256: an E11
+    propagation phase (57 relays, 47 listeners, about 7,300 relay events, mean
+    degree about 30) and an E13 request phase (255 listeners, about 33,000
+    nacks, mean degree about 8).  Expanding every event's whole CSR row and
+    copying the pairs per set operation peaked at 7.9 and 14.6 MiB here.
+    """
+
+    S = 32_768
+
+    @staticmethod
+    def traced_peak(plan, roles, radius_factor, n=256):
+        radius = radius_factor * gilbert_connectivity_radius(n)
+        config = SimulationConfig(n=n, seed=7, topology=TopologySpec.gilbert(radius=radius))
+        network = Network(config)
+        engine = PhaseEngine(network)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            result = engine.run_phase(plan, roles, JamPlan.idle())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, peak - before
+
+    def test_propagation_phase(self):
+        plan = PhasePlan(
+            name="propagation:1", kind=PhaseKind.PROPAGATION, round_index=9,
+            num_slots=self.S, step=1, relay_send_prob=0.004, uninformed_listen_prob=0.004,
+        )
+        roles = PhaseRoles.of(range(47), relays=range(47, 104))
+        result, peak = self.traced_peak(plan, roles, radius_factor=2.5)
+        assert result.newly_informed.size > 0
+        assert peak < 4 << 20, f"peak {peak / 2**20:.2f} MiB"
+
+    def test_request_phase(self):
+        plan = PhasePlan(
+            name="request", kind=PhaseKind.REQUEST, round_index=9, num_slots=self.S,
+            alice_listen_prob=0.004, uninformed_listen_prob=0.004, nack_send_prob=0.004,
+        )
+        result, peak = self.traced_peak(plan, PhaseRoles.of(range(255)), radius_factor=1.3)
+        assert result.node_noisy_heard.sum() > 0
+        assert peak < 9 << 20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def multihop_phase_records(plan, roles_builder, jam_builder=JamPlan.idle, n=48):
