@@ -3,9 +3,10 @@
 
 The observability layer's contract is "near-zero when off, cheap when on":
 every producer guards event construction behind one ``recorder.enabled``
-attribute read, so an untraced run pays essentially nothing, and a traced run
-pays only per-phase event construction (phases number in the tens to
-hundreds, against millions of sampled slot outcomes).
+attribute read.  The driver builds each phase's ``"phase"`` event either way,
+because the outcome keeps it (``record_events``, on by default), so what a
+recorder adds is the run-level events and its own ``record`` calls (phases
+number in the tens to hundreds, against millions of sampled slot outcomes).
 
 This benchmark measures both claims on two representative workloads —
 a single-hop run and a sparse multi-hop Gilbert run — and **fails** if either

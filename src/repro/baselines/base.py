@@ -54,8 +54,8 @@ class EpochBaseline(abc.ABC):
         constructed from ``config`` when omitted.
     recorder:
         A :class:`~repro.observability.trace.TraceRecorder` for the run's
-        ``"run-start"`` / ``"phase"`` / ``"run-end"`` events, installed on the
-        engine too — the same stream ε-Broadcast runs emit.
+        ``"run-start"`` / ``"phase"`` / ``"run-end"`` events — the same stream
+        ε-Broadcast runs emit.
     """
 
     protocol_name = "epoch-baseline"
@@ -76,8 +76,6 @@ class EpochBaseline(abc.ABC):
         # their victim sets against the realised network; no-op by default.
         self.adversary.bind_network(self.network)
         self.engine = resolve_engine(engine, self.network)
-        if recorder is not None:
-            self.engine.recorder = self.recorder
         horizon = max(config.adversary_total_budget, float(config.n))
         self.max_epoch = int(math.ceil(math.log2(horizon))) + 2
 

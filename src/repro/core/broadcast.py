@@ -65,7 +65,8 @@ class EpsilonBroadcast:
         An existing :class:`~repro.simulation.network.Network` to reuse;
         constructed from ``config`` when omitted.
     record_events:
-        Keep the phase-level event log on the returned outcome.
+        Attach the run's ``"phase"`` trace events to the returned outcome
+        as :attr:`~repro.core.outcome.BroadcastOutcome.events`.
     figure:
         Which pseudocode's probabilities to use (1 = Figure 1, 2 = Figure 2).
         Defaults to Figure 1 for ``k = 2`` and Figure 2 otherwise.
@@ -74,10 +75,8 @@ class EpsilonBroadcast:
     recorder:
         A :class:`~repro.observability.trace.TraceRecorder` to stream
         phase-level telemetry to; defaults to the no-op
-        :data:`~repro.observability.trace.NULL_RECORDER`.  When given, it is
-        also installed on the execution engine so channel-level ``"engine"``
-        events land in the same trace.  Recording is strictly read-only:
-        traced runs are bit-identical to untraced ones.
+        :data:`~repro.observability.trace.NULL_RECORDER`.  Recording is
+        strictly read-only: traced runs are bit-identical to untraced ones.
     """
 
     protocol_name = "epsilon-broadcast"
@@ -104,11 +103,6 @@ class EpsilonBroadcast:
             )
         self.network = network if network is not None else Network(config)
         self.engine = resolve_engine(engine, self.network)
-        if recorder is not None:
-            # Same sink for orchestrator-level "phase" events and the engine's
-            # channel-level "engine" events; pre-built engines keep whatever
-            # recorder they were constructed with unless one is given here.
-            self.engine.recorder = self.recorder
         # Strategies that depend on the realised topology (e.g. spatial disk
         # jammers) override the bind_network hook; the base default is a no-op.
         self.adversary.bind_network(self.network)
@@ -155,7 +149,13 @@ class EpsilonBroadcast:
 
         state = ProtocolState(self.config.n)
         driver = PhaseDriver(
-            self.protocol_name, self.config, self.network, self.engine, self.adversary, self.recorder
+            self.protocol_name,
+            self.config,
+            self.network,
+            self.engine,
+            self.adversary,
+            self.recorder,
+            record_events=self.record_events,
         )
         start_round = self.params.start_round
         max_round = self.params.resolved_max_round(self.config.n)
@@ -187,7 +187,6 @@ class EpsilonBroadcast:
             state,
             round_index=max_round if terminated_by_cap else round_index,
             terminated_by_cap=terminated_by_cap,
-            record_events=self.record_events,
             extra=extra,
         )
 

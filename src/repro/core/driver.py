@@ -8,26 +8,24 @@ but every phase goes through the same steps: show the adversary a
 plan, hand the phase to the engine, advance the slot counter, apply the
 protocol's state transitions, let the adversary observe the result, and
 record the phase.  :class:`PhaseDriver` owns those steps, the run's slot
-counter (an ``int``: each phase's slot window is its
-:class:`~repro.simulation.events.PhaseRecord`'s ``start_slot`` and
-``num_slots``) and :class:`~repro.simulation.events.EventLog`, the
-``"run-start"`` /
-``"phase"`` / ``"run-end"`` trace events, and outcome assembly.  The
-orchestrators keep only their loop shape and their state-transition hook, so
-ε-Broadcast and the baselines it is compared against are measured by the same
-machinery.
+counter (an ``int``: each phase's slot window is its ``"phase"`` event's
+``start_slot`` and ``num_slots``), the ``"run-start"`` / ``"phase"`` /
+``"run-end"`` trace events, and outcome assembly.  The ``"phase"`` event is
+the run's only per-phase record: the trace receives it, and the outcome
+carries the same objects as ``events``.  The orchestrators keep only their
+loop shape and their state-transition hook, so ε-Broadcast and the baselines
+it is compared against are measured by the same machinery.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Dict, List, Optional, Union
 
 from ..adversary.base import Adversary
 from ..observability.trace import TraceEvent, TraceRecorder
 from ..simulation.config import SimulationConfig
 from ..simulation.engine import SlotEngine
 from ..simulation.errors import ConfigurationError
-from ..simulation.events import EventLog, PhaseRecord
 from ..simulation.fastengine import PhaseEngine
 from ..simulation.metrics import CostBreakdown, DeliveryStats
 from ..simulation.network import Network
@@ -76,6 +74,8 @@ class PhaseDriver:
         engine: Engine,
         adversary: Adversary,
         recorder: TraceRecorder,
+        *,
+        record_events: bool = True,
     ) -> None:
         self.protocol_name = protocol_name
         self.config = config
@@ -85,7 +85,11 @@ class PhaseDriver:
         self.recorder = recorder
         self.slot = 0
         """Slots executed so far: the index of the next phase's first slot."""
-        self.log = EventLog()
+        self.rounds_executed = 0
+        """Distinct rounds with at least one executed phase (rounds run in order)."""
+        self._last_round: Optional[int] = None
+        self.events: Optional[List[TraceEvent]] = [] if record_events else None
+        """The ``"phase"`` events the outcome carries (``None`` if not kept)."""
 
     @property
     def adversary_name(self) -> str:
@@ -138,59 +142,47 @@ class PhaseDriver:
         start_slot = self.slot
         result = self.engine.run_phase(plan, roles, jam_plan, start_slot=start_slot)
         self.slot += plan.num_slots
+        if round_index != self._last_round:
+            self._last_round = round_index
+            self.rounds_executed += 1
 
         apply(plan, roles, result, state, round_index, self.slot)
 
         adversary.observe_result(context, result)
-        terminated_informed = state.terminated_informed_count()
-        terminated_uninformed = state.terminated_uninformed_count()
-        # Phase records are cheap (one per phase) and outcome assembly relies
-        # on them, so they are always recorded; the orchestrator decides
-        # whether the log is attached to the returned outcome.
-        record = PhaseRecord(
-            round_index=round_index,
-            phase_name=plan.name,
-            num_slots=plan.num_slots,
-            start_slot=start_slot,
-            jammed_slots=result.jammed_slots,
-            adversary_spend=result.adversary_spend,
-            newly_informed=int(result.newly_informed.size),
-            alice_cost=network.alice_cost - alice_before,
-            nodes_cost=network.node_ledgers.total_spent - nodes_before,
-            active_uninformed_after=state.active_uninformed_count(),
-            terminated_after=terminated_informed + terminated_uninformed,
-        )
-        self.log.record_phase(record)
         recorder = self.recorder
-        if recorder.enabled:
-            recorder.record(
-                TraceEvent(
-                    kind="phase",
-                    round_index=round_index,
-                    phase=plan.name,
-                    data={
-                        "kind": plan.kind.value,
-                        "step": plan.step,
-                        "num_slots": plan.num_slots,
-                        "start_slot": start_slot,
-                        "newly_informed": record.newly_informed,
-                        "informed_total": state.informed_count(),
-                        "frontier": state.active_informed_count(),
-                        "active_uninformed": record.active_uninformed_after,
-                        "terminated_informed": terminated_informed,
-                        "terminated_uninformed": terminated_uninformed,
-                        "jammed_slots": result.jammed_slots,
-                        "busy_slots": result.busy_slots,
-                        "delivery_slots": result.delivery_slots,
-                        "spoofed_transmissions": result.spoofed_transmissions,
-                        "adversary_spend": result.adversary_spend,
-                        "alice_cost": record.alice_cost,
-                        "nodes_cost": record.nodes_cost,
-                        "alice_noisy_heard": result.alice_noisy_heard,
-                        "request_noisy_total": float(result.node_noisy_heard.sum()),
-                    },
-                )
+        if recorder.enabled or self.events is not None:
+            event = TraceEvent(
+                kind="phase",
+                round_index=round_index,
+                phase=plan.name,
+                data={
+                    "kind": plan.kind.value,
+                    "step": plan.step,
+                    "path": result.path,
+                    "num_slots": plan.num_slots,
+                    "start_slot": start_slot,
+                    "newly_informed": int(result.newly_informed.size),
+                    "informed_total": state.informed_count(),
+                    "frontier": state.active_informed_count(),
+                    "active_uninformed": state.active_uninformed_count(),
+                    "terminated_informed": state.terminated_informed_count(),
+                    "terminated_uninformed": state.terminated_uninformed_count(),
+                    "jammed_slots": result.jammed_slots,
+                    "jam_victims": result.jam_victims,
+                    "busy_slots": result.busy_slots,
+                    "delivery_slots": result.delivery_slots,
+                    "spoofed_transmissions": result.spoofed_transmissions,
+                    "adversary_spend": result.adversary_spend,
+                    "alice_cost": network.alice_cost - alice_before,
+                    "nodes_cost": network.node_ledgers.total_spent - nodes_before,
+                    "alice_noisy_heard": result.alice_noisy_heard,
+                    "request_noisy_total": float(result.node_noisy_heard.sum()),
+                },
             )
+            if self.events is not None:
+                self.events.append(event)
+            if recorder.enabled:
+                recorder.record(event)
         return result
 
     def finish(
@@ -199,13 +191,11 @@ class PhaseDriver:
         *,
         round_index: int,
         terminated_by_cap: bool,
-        record_events: bool = True,
         extra: Optional[Dict[str, float]] = None,
     ) -> BroadcastOutcome:
         """Assemble the run's outcome and emit the ``"run-end"`` event.
 
-        ``round_index`` labels the ``"run-end"`` event; ``record_events``
-        attaches the phase log to the outcome; ``extra`` becomes the
+        ``round_index`` labels the ``"run-end"`` event; ``extra`` becomes the
         outcome's protocol-specific metrics.
         """
 
@@ -216,7 +206,7 @@ class PhaseDriver:
             terminated_informed=state.terminated_informed_count(),
             terminated_uninformed=state.terminated_uninformed_count(),
             slots_elapsed=self.slot,
-            rounds_executed=self.log.rounds_executed(),
+            rounds_executed=self.rounds_executed,
             alice_terminated=state.alice_terminated,
         )
         snapshot = network.cost_snapshot()
@@ -227,7 +217,7 @@ class PhaseDriver:
             config=self.config,
             delivery=delivery,
             costs=costs,
-            events=self.log if record_events else None,
+            events=None if self.events is None else tuple(self.events),
             terminated_by_cap=terminated_by_cap,
             extra=extra or {},
         )

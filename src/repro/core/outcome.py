@@ -10,10 +10,10 @@ baselines can be compared with identical code.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
+from ..observability.trace import TraceEvent
 from ..simulation.config import SimulationConfig
-from ..simulation.events import EventLog
 from ..simulation.metrics import CostBreakdown, DeliveryStats, resource_competitive_ratio
 
 __all__ = ["BroadcastOutcome"]
@@ -37,7 +37,8 @@ class BroadcastOutcome:
     costs:
         Energy expenditure of Alice, the nodes, and the adversary.
     events:
-        The phase-level event log (``None`` if the caller disabled logging).
+        The run's ``"phase"`` trace events in execution order, the same
+        objects a recorder received (``None`` if the caller disabled them).
     terminated_by_cap:
         ``True`` if the run hit the orchestrator's safety cap on rounds rather
         than terminating through the protocol's own rules.
@@ -50,7 +51,7 @@ class BroadcastOutcome:
     config: SimulationConfig
     delivery: DeliveryStats
     costs: CostBreakdown
-    events: Optional[EventLog] = field(default=None, compare=False, repr=False)
+    events: Optional[Tuple[TraceEvent, ...]] = field(default=None, compare=False, repr=False)
     terminated_by_cap: bool = False
     extra: Dict[str, float] = field(default_factory=dict)
 

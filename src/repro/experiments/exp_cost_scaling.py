@@ -32,7 +32,7 @@ def _trial(seed: int, n: int, engine: str, cap: float) -> dict:
     """One E1 trial: ε-Broadcast against a phase blocker capped at ``cap``.
 
     Returns only the flat record: shipping the full ``BroadcastOutcome``
-    (config + per-phase event log) through the runner would bloat worker IPC
+    (config + per-phase events) through the runner would bloat worker IPC
     and the trial cache for fields the analysis never reads.
     """
 

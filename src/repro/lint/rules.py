@@ -32,6 +32,7 @@ __all__ = [
     "NoPrintRule",
     "HashUniqueRule",
     "UndeclaredImportRule",
+    "SimulationLayeringRule",
 ]
 
 
@@ -649,4 +650,49 @@ class UndeclaredImportRule(LintRule):
                 node,
                 f"import of {module!r}: library code may import only the standard "
                 "library, numpy and repro (setup.py install_requires)",
+            )
+
+
+@register_rule
+class SimulationLayeringRule(LintRule):
+    """R11: ``repro.simulation`` imports only stdlib, numpy and itself."""
+
+    rule_id = "R11"
+    title = "repro.simulation importing from another repro package"
+    rationale = (
+        "The simulation substrate sits under the protocol, trace and "
+        "experiment layers.  Both engines once imported the trace layer to "
+        "emit their own per-phase 'engine' event, a second copy of the "
+        "driver's 'phase' record; an engine now reports its code path on the "
+        "PhaseResult and the driver records the phase once.  Keeping the "
+        "package's imports to the standard library, numpy and "
+        "repro.simulation stops telemetry (or protocol logic) growing back "
+        "into the engines."
+    )
+
+    def visit_Import(self, node: ast.Import) -> None:
+        for item in node.names:
+            self._check(node, item.name)
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        if node.level == 1:
+            return  # a sibling module: the package has no subpackages
+        module = node.module or ""
+        if node.level:
+            # ``from ..x import y`` in repro/simulation/ resolves against repro.
+            module = f"repro.{module}" if module else "repro"
+        if module == "repro":
+            for item in node.names:
+                self._check(node, f"repro.{item.name}")
+        else:
+            self._check(node, module)
+
+    def _check(self, node: ast.stmt, module: str) -> None:
+        if "/repro/simulation/" not in "/" + self.ctx.path.replace("\\", "/"):
+            return
+        if module.split(".")[0] == "repro" and module.split(".")[:2] != ["repro", "simulation"]:
+            self.report(
+                node,
+                f"import of {module!r}: modules under repro/simulation may "
+                "import only the standard library, numpy and repro.simulation",
             )

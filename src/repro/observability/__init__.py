@@ -3,7 +3,7 @@
 Three coordinated layers:
 
 * :mod:`repro.observability.trace` — phase-level run tracing: the
-  :class:`TraceRecorder` sink the orchestrators and every engine path feed,
+  :class:`TraceRecorder` sink the orchestrators' phase driver feeds,
   with the hard guarantee that recording never perturbs a run (traced runs
   are bit-identical to untraced ones), plus JSONL export/import.  Its
   :func:`observe` scope is where the trial runner publishes its

@@ -1,9 +1,9 @@
 """Trace analysis: summarise one run trace or diff two.
 
 Works on the :class:`~repro.observability.trace.TraceEvent` streams produced
-by the orchestrators/engines (``kind="phase"`` / ``"engine"`` /
-``"quiet-expire"`` / ``"truncate"`` …), on runner-stage ``"span"`` events, and
-on the trial runner's ``"fault"`` events (retries, timeouts, worker deaths,
+by the orchestrators (``kind="phase"`` / ``"quiet-expire"`` / ``"truncate"``
+…; a run's ``outcome.events`` are its ``"phase"`` events), on runner-stage
+``"span"`` events, and on the trial runner's ``"fault"`` events (retries, timeouts, worker deaths,
 quarantines), whether collected in memory
 (:class:`~repro.observability.trace.TraceCollector`) or loaded from JSONL.
 ``tools/trace_report.py`` is the CLI wrapper.

@@ -3,9 +3,11 @@
 The paper analyses the protocol through per-phase quantities — how many slots
 were noisy, how fast the informed set grows, what each side spent — but the
 simulator's default outputs are end-of-run aggregates.  This module adds the
-missing middle layer: a :class:`TraceRecorder` sink that the orchestrators and
-every execution-engine path feed with structured :class:`TraceEvent` records
-while a run unfolds.
+missing middle layer: a :class:`TraceRecorder` sink that the orchestrators'
+shared phase driver feeds with structured :class:`TraceEvent` records while a
+run unfolds.  The engines do not trace: each
+:class:`~repro.simulation.phaseplan.PhaseResult` names the code path that
+produced it, and the driver's ``"phase"`` event carries it.
 
 The one hard rule of the recording layer: **observing a run must never change
 it**.  Every producer only *reads* values the run has already computed (state
@@ -15,8 +17,10 @@ is bit-identical to an untraced one.  ``tests/test_observability.py`` pins
 that guarantee with exact golden equality on all three engine paths.
 
 The default sink is :data:`NULL_RECORDER`, whose :attr:`~TraceRecorder.enabled`
-flag is ``False``; producers check the flag before building an event, so the
-untraced hot path pays one attribute read per phase and allocates nothing.
+flag is ``False``; producers check the flag before building an event, so an
+untraced emit costs one attribute read.  The driver still builds each phase's
+event when the outcome keeps it (``record_events``, on by default); with
+``record_events=False`` and no recorder, a run builds no phase event at all.
 
 The trial runner publishes its events — per-unit ``"progress"``, fault
 handling ``"fault"``, stage ``"span"`` — to the sinks opened with
@@ -55,7 +59,6 @@ __all__ = [
     "TraceCollector",
     "observe",
     "observers",
-    "engine_event",
     "write_jsonl",
     "read_jsonl",
 ]
@@ -73,13 +76,11 @@ class TraceEvent:
         Event type.  The producers in this repository emit:
 
         * ``"run-start"`` / ``"run-end"`` — orchestrator run boundaries;
-        * ``"phase"`` — one executed phase, post-state-transition (the
-          per-round trace the report tooling aggregates);
-        * ``"engine"`` — the executing engine path's channel-level tallies
-          for the same phase (emitted before the orchestrator's ``"phase"``
-          record, one per engine invocation); ``data["path"]`` names the
-          code path (``"single-hop"``, ``"multihop-sparse"``, ``"slot"``, or
-          ``"empty"`` for a phase with no slots);
+        * ``"phase"`` — one executed phase, post-state-transition: the run's
+          only per-phase record (the per-round trace the report tooling
+          aggregates, and the outcome's ``events``).  ``data["path"]`` names
+          the engine code path (``"single-hop"``, ``"multihop-sparse"``,
+          ``"slot"``, or ``"empty"`` for a phase with no slots);
         * ``"quiet-expire"`` — a request-phase quiet-rule budget expiry
           cohort (multi-hop only);
         * ``"truncate"`` — a cap-aware truncation decision (multi-hop only);
@@ -174,39 +175,6 @@ class NullRecorder:
 
 NULL_RECORDER = NullRecorder()
 """Shared default instance; producers fall back to it when no recorder is given."""
-
-
-def engine_event(path: str, result: object, **extra: Scalar) -> TraceEvent:
-    """Build the standard ``"engine"`` event from a ``PhaseResult``.
-
-    Duck-typed on the result's channel-level tallies so both engines (and all
-    fast-engine paths) share one payload shape; ``path`` names the code path
-    that executed the phase (``"single-hop"``, ``"multihop-sparse"``,
-    ``"slot"``, or ``"empty"`` for a zero-slot phase on either engine).
-    Reads only values the engine has already computed.
-    """
-
-    plan = result.plan  # type: ignore[attr-defined]
-    data: Dict[str, Scalar] = {
-        "path": path,
-        "kind": plan.kind.value,
-        "num_slots": int(plan.num_slots),
-        "jammed_slots": int(result.jammed_slots),  # type: ignore[attr-defined]
-        "busy_slots": int(result.busy_slots),  # type: ignore[attr-defined]
-        "delivery_slots": int(result.delivery_slots),  # type: ignore[attr-defined]
-        "newly_informed": int(result.newly_informed.size),  # type: ignore[attr-defined]
-        "spoofed_transmissions": int(result.spoofed_transmissions),  # type: ignore[attr-defined]
-        "adversary_spend": float(result.adversary_spend),  # type: ignore[attr-defined]
-        "alice_noisy_heard": int(result.alice_noisy_heard),  # type: ignore[attr-defined]
-        "request_noisy_total": float(result.node_noisy_heard.sum()),  # type: ignore[attr-defined]
-    }
-    data.update(extra)
-    return TraceEvent(
-        kind="engine",
-        round_index=int(plan.round_index),
-        phase=str(plan.name),
-        data=data,
-    )
 
 
 class TraceCollector:

@@ -21,7 +21,6 @@ from .errors import (
     ReproError,
     SimulationError,
 )
-from .events import EventLog, PhaseRecord
 from .fastengine import PhaseEngine
 from .messages import Message, MessageKind, make_decoy, make_nack, make_payload, make_spoof
 from .metrics import CostBreakdown, DeliveryStats, resource_competitive_ratio
@@ -66,7 +65,6 @@ __all__ = [
     "EnergyLedger",
     "EnergyOperation",
     "LedgerArray",
-    "EventLog",
     "GilbertGraph",
     "NeighborCSR",
     "JamMode",
@@ -84,7 +82,6 @@ __all__ = [
     "PhaseEngine",
     "PhaseKind",
     "PhasePlan",
-    "PhaseRecord",
     "PhaseResult",
     "PhaseRoles",
     "ProtocolViolationError",

@@ -180,7 +180,8 @@ class LedgerArray:
 
     One shared ``budget``/``policy`` pair and one numpy row per device.  Every
     charge goes through :meth:`charge_bulk_many`; reads go through
-    :meth:`spent_array`, :meth:`spent_on_array` and :meth:`overdraft_array`.
+    :attr:`total_spent`, :meth:`max_spent`, :meth:`spent_array`,
+    :meth:`spent_on_array` and :meth:`overdraft_array`.
 
     Parameters
     ----------
@@ -293,6 +294,11 @@ class LedgerArray:
         """Copy of per-device total expenditure, indexed by device row."""
 
         return self._spent.copy()
+
+    def max_spent(self) -> float:
+        """The largest per-device expenditure (0 for an empty population), without a copy."""
+
+        return float(self._spent.max()) if self.count else 0.0
 
     def spent_on_array(self, operation: EnergyOperation) -> np.ndarray:
         """Copy of per-device expenditure on ``operation`` (zeros if never charged)."""

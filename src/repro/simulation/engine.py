@@ -33,7 +33,6 @@ from .jamming import materialize_jam_slots, materialize_spoof_slots
 from .messages import Message, MessageKind, make_decoy, make_nack, make_payload, make_spoof
 from .network import Network
 from .phaseplan import JamPlan, PhasePlan, PhaseResult, PhaseRoles
-from ..observability.trace import NULL_RECORDER, TraceRecorder, engine_event
 
 __all__ = ["SlotEngine"]
 
@@ -58,10 +57,6 @@ class SlotEngine:
         self._rng_alice = network.random_source.stream("engine:alice")
         self._rng_nodes = network.random_source.stream("engine:nodes")
         self._rng_adversary = network.random_source.stream("engine:adversary")
-        # Telemetry sink for channel-level "engine" events; read-only (emitted
-        # after the slot loop, from already-computed tallies) and skipped
-        # entirely while the default null recorder is installed.
-        self.recorder: TraceRecorder = NULL_RECORDER
 
     # ------------------------------------------------------------------ #
     # Public API                                                          #
@@ -83,15 +78,12 @@ class SlotEngine:
         network = self.network
         s = plan.num_slots
         if s == 0:
-            result = PhaseResult(
+            return PhaseResult(
                 plan=plan,
                 newly_informed=np.empty(0, dtype=np.int64),
                 jammed_slots=0,
                 adversary_spend=0.0,
             )
-            if self.recorder.enabled:
-                self.recorder.record(engine_event("empty", result))
-            return result
 
         payload = make_payload(ALICE_ID, network.message_payload, network.message_signature)
 
@@ -293,7 +285,7 @@ class SlotEngine:
             charged = np.flatnonzero(slots)
             network.node_ledgers.charge_bulk_many(operation, charged, slots[charged])
 
-        result = PhaseResult(
+        return PhaseResult(
             plan=plan,
             newly_informed=np.array(sorted(newly_informed), dtype=np.int64),
             jammed_slots=jammed_slots,
@@ -308,7 +300,5 @@ class SlotEngine:
             alice_send_slots=alice_send_slots,
             alice_listen_slots=alice_listen_slots,
             spoofed_transmissions=spoofed_transmissions,
+            path="slot",
         )
-        if self.recorder.enabled:
-            self.recorder.record(engine_event("slot", result))
-        return result

@@ -110,7 +110,6 @@ from .network import Network
 from .phaseplan import JamPlan, PhaseKind, PhasePlan, PhaseResult, PhaseRoles, clip_probability
 from .setops import isin_sorted, unique_sorted
 from .topology import NeighborCSR, _gather_ranges
-from ..observability.trace import NULL_RECORDER, TraceRecorder, engine_event
 
 __all__ = ["PhaseEngine"]
 
@@ -288,11 +287,6 @@ class PhaseEngine:
     def __init__(self, network: Network) -> None:
         self.network = network
         self._rng = network.random_source.stream("fastengine")
-        # Telemetry sink for channel-level "engine" events.  Strictly
-        # read-only: emission happens after all sampling and charging, reads
-        # only already-computed tallies, and is skipped entirely while the
-        # default null recorder is installed.
-        self.recorder: TraceRecorder = NULL_RECORDER
 
     # ------------------------------------------------------------------ #
     # Public API                                                          #
@@ -311,12 +305,9 @@ class PhaseEngine:
         rng = self._rng
         s = plan.num_slots
         if s == 0:
-            result = PhaseResult(
+            return PhaseResult(
                 plan=plan, newly_informed=_NO_IDS, jammed_slots=0, adversary_spend=0.0
             )
-            if self.recorder.enabled:
-                self.recorder.record(engine_event("empty", result))
-            return result
 
         topology = network.topology
         if topology is not None and not topology.is_single_hop:
@@ -421,7 +412,7 @@ class PhaseEngine:
             decoy_cost = rng.binomial(s, plan.decoy_send_prob, size=decoys.size)
             network.node_ledgers.charge_bulk_many(EnergyOperation.SEND, decoys, decoy_cost)
 
-        result = PhaseResult(
+        return PhaseResult(
             plan=plan,
             newly_informed=newly_informed,
             jammed_slots=int(jammed.sum()),
@@ -434,18 +425,9 @@ class PhaseEngine:
             alice_send_slots=alice_send_slots,
             alice_listen_slots=alice_listen_slots,
             spoofed_transmissions=int(spoofed.sum()),
+            path="single-hop",
+            jam_victims=jam_victims,
         )
-        if self.recorder.enabled:
-            self.recorder.record(
-                engine_event(
-                    "single-hop",
-                    result,
-                    jam_victims=jam_victims,
-                    noisy_for_victim=noisy_for_victim,
-                    noisy_for_spared=noisy_for_spared,
-                )
-            )
-        return result
 
     # ------------------------------------------------------------------ #
     # Multi-hop (spatial-topology) execution                              #
@@ -731,7 +713,7 @@ class PhaseEngine:
                 EnergyOperation.SEND, decoys, np.bincount(decoy_idx, minlength=num_d)
             )
 
-        result = PhaseResult(
+        return PhaseResult(
             plan=plan,
             newly_informed=newly_informed,
             jammed_slots=jammed_slots,
@@ -744,12 +726,9 @@ class PhaseEngine:
             alice_send_slots=alice_send_slots,
             alice_listen_slots=alice_listen_slots,
             spoofed_transmissions=spoofed_transmissions,
+            path="multihop-sparse",
+            jam_victims=int(np.count_nonzero(victim)),
         )
-        if self.recorder.enabled:
-            self.recorder.record(
-                engine_event("multihop-sparse", result, jam_victims=int(victim.sum()))
-            )
-        return result
 
     # ------------------------------------------------------------------ #
     # Internals                                                           #

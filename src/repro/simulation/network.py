@@ -109,13 +109,13 @@ class Network:
     def cost_snapshot(self) -> Dict[str, float]:
         """A flat summary used by outcomes, metrics, and reports."""
 
-        costs = self.node_costs()
+        nodes = self.node_ledgers
         return {
             "alice": self.alice_cost,
             "adversary": self.adversary_cost,
-            "node_mean": float(costs.mean()) if costs.size else 0.0,
-            "node_max": float(costs.max()) if costs.size else 0.0,
-            "node_total": float(costs.sum()),
+            "node_mean": nodes.total_spent / nodes.count if nodes.count else 0.0,
+            "node_max": nodes.max_spent(),
+            "node_total": nodes.total_spent,
         }
 
     def budget_overruns(self) -> Dict[str, float]:

@@ -335,6 +335,12 @@ class PhaseResult:
     is an ``int64`` count array aligned with the sorted ``noisy_listeners``
     ids: entry ``i`` is how many noisy slots listener ``noisy_listeners[i]``
     heard, so a result stands on its own without the phase's roles.
+
+    ``path`` names the engine code path that executed the phase
+    (``"single-hop"``, ``"multihop-sparse"`` or ``"slot"``; ``"empty"`` for
+    a zero-slot phase), and ``jam_victims`` counts the active listeners
+    Carol's targeting covered (0 on the slot path, which does not count
+    them).
     """
 
     plan: PhasePlan
@@ -349,6 +355,8 @@ class PhaseResult:
     alice_send_slots: int = 0
     alice_listen_slots: int = 0
     spoofed_transmissions: int = 0
+    path: str = "empty"
+    jam_victims: int = 0
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PhaseResult):

@@ -37,7 +37,6 @@ from repro.simulation import (
 )
 from repro.simulation.channel import JamMode
 from repro.simulation.energy import EnergyOperation
-from repro.observability.trace import engine_event
 
 
 def materialize_jam_slots(
@@ -124,13 +123,10 @@ def run_phase(
     rng = self._rng
     s = plan.num_slots
     if s == 0:
-        result = PhaseResult(
+        return PhaseResult(
             plan=plan, newly_informed=np.empty(0, dtype=np.int64), jammed_slots=0,
             adversary_spend=0.0,
         )
-        if self.recorder.enabled:
-            self.recorder.record(engine_event("empty", result))
-        return result
 
     uninformed = roles.active_uninformed_ids
     relays = roles.relay_ids
@@ -276,7 +272,7 @@ def run_phase(
         decoy_cost = rng.binomial(s, plan.decoy_send_prob, size=decoys.size)
         network.node_ledgers.charge_bulk_many(EnergyOperation.SEND, decoys, decoy_cost)
 
-    result = PhaseResult(
+    return PhaseResult(
         plan=plan,
         newly_informed=np.array(sorted(newly_informed), dtype=np.int64),
         jammed_slots=jammed_slots,
@@ -289,18 +285,9 @@ def run_phase(
         alice_send_slots=alice_send_slots,
         alice_listen_slots=alice_listen_slots,
         spoofed_transmissions=spoofed_transmissions,
+        path="single-hop",
+        jam_victims=jam_victims,
     )
-    if self.recorder.enabled:
-        self.recorder.record(
-            engine_event(
-                "single-hop",
-                result,
-                jam_victims=jam_victims,
-                noisy_for_victim=noisy_for_victim,
-                noisy_for_spared=noisy_for_spared,
-            )
-        )
-    return result
 
 
 def _materialize_adversary_actions(

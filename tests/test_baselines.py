@@ -111,4 +111,4 @@ class TestBaselineRuns:
     def test_event_log_records_epochs(self):
         outcome = NaiveBroadcast(config(seed=8)).run()
         assert outcome.events is not None
-        assert len(outcome.events.phases) == outcome.delivery.rounds_executed
+        assert len(outcome.events) == outcome.delivery.rounds_executed

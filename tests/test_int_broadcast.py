@@ -49,8 +49,8 @@ class TestNoAdversaryRuns:
     def test_event_log_attached_and_consistent(self):
         outcome = run_broadcast(n=64, seed=4, adversary="none")
         assert outcome.events is not None
-        assert outcome.events.total_slots() == outcome.slots_elapsed
-        names = {p.phase_name for p in outcome.events.phases}
+        assert sum(e.data["num_slots"] for e in outcome.events) == outcome.slots_elapsed
+        names = {e.phase for e in outcome.events}
         assert {"inform", "propagation:1", "request"} <= names
 
 
@@ -173,9 +173,9 @@ class TestOrchestratorConfiguration:
     def test_phase_records_track_adversary_spend(self):
         adversary = PhaseBlockingAdversary(max_total_spend=10_000)
         outcome = run_broadcast(n=128, seed=14, adversary=adversary)
-        spent_in_log = sum(p.adversary_spend for p in outcome.events.phases)
+        spent_in_log = sum(e.data["adversary_spend"] for e in outcome.events)
         assert spent_in_log == pytest.approx(outcome.adversary_spend)
-        inform_records = [p for p in outcome.events.phases if p.phase_name == "inform"]
-        assert any(p.jammed_slots > 0 for p in inform_records)
-        request_records = [p for p in outcome.events.phases if p.phase_name == "request"]
-        assert all(p.jammed_slots == 0 for p in request_records)
+        inform_records = [e for e in outcome.events if e.phase == "inform"]
+        assert any(e.data["jammed_slots"] > 0 for e in inform_records)
+        request_records = [e for e in outcome.events if e.phase == "request"]
+        assert all(e.data["jammed_slots"] == 0 for e in request_records)

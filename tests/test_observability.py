@@ -31,6 +31,7 @@ from test_regression_singlehop import (
     BASELINE_GOLDEN,
     GOLDEN,
     golden_phase_records,
+    phase_fields,
     run_baseline,
 )
 
@@ -120,7 +121,9 @@ class TestTraceNeutrality:
         assert snapshot == GOLDEN[(adversary_name, engine, seed)]
         # And the trace is substantive, not vacuously empty.
         kinds = {event.kind for event in recorder.events}
-        assert {"run-start", "phase", "engine", "run-end"} <= kinds
+        assert {"run-start", "phase", "run-end"} <= kinds
+        path = "single-hop" if engine == "fast" else "slot"
+        assert {e.data["path"] for e in recorder.of_kind("phase")} == {path}
 
     @pytest.mark.parametrize("adversary_name,engine,seed", [("blocker", "fast", 3)])
     def test_null_recorder_matches_untraced_golden(self, adversary_name, engine, seed):
@@ -152,7 +155,7 @@ class TestTraceNeutrality:
         assert "quiet-expire" in kinds
         assert "truncate" in kinds
         path = "multihop-sparse" if fast_engine else "slot"
-        assert {e.data["path"] for e in recorder.of_kind("engine")} == {path}
+        assert {e.data["path"] for e in recorder.of_kind("phase")} == {path}
 
     def test_traced_sequential_schedule_is_bit_identical(self):
         """The pipelined-truncation regression profile, sequential variant."""
@@ -193,21 +196,16 @@ class TestBaselineTraces:
         recorder = TraceCollector()
         snapshot, phases, _ = run_baseline(*cell, recorder=recorder)
         assert snapshot == BASELINE_GOLDEN[cell][0]
-        assert phases == golden_phase_records(cell)
+        assert tuple(map(phase_fields, phases)) == golden_phase_records(cell)
 
     @pytest.mark.parametrize("cell", BASELINE_TRACE_CELLS)
     def test_baseline_trace_has_one_phase_event_per_epoch(self, cell):
         recorder = TraceCollector()
         snapshot, phases, outcome = run_baseline(*cell, recorder=recorder)
-        run_kinds = [event.kind for event in recorder.events if event.kind != "engine"]
+        run_kinds = [event.kind for event in recorder.events]
         assert run_kinds == ["run-start"] + ["phase"] * len(phases) + ["run-end"]
-        assert len(recorder.of_kind("engine")) == len(phases)
-
-        phase_events = recorder.of_kind("phase")
-        assert [e.phase for e in phase_events] == [r.phase_name for r in phases]
-        assert [e.round_index for e in phase_events] == [r.round_index for r in phases]
-        assert [e.data["nodes_cost"] for e in phase_events] == [r.nodes_cost for r in phases]
-        assert [e.data["alice_cost"] for e in phase_events] == [r.alice_cost for r in phases]
+        assert phases == tuple(recorder.of_kind("phase"))
+        assert [e.phase for e in phases] == [f"epoch:{i}" for i in range(1, len(phases) + 1)]
         (run_start,) = recorder.of_kind("run-start")
         assert run_start.data["protocol"] == outcome.protocol
         (run_end,) = recorder.of_kind("run-end")
@@ -223,6 +221,65 @@ class TestBaselineTraces:
         rounds = round_rows(recorder.events)
         assert len(rounds) == len(phases)  # one epoch per round row
         assert sum(int(row["slots"]) for row in rounds) == snapshot["slots"]
+
+
+class TestOnePhaseRecord:
+    """The driver's ``"phase"`` event is a run's only per-phase record."""
+
+    @pytest.mark.parametrize("engine", ["fast", "slot"])
+    @pytest.mark.parametrize("multihop", [False, True])
+    def test_outcome_events_are_the_trace_phase_events(self, engine, multihop):
+        recorder = TraceCollector()
+        if multihop:
+            config = SimulationConfig(
+                n=40, seed=3, topology=TopologySpec.gilbert(radius=0.3)
+            )
+            outcome = MultiHopBroadcast(config, engine=engine, recorder=recorder).run()
+        else:
+            outcome = EpsilonBroadcast(
+                SimulationConfig(n=40, seed=3),
+                adversary=ADVERSARIES["random"](),
+                engine=engine,
+                recorder=recorder,
+            ).run()
+        phase_events = recorder.of_kind("phase")
+        assert outcome.events == tuple(phase_events)
+        assert all(mine is theirs for mine, theirs in zip(outcome.events, phase_events))
+        assert "engine" not in {event.kind for event in recorder.events}
+
+    @pytest.mark.parametrize("engine", ["fast", "slot"])
+    def test_record_events_false_builds_no_event(self, engine, monkeypatch):
+        built = []
+
+        class CountingTraceEvent(TraceEvent):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("kind"))
+                super().__init__(*args, **kwargs)
+
+        def run(record_events):
+            protocol = EpsilonBroadcast(
+                SimulationConfig(n=40, seed=11),
+                adversary=ADVERSARIES["blocker"](),
+                engine=engine,
+                record_events=record_events,
+            )
+            outcome = protocol.run()
+            return protocol.network.cost_snapshot(), outcome
+
+        monkeypatch.setattr("repro.core.driver.TraceEvent", CountingTraceEvent)
+        kept_snapshot, kept = run(True)
+        assert built == ["phase"] * len(kept.events)
+        built.clear()
+        dropped_snapshot, dropped = run(False)
+        assert built == []
+        assert dropped.events is None
+        assert dropped_snapshot == kept_snapshot == {
+            key: value
+            for key, value in GOLDEN[("blocker", engine, 11)].items()
+            if key not in ("informed", "slots")
+        }
+        assert dropped.delivery == kept.delivery
+        assert dropped.costs == kept.costs
 
 
 # --------------------------------------------------------------------------- #

@@ -18,9 +18,10 @@ arrays to drawing each phase's slot-class histogram: the same distributions
 from different draws.  The ``slot`` entries are the original captures.
 
 The epoch baselines get the same treatment: ``BASELINE_GOLDEN`` pins their
-cost snapshots, delivery, and full per-epoch ``PhaseRecord`` sequence at
-``n = 40``, captured from the hand-written baseline epoch loop before the
-baselines moved onto the shared phase driver.
+cost snapshots, delivery, and full per-epoch phase sequence at ``n = 40``,
+captured from the hand-written baseline epoch loop before the baselines moved
+onto the shared phase driver.  Each epoch is an 11-field tuple;
+:func:`phase_fields` reads the same fields from a ``"phase"`` trace event.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from repro.adversary import (
 from repro.baselines import BalancedBackoffBroadcast, KSYStyleBroadcast, NaiveBroadcast
 from repro.core.broadcast import EpsilonBroadcast, MultiHopBroadcast
 from repro.core.decoy import DecoyBroadcast
-from repro.simulation import EnergyOperation, PhaseRecord, SimulationConfig, TopologySpec
+from repro.simulation import EnergyOperation, SimulationConfig, TopologySpec
 
 ADVERSARIES = {
     "none": NullAdversary,
@@ -158,7 +159,7 @@ BASELINES = {
 }
 
 # (baseline, adversary, engine, seed) -> (cost snapshot with informed/slots,
-# PhaseRecord field tuples in execution order) at n = 40.
+# phase_fields tuples in execution order) at n = 40.
 BASELINE_GOLDEN = {
     ("naive", "none", "fast", 3): (
         {"alice": 2.0, "adversary": 0.0, "node_mean": 1.0, "node_max": 1.0, "node_total": 40.0, "informed": 40, "slots": 2},
@@ -493,8 +494,29 @@ BASELINE_GOLDEN = {
 }
 
 
+def phase_fields(event):
+    """A ``"phase"`` event as the golden tuple: round, name, num_slots,
+    start_slot, jammed_slots, adversary_spend, newly_informed, alice_cost,
+    nodes_cost, active_uninformed, terminated (informed + uninformed)."""
+
+    data = event.data
+    return (
+        event.round_index,
+        event.phase,
+        data["num_slots"],
+        data["start_slot"],
+        data["jammed_slots"],
+        data["adversary_spend"],
+        data["newly_informed"],
+        data["alice_cost"],
+        data["nodes_cost"],
+        data["active_uninformed"],
+        data["terminated_informed"] + data["terminated_uninformed"],
+    )
+
+
 def run_baseline(baseline_name, adversary_name, engine, seed, recorder=None):
-    """One golden-grid baseline run: ``(snapshot, phase records, outcome)``."""
+    """One golden-grid baseline run: ``(snapshot, phase events, outcome)``."""
 
     kwargs = {"recorder": recorder} if recorder is not None else {}
     protocol = BASELINES[baseline_name](
@@ -507,11 +529,11 @@ def run_baseline(baseline_name, adversary_name, engine, seed, recorder=None):
     snapshot = protocol.network.cost_snapshot()
     snapshot["informed"] = outcome.delivery.informed
     snapshot["slots"] = outcome.delivery.slots_elapsed
-    return snapshot, outcome.events.phases, outcome
+    return snapshot, outcome.events, outcome
 
 
 def golden_phase_records(key):
-    return tuple(PhaseRecord(*fields) for fields in BASELINE_GOLDEN[key][1])
+    return BASELINE_GOLDEN[key][1]
 
 
 @pytest.mark.parametrize("baseline_name,adversary_name,engine,seed", sorted(BASELINE_GOLDEN))
@@ -519,4 +541,4 @@ def test_baseline_matches_golden(baseline_name, adversary_name, engine, seed):
     key = (baseline_name, adversary_name, engine, seed)
     snapshot, phases, _ = run_baseline(*key)
     assert snapshot == BASELINE_GOLDEN[key][0]
-    assert phases == golden_phase_records(key)
+    assert tuple(map(phase_fields, phases)) == golden_phase_records(key)

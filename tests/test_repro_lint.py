@@ -2,7 +2,7 @@
 
 Coverage contract (see docs/architecture.md "Static analysis"):
 
-* one positive and one negative fixture per built-in rule R1–R10,
+* one positive and one negative fixture per built-in rule R1–R11,
 * suppression-comment handling with and without a reason,
 * the JSON report schema,
 * registry validation,
@@ -501,6 +501,48 @@ class TestR10UndeclaredImport:
         assert rules_hit(violations) == set()
 
 
+class TestR11SimulationLayering:
+    ENGINE = "src/repro/simulation/engine.py"
+
+    def test_flags_relative_import_of_the_trace_layer(self):
+        violations = lint_source(
+            "from ..observability.trace import TraceEvent\n", path=self.ENGINE
+        )
+        assert [(v.rule, v.line) for v in violations] == [("R11", 1)]
+        assert "'repro.observability.trace'" in violations[0].message
+
+    def test_flags_absolute_and_package_imports(self):
+        source = textwrap.dedent(
+            """
+            import repro.core.driver
+            from repro import observability
+            from .. import experiments
+            """
+        )
+        violations = lint_source(source, path=self.ENGINE)
+        assert [(v.rule, v.line) for v in violations] == [("R11", 2), ("R11", 3), ("R11", 4)]
+
+    def test_allows_stdlib_numpy_and_the_package_itself(self):
+        source = textwrap.dedent(
+            """
+            from __future__ import annotations
+            import math
+            import numpy as np
+            from .energy import EnergyOperation
+            from . import rng
+            from repro.simulation.setops import unique_sorted
+            from repro import simulation
+            """
+        )
+        assert rules_hit(lint_source(source, path=self.ENGINE)) == set()
+
+    def test_other_packages_may_import_the_trace_layer(self):
+        violations = lint_source(
+            "from ..observability.trace import TraceEvent\n", path="src/repro/core/driver.py"
+        )
+        assert rules_hit(violations) == set()
+
+
 # --------------------------------------------------------------------- #
 # Suppressions                                                           #
 # --------------------------------------------------------------------- #
@@ -598,7 +640,7 @@ class TestFramework:
     def test_catalogue_has_the_eight_rules(self):
         rules = registered_rules()
         assert list(rules) == sorted(rules)
-        assert set(rules) >= {f"R{i}" for i in range(1, 11)}
+        assert set(rules) >= {f"R{i}" for i in range(1, 12)}
         for cls in rules.values():
             assert cls.title
             assert cls.rationale

@@ -1,4 +1,4 @@
-"""Unit tests for the run's slot counter, the event log, and the shared metrics helpers."""
+"""Unit tests for the run's slot counter, its phase events, and the shared metrics helpers."""
 
 from __future__ import annotations
 
@@ -13,27 +13,9 @@ from repro.core.driver import PhaseDriver
 from repro.simulation import (
     CostBreakdown,
     DeliveryStats,
-    EventLog,
-    PhaseRecord,
     SimulationConfig,
     resource_competitive_ratio,
 )
-
-
-def make_record(round_index=1, name="inform", slots=8, jammed=2, informed=3):
-    return PhaseRecord(
-        round_index=round_index,
-        phase_name=name,
-        num_slots=slots,
-        start_slot=0,
-        jammed_slots=jammed,
-        adversary_spend=float(jammed),
-        newly_informed=informed,
-        alice_cost=1.0,
-        nodes_cost=4.0,
-        active_uninformed_after=10,
-        terminated_after=0,
-    )
 
 
 class TestRunSlotCounter:
@@ -59,14 +41,14 @@ class TestRunSlotCounter:
         with mock.patch.object(PhaseDriver, "step", recording_step):
             outcome = protocol.run()
 
-        phases = outcome.events.phases
+        phases = outcome.events
         assert phases and len(apply_slots) == len(phases)
         end = 0
-        for record, apply_slot in zip(phases, apply_slots):
-            assert record.start_slot == end
-            end += record.num_slots
+        for event, apply_slot in zip(phases, apply_slots):
+            assert event.data["start_slot"] == end
+            end += event.data["num_slots"]
             assert apply_slot == end  # the state hook sees the slot at phase end
-        assert outcome.delivery.slots_elapsed == end == outcome.events.total_slots()
+        assert outcome.delivery.slots_elapsed == end
 
 
 def record_driver_slots(protocol_cls, engine="fast"):
@@ -104,34 +86,6 @@ class TestSlotClock:
         for (_, _, after), (next_before, _, _) in zip(steps, steps[1:]):
             assert next_before == after
         assert steps[-1][2] == outcome.delivery.slots_elapsed
-
-
-class TestEventLog:
-    def test_phase_records_accumulate(self):
-        log = EventLog()
-        log.record_phase(make_record(round_index=1))
-        log.record_phase(make_record(round_index=2))
-        assert len(log) == 2
-        assert log.rounds_executed() == 2
-        assert log.total_slots() == 16
-        assert log.total_jammed_slots() == 4
-
-    def test_phases_in_round(self):
-        log = EventLog()
-        log.record_phase(make_record(round_index=1, name="inform"))
-        log.record_phase(make_record(round_index=1, name="request"))
-        log.record_phase(make_record(round_index=2, name="inform"))
-        assert len(log.phases_in_round(1)) == 2
-        assert log.last_phase().round_index == 2
-
-    def test_jammed_fraction(self):
-        record = make_record(slots=10, jammed=5)
-        assert record.jammed_fraction == 0.5
-
-    def test_empty_log(self):
-        log = EventLog()
-        assert log.last_phase() is None
-        assert log.rounds_executed() == 0
 
 
 class TestMetrics:

@@ -12,6 +12,7 @@ from repro.simulation import (
     BudgetPolicy,
     ConfigurationError,
     EnergyOperation,
+    LedgerArray,
     Network,
     SimulationConfig,
 )
@@ -124,6 +125,27 @@ class TestNetwork:
             "node_max": 0.0,
             "node_total": 0.0,
         }
+
+    def test_cost_snapshot_reads_the_ledger_rows_without_a_copy(self, monkeypatch):
+        network = Network(SimulationConfig(n=8, seed=1))
+        network.node_ledgers.charge_bulk_many(
+            EnergyOperation.LISTEN, np.array([1, 3, 6]), np.array([2.0, 9.0, 4.0])
+        )
+        network.node_ledgers.charge_bulk_many(
+            EnergyOperation.SEND, np.array([0, 6]), np.array([1.0, 7.0])
+        )
+        costs = network.node_costs()
+
+        def no_copy(self):
+            raise AssertionError("cost_snapshot copied the ledger rows")
+
+        monkeypatch.setattr(type(network.node_ledgers), "spent_array", no_copy)
+        snapshot = network.cost_snapshot()
+        assert snapshot["node_total"] == costs.sum() == 23.0
+        assert snapshot["node_mean"] == costs.mean()
+        assert snapshot["node_max"] == costs.max() == 11.0
+        assert network.node_ledgers.max_spent() == 11.0
+        assert LedgerArray("correct", 0, 5.0).max_spent() == 0.0
 
     def test_budget_overruns_empty_initially(self, small_config):
         assert Network(small_config).budget_overruns() == {}

@@ -16,6 +16,7 @@ from repro.simulation import (
     PhaseRoles,
     SimulationConfig,
     SlotEngine,
+    TopologySpec,
 )
 
 
@@ -74,6 +75,26 @@ class TestEngineBasics:
         result = engine.run_phase(plan, PhaseRoles.of(range(network.n)), JamPlan.idle())
         assert result.newly_informed.size == 0
         assert network.alice_cost == 0
+        assert result.path == "empty"
+
+    @pytest.mark.parametrize("multihop", [False, True])
+    def test_result_names_its_engine_path(self, engine_factory, multihop):
+        topology = TopologySpec.gilbert(radius=0.4) if multihop else None
+        network = Network(SimulationConfig(n=32, seed=5, topology=topology))
+        engine = engine_factory(network)
+        roles = PhaseRoles.of(range(network.n))
+        assert engine.run_phase(inform_plan(num_slots=0), roles, JamPlan.idle()).path == "empty"
+        result = engine.run_phase(inform_plan(num_slots=50), roles, JamPlan.idle())
+        if isinstance(engine, SlotEngine):
+            assert result.path == "slot"
+        else:
+            assert result.path == ("multihop-sparse" if multihop else "single-hop")
+        assert result.jam_victims == 0
+        jam = JamPlan(num_jam_slots=10, targeting=JamTargeting.everyone())
+        jammed = engine.run_phase(inform_plan(num_slots=50), roles, jam)
+        # The slot engine does not count victims; the fast paths count every
+        # active listener the targeting covers.
+        assert jammed.jam_victims == (0 if isinstance(engine, SlotEngine) else network.n)
 
     def test_unjammed_inform_phase_informs_everyone(self, engine_factory):
         network = make_network()

@@ -13,6 +13,12 @@ are recorded, and the run must satisfy:
 * every informed node is reachable from Alice; and
 * node status is monotone: a node's informed slot and termination round are
   set at most once, and a node that terminated uninformed is never informed.
+
+``test_trace_balances_the_ledgers`` checks the books from the trace alone:
+for every orchestrator and baseline, on both engines, the outcome's
+``"phase"`` events sum to the final ledgers, their slot windows tile the run,
+their rounds count the rounds executed, and the last one's population counts
+are the outcome's delivery statistics.
 """
 
 from __future__ import annotations
@@ -23,9 +29,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.adversary import ReactiveDiskJammer, SpatialJammer
-from repro.core.broadcast import MultiHopBroadcast
+import pytest
+
+from repro.adversary import PhaseBlockingAdversary, RandomJammer, ReactiveDiskJammer, SpatialJammer
+from repro.baselines import BalancedBackoffBroadcast, KSYStyleBroadcast, NaiveBroadcast
+from repro.core.broadcast import EpsilonBroadcast, MultiHopBroadcast
+from repro.core.decoy import DecoyBroadcast
 from repro.core.driver import PhaseDriver
+from repro.core.estimation import SizeEstimateBroadcast
+from repro.core.general_k import GeneralKBroadcast
 from repro.simulation import SimulationConfig, TopologySpec
 
 JAMMERS = {
@@ -82,7 +94,7 @@ def test_whole_run_conservation(n, seed, radius, jammer, jam_radius, cap, engine
     alice_slots = sum(r.alice_send_slots + r.alice_listen_slots for r in results)
     assert network.alice_cost == alice_slots
 
-    node_deltas = [record.nodes_cost for record in outcome.events.phases]
+    node_deltas = [event.data["nodes_cost"] for event in outcome.events]
     assert len(node_deltas) == len(results)
     assert sum(node_deltas) == network.node_ledgers.total_spent
     assert network.node_ledgers.total_spent == network.node_costs().sum()
@@ -106,3 +118,74 @@ def test_whole_run_conservation(n, seed, radius, jammer, jam_radius, cap, engine
         terminated_uninformed |= newly_terminated & (informed_at < 0)
         informed_before, terminated_before = informed_at, terminated_at
 
+
+
+# Below the connectivity radius, so the multi-hop runs also retire nodes
+# uninformed.
+GILBERT = TopologySpec.gilbert(radius=0.2)
+
+# name -> (protocol factory, config keywords, adversary factory); every run
+# ends on its own, before the round cap, so its last phase is its end state.
+# The blocker stretches each baseline over several epochs.
+ORCHESTRATORS = {
+    "epsilon": (EpsilonBroadcast, {}, lambda: RandomJammer(rate=0.3, max_total_spend=800)),
+    "general-k": (
+        GeneralKBroadcast, {"k": 3}, lambda: RandomJammer(rate=0.3, max_total_spend=800)
+    ),
+    "decoy": (DecoyBroadcast, {}, lambda: RandomJammer(rate=0.3, max_total_spend=800)),
+    "size-estimate": (
+        lambda config, **kw: SizeEstimateBroadcast(config, size_estimate=4 * config.n, **kw),
+        {},
+        lambda: RandomJammer(rate=0.3, max_total_spend=800),
+    ),
+    "multihop-pipelined": (
+        MultiHopBroadcast,
+        {"topology": GILBERT},
+        lambda: SpatialJammer(radius=0.3, max_total_spend=400),
+    ),
+    "multihop-sequential": (
+        lambda config, **kw: MultiHopBroadcast(config, pipeline=False, **kw),
+        {"topology": GILBERT},
+        lambda: ReactiveDiskJammer(radius=0.3, max_total_spend=400),
+    ),
+    "naive": (NaiveBroadcast, {}, lambda: PhaseBlockingAdversary(max_total_spend=500)),
+    "ksy": (KSYStyleBroadcast, {}, lambda: PhaseBlockingAdversary(max_total_spend=500)),
+    "backoff": (
+        BalancedBackoffBroadcast, {}, lambda: PhaseBlockingAdversary(max_total_spend=500)
+    ),
+}
+
+
+@pytest.mark.parametrize("engine", ["fast", "slot"])
+@pytest.mark.parametrize("name", sorted(ORCHESTRATORS))
+def test_trace_balances_the_ledgers(name, engine):
+    factory, config_kwargs, adversary = ORCHESTRATORS[name]
+    config = SimulationConfig(n=32, seed=7, **config_kwargs)
+    protocol = factory(config, adversary=adversary(), engine=engine)
+    outcome = protocol.run()
+    network = protocol.network
+    events = outcome.events
+    assert events and {event.kind for event in events} == {"phase"}
+    assert not outcome.terminated_by_cap
+
+    def total(key):
+        return sum(event.data[key] for event in events)
+
+    assert total("alice_cost") == network.alice_cost
+    assert total("nodes_cost") == network.node_ledgers.total_spent == network.node_costs().sum()
+    assert total("adversary_spend") == network.adversary_ledger.spent
+    assert outcome.adversary_spend > 0
+
+    end = 0
+    for event in events:
+        assert event.data["start_slot"] == end
+        end += event.data["num_slots"]
+    assert end == outcome.delivery.slots_elapsed
+
+    assert len({event.round_index for event in events}) == outcome.delivery.rounds_executed
+
+    last = events[-1].data
+    delivery = outcome.delivery
+    assert last["informed_total"] == delivery.informed
+    assert last["terminated_informed"] == delivery.terminated_informed
+    assert last["terminated_uninformed"] == delivery.terminated_uninformed
