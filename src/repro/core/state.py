@@ -13,13 +13,17 @@ The orchestrators in :mod:`repro.core.broadcast` drive all transitions; the
 state object only enforces their legality.
 
 Storage is structure-of-arrays: one ``int8`` status-code array plus ``int64``
-slot/round ledgers, so the hot-path queries (`active_uninformed_array`,
-`active_informed_array`, the counts) are numpy mask operations instead of
-dict scans.  The sorted active-id arrays are cached and invalidated by a
-transition counter — repeated reads between transitions return the *same*
-array object, which the relay-retirement hot path relies on.  Observers read
-the per-node ledgers (``informed_at_slot``, ``terminated_at_round``) as
-read-only ``int64`` arrays with ``-1`` meaning unset.
+slot/round ledgers, so the cohort queries (`active_uninformed_array`,
+`active_informed_array`) are numpy mask operations instead of dict scans.
+The sorted active-id arrays are cached and invalidated by a transition
+counter — repeated reads between transitions return the *same* array
+object, which the relay-retirement hot path relies on.  The four status
+populations are kept as ``int`` counts that every transition updates by the
+number of distinct nodes it moves, so the count queries and
+`all_nodes_terminated` are ``O(1)``: the driver reads five of them per phase.
+Observers read the per-node ledgers (``informed_at_slot``,
+``terminated_at_round``) as read-only ``int64`` arrays with ``-1`` meaning
+unset.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from typing import Iterable, Optional, Set
 import numpy as np
 
 from ..simulation.errors import ProtocolViolationError
+from ..simulation.setops import unique_sorted
 
 __all__ = ["NodeStatus", "ProtocolState"]
 
@@ -82,6 +87,7 @@ class ProtocolState:
         "terminations",
         "reach_checked_at",
         "_codes",
+        "_counts",
         "_informed_at_slot",
         "_terminated_at_round",
         "_version",
@@ -109,6 +115,9 @@ class ProtocolState:
         self.terminations = 0
         self.reach_checked_at = -1
         self._codes = np.zeros(n, dtype=np.int8)
+        # Nodes per status code, indexed by code; kept equal to the code
+        # array's histogram by every transition.
+        self._counts = [n, 0, 0, 0]
         self._informed_at_slot = np.full(n, -1, dtype=np.int64)
         self._terminated_at_round = np.full(n, -1, dtype=np.int64)
         # Transition counter invalidating the cached active-id arrays.
@@ -181,24 +190,22 @@ class ProtocolState:
         return self.quiet_streaks
 
     def active_uninformed_count(self) -> int:
-        return int(np.count_nonzero(self._codes == _UNINFORMED))
+        return self._counts[_UNINFORMED]
 
     def active_informed_count(self) -> int:
-        return int(np.count_nonzero(self._codes == _INFORMED))
+        return self._counts[_INFORMED]
 
     def informed_count(self) -> int:
-        return int(
-            np.count_nonzero((self._codes == _INFORMED) | (self._codes == _TERM_INFORMED))
-        )
+        return self._counts[_INFORMED] + self._counts[_TERM_INFORMED]
 
     def terminated_informed_count(self) -> int:
-        return int(np.count_nonzero(self._codes == _TERM_INFORMED))
+        return self._counts[_TERM_INFORMED]
 
     def terminated_uninformed_count(self) -> int:
-        return int(np.count_nonzero(self._codes == _TERM_UNINFORMED))
+        return self._counts[_TERM_UNINFORMED]
 
     def all_nodes_terminated(self) -> bool:
-        return bool(np.all(self._codes >= _TERM_INFORMED))
+        return self._counts[_UNINFORMED] + self._counts[_INFORMED] == 0
 
     def everyone_done(self) -> bool:
         """Protocol-over condition: Alice and every correct node terminated."""
@@ -210,13 +217,32 @@ class ProtocolState:
     # ------------------------------------------------------------------ #
 
     def _as_id_array(self, node_ids: Iterable[int]) -> np.ndarray:
-        ids = np.asarray(
+        """``node_ids`` as sorted distinct ``int64`` ids of known nodes.
+
+        Engines pass strictly increasing cohorts, which one comparison
+        confirms, and their range is then their first and last id; any other
+        batch is sorted and deduplicated, so a transition moves, and counts,
+        each node once.
+        """
+
+        raw = np.asarray(
             node_ids if isinstance(node_ids, np.ndarray) else list(node_ids), dtype=np.int64
         )
-        if ids.size and (ids.min() < 0 or ids.max() >= self.n):
-            bad = ids[(ids < 0) | (ids >= self.n)][0]
+        ids = raw
+        if ids.size > 1 and np.count_nonzero(ids[1:] <= ids[:-1]):
+            ids = unique_sorted(ids)
+        if ids.size and (ids[0] < 0 or ids[-1] >= self.n):
+            bad = raw[(raw < 0) | (raw >= self.n)][0]
             raise ProtocolViolationError(f"unknown node id {bad}")
         return ids
+
+    def _move(self, fresh: np.ndarray, source: int, target: int) -> None:
+        """Set the distinct ids ``fresh``, all in status ``source``, to ``target``."""
+
+        self._codes[fresh] = target
+        self._counts[source] -= fresh.size
+        self._counts[target] += fresh.size
+        self._version += 1
 
     def mark_informed(self, node_ids: Iterable[int], slot: int) -> Set[int]:
         """Transition ``UNINFORMED -> INFORMED``; returns the ids that changed."""
@@ -235,9 +261,8 @@ class ProtocolState:
         fresh = ids[codes == _UNINFORMED]
         if fresh.size == 0:
             return set()
-        self._codes[fresh] = _INFORMED
+        self._move(fresh, _UNINFORMED, _INFORMED)
         self._informed_at_slot[fresh] = slot
-        self._version += 1
         return set(fresh.tolist())
 
     def terminate_informed(self, node_ids: Iterable[int], round_index: int) -> None:
@@ -257,9 +282,8 @@ class ProtocolState:
         fresh = ids[codes == _INFORMED]
         if fresh.size == 0:
             return
-        self._codes[fresh] = _TERM_INFORMED
+        self._move(fresh, _INFORMED, _TERM_INFORMED)
         self._terminated_at_round[fresh] = round_index
-        self._version += 1
         self.terminations += 1
 
     def terminate_uninformed(self, node_ids: Iterable[int], round_index: int) -> None:
@@ -279,9 +303,8 @@ class ProtocolState:
         fresh = ids[codes == _UNINFORMED]
         if fresh.size == 0:
             return
-        self._codes[fresh] = _TERM_UNINFORMED
+        self._move(fresh, _UNINFORMED, _TERM_UNINFORMED)
         self._terminated_at_round[fresh] = round_index
-        self._version += 1
         self.terminations += 1
 
     def terminate_alice(self, round_index: int) -> None:

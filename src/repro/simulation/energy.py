@@ -234,10 +234,14 @@ class LedgerArray:
         The array analogue of calling :meth:`EnergyLedger.charge_bulk` once
         per device: under ``CAP`` each device's charge is clipped to its own
         remaining budget, under ``ENFORCE`` any overdraft raises, and under
-        ``RECORD`` (the correct-node policy) the whole call is two fancy-index
-        operations.  ``indices`` must be distinct rows in ``[0, count)``, else
-        :class:`ConfigurationError`.  Returns the per-device units actually
-        charged.
+        ``RECORD`` (the correct-node policy) no budget is read.  ``indices``
+        must be distinct rows in ``[0, count)`` and ``units`` non-negative,
+        else :class:`ConfigurationError`; for the strictly increasing cohorts
+        the engines pass, each check is one vector pass.  The charge itself
+        adds ``units`` to the rows' totals and to their per-operation rows
+        (two indexed updates) and to :attr:`total_spent`.  A cost vector of
+        zeros changes no reading, so the engines skip such calls.  Returns
+        the per-device units actually charged.
         """
 
         indices = np.asarray(indices, dtype=np.int64)
@@ -267,7 +271,7 @@ class LedgerArray:
                 f"charge_bulk_many got row {bad} outside {self.owner_prefix!r}'s "
                 f"{self.count} rows"
             )
-        if np.any(units < 0):
+        if units.min() < 0:
             raise ConfigurationError(
                 f"cannot charge negative energy to {self.owner_prefix!r}"
             )

@@ -22,10 +22,22 @@ multinomial draw.  Carol picks her slots independently of the correct side's
 coins, so her jams and spoofs are per-class draws from that histogram
 (:meth:`PhaseEngine._draw_adversary_counts`), and every channel count is an
 integer identity over the three count vectors (e.g. noisy-for-victim =
-active + spoofs on idle slots + jams on idle slots).  Alice is half-duplex:
-she listens only in slots she does not send in.  The multi-hop path needs
-*which* slots, so it materialises sorted offsets and s-length masks;
-:func:`charge_adversary_actions` is the budget rule both paths share.
+active + spoofs on idle slots + jams on idle slots).  The histogram and the
+per-class counts are five-element lists of Python ints: at five entries,
+list arithmetic is cheaper than numpy's per-call overhead.  Alice is
+half-duplex: she listens only in slots she does not send in.  The multi-hop
+path needs *which* slots, so it materialises sorted offsets and s-length
+masks; :func:`charge_adversary_actions` is the budget rule both paths share.
+
+Most phases are short, so both paths pay only for the work a phase has.  A
+targeting of everyone or no one makes every per-node channel count one
+scalar (no victim mask); the multi-hop path builds jam and spoof masks only
+when Carol jammed or spoofed, per-listener delivery windows only once
+someone is informed, and listener pairs only for non-empty event classes
+that some stage reads; and neither path charges the ledger an all-zero cost
+vector (no listening when ``p_listen`` is 0, no nacks when none were sent).
+Each skip leaves the generator calls, their order and their arguments
+unchanged, so results are bit-identical to running every stage.
 
 Results are arrays: ``newly_informed`` is a sorted ``int64`` id array, and a
 request phase reports its cohort's noisy-slot counts as the ``int64``
@@ -142,11 +154,13 @@ def _sample_bernoulli_events(
         return empty, empty
     cells = num * s
     m = cells if p >= 1.0 else int(rng.binomial(cells, p))
+    if m == 0:
+        return empty, empty
     drawn = min(m, cells - m)
     flat = empty
     while flat.size < drawn:
         extra = rng.integers(0, cells, size=drawn - flat.size, dtype=np.int64)
-        flat = unique_sorted(np.concatenate([flat, extra]))
+        flat = unique_sorted(np.concatenate([flat, extra]) if flat.size else extra)
     if drawn < m:
         keep = np.ones(cells, dtype=bool)
         keep[flat] = False
@@ -156,7 +170,7 @@ def _sample_bernoulli_events(
 
 def _listener_pairs(
     csr: NeighborCSR,
-    u_pos: np.ndarray,
+    u_pos: "np.ndarray | None",
     s: int,
     cohort: np.ndarray,
     idx: np.ndarray,
@@ -168,13 +182,14 @@ def _listener_pairs(
     Event ``e`` is sent by row ``cohort[idx[e]]`` in slot ``slots[e]``, with
     ``idx`` non-decreasing (events grouped by sender, as
     :func:`_sample_bernoulli_events` returns them); ``u_pos`` maps a row to
-    its listener position, ``-1`` for rows not listening.  Each distinct
-    sender's CSR row is sliced once and cut to its active listeners, and each
-    event repeats its sender's positions.  Keys come out event by event,
-    positions ascending within an event: the order of expanding every
-    event's row and then dropping the inactive listeners, without the
-    ``events × degree`` pairs in between.  Also returns the slot of every
-    event whose sender neighbours Alice (empty unless ``alice_listens``).
+    its listener position, ``-1`` for rows not listening, and is ``None``
+    when no keys are wanted.  Each distinct sender's CSR row is sliced once
+    and cut to its active listeners, and each event repeats its sender's
+    positions.  Keys come out event by event, positions ascending within an
+    event: the order of expanding every event's row and then dropping the
+    inactive listeners, without the ``events × degree`` pairs in between.
+    Also returns the slot of every event whose sender neighbours Alice
+    (empty unless ``alice_listens``).
     """
 
     if idx.size == 0:
@@ -183,12 +198,14 @@ def _listener_pairs(
     senders = np.flatnonzero(events)
     events = events[senders]
     rows = cohort[senders]
-    starts = csr.indptr[rows]
-    degree = csr.indptr[rows + 1] - starts
     heard = _NO_IDS
     if alice_listens:
         alice_nbrs = csr.row(csr.num_rows - 1)
         heard = slots[np.repeat(isin_sorted(rows, alice_nbrs), events)]
+    if u_pos is None:
+        return np.empty(0, dtype=np.int64), heard
+    starts = csr.indptr[rows]
+    degree = csr.indptr[rows + 1] - starts
     pos = u_pos[csr.indices[_gather_ranges(starts, degree)]]
     active = pos >= 0
     if not active.any():
@@ -215,10 +232,43 @@ def _joined(parts: "list[np.ndarray]") -> np.ndarray:
     return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
 
+def _globally_noisy(
+    num_u: int,
+    spoof_busy: "np.ndarray | None",
+    jam_hits: "np.ndarray | None",
+    victim: "np.ndarray | None",
+    cutoff: "np.ndarray | None",
+) -> np.ndarray:
+    """Per-listener count of the phase's globally noisy slots in its window.
+
+    A slot is globally noisy for every listener when spoofed, and also for a
+    victim when jammed.  ``spoof_busy`` and ``jam_hits`` are slot masks
+    (``None``: no such slot); ``victim`` is the per-listener victim mask,
+    ``None`` when every listener is a victim; ``cutoff`` is each listener's
+    last active slot, ``None`` when every window is the whole phase.
+    Returns a fresh ``int64`` array.
+    """
+
+    def within_window(mask: "np.ndarray | None") -> "int | np.ndarray":
+        if mask is None:
+            return 0
+        if cutoff is None:
+            return int(np.count_nonzero(mask))
+        return np.cumsum(mask)[cutoff]
+
+    hit = jam_hits if spoof_busy is None else (
+        spoof_busy if jam_hits is None else spoof_busy | jam_hits
+    )
+    when_victim = within_window(hit)
+    if victim is not None:
+        return np.where(victim, when_victim, within_window(spoof_busy))
+    if np.ndim(when_victim):
+        return when_victim
+    return np.full(num_u, when_victim, dtype=np.int64)
+
+
 # Single-hop slot classes: indices into slot_class_probabilities' result.
 IDLE, CLEAN_ALICE, CLEAN_RELAY, BUSY_ALICE, BUSY_OTHER = range(5)
-_CLEAN = [CLEAN_ALICE, CLEAN_RELAY]
-_ACTIVE = np.array([0, 1, 1, 1, 1])  # reactive jams hit only slots with traffic
 
 
 def slot_class_probabilities(plan: PhasePlan, roles: PhaseRoles) -> np.ndarray:
@@ -247,14 +297,14 @@ def slot_class_probabilities(plan: PhasePlan, roles: PhaseRoles) -> np.ndarray:
     return probs
 
 
-def _draw_from(rng: np.random.Generator, counts: np.ndarray, k: int) -> np.ndarray:
+def _draw_from(rng: np.random.Generator, counts: "list[int]", k: int) -> "list[int]":
     """Per-class counts of ``k`` slots drawn without replacement from ``counts``."""
 
     if k <= 0:
-        return np.zeros_like(counts)
-    if k >= int(counts.sum()):
-        return counts.copy()
-    return rng.multivariate_hypergeometric(counts, k)
+        return [0] * len(counts)
+    if k >= sum(counts):
+        return list(counts)
+    return rng.multivariate_hypergeometric(counts, k).tolist()
 
 
 def charge_adversary_actions(
@@ -316,43 +366,59 @@ class PhaseEngine:
         uninformed = roles.active_uninformed_ids
         relays = roles.relay_ids
         decoys = roles.decoy_ids
+        num_u = uninformed.size
 
         # ------------------------------------------------------------------ #
         # 1. How many slots fall in each slot class                          #
         # ------------------------------------------------------------------ #
-        hist = rng.multinomial(s, slot_class_probabilities(plan, roles))
+        hist = rng.multinomial(s, slot_class_probabilities(plan, roles)).tolist()
 
         # ------------------------------------------------------------------ #
         # 2. Carol's jams and spoofs per class (disjoint, one frame per      #
         #    spoof), and the channel counts they leave                       #
         # ------------------------------------------------------------------ #
         jammed, spoofed, adversary_spend = self._draw_adversary_counts(jam_plan, s, rng, hist)
-        noisy_for_spared = s - int(hist[IDLE]) + int(spoofed[IDLE])
-        noisy_for_victim = noisy_for_spared + int(jammed[IDLE])
-        good_unjammed = int(hist[_CLEAN].sum() - spoofed[_CLEAN].sum())
-        good_when_victim = good_unjammed - int(jammed[_CLEAN].sum())
-        jam_affects_listeners = jam_plan.targeting.mode is not JamMode.NONE
+        noisy_for_spared = s - hist[IDLE] + spoofed[IDLE]
+        noisy_for_victim = noisy_for_spared + jammed[IDLE]
+        good_unjammed = (
+            hist[CLEAN_ALICE] + hist[CLEAN_RELAY] - spoofed[CLEAN_ALICE] - spoofed[CLEAN_RELAY]
+        )
+        good_when_victim = good_unjammed - jammed[CLEAN_ALICE] - jammed[CLEAN_RELAY]
         # Victims come from the plan's targeting every phase: mobile and
         # reactive disk jammers re-target, so nothing here is cached per run.
-        victim = jam_plan.targeting.affects_array(uninformed)
+        # Targeting everyone or no one makes every per-node quantity below
+        # one scalar; only ONLY/EXCEPT need the per-node victim mask.
+        mode = jam_plan.targeting.mode
+        victim: np.ndarray | None = None
+        if mode is JamMode.ALL:
+            jam_victims = num_u
+        elif mode is JamMode.NONE:
+            jam_victims = 0
+        else:
+            victim = jam_plan.targeting.affects_array(uninformed)
+            jam_victims = int(np.count_nonzero(victim))
+
+        def per_node(when_victim: int, when_spared: int) -> "int | np.ndarray":
+            if victim is None:
+                return when_victim if mode is JamMode.ALL else when_spared
+            return np.where(victim, when_victim, when_spared)
 
         newly_informed = _NO_IDS
         informed_mask: np.ndarray | None = None
-        good_per_node: np.ndarray | None = None
-        if plan.carries_payload and uninformed.size:
-            p_listen = plan.uninformed_listen_prob
-            if p_listen > 0:
-                good_per_node = np.where(victim, good_when_victim, good_unjammed)
-                p_informed = 1.0 - np.power(1.0 - p_listen, good_per_node)
-                informed_mask = rng.random(uninformed.size) < p_informed
-                newly_informed = uninformed[informed_mask]
+        good_per_node: "int | np.ndarray" = 0
+        p_listen = plan.uninformed_listen_prob
+        if plan.carries_payload and num_u and p_listen > 0:
+            good_per_node = per_node(good_when_victim, good_unjammed)
+            p_informed = 1.0 - np.power(1.0 - p_listen, good_per_node)
+            informed_mask = rng.random(num_u) < p_informed
+            newly_informed = uninformed[informed_mask]
 
-        delivery_slots = good_when_victim if jam_affects_listeners else good_unjammed
+        delivery_slots = good_unjammed if mode is JamMode.NONE else good_when_victim
 
         # ------------------------------------------------------------------ #
         # 3. Costs                                                            #
         # ------------------------------------------------------------------ #
-        alice_send_slots = int(hist[CLEAN_ALICE] + hist[BUSY_ALICE])
+        alice_send_slots = hist[CLEAN_ALICE] + hist[BUSY_ALICE]
         if alice_send_slots:
             network.alice_ledger.charge_bulk(EnergyOperation.SEND, float(alice_send_slots))
 
@@ -371,51 +437,42 @@ class PhaseEngine:
                 network.alice_ledger.charge_bulk(EnergyOperation.LISTEN, float(alice_listen_slots))
 
         noisy_listeners = node_noisy = _NO_IDS
-        jam_victims = 0
-        if uninformed.size:
-            jam_victims = int(victim.sum())
-            noisy_per_node = np.where(victim, noisy_for_victim, noisy_for_spared)
-            quiet_per_node = s - noisy_per_node
-
-            p_listen = plan.uninformed_listen_prob
+        ledgers = network.node_ledgers
+        if num_u:
             if p_listen > 0:
-                heard = rng.binomial(noisy_per_node, p_listen)
-                quiet_listens = rng.binomial(quiet_per_node, p_listen)
+                noisy_per_node = per_node(noisy_for_victim, noisy_for_spared)
+                # A scalar count draws one binomial per node, as an array does.
+                size = None if victim is not None else num_u
+                heard = rng.binomial(noisy_per_node, p_listen, size=size)
+                quiet_listens = rng.binomial(s - noisy_per_node, p_listen, size=size)
                 listen_cost = heard + quiet_listens
                 if informed_mask is not None and informed_mask.any():
                     listen_cost = self._truncate_informed_listening(
                         rng, listen_cost, informed_mask, good_per_node, p_listen, s
                     )
+                # One vector charge per operation over the whole cohort.
+                ledgers.charge_bulk_many(EnergyOperation.LISTEN, uninformed, listen_cost)
             else:
-                heard = np.zeros(uninformed.size, dtype=np.int64)
-                listen_cost = np.zeros(uninformed.size, dtype=np.int64)
+                heard = np.zeros(num_u, dtype=np.int64)
 
-            nack_cost = (
-                rng.binomial(s, plan.nack_send_prob, size=uninformed.size)
-                if plan.nack_send_prob > 0
-                else np.zeros(uninformed.size, dtype=np.int64)
-            )
-
-            # One vector charge per operation over the whole cohort: the
-            # array-backed ledger replaces the former ~n-per-phase Python
-            # loop of per-node charge_bulk calls.
-            network.node_ledgers.charge_bulk_many(EnergyOperation.LISTEN, uninformed, listen_cost)
-            network.node_ledgers.charge_bulk_many(EnergyOperation.SEND, uninformed, nack_cost)
+            if plan.nack_send_prob > 0:
+                nack_cost = rng.binomial(s, plan.nack_send_prob, size=num_u)
+                ledgers.charge_bulk_many(EnergyOperation.SEND, uninformed, nack_cost)
             if plan.kind is PhaseKind.REQUEST:
                 noisy_listeners, node_noisy = uninformed, heard
 
         if relays.size and plan.relay_send_prob > 0:
             relay_cost = rng.binomial(s, plan.relay_send_prob, size=relays.size)
-            network.node_ledgers.charge_bulk_many(EnergyOperation.SEND, relays, relay_cost)
+            ledgers.charge_bulk_many(EnergyOperation.SEND, relays, relay_cost)
 
         if decoys.size and plan.decoy_send_prob > 0:
             decoy_cost = rng.binomial(s, plan.decoy_send_prob, size=decoys.size)
-            network.node_ledgers.charge_bulk_many(EnergyOperation.SEND, decoys, decoy_cost)
+            ledgers.charge_bulk_many(EnergyOperation.SEND, decoys, decoy_cost)
 
         return PhaseResult(
             plan=plan,
             newly_informed=newly_informed,
-            jammed_slots=int(jammed.sum()),
+            jammed_slots=sum(jammed),
             adversary_spend=adversary_spend,
             alice_noisy_heard=alice_noisy,
             noisy_listeners=noisy_listeners,
@@ -424,7 +481,7 @@ class PhaseEngine:
             busy_slots=noisy_for_victim,
             alice_send_slots=alice_send_slots,
             alice_listen_slots=alice_listen_slots,
-            spoofed_transmissions=int(spoofed.sum()),
+            spoofed_transmissions=sum(spoofed),
             path="single-hop",
             jam_victims=jam_victims,
         )
@@ -461,15 +518,22 @@ class PhaseEngine:
         relays = roles.relay_ids
         decoys = roles.decoy_ids
         num_u, num_r, num_d = uninformed.size, relays.size, decoys.size
+        p_listen = plan.uninformed_listen_prob
+        listening = bool(num_u) and p_listen > 0
+        deliver = listening and plan.carries_payload
+        count_noise = listening and plan.kind is PhaseKind.REQUEST
 
-        # Listener-position lookup: device row -> index into `uninformed`.
-        u_pos = np.full(n + 1, -1, dtype=np.int64)
-        u_pos[uninformed] = np.arange(num_u, dtype=np.int64)
+        # Listener-position lookup: device row -> index into `uninformed`
+        # (None: no row listens).
+        u_pos = None
+        if num_u:
+            u_pos = np.full(n + 1, -1, dtype=np.int64)
+            u_pos[uninformed] = np.arange(num_u, dtype=np.int64)
 
         # ------------------------------------------------------------------ #
         # 1. Transmission events                                             #
         # ------------------------------------------------------------------ #
-        alice_slots = np.empty(0, dtype=np.int64)
+        alice_slots = _NO_IDS
         if roles.alice_active and plan.alice_send_prob > 0:
             _, alice_slots = _sample_bernoulli_events(rng, 1, s, plan.alice_send_prob)
 
@@ -489,14 +553,15 @@ class PhaseEngine:
                 nack_device_keys = uninformed[nack_idx] * s + nack_slots
                 keep = ~isin_sorted(decoys[decoy_idx] * s + decoy_slots, nack_device_keys)
                 decoy_idx, decoy_slots = decoy_idx[keep], decoy_slots[keep]
-            decoy_lpos = u_pos[decoys[decoy_idx]]
-            active_decoy = decoy_lpos >= 0
-            if active_decoy.any():
-                own_keys = unique_sorted(
-                    np.concatenate(
-                        [own_keys, decoy_lpos[active_decoy] * s + decoy_slots[active_decoy]]
+            if u_pos is not None:
+                decoy_lpos = u_pos[decoys[decoy_idx]]
+                active_decoy = decoy_lpos >= 0
+                if active_decoy.any():
+                    own_keys = unique_sorted(
+                        np.concatenate(
+                            [own_keys, decoy_lpos[active_decoy] * s + decoy_slots[active_decoy]]
+                        )
                     )
-                )
 
         # ------------------------------------------------------------------ #
         # 2. Adversary actions (jamming + spoofed transmissions)             #
@@ -512,35 +577,61 @@ class PhaseEngine:
         )
         jammed_slots = int(jam_offsets.size)
         spoofed_transmissions = int(spoof_slots.size)
-        jam_mask = np.zeros(s, dtype=bool)
-        jam_mask[jam_offsets] = True
-        spoof_busy = np.zeros(s, dtype=bool)
-        spoof_busy[spoof_slots] = True
-        busy_slots = int(np.count_nonzero(correct_activity | spoof_busy | jam_mask))
-        del correct_activity
+        # Slot masks of the adversary's actions, built only when it acted
+        # (None: no such slot).  Busy slots carry any frame or jam.
+        jam_mask = spoof_busy = None
+        busy = correct_activity
+        if jammed_slots:
+            jam_mask = np.zeros(s, dtype=bool)
+            jam_mask[jam_offsets] = True
+            busy = busy | jam_mask
+        if spoofed_transmissions:
+            spoof_busy = np.zeros(s, dtype=bool)
+            spoof_busy[spoof_slots] = True
+            busy = busy | spoof_busy
+        busy_slots = int(np.count_nonzero(busy))
+        del correct_activity, busy
 
-        jam_affects_listeners = jam_plan.targeting.mode is not JamMode.NONE
-        victim = jam_plan.targeting.affects_array(uninformed)
+        # Targeting everyone or no one needs no per-listener victim mask.
+        mode = jam_plan.targeting.mode
+        victim = None
+        if mode is JamMode.ALL:
+            jam_victims = num_u
+        elif mode is JamMode.NONE:
+            jam_victims = 0
+        else:
+            victim = jam_plan.targeting.affects_array(uninformed)
+            jam_victims = int(np.count_nonzero(victim))
+        # Jammed for the listener at each position (None: never).
+        jam_hits = jam_mask if mode is not JamMode.NONE else None
+
+        def jammed_for(slot: np.ndarray, pos: np.ndarray) -> np.ndarray:
+            hit = jam_hits[slot]
+            return hit if victim is None else hit & victim[pos]
 
         # ------------------------------------------------------------------ #
         # 3. Events onto their senders' active listeners                     #
         # ------------------------------------------------------------------ #
+        # Delivery needs the payload keys; the noise keys matter only where
+        # there is payload to collide with, or noise to count.
         alice_listens = roles.alice_active and plan.alice_listen_prob > 0
+        payload_pos = u_pos if deliver or count_noise else None
         relay_keys, relay_heard = _listener_pairs(
-            csr, u_pos, s, relays, relay_idx, relay_slots, alice_listens
+            csr, payload_pos, s, relays, relay_idx, relay_slots, alice_listens
         )
         alice_keys = _NO_IDS
-        if alice_slots.size:
+        if alice_slots.size and payload_pos is not None:
             # Alice is one sender: her active listeners, repeated per send.
-            alice_pos = u_pos[csr.row(n)]
+            alice_pos = payload_pos[csr.row(n)]
             alice_pos = alice_pos[alice_pos >= 0]
             alice_keys = (alice_slots[:, None] + alice_pos[None, :] * s).reshape(-1)
         payload_keys = _joined([relay_keys, alice_keys])
+        noise_pos = u_pos if count_noise or (deliver and payload_keys.size) else None
         nack_keys, nack_heard = _listener_pairs(
-            csr, u_pos, s, uninformed, nack_idx, nack_slots, alice_listens
+            csr, noise_pos, s, uninformed, nack_idx, nack_slots, alice_listens
         )
         decoy_keys, decoy_heard = _listener_pairs(
-            csr, u_pos, s, decoys, decoy_idx, decoy_slots, alice_listens
+            csr, noise_pos, s, decoys, decoy_idx, decoy_slots, alice_listens
         )
         noise_keys = _joined([nack_keys, decoy_keys])
         del relay_keys, alice_keys, nack_keys, decoy_keys
@@ -550,10 +641,12 @@ class PhaseEngine:
         # ------------------------------------------------------------------ #
         newly_informed = _NO_IDS
         delivery_slots = 0
-        informed_at = np.full(num_u, -1, dtype=np.int64)
+        # Per-listener delivery slot and inclusive active window (a node
+        # informed in slot t stops after t); None while nobody is informed,
+        # when every window is the whole phase.
+        informed_mask = cutoff = None
         clean_keys = _NO_IDS
-        p_listen = plan.uninformed_listen_prob
-        if plan.carries_payload and num_u and p_listen > 0 and payload_keys.size:
+        if deliver and payload_keys.size:
             # A delivery candidate is a key exactly one payload sender hit:
             # after an in-place sort, one that equals neither neighbour.
             payload_keys.sort()
@@ -572,9 +665,10 @@ class PhaseEngine:
                 clean &= ~isin_sorted(cand, own_keys)
             cand_pos = cand // s
             cand_slot = cand % s
-            clean &= ~spoof_busy[cand_slot]
-            if jam_affects_listeners:
-                clean &= ~(jam_mask[cand_slot] & victim[cand_pos])
+            if spoof_busy is not None:
+                clean &= ~spoof_busy[cand_slot]
+            if jam_hits is not None:
+                clean &= ~jammed_for(cand_slot, cand_pos)
             clean_keys = cand[clean]
             cand_pos, cand_slot = cand_pos[clean], cand_slot[clean]
             heard = rng.random(cand_pos.size) < p_listen
@@ -584,58 +678,60 @@ class PhaseEngine:
                 # of each listener is its earliest heard clean delivery.
                 first_pos, first_index = np.unique(heard_pos, return_index=True)
                 first_slot = heard_slot[first_index]
+                informed_at = np.full(num_u, -1, dtype=np.int64)
                 informed_at[first_pos] = first_slot
+                informed_mask = informed_at >= 0
+                cutoff = np.where(informed_mask, informed_at, s - 1)
                 newly_informed = uninformed[first_pos]
                 delivery_slots = int(unique_sorted(first_slot).size)
-
-        informed_mask = informed_at >= 0
-        # Inclusive active window per listener: a node informed in slot t
-        # stops after t.
-        cutoff = np.where(informed_mask, informed_at, s - 1)
 
         # ------------------------------------------------------------------ #
         # 5. Listener costs and request-phase noise counts                   #
         # ------------------------------------------------------------------ #
         noisy_listeners = node_noisy = _NO_IDS
         if num_u:
-            nack_cost = np.zeros(num_u, dtype=np.int64)
-            if nack_idx.size:
-                in_window = nack_slots <= cutoff[nack_idx]
-                nack_cost = np.bincount(nack_idx[in_window], minlength=num_u)
-
             # Each listener's own sends within its active window.
             own_in = own_pos = own_slot = _NO_IDS
             if own_keys.size:
+                own_in = own_keys
                 own_pos = own_keys // s
                 own_slot = own_keys % s
-                in_window = own_slot <= cutoff[own_pos]
-                own_in, own_pos, own_slot = (
-                    own_keys[in_window], own_pos[in_window], own_slot[in_window]
-                )
+                if cutoff is not None:
+                    in_window = own_slot <= cutoff[own_pos]
+                    own_in, own_pos, own_slot = (
+                        own_keys[in_window], own_pos[in_window], own_slot[in_window]
+                    )
 
-            if p_listen > 0:
-                listenable = np.maximum(cutoff + 1 - np.bincount(own_pos, minlength=num_u), 0)
-                # Marginal truncation (documented approximation, as in the
-                # single-hop path): an informed node's pre-delivery listening
-                # cost is a binomial over its active window, plus the delivery
-                # slot it actually heard.
-                draw_window = np.where(informed_mask, np.maximum(listenable - 1, 0), listenable)
-                listen_cost = rng.binomial(draw_window, p_listen) + informed_mask.astype(np.int64)
-            else:
-                listen_cost = np.zeros(num_u, dtype=np.int64)
+            if listening:
+                listenable = s if cutoff is None else cutoff + 1
+                if own_pos.size:
+                    listenable = np.maximum(
+                        listenable - np.bincount(own_pos, minlength=num_u), 0
+                    )
+                if informed_mask is None:
+                    # A scalar window draws one binomial per node, as an array does.
+                    listen_cost = rng.binomial(
+                        listenable, p_listen, size=None if np.ndim(listenable) else num_u
+                    )
+                else:
+                    # Marginal truncation (documented approximation, as in the
+                    # single-hop path): an informed node's pre-delivery
+                    # listening cost is a binomial over its active window,
+                    # plus the delivery slot it actually heard.
+                    draw_window = np.where(
+                        informed_mask, np.maximum(listenable - 1, 0), listenable
+                    )
+                    listen_cost = rng.binomial(draw_window, p_listen)
+                    listen_cost += informed_mask
 
-            if plan.kind is PhaseKind.REQUEST and p_listen > 0:
+            if count_noise:
                 # Exact per-listener noisy-slot counts within each listener's
                 # active window: globally-noisy slots (spoofing, and jamming
                 # for victims) plus the listener's own audible slots, minus
                 # clean deliveries, overlap, and half-duplex exclusions: a
                 # slot is noisy for a listener iff it is jammed for it, or
                 # anything is audible there and it is not a clean delivery.
-                victim_cum = np.cumsum(spoof_busy | jam_mask)
-                spared_cum = np.cumsum(spoof_busy)
-                # Count of globally-noisy slots in [0, cutoff], per listener.
-                n_noisy = np.where(victim, victim_cum[cutoff], spared_cum[cutoff])
-                del victim_cum, spared_cum
+                n_noisy = _globally_noisy(num_u, spoof_busy, jam_hits, victim, cutoff)
 
                 # Every audible key, sorted in place (repeats kept).
                 audible = _joined([noise_keys, payload_keys])
@@ -645,10 +741,11 @@ class PhaseEngine:
                     # A transmitting node cannot hear the slot it sends in.
                     # Own keys are never clean deliveries, so membership in
                     # `audible` is membership in its non-clean part.
-                    own_noisy = spoof_busy[own_slot]
-                    if jammed_slots:
-                        own_noisy |= jam_mask[own_slot] & victim[own_pos]
-                    own_noisy |= isin_sorted(own_in, audible)
+                    own_noisy = isin_sorted(own_in, audible)
+                    if spoof_busy is not None:
+                        own_noisy |= spoof_busy[own_slot]
+                    if jam_hits is not None:
+                        own_noisy |= jammed_for(own_slot, own_pos)
                     n_noisy -= np.bincount(own_pos[own_noisy], minlength=num_u)
                 if audible.size:
                     # Count each key once, unless it is a clean delivery (each
@@ -661,19 +758,28 @@ class PhaseEngine:
                         counted[np.searchsorted(audible, clean_keys)] = False
                     a_slot = audible % s
                     a_pos = np.floor_divide(audible, s, out=audible)
-                    if informed_mask.any():
+                    if cutoff is not None:
                         counted &= a_slot <= cutoff[a_pos]
-                    if spoofed_transmissions:
+                    if spoof_busy is not None:
                         counted &= ~spoof_busy[a_slot]
-                    if jammed_slots:
-                        counted &= ~(jam_mask[a_slot] & victim[a_pos])
+                    if jam_hits is not None:
+                        counted &= ~jammed_for(a_slot, a_pos)
                     del a_slot
                     n_noisy += np.bincount(a_pos[counted], minlength=num_u)
                 noisy_listeners = uninformed
                 node_noisy = rng.binomial(np.maximum(n_noisy, 0), p_listen)
 
-            network.node_ledgers.charge_bulk_many(EnergyOperation.LISTEN, uninformed, listen_cost)
-            network.node_ledgers.charge_bulk_many(EnergyOperation.SEND, uninformed, nack_cost)
+            if listening:
+                network.node_ledgers.charge_bulk_many(
+                    EnergyOperation.LISTEN, uninformed, listen_cost
+                )
+            if nack_idx.size:
+                in_window = nack_idx
+                if cutoff is not None:
+                    in_window = nack_idx[nack_slots <= cutoff[nack_idx]]
+                network.node_ledgers.charge_bulk_many(
+                    EnergyOperation.SEND, uninformed, np.bincount(in_window, minlength=num_u)
+                )
 
         # ------------------------------------------------------------------ #
         # 6. Alice                                                           #
@@ -685,10 +791,12 @@ class PhaseEngine:
         alice_noisy = 0
         alice_listen_slots = 0
         if alice_listens:
-            noisy_for_alice = spoof_busy.copy()
+            noisy_for_alice = (
+                np.zeros(s, dtype=bool) if spoof_busy is None else spoof_busy.copy()
+            )
             for heard_slots in (relay_heard, nack_heard, decoy_heard):
                 noisy_for_alice[heard_slots] = True
-            if jam_plan.targeting.affects(ALICE_ID):
+            if jam_mask is not None and jam_plan.targeting.affects(ALICE_ID):
                 noisy_for_alice |= jam_mask
             if alice_send_slots:
                 noisy_for_alice[alice_slots] = False  # half-duplex
@@ -727,7 +835,7 @@ class PhaseEngine:
             alice_listen_slots=alice_listen_slots,
             spoofed_transmissions=spoofed_transmissions,
             path="multihop-sparse",
-            jam_victims=int(np.count_nonzero(victim)),
+            jam_victims=jam_victims,
         )
 
     # ------------------------------------------------------------------ #
@@ -735,8 +843,8 @@ class PhaseEngine:
     # ------------------------------------------------------------------ #
 
     def _draw_adversary_counts(
-        self, jam_plan: JamPlan, s: int, rng: np.random.Generator, hist: np.ndarray
-    ) -> "tuple[np.ndarray, np.ndarray, float]":
+        self, jam_plan: JamPlan, s: int, rng: np.random.Generator, hist: "list[int]"
+    ) -> "tuple[list[int], list[int], float]":
         """Resolve a single-hop phase's jams and spoofs as per-class counts.
 
         Slots are iid within the phase and Carol picks hers independently of
@@ -751,20 +859,20 @@ class PhaseEngine:
             wanted = materialize_jam_slots(jam_plan, s, rng).size
         else:
             if jam_plan.reactive:
-                pool = hist * _ACTIVE
+                pool = [0] + hist[1:]  # reactive jams hit only slots with traffic
             if jam_plan.jam_rate is None:
-                wanted = min(max(jam_plan.num_jam_slots, 0), int(pool.sum()))
+                wanted = min(max(jam_plan.num_jam_slots, 0), sum(pool))
             else:
-                pool = rng.binomial(pool, clip_probability(jam_plan.jam_rate))
-                wanted = int(pool.sum())
+                pool = rng.binomial(pool, clip_probability(jam_plan.jam_rate)).tolist()
+                wanted = sum(pool)
         jams, payload, nack, spend = charge_adversary_actions(
             self.network.adversary_ledger, s, wanted, jam_plan
         )
         jammed = _draw_from(rng, pool, jams)
-        free = hist - jammed
+        free = [h - j for h, j in zip(hist, jammed)]
         spoofed = _draw_from(rng, free, payload)
-        spoofed += _draw_from(rng, free - spoofed, nack)
-        return jammed, spoofed, spend
+        rest = _draw_from(rng, [f - p for f, p in zip(free, spoofed)], nack)
+        return jammed, [p + r for p, r in zip(spoofed, rest)], spend
 
     def _materialize_adversary_actions(
         self, jam_plan: JamPlan, s: int, rng: np.random.Generator, correct_activity: np.ndarray
@@ -782,6 +890,8 @@ class PhaseEngine:
             self.network.adversary_ledger, s, jam_offsets.size, jam_plan
         )
         jam_offsets = jam_offsets[:jams]
+        if jam_plan.spoof_payload_slots <= 0 and jam_plan.spoof_nack_slots <= 0:
+            return jam_offsets, _NO_IDS, spend  # no spoof draws, nothing to merge
         spoof_payload = materialize_spoof_slots(
             jam_plan.spoof_payload_slots, s, rng, exclude=jam_offsets
         )
@@ -801,7 +911,7 @@ class PhaseEngine:
         rng: np.random.Generator,
         listen_cost: np.ndarray,
         informed_mask: np.ndarray,
-        good_per_node: np.ndarray,
+        good_per_node: "int | np.ndarray",
         p_listen: float,
         num_slots: int,
     ) -> np.ndarray:
@@ -813,10 +923,13 @@ class PhaseEngine:
         it actually heard — a geometric draw truncated to ``g`` trials — place
         that opportunity proportionally within the phase (delivery slots are
         spread roughly uniformly), and charge listening only up to that point.
+        ``good_per_node`` is one count for every node or a per-node array.
         """
 
         informed_idx = np.flatnonzero(informed_mask)
-        g = np.maximum(good_per_node[informed_idx], 1)
+        if np.ndim(good_per_node):
+            good_per_node = good_per_node[informed_idx]
+        g = np.maximum(good_per_node, 1)
         if p_listen >= 1.0:
             first_success = np.ones(informed_idx.size, dtype=np.int64)
         else:

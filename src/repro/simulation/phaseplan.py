@@ -139,11 +139,11 @@ def _as_sorted_ids(ids: "Sequence[int] | FrozenSet[int] | np.ndarray") -> np.nda
     """
 
     if isinstance(ids, np.ndarray) and ids.dtype == np.int64:
-        if ids.size <= 1 or bool(np.all(np.diff(ids) > 0)):
+        if ids.size <= 1 or not np.count_nonzero(ids[1:] <= ids[:-1]):
             return ids
         return unique_sorted(ids)
     arr = np.asarray(sorted(ids), dtype=np.int64)
-    if arr.size > 1 and not bool(np.all(np.diff(arr) > 0)):
+    if arr.size > 1 and np.count_nonzero(arr[1:] <= arr[:-1]):
         arr = unique_sorted(arr)
     return arr
 

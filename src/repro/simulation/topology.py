@@ -347,13 +347,15 @@ def _scale_free_edges_grid(
     Symmetrising the result yields the undirected ``max``-linkage graph:
     ``dist <= max(r_u, r_v)`` iff ``dist <= r_u`` or ``dist <= r_v``.  Each
     device scans the ``(2k+1)²`` cell window covering its own radius
-    (``k = ceil(r_u / cell)``), so work is proportional to its true degree;
-    the few heavy-tailed hubs whose window would exceed
+    (``k = ceil(r_u / cell)``), so work is proportional to its true degree.
+    One sweep over the largest window's offsets serves every device: at
+    offset ``(dx, dy)`` only devices with ``k ≥ max(|dx|, |dy|)`` look, and
+    sorting the devices by ``k`` descending makes them a prefix.  The few
+    heavy-tailed hubs whose window would exceed
     :data:`_SCALE_FREE_GRID_BANDS` bands are resolved against all points
     directly (they connect to a large fraction of them anyway).
     """
 
-    m = positions.shape[0]
     cell = min(max(float(np.median(radii)), 1e-6), 1.0)
     grid = _CellGrid(positions, cell)
     g = grid.grid_dim
@@ -362,26 +364,32 @@ def _scale_free_edges_grid(
     us: List[np.ndarray] = []
     vs: List[np.ndarray] = []
 
-    for k in unique_sorted(bands[grid_devices]):
-        group = np.flatnonzero(grid_devices & (bands == k))
-        gx = grid.coords[group, 0]
-        gy = grid.coords[group, 1]
-        for dx in range(-int(k), int(k) + 1):
-            for dy in range(-int(k), int(k) + 1):
-                nx, ny = gx + dx, gy + dy
-                valid = (nx >= 0) & (nx < g) & (ny >= 0) & (ny < g)
-                srcs = group[valid]
-                slot, found = grid.lookup(nx[valid] * g + ny[valid])
-                srcs, slots = srcs[found], slot[found]
-                if srcs.size == 0:
-                    continue
-                rep = grid.counts[slots]
-                u = np.repeat(srcs, rep)
-                v = grid.order[_gather_ranges(grid.starts[slots], rep)]
-                deltas = positions[u] - positions[v]
-                close = ((deltas ** 2).sum(axis=1) <= radii[u] ** 2) & (u != v)
-                us.append(u[close])
-                vs.append(v[close])
+    # Grid devices by band, widest first: those whose window reaches ring r
+    # (band >= r) are a prefix.
+    scanners = np.flatnonzero(grid_devices)
+    scanners = scanners[np.argsort(-bands[scanners], kind="stable")]
+    ascending = bands[scanners][::-1]
+    widest = int(ascending[-1]) if scanners.size else -1
+    gx = grid.coords[scanners, 0]
+    gy = grid.coords[scanners, 1]
+    for dx in range(-widest, widest + 1):
+        for dy in range(-widest, widest + 1):
+            ring = max(abs(dx), abs(dy))
+            count = scanners.size - int(np.searchsorted(ascending, ring, side="left"))
+            nx, ny = gx[:count] + dx, gy[:count] + dy
+            valid = (nx >= 0) & (nx < g) & (ny >= 0) & (ny < g)
+            srcs = scanners[:count][valid]
+            slot, found = grid.lookup(nx[valid] * g + ny[valid])
+            srcs, slots = srcs[found], slot[found]
+            if srcs.size == 0:
+                continue
+            rep = grid.counts[slots]
+            u = np.repeat(srcs, rep)
+            v = grid.order[_gather_ranges(grid.starts[slots], rep)]
+            deltas = positions[u] - positions[v]
+            close = ((deltas ** 2).sum(axis=1) <= radii[u] ** 2) & (u != v)
+            us.append(u[close])
+            vs.append(v[close])
 
     hubs = np.flatnonzero(~grid_devices)
     for start in range(0, hubs.size, 64):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from repro.core import ProtocolParameters
 from repro.core.alice import AlicePolicy
 from repro.core.receiver import ReceiverPolicy
 from repro.core.state import NodeStatus, ProtocolState
+from repro.simulation.errors import ProtocolViolationError
 
 
 class TestParameterProperties:
@@ -126,6 +128,77 @@ class TestProtocolStateProperties:
         assert counts[NodeStatus.TERMINATED_INFORMED] == len(terminate_informed)
         assert counts[NodeStatus.TERMINATED_UNINFORMED] == len(give_up)
         assert state.informed_count() == len(to_inform)
+
+
+def assert_counts_match_codes(state: ProtocolState) -> None:
+    """The maintained population counts equal scans of the status codes."""
+
+    codes = state._codes
+    assert state.active_uninformed_count() == int(np.count_nonzero(codes == 0))
+    assert state.active_informed_count() == int(np.count_nonzero(codes == 1))
+    assert state.terminated_informed_count() == int(np.count_nonzero(codes == 2))
+    assert state.terminated_uninformed_count() == int(np.count_nonzero(codes == 3))
+    assert state.informed_count() == int(np.count_nonzero((codes == 1) | (codes == 2)))
+    assert state.all_nodes_terminated() == bool(np.all(codes >= 2))
+
+
+def status_counts(state: ProtocolState) -> "list[int]":
+    return [
+        state.active_uninformed_count(),
+        state.active_informed_count(),
+        state.terminated_informed_count(),
+        state.terminated_uninformed_count(),
+    ]
+
+
+TRANSITIONS = ("mark_informed", "terminate_informed", "terminate_uninformed")
+
+
+class TestMaintainedCounts:
+    """`ProtocolState` keeps its counts in step with every transition."""
+
+    @given(
+        n=st.integers(min_value=1, max_value=40),
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(TRANSITIONS),
+                st.lists(st.integers(min_value=0, max_value=39), max_size=12),
+                st.booleans(),
+            ),
+            max_size=25,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_counts_equal_code_scans(self, n, steps):
+        state = ProtocolState(n)
+        for name, ids, as_array in steps:
+            # Repeated ids and empty cohorts included; id n is unknown.
+            ids = [i % (n + 1) for i in ids]
+            cohort = np.array(ids, dtype=np.int64) if as_array else ids
+            codes, counts, version = state._codes.copy(), status_counts(state), state._version
+            try:
+                getattr(state, name)(cohort, 3)
+            except ProtocolViolationError:
+                # An illegal batch raises before moving anyone.
+                assert np.array_equal(state._codes, codes)
+                assert status_counts(state) == counts
+                assert state._version == version
+            assert_counts_match_codes(state)
+
+    def test_repeated_ids_count_once(self):
+        state = ProtocolState(6)
+        assert state.mark_informed(np.array([4, 1, 4, 1, 1], dtype=np.int64), slot=2) == {1, 4}
+        assert state.active_informed_count() == 2
+        assert state.active_uninformed_count() == 4
+        state.terminate_informed(np.array([4, 4, 1], dtype=np.int64), round_index=1)
+        state.terminate_uninformed([0, 0, 5, 5, 0], round_index=1)
+        assert state.terminated_informed_count() == 2
+        assert state.terminated_uninformed_count() == 2
+        assert state.active_uninformed_count() == 2
+        assert_counts_match_codes(state)
+        state.terminate_uninformed(np.array([2, 3, 3], dtype=np.int64), round_index=2)
+        assert state.all_nodes_terminated()
+        assert_counts_match_codes(state)
 
 
 class TestFittingProperties:

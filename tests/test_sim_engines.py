@@ -18,6 +18,7 @@ from repro.simulation import (
     SlotEngine,
     TopologySpec,
 )
+from repro.simulation.energy import EnergyOperation, LedgerArray
 
 
 def inform_plan(num_slots=200, alice=0.5, listen=0.5, round_index=3):
@@ -280,3 +281,102 @@ class TestDeterministicResultOrdering:
         assert result.node_noisy_heard.dtype == np.int64
         assert result.node_noisy_heard.shape == result.noisy_listeners.shape
         assert result.newly_informed.dtype == np.int64
+
+
+def ledger_readings(network):
+    """Everything the network's ledgers report, per node and per operation."""
+
+    ledgers = network.node_ledgers
+    return (
+        ledgers.spent_array().tolist(),
+        [ledgers.spent_on_array(operation).tolist() for operation in EnergyOperation],
+        ledgers.total_spent,
+        network.alice_ledger.snapshot(),
+        network.adversary_ledger.snapshot(),
+    )
+
+
+def mixed_plan(num_slots=300):
+    """An engine-API request phase that also carries payload and decoys, so
+    informed listeners' windows, nacks and jams all meet in one phase."""
+
+    return PhasePlan(
+        name="request",
+        kind=PhaseKind.REQUEST,
+        round_index=3,
+        num_slots=num_slots,
+        alice_send_prob=0.05,
+        alice_listen_prob=0.4,
+        relay_send_prob=0.02,
+        uninformed_listen_prob=0.4,
+        nack_send_prob=0.02,
+        decoy_send_prob=0.01,
+    )
+
+
+class TestUniformTargetingShortcuts:
+    """Targeting everyone or no one skips the per-node victim mask; the
+    shortcut must give exactly what the mask gives."""
+
+    JAMS = [
+        dict(num_jam_slots=60),
+        dict(jam_rate=0.2),
+        dict(num_jam_slots=40, spoof_payload_slots=8, spoof_nack_slots=8),
+        dict(jam_rate=0.3, reactive=True),
+    ]
+
+    @pytest.mark.parametrize("multihop", [False, True])
+    @pytest.mark.parametrize(
+        "make_plan",
+        [
+            lambda: inform_plan(num_slots=300, alice=0.05, listen=0.3),
+            lambda: request_plan(num_slots=300, nack=0.02, listen=0.4),
+            lambda: propagation_plan(num_slots=300, relay=0.02, listen=0.3),
+            mixed_plan,
+        ],
+    )
+    @pytest.mark.parametrize("jam", JAMS)
+    def test_everyone_equals_sparing_nobody(self, multihop, make_plan, jam):
+        topology = TopologySpec.gilbert(radius=0.35) if multihop else None
+        outcomes = []
+        for targeting in (JamTargeting.everyone(), JamTargeting.sparing(())):
+            network = Network(SimulationConfig(n=48, seed=21, topology=topology))
+            engine = PhaseEngine(network)
+            roles = PhaseRoles(
+                active_uninformed=range(0, 48, 2),
+                relays=range(1, 48, 6),
+                decoy_senders=range(0, 48, 4),
+            )
+            results = [
+                engine.run_phase(make_plan(), roles, JamPlan(targeting=targeting, **jam))
+                for _ in range(3)
+            ]
+            outcomes.append((results, ledger_readings(network)))
+        assert outcomes[0] == outcomes[1]  # PhaseResult compares its arrays by value
+        # The phases did something worth comparing.
+        assert any(result.jammed_slots for result in outcomes[0][0])
+
+    @pytest.mark.parametrize("multihop", [False, True])
+    def test_all_zero_phase_charges_no_node(self, multihop, monkeypatch):
+        topology = TopologySpec.gilbert(radius=0.35) if multihop else None
+        network = Network(SimulationConfig(n=32, seed=3, topology=topology))
+        engine = PhaseEngine(network)
+        calls = []
+        original = LedgerArray.charge_bulk_many
+
+        def counting(self, *args, **kwargs):
+            calls.append(args[0])
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(LedgerArray, "charge_bulk_many", counting)
+        roles = PhaseRoles(
+            active_uninformed=range(0, 32, 2), relays=range(1, 32, 2), decoy_senders=range(32)
+        )
+        for kind in PhaseKind:
+            plan = PhasePlan(name=kind.value, kind=kind, round_index=2, num_slots=500)
+            engine.run_phase(plan, roles, JamPlan.idle())
+        assert calls == []
+        assert network.node_ledgers.total_spent == 0.0
+        # The same cohort with one non-zero probability is charged.
+        engine.run_phase(request_plan(num_slots=500, nack=0.05, listen=0.0), roles, JamPlan.idle())
+        assert calls == [EnergyOperation.SEND]

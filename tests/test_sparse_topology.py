@@ -117,6 +117,23 @@ class TestGridEqualsBruteForce:
         topo = sample_topology("scale_free", n=150, seed=seed, alpha=alpha, min_radius=min_radius)
         assert np.array_equal(csr_to_dense(topo.neighbor_csr()), brute_force_reach_matrix(topo))
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 120),
+        seed=st.integers(0, 2**32 - 1),
+        min_radius=st.floats(0.01, 0.3),
+        alpha=st.floats(0.5, 4.0),
+    )
+    def test_scale_free_one_sweep(self, n, seed, min_radius, alpha):
+        """One sweep over the widest band's window keeps every device's own
+        window: the CSR is the ``dist ≤ max(r_u, r_v)`` graph, hubs included."""
+
+        rng = np.random.default_rng(seed)
+        positions = rng.random((n + 1, 2))
+        radii = np.minimum(min_radius * rng.random(n + 1) ** (-1.0 / alpha), math.sqrt(2.0))
+        topo = ScaleFreeGilbert(positions, radii, alpha, min_radius)
+        assert np.array_equal(csr_to_dense(topo.neighbor_csr()), brute_force_reach_matrix(topo))
+
     def test_statistics_agree_across_backends(self):
         """The CSR graph statistics equal those of the brute-force matrix."""
 
