@@ -20,7 +20,7 @@ from __future__ import annotations
 import abc
 import copy
 import math
-from typing import ClassVar, Dict, List, Optional, Tuple
+from typing import ClassVar, Dict, Optional, Tuple
 
 from ..simulation.errors import ConfigurationError
 from ..simulation.phaseplan import JamPlan, PhaseContext, PhaseResult
@@ -55,7 +55,6 @@ class Adversary(abc.ABC):
             raise ValueError(f"max_total_spend must be non-negative, got {max_total_spend}")
         self.max_total_spend = max_total_spend
         self._spent = 0.0
-        self._results: List[PhaseResult] = []
 
     # ------------------------------------------------------------------ #
     # Template method                                                     #
@@ -100,10 +99,9 @@ class Adversary(abc.ABC):
         return self._cap_plan(plan, allowance)
 
     def observe_result(self, context: PhaseContext, result: PhaseResult) -> None:
-        """Record the phase outcome; adaptive subclasses may override."""
+        """Add the phase's spend; adaptive subclasses may override to keep history."""
 
         self._spent += result.adversary_spend
-        self._results.append(result)
 
     # ------------------------------------------------------------------ #
     # Parameter introspection                                             #
@@ -186,12 +184,6 @@ class Adversary(abc.ABC):
         """Total energy this strategy has spent so far."""
 
         return self._spent
-
-    @property
-    def results(self) -> Tuple[PhaseResult, ...]:
-        """All observed phase results, in execution order."""
-
-        return tuple(self._results)
 
     def remaining_allowance(self, context: PhaseContext) -> float:
         """How much the strategy may still spend, combining cap and ledger."""

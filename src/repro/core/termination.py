@@ -100,9 +100,18 @@ def apply_request_phase(
 
 
 def _heard_by(result: PhaseResult, node_ids: np.ndarray) -> np.ndarray:
-    """Noisy slots each of the sorted ``node_ids`` heard (0 if not a listener)."""
+    """Noisy slots each of the sorted ``node_ids`` heard (0 if not a listener).
+
+    When the phase's listeners are ``node_ids`` themselves (the engines
+    report the cohort array they were given, which is the state's active
+    uninformed array), or an equal array, the counts are already aligned
+    and are returned without a copy, so the caller only reads them; any
+    other listener set is mapped onto ``node_ids`` by search.
+    """
 
     listeners = result.noisy_listeners
+    if listeners is node_ids or np.array_equal(listeners, node_ids):
+        return result.node_noisy_heard
     heard = np.zeros(node_ids.size, dtype=np.int64)
     found = isin_sorted(node_ids, listeners)
     heard[found] = result.node_noisy_heard[np.searchsorted(listeners, node_ids[found])]

@@ -239,7 +239,11 @@ class LedgerArray:
         else :class:`ConfigurationError`; for the strictly increasing cohorts
         the engines pass, each check is one vector pass.  The charge itself
         adds ``units`` to the rows' totals and to their per-operation rows
-        (two indexed updates) and to :attr:`total_spent`.  A cost vector of
+        and to :attr:`total_spent`.  The two row updates go through a slice
+        when ``indices`` is a strictly increasing run with no gap (the
+        engines' cohort of every uninformed node is ``0 … n−1`` until a
+        node is informed or terminates) and through indexed updates otherwise; both
+        make the same additions to the same elements.  A cost vector of
         zeros changes no reading, so the engines skip such calls.  Returns
         the per-device units actually charged.
         """
@@ -275,8 +279,12 @@ class LedgerArray:
             raise ConfigurationError(
                 f"cannot charge negative energy to {self.owner_prefix!r}"
             )
+        # An increasing cohort with no gap is its row range: update a slice.
+        rows = indices
+        if ordered is indices and indices[-1] - indices[0] == indices.size - 1:
+            rows = slice(int(indices[0]), int(indices[-1]) + 1)
         if self.policy is not BudgetPolicy.RECORD and not math.isinf(self.budget):
-            overdraft = self._spent[indices] + units > self.budget + 1e-9
+            overdraft = self._spent[rows] + units > self.budget + 1e-9
             if self.policy is BudgetPolicy.ENFORCE and overdraft.any():
                 first = int(indices[np.argmax(overdraft)])
                 raise BudgetExceededError(
@@ -285,13 +293,13 @@ class LedgerArray:
                     float(self._spent[first] + units[np.argmax(overdraft)]),
                 )
             if self.policy is BudgetPolicy.CAP:
-                units = np.minimum(units, np.maximum(self.budget - self._spent[indices], 0.0))
-        self._spent[indices] += units
+                units = np.minimum(units, np.maximum(self.budget - self._spent[rows], 0.0))
+        self._spent[rows] += units
         self.total_spent += float(units.sum())
         per_op = self._by_operation.get(operation)
         if per_op is None:
             per_op = self._by_operation.setdefault(operation, np.zeros(self.count, dtype=float))
-        per_op[indices] += units
+        per_op[rows] += units
         return units
 
     def spent_array(self) -> np.ndarray:

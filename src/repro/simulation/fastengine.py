@@ -36,8 +36,13 @@ when Carol jammed or spoofed, per-listener delivery windows only once
 someone is informed, and listener pairs only for non-empty event classes
 that some stage reads; and neither path charges the ledger an all-zero cost
 vector (no listening when ``p_listen`` is 0, no nacks when none were sent).
-Each skip leaves the generator calls, their order and their arguments
-unchanged, so results are bit-identical to running every stage.
+The single-hop path also skips per-node binomials whose count is the scalar
+0 — a fully jammed phase has no quiet slots, a phase with no relays no noisy
+ones — and builds their zeros directly: numpy's ``binomial`` returns 0 for
+``n = 0`` without consuming bits (``tests/test_sim_rng.py`` pins this).
+Each skip leaves the generator calls that consume bits, their order and
+their arguments unchanged, so results are bit-identical to running every
+stage.
 
 Results are arrays: ``newly_informed`` is a sorted ``int64`` id array, and a
 request phase reports its cohort's noisy-slot counts as the ``int64``
@@ -441,10 +446,18 @@ class PhaseEngine:
         if num_u:
             if p_listen > 0:
                 noisy_per_node = per_node(noisy_for_victim, noisy_for_spared)
-                # A scalar count draws one binomial per node, as an array does.
                 size = None if victim is not None else num_u
-                heard = rng.binomial(noisy_per_node, p_listen, size=size)
-                quiet_listens = rng.binomial(s - noisy_per_node, p_listen, size=size)
+
+                def listens(count: "int | np.ndarray") -> np.ndarray:
+                    # A scalar count draws one binomial per node, as an array
+                    # does; a scalar 0 draws nothing (numpy consumes no bits
+                    # for n=0), so its zeros are built without the generator.
+                    if victim is None and count == 0:
+                        return np.zeros(num_u, dtype=np.int64)
+                    return rng.binomial(count, p_listen, size=size)
+
+                heard = listens(noisy_per_node)
+                quiet_listens = listens(s - noisy_per_node)
                 listen_cost = heard + quiet_listens
                 if informed_mask is not None and informed_mask.any():
                     listen_cost = self._truncate_informed_listening(

@@ -9,7 +9,7 @@ from repro.core import ProtocolParameters, ScheduleBuilder
 from repro.core.alice import AlicePolicy
 from repro.core.receiver import ReceiverPolicy
 from repro.core.state import NodeStatus, ProtocolState
-from repro.core.termination import apply_request_phase
+from repro.core.termination import _heard_by, apply_request_phase
 from repro.simulation import PhaseKind, PhasePlan, PhaseResult, ProtocolViolationError
 
 
@@ -295,3 +295,47 @@ class TestVectorisedTerminationRule:
             scalar = [receiver.should_terminate(int(c), round_index) for c in counts]
             assert all(isinstance(flag, bool) for flag in scalar)
             assert mask.tolist() == scalar
+
+
+class TestHeardBy:
+    """``_heard_by`` maps a phase's listener counts onto the active cohort.
+
+    The counts must not depend on how the listener array relates to the
+    cohort: the cohort object itself and an equal copy are read in place, a
+    strict subset and an empty array are mapped by search.
+    """
+
+    N = 50
+
+    def result(self, listeners, heard):
+        plan = PhasePlan(name="request", kind=PhaseKind.REQUEST, round_index=1, num_slots=64)
+        return PhaseResult(
+            plan=plan,
+            newly_informed=np.empty(0, dtype=np.int64),
+            jammed_slots=0,
+            adversary_spend=0.0,
+            noisy_listeners=listeners,
+            node_noisy_heard=heard,
+        )
+
+    def cohort(self):
+        state = ProtocolState(self.N)
+        state.mark_informed(range(0, self.N, 3), slot=1)
+        return state.active_uninformed_array()
+
+    @pytest.mark.parametrize("relation", ["cohort", "equal copy", "strict subset", "empty"])
+    def test_counts_do_not_depend_on_the_listener_array(self, relation):
+        cohort = self.cohort()
+        rng = np.random.default_rng(3)
+        listeners = {
+            "cohort": cohort,
+            "equal copy": cohort.copy(),
+            "strict subset": np.sort(rng.choice(cohort, size=cohort.size // 2, replace=False)),
+            "empty": np.empty(0, dtype=np.int64),
+        }[relation]
+        heard = rng.integers(0, 100, size=listeners.size).astype(np.int64)
+        kept = heard.copy()
+        by_node = dict(zip(listeners.tolist(), heard.tolist()))
+        counts = _heard_by(self.result(listeners, heard), cohort)
+        assert counts.tolist() == [by_node.get(node, 0) for node in cohort.tolist()]
+        np.testing.assert_array_equal(heard, kept)  # the result's counts are untouched

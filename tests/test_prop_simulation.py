@@ -16,6 +16,7 @@ from repro.simulation import (
     BudgetPolicy,
     JamPlan,
     JamTargeting,
+    LedgerArray,
     RandomSource,
     SimulationConfig,
     clip_probability,
@@ -46,6 +47,71 @@ class TestEnergyLedgerProperties:
             ledger.charge_bulk(EnergyOperation.LISTEN, units)
         assert ledger.spent == pytest.approx(math.fsum(charges))
         assert ledger.spent_on(EnergyOperation.LISTEN) == pytest.approx(math.fsum(charges))
+
+
+def _cohort(kind: str, count: int, data) -> np.ndarray:
+    """Rows of one ``kind`` of cohort over ``count >= 3`` ledger rows."""
+
+    if kind == "full":
+        return np.arange(count, dtype=np.int64)
+    if kind == "single":
+        return np.array([data.draw(st.integers(0, count - 1))], dtype=np.int64)
+    if kind == "contiguous":
+        first = data.draw(st.integers(0, count - 1))
+        last = data.draw(st.integers(first, count - 1))
+        return np.arange(first, last + 1, dtype=np.int64)
+    if kind == "gapped":
+        # Increasing, but at least one row between its ends is missing.
+        first = data.draw(st.integers(0, count - 3))
+        last = data.draw(st.integers(first + 2, count - 1))
+        gap = data.draw(st.integers(first + 1, last - 1))
+        inner = data.draw(st.sets(st.integers(first + 1, last - 1)))
+        return np.array(sorted({first, last} | (inner - {gap})), dtype=np.int64)
+    rows = data.draw(st.sets(st.integers(0, count - 1), min_size=1))
+    return np.array(data.draw(st.permutations(sorted(rows))), dtype=np.int64)
+
+
+class TestLedgerArrayProperties:
+    """``charge_bulk_many`` makes the same additions whatever the cohort's shape:
+    a gapless increasing cohort goes through a slice, any other through
+    indexed updates, and both must equal an ``np.add.at`` reference."""
+
+    @given(
+        count=st.integers(min_value=3, max_value=40),
+        policy=st.sampled_from([BudgetPolicy.RECORD, BudgetPolicy.CAP]),
+        budget=st.sampled_from([3.0, 25.0, math.inf]),
+        charges=st.lists(
+            st.tuples(
+                st.sampled_from(["contiguous", "full", "single", "gapped", "unordered"]),
+                st.sampled_from([EnergyOperation.LISTEN, EnergyOperation.SEND]),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_charge_bulk_many_matches_add_at(self, count, policy, budget, charges, data):
+        ledger = LedgerArray("node", count, budget, policy=policy)
+        spent = np.zeros(count)
+        by_op = {op: np.zeros(count) for op in EnergyOperation}
+        for kind, operation in charges:
+            rows = _cohort(kind, count, data)
+            units = np.array(
+                data.draw(st.lists(st.integers(0, 9), min_size=rows.size, max_size=rows.size)),
+                dtype=float,
+            )
+            expected = units
+            if policy is BudgetPolicy.CAP and not math.isinf(budget):
+                expected = np.minimum(units, np.maximum(budget - spent[rows], 0.0))
+            charged = ledger.charge_bulk_many(operation, rows, units)
+            np.testing.assert_array_equal(charged, expected)
+            np.add.at(spent, rows, expected)
+            np.add.at(by_op[operation], rows, expected)
+        np.testing.assert_array_equal(ledger.spent_array(), spent)
+        for operation in EnergyOperation:
+            np.testing.assert_array_equal(ledger.spent_on_array(operation), by_op[operation])
+        assert ledger.total_spent == spent.sum()
 
 
 class TestChannelProperties:

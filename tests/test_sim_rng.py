@@ -82,3 +82,23 @@ class TestDeriveSeed:
         value = derive_seed(1, "x")
         assert isinstance(value, int)
         assert value >= 0
+
+
+class TestZeroCountBinomialStream:
+    """numpy's ``binomial`` with ``n = 0`` returns zeros without consuming bits.
+
+    The single-hop engine relies on this to build a zero-count draw's zeros
+    without calling the generator (results stay bit-identical); if a numpy
+    release starts consuming bits for ``n = 0`` this fails rather than the
+    engine's samples silently changing.
+    """
+
+    @pytest.mark.parametrize("p", [1e-9, 0.001, 0.3, 0.5, 0.999, 1.0])
+    @pytest.mark.parametrize("size", [1, 2, 17, 256, 4096, 5000])
+    def test_zero_count_draw_consumes_no_bits(self, p, size):
+        for seed in (0, 20120717):
+            drawn = np.random.default_rng(seed)
+            zeros = drawn.binomial(0, p, size=size)
+            assert zeros.dtype == np.int64 and not zeros.any()
+            fresh = np.random.default_rng(seed)
+            assert drawn.random(3).tolist() == fresh.random(3).tolist()
