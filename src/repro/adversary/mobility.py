@@ -36,12 +36,13 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..simulation.errors import ConfigurationError
 from ..simulation.phaseplan import JamPlan, PhaseContext
+from ..simulation.setops import unique_sorted
 from .base import Adversary
 from .parameters import ParamSpec
 from .spatial import plan_disk_jam
@@ -219,7 +220,7 @@ class _PerPhaseDiskJammer(Adversary):
     """Shared machinery: victims re-resolved from disk geometry every phase.
 
     Subclasses implement :meth:`_resolve_victims`, which maps the current
-    phase (index + context) to a victim set via
+    phase (index + context) to a sorted ``int64`` victim id array via
     :meth:`~repro.simulation.topology.Topology.nodes_in_disk`.  Resolution
     happens in :meth:`observe_phase` — the orchestrators call it before every
     :meth:`plan_phase`, and combining strategies forward it to every nested
@@ -234,9 +235,9 @@ class _PerPhaseDiskJammer(Adversary):
         super().__init__(max_total_spend=max_total_spend)
         self.jam_request_phases = jam_request_phases
         self._network = None
-        self._victims: Optional[FrozenSet[int]] = None
+        self._victims: Optional[np.ndarray] = None
         self._phase_index = 0
-        self._coverage: set = set()
+        self._coverage = np.empty(0, dtype=np.int64)
 
     # -- binding ------------------------------------------------------- #
 
@@ -244,7 +245,7 @@ class _PerPhaseDiskJammer(Adversary):
         self._network = network
         self._victims = None
         self._phase_index = 0
-        self._coverage = set()
+        self._coverage = np.empty(0, dtype=np.int64)
 
     def _require_bound(self):
         if self._network is None:
@@ -258,7 +259,7 @@ class _PerPhaseDiskJammer(Adversary):
 
     def observe_phase(self, context: PhaseContext) -> None:
         self._require_bound()
-        self._victims = frozenset(self._resolve_victims(context))
+        self._victims = self._resolve_victims(context)
         self._phase_index += 1
 
     def _plan(self, context: PhaseContext, allowance: float) -> JamPlan:
@@ -266,7 +267,7 @@ class _PerPhaseDiskJammer(Adversary):
         if self._victims is None:
             # plan_phase without a preceding observe_phase (direct engine
             # harnesses): resolve in place without advancing the clock.
-            self._victims = frozenset(self._resolve_victims(context))
+            self._victims = self._resolve_victims(context)
         plan = plan_disk_jam(context, self._victims, self.jam_request_phases)
         if plan.attacks_anything and allowance >= 1.0:
             # Coverage counts devices actually subjected to jamming: the disk
@@ -274,31 +275,31 @@ class _PerPhaseDiskJammer(Adversary):
             # victims.  A fractional residual allowance (< 1) floors to zero
             # jam slots in the base class's plan cap, so it does not count
             # either.
-            self._coverage.update(self._victims)
+            self._coverage = unique_sorted(np.concatenate((self._coverage, self._victims)))
         return plan
 
     @abc.abstractmethod
-    def _resolve_victims(self, context: PhaseContext) -> Iterable[int]:
-        """Victim device ids for the phase about to run."""
+    def _resolve_victims(self, context: PhaseContext) -> np.ndarray:
+        """Sorted victim device ids for the phase about to run."""
 
     # -- reporting ------------------------------------------------------ #
 
     @property
-    def victims(self) -> FrozenSet[int]:
-        """Ids of the devices targeted during the current phase (empty before binding)."""
+    def victims(self) -> np.ndarray:
+        """Sorted ids of the devices targeted this phase (empty before binding)."""
 
-        return self._victims if self._victims is not None else frozenset()
+        return self._victims if self._victims is not None else np.empty(0, dtype=np.int64)
 
     @property
-    def coverage(self) -> FrozenSet[int]:
-        """Union of every victim set this strategy actually attacked.
+    def coverage(self) -> np.ndarray:
+        """Sorted union of every victim set this strategy actually attacked.
 
         Phases where the plan came out idle (no active victims, empty disk,
         exhausted budget) do not count: a disk flying over already-informed
         nodes victimises nobody.
         """
 
-        return frozenset(self._coverage)
+        return self._coverage
 
     @property
     def phases_observed(self) -> int:
@@ -358,7 +359,7 @@ class MobileJammer(_PerPhaseDiskJammer):
 
         return self._center
 
-    def _resolve_victims(self, context: PhaseContext) -> Iterable[int]:
+    def _resolve_victims(self, context: PhaseContext) -> np.ndarray:
         network = self._require_bound()
         self._center = self.trajectory.position(self._phase_index)
         return network.topology.nodes_in_disk(self._center, self.radius)
@@ -442,18 +443,18 @@ class MultiDiskJammer(_PerPhaseDiskJammer):
         # resizes every disk, matching the scalar-radius constructor form.
         self.radii = [float(value)] * len(self.radii)
 
-    def _resolve_victims(self, context: PhaseContext) -> Iterable[int]:
+    def _resolve_victims(self, context: PhaseContext) -> np.ndarray:
         network = self._require_bound()
         topology = network.topology
-        victims: set = set()
+        disks: List[np.ndarray] = []
         centers_now: List[Point] = []
         for center, radius, trajectory in zip(self.centers, self.radii, self.trajectories):
             if trajectory is not None:
                 center = trajectory.position(self._phase_index)
             centers_now.append(center)
-            victims |= topology.nodes_in_disk(center, radius)
+            disks.append(topology.nodes_in_disk(center, radius))
         self._centers_now = centers_now
-        return victims
+        return unique_sorted(np.concatenate(disks))
 
 
 class ReactiveDiskJammer(_PerPhaseDiskJammer):
@@ -561,7 +562,7 @@ class ReactiveDiskJammer(_PerPhaseDiskJammer):
         scale = self.speed / distance
         return (self._center[0] + dx * scale, self._center[1] + dy * scale)
 
-    def _resolve_victims(self, context: PhaseContext) -> Iterable[int]:
+    def _resolve_victims(self, context: PhaseContext) -> np.ndarray:
         network = self._require_bound()
         topology = network.topology
         if self._positions is not None:

@@ -18,11 +18,14 @@ terminated or (if her budget dies first) received the message.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Optional
+from typing import Optional
+
+import numpy as np
 
 from ..simulation.channel import JamTargeting
 from ..simulation.errors import ConfigurationError
 from ..simulation.phaseplan import JamPlan, PhaseContext, PhaseKind
+from ..simulation.setops import isin_sorted
 from .base import Adversary
 from .parameters import ParamSpec
 
@@ -67,18 +70,18 @@ class NUniformSplitAdversary(Adversary):
             )
         self.target_uninformed = target_uninformed
         self.start_round = start_round
-        self._victims: Optional[FrozenSet[int]] = None
+        self._victims: Optional[np.ndarray] = None
 
     @property
-    def victims(self) -> FrozenSet[int]:
-        """The fixed victim set (empty until the first payload phase is seen)."""
+    def victims(self) -> np.ndarray:
+        """The fixed victim ids, sorted (empty until the first payload phase)."""
 
-        return self._victims if self._victims is not None else frozenset()
+        return self._victims if self._victims is not None else np.empty(0, dtype=np.int64)
 
-    def _choose_victims(self, context: PhaseContext) -> FrozenSet[int]:
+    def _choose_victims(self, context: PhaseContext) -> np.ndarray:
         if self._victims is None:
-            uninformed = sorted(context.roles.active_uninformed)
-            self._victims = frozenset(uninformed[: self.target_uninformed])
+            # The lowest ``target_uninformed`` ids: the cohort is sorted.
+            self._victims = context.roles.active_uninformed_ids[: self.target_uninformed].copy()
         return self._victims
 
     def _plan(self, context: PhaseContext, allowance: float) -> JamPlan:
@@ -90,8 +93,8 @@ class NUniformSplitAdversary(Adversary):
             # fire while the victims are still uninformed.
             return JamPlan.idle()
         victims = self._choose_victims(context)
-        remaining_victims = victims & context.roles.active_uninformed
-        if not remaining_victims:
+        remaining_victims = victims[isin_sorted(victims, context.roles.active_uninformed_ids)]
+        if not remaining_victims.size:
             # Every victim has terminated (or slipped through); nothing left
             # to gain from further jamming.
             return JamPlan.idle()

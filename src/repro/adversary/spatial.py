@@ -21,12 +21,15 @@ the first phase.  Strategies without that hook are unaffected.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Optional, Tuple
+from typing import Optional, Tuple
+
+import numpy as np
 
 from ..simulation.auth import ALICE_ID
 from ..simulation.channel import JamTargeting
 from ..simulation.errors import ConfigurationError
 from ..simulation.phaseplan import JamPlan, PhaseContext, PhaseKind
+from ..simulation.setops import isin_sorted
 from .base import Adversary
 from .parameters import ParamSpec
 
@@ -35,30 +38,30 @@ __all__ = ["SpatialJammer", "plan_disk_jam"]
 
 def plan_disk_jam(
     context: PhaseContext,
-    victims: FrozenSet[int],
+    victims: np.ndarray,
     jam_request_phases: bool = False,
 ) -> JamPlan:
     """The shared "jam payload slots for a victim set" planning rule.
 
     Used by :class:`SpatialJammer` and every mobile variant in
     :mod:`repro.adversary.mobility`: jam all slots of payload-carrying phases
-    (optionally request phases too), targeted at ``victims``, and idle
-    whenever no *active* victim would perceive the noise — jamming outside
-    the victims' earshot is wasted energy.  Payload phases matter only to the
-    disk's uninformed listeners; Alice (who listens in request phases alone)
-    only when this is one.
+    (optionally request phases too), targeted at the sorted id array
+    ``victims``, and idle whenever no *active* victim would perceive the
+    noise — jamming outside the victims' earshot is wasted energy.  Payload
+    phases matter only to the disk's uninformed listeners; Alice (who listens
+    in request phases alone) only when this is one.
     """
 
-    if not victims:
+    if not victims.size:
         return JamPlan.idle()
     if context.plan.kind is PhaseKind.REQUEST and not jam_request_phases:
         return JamPlan.idle()
     if not context.plan.carries_payload and context.plan.kind is not PhaseKind.REQUEST:
         return JamPlan.idle()
-    active_victims = victims & context.roles.active_uninformed
+    active = isin_sorted(victims, context.roles.active_uninformed_ids)
     if context.plan.kind is PhaseKind.REQUEST:
-        active_victims |= victims & {ALICE_ID}
-    if not active_victims:
+        active |= victims == ALICE_ID
+    if not active.any():
         return JamPlan.idle()
     return JamPlan(
         num_jam_slots=context.plan.num_slots,
@@ -102,7 +105,7 @@ class SpatialJammer(Adversary):
         self.center = (float(center[0]), float(center[1]))
         self.radius = float(radius)
         self.jam_request_phases = jam_request_phases
-        self._victims: Optional[FrozenSet[int]] = None
+        self._victims: Optional[np.ndarray] = None
 
     def _set_parameter(self, name: str, value: float) -> None:
         # The victim set is a function of the disk, so a resized clone must
@@ -125,13 +128,13 @@ class SpatialJammer(Adversary):
         self._victims = network.topology.nodes_in_disk(self.center, self.radius)
 
     @property
-    def victims(self) -> FrozenSet[int]:
-        """Ids of the devices inside the jammed disk (empty before binding)."""
+    def victims(self) -> np.ndarray:
+        """Sorted ids of the devices inside the jammed disk (empty before binding)."""
 
-        return self._victims if self._victims is not None else frozenset()
+        return self._victims if self._victims is not None else np.empty(0, dtype=np.int64)
 
     @property
-    def coverage(self) -> FrozenSet[int]:
+    def coverage(self) -> np.ndarray:
         """Every device id this jammer has ever targeted.
 
         For the static disk this equals :attr:`victims`; mobile strategies

@@ -29,12 +29,12 @@ unset.
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Optional, Set
+from typing import Iterable, Optional
 
 import numpy as np
 
 from ..simulation.errors import ProtocolViolationError
-from ..simulation.setops import unique_sorted
+from ..simulation.setops import as_sorted_ids
 
 __all__ = ["NodeStatus", "ProtocolState"]
 
@@ -219,21 +219,15 @@ class ProtocolState:
     def _as_id_array(self, node_ids: Iterable[int]) -> np.ndarray:
         """``node_ids`` as sorted distinct ``int64`` ids of known nodes.
 
-        Engines pass strictly increasing cohorts, which one comparison
-        confirms, and their range is then their first and last id; any other
-        batch is sorted and deduplicated, so a transition moves, and counts,
-        each node once.
+        :func:`~repro.simulation.setops.as_sorted_ids` passes the engines'
+        strictly increasing cohorts through and sorts and deduplicates any
+        other batch, so a transition moves, and counts, each node once; the
+        range check then reads the first and last id.
         """
 
-        raw = np.asarray(
-            node_ids if isinstance(node_ids, np.ndarray) else list(node_ids), dtype=np.int64
-        )
-        ids = raw
-        if ids.size > 1 and np.count_nonzero(ids[1:] <= ids[:-1]):
-            ids = unique_sorted(ids)
+        ids = as_sorted_ids(node_ids)
         if ids.size and (ids[0] < 0 or ids[-1] >= self.n):
-            bad = raw[(raw < 0) | (raw >= self.n)][0]
-            raise ProtocolViolationError(f"unknown node id {bad}")
+            raise ProtocolViolationError(f"unknown node id {ids[0] if ids[0] < 0 else ids[-1]}")
         return ids
 
     def _move(self, fresh: np.ndarray, source: int, target: int) -> None:
@@ -244,12 +238,16 @@ class ProtocolState:
         self._counts[target] += fresh.size
         self._version += 1
 
-    def mark_informed(self, node_ids: Iterable[int], slot: int) -> Set[int]:
-        """Transition ``UNINFORMED -> INFORMED``; returns the ids that changed."""
+    def mark_informed(self, node_ids: Iterable[int], slot: int) -> np.ndarray:
+        """Transition ``UNINFORMED -> INFORMED``; returns the ids that changed.
+
+        The changed ids come back as a sorted ``int64`` array (empty when
+        every id was already informed).
+        """
 
         ids = self._as_id_array(node_ids)
         if ids.size == 0:
-            return set()
+            return ids
         codes = self._codes[ids]
         terminated = ids[codes >= _TERM_INFORMED]
         if terminated.size:
@@ -259,11 +257,10 @@ class ProtocolState:
             )
         # Receiving a duplicate copy (already INFORMED) is harmless.
         fresh = ids[codes == _UNINFORMED]
-        if fresh.size == 0:
-            return set()
-        self._move(fresh, _UNINFORMED, _INFORMED)
-        self._informed_at_slot[fresh] = slot
-        return set(fresh.tolist())
+        if fresh.size:
+            self._move(fresh, _UNINFORMED, _INFORMED)
+            self._informed_at_slot[fresh] = slot
+        return fresh
 
     def terminate_informed(self, node_ids: Iterable[int], round_index: int) -> None:
         """Transition ``INFORMED -> TERMINATED_INFORMED``."""

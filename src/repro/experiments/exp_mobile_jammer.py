@@ -43,6 +43,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+import numpy as np
+
 from ..adversary import (
     MobileJammer,
     MultiDiskJammer,
@@ -134,15 +136,13 @@ def victim_metrics(protocol, outcome, adversary, n: int) -> dict:
     thousands, making the equal-budget scenarios directly comparable.
     """
 
-    covered = sorted(v for v in adversary.coverage if v >= 0)
-    informed_at = protocol.final_state.informed_at_slot
-    stranded = sum(1 for node in covered if informed_at[node] < 0)
-    victim_delivery = (
-        (len(covered) - stranded) / len(covered) if covered else 1.0
-    )
+    coverage = adversary.coverage
+    covered = coverage[coverage >= 0]
+    stranded = int(np.count_nonzero(protocol.final_state.informed_at_slot[covered] < 0))
+    victim_delivery = (covered.size - stranded) / covered.size if covered.size else 1.0
     mspend = max(outcome.adversary_spend, 1.0) / 1000.0
     return {
-        "coverage_fraction": len(covered) / n,
+        "coverage_fraction": covered.size / n,
         "victim_delivery": victim_delivery,
         "stranded_per_mspend": stranded / mspend,
         "delivery_per_mspend": outcome.delivery_fraction / mspend,

@@ -16,10 +16,11 @@ Adding a rule: subclass :class:`~repro.lint.framework.LintRule`, set
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .framework import FileContext, LintRule, register_rule
+from .framework import FileContext, LintRule, Violation, register_rule
 
 __all__ = [
     "AmbientNondeterminismRule",
@@ -33,6 +34,7 @@ __all__ = [
     "HashUniqueRule",
     "UndeclaredImportRule",
     "SimulationLayeringRule",
+    "FrozenSetIdsRule",
 ]
 
 
@@ -695,4 +697,67 @@ class SimulationLayeringRule(LintRule):
                 node,
                 f"import of {module!r}: modules under repro/simulation may "
                 "import only the standard library, numpy and repro.simulation",
+            )
+
+
+@register_rule
+class FrozenSetIdsRule(LintRule):
+    """R12: no frozenset id groups under ``repro.simulation`` / ``repro.adversary``."""
+
+    rule_id = "R12"
+    title = "frozenset built or annotated in repro.simulation / repro.adversary"
+    rationale = (
+        "A group of device ids has one form in the simulator and the "
+        "adversaries: a sorted int64 array (repro.simulation.setops).  A "
+        "frozenset copy of the same ids once ran beside it: a mobile jammer's "
+        "disk was built as a frozenset, copied twice, and turned back into an "
+        "array by the engine every phase.  A function that needs O(1) "
+        "membership says why in a suppression; it is reported once, at its def."
+    )
+
+    MENTION = re.compile(r"\b(?:frozenset|FrozenSet)\b")
+
+    def __init__(self, ctx: FileContext) -> None:
+        super().__init__(ctx)
+        self._flagged: Set[int] = set()  # lines already reported
+
+    def run(self) -> List[Violation]:
+        path = "/" + self.ctx.path.replace("\\", "/")
+        if "/repro/simulation/" not in path and "/repro/adversary/" not in path:
+            return []
+        return super().run()
+
+    def handle_function(self, node: ast.AST) -> None:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return
+        args = node.args
+        every = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+        annotations = [arg.annotation for arg in every if arg is not None] + [node.returns]
+        if any(self._mentions(annotation) for annotation in annotations):
+            self._flag(node)
+
+    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
+        if self._mentions(node.annotation):
+            self._flag(self.function_stack[-1] if self.function_stack else node)
+        self.generic_visit(node)
+
+    def visit_Call(self, node: ast.Call) -> None:
+        if self.ctx.dotted_name(node.func) == "frozenset":
+            self._flag(self.function_stack[-1] if self.function_stack else node)
+        self.generic_visit(node)
+
+    def _mentions(self, annotation: Optional[ast.expr]) -> bool:
+        # Unparsing covers names, attributes and string annotations alike.
+        return annotation is not None and bool(self.MENTION.search(ast.unparse(annotation)))
+
+    def _flag(self, node: ast.AST) -> None:
+        line = getattr(node, "lineno", 0)
+        if line not in self._flagged:
+            self._flagged.add(line)
+            name = getattr(node, "name", None)
+            where = f"{name}()" if name else "this line"
+            self.report(
+                node,
+                f"{where} builds or annotates a frozenset: id groups under repro/simulation "
+                "and repro/adversary are sorted int64 arrays (repro.simulation.setops)",
             )

@@ -35,6 +35,7 @@ import numpy as np
 from .errors import ProtocolViolationError
 from .messages import Message
 from .observation import Observation
+from .setops import as_sorted_ids, isin_sorted
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .topology import Topology
@@ -51,7 +52,7 @@ class JamMode(enum.Enum):
     EXCEPT = "except"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JamTargeting:
     """The adversary's per-slot, per-listener jamming decision.
 
@@ -59,11 +60,24 @@ class JamTargeting:
     ``nodes``; ``EXCEPT`` jams everyone *except* those in ``nodes`` (this is
     how an n-uniform Carol "decides which nodes receive m" during a blocked
     phase); ``NONE`` jams nobody.  Alice is addressed by her device id (-1)
-    like any other listener.
+    like any other listener.  ``nodes`` is held as a sorted ``int64`` id
+    array (:func:`~repro.simulation.setops.as_sorted_ids` normalises any
+    iterable of ids at construction).
     """
 
     mode: JamMode = JamMode.NONE
-    nodes: frozenset = field(default_factory=frozenset)
+    nodes: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "nodes", as_sorted_ids(self.nodes))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, JamTargeting):
+            return NotImplemented
+        return self.mode is other.mode and np.array_equal(self.nodes, other.nodes)
+
+    def __hash__(self) -> int:
+        return hash((self.mode, self.nodes.tobytes()))
 
     @staticmethod
     def none() -> "JamTargeting":
@@ -74,14 +88,14 @@ class JamTargeting:
         return JamTargeting(JamMode.ALL)
 
     @staticmethod
-    def only(nodes: Iterable[int]) -> "JamTargeting":
-        return JamTargeting(JamMode.ONLY, frozenset(nodes))
+    def only(nodes: "Iterable[int] | np.ndarray") -> "JamTargeting":
+        return JamTargeting(JamMode.ONLY, nodes)
 
     @staticmethod
-    def sparing(nodes: Iterable[int]) -> "JamTargeting":
+    def sparing(nodes: "Iterable[int] | np.ndarray") -> "JamTargeting":
         """Jam everyone except ``nodes`` (the n-uniform "spare a set" move)."""
 
-        return JamTargeting(JamMode.EXCEPT, frozenset(nodes))
+        return JamTargeting(JamMode.EXCEPT, nodes)
 
     @property
     def is_active(self) -> bool:
@@ -92,35 +106,13 @@ class JamTargeting:
     def affects(self, listener_id: int) -> bool:
         """Whether ``listener_id`` perceives jamming under this decision."""
 
-        if self.mode is JamMode.NONE:
-            return False
-        if self.mode is JamMode.ALL:
-            return True
-        if self.mode is JamMode.ONLY:
-            return listener_id in self.nodes
-        return listener_id not in self.nodes
-
-    def nodes_sorted(self) -> np.ndarray:
-        """The targeted device ids as a sorted ``int64`` array (cached).
-
-        Mobile adversaries commit a *fresh* targeting every phase, so the
-        membership test the engines run over the listener cohort must stay
-        cheap; this array backs the vectorised :meth:`affects_array` and is
-        built once per targeting object.
-        """
-
-        cached = getattr(self, "_nodes_sorted", None)
-        if cached is None:
-            cached = np.sort(np.fromiter(self.nodes, dtype=np.int64, count=len(self.nodes)))
-            # repro-lint: disable=R7 -- lazy cache of a pure function of the frozen `nodes` field; recomputation yields the identical array
-            object.__setattr__(self, "_nodes_sorted", cached)
-        return cached
+        return bool(self.affects_array(np.array([listener_id], dtype=np.int64))[0])
 
     def affects_array(self, listener_ids: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`affects` over a device-id array.
 
         This is how the engines resolve a phase's victim mask: one sorted
-        membership test (``O(m log v)``) instead of ``m`` Python set lookups,
+        membership test (``O(m log v)``) instead of ``m`` Python lookups,
         which matters once a mobile jammer re-targets every phase at large
         ``n``.
         """
@@ -130,13 +122,7 @@ class JamTargeting:
             return np.zeros(listener_ids.size, dtype=bool)
         if self.mode is JamMode.ALL:
             return np.ones(listener_ids.size, dtype=bool)
-        members = self.nodes_sorted()
-        if members.size == 0:
-            membership = np.zeros(listener_ids.size, dtype=bool)
-        else:
-            pos = np.searchsorted(members, listener_ids)
-            pos_clipped = np.minimum(pos, members.size - 1)
-            membership = (pos < members.size) & (members[pos_clipped] == listener_ids)
+        membership = isin_sorted(listener_ids, self.nodes)
         return membership if self.mode is JamMode.ONLY else ~membership
 
 
@@ -211,19 +197,16 @@ class Channel:
         # Sorted so the observation mapping's insertion order depends on the
         # listener cohort's contents, never on set hash layout — the engines
         # iterate this mapping while mutating shared per-phase state.
-        for listener in sorted(listener_set):
-            jammed = jam.affects(listener)
+        listener_ids = np.array(sorted(listener_set), dtype=np.int64)
+        jammed_mask = jam.affects_array(listener_ids).tolist()
+        for listener, jammed in zip(listener_ids.tolist(), jammed_mask):
             if spatial:
-                # The neighbour set is memoised on the topology (dense row
-                # scan or CSR slice, whichever backend is realised), so the
-                # per-frame audibility test is a set-membership check.
                 # Synthetic Byzantine senders (ids <= -2) are audible
-                # everywhere by model fiat.
-                neighbors = topology.neighbors(listener)
+                # everywhere by model fiat; can_hear answers that too.
                 audible = [
                     frame
                     for frame in transmissions
-                    if frame.sender_id <= -2 or frame.sender_id in neighbors
+                    if topology.can_hear(listener, frame.sender_id)
                 ]
             else:
                 audible = transmissions

@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, fields
-from typing import FrozenSet, Optional, Protocol, Sequence, Tuple, runtime_checkable
+from typing import Iterable, Optional, Protocol, Tuple, runtime_checkable
 
 import numpy as np
 
 from .channel import JamTargeting
 from .config import SimulationConfig
-from .setops import unique_sorted
+from .setops import as_sorted_ids
 
 __all__ = [
     "PhaseKind",
@@ -130,90 +130,43 @@ class PhasePlan:
         return self.alice_send_prob > 0.0 or self.relay_send_prob > 0.0
 
 
-def _as_sorted_ids(ids: "Sequence[int] | FrozenSet[int] | np.ndarray") -> np.ndarray:
-    """Canonicalise a role cohort into a sorted unique ``int64`` array.
-
-    Arrays that are already strictly increasing (the cached views served by
-    :class:`~repro.core.state.ProtocolState`) pass through without a copy, so
-    building roles every phase costs O(n) at worst and O(1) on the hot path.
-    """
-
-    if isinstance(ids, np.ndarray) and ids.dtype == np.int64:
-        if ids.size <= 1 or not np.count_nonzero(ids[1:] <= ids[:-1]):
-            return ids
-        return unique_sorted(ids)
-    arr = np.asarray(sorted(ids), dtype=np.int64)
-    if arr.size > 1 and np.count_nonzero(arr[1:] <= arr[:-1]):
-        arr = unique_sorted(arr)
-    return arr
-
-
 class PhaseRoles:
     """Which devices play which role during one phase.
 
-    Backed by sorted ``int64`` id arrays (``active_uninformed_ids``,
-    ``relay_ids``, ``decoy_ids``) that the vectorised engine consumes
-    directly; the historical frozenset attributes (``active_uninformed``,
-    ``relays``, ``decoy_senders``) are materialised lazily for adversaries
-    and tests that want set semantics.
+    Each cohort is a sorted, duplicate-free ``int64`` id array (the one id
+    form of :mod:`repro.simulation.setops`), which the engines consume
+    directly and the adversaries intersect with ``setops``.  The constructor
+    accepts any iterable of ids and normalises it with
+    :func:`~repro.simulation.setops.as_sorted_ids`.
 
     Attributes
     ----------
-    active_uninformed:
+    active_uninformed_ids:
         Correct node ids that are still active and have not received ``m``.
-    relays:
+    relay_ids:
         Correct node ids that received ``m`` in the immediately preceding
         phase (or propagation step) and will relay it during this phase.
-    decoy_senders:
+    decoy_ids:
         Correct node ids that generate decoy traffic (§4.1); usually equal to
-        ``active_uninformed`` in the reactive-tolerant variant, empty
+        ``active_uninformed_ids`` in the reactive-tolerant variant, empty
         otherwise.
     alice_active:
         Whether Alice is still executing the protocol.
     """
 
-    __slots__ = (
-        "active_uninformed_ids",
-        "relay_ids",
-        "decoy_ids",
-        "alice_active",
-        "_uninformed_set",
-        "_relay_set",
-        "_decoy_set",
-    )
+    __slots__ = ("active_uninformed_ids", "relay_ids", "decoy_ids", "alice_active")
 
     def __init__(
         self,
-        active_uninformed: "Sequence[int] | FrozenSet[int] | np.ndarray" = (),
-        relays: "Sequence[int] | FrozenSet[int] | np.ndarray" = (),
-        decoy_senders: "Sequence[int] | FrozenSet[int] | np.ndarray" = (),
+        active_uninformed: "Iterable[int] | np.ndarray" = (),
+        relays: "Iterable[int] | np.ndarray" = (),
+        decoy_senders: "Iterable[int] | np.ndarray" = (),
         alice_active: bool = True,
     ) -> None:
-        self.active_uninformed_ids = _as_sorted_ids(active_uninformed)
-        self.relay_ids = _as_sorted_ids(relays)
-        self.decoy_ids = _as_sorted_ids(decoy_senders)
+        self.active_uninformed_ids = as_sorted_ids(active_uninformed)
+        self.relay_ids = as_sorted_ids(relays)
+        self.decoy_ids = as_sorted_ids(decoy_senders)
         self.alice_active = alice_active
-        self._uninformed_set: Optional[FrozenSet[int]] = None
-        self._relay_set: Optional[FrozenSet[int]] = None
-        self._decoy_set: Optional[FrozenSet[int]] = None
-
-    @property
-    def active_uninformed(self) -> FrozenSet[int]:
-        if self._uninformed_set is None:
-            self._uninformed_set = frozenset(self.active_uninformed_ids.tolist())
-        return self._uninformed_set
-
-    @property
-    def relays(self) -> FrozenSet[int]:
-        if self._relay_set is None:
-            self._relay_set = frozenset(self.relay_ids.tolist())
-        return self._relay_set
-
-    @property
-    def decoy_senders(self) -> FrozenSet[int]:
-        if self._decoy_set is None:
-            self._decoy_set = frozenset(self.decoy_ids.tolist())
-        return self._decoy_set
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PhaseRoles):
@@ -240,20 +193,6 @@ class PhaseRoles:
             f"PhaseRoles(active_uninformed={self.active_uninformed_ids.size}, "
             f"relays={self.relay_ids.size}, decoys={self.decoy_ids.size}, "
             f"alice_active={self.alice_active})"
-        )
-
-    @staticmethod
-    def of(
-        active_uninformed: "Sequence[int] | FrozenSet[int] | np.ndarray",
-        relays: "Sequence[int] | FrozenSet[int] | np.ndarray" = (),
-        decoy_senders: "Sequence[int] | FrozenSet[int] | np.ndarray" = (),
-        alice_active: bool = True,
-    ) -> "PhaseRoles":
-        return PhaseRoles(
-            active_uninformed=active_uninformed,
-            relays=relays,
-            decoy_senders=decoy_senders,
-            alice_active=alice_active,
         )
 
 

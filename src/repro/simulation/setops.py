@@ -6,13 +6,20 @@ that is 15–60× slower than sorting for 10³ or more integers, and
 request-phase hot paths therefore do their set work here, on sorted arrays
 only.  Both helpers return exactly what the numpy calls they replace return
 for integer input, dtype included.
+
+A group of device ids (a phase role cohort, a jammer's victims, a disk of
+the deployment area) has one form throughout the simulator: a sorted,
+duplicate-free ``int64`` array, Alice (-1) first when present.
+:func:`as_sorted_ids` builds that form from whatever a caller holds.
 """
 
 from __future__ import annotations
 
+from typing import Iterable, Union
+
 import numpy as np
 
-__all__ = ["unique_sorted", "isin_sorted"]
+__all__ = ["unique_sorted", "isin_sorted", "as_sorted_ids"]
 
 
 def unique_sorted(values: np.ndarray) -> np.ndarray:
@@ -40,3 +47,18 @@ def isin_sorted(values: np.ndarray, sorted_unique: np.ndarray) -> np.ndarray:
         return np.zeros(values.shape, dtype=bool)
     pos = np.minimum(np.searchsorted(sorted_unique, values), sorted_unique.size - 1)
     return sorted_unique[pos] == values
+
+
+def as_sorted_ids(ids: Union[Iterable[int], np.ndarray]) -> np.ndarray:
+    """Canonicalise a group of device ids into a sorted unique ``int64`` array.
+
+    ``int64`` arrays that are already strictly increasing (the cached views
+    served by :class:`~repro.core.state.ProtocolState`, a topology disk
+    query) pass through without a copy, so building roles or a targeting
+    every phase costs O(n) at worst and one comparison pass on the hot path.
+    """
+
+    arr = np.asarray(ids if isinstance(ids, np.ndarray) else list(ids), dtype=np.int64)
+    if arr.size > 1 and np.count_nonzero(arr[1:] <= arr[:-1]):
+        return unique_sorted(arr)
+    return arr

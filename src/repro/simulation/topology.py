@@ -58,7 +58,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -537,11 +537,6 @@ class Topology(abc.ABC):
             return device_id
         raise ConfigurationError(f"unknown device id {device_id} for topology over n={self.n}")
 
-    def _device_id(self, row: int) -> int:
-        """Inverse of :meth:`_index`."""
-
-        return ALICE_ID if row == self.n else int(row)
-
     @abc.abstractmethod
     def can_hear(self, listener_id: int, sender_id: int) -> bool:
         """Whether ``listener_id`` receives a transmission by ``sender_id``.
@@ -565,9 +560,10 @@ class Topology(abc.ABC):
     def neighbor_slice(self, device_id: int) -> np.ndarray:
         """Ids of the devices audible from ``device_id`` as a sorted ``int64`` array.
 
-        The array view of :meth:`neighbors`: node ids ascending, with
-        :data:`~repro.simulation.auth.ALICE_ID` (-1) *first* when Alice is in
-        range (ids are returned in device-id order, and Alice's id is -1).
+        Node ids ascending, with :data:`~repro.simulation.auth.ALICE_ID` (-1)
+        *first* when Alice is in range (ids are returned in device-id order,
+        and Alice's id is -1) — the one id-group form of
+        :mod:`repro.simulation.setops`.
         """
 
         csr = self.neighbor_csr()
@@ -576,46 +572,24 @@ class Topology(abc.ABC):
         out.sort()
         return out
 
-    def neighbors(self, device_id: int) -> FrozenSet[int]:
-        """All device ids audible from ``device_id`` (may include Alice)."""
+    def any_neighbor_in(self, device_ids: np.ndarray, member_ids: np.ndarray) -> np.ndarray:
+        """For each node in ``device_ids``, whether a neighbour is in ``member_ids``.
 
-        csr = self.neighbor_csr()
-        row = csr.row(self._index(device_id))
-        return frozenset(self._device_id(int(r)) for r in row)
-
-    def node_neighbors(self, device_id: int) -> FrozenSet[int]:
-        """Correct-node neighbours only (Alice excluded)."""
-
-        return frozenset(v for v in self.neighbors(device_id) if v != ALICE_ID)
-
-    def any_neighbor_in(
-        self, device_ids: Sequence[int], member_ids: Iterable[int]
-    ) -> np.ndarray:
-        """For each device, whether any of its neighbours is in ``member_ids``.
-
-        Returns a boolean array aligned with ``device_ids``.  This is the
-        multi-hop frontier primitive: :class:`~repro.core.broadcast.MultiHopBroadcast`
-        retires a relay exactly when it has no active uninformed neighbour
-        left.  Cost is ``O(sum of the devices' degrees)`` via one CSR slice.
+        Both arguments are arrays of correct-node ids (``0..n-1``), which are
+        their own adjacency rows.  Returns a boolean array aligned with
+        ``device_ids``.  This is the multi-hop frontier primitive:
+        :class:`~repro.core.broadcast.MultiHopBroadcast` retires a relay
+        exactly when it has no active uninformed neighbour left.  Cost is
+        ``O(sum of the devices' degrees)`` via one CSR slice.
         """
 
-        if isinstance(device_ids, np.ndarray):
-            # Fast path: an int array of node ids *is* its own row vector
-            # (nodes 0..n-1 are rows 0..n-1) — no per-element Python mapping.
-            rows = device_ids.astype(np.int64, copy=False)
-        else:
-            rows = np.array([self._index(int(d)) for d in device_ids], dtype=np.int64)
+        rows = np.asarray(device_ids, dtype=np.int64)
         out = np.zeros(rows.size, dtype=bool)
-        if rows.size == 0:
+        member_ids = np.asarray(member_ids, dtype=np.int64)
+        if rows.size == 0 or member_ids.size == 0:
             return out
         member_mask = np.zeros(self.n + 1, dtype=bool)
-        if isinstance(member_ids, np.ndarray):
-            member_mask[member_ids.astype(np.int64, copy=False)] = True
-        else:
-            for member in member_ids:
-                member_mask[self._index(int(member))] = True
-        if not member_mask.any():
-            return out
+        member_mask[member_ids] = True
         csr = self.neighbor_csr()
         origins, nbrs = csr.expand(rows)
         out[origins[member_mask[nbrs]]] = True
@@ -664,16 +638,17 @@ class Topology(abc.ABC):
 
         return None
 
-    def nodes_in_disk(self, center: Tuple[float, float], radius: float) -> FrozenSet[int]:
+    def nodes_in_disk(self, center: Tuple[float, float], radius: float) -> np.ndarray:
         """Ids of the devices (nodes, plus Alice if inside) within a disk.
 
         This is how a *spatial* Carol targets her jamming: instead of the
         paper's global channel blast, she blankets a disk of the deployment
-        area, and only listeners inside it perceive noise.  Aspatial
+        area, and only listeners inside it perceive noise.  Returned as a
+        sorted ``int64`` id array, Alice (-1) first when inside.  Aspatial
         topologies return every device (a disk over a clique is the clique).
         """
 
-        return frozenset(range(self.n)) | {ALICE_ID}
+        return np.arange(ALICE_ID, self.n, dtype=np.int64)
 
     # ------------------------------------------------------------------ #
     # Graph statistics (used by property tests and experiments)           #
@@ -838,17 +813,22 @@ class Topology(abc.ABC):
             frontier = new
         return np.concatenate(members)
 
-    def connected_components(self) -> List[FrozenSet[int]]:
-        """Connected components of the node-node graph (Alice excluded)."""
+    def connected_components(self) -> List[np.ndarray]:
+        """Connected components of the node-node graph (Alice excluded).
+
+        Each component is a sorted ``int64`` array of node ids; components
+        are listed in order of their smallest id.
+        """
 
         seen = np.zeros(self.n, dtype=bool)
-        components: List[FrozenSet[int]] = []
+        components: List[np.ndarray] = []
         for start in range(self.n):
             if seen[start]:
                 continue
             seen[start] = True
             rows = self._node_frontier_bfs(np.array([start], dtype=np.int64), seen)
-            components.append(frozenset(int(r) for r in rows))
+            rows.sort()
+            components.append(rows)
         return components
 
     def largest_component_fraction(self) -> float:
@@ -858,7 +838,8 @@ class Topology(abc.ABC):
             return 0.0
         return max(len(c) for c in self.connected_components()) / self.n
 
-    def reachable_from_alice(self) -> FrozenSet[int]:
+    # repro-lint: disable=R12 -- callers test membership once per informed node; a frozenset keeps that O(1)
+    def reachable_from_alice(self) -> frozenset[int]:
         """Node ids connected to Alice through the radio graph.
 
         An upper bound on who can ever be informed: the message spreads only
@@ -912,19 +893,14 @@ class SingleHop(Topology):
             self._csr = NeighborCSR(indptr=indptr, indices=np.ascontiguousarray(indices))
         return self._csr
 
-    def neighbors(self, device_id: int) -> FrozenSet[int]:
-        self._index(device_id)
-        everyone = set(range(self.n)) | {ALICE_ID}
-        everyone.discard(device_id)
-        return frozenset(everyone)
-
-    def any_neighbor_in(
-        self, device_ids: Sequence[int], member_ids: Iterable[int]
-    ) -> np.ndarray:
-        members = {self._index(int(m)) for m in member_ids}
-        return np.array(
-            [bool(members - {self._index(int(d))}) for d in device_ids], dtype=bool
-        )
+    def any_neighbor_in(self, device_ids: np.ndarray, member_ids: np.ndarray) -> np.ndarray:
+        # Everyone neighbours everyone else: a node has a member neighbour
+        # unless the members are at most the node itself.
+        rows = np.asarray(device_ids, dtype=np.int64)
+        members = unique_sorted(np.asarray(member_ids, dtype=np.int64))
+        if members.size != 1:
+            return np.full(rows.size, members.size > 1, dtype=bool)
+        return rows != members[0]
 
     def _compute_degrees(self) -> np.ndarray:
         return np.full(self.n, self.n - 1, dtype=np.int64)
@@ -937,10 +913,11 @@ class SingleHop(Topology):
     def _compute_alice_within(self, hops: int) -> np.ndarray:
         return np.ones(self.n, dtype=bool)
 
-    def connected_components(self) -> List[FrozenSet[int]]:
-        return [frozenset(range(self.n))]
+    def connected_components(self) -> List[np.ndarray]:
+        return [np.arange(self.n, dtype=np.int64)]
 
-    def reachable_from_alice(self) -> FrozenSet[int]:
+    # repro-lint: disable=R12 -- the base class's membership-test frozenset, on the clique
+    def reachable_from_alice(self) -> frozenset[int]:
         return frozenset(range(self.n))
 
 
@@ -963,10 +940,6 @@ class _SpatialTopology(Topology):
             )
         self._positions = positions
         self._csr = csr
-        # The graph is immutable after construction, and the multi-hop relay
-        # layer asks for the same neighbourhoods every phase — memoise them.
-        self._neighbor_cache: dict = {}
-        self._node_neighbor_cache: dict = {}
         # Point index for disk queries: built lazily on the first
         # nodes_in_disk call (mobile jammers query a disk every phase).
         self._disk_grid: Optional[_CellGrid] = None
@@ -988,29 +961,18 @@ class _SpatialTopology(Topology):
             return True
         return self._csr.contains(self._index(listener_id), self._index(sender_id))
 
-    def neighbors(self, device_id: int) -> FrozenSet[int]:
-        cached = self._neighbor_cache.get(device_id)
-        if cached is None:
-            ids = self._csr.row(self._index(device_id))
-            cached = frozenset(self._device_id(int(i)) for i in ids)
-            self._neighbor_cache[device_id] = cached
-        return cached
-
-    def node_neighbors(self, device_id: int) -> FrozenSet[int]:
-        cached = self._node_neighbor_cache.get(device_id)
-        if cached is None:
-            cached = frozenset(v for v in self.neighbors(device_id) if v != ALICE_ID)
-            self._node_neighbor_cache[device_id] = cached
-        return cached
-
     def position(self, device_id: int) -> Tuple[float, float]:
         x, y = self._positions[self._index(device_id)]
         return (float(x), float(y))
 
-    def nodes_in_disk(self, center: Tuple[float, float], radius: float) -> FrozenSet[int]:
+    def nodes_in_disk(self, center: Tuple[float, float], radius: float) -> np.ndarray:
         if radius < 0:
             raise ConfigurationError(f"disk radius must be non-negative, got {radius}")
-        return frozenset(self._device_id(int(i)) for i in self._disk_rows(center, radius))
+        rows = self._disk_rows(center, radius)
+        if rows.size and rows[-1] == self.n:
+            # Alice's row is last among the sorted rows and first among ids.
+            rows = np.concatenate(([ALICE_ID], rows[:-1]))
+        return rows
 
     def _disk_rows(self, center: Tuple[float, float], radius: float) -> np.ndarray:
         """Rows inside the disk via a cached uniform-grid point index.

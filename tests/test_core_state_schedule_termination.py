@@ -23,7 +23,8 @@ class TestProtocolState:
     def test_mark_informed_transitions(self):
         state = ProtocolState(5)
         changed = state.mark_informed([1, 3], slot=10)
-        assert changed == {1, 3}
+        assert changed.dtype == np.int64
+        assert changed.tolist() == [1, 3]
         assert state.status(1) is NodeStatus.INFORMED
         assert state.active_informed_array().tolist() == [1, 3]
         assert state.informed_at_slot.tolist() == [-1, 10, -1, 10, -1]
@@ -31,7 +32,7 @@ class TestProtocolState:
     def test_duplicate_inform_is_harmless(self):
         state = ProtocolState(5)
         state.mark_informed([1], slot=1)
-        assert state.mark_informed([1], slot=2) == set()
+        assert state.mark_informed([1], slot=2).size == 0
 
     def test_unknown_node_rejected(self):
         state = ProtocolState(3)

@@ -44,12 +44,12 @@ GILBERT = {"topology": TopologySpec.gilbert(radius=0.3)}
 
 
 def all_listening_roles(network) -> PhaseRoles:
-    return PhaseRoles.of(range(network.n))
+    return PhaseRoles(range(network.n))
 
 
 def split_roles(network) -> PhaseRoles:
     half = network.n // 2
-    return PhaseRoles.of(range(half, network.n), relays=range(half))
+    return PhaseRoles(range(half, network.n), relays=range(half))
 
 
 class TestPhaseLevelEquivalence:
@@ -158,7 +158,7 @@ class TestPhaseLevelEquivalence:
             # informed mid-phase keeps its decoys in the fast engine (a
             # documented approximation), so it is kept out of this check.
             half = network.n // 2
-            return PhaseRoles.of(range(half, network.n), decoy_senders=range(half))
+            return PhaseRoles(range(half, network.n), decoy_senders=range(half))
 
         records = paired_phase_records(plan, decoy_roles, n=12, trials=60)
         self._assert_fields_match(records, ["informed", "alice_cost", "busy_slots"])

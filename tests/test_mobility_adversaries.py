@@ -24,21 +24,23 @@ from repro.adversary import (
     CompositeAdversary,
     MobileJammer,
     MultiDiskJammer,
+    NUniformSplitAdversary,
     NullAdversary,
     Orbit,
     PhaseBlockingAdversary,
     RandomWalk,
     ReactiveDiskJammer,
     RoundSwitchingAdversary,
+    SpatialJammer,
     WaypointPatrol,
 )
 from repro.baselines import NaiveBroadcast
 from repro.core.broadcast import EpsilonBroadcast, MultiHopBroadcast
 from repro.core.quietrule import ConstantQuietRule
 from repro.simulation import SimulationConfig, TopologySpec
-from repro.simulation.channel import JamMode
+from repro.simulation.channel import JamMode, JamTargeting
 from repro.simulation.errors import ConfigurationError
-from repro.simulation.phaseplan import PhaseContext, PhaseKind, PhasePlan, PhaseRoles
+from repro.simulation.phaseplan import JamPlan, PhaseContext, PhaseKind, PhasePlan, PhaseRoles
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -56,7 +58,7 @@ def inform_context(config, n_active=None):
             alice_send_prob=0.5,
             uninformed_listen_prob=0.5,
         ),
-        roles=PhaseRoles.of(range(n_active)),
+        roles=PhaseRoles(range(n_active)),
         config=config,
     )
 
@@ -191,8 +193,8 @@ class TestEmptyDiskIdling:
             adversary=adversary,
         )
         assert outcome.adversary_spend == 0.0
-        assert adversary.victims == frozenset()
-        assert adversary.coverage == frozenset()
+        assert adversary.victims.size == 0
+        assert adversary.coverage.size == 0
         assert outcome.delivery_fraction == 1.0
 
     def test_zero_radius_multi_disk_idles(self):
@@ -209,6 +211,77 @@ class TestEmptyDiskIdling:
         assert outcome.adversary_spend == 0.0
 
 
+#: A disk that holds no device: outside the unit square, and a zero-radius
+#: disk at a point no sampled position lands on.
+EMPTY_DISKS = [((2.0, 2.0), 0.1), ((0.123456, 0.654321), 0.0)]
+
+
+def _check_disk_query_is_empty():
+    topology = MultiHopBroadcast(
+        SimulationConfig(n=32, seed=4, topology=GILBERT), engine="fast"
+    ).network.topology
+    for center, radius in EMPTY_DISKS:
+        ids = topology.nodes_in_disk(center, radius)
+        assert ids.dtype == np.int64 and ids.size == 0
+
+
+def _check_jammer_on_empty_disk_idles(make):
+    config = SimulationConfig(n=32, seed=4, topology=GILBERT)
+    for center, radius in EMPTY_DISKS:
+        adversary = make(center, radius)
+        MultiHopBroadcast(config, adversary=adversary, engine="fast")
+        context = inform_context(config)
+        adversary.observe_phase(context)
+        assert adversary.victims.size == 0
+        assert adversary.plan_phase(context) == JamPlan.idle()
+
+
+def _check_empty_targeting(make, jam_everyone_else):
+    targeting = make(())
+    assert targeting.nodes.dtype == np.int64 and targeting.nodes.size == 0
+    assert targeting.affects_array(np.empty(0, dtype=np.int64)).size == 0
+    listeners = np.array([-1, 0, 5], dtype=np.int64)
+    assert targeting.affects_array(listeners).tolist() == [jam_everyone_else] * 3
+    assert targeting.affects(7) is jam_everyone_else
+
+
+def _check_nuniform_target_above_cohort():
+    adversary = NUniformSplitAdversary(target_uninformed=100, max_total_spend=1_000)
+    config = SimulationConfig(n=10, seed=1)
+    plan = adversary.plan_phase(inform_context(config))
+    assert adversary.victims.tolist() == list(range(10))
+    assert plan.targeting.mode is JamMode.ONLY
+    assert plan.targeting.nodes.tolist() == list(range(10))
+
+
+EXTREME_VICTIM_SETS = {
+    "empty-disk-query": _check_disk_query_is_empty,
+    "spatial-empty-disk": lambda: _check_jammer_on_empty_disk_idles(
+        lambda center, radius: SpatialJammer(center=center, radius=radius, max_total_spend=1_000)
+    ),
+    "mobile-empty-disk": lambda: _check_jammer_on_empty_disk_idles(
+        lambda center, radius: MobileJammer(
+            WaypointPatrol([center], speed=1.0), radius=radius, max_total_spend=1_000
+        )
+    ),
+    "multi-disk-empty-disk": lambda: _check_jammer_on_empty_disk_idles(
+        lambda center, radius: MultiDiskJammer([center, center], radius=radius, max_total_spend=1_000)
+    ),
+    "only-nobody": lambda: _check_empty_targeting(JamTargeting.only, False),
+    "sparing-nobody": lambda: _check_empty_targeting(JamTargeting.sparing, True),
+    "nuniform-target-above-cohort": _check_nuniform_target_above_cohort,
+}
+
+
+class TestEmptyAndExtremeVictimSets:
+    """Victim sets in their array form at the extremes: empty, or larger than
+    the cohort.  Each works, with no error and no stray jamming."""
+
+    @pytest.mark.parametrize("case", sorted(EXTREME_VICTIM_SETS))
+    def test_array_forms(self, case):
+        EXTREME_VICTIM_SETS[case]()
+
+
 class TestSingleHopDegradation:
     @pytest.mark.parametrize("name", sorted(MOBILITY_FACTORIES))
     def test_disk_over_clique_is_a_phase_blocker(self, name):
@@ -223,7 +296,7 @@ class TestSingleHopDegradation:
         plan = adversary.plan_phase(context)
         assert plan.num_jam_slots == context.plan.num_slots
         assert plan.targeting.mode is JamMode.ONLY
-        assert plan.targeting.nodes == frozenset(range(12)) | {-1}
+        assert plan.targeting.nodes.tolist() == list(range(-1, 12))
 
     def test_single_hop_run_completes(self):
         outcome = run_broadcast(
@@ -261,10 +334,10 @@ class TestPerPhaseReResolution:
         protocol = MultiHopBroadcast(config, adversary=adversary, engine="fast")
         adversary.observe_phase(inform_context(config))
         topology = protocol.network.topology
-        expected = topology.nodes_in_disk((0.2, 0.2), 0.2) | topology.nodes_in_disk(
-            (0.8, 0.8), 0.2
+        expected = set(topology.nodes_in_disk((0.2, 0.2), 0.2).tolist()) | set(
+            topology.nodes_in_disk((0.8, 0.8), 0.2).tolist()
         )
-        assert adversary.victims == expected
+        assert adversary.victims.tolist() == sorted(expected)
 
     def test_reactive_disk_chases_the_cluster(self):
         config = SimulationConfig(n=60, seed=5, topology=GILBERT)
@@ -281,13 +354,13 @@ class TestPerPhaseReResolution:
         assert len(cluster) >= 3
         context = PhaseContext(
             plan=inform_context(config).plan,
-            roles=PhaseRoles.of(cluster),
+            roles=PhaseRoles(cluster),
             config=config,
         )
         adversary.observe_phase(context)
         x, y = adversary.center
         assert x < 0.6 and y < 0.6
-        assert adversary.victims & set(cluster)
+        assert np.intersect1d(adversary.victims, cluster).size
 
     def test_reactive_speed_caps_movement_per_phase(self):
         config = SimulationConfig(n=60, seed=5, topology=GILBERT)

@@ -63,7 +63,7 @@ class TestSpatialJammer:
         context = PhaseContext(
             plan=PhasePlan(name="inform", kind=PhaseKind.INFORM, round_index=1, num_slots=4,
                            alice_send_prob=0.5),
-            roles=PhaseRoles.of(range(4)),
+            roles=PhaseRoles(range(4)),
             config=SimulationConfig(n=4),
         )
         with pytest.raises(ConfigurationError, match="bind_network"):
@@ -74,8 +74,8 @@ class TestSpatialJammer:
         jammer = SpatialJammer(center=(0.5, 0.5), radius=0.2)
         protocol = MultiHopBroadcast(config, adversary=jammer, engine="fast")
         expected = protocol.network.topology.nodes_in_disk((0.5, 0.5), 0.2)
-        assert jammer.victims == expected
-        assert -1 in jammer.victims  # Alice sits at the default centre
+        assert jammer.victims.tolist() == expected.tolist()
+        assert jammer.victims[0] == -1  # Alice sits at the default centre
 
     def test_spatial_jam_costs_carol_without_stranding_forever(self):
         outcome = run_broadcast(
@@ -103,12 +103,12 @@ class TestSpatialJammer:
         config = SimulationConfig(n=32, seed=3, topology=TopologySpec.gilbert(radius=0.3))
         inner = SpatialJammer(center=(0.5, 0.5), radius=0.2, max_total_spend=100.0)
         MultiHopBroadcast(config, adversary=CompositeAdversary([inner]), engine="fast").run()
-        assert inner.victims
+        assert inner.victims.size
 
         late = SpatialJammer(center=(0.5, 0.5), radius=0.2, max_total_spend=100.0)
         switcher = RoundSwitchingAdversary(early=NullAdversary(), late=late, switch_round=1)
         MultiHopBroadcast(config, adversary=switcher, engine="fast").run()
-        assert late.victims
+        assert late.victims.size
 
     def test_baseline_orchestrators_bind_spatial_jammer(self):
         """Every orchestrator family that owns a Network must bind the adversary."""
@@ -118,6 +118,6 @@ class TestSpatialJammer:
         config = SimulationConfig(n=32, seed=3, topology=TopologySpec.gilbert(radius=0.3))
         jammer = SpatialJammer(center=(0.5, 0.5), radius=0.2, max_total_spend=200.0)
         protocol = NaiveBroadcast(config, adversary=jammer, engine="fast")
-        assert jammer.victims  # bound at construction, before the first phase
+        assert jammer.victims.size  # bound at construction, before the first phase
         outcome = protocol.run()
         assert outcome.adversary_spend <= 200.0

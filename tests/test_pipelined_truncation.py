@@ -31,6 +31,7 @@ from repro.core.quietrule import ConstantQuietRule, resolve_quiet_rule
 from repro.core.state import ProtocolState
 from repro.simulation.phaseplan import PhaseRoles
 from repro.simulation import SimulationConfig, TopologySpec
+from repro.simulation.topology import Topology
 
 # The E11 sub-threshold profile: radius well below the Gilbert connectivity
 # threshold, so the graph fragments into an Alice component plus Alice-less
@@ -266,8 +267,9 @@ class TestHotPathAllocations:
     def test_run_never_materialises_frozensets(self, monkeypatch):
         """A full pipelined multi-hop run must be served entirely from the
         cached arrays; building a frozenset anywhere on the hot path is a
-        regression.  The state has no frozenset queries at all, and the
-        phase roles' lazy frozenset views must stay unread."""
+        regression.  The state, the phase roles and the topology have no
+        frozenset views left; the one frozenset query that remains
+        (``reachable_from_alice``, a diagnostic) must stay uncalled."""
 
         def boom(self):
             raise AssertionError("frozenset materialised on the hot path")
@@ -275,7 +277,10 @@ class TestHotPathAllocations:
         assert not hasattr(ProtocolState, "active_uninformed")
         assert not hasattr(ProtocolState, "active_informed")
         for view in ("active_uninformed", "relays", "decoy_senders"):
-            monkeypatch.setattr(PhaseRoles, view, property(boom))
+            assert not hasattr(PhaseRoles, view)
+        for view in ("neighbors", "node_neighbors"):
+            assert not hasattr(Topology, view)
+        monkeypatch.setattr(Topology, "reachable_from_alice", boom)
         outcome = run_broadcast(
             n=48,
             seed=5,

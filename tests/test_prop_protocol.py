@@ -187,7 +187,8 @@ class TestMaintainedCounts:
 
     def test_repeated_ids_count_once(self):
         state = ProtocolState(6)
-        assert state.mark_informed(np.array([4, 1, 4, 1, 1], dtype=np.int64), slot=2) == {1, 4}
+        changed = state.mark_informed(np.array([4, 1, 4, 1, 1], dtype=np.int64), slot=2)
+        assert changed.tolist() == [1, 4]
         assert state.active_informed_count() == 2
         assert state.active_uninformed_count() == 4
         state.terminate_informed(np.array([4, 4, 1], dtype=np.int64), round_index=1)

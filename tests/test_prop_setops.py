@@ -4,7 +4,10 @@
 ``np.unique`` returns and ``isin_sorted(a, unique_sorted(b))`` exactly what
 ``np.isin(a, b)`` returns — values, shape and dtype — for the id and key
 arrays the engine and topology feed them: ``int32`` CSR indices and
-``int64`` ids and keys, including negative (Byzantine) ids.
+``int64`` ids and keys, including negative (Byzantine) ids.  The id-group
+normaliser :func:`~repro.simulation.setops.as_sorted_ids` must give the same
+sorted distinct ``int64`` ids from any container, and hand a canonical
+``int64`` array back as the same object.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simulation.setops import isin_sorted, unique_sorted
+from repro.simulation.setops import as_sorted_ids, isin_sorted, unique_sorted
 
 DTYPES = (np.int32, np.int64)
 
@@ -73,3 +76,18 @@ class TestIsinSorted:
                     assert_identical(
                         isin_sorted(values, unique_sorted(members)), np.isin(values, members)
                     )
+
+
+class TestAsSortedIds:
+    @given(int_arrays())
+    @settings(max_examples=200, deadline=None)
+    def test_every_container_gives_the_canonical_array(self, values):
+        expected = np.unique(values.astype(np.int64))
+        for container in (values, values.tolist(), set(values.tolist()), tuple(values.tolist())):
+            assert_identical(as_sorted_ids(container), expected)
+
+    def test_canonical_arrays_pass_through(self):
+        for ids in (np.empty(0, dtype=np.int64), np.array([-1, 0, 4, 9], dtype=np.int64)):
+            assert as_sorted_ids(ids) is ids
+        assert_identical(as_sorted_ids(()), np.empty(0, dtype=np.int64))
+        assert_identical(as_sorted_ids(iter([3, -1, 3])), np.array([-1, 3], dtype=np.int64))

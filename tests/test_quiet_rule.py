@@ -54,7 +54,7 @@ class TestNeighborhoodStatistics:
         frontier = {node}
         ball = {node}
         for _ in range(hops):
-            frontier = {v for u in frontier for v in topo.neighbors(u)} - ball
+            frontier = {v for u in frontier for v in topo.neighbor_slice(u).tolist()} - ball
             ball |= frontier
         return ball - {node}
 

@@ -2,7 +2,7 @@
 
 Coverage contract (see docs/architecture.md "Static analysis"):
 
-* one positive and one negative fixture per built-in rule R1–R11,
+* one positive and one negative fixture per built-in rule R1–R12,
 * suppression-comment handling with and without a reason,
 * the JSON report schema,
 * registry validation,
@@ -543,6 +543,49 @@ class TestR11SimulationLayering:
         assert rules_hit(violations) == set()
 
 
+class TestR12FrozenSetIds:
+    TOPOLOGY = "src/repro/simulation/topology.py"
+    ADVERSARY = "src/repro/adversary/spatial.py"
+
+    def test_flags_calls_and_annotations_once_per_function(self):
+        source = textwrap.dedent(
+            """
+            from typing import FrozenSet, Optional
+
+            class Jammer:
+                victims: frozenset = frozenset()
+
+                def __init__(self) -> None:
+                    self._victims: Optional[FrozenSet[int]] = None
+
+                def resolve(self, disk: "FrozenSet[int] | None") -> FrozenSet[int]:
+                    return frozenset(disk or ())
+            """
+        )
+        violations = lint_source(source, path=self.ADVERSARY)
+        assert [(v.rule, v.line) for v in violations] == [("R12", 5), ("R12", 7), ("R12", 10)]
+        assert "resolve()" in violations[-1].message
+
+    def test_allows_arrays_other_packages_and_suppressed_sites(self):
+        source = textwrap.dedent(
+            """
+            from typing import FrozenSet
+            import numpy as np
+
+            def disk(rows: np.ndarray) -> np.ndarray:
+                return np.sort(rows)
+
+            # repro-lint: disable=R12 -- callers test membership once per node
+            def reachable(rows: np.ndarray) -> FrozenSet[int]:
+                return frozenset(rows.tolist())
+            """
+        )
+        assert rules_hit(lint_source(source, path=self.TOPOLOGY)) == set()
+        elsewhere = "KINDS = frozenset({'a'})\n"
+        assert rules_hit(lint_source(elsewhere, path="src/repro/core/driver.py")) == set()
+        assert rules_hit(lint_source(elsewhere, path=self.TOPOLOGY)) == {"R12"}
+
+
 # --------------------------------------------------------------------- #
 # Suppressions                                                           #
 # --------------------------------------------------------------------- #
@@ -640,7 +683,7 @@ class TestFramework:
     def test_catalogue_has_the_eight_rules(self):
         rules = registered_rules()
         assert list(rules) == sorted(rules)
-        assert set(rules) >= {f"R{i}" for i in range(1, 12)}
+        assert set(rules) >= {f"R{i}" for i in range(1, 13)}
         for cls in rules.values():
             assert cls.title
             assert cls.rationale

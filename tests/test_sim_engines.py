@@ -73,7 +73,7 @@ class TestEngineBasics:
         network = make_network()
         engine = engine_factory(network)
         plan = inform_plan(num_slots=0)
-        result = engine.run_phase(plan, PhaseRoles.of(range(network.n)), JamPlan.idle())
+        result = engine.run_phase(plan, PhaseRoles(range(network.n)), JamPlan.idle())
         assert result.newly_informed.size == 0
         assert network.alice_cost == 0
         assert result.path == "empty"
@@ -83,7 +83,7 @@ class TestEngineBasics:
         topology = TopologySpec.gilbert(radius=0.4) if multihop else None
         network = Network(SimulationConfig(n=32, seed=5, topology=topology))
         engine = engine_factory(network)
-        roles = PhaseRoles.of(range(network.n))
+        roles = PhaseRoles(range(network.n))
         assert engine.run_phase(inform_plan(num_slots=0), roles, JamPlan.idle()).path == "empty"
         result = engine.run_phase(inform_plan(num_slots=50), roles, JamPlan.idle())
         if isinstance(engine, SlotEngine):
@@ -101,7 +101,7 @@ class TestEngineBasics:
         network = make_network()
         engine = engine_factory(network)
         plan = inform_plan(num_slots=300, alice=0.5, listen=0.8)
-        result = engine.run_phase(plan, PhaseRoles.of(range(network.n)), JamPlan.idle())
+        result = engine.run_phase(plan, PhaseRoles(range(network.n)), JamPlan.idle())
         # With ~150 solo transmissions and listen probability 0.8 every node
         # catches at least one copy with overwhelming probability.
         assert result.newly_informed.size == network.n
@@ -110,7 +110,7 @@ class TestEngineBasics:
         network = make_network()
         engine = engine_factory(network)
         plan = inform_plan(num_slots=400, alice=0.5, listen=0.5)
-        engine.run_phase(plan, PhaseRoles.of(range(network.n)), JamPlan.idle())
+        engine.run_phase(plan, PhaseRoles(range(network.n)), JamPlan.idle())
         assert network.alice_cost > 0
         assert network.node_costs().sum() > 0
         # Alice's sends concentrate around 200 = 400 * 0.5.
@@ -121,7 +121,7 @@ class TestEngineBasics:
         engine = engine_factory(network)
         plan = inform_plan(num_slots=300)
         jam = JamPlan(num_jam_slots=300, targeting=JamTargeting.everyone())
-        result = engine.run_phase(plan, PhaseRoles.of(range(network.n)), jam)
+        result = engine.run_phase(plan, PhaseRoles(range(network.n)), jam)
         assert result.newly_informed.size == 0
         assert result.jammed_slots == 300
         assert network.adversary_cost == 300
@@ -132,14 +132,14 @@ class TestEngineBasics:
         spared = frozenset(range(8))
         plan = inform_plan(num_slots=300, alice=0.5, listen=0.8)
         jam = JamPlan(num_jam_slots=300, targeting=JamTargeting.sparing(spared))
-        result = engine.run_phase(plan, PhaseRoles.of(range(network.n)), jam)
+        result = engine.run_phase(plan, PhaseRoles(range(network.n)), jam)
         assert result.newly_informed.tolist() == sorted(spared)
 
     def test_alice_inactive_means_no_delivery(self, engine_factory):
         network = make_network()
         engine = engine_factory(network)
         plan = inform_plan(num_slots=200)
-        roles = PhaseRoles.of(range(network.n), alice_active=False)
+        roles = PhaseRoles(range(network.n), alice_active=False)
         result = engine.run_phase(plan, roles, JamPlan.idle())
         assert result.newly_informed.size == 0
         assert network.alice_cost == 0
@@ -151,7 +151,7 @@ class TestEngineBasics:
         engine = engine_factory(network)
         plan = inform_plan(num_slots=int(budget) + 500)
         jam = JamPlan(num_jam_slots=plan.num_slots, targeting=JamTargeting.everyone())
-        result = engine.run_phase(plan, PhaseRoles.of(range(network.n)), jam)
+        result = engine.run_phase(plan, PhaseRoles(range(network.n)), jam)
         assert result.jammed_slots <= budget
         assert network.adversary_cost <= budget
 
@@ -161,7 +161,7 @@ class TestEngineBasics:
         relays = frozenset(range(8))
         uninformed = frozenset(range(8, network.n))
         plan = propagation_plan(num_slots=400, relay=0.2, listen=0.8)
-        result = engine.run_phase(plan, PhaseRoles.of(uninformed, relays=relays), JamPlan.idle())
+        result = engine.run_phase(plan, PhaseRoles(uninformed, relays=relays), JamPlan.idle())
         assert result.newly_informed.size > len(uninformed) * 0.8
         assert set(result.newly_informed.tolist()) <= uninformed
 
@@ -169,7 +169,7 @@ class TestEngineBasics:
         network = make_network()
         engine = engine_factory(network)
         plan = request_plan(num_slots=400, nack=0.2, listen=0.5, alice_listen=0.5)
-        result = engine.run_phase(plan, PhaseRoles.of(range(network.n)), JamPlan.idle())
+        result = engine.run_phase(plan, PhaseRoles(range(network.n)), JamPlan.idle())
         assert result.alice_noisy_heard > 0
         assert result.alice_listen_slots >= result.alice_noisy_heard
         assert result.node_noisy_heard.sum() > 0
@@ -178,7 +178,7 @@ class TestEngineBasics:
         network = make_network()
         engine = engine_factory(network)
         plan = request_plan(num_slots=300, nack=0.0, listen=0.5, alice_listen=0.5)
-        result = engine.run_phase(plan, PhaseRoles.of([], alice_active=True), JamPlan.idle())
+        result = engine.run_phase(plan, PhaseRoles([], alice_active=True), JamPlan.idle())
         assert result.alice_noisy_heard == 0
 
     def test_spoofed_nacks_make_noise_for_alice(self, engine_factory):
@@ -186,7 +186,7 @@ class TestEngineBasics:
         engine = engine_factory(network)
         plan = request_plan(num_slots=300, nack=0.0, listen=0.0, alice_listen=1.0)
         jam = JamPlan(spoof_nack_slots=150, targeting=JamTargeting.none())
-        result = engine.run_phase(plan, PhaseRoles.of([], alice_active=True), jam)
+        result = engine.run_phase(plan, PhaseRoles([], alice_active=True), jam)
         assert result.spoofed_transmissions == 150
         assert result.alice_noisy_heard == pytest.approx(150, abs=0)
         assert network.adversary_cost == 150
@@ -196,7 +196,7 @@ class TestEngineBasics:
         engine = engine_factory(network)
         plan = inform_plan(num_slots=300, alice=0.0, listen=1.0)
         jam = JamPlan(spoof_payload_slots=200, targeting=JamTargeting.none())
-        result = engine.run_phase(plan, PhaseRoles.of(range(network.n)), jam)
+        result = engine.run_phase(plan, PhaseRoles(range(network.n)), jam)
         assert result.newly_informed.size == 0
         assert result.spoofed_transmissions == 200
 
@@ -205,7 +205,7 @@ class TestEngineBasics:
         engine = engine_factory(network)
         plan = inform_plan(num_slots=300, alice=0.3, listen=0.8)
         jam = JamPlan(num_jam_slots=10_000, reactive=True, targeting=JamTargeting.everyone())
-        result = engine.run_phase(plan, PhaseRoles.of(range(network.n)), jam)
+        result = engine.run_phase(plan, PhaseRoles(range(network.n)), jam)
         assert result.newly_informed.size == 0
         # A reactive jammer only pays for slots that actually carried traffic.
         assert network.adversary_cost == result.jammed_slots
@@ -223,7 +223,7 @@ class TestEngineBasics:
             uninformed_listen_prob=0.8,
             decoy_send_prob=0.05,
         )
-        roles = PhaseRoles.of(range(network.n), decoy_senders=range(network.n))
+        roles = PhaseRoles(range(network.n), decoy_senders=range(network.n))
         jam = JamPlan(num_jam_slots=60, reactive=True, targeting=JamTargeting.everyone())
         result = engine.run_phase(plan, roles, jam)
         # With decoys a large share of slots are busy (the share falls over the
@@ -239,7 +239,7 @@ class TestResultBookkeeping:
         network = make_network()
         engine = engine_factory(network)
         plan = inform_plan(num_slots=200, alice=0.5, listen=0.5)
-        result = engine.run_phase(plan, PhaseRoles.of(range(network.n)), JamPlan.idle())
+        result = engine.run_phase(plan, PhaseRoles(range(network.n)), JamPlan.idle())
         assert 0 < result.delivery_slots <= result.busy_slots <= 200
         assert result.alice_send_slots == pytest.approx(100, abs=40)
 
@@ -248,7 +248,7 @@ class TestResultBookkeeping:
         engine = engine_factory(network)
         plan = inform_plan(num_slots=100)
         jam = JamPlan(num_jam_slots=50, targeting=JamTargeting.everyone())
-        result = engine.run_phase(plan, PhaseRoles.of(range(network.n)), jam)
+        result = engine.run_phase(plan, PhaseRoles(range(network.n)), jam)
         assert result.jammed_fraction == pytest.approx(0.5)
 
 
@@ -268,14 +268,14 @@ class TestDeterministicResultOrdering:
         # Precondition: raw set order genuinely differs from sorted order.
         assert list(cohort) != sorted(cohort)
         plan = request_plan(num_slots=50)
-        result = engine.run_phase(plan, PhaseRoles.of(cohort), JamPlan.idle())
+        result = engine.run_phase(plan, PhaseRoles(cohort), JamPlan.idle())
         assert result.noisy_listeners.tolist() == sorted(cohort)
 
     def test_result_arrays_are_aligned_int64(self, engine_factory):
         network = make_network()
         engine = engine_factory(network)
         plan = request_plan(num_slots=200, nack=0.1, listen=0.5)
-        result = engine.run_phase(plan, PhaseRoles.of(range(5, 20)), JamPlan.idle())
+        result = engine.run_phase(plan, PhaseRoles(range(5, 20)), JamPlan.idle())
         assert result.noisy_listeners.tolist() == list(range(5, 20))
         assert result.noisy_listeners.dtype == np.int64
         assert result.node_noisy_heard.dtype == np.int64

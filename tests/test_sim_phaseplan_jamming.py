@@ -48,10 +48,12 @@ class TestPhasePlan:
 
 
 class TestPhaseRoles:
-    def test_of_constructor_freezes_sets(self):
-        roles = PhaseRoles.of([1, 2, 3], relays=[4], alice_active=False)
-        assert roles.active_uninformed == frozenset({1, 2, 3})
-        assert roles.relays == frozenset({4})
+    def test_constructor_sorts_ids_into_int64_arrays(self):
+        roles = PhaseRoles([3, 1, 2, 1], relays={4}, alice_active=False)
+        assert roles.active_uninformed_ids.dtype == np.int64
+        assert np.array_equal(roles.active_uninformed_ids, [1, 2, 3])
+        assert np.array_equal(roles.relay_ids, [4])
+        assert roles.decoy_ids.size == 0
         assert not roles.alice_active
 
 

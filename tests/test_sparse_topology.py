@@ -87,8 +87,10 @@ class TestCsrMatchesReachMatrix:
         topo = build_topology(spec, n, RandomSource(3))
         for device in [ALICE_ID, 0, 5, n - 1]:
             ids = topo.neighbor_slice(device)
-            assert list(ids) == sorted(topo.neighbors(device))
             row = topo.neighbor_csr().row(topo._index(device))
+            as_ids = [ALICE_ID if r == n else int(r) for r in row]
+            assert ids.dtype == np.int64
+            assert ids.tolist() == sorted(as_ids)  # Alice (-1) first when in range
             assert list(row) == sorted(row)  # sorted within each row
             assert topo._index(device) not in row  # empty diagonal
 
@@ -150,8 +152,9 @@ class TestGridEqualsBruteForce:
             reached |= nxt
             frontier = list(nxt)
         assert topo.reachable_from_alice() == frozenset(reached)
-        sizes = sorted(len(c) for c in topo.connected_components())
-        assert sum(sizes) == n
+        components = topo.connected_components()
+        assert np.array_equal(np.sort(np.concatenate(components)), np.arange(n))
+        sizes = sorted(c.size for c in components)
         assert topo.largest_component_fraction() == sizes[-1] / n
 
     def test_reach_matrix_and_can_hear_on_sparse_backend(self):
@@ -164,16 +167,20 @@ class TestGridEqualsBruteForce:
 
     def test_any_neighbor_in_matches_set_intersection(self):
         topo = sample_topology("scale_free", n=90, seed=4)
-        members = set(range(0, 90, 7))
-        devices = list(range(0, 90, 3)) + [ALICE_ID]
+        members = np.arange(0, 90, 7)
+        devices = np.arange(0, 90, 3)
         expected = np.array(
-            [bool(topo.node_neighbors(d) & members) for d in devices], dtype=bool
+            [np.intersect1d(topo.neighbor_slice(d), members).size > 0 for d in devices]
         )
         assert np.array_equal(topo.any_neighbor_in(devices, members), expected)
+        assert not topo.any_neighbor_in(devices, members[:0]).any()
         # SingleHop: every other member is a neighbour.
         clique = SingleHop(10)
-        got = clique.any_neighbor_in([0, 1, 9], {1})
+        got = clique.any_neighbor_in(np.array([0, 1, 9]), np.array([1]))
         assert got.tolist() == [True, False, True]
+        assert clique.any_neighbor_in(np.array([0, 1]), np.array([1, 1, 3])).all()
+        assert clique.any_neighbor_in(np.array([0, 1]), np.array([], dtype=np.int64)).size == 2
+        assert not clique.any_neighbor_in(np.array([0, 1]), np.array([], dtype=np.int64)).any()
 
 
 def lexsort_csr(us, vs, num_rows):
@@ -502,7 +509,7 @@ class TestMultiHopPhaseMemory:
             name="propagation:1", kind=PhaseKind.PROPAGATION, round_index=9,
             num_slots=self.S, step=1, relay_send_prob=0.004, uninformed_listen_prob=0.004,
         )
-        roles = PhaseRoles.of(range(47), relays=range(47, 104))
+        roles = PhaseRoles(range(47), relays=range(47, 104))
         result, peak = self.traced_peak(plan, roles, radius_factor=2.5)
         assert result.newly_informed.size > 0
         assert peak < 4 << 20, f"peak {peak / 2**20:.2f} MiB"
@@ -512,7 +519,7 @@ class TestMultiHopPhaseMemory:
             name="request", kind=PhaseKind.REQUEST, round_index=9, num_slots=self.S,
             alice_listen_prob=0.004, uninformed_listen_prob=0.004, nack_send_prob=0.004,
         )
-        result, peak = self.traced_peak(plan, PhaseRoles.of(range(255)), radius_factor=1.3)
+        result, peak = self.traced_peak(plan, PhaseRoles(range(255)), radius_factor=1.3)
         assert result.node_noisy_heard.sum() > 0
         assert peak < 9 << 20, f"peak {peak / 2**20:.2f} MiB"
 
@@ -557,7 +564,7 @@ class TestEnginePathEquivalence:
             name="inform", kind=PhaseKind.INFORM, round_index=5, num_slots=256,
             alice_send_prob=0.05, uninformed_listen_prob=0.2,
         )
-        records = multihop_phase_records(plan, lambda net: PhaseRoles.of(range(net.n)), n=self.N)
+        records = multihop_phase_records(plan, lambda net: PhaseRoles(range(net.n)), n=self.N)
         self._check(records, ["informed", "alice_cost", "node_total", "busy_slots"])
 
     def test_propagation_phase_with_relays(self):
@@ -567,7 +574,7 @@ class TestEnginePathEquivalence:
         )
         records = multihop_phase_records(
             plan,
-            lambda net: PhaseRoles.of(range(net.n // 2), relays=range(net.n // 2, net.n)),
+            lambda net: PhaseRoles(range(net.n // 2), relays=range(net.n // 2, net.n)),
             n=self.N,
         )
         self._check(records, ["informed", "node_total", "delivery_slots"])
@@ -577,7 +584,7 @@ class TestEnginePathEquivalence:
             name="request", kind=PhaseKind.REQUEST, round_index=5, num_slots=256,
             alice_listen_prob=0.3, uninformed_listen_prob=0.3, nack_send_prob=0.05,
         )
-        records = multihop_phase_records(plan, lambda net: PhaseRoles.of(range(net.n)), n=self.N)
+        records = multihop_phase_records(plan, lambda net: PhaseRoles(range(net.n)), n=self.N)
         self._check(
             records, ["alice_noisy", "node_noisy_total", "node_total", "alice_cost"]
         )
@@ -591,7 +598,7 @@ class TestEnginePathEquivalence:
             jam_rate=0.3, targeting=JamTargeting.only(range(0, self.N, 2))
         )
         records = multihop_phase_records(
-            plan, lambda net: PhaseRoles.of(range(net.n)), jam_builder=jam, n=self.N
+            plan, lambda net: PhaseRoles(range(net.n)), jam_builder=jam, n=self.N
         )
         self._check(records, ["alice_noisy", "node_noisy_total", "node_total"])
 
@@ -607,7 +614,7 @@ class TestEnginePathEquivalence:
         )
         records = multihop_phase_records(
             plan,
-            lambda net: PhaseRoles.of(range(net.n // 2), relays=range(net.n // 2, net.n)),
+            lambda net: PhaseRoles(range(net.n // 2), relays=range(net.n // 2, net.n)),
             n=self.N,
         )
         self._check(records, ["informed", "node_total", "delivery_slots"])
@@ -621,7 +628,7 @@ class TestEnginePathEquivalence:
         jam = lambda: JamPlan(spoof_payload_slots=20, spoof_nack_slots=10)
         records = multihop_phase_records(
             plan,
-            lambda net: PhaseRoles.of(range(net.n), decoy_senders=range(net.n)),
+            lambda net: PhaseRoles(range(net.n), decoy_senders=range(net.n)),
             jam_builder=jam,
             n=self.N,
         )
@@ -713,8 +720,10 @@ class TestDiskQueryGrid:
         topo = sample_topology("gilbert", n=150, seed=1, radius=0.1)
         for center, radius in self.PROBES:
             rows = brute_force_disk_rows(topo.positions, center, radius)
-            expected = frozenset(ALICE_ID if r == topo.n else int(r) for r in rows)
-            assert topo.nodes_in_disk(center, radius) == expected
+            expected = sorted(ALICE_ID if r == topo.n else int(r) for r in rows)
+            got = topo.nodes_in_disk(center, radius)
+            assert got.dtype == np.int64
+            assert got.tolist() == expected
 
     def test_dispatch_by_device_count(self):
         # Even a tiny graph answers disk queries through the cached grid.
@@ -723,7 +732,7 @@ class TestDiskQueryGrid:
         first = topo.nodes_in_disk((0.4, 0.4), 0.3)
         grid = topo._disk_grid
         assert grid is not None
-        assert topo.nodes_in_disk((0.4, 0.4), 0.3) == first
+        assert np.array_equal(topo.nodes_in_disk((0.4, 0.4), 0.3), first)
         assert topo._disk_grid is grid  # built once, reused
 
 
