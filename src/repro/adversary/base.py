@@ -195,10 +195,15 @@ class Adversary(abc.ABC):
 
     @staticmethod
     def _cap_plan(plan: JamPlan, allowance: float) -> JamPlan:
-        """Clip a plan so its worst-case spend does not exceed ``allowance``."""
+        """Clip a plan so its worst-case spend does not exceed ``allowance``.
+
+        An infinite allowance caps nothing: the plan comes back as it is.
+        """
 
         if allowance <= 0:
             return JamPlan.idle()
+        if math.isinf(allowance):
+            return plan
         budget = int(math.floor(allowance))
 
         num_jam = min(plan.num_jam_slots, budget)

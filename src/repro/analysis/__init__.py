@@ -12,7 +12,6 @@ from .bounds import (
     predicted_node_cost,
     reactive_f_threshold,
 )
-from .competitiveness import CompetitivenessReport, analyze_outcomes, summarize_ratios
 from .concentration import (
     binomial_confidence_radius,
     bounded_difference_tail,
@@ -21,23 +20,22 @@ from .concentration import (
     expected_unique_successes,
     fact1_lower_bound,
 )
-from .fitting import PowerLawFit, fit_power_law, fit_power_law_with_offset
+from .fitting import ExponentFit, PowerLawFit, fit_cost_exponent, fit_power_law
 from .stats import TrialSummary, aggregate_records, fraction_meeting, summarize
 
 __all__ = [
     "aggregate_records",
-    "analyze_outcomes",
     "binomial_confidence_radius",
     "blocking_round",
     "bounded_difference_tail",
     "chernoff_lower_tail",
     "chernoff_upper_tail",
-    "CompetitivenessReport",
     "cost_exponent",
+    "ExponentFit",
     "expected_unique_successes",
     "fact1_lower_bound",
+    "fit_cost_exponent",
     "fit_power_law",
-    "fit_power_law_with_offset",
     "fraction_meeting",
     "latency_bound",
     "no_jamming_alice_cost_bound",
@@ -48,7 +46,6 @@ __all__ = [
     "predicted_node_cost",
     "reactive_f_threshold",
     "summarize",
-    "summarize_ratios",
     "TheoremPrediction",
     "TrialSummary",
 ]

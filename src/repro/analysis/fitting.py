@@ -3,14 +3,17 @@
 The headline claims of the paper are power laws — per-device cost
 ``Õ(T^{1/(k+1)})``, latency ``O(n^{1+1/k})`` — so the experiments need a small
 amount of regression machinery to turn measured (x, y) series into fitted
-exponents with goodness-of-fit information.  Everything here is numpy-only.
+exponents with goodness-of-fit information.  Everything here is numpy-only,
+and every cost-versus-spend exponent in the repository comes from the one
+estimator :func:`fit_cost_exponent`; :func:`fit_power_law` serves only
+latency-versus-n.
 
-The additive-offset fit ``y ≈ y₀ + c·x^α`` is solved by variable projection
-(Golub & Pereyra, SIAM J. Numer. Anal. 10(2), 1973): for a fixed ``α`` the
-model is linear in ``(y₀, c)``, so the box-bounded weighted least squares for
-that pair is solved exactly in closed form, and only ``α`` is searched — on a
-401-point grid on ``[0, 2]``, then on three finer grids around the minimum
-(final spacing about 6e-10).
+The cost model ``y ≈ c·T^α`` is solved by variable projection (Golub &
+Pereyra, SIAM J. Numer. Anal. 10(2), 1973): for a fixed ``α`` the model is
+linear in ``c``, so the weighted least squares for ``c`` is solved exactly in
+closed form, and only ``α`` is searched — on a 401-point grid on ``[0, 2]``,
+then on three finer grids around the minimum (final spacing about 6e-10).
+The same profile curve ``SSE(α)`` gives the exponent's confidence interval.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["PowerLawFit", "fit_power_law", "fit_power_law_with_offset"]
+__all__ = ["ExponentFit", "PowerLawFit", "fit_cost_exponent", "fit_power_law"]
 
 
 @dataclass(frozen=True)
@@ -31,14 +34,72 @@ class PowerLawFit:
     coefficient: float
     r_squared: float
     n_points: int
-    offset: float = 0.0
 
     def predict(self, x: float) -> float:
-        return self.offset + self.coefficient * x ** self.exponent
+        return self.coefficient * x ** self.exponent
 
     def __str__(self) -> str:
         return (
-            f"y ≈ {self.offset:.3g} + {self.coefficient:.3g}·x^{self.exponent:.3f} "
+            f"y ≈ {self.coefficient:.3g}·x^{self.exponent:.3f} "
+            f"(R²={self.r_squared:.3f}, n={self.n_points})"
+        )
+
+
+@dataclass(frozen=True)
+class ExponentFit:
+    """A fitted cost-versus-spend exponent, or a flagged sentinel.
+
+    The result of :func:`fit_cost_exponent`: ``cost ≈ coefficient ·
+    T^exponent``, fitted over every trial's (spend, cost) point.  ``ci_low``/``ci_high`` bound the exponent with a 95% interval
+    read off the solver's own profile curve (no resampling, so the
+    interval is deterministic and the generated documents stay
+    byte-identical), and ``r_squared`` is the weighted goodness of fit of
+    the objective the solver minimises.
+
+    Many series are legitimately degenerate — a spatial jammer on a
+    single-hop network never spends, a capped adversary's spend saturates,
+    a baseline's cost is flat in ``T``.  Those come back *flagged*, with
+    ``reason`` set and NaN fit values, instead of raising or diverging, so
+    a full sweep never aborts on one pathological series.
+    """
+
+    exponent: float
+    ci_low: float
+    ci_high: float
+    r_squared: float
+    n_points: int
+    coefficient: float
+    flagged: bool = False
+    reason: str = ""
+
+    @property
+    def ok(self) -> bool:
+        return not self.flagged
+
+    def label(self) -> str:
+        """Compact table cell: ``0.312 [0.28, 0.35]`` or ``— (reason)``."""
+
+        if self.flagged:
+            return f"— ({self.reason})"
+        return f"{self.exponent:.3f} [{self.ci_low:.2f}, {self.ci_high:.2f}]"
+
+    def as_record(self) -> dict:
+        return {
+            "exponent": self.exponent,
+            "ci_low": self.ci_low,
+            "ci_high": self.ci_high,
+            "r_squared": self.r_squared,
+            "n_points": self.n_points,
+            "coefficient": self.coefficient,
+            "flagged": self.flagged,
+            "reason": self.reason,
+        }
+
+    def __str__(self) -> str:
+        if self.flagged:
+            return f"{self.label()} (n={self.n_points})"
+        return (
+            f"y ≈ {self.coefficient:.3g}·T^{self.label()} "
             f"(R²={self.r_squared:.3f}, n={self.n_points})"
         )
 
@@ -75,136 +136,156 @@ def fit_power_law(xs: Sequence[float], ys: Sequence[float]) -> PowerLawFit:
     )
 
 
-def fit_power_law_with_offset(xs: Sequence[float], ys: Sequence[float]) -> PowerLawFit:
-    """Fit ``y ≈ y₀ + c·x^α`` with a free additive offset.
-
-    The protocol's measured costs include an additive no-jamming term (the
-    polylog part of Theorem 1's ``Õ(T^{1/(k+1)} + 1)``); fitting the offset
-    jointly with the power law isolates the jamming-driven component whose
-    exponent the theorem predicts.  With at least four points this is the
-    least-squares fit weighted by ``σ = max(y, 1)`` (relative error)
-    over ``y₀ ∈ [0, max y]``, ``c ≥ 1e-12`` and ``α ∈ [0, 2]``; see
-    :func:`_fit_offset`.  With fewer points the offset is pinned to the
-    smallest-x observation and a log-log regression is used instead.
-    """
-
-    x, y = _validate(xs, ys)
-    order = np.argsort(x)
-    x, y = x[order], y[order]
-
-    if x.size >= 4:
-        return _fit_offset(x, y)
-
-    offset = float(y[0])
-    adjusted = y - offset
-    mask = adjusted > 0
-    if mask.sum() < 2:
-        fit = fit_power_law(x, y)
-        return PowerLawFit(
-            exponent=fit.exponent,
-            coefficient=fit.coefficient,
-            r_squared=fit.r_squared,
-            n_points=fit.n_points,
-            offset=0.0,
-        )
-    fit = fit_power_law(x[mask], adjusted[mask])
-    return PowerLawFit(
-        exponent=fit.exponent,
-        coefficient=fit.coefficient,
-        r_squared=fit.r_squared,
-        n_points=fit.n_points,
-        offset=offset,
-    )
-
-
-#: Bounds of the offset fit: ``α ∈ [0, _MAX_EXPONENT]``, ``c ≥ _MIN_COEFFICIENT``.
+#: The exponent search: a uniform grid of ``_GRID_POINTS`` on
+#: ``[0, _MAX_EXPONENT]``, then ``_ZOOMS`` grids of the same size spanning one
+#: previous grid step either side of the previous grid's minimum.
 _MAX_EXPONENT = 2.0
-_MIN_COEFFICIENT = 1e-12
-#: The exponent search: a uniform grid of ``_GRID_POINTS`` on ``[0, 2]``, then
-#: ``_ZOOMS`` grids of the same size spanning one previous grid step either
-#: side of the previous grid's minimum.
 _GRID_POINTS = 401
 _ZOOMS = 3
+#: A series whose costs vary by at most this fraction of their maximum is
+#: ``flat-cost``; one whose spends span less than this ratio is
+#: ``degenerate-spend-range`` (a slope over a near-constant abscissa is noise,
+#: not an exponent).
+_FLAT_RTOL = 0.05
+_MIN_SPEND_RATIO = 2.0
+#: The 95% quantile of χ² with one degree of freedom.
+_CHI2_95 = 3.84
 
 
 def _profile(
-    x: np.ndarray, y: np.ndarray, weights: np.ndarray, alphas: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The optimal ``(y₀, c)`` and weighted SSE at every exponent in ``alphas``.
+    log_x: np.ndarray, z: np.ndarray, log_sigma: np.ndarray, alphas: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The weighted SSE and ``log c`` of the best ``c`` at every exponent in ``alphas``.
 
-    For fixed ``α`` the weighted least squares in ``(y₀, c)`` is a convex
-    quadratic over the box ``[0, max y] × [1e-12, ∞)``.  Its minimum is the
-    unconstrained optimum of the normal equations when that is feasible, and
-    otherwise lies on an edge, where the optimum is the clipped
-    one-variable solution.  All four candidates are scored and the best kept.
+    With ``z = y/σ`` and ``v = x^α/σ`` the objective is ``Σ (z − c·v)²``,
+    whose minimum over ``c`` is ``c = Σzv / Σv²`` (positive, as ``z`` and
+    ``v`` are).  Each row of ``v`` is scaled by its largest entry, taken in
+    logs, so no power overflows and ``Σv² ≥ 1`` never underflows.
     """
 
-    y_max = float(y.max())
-    u = x[None, :] ** alphas[:, None]
-    wu = weights * u
-    total_w = float(weights.sum())
-    sum_u = wu.sum(axis=1)
-    sum_uu = (wu * u).sum(axis=1)
-    sum_uy = (wu * y).sum(axis=1)
-    sum_y = float((weights * y).sum())
+    log_v = alphas[:, None] * log_x[None, :] - log_sigma[None, :]
+    shift = log_v.max(axis=1)
+    v = np.exp(log_v - shift[:, None])
+    scaled = (v * z).sum(axis=1) / (v * v).sum(axis=1)
+    residual = z - scaled[:, None] * v
+    return (residual * residual).sum(axis=1), np.log(scaled) - shift
 
-    # Interior optimum from the centred normal equations.  At α = 0 (or with
-    # every x equal) u is constant, the system is singular and only the
-    # edges are candidates.
-    u_bar, y_bar = sum_u / total_w, sum_y / total_w
-    centred = u - u_bar[:, None]
-    spread = (weights * centred * centred).sum(axis=1)
-    nonsingular = spread > 1e-24 * sum_uu
-    safe_spread = np.where(nonsingular, spread, 1.0)
-    c_inner = (weights * centred * (y - y_bar)).sum(axis=1) / safe_spread
-    y0_inner = y_bar - c_inner * u_bar
-    feasible = nonsingular & (c_inner >= _MIN_COEFFICIENT) & (y0_inner >= 0.0) & (y0_inner <= y_max)
 
-    candidates_y0 = np.stack(
-        [
-            y0_inner,
-            np.zeros_like(u_bar),
-            np.full_like(u_bar, y_max),
-            np.clip(y_bar - _MIN_COEFFICIENT * u_bar, 0.0, y_max),
-        ]
+def _flagged(reason: str, n_points: int, exponent: float = float("nan")) -> ExponentFit:
+    nan = float("nan")
+    return ExponentFit(
+        exponent=exponent,
+        ci_low=nan,
+        ci_high=nan,
+        r_squared=nan,
+        n_points=n_points,
+        coefficient=nan,
+        flagged=True,
+        reason=reason,
     )
-    candidates_c = np.stack(
-        [
-            c_inner,
-            np.maximum(sum_uy / sum_uu, _MIN_COEFFICIENT),
-            np.maximum((sum_uy - y_max * sum_u) / sum_uu, _MIN_COEFFICIENT),
-            np.full_like(u_bar, _MIN_COEFFICIENT),
-        ]
-    )
-    residual = y - candidates_y0[:, :, None] - candidates_c[:, :, None] * u[None]
-    sse = (weights * residual * residual).sum(axis=2)
-    sse[0] = np.where(feasible, sse[0], np.inf)
-    best = np.argmin(sse, axis=0)
-    columns = np.arange(alphas.size)
-    return sse[best, columns], candidates_y0[best, columns], candidates_c[best, columns]
 
 
-def _fit_offset(x: np.ndarray, y: np.ndarray) -> PowerLawFit:
-    """Exact bounded ``y = y₀ + c·x^α`` fit by variable projection over ``α``."""
+def fit_cost_exponent(
+    spends: Sequence[float], costs: Sequence[float], *, min_spend: float = 1.0
+) -> ExponentFit:
+    """Fit ``cost ≈ c·spend^α`` over every (spend, cost) point, never raising.
 
-    weights = 1.0 / np.maximum(y, 1.0) ** 2
-    alphas = np.linspace(0.0, _MAX_EXPONENT, _GRID_POINTS)
-    step = alphas[1] - alphas[0]
+    Pass every trial's point, not per-point means.  Points with a
+    non-finite value or a spend below ``min_spend`` (the no-jamming or
+    saturated regime) are dropped first.  Degenerate series then return a
+    flagged sentinel, checked in this order:
+
+    * every remaining cost ≤ 0 → ``zero-cost``; non-positive costs are
+      dropped otherwise;
+    * fewer than two points → ``insufficient-points``;
+    * spends spanning less than a factor 2 → ``degenerate-spend-range``;
+    * costs flat within 5% → ``flat-cost`` with exponent 0.0 — the
+      protocol's spend demonstrably does not scale with Carol's.
+
+    The fit minimises ``Σ ((y − c·x^α)/σ)²`` with ``σ = max(y, 1)``
+    (relative error) over ``α ∈ [0, 2]``.  The model has no additive
+    offset: with one free, Theorem 1's no-jamming term absorbs a flat, noisy
+    cost series and the exponent runs to its bound on noise.  The 95%
+    interval is every ``α`` whose profile ``SSE(α)`` is at most
+    ``SSE_min·(1 + 3.84/(m − 2))`` for ``m`` points; it collapses to the
+    point estimate when ``m = 2``.  ``r_squared`` is the weighted
+    ``1 − wSSE/wSST``.
+    """
+
+    x = np.asarray(spends, dtype=float)
+    y = np.asarray(costs, dtype=float)
+    if x.shape != y.shape:
+        raise ValueError(f"spends and costs must have the same shape, got {x.shape} vs {y.shape}")
+
+    usable = np.isfinite(x) & np.isfinite(y) & (x >= min_spend) & (x > 0)
+    x, y = x[usable], y[usable]
+    if x.size >= 1 and np.all(y <= 0):
+        return _flagged("zero-cost", int(x.size))
+    positive = y > 0
+    x, y = x[positive], y[positive]
+    m = int(x.size)
+    if m < 2:
+        return _flagged("insufficient-points", m)
+    if float(x.max()) < _MIN_SPEND_RATIO * float(x.min()):
+        return _flagged("degenerate-spend-range", m)
+    if float(y.max() - y.min()) <= _FLAT_RTOL * float(y.max()):
+        return _flagged("flat-cost", m, exponent=0.0)
+
+    # Everything below works in units of σ, so no weight over- or underflows.
+    sigma = np.maximum(y, 1.0)
+    log_x, z, log_sigma = np.log(x), y / sigma, np.log(sigma)
+
+    coarse = np.linspace(0.0, _MAX_EXPONENT, _GRID_POINTS)
+    coarse_step = step = float(coarse[1] - coarse[0])
+    coarse_sse, log_coefficients = _profile(log_x, z, log_sigma, coarse)
+    alphas, sse = coarse, coarse_sse
     for _ in range(_ZOOMS):
-        centre = alphas[np.argmin(_profile(x, y, weights, alphas)[0])]
+        centre = alphas[np.argmin(sse)]
         alphas = np.clip(centre + step * np.linspace(-1.0, 1.0, _GRID_POINTS), 0.0, _MAX_EXPONENT)
         step *= 2.0 / (_GRID_POINTS - 1)
-    sse, offsets, coefficients = _profile(x, y, weights, alphas)
-    best = np.argmin(sse)
-    alpha, y0, coefficient = float(alphas[best]), float(offsets[best]), float(coefficients[best])
-    predictions = y0 + coefficient * x ** alpha
-    total = float(np.sum((y - y.mean()) ** 2))
-    residual = float(np.sum((y - predictions) ** 2))
-    r_squared = 1.0 - residual / total if total > 0 else 1.0
-    return PowerLawFit(
+        sse, log_coefficients = _profile(log_x, z, log_sigma, alphas)
+    best = int(np.argmin(sse))
+    alpha, wsse = float(alphas[best]), float(sse[best])
+
+    # Weighted mean and total sum of squares, with weights (σ_min/σ)² ≤ 1.
+    ratio = float(sigma.min()) / sigma
+    centred = z - ratio * float(np.sum(z * ratio) / np.sum(ratio * ratio))
+    wsst = float(np.sum(centred * centred))
+    r_squared = 1.0 - wsse / wsst if wsst > 0 else 1.0
+
+    ci_low = ci_high = alpha
+    if m > 2:
+        limit = wsse * (1.0 + _CHI2_95 / (m - 2))
+        inside = coarse[coarse_sse <= limit]
+        low = float(np.min(inside, initial=alpha))
+        high = float(np.max(inside, initial=alpha))
+        ci_low = _interval_edge(log_x, z, log_sigma, limit, low, -coarse_step)
+        ci_high = _interval_edge(log_x, z, log_sigma, limit, high, coarse_step)
+    return ExponentFit(
         exponent=alpha,
-        coefficient=coefficient,
+        ci_low=ci_low,
+        ci_high=ci_high,
         r_squared=r_squared,
-        n_points=int(x.size),
-        offset=y0,
+        n_points=m,
+        coefficient=float(np.exp(log_coefficients[best])),
     )
+
+
+def _interval_edge(
+    log_x: np.ndarray,
+    z: np.ndarray,
+    log_sigma: np.ndarray,
+    limit: float,
+    edge: float,
+    step: float,
+) -> float:
+    """Refine one edge of ``{α : SSE(α) ≤ limit}`` outward from ``edge``.
+
+    ``edge`` is inside the set and ``edge + step`` (``step`` signed) is the
+    next point of the coarse grid; the edge moves to the outermost point
+    still inside on a ``_GRID_POINTS`` grid spanning that gap.
+    """
+
+    alphas = np.clip(edge + step * np.linspace(0.0, 1.0, _GRID_POINTS), 0.0, _MAX_EXPONENT)
+    inside = alphas[_profile(log_x, z, log_sigma, alphas)[0] <= limit]
+    return float(np.min(inside, initial=edge) if step < 0 else np.max(inside, initial=edge))

@@ -8,7 +8,7 @@ from .faults import (
     QuarantineError,
     TrialFailure,
 )
-from .harness import DOCS_PROFILE, Claim, ExperimentResult, ExperimentSettings, run_trials
+from .harness import DOCS_PROFILE, Claim, ExperimentResult, ExperimentSettings
 from .reporting import render_result, render_results, render_table
 from .runner import TrialSpec, run_point, run_sweep
 
@@ -30,7 +30,6 @@ __all__ = [
     "render_table",
     "run_point",
     "run_sweep",
-    "run_trials",
     "trial_key",
 ]
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, Sequence
 
-from ..analysis.fitting import fit_power_law_with_offset
+from ..analysis.fitting import fit_cost_exponent
 from ..analysis.stats import aggregate_records
 from ..baselines import BalancedBackoffBroadcast, KSYStyleBroadcast, NaiveBroadcast
 from ..core.api import run_broadcast
@@ -95,14 +95,13 @@ def run(settings: ExperimentSettings) -> ExperimentResult:
 
     series: Dict[str, Dict[str, list]] = {name: {"T": [], "alice": [], "node": []} for name in PROTOCOLS}
     for (cap, name), records in zip(points, per_point):
+        series[name]["T"] += [record["adversary_spend"] for record in records]
+        series[name]["alice"] += [record["alice_cost"] for record in records]
+        series[name]["node"] += [record["node_max_cost"] for record in records]
         summary = aggregate_records(records)
-        spent = summary["adversary_spend"].mean
-        series[name]["T"].append(spent)
-        series[name]["alice"].append(summary["alice_cost"].mean)
-        series[name]["node"].append(summary["node_max_cost"].mean)
         result.add_row(
             protocol=name,
-            T_spent=spent,
+            T_spent=summary["adversary_spend"].mean,
             alice_cost=summary["alice_cost"].mean,
             node_mean_cost=summary["node_mean_cost"].mean,
             node_max_cost=summary["node_max_cost"].mean,
@@ -110,11 +109,10 @@ def run(settings: ExperimentSettings) -> ExperimentResult:
         )
 
     for name, data in series.items():
-        if len(data["T"]) >= 2:
-            node_fit = fit_power_law_with_offset(data["T"], data["node"])
-            alice_fit = fit_power_law_with_offset(data["T"], data["alice"])
-            result.summaries[f"{name}_node_exponent"] = node_fit.exponent
-            result.summaries[f"{name}_alice_exponent"] = alice_fit.exponent
+        for side in ("node", "alice"):
+            fit = fit_cost_exponent(data["T"], data[side])
+            if fit.ok:
+                result.summaries[f"{name}_{side}_exponent"] = fit.exponent
 
     result.add_note(
         "Expected node-cost exponents: naive ≈ 1, ksy ≈ 1, balanced-backoff ≈ 0.5, "

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, Sequence
 
 from ..analysis.bounds import cost_exponent
-from ..analysis.fitting import fit_power_law_with_offset
+from ..analysis.fitting import fit_cost_exponent
 from ..analysis.stats import aggregate_records
 from ..core.api import run_broadcast
 from ..simulation.config import SimulationConfig
@@ -83,13 +83,12 @@ def run(settings: ExperimentSettings) -> ExperimentResult:
     for k in ks:
         config = SimulationConfig(n=settings.n, k=k, f=1.0, seed=settings.seed)
         sweep = sweeps[k]
-        spends, node_costs, alice_costs = [], [], []
+        spends, node_costs = [], []
         for cap in sweep:
             records = records_by_point[(k, cap)]
+            spends += [record["adversary_spend"] for record in records]
+            node_costs += [record["node_max_cost"] for record in records]
             summary = aggregate_records(records)
-            spends.append(summary["adversary_spend"].mean)
-            node_costs.append(summary["node_max_cost"].mean)
-            alice_costs.append(summary["alice_cost"].mean)
             result.add_row(
                 k=k,
                 T_spent=summary["adversary_spend"].mean,
@@ -101,12 +100,8 @@ def run(settings: ExperimentSettings) -> ExperimentResult:
             )
         # Fit only over spends past the finite-n saturation boundary, where
         # the asymptotic shape is observable (see workloads.saturation_spend).
-        threshold = saturation_spend(config)
-        filtered = [(s, c) for s, c in zip(spends, node_costs) if s >= threshold]
-        if len(filtered) < 2:
-            filtered = list(zip(spends, node_costs))
-        if len(filtered) >= 2:
-            fit = fit_power_law_with_offset([s for s, _ in filtered], [c for _, c in filtered])
+        fit = fit_cost_exponent(spends, node_costs, min_spend=saturation_spend(config))
+        if fit.ok:
             result.summaries[f"k{k}_node_exponent"] = fit.exponent
             result.summaries[f"k{k}_predicted"] = cost_exponent(k)
 

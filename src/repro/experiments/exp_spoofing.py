@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..analysis.fitting import fit_power_law_with_offset
+from ..analysis.fitting import fit_cost_exponent
 from ..analysis.stats import aggregate_records
 from ..core.api import run_broadcast
 from ..simulation.config import SimulationConfig
@@ -78,23 +78,21 @@ def run(settings: ExperimentSettings) -> ExperimentResult:
 
     spends, alice_costs = [], []
     for fraction, records in zip(fractions, per_point):
-        cap = fraction * budget
+        spends += [record["adversary_spend"] for record in records]
+        alice_costs += [record["alice_cost"] for record in records]
         summary = aggregate_records(records)
-        spent = summary["adversary_spend"].mean
-        spends.append(spent)
-        alice_costs.append(summary["alice_cost"].mean)
         result.add_row(
-            spoof_budget=cap,
-            T_spent=spent,
+            spoof_budget=fraction * budget,
+            T_spent=summary["adversary_spend"].mean,
             alice_terminated_round=summary["alice_round"].mean if "alice_round" in summary else float("nan"),
             alice_cost=summary["alice_cost"].mean,
             delivery_fraction=summary["delivery_fraction"].mean,
             slots=summary["slots"].mean,
         )
 
-    positive = [(s, a) for s, a in zip(spends, alice_costs) if s > 0]
-    if len(positive) >= 2:
-        fit = fit_power_law_with_offset([s for s, _ in positive], [a for _, a in positive])
+    # The unattacked point (spend 0) falls below ``min_spend`` and is left out.
+    fit = fit_cost_exponent(spends, alice_costs)
+    if fit.ok:
         result.summaries["alice_exponent_vs_spoof_spend"] = fit.exponent
     result.add_note(
         "Every extra round of delay forces Carol to fill a geometrically longer request phase with "

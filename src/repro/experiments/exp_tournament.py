@@ -5,8 +5,8 @@ protocol; E14 runs the round-robin grid of :mod:`repro.tournament` —
 every roster adversary × every compatible protocol variant × a topology
 grid straddling the Gilbert connectivity threshold — at matched budget
 fractions, and fits each cell's resource-competitiveness exponent
-(``node cost ≈ c · T^ρ``) with a confidence interval or a flagged
-degenerate-cell sentinel.
+(``node cost ≈ c · T^ρ``, over every trial) with a confidence interval
+or a flagged degenerate-cell sentinel.
 
 Theorem 1 predicts ``ρ ≤ 1/(k+1) = 1/3`` for ε-Broadcast on the shared
 channel up to polylog factors; the tournament measures where each attack
@@ -130,9 +130,9 @@ def run(settings: ExperimentSettings) -> ExperimentResult:
         )
     result.add_note(
         "Budgets are matched as fractions of Carol's aggregate ledger budget; each cell "
-        "fits max per-node cost against realised spend in log-log space, and degenerate "
-        "cells (saturated spend, flat cost, zero cost) carry a flagged sentinel instead "
-        "of a spurious exponent."
+        "fits max per-node cost against realised spend over every trial (fit_cost_exponent), "
+        "and degenerate cells (saturated spend, flat cost, zero cost) carry a flagged "
+        "sentinel instead of a spurious exponent."
     )
     result.add_note(
         "The full 204-cell grid with per-protocol rankings and the worst-case parameter "

@@ -27,7 +27,6 @@ __all__ = [
     "DOCS_PROFILE",
     "ExperimentSettings",
     "ExperimentResult",
-    "run_trials",
     "VALID_ENGINES",
 ]
 
@@ -304,28 +303,3 @@ It receives the results of the experiment's seed panel — the run at the
 profile's own seed first, then ``seed + 1``, ``seed + 2``, … — and returns
 whether the claim holds.
 """
-
-
-def run_trials(
-    trial_fn: Callable[[int], Dict[str, float]],
-    settings: ExperimentSettings,
-    *labels: object,
-) -> List[Dict[str, float]]:
-    """Run ``trial_fn`` once per trial with deterministic per-trial seeds.
-
-    ``trial_fn`` receives the seed for that trial and returns a flat record;
-    the list of records (one per trial) is returned for aggregation.
-
-    This is the serial, in-process primitive (it accepts closures and
-    lambdas).  The registered experiments route their sweeps through
-    :func:`repro.experiments.runner.run_sweep` instead, which fans the whole
-    (sweep point × trial) grid across worker processes and the trial cache
-    while deriving seeds identically — records are bit-identical to this
-    loop's.
-    """
-
-    records: List[Dict[str, float]] = []
-    for trial_index in range(settings.trials):
-        seed = settings.trial_seed(*labels, trial_index)
-        records.append(trial_fn(seed))
-    return records

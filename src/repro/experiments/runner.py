@@ -134,9 +134,8 @@ class TrialSpec:
         because workers receive it by pickled reference (module + qualname);
         a closure or lambda would fail to cross the process boundary.
     labels:
-        The sweep-point labels fed into ``settings.trial_seed`` — use exactly
-        the labels a serial ``run_trials`` call would have used so seeds (and
-        therefore records) stay bit-identical.
+        The sweep-point labels fed into ``settings.trial_seed``: trial ``i``
+        of the point runs with ``settings.trial_seed(*labels, i)``.
     params:
         Keyword arguments forwarded to ``trial_fn``.  Must be picklable plain
         data; they are also hashed into the trial's cache key.
@@ -150,7 +149,7 @@ class TrialSpec:
     def point(
         cls, trial_fn: Callable[..., Dict[str, object]], *labels: object, **params: object
     ) -> "TrialSpec":
-        """Convenience constructor mirroring ``run_trials(fn, settings, *labels)``."""
+        """Build a spec from positional seed labels and keyword parameters."""
 
         return cls(trial_fn=trial_fn, labels=tuple(labels), params=params)
 
@@ -834,6 +833,6 @@ def run_point(
     *labels: object,
     **params: object,
 ) -> List[Dict[str, object]]:
-    """Run one sweep point's trials through the runner (drop-in for ``run_trials``)."""
+    """Run one sweep point's trials through the runner and return its records."""
 
     return run_sweep([TrialSpec.point(trial_fn, *labels, **params)], settings)[0]

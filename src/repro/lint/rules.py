@@ -35,6 +35,7 @@ __all__ = [
     "UndeclaredImportRule",
     "SimulationLayeringRule",
     "FrozenSetIdsRule",
+    "SingleEstimatorRule",
 ]
 
 
@@ -761,3 +762,45 @@ class FrozenSetIdsRule(LintRule):
                 f"{where} builds or annotates a frozenset: id groups under repro/simulation "
                 "and repro/adversary are sorted int64 arrays (repro.simulation.setops)",
             )
+
+
+@register_rule
+class SingleEstimatorRule(LintRule):
+    """R13: least-squares fitting calls live only in ``repro/analysis/fitting.py``."""
+
+    rule_id = "R13"
+    title = "least-squares fit outside repro/analysis/fitting.py"
+    rationale = (
+        "Theorem 1's cost exponent is the reproduction's headline number, and "
+        "five experiments once fitted it three different ways: trial 0 only, "
+        "per-point means with an offset pinned to the first point, and a "
+        "separate log-log polyfit with its own interval.  The same seed panel "
+        "read 0.478-0.659 through one path and 0.587-0.667 through another.  "
+        "Every cost exponent now comes from fitting.fit_cost_exponent; keeping "
+        "the fitting primitives in that one module stops a second estimator "
+        "growing back into an experiment.  scipy's fitters (curve_fit, "
+        "scipy.linalg.lstsq) need no entry: R10 keeps scipy out of library code."
+    )
+
+    BANNED_CALLS = frozenset(
+        {
+            "numpy.polyfit",
+            "numpy.polynomial.polynomial.polyfit",
+            "numpy.linalg.lstsq",
+        }
+    )
+
+    def run(self) -> List[Violation]:
+        if ("/" + self.ctx.path.replace("\\", "/")).endswith("/repro/analysis/fitting.py"):
+            return []
+        return super().run()
+
+    def visit_Call(self, node: ast.Call) -> None:
+        name = _call_name(self, node)
+        if name in self.BANNED_CALLS:
+            self.report(
+                node,
+                f"{name}() fits outside repro/analysis/fitting.py; cost exponents come "
+                "from fit_cost_exponent and latency exponents from fit_power_law",
+            )
+        self.generic_visit(node)

@@ -6,8 +6,8 @@ One call to :func:`run_tournament` expands a set of
 (cell × spend fraction) — and routes *all* of them through one
 :func:`~repro.experiments.runner.run_sweep` call, so the whole grid shares
 the process pool and the content-addressed trial cache.  Each cell's
-aggregated cost-versus-spend series then gets a resource-competitiveness
-exponent fit (:func:`~repro.analysis.competitiveness.fit_cell_exponent`),
+trials' cost-versus-spend points then get a resource-competitiveness
+exponent fit (:func:`~repro.analysis.fitting.fit_cost_exponent`),
 flagged-sentinel semantics included: a degenerate cell never aborts the
 tournament.
 
@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..analysis.competitiveness import ExponentFit, fit_cell_exponent
+from ..analysis.fitting import ExponentFit, fit_cost_exponent
 
 if TYPE_CHECKING:  # runtime import stays lazy: experiments imports tournament
     from ..experiments.harness import ExperimentSettings
@@ -52,7 +52,7 @@ SPEND_FRACTIONS: Tuple[float, ...] = (0.05, 0.15, 0.4, 0.9)
 """Default spend sweep, as fractions of Carol's aggregate budget.
 
 Geometric-ish spacing with an 18× dynamic range: wide enough that the
-log–log slope is an exponent, not noise (see ``fit_cell_exponent``'s
+fitted exponent is a slope, not noise (see ``fit_cost_exponent``'s
 ``degenerate-spend-range`` sentinel)."""
 
 
@@ -76,7 +76,8 @@ class CellResult:
     The per-fraction tuples are trial means, ordered by ``spend_fractions``.
     ``node_fit`` is the headline resource-competitiveness exponent (max
     per-node cost versus realised spend, the quantity Theorem 1 bounds by
-    ``T^{1/(k+1)}``); ``alice_fit`` is the sender-side analogue.
+    ``T^{1/(k+1)}``), fitted over every trial's point; ``alice_fit`` is the
+    sender-side analogue.
     """
 
     cell: TournamentCell
@@ -113,9 +114,12 @@ class TournamentResult:
     def by_protocol(self) -> Dict[str, List[CellResult]]:
         """Cells grouped by protocol, each group ranked worst-first.
 
-        Within a protocol, cells sort by descending fitted node exponent —
-        the adversary that drives the steepest cost growth ranks first;
-        flagged cells sink to the bottom (tie-broken by observed damage).
+        Within a protocol, cells sort by the descending lower edge of the
+        node exponent's 95% interval, then by the exponent itself — the
+        adversary that provably drives the steepest cost growth ranks first,
+        and an undetermined fit (an interval reaching down to 0) cannot
+        outrank a determined one on its point estimate alone; flagged cells
+        sink to the bottom (tie-broken by observed damage).
         """
 
         grouped: Dict[str, List[CellResult]] = {}
@@ -137,12 +141,12 @@ class TournamentResult:
         return None
 
 
-def _rank_key(result: CellResult) -> Tuple[float, float, str]:
+def _rank_key(result: CellResult) -> Tuple[float, float, float, str]:
     fit = result.node_fit
-    exponent = fit.exponent if fit.ok else float("-inf")
+    low, exponent = (fit.ci_low, fit.exponent) if fit.ok else (float("-inf"), float("-inf"))
     # Flagged ties fall back to raw damage so "worst observed" is still
     # defined on an all-flagged protocol column.
-    return (-exponent, -max(result.node_max_costs, default=0.0), result.cell.key)
+    return (-low, -exponent, -max(result.node_max_costs, default=0.0), result.cell.key)
 
 
 def tournament_cells(
@@ -292,10 +296,7 @@ def _fit_cell(
     node_max = tuple(_mean(records, "node_max_cost") for records in point_records)
     node_mean = tuple(_mean(records, "node_mean_cost") for records in point_records)
     alice = tuple(_mean(records, "alice_cost") for records in point_records)
-    delivery_min = min(
-        (record["delivery_fraction"] for records in point_records for record in records),
-        default=float("nan"),
-    )
+    trial_spends = _pooled(point_records, "adversary_spend")
     return CellResult(
         cell=cell,
         spend_fractions=tuple(fractions),
@@ -303,9 +304,9 @@ def _fit_cell(
         node_max_costs=node_max,
         node_mean_costs=node_mean,
         alice_costs=alice,
-        delivery_min=delivery_min,
-        node_fit=fit_cell_exponent(spends, node_max),
-        alice_fit=fit_cell_exponent(spends, alice),
+        delivery_min=min(_pooled(point_records, "delivery_fraction"), default=float("nan")),
+        node_fit=fit_cost_exponent(trial_spends, _pooled(point_records, "node_max_cost")),
+        alice_fit=fit_cost_exponent(trial_spends, _pooled(point_records, "alice_cost")),
         params=params,
     )
 
@@ -314,3 +315,9 @@ def _mean(records: Sequence[dict], key: str) -> float:
     if not records:
         return float("nan")
     return float(np.mean([record[key] for record in records]))
+
+
+def _pooled(point_records: Sequence[Sequence[dict]], key: str) -> List[float]:
+    """``key`` of every trial of every point, in point order."""
+
+    return [record[key] for records in point_records for record in records]

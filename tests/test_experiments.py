@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.fitting import fit_cost_exponent
 from repro.experiments import (
     ExperimentResult,
     ExperimentSettings,
     render_result,
     render_table,
-    run_trials,
 )
+from repro.experiments import exp_cost_scaling
 from repro.experiments.registry import EXPERIMENTS, experiment_ids, run_experiment
 from repro.experiments.reporting import format_value
 from repro.experiments.workloads import (
@@ -34,12 +35,6 @@ class TestExperimentSettings:
         settings = ExperimentSettings(n=512)
         assert settings.with_(n=128).n == 128
         assert settings.n == 512
-
-    def test_run_trials_passes_distinct_seeds(self):
-        settings = ExperimentSettings(trials=3, seed=1)
-        seeds = run_trials(lambda seed: {"seed": float(seed)}, settings, "label")
-        assert len(seeds) == 3
-        assert len({record["seed"] for record in seeds}) == 3
 
     def test_valid_engines_accepted(self):
         assert ExperimentSettings(engine="fast").engine == "fast"
@@ -151,6 +146,25 @@ class TestRegistry:
         assert all("delivery_fraction" in row for row in result.rows)
         # The no-attack scenario always informs everyone.
         assert result.rows[0]["delivery_fraction"] == pytest.approx(1.0)
+
+    def test_cost_scaling_fits_every_trial_above_saturation(self, monkeypatch):
+        fits = []
+
+        def recording_fit(spends, costs, **kwargs):
+            fits.append(fit_cost_exponent(spends, costs, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(exp_cost_scaling, "fit_cost_exponent", recording_fit)
+        settings = ExperimentSettings(n=256, trials=3, quick=True, seed=2012, cache_dir="")
+        result = run_experiment("E1", settings)
+
+        config = SimulationConfig(n=settings.n, k=2, f=1.0, seed=settings.seed)
+        above = [cap for cap in spend_sweep(config, points=6) if cap >= saturation_spend(config)]
+        alice_fit, node_fit = fits
+        assert node_fit.ok and alice_fit.ok
+        assert node_fit.n_points == settings.trials * len(above)
+        assert alice_fit.n_points == node_fit.n_points
+        assert result.summaries["node_exponent"] == node_fit.exponent
 
     def test_spoofing_experiment_runs_end_to_end(self):
         settings = ExperimentSettings(n=96, trials=1, quick=True, seed=3)

@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -246,7 +247,7 @@ def _check_empty_targeting(make, jam_everyone_else):
 
 
 def _check_nuniform_target_above_cohort():
-    adversary = NUniformSplitAdversary(target_uninformed=100, max_total_spend=1_000)
+    adversary = NUniformSplitAdversary(target_uninformed=100)
     config = SimulationConfig(n=10, seed=1)
     plan = adversary.plan_phase(inform_context(config))
     assert adversary.victims.tolist() == list(range(10))
@@ -257,15 +258,15 @@ def _check_nuniform_target_above_cohort():
 EXTREME_VICTIM_SETS = {
     "empty-disk-query": _check_disk_query_is_empty,
     "spatial-empty-disk": lambda: _check_jammer_on_empty_disk_idles(
-        lambda center, radius: SpatialJammer(center=center, radius=radius, max_total_spend=1_000)
+        lambda center, radius: SpatialJammer(center=center, radius=radius)
     ),
     "mobile-empty-disk": lambda: _check_jammer_on_empty_disk_idles(
         lambda center, radius: MobileJammer(
-            WaypointPatrol([center], speed=1.0), radius=radius, max_total_spend=1_000
+            WaypointPatrol([center], speed=1.0), radius=radius
         )
     ),
     "multi-disk-empty-disk": lambda: _check_jammer_on_empty_disk_idles(
-        lambda center, radius: MultiDiskJammer([center, center], radius=radius, max_total_spend=1_000)
+        lambda center, radius: MultiDiskJammer([center, center], radius=radius)
     ),
     "only-nobody": lambda: _check_empty_targeting(JamTargeting.only, False),
     "sparing-nobody": lambda: _check_empty_targeting(JamTargeting.sparing, True),
@@ -280,6 +281,36 @@ class TestEmptyAndExtremeVictimSets:
     @pytest.mark.parametrize("case", sorted(EXTREME_VICTIM_SETS))
     def test_array_forms(self, case):
         EXTREME_VICTIM_SETS[case]()
+
+
+#: Strategies with no ``max_total_spend``, planning over a spatial network.
+UNCAPPED_FACTORIES = {
+    "blocker": PhaseBlockingAdversary,
+    "spatial": lambda: SpatialJammer(center=(0.5, 0.5), radius=0.3),
+    **{name: make for name, make in MOBILITY_FACTORIES.items()},
+    "nuniform": lambda: NUniformSplitAdversary(target_uninformed=8),
+}
+
+
+class TestInfiniteAllowance:
+    """A ``PhaseContext`` left at its default infinite adversary budget caps
+    nothing: an uncapped strategy plans exactly as it does under a budget
+    too large to bind."""
+
+    @pytest.mark.parametrize("name", sorted(UNCAPPED_FACTORIES))
+    def test_default_context_plans_uncapped(self, name):
+        config = SimulationConfig(n=32, seed=4, topology=GILBERT)
+        context = inform_context(config)
+        assert context.adversary_remaining_budget == float("inf")
+        plans = []
+        for budget in (context.adversary_remaining_budget, 10.0**9):
+            adversary = UNCAPPED_FACTORIES[name]()
+            MultiHopBroadcast(config, adversary=adversary, engine="fast")
+            phase = replace(context, adversary_remaining_budget=budget)
+            adversary.observe_phase(phase)
+            plans.append(adversary.plan_phase(phase))
+        assert plans[0] == plans[1]
+        assert plans[0] != JamPlan.idle()
 
 
 class TestSingleHopDegradation:

@@ -150,7 +150,7 @@ class TestTrialCache:
 
 
 class TestRunSweep:
-    def test_matches_serial_run_trials_seed_derivation(self):
+    def test_matches_trial_seed_derivation(self):
         settings = ExperimentSettings(n=16, trials=4, seed=11, cache_dir="")
         records = run_point(_toy_trial, settings, "E0", 3.5, scale=1.0)
         expected = [

@@ -2,7 +2,7 @@
 
 Coverage contract (see docs/architecture.md "Static analysis"):
 
-* one positive and one negative fixture per built-in rule R1–R12,
+* one positive and one negative fixture per built-in rule R1–R13,
 * suppression-comment handling with and without a reason,
 * the JSON report schema,
 * registry validation,
@@ -586,6 +586,40 @@ class TestR12FrozenSetIds:
         assert rules_hit(lint_source(elsewhere, path=self.TOPOLOGY)) == {"R12"}
 
 
+class TestR13SingleEstimator:
+    FITTING = "src/repro/analysis/fitting.py"
+    EXPERIMENT = "src/repro/experiments/exp_cost_scaling.py"
+
+    def test_flags_fitting_primitives_outside_fitting_module(self):
+        source = textwrap.dedent(
+            """
+            import numpy as np
+            from numpy.linalg import lstsq
+
+            def slope(x, y):
+                line = np.polyfit(np.log(x), np.log(y), 1)
+                design = np.stack([x, np.ones_like(x)], axis=1)
+                return line, lstsq(design, y, rcond=None), np.linalg.lstsq(design, y)
+            """
+        )
+        violations = lint_source(source, path=self.EXPERIMENT)
+        assert [(v.rule, v.line) for v in violations] == [("R13", 6), ("R13", 8), ("R13", 8)]
+        assert "fit_cost_exponent" in violations[0].message
+
+    def test_allows_the_fitting_module_and_the_estimator(self):
+        source = textwrap.dedent(
+            """
+            import numpy as np
+
+            def slope(x, y):
+                return np.polyfit(np.log(x), np.log(y), 1)
+            """
+        )
+        assert rules_hit(lint_source(source, path=self.FITTING)) == set()
+        caller = "from ..analysis.fitting import fit_cost_exponent\nfit = fit_cost_exponent([1], [2])\n"
+        assert rules_hit(lint_source(caller, path=self.EXPERIMENT)) == set()
+
+
 # --------------------------------------------------------------------- #
 # Suppressions                                                           #
 # --------------------------------------------------------------------- #
@@ -680,10 +714,10 @@ class TestFramework:
         assert violation.rule == PARSE_RULE
         assert "syntax error" in violation.message
 
-    def test_catalogue_has_the_eight_rules(self):
+    def test_catalogue_has_the_thirteen_rules(self):
         rules = registered_rules()
         assert list(rules) == sorted(rules)
-        assert set(rules) >= {f"R{i}" for i in range(1, 13)}
+        assert set(rules) >= {f"R{i}" for i in range(1, 14)}
         for cls in rules.values():
             assert cls.title
             assert cls.rationale

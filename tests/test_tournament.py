@@ -1,6 +1,6 @@
-"""Tournament harness tests: golden parallel/cache identity, exponent-fitter
-properties, optimiser process-stability and bounds, and roster-wide parameter
-introspection conformance.
+"""Tournament harness tests: golden parallel/cache identity, optimiser
+process-stability and bounds, and roster-wide parameter introspection
+conformance.
 
 The golden tests mirror ``tests/test_parallel_runner.py``: a tournament grid
 run with ``jobs=4`` must reproduce the ``jobs=1`` result field-for-field, and
@@ -20,17 +20,16 @@ import textwrap
 from pathlib import Path
 
 import pytest
-from hypothesis import given
-from hypothesis import settings as hyp_settings
-from hypothesis import strategies as st
 
 from repro.adversary import ParamSpec
-from repro.analysis.competitiveness import ExponentFit, fit_cell_exponent
+from repro.analysis import fit_cost_exponent
 from repro.experiments import ExperimentSettings
 from repro.experiments.runner import track_stats
 from repro.simulation.errors import ConfigurationError
 from repro.tournament import (
+    CellResult,
     TournamentCell,
+    TournamentResult,
     adversary_roster,
     adversary_supports_topology,
     build_adversary,
@@ -104,69 +103,27 @@ class TestTournamentGolden:
                 assert math.isfinite(fit.exponent)
                 assert fit.ci_low <= fit.exponent <= fit.ci_high
 
+    def test_ranking_reads_the_interval_not_the_point_estimate(self):
+        def cell(adversary, costs):
+            return CellResult(
+                cell=TournamentCell(adversary, "mh-paper", "gilbert-sub"),
+                spend_fractions=(0.1, 0.4, 0.9),
+                spends=(100.0, 400.0, 900.0),
+                node_max_costs=(costs[0], costs[1], costs[1]),
+                node_mean_costs=(costs[0], costs[1], costs[1]),
+                alice_costs=(1.0, 1.0, 1.0),
+                delivery_min=1.0,
+                node_fit=fit_cost_exponent([100.0, 400.0, 900.0] * 2, costs),
+                alice_fit=fit_cost_exponent([], []),
+            )
 
-class TestExponentFitProperties:
-    @given(
-        rho=st.floats(min_value=0.05, max_value=1.5),
-        scale=st.floats(min_value=0.5, max_value=50.0),
-        base=st.floats(min_value=2.0, max_value=50.0),
-    )
-    @hyp_settings(max_examples=100, deadline=None)
-    def test_recovers_planted_exponent(self, rho, scale, base):
-        spends = [base * (3.0**i) for i in range(5)]
-        costs = [scale * spend**rho for spend in spends]
-        fit = fit_cell_exponent(spends, costs)
-        assert fit.ok
-        assert fit.exponent == pytest.approx(rho, abs=1e-6)
-        assert fit.ci_low - 1e-6 <= rho <= fit.ci_high + 1e-6
-        assert fit.r_squared == pytest.approx(1.0)
-
-    @given(
-        cost=st.floats(min_value=0.5, max_value=1e6),
-        n_points=st.integers(min_value=2, max_value=8),
-    )
-    @hyp_settings(max_examples=100, deadline=None)
-    def test_flat_cost_is_flagged_zero_exponent(self, cost, n_points):
-        spends = [10.0 * (2.0**i) for i in range(n_points)]
-        fit = fit_cell_exponent(spends, [cost] * n_points)
-        assert fit.flagged and fit.reason == "flat-cost"
-        assert fit.exponent == 0.0
-
-    @given(n_points=st.integers(min_value=1, max_value=6))
-    @hyp_settings(max_examples=50, deadline=None)
-    def test_zero_cost_is_flagged(self, n_points):
-        spends = [10.0 * (2.0**i) for i in range(n_points)]
-        fit = fit_cell_exponent(spends, [0.0] * n_points)
-        assert fit.flagged and fit.reason == "zero-cost"
-
-    @given(
-        spread=st.floats(min_value=1.0, max_value=1.9),
-        costs=st.lists(
-            st.floats(min_value=1.0, max_value=1e3), min_size=2, max_size=2
-        ),
-    )
-    @hyp_settings(max_examples=50, deadline=None)
-    def test_narrow_spend_range_is_flagged(self, spread, costs):
-        fit = fit_cell_exponent([10.0, 10.0 * spread], costs)
-        assert fit.flagged and fit.reason == "degenerate-spend-range"
-
-    @given(
-        points=st.lists(
-            st.tuples(
-                st.floats(allow_nan=True, allow_infinity=True),
-                st.floats(allow_nan=True, allow_infinity=True),
-            ),
-            max_size=10,
-        )
-    )
-    @hyp_settings(max_examples=200, deadline=None)
-    def test_never_raises_on_arbitrary_series(self, points):
-        spends = [p[0] for p in points]
-        costs = [p[1] for p in points]
-        fit = fit_cell_exponent(spends, costs)
-        assert isinstance(fit, ExponentFit)
-        if not fit.flagged:
-            assert math.isfinite(fit.exponent)
+        steady = cell("steady", [100.0, 200.0, 300.0, 110.0, 190.0, 310.0])
+        noisy = cell("noisy", [73.0, 4.0, 902.0, 625.0, 365.0, 99.0])
+        flat = cell("flat", [500.0] * 6)
+        assert noisy.node_fit.exponent > steady.node_fit.exponent
+        assert noisy.node_fit.ci_low < steady.node_fit.ci_low
+        ranked = TournamentResult(cells=(flat, noisy, steady)).by_protocol()["mh-paper"]
+        assert [result.cell.adversary for result in ranked] == ["steady", "noisy", "flat"]
 
 
 OPT_CELL = TournamentCell("bursty", "eps-broadcast", "single-hop")

@@ -61,21 +61,24 @@ only change how fast it happens).
 
 Every cell of the round-robin grid — adversary × protocol variant ×
 topology — runs a sweep of Carol's self-imposed spend cap at matched
-fractions of her aggregate budget, then fits `max node cost ≈ c·T^ρ` in
-log-log space.  The fitted exponent ρ is the cell's empirical
-resource-competitiveness: Theorem 1 bounds ρ by `1/(k+1) = 1/3` (up to
-polylog factors) for ε-Broadcast on the shared channel, while a naive
-protocol pays ρ ≈ 1.  Ranking adversaries by ρ per protocol answers *which
-attack shape drives each protocol's cost growth hardest* — not just which
-spends the most.
+fractions of her aggregate budget, then fits `max node cost ≈ c·T^ρ` over
+every trial's point (`repro.analysis.fitting.fit_cost_exponent`, the
+estimator E1, E5, E6 and E10 use).  The fitted exponent ρ is the cell's
+empirical resource-competitiveness: Theorem 1 bounds ρ by
+`1/(k+1) = 1/3` (up to polylog factors) for ε-Broadcast on the shared
+channel, while a naive protocol pays ρ ≈ 1.  Ranking adversaries by ρ per
+protocol answers *which attack shape drives each protocol's cost growth
+hardest* — not just which spends the most.
 
 Degenerate cells carry a flagged sentinel instead of a spurious slope:
 `flat-cost` (the protocol's cost demonstrably does not scale with Carol's
 spend, reported as ρ = 0), `degenerate-spend-range` (Carol could not realise
 enough spend spread, e.g. the run ends before her cap binds),
 `insufficient-points` / `zero-cost` (not enough usable sweep points).
-Confidence intervals are large-sample 95% bands from the log-log slope's
-standard error — deterministic by construction.
+Confidence intervals are 95% bands read off the fit's own profile curve:
+every ρ whose weighted squared error is at most `SSE_min·(1 + 3.84/(m − 2))`
+for m points — deterministic by construction (no resampling).  R² is the
+weighted goodness of fit of the same objective.
 """
 
 
@@ -170,8 +173,10 @@ def main() -> None:
     grouped = tournament.by_protocol()
     lines.append("## Rankings per protocol\n")
     lines.append(
-        "Worst adversary first (descending fitted ρ; flagged cells sink to the "
-        "bottom, tie-broken by observed damage).\n"
+        "Worst adversary first: descending lower edge of ρ's 95% interval, then "
+        "descending ρ, so a fit whose interval reaches 0 cannot rank on its point "
+        "estimate alone; flagged cells sink to the bottom, tie-broken by observed "
+        "damage.\n"
     )
     for name in sorted(grouped):
         entry = protocols[name]
