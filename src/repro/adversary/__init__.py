@@ -9,7 +9,6 @@ continuous) used by the ablation experiments.
 """
 
 from .base import Adversary
-from .budget import GeometricBudgetAllocator
 from .bursty import BurstyJammer
 from .composite import CompositeAdversary, RoundSwitchingAdversary
 from .continuous import ContinuousJammer
@@ -37,7 +36,6 @@ __all__ = [
     "BurstyJammer",
     "CompositeAdversary",
     "ContinuousJammer",
-    "GeometricBudgetAllocator",
     "MobileJammer",
     "MultiDiskJammer",
     "NullAdversary",

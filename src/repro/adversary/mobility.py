@@ -423,13 +423,6 @@ class MultiDiskJammer(_PerPhaseDiskJammer):
                     f"trajectories entries must be Trajectory or None, "
                     f"got {type(trajectory).__name__}"
                 )
-        self._centers_now: List[Point] = list(self.centers)
-
-    @property
-    def disk_centers(self) -> List[Point]:
-        """Per-disk centres used for the most recently resolved phase."""
-
-        return list(self._centers_now)
 
     @property
     def radius(self) -> float:
@@ -447,13 +440,10 @@ class MultiDiskJammer(_PerPhaseDiskJammer):
         network = self._require_bound()
         topology = network.topology
         disks: List[np.ndarray] = []
-        centers_now: List[Point] = []
         for center, radius, trajectory in zip(self.centers, self.radii, self.trajectories):
             if trajectory is not None:
                 center = trajectory.position(self._phase_index)
-            centers_now.append(center)
             disks.append(topology.nodes_in_disk(center, radius))
-        self._centers_now = centers_now
         return unique_sorted(np.concatenate(disks))
 
 

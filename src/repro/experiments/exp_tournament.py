@@ -142,6 +142,25 @@ def run(settings: ExperimentSettings) -> ExperimentResult:
     return result
 
 
-# The acceptance checks of this experiment need their own runs, beyond the
-# registry profile; they live in ``benchmarks/bench_tournament.py``.
-CHECKS: Dict[str, Claim] = {}
+CELL_FLAGS = frozenset(
+    {"ok", "flat-cost", "degenerate-spend-range", "insufficient-points", "zero-cost"}
+)
+"""Every ``flag`` a row may carry: ``ok`` or one of the fit's sentinels."""
+
+
+def _fitted_or_flagged(row: dict) -> bool:
+    if row["flag"] != "ok":
+        return row["flag"] in CELL_FLAGS
+    return all(
+        isinstance(row[column], float) and math.isfinite(row[column])
+        for column in ("node_exponent", "ci_low", "ci_high")
+    )
+
+
+CHECKS: Dict[str, Claim] = {
+    # The cell contract: every cell carries a usable exponent with a finite
+    # interval, or a known sentinel in place of a spurious one.
+    "cells_fitted_or_flagged": lambda panel: all(
+        _fitted_or_flagged(row) for row in panel[0].rows
+    ),
+}

@@ -30,7 +30,7 @@ deterministic input to the execution layer:
   the coordinates and the dispatch attempt (faults fire only on a unit's
   first dispatch by default), so an injected sweep *recovers* and its results
   are bit-identical to a fault-free run — the property
-  ``benchmarks/bench_fault_tolerance.py`` gates.
+  ``tests/test_faults.py`` gates.
 
 Everything here preserves the runner's core invariant: retries consume no
 randomness (seeds are pure functions of ``(labels, trial_index)``), so a

@@ -75,11 +75,10 @@ class ExperimentSettings:
         :data:`repro.experiments.faults.DEFAULT_FAULT_POLICY`.
     fault_injector:
         Optional deterministic chaos harness
-        (:class:`repro.experiments.faults.FaultInjector`) used by tests and
-        ``benchmarks/bench_fault_tolerance.py`` to crash workers, hang
-        chunks, and corrupt cache entries at chosen coordinates.  ``None``
-        (the default, and the only sensible production value) injects
-        nothing.
+        (:class:`repro.experiments.faults.FaultInjector`) used by tests to
+        crash workers, hang chunks, and corrupt cache entries at chosen
+        coordinates.  ``None`` (the default, and the only sensible
+        production value) injects nothing.
     """
 
     n: int = 512

@@ -15,7 +15,6 @@ from .energy import BudgetPolicy, EnergyLedger, EnergyOperation, LedgerArray
 from .engine import SlotEngine
 from .errors import (
     AuthenticationError,
-    BudgetExceededError,
     ConfigurationError,
     ProtocolViolationError,
     ReproError,
@@ -53,7 +52,6 @@ __all__ = [
     "AdversaryStrategy",
     "AuthenticationError",
     "Authenticator",
-    "BudgetExceededError",
     "BudgetPolicy",
     "Channel",
     "ChannelState",

@@ -119,12 +119,6 @@ class SimulationConfig:
         return math.log(self.n)
 
     @property
-    def lg_n(self) -> float:
-        """``lg n`` — the base-2 logarithm used for round indexing."""
-
-        return math.log2(self.n)
-
-    @property
     def byzantine_count(self) -> int:
         """Number of Byzantine devices Carol controls (``⌊f · n⌋``)."""
 

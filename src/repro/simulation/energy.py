@@ -2,13 +2,13 @@
 
 Energy is the central resource of the paper: sending, listening, jamming, or
 altering a message each cost one unit, while sleeping is free.  The
-:class:`EnergyLedger` records per-operation expenditure for a device, and can
-optionally *enforce* the budget (used for Carol, whose jamming must stop when
-her budget is exhausted) or merely *record* it (used for correct devices, whose
-budget sufficiency is a theorem we check rather than a constraint we impose).
+:class:`EnergyLedger` records per-operation expenditure for a device, and either
+*caps* it at the budget (Carol, whose jamming must stop when her budget is
+exhausted) or merely *records* it (Alice, whose budget sufficiency is a
+theorem we check rather than a constraint we impose).
 
-The ``n`` correct nodes are a homogeneous population (one budget, one
-policy), so their accounting is not ``n`` ledger objects but one
+The ``n`` correct nodes are a homogeneous population with one budget, which
+they too only record, so their accounting is not ``n`` ledger objects but one
 :class:`LedgerArray`: numpy rows indexed by node id, any subset of which is
 charged in one vector operation (:meth:`LedgerArray.charge_bulk_many`).  Both
 engines charge nodes only through it — the vectorised engine once per phase
@@ -24,7 +24,7 @@ from typing import Dict
 
 import numpy as np
 
-from .errors import BudgetExceededError, ConfigurationError
+from .errors import ConfigurationError
 
 __all__ = ["EnergyOperation", "EnergyLedger", "BudgetPolicy", "LedgerArray"]
 
@@ -48,10 +48,7 @@ class BudgetPolicy(enum.Enum):
     """How a ledger reacts when expenditure would exceed the budget."""
 
     RECORD = "record"
-    """Record the overdraft but allow it (used for correct devices)."""
-
-    ENFORCE = "enforce"
-    """Refuse the operation by raising :class:`BudgetExceededError`."""
+    """Record the overdraft but allow it (used for Alice)."""
 
     CAP = "cap"
     """Silently refuse the operation and report failure to the caller."""
@@ -89,7 +86,7 @@ class EnergyLedger:
 
     @property
     def remaining(self) -> float:
-        """Budget minus expenditure (never negative under CAP/ENFORCE)."""
+        """Budget minus expenditure, floored at 0."""
 
         return max(self.budget - self._spent, 0.0)
 
@@ -121,20 +118,15 @@ class EnergyLedger:
         """Charge ``units`` of ``operation`` to this ledger.
 
         Returns ``True`` if the expenditure was applied and ``False`` if it was
-        refused (only possible under :attr:`BudgetPolicy.CAP`).  Under
-        :attr:`BudgetPolicy.ENFORCE` an unaffordable charge raises
-        :class:`BudgetExceededError`.
+        refused (only possible under :attr:`BudgetPolicy.CAP`).
         """
 
         if units < 0:
             raise ConfigurationError(f"cannot charge negative energy ({units}) to {self.owner!r}")
         if units == 0:
             return True
-        if not self.can_afford(units):
-            if self.policy is BudgetPolicy.ENFORCE:
-                raise BudgetExceededError(self.owner, self.budget, self._spent + units)
-            if self.policy is BudgetPolicy.CAP:
-                return False
+        if self.policy is BudgetPolicy.CAP and not self.can_afford(units):
+            return False
         self._spent += units
         self._by_operation[operation] = self._by_operation.get(operation, 0.0) + units
         return True
@@ -144,21 +136,18 @@ class EnergyLedger:
 
         Used by the vectorised engine, which knows in aggregate how many slots
         a device used in a phase.  Returns the number of units actually
-        charged (which is less than ``units`` only under CAP/ENFORCE when the
-        budget binds; ENFORCE still raises if *any* overdraft would occur).
+        charged (which is less than ``units`` only under CAP when the budget
+        binds).
         """
 
         if units < 0:
             raise ConfigurationError(f"cannot charge negative energy ({units}) to {self.owner!r}")
         if units == 0:
             return 0.0
-        if not self.can_afford(units):
-            if self.policy is BudgetPolicy.ENFORCE:
-                raise BudgetExceededError(self.owner, self.budget, self._spent + units)
-            if self.policy is BudgetPolicy.CAP:
-                units = self.remaining
-                if units <= 0:
-                    return 0.0
+        if self.policy is BudgetPolicy.CAP and not self.can_afford(units):
+            units = self.remaining
+            if units <= 0:
+                return 0.0
         self._spent += units
         self._by_operation[operation] = self._by_operation.get(operation, 0.0) + units
         return units
@@ -178,10 +167,12 @@ class EnergyLedger:
 class LedgerArray:
     """Array-backed energy accounting for a homogeneous device population.
 
-    One shared ``budget``/``policy`` pair and one numpy row per device.  Every
-    charge goes through :meth:`charge_bulk_many`; reads go through
-    :attr:`total_spent`, :meth:`max_spent`, :meth:`spent_array`,
-    :meth:`spent_on_array` and :meth:`overdraft_array`.
+    One shared ``budget`` and one numpy row per device.  Charges are only
+    recorded, never refused: a correct node's budget sufficiency is a theorem
+    to check, not a limit to impose.  Every charge goes through
+    :meth:`charge_bulk_many`; reads go through :attr:`total_spent`,
+    :meth:`max_spent`, :meth:`spent_array`, :meth:`spent_on_array` and
+    :meth:`overdraft_array`.
 
     Parameters
     ----------
@@ -191,17 +182,9 @@ class LedgerArray:
         Number of devices in the population.
     budget:
         The shared per-device energy budget.
-    policy:
-        The shared :class:`BudgetPolicy` (correct nodes use ``RECORD``).
     """
 
-    def __init__(
-        self,
-        owner_prefix: str,
-        count: int,
-        budget: float,
-        policy: BudgetPolicy = BudgetPolicy.RECORD,
-    ) -> None:
+    def __init__(self, owner_prefix: str, count: int, budget: float) -> None:
         if count < 0:
             raise ConfigurationError(f"ledger array count must be non-negative, got {count}")
         if budget < 0:
@@ -211,7 +194,6 @@ class LedgerArray:
         self.owner_prefix = owner_prefix
         self.count = count
         self.budget = float(budget)
-        self.policy = policy
         self._spent = np.zeros(count, dtype=float)
         self._by_operation: Dict[EnergyOperation, np.ndarray] = {}
         self.total_spent = 0.0
@@ -232,10 +214,8 @@ class LedgerArray:
         """Charge ``units[i]`` of ``operation`` to device ``indices[i]``, vectorised.
 
         The array analogue of calling :meth:`EnergyLedger.charge_bulk` once
-        per device: under ``CAP`` each device's charge is clipped to its own
-        remaining budget, under ``ENFORCE`` any overdraft raises, and under
-        ``RECORD`` (the correct-node policy) no budget is read.  ``indices``
-        must be distinct rows in ``[0, count)`` and ``units`` non-negative,
+        per device under ``RECORD``: no budget is read.  ``indices`` must be
+        distinct rows in ``[0, count)`` and ``units`` non-negative,
         else :class:`ConfigurationError`; for the strictly increasing cohorts
         the engines pass, each check is one vector pass.  The charge itself
         adds ``units`` to the rows' totals and to their per-operation rows
@@ -245,7 +225,7 @@ class LedgerArray:
         node is informed or terminates) and through indexed updates otherwise; both
         make the same additions to the same elements.  A cost vector of
         zeros changes no reading, so the engines skip such calls.  Returns
-        the per-device units actually charged.
+        the per-device units charged (``units`` as a float array).
         """
 
         indices = np.asarray(indices, dtype=np.int64)
@@ -283,17 +263,6 @@ class LedgerArray:
         rows = indices
         if ordered is indices and indices[-1] - indices[0] == indices.size - 1:
             rows = slice(int(indices[0]), int(indices[-1]) + 1)
-        if self.policy is not BudgetPolicy.RECORD and not math.isinf(self.budget):
-            overdraft = self._spent[rows] + units > self.budget + 1e-9
-            if self.policy is BudgetPolicy.ENFORCE and overdraft.any():
-                first = int(indices[np.argmax(overdraft)])
-                raise BudgetExceededError(
-                    f"{self.owner_prefix}:{first}",
-                    self.budget,
-                    float(self._spent[first] + units[np.argmax(overdraft)]),
-                )
-            if self.policy is BudgetPolicy.CAP:
-                units = np.minimum(units, np.maximum(self.budget - self._spent[rows], 0.0))
         self._spent[rows] += units
         self.total_spent += float(units.sum())
         per_op = self._by_operation.get(operation)

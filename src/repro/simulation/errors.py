@@ -22,25 +22,6 @@ class ConfigurationError(ReproError):
     """
 
 
-class BudgetExceededError(ReproError):
-    """A device attempted to spend energy beyond its budget.
-
-    The paper's model gives every participant a hard energy budget; the
-    :class:`repro.simulation.energy.EnergyLedger` enforces it.  Correct
-    protocol executions should never trigger this error — seeing it in a test
-    indicates either a protocol bug or deliberately mis-sized budgets.
-    """
-
-    def __init__(self, owner: str, budget: float, attempted: float) -> None:
-        self.owner = owner
-        self.budget = budget
-        self.attempted = attempted
-        super().__init__(
-            f"device {owner!r} attempted to spend {attempted:g} energy units "
-            f"but its budget is {budget:g}"
-        )
-
-
 class ProtocolViolationError(ReproError):
     """A protocol participant performed an action its role does not allow.
 

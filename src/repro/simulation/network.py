@@ -35,10 +35,6 @@ class Network:
         The model parameters.
     seed:
         Optional seed override; defaults to ``config.seed``.
-    enforce_adversary_budget:
-        When ``True`` (default) the adversary ledger uses the ``CAP`` policy,
-        so Carol physically cannot jam once her aggregate budget is exhausted
-        — exactly the mechanism Lemma 11 relies on.
     topology:
         Optional pre-built :class:`~repro.simulation.topology.Topology`.
         When omitted, the topology is realised from ``config.topology``
@@ -52,7 +48,6 @@ class Network:
         self,
         config: SimulationConfig,
         seed: int | None = None,
-        enforce_adversary_budget: bool = True,
         topology: Topology | None = None,
     ) -> None:
         self.config = config
@@ -73,14 +68,11 @@ class Network:
         self.alice_ledger = EnergyLedger("alice", config.alice_budget)
         # The n correct nodes are a homogeneous population: their accounting
         # is one array-backed ledger whose row i is node i.
-        self.node_ledgers = LedgerArray(
-            "node", config.n, config.node_budget, policy=BudgetPolicy.RECORD
-        )
-        adversary_policy = BudgetPolicy.CAP if enforce_adversary_budget else BudgetPolicy.RECORD
+        self.node_ledgers = LedgerArray("node", config.n, config.node_budget)
+        # Carol's ledger caps: she physically cannot jam once her aggregate
+        # budget is exhausted — exactly the mechanism Lemma 11 relies on.
         self.adversary_ledger = EnergyLedger(
-            owner="carol",
-            budget=config.adversary_total_budget,
-            policy=adversary_policy,
+            owner="carol", budget=config.adversary_total_budget, policy=BudgetPolicy.CAP
         )
 
     @property

@@ -10,7 +10,6 @@ from repro.adversary import (
     BurstyJammer,
     CompositeAdversary,
     ContinuousJammer,
-    GeometricBudgetAllocator,
     NullAdversary,
     NUniformSplitAdversary,
     PhaseBlockingAdversary,
@@ -293,32 +292,6 @@ class TestComposites:
         context = make_context(num_slots=100)
         plan = composite.plan_phase(context)
         assert plan.num_jam_slots == 10
-
-
-class TestBudgetAllocator:
-    def test_allotments_grow_geometrically(self):
-        allocator = GeometricBudgetAllocator(total=1000, ratio=2.0, first_round=1, last_round=4)
-        shares = [allocator.allotment(i) for i in range(1, 5)]
-        assert shares[1] == pytest.approx(2 * shares[0])
-        assert sum(shares) == pytest.approx(1000)
-
-    def test_out_of_window_rounds_get_nothing(self):
-        allocator = GeometricBudgetAllocator(total=100, ratio=2.0, first_round=2, last_round=3)
-        assert allocator.allotment(1) == 0.0
-        assert allocator.allotment(4) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            GeometricBudgetAllocator(total=-1, ratio=2.0, first_round=1, last_round=2)
-        with pytest.raises(ConfigurationError):
-            GeometricBudgetAllocator(total=1, ratio=0.0, first_round=1, last_round=2)
-        with pytest.raises(ConfigurationError):
-            GeometricBudgetAllocator(total=1, ratio=2.0, first_round=3, last_round=2)
-
-    def test_total_granted_tracks_queries(self):
-        allocator = GeometricBudgetAllocator(total=100, ratio=1.0, first_round=1, last_round=2)
-        allocator.allotment(1)
-        assert allocator.total_granted() == pytest.approx(50)
 
 
 class TestAdversaryBase:

@@ -1,4 +1,4 @@
-"""Tests for the analysis utilities (bounds, concentration, fitting, stats)."""
+"""Tests for the analysis utilities (bounds, fitting, stats)."""
 
 from __future__ import annotations
 
@@ -13,14 +13,8 @@ from repro.analysis import (
     ExponentFit,
     TrialSummary,
     aggregate_records,
-    binomial_confidence_radius,
     blocking_round,
-    bounded_difference_tail,
-    chernoff_lower_tail,
-    chernoff_upper_tail,
     cost_exponent,
-    expected_unique_successes,
-    fact1_lower_bound,
     fit_cost_exponent,
     fit_power_law,
     fraction_meeting,
@@ -71,43 +65,6 @@ class TestBounds:
         prediction = predict(config, T=1000.0)
         assert prediction.delivery_fraction_bound == pytest.approx(0.8)
         assert prediction.scaled(2.0).node_cost_bound == pytest.approx(2 * prediction.node_cost_bound)
-
-
-class TestConcentration:
-    def test_chernoff_tails_decrease_with_mean(self):
-        assert chernoff_upper_tail(100, 0.5) < chernoff_upper_tail(10, 0.5)
-        assert chernoff_lower_tail(100, 0.5) < chernoff_lower_tail(10, 0.5)
-
-    def test_chernoff_validation(self):
-        with pytest.raises(ValueError):
-            chernoff_upper_tail(-1, 0.5)
-        with pytest.raises(ValueError):
-            chernoff_lower_tail(10, 2.0)
-
-    def test_bounded_difference_matches_paper_form(self):
-        # With all c_i = 1 the bound is exp(-λ² / 2ℓ).
-        tail = bounded_difference_tail(10.0, [1.0] * 50)
-        assert tail == pytest.approx(math.exp(-100.0 / 100.0))
-
-    def test_bounded_difference_degenerate(self):
-        assert bounded_difference_tail(1.0, []) == 0.0
-        assert bounded_difference_tail(0.0, []) == 1.0
-
-    def test_fact1(self):
-        for y in (0.0, 0.1, 0.5):
-            assert 1 - y >= fact1_lower_bound(y)
-        with pytest.raises(ValueError):
-            fact1_lower_bound(0.6)
-
-    def test_binomial_radius(self):
-        assert binomial_confidence_radius(100, 0.5) == pytest.approx(4 * 5.0)
-        assert binomial_confidence_radius(0, 0.5) == 0.0
-
-    def test_expected_unique_successes(self):
-        assert expected_unique_successes(100, 0.0, 10) == 0.0
-        assert expected_unique_successes(100, 1.0, 1) == 100.0
-        mid = expected_unique_successes(100, 0.01, 100)
-        assert 60 < mid < 67  # 100 * (1 - 0.99^100) ≈ 63.4
 
 
 class TestFitting:

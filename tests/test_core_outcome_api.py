@@ -117,6 +117,17 @@ class TestRunBroadcast:
         outcome = run_broadcast(n=32, seed=1, adversary=adversary)
         assert outcome.adversary_spend <= 100
 
+    @pytest.mark.parametrize("name", sorted(ADVERSARY_CATALOGUE))
+    def test_uncapped_strategy_is_held_to_carols_budget(self, name):
+        """With no cap of its own, every strategy still spends at most
+        Carol's aggregate budget: her ledger always caps."""
+
+        config = SimulationConfig(n=32, f=0.25, seed=4)
+        adversary = make_adversary(name)
+        assert adversary.max_total_spend is None
+        outcome = run_broadcast(n=32, config=config, adversary=adversary)
+        assert outcome.adversary_spend <= config.adversary_total_budget
+
     def test_explicit_config_overrides_shortcuts(self):
         config = SimulationConfig(n=48, seed=9)
         outcome = run_broadcast(n=9999, config=config)

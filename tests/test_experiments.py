@@ -11,7 +11,7 @@ from repro.experiments import (
     render_result,
     render_table,
 )
-from repro.experiments import exp_cost_scaling
+from repro.experiments import exp_cost_scaling, exp_mobile_jammer, exp_tournament
 from repro.experiments.registry import EXPERIMENTS, experiment_ids, run_experiment
 from repro.experiments.reporting import format_value
 from repro.experiments.workloads import (
@@ -81,6 +81,54 @@ class TestExperimentResult:
         result.summaries["metric"] = 1.5
         text = render_result(result)
         assert "hello" in text and "metric" in text and "claim" in text
+
+
+class TestAcceptanceClaims:
+    """The named claims fail on tables that break them, not only pass on the docs panel."""
+
+    @staticmethod
+    def _panel(*rows):
+        result = ExperimentResult("EX", "title", "claim", columns=sorted(rows[0]))
+        for row in rows:
+            result.add_row(**row)
+        return [result]
+
+    @pytest.mark.parametrize(
+        "reactive, holds", [(0.343, True), (0.425, False), (0.5, False)]
+    )
+    def test_reactive_below_static_is_strict(self, reactive, holds):
+        claim = exp_mobile_jammer.CHECKS["reactive_below_static_per_spend"]
+        panel = self._panel(
+            {"scenario": "static disk", "delivery_per_mspend": 0.425},
+            {"scenario": "patrol", "delivery_per_mspend": 0.1},
+            {"scenario": "reactive disk", "delivery_per_mspend": reactive},
+        )
+        assert claim(panel) is holds
+
+    @staticmethod
+    def _cell(flag="ok", node_exponent=1.2, ci_low=1.0, ci_high=1.4):
+        return {
+            "flag": flag,
+            "node_exponent": node_exponent,
+            "ci_low": ci_low,
+            "ci_high": ci_high,
+        }
+
+    @pytest.mark.parametrize("flag", sorted(exp_tournament.CELL_FLAGS - {"ok"}))
+    def test_sentinel_cells_pass_without_an_exponent(self, flag):
+        claim = exp_tournament.CHECKS["cells_fitted_or_flagged"]
+        sentinel = self._cell(flag, node_exponent="—", ci_low="—", ci_high="—")
+        assert claim(self._panel(self._cell(), sentinel))
+
+    def test_unknown_flag_fails(self):
+        claim = exp_tournament.CHECKS["cells_fitted_or_flagged"]
+        assert not claim(self._panel(self._cell(), self._cell("diverged")))
+
+    @pytest.mark.parametrize("column", ["node_exponent", "ci_low", "ci_high"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "—"], ids=repr)
+    def test_ok_cell_without_a_finite_fit_fails(self, column, value):
+        claim = exp_tournament.CHECKS["cells_fitted_or_flagged"]
+        assert not claim(self._panel(self._cell(), self._cell(**{column: value})))
 
 
 class TestReporting:

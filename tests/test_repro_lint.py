@@ -7,7 +7,8 @@ Coverage contract (see docs/architecture.md "Static analysis"):
 * the JSON report schema,
 * registry validation,
 * config parsing / exemption matching,
-* a meta-test asserting the shipped ``src/repro`` tree is lint-clean, and
+* a meta-test asserting the shipped ``src/repro`` tree is lint-clean,
+* a meta-test that every script the check steps run exists, and
 * CLI subprocess tests demonstrating the CI gate fails on a seeded
   violation and passes on a clean file.
 """
@@ -15,6 +16,7 @@ Coverage contract (see docs/architecture.md "Static analysis"):
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 import textwrap
@@ -871,6 +873,17 @@ class TestTreeIsClean:
         for violation in violations:
             if violation.suppressed:
                 assert violation.reason.strip(), violation.format()
+
+
+@pytest.mark.parametrize("steps", ["tools/run_checks.sh", ".github/workflows/ci.yml"])
+def test_check_steps_run_only_existing_scripts(steps):
+    """A deleted script cannot leave a check step behind that runs it."""
+
+    text = (REPO_ROOT / steps).read_text(encoding="utf-8")
+    scripts = set(re.findall(r"\b(?:benchmarks|tools)/[\w./-]+\.py\b", text))
+    assert scripts, f"{steps} names no script"
+    missing = sorted(path for path in scripts if not (REPO_ROOT / path).is_file())
+    assert missing == [], f"{steps} runs missing scripts: {missing}"
 
 
 # --------------------------------------------------------------------- #

@@ -100,7 +100,6 @@ class TestNetwork:
         assert network.node_costs().shape == (small_config.n,)
         assert network.alice_ledger.owner == "alice"
         assert network.node_ledgers.owner_prefix == "node"
-        assert network.node_ledgers.policy is BudgetPolicy.RECORD
 
     def test_budgets_assigned(self, small_config):
         network = Network(small_config)
@@ -111,10 +110,6 @@ class TestNetwork:
     def test_adversary_budget_enforced_by_default(self, small_config):
         network = Network(small_config)
         assert network.adversary_ledger.policy is BudgetPolicy.CAP
-
-    def test_adversary_budget_enforcement_can_be_disabled(self, small_config):
-        network = Network(small_config, enforce_adversary_budget=False)
-        assert network.adversary_ledger.policy is BudgetPolicy.RECORD
 
     def test_cost_snapshot_fresh_network(self, small_config):
         snapshot = Network(small_config).cost_snapshot()
@@ -159,15 +154,16 @@ class TestNetwork:
         network.alice_ledger.charge_bulk(EnergyOperation.SEND, network.config.alice_budget + 3.0)
         assert network.budget_overruns() == {"alice": 3.0, "correct:3": 7.0}
 
-    def test_budget_overruns_reports_carol_when_unenforced(self):
-        network = Network(SimulationConfig(n=8, seed=1), enforce_adversary_budget=False)
+    def test_budget_overruns_never_names_capped_carol(self):
+        network = Network(SimulationConfig(n=8, seed=1))
         network.adversary_ledger.charge_bulk(
             EnergyOperation.JAM, network.config.adversary_total_budget + 4.0
         )
         network.node_ledgers.charge_bulk_many(
             EnergyOperation.SEND, np.array([3, 5]), np.full(2, network.config.node_budget + 1.0)
         )
-        assert network.budget_overruns() == {"correct:3": 1.0, "correct:5": 1.0, "carol": 4.0}
+        assert network.adversary_cost == network.config.adversary_total_budget
+        assert network.budget_overruns() == {"correct:3": 1.0, "correct:5": 1.0}
 
     def test_message_signature_verifies(self, small_config):
         network = Network(small_config)

@@ -7,7 +7,6 @@ import math
 import pytest
 
 from repro.simulation import (
-    BudgetExceededError,
     BudgetPolicy,
     ConfigurationError,
     EnergyLedger,
@@ -75,20 +74,6 @@ class TestEnergyLedgerRecording:
 
 
 class TestEnergyLedgerEnforcement:
-    def test_enforce_policy_raises(self):
-        ledger = EnergyLedger(owner="x", budget=1, policy=BudgetPolicy.ENFORCE)
-        ledger.charge(EnergyOperation.SEND)
-        with pytest.raises(BudgetExceededError):
-            ledger.charge(EnergyOperation.SEND)
-
-    def test_enforce_error_carries_details(self):
-        ledger = EnergyLedger(owner="carol", budget=1, policy=BudgetPolicy.ENFORCE)
-        ledger.charge(EnergyOperation.JAM)
-        with pytest.raises(BudgetExceededError) as excinfo:
-            ledger.charge(EnergyOperation.JAM)
-        assert excinfo.value.owner == "carol"
-        assert excinfo.value.budget == 1
-
     def test_cap_policy_refuses_without_raising(self):
         ledger = EnergyLedger(owner="x", budget=2, policy=BudgetPolicy.CAP)
         assert ledger.charge(EnergyOperation.JAM)
@@ -122,11 +107,6 @@ class TestChargeBulk:
         ledger.charge_bulk(EnergyOperation.JAM, 1)
         assert ledger.charge_bulk(EnergyOperation.JAM, 5) == 0
 
-    def test_bulk_enforce_raises(self):
-        ledger = EnergyLedger(owner="x", budget=5, policy=BudgetPolicy.ENFORCE)
-        with pytest.raises(BudgetExceededError):
-            ledger.charge_bulk(EnergyOperation.JAM, 6)
-
     def test_bulk_record_allows_overdraft(self):
         ledger = EnergyLedger(owner="x", budget=5, policy=BudgetPolicy.RECORD)
         assert ledger.charge_bulk(EnergyOperation.LISTEN, 9) == 9
@@ -146,10 +126,10 @@ class TestLedgerArray:
     """Array-backed bulk accounting for the correct-node population."""
 
     @staticmethod
-    def _array(budget=10.0, policy=BudgetPolicy.RECORD, count=4):
+    def _array(budget=10.0, count=4):
         from repro.simulation import LedgerArray
 
-        return LedgerArray("node", count, budget, policy=policy)
+        return LedgerArray("node", count, budget)
 
     def test_charge_bulk_many_records_per_device(self):
         import numpy as np
@@ -180,24 +160,6 @@ class TestLedgerArray:
             assert array.spent_on_array(EnergyOperation.SEND)[i] == reference[i].spent_on(
                 EnergyOperation.SEND
             )
-
-    def test_cap_policy_clips_each_device_independently(self):
-        import numpy as np
-
-        array = self._array(budget=5.0, policy=BudgetPolicy.CAP)
-        array.charge_bulk_many(EnergyOperation.JAM, np.array([0]), np.array([4.0]))
-        charged = array.charge_bulk_many(
-            EnergyOperation.JAM, np.array([0, 1]), np.array([3.0, 3.0])
-        )
-        assert charged.tolist() == [1.0, 3.0]  # device 0 clipped at its budget
-        assert array.spent_array().tolist() == [5.0, 3.0, 0.0, 0.0]
-
-    def test_enforce_policy_raises_on_any_overdraft(self):
-        import numpy as np
-
-        array = self._array(budget=5.0, policy=BudgetPolicy.ENFORCE)
-        with pytest.raises(BudgetExceededError):
-            array.charge_bulk_many(EnergyOperation.JAM, np.array([1]), np.array([6.0]))
 
     def test_shape_mismatch_and_negative_rejected(self):
         import numpy as np
@@ -231,29 +193,20 @@ class TestLedgerArray:
         assert array.spent_array().tolist() == [2.0, 0.0, 3.0, 1.0]
         assert array.total_spent == array.spent_array().sum()
 
-    @pytest.mark.parametrize("policy", list(BudgetPolicy))
-    def test_total_spent_tracks_every_charge_path(self, policy):
-        """The running total equals the rows' sum after bulk, one-row and clipped charges."""
+    def test_total_spent_tracks_every_charge_path(self):
+        """The running total equals the rows' sum after bulk, one-row and overdrawing charges."""
 
         import numpy as np
 
-        array = self._array(budget=6.0, policy=policy)
+        array = self._array(budget=6.0)
         assert array.total_spent == 0.0
         array.charge_bulk_many(EnergyOperation.LISTEN, np.array([0, 2, 3]), np.array([4.0, 1.0, 0.0]))
         array.charge_bulk_many(EnergyOperation.SEND, np.array([1]), np.array([1.0]))
         array.charge_bulk_many(EnergyOperation.LISTEN, np.array([1]), np.array([2.0]))
-        overdraw = (EnergyOperation.SEND, np.array([0, 2]), np.array([5.0, 6.0]))
-        if policy is BudgetPolicy.ENFORCE:
-            with pytest.raises(BudgetExceededError):  # refused whole: nothing charged
-                array.charge_bulk_many(*overdraw)
-        else:
-            # RECORD overdraws; CAP clips both rows at the budget, then refuses row 0's.
-            array.charge_bulk_many(*overdraw)
-            array.charge_bulk_many(EnergyOperation.SEND, np.array([0]), np.array([1.0]))
-            array.charge_bulk_many(EnergyOperation.LISTEN, np.array([0]), np.array([4.0]))
-        assert array.total_spent == array.spent_array().sum()
-        expected = {BudgetPolicy.RECORD: 24.0, BudgetPolicy.CAP: 15.0, BudgetPolicy.ENFORCE: 8.0}
-        assert array.total_spent == expected[policy]
+        array.charge_bulk_many(EnergyOperation.SEND, np.array([0, 2]), np.array([5.0, 6.0]))
+        array.charge_bulk_many(EnergyOperation.SEND, np.array([0]), np.array([1.0]))
+        array.charge_bulk_many(EnergyOperation.LISTEN, np.array([0]), np.array([4.0]))
+        assert array.total_spent == array.spent_array().sum() == 24.0
 
     def test_network_nodes_are_array_backed(self):
         import numpy as np

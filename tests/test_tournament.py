@@ -174,10 +174,15 @@ class TestOptimiser:
         local = json.loads(json.dumps(optimiser_payload()))  # tuples -> lists
         assert remote == local
 
-    def test_never_proposes_out_of_bounds_parameters(self):
-        settings = ExperimentSettings(n=48, trials=1, quick=True, seed=11, cache_dir="")
-        cell = TournamentCell("static_disk", "mh-sequential", "gilbert-sub")
-        result = optimise_cell(cell, settings, rounds=2, grid_points=3)
+    # gilbert-near at n=64, seed 2012 is E12's hand-picked static disk where
+    # the spend cap binds: the search must beat it there too.
+    @pytest.mark.parametrize(
+        "topology, n, seed", [("gilbert-sub", 48, 11), ("gilbert-near", 64, 2012)]
+    )
+    def test_never_proposes_out_of_bounds_parameters(self, topology, n, seed):
+        settings = ExperimentSettings(n=n, trials=1, quick=True, seed=seed, cache_dir="")
+        cell = TournamentCell("static_disk", "mh-sequential", topology)
+        result = optimise_cell(cell, settings)
         specs = adversary_roster()[cell.adversary](None).tunable_parameters()
         assert result.evaluations == len(result.history) > 0
         for params, score in result.history:

@@ -83,22 +83,14 @@ if [[ "${1:-}" != "--no-bench" ]]; then
     run_step "LEADERBOARD.md regenerates byte-identical (--jobs 2)" \
         regenerates_identically LEADERBOARD.md python tools/generate_leaderboard_md.py --jobs 2
 
-    run_step "mobile-jammer benchmark smoke" python benchmarks/bench_mobile_jammer.py --smoke
-
     run_step "parallel-harness benchmark smoke (jobs fan-out + trial cache)" \
         python benchmarks/bench_parallel_harness.py --smoke
 
     run_step "million-device pipelined benchmark smoke" \
         python benchmarks/bench_million_device.py --smoke
 
-    run_step "tournament benchmark smoke (E14 grid + parallel identity + worst-case search)" \
-        python benchmarks/bench_tournament.py --smoke --jobs 2
-
     run_step "trace-overhead benchmark smoke (null-recorder neutrality)" \
         python benchmarks/bench_trace_overhead.py --smoke
-
-    run_step "fault-tolerance benchmark smoke (chaos-injected sweep bit-identity)" \
-        python benchmarks/bench_fault_tolerance.py --smoke
 fi
 
 run_step "docs code snippets" python tools/run_doc_snippets.py README.md docs/architecture.md
