@@ -52,7 +52,9 @@ class Adversary(abc.ABC):
 
     def __init__(self, max_total_spend: Optional[float] = None) -> None:
         if max_total_spend is not None and max_total_spend < 0:
-            raise ValueError(f"max_total_spend must be non-negative, got {max_total_spend}")
+            raise ConfigurationError(
+                f"max_total_spend must be non-negative, got {max_total_spend}"
+            )
         self.max_total_spend = max_total_spend
         self._spent = 0.0
 

@@ -13,9 +13,9 @@ and uninformed receivers listen in every slot.  If the jammer disrupts at most
 half of the epoch, each listening node catches one of Alice's ``≳ 2^{0.62·i}``
 surviving transmissions with overwhelming probability, so the run ends within
 a constant number of epochs of Carol's budget running dry — exactly the
-behaviour the asymptotic comparison needs.  The reconstruction is documented
-as a substitution in DESIGN.md (the original protocol's internals differ, its
-cost exponents do not).
+behaviour the asymptotic comparison needs.  The reconstruction is a
+simulation-scale substitution, documented in ``docs/architecture.md`` (the
+original protocol's internals differ, its cost exponents do not).
 """
 
 from __future__ import annotations

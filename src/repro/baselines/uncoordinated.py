@@ -21,26 +21,21 @@ from .base import EpochBaseline
 
 __all__ = ["BalancedBackoffBroadcast"]
 
+OVERSAMPLE = 4.0
+"""Multiplies both duty cycles to keep the per-epoch success probability
+comfortably constant at small epoch sizes."""
+
 
 class BalancedBackoffBroadcast(EpochBaseline):
     """Alice and receivers both duty-cycle at ``2^{-i/2}`` per epoch."""
 
     protocol_name = "balanced-backoff"
 
-    def __init__(self, *args, oversample: float = 4.0, **kwargs) -> None:
-        """``oversample`` multiplies both probabilities to keep the per-epoch
-        success probability comfortably constant at small epoch sizes."""
-
-        super().__init__(*args, **kwargs)
-        if oversample <= 0:
-            raise ValueError(f"oversample must be positive, got {oversample}")
-        self.oversample = oversample
-
     def epoch_length(self, epoch: int) -> int:
         return 2 ** epoch
 
     def alice_send_probability(self, epoch: int) -> float:
-        return min(1.0, self.oversample * 2.0 ** (-epoch / 2.0))
+        return min(1.0, OVERSAMPLE * 2.0 ** (-epoch / 2.0))
 
     def node_listen_probability(self, epoch: int) -> float:
-        return min(1.0, self.oversample * 2.0 ** (-epoch / 2.0))
+        return min(1.0, OVERSAMPLE * 2.0 ** (-epoch / 2.0))

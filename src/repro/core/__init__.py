@@ -1,6 +1,5 @@
 """The paper's contribution: the ε-Broadcast protocol and its variants."""
 
-from .alice import AlicePolicy
 from .api import ADVERSARY_CATALOGUE, PROTOCOL_VARIANTS, make_adversary, run_broadcast
 from .broadcast import EpsilonBroadcast, MultiHopBroadcast
 from .decoy import DecoyBroadcast
@@ -16,13 +15,11 @@ from .quietrule import (
     QuietRule,
     resolve_quiet_rule,
 )
-from .receiver import ReceiverPolicy
 from .state import NodeStatus, ProtocolState
 from .termination import RequestPhaseDecision, apply_request_phase
 
 __all__ = [
     "ADVERSARY_CATALOGUE",
-    "AlicePolicy",
     "apply_request_phase",
     "BroadcastOutcome",
     "ConstantQuietRule",
@@ -38,7 +35,6 @@ __all__ = [
     "ProtocolParameters",
     "ProtocolState",
     "QuietRule",
-    "ReceiverPolicy",
     "RequestPhaseDecision",
     "resolve_quiet_rule",
     "run_broadcast",

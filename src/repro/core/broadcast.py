@@ -29,13 +29,11 @@ from ..simulation.errors import ConfigurationError
 from ..simulation.network import Network
 from ..simulation.phaseplan import PhaseKind, PhasePlan, PhaseResult, PhaseRoles
 from ..observability.trace import NULL_RECORDER, TraceEvent, TraceRecorder
-from .alice import AlicePolicy
 from .driver import EngineSpec, PhaseDriver, resolve_engine
 from .outcome import BroadcastOutcome
 from .params import ProtocolParameters
 from .phases import ScheduleBuilder
 from .quietrule import QuietRule, resolve_quiet_rule
-from .receiver import ReceiverPolicy
 from .state import ProtocolState
 from .termination import apply_request_phase
 
@@ -107,38 +105,15 @@ class EpsilonBroadcast:
         # jammers) override the bind_network hook; the base default is a no-op.
         self.adversary.bind_network(self.network)
         self.record_events = record_events
-        self.figure = figure if figure is not None else (1 if self.params.k == 2 else 2)
-        self.decoy_traffic = decoy_traffic
-
-        self.alice_policy = self._build_alice_policy()
-        self.receiver_policy = self._build_receiver_policy()
-        self.schedule = self._build_schedule()
+        self.schedule = ScheduleBuilder(
+            self.params, config.n, self._node_n(), figure=figure, decoy_traffic=decoy_traffic
+        )
         self._round_phase_cache: Dict[int, List[PhasePlan]] = {}
 
-    # ------------------------------------------------------------------ #
-    # Construction hooks (overridden by protocol variants)                #
-    # ------------------------------------------------------------------ #
-
-    def _protocol_n(self) -> int:
-        """The network-size value plugged into the probability formulas."""
+    def _node_n(self) -> int:
+        """The network size the correct nodes compute with (§4.2 overrides it)."""
 
         return self.config.n
-
-    def _build_alice_policy(self) -> AlicePolicy:
-        figure = self.figure if hasattr(self, "figure") else 1
-        return AlicePolicy(self.params, self._protocol_n(), figure=figure)
-
-    def _build_receiver_policy(self) -> ReceiverPolicy:
-        figure = self.figure if hasattr(self, "figure") else 1
-        return ReceiverPolicy(
-            self.params,
-            self._protocol_n(),
-            figure=figure,
-            decoy_traffic=self.decoy_traffic,
-        )
-
-    def _build_schedule(self) -> ScheduleBuilder:
-        return ScheduleBuilder(self.params, self.alice_policy, self.receiver_policy, figure=self.figure)
 
     # ------------------------------------------------------------------ #
     # Execution                                                           #
@@ -203,7 +178,7 @@ class EpsilonBroadcast:
         """The (memoised) phase plans of round ``i``.
 
         Plans are frozen dataclasses and a pure function of the round index
-        (the schedule's policies are immutable after construction), so each
+        (the schedule is immutable after construction), so each
         round's list is built once per orchestrator and reused — ``run()``
         used to rebuild it every round, and repeated runs or round-length
         probes paid the construction again.  Variants override
@@ -237,11 +212,8 @@ class EpsilonBroadcast:
         relays = (
             state.active_informed_array() if plan.kind is PhaseKind.PROPAGATION else _EMPTY_IDS
         )
-        decoy_senders = (
-            active_uninformed
-            if (self.decoy_traffic and plan.kind in (PhaseKind.INFORM, PhaseKind.PROPAGATION))
-            else _EMPTY_IDS
-        )
+        # Decoys ride exactly the phases whose plan carries a decoy rate.
+        decoy_senders = active_uninformed if plan.decoy_send_prob > 0.0 else _EMPTY_IDS
         return PhaseRoles(
             active_uninformed=active_uninformed,
             relays=relays,
@@ -279,13 +251,7 @@ class EpsilonBroadcast:
             leftovers = state.active_informed_array()
             if leftovers.size:
                 state.terminate_informed(leftovers, round_index)
-            apply_request_phase(
-                state,
-                result,
-                self.alice_policy,
-                self.receiver_policy,
-                round_index,
-            )
+            apply_request_phase(state, result, self.schedule, round_index)
 
     def _finalize_at_cap(self, state: ProtocolState, max_round: int) -> None:
         """Force-terminate every remaining participant at the safety cap."""
@@ -459,8 +425,7 @@ class MultiHopBroadcast(EpsilonBroadcast):
             apply_request_phase(
                 state,
                 result,
-                self.alice_policy,
-                self.receiver_policy,
+                self.schedule,
                 round_index,
                 node_channel_test=self.quiet_rule.channel_quiet_test,
             )

@@ -38,7 +38,6 @@ from ..simulation.phaseplan import PhaseKind, PhasePlan, PhaseResult, PhaseRoles
 from .broadcast import EpsilonBroadcast
 from .driver import EngineSpec
 from .params import ProtocolParameters
-from .receiver import ReceiverPolicy
 from .state import ProtocolState
 
 __all__ = ["SizeEstimateBroadcast"]
@@ -82,15 +81,10 @@ class SizeEstimateBroadcast(EpsilonBroadcast):
     # Hooks                                                               #
     # ------------------------------------------------------------------ #
 
-    def _build_receiver_policy(self) -> ReceiverPolicy:
+    def _node_n(self) -> int:
         # Correct nodes only know the overestimate; every probability they
         # compute uses ν in place of n.
-        return ReceiverPolicy(
-            self.params,
-            self.size_estimate,
-            figure=self.figure,
-            decoy_traffic=self.decoy_traffic,
-        )
+        return self.size_estimate
 
     @property
     def sweep_exponents(self) -> List[int]:

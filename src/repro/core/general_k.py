@@ -9,9 +9,9 @@ beyond a constant).
 
 :class:`GeneralKBroadcast` is a thin subclass of
 :class:`~repro.core.broadcast.EpsilonBroadcast`: the propagation-step loop and
-the Figure-2 probabilities are already handled generically by the schedule
-builder and the policies, so all this class does is insist on the Figure-2
-parameterisation and document the variant.
+the Figure-2 probabilities are already handled by
+:class:`~repro.core.phases.ScheduleBuilder`, so all this class does is insist
+on the Figure-2 parameterisation and document the variant.
 """
 
 from __future__ import annotations
@@ -30,9 +30,12 @@ __all__ = ["GeneralKBroadcast"]
 class GeneralKBroadcast(EpsilonBroadcast):
     """ε-Broadcast with the general-``k`` pseudocode of Figure 2.
 
-    Works for any ``k ≥ 2``; with ``k = 2`` it differs from Figure 1 only in
-    Alice's inform-phase sending probability (``2·c·ln² n / 2^i`` instead of
-    ``2·ln n / 2^i``), which is the form §3 uses for its proofs.
+    Works for any ``k ≥ 2``.  With ``k = 2`` its plans differ from Figure 1's
+    in two probabilities, both scaled up: Alice's inform-phase sending
+    (``2·c·ln² n / 2^i`` instead of ``2·ln n / 2^i``, a factor ``c·ln n``)
+    and the uninformed nodes' propagation listening (``2ec / (ε'·2^i)``
+    instead of ``4e(c+1) / 2^i``, a factor ``c / (2ε'(c+1))``).  This is the
+    form §3 uses for its proofs.
     """
 
     protocol_name = "epsilon-broadcast-general-k"

@@ -15,14 +15,13 @@ testable in isolation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..simulation.phaseplan import PhaseResult
 from ..simulation.setops import isin_sorted
-from .alice import AlicePolicy
-from .receiver import ReceiverPolicy
+from .phases import ScheduleBuilder
 from .state import ProtocolState
 
 __all__ = ["RequestPhaseDecision", "apply_request_phase"]
@@ -32,13 +31,9 @@ __all__ = ["RequestPhaseDecision", "apply_request_phase"]
 class RequestPhaseDecision:
     """The outcome of applying the termination rules after a request phase."""
 
-    round_index: int
     terminated_nodes: np.ndarray
     alice_terminated: bool
-    alice_noisy_heard: int
-    threshold: float
     nodes_evaluated: int = 0
-    extra: dict = field(default_factory=dict)
 
     @property
     def any_terminated(self) -> bool:
@@ -48,8 +43,7 @@ class RequestPhaseDecision:
 def apply_request_phase(
     state: ProtocolState,
     result: PhaseResult,
-    alice_policy: AlicePolicy,
-    receiver_policy: ReceiverPolicy,
+    schedule: ScheduleBuilder,
     round_index: int,
     node_channel_test: bool = True,
 ) -> RequestPhaseDecision:
@@ -57,9 +51,10 @@ def apply_request_phase(
 
     Every *active uninformed* node compares the number of noisy slots it heard
     against the ``5·c·ln n`` threshold and terminates (uninformed) if the
-    channel looked quiet.  Alice does the same with her own count.  Nodes that
-    hold the message have already terminated at the end of the propagation
-    phase, so they take no part here.
+    channel looked quiet.  Alice does the same with her own count.  Both are
+    the ``schedule``'s quiet test, each side with its own threshold and
+    earliest round.  Nodes that hold the message have already terminated at
+    the end of the propagation phase, so they take no part here.
 
     ``node_channel_test=False`` skips the node-side quiet test while keeping
     Alice's: the global threshold presumes a Θ(n) audible population, and the
@@ -68,7 +63,6 @@ def apply_request_phase(
     budgets (Alice's own termination rule is out of that rule's scope).
     """
 
-    threshold = receiver_policy.termination_threshold()
     terminating = np.empty(0, dtype=np.int64)
     nodes_evaluated = 0
     if node_channel_test:
@@ -79,22 +73,19 @@ def apply_request_phase(
         nodes_evaluated = int(active.size)
         if active.size:
             heard = _heard_by(result, active)
-            terminating = active[receiver_policy.should_terminate(heard, round_index)]
+            terminating = active[schedule.should_terminate(heard, round_index)]
     if terminating.size:
         state.terminate_uninformed(terminating, round_index)
 
     alice_terminates = False
     if not state.alice_terminated:
-        if alice_policy.should_terminate(result.alice_noisy_heard, round_index):
+        if schedule.should_terminate(result.alice_noisy_heard, round_index, alice=True):
             state.terminate_alice(round_index)
             alice_terminates = True
 
     return RequestPhaseDecision(
-        round_index=round_index,
         terminated_nodes=terminating,
         alice_terminated=alice_terminates,
-        alice_noisy_heard=result.alice_noisy_heard,
-        threshold=threshold,
         nodes_evaluated=nodes_evaluated,
     )
 

@@ -115,7 +115,7 @@ def run(settings: ExperimentSettings) -> ExperimentResult:
         "most of Carol's aggregate budget regardless of how few victims she picks."
     )
     result.add_note(
-        "With ε' = 1/64 (the laptop-scale constant, see DESIGN.md) the strandable fraction "
+        "With ε' = 1/64 (the laptop-scale constant, see docs/architecture.md) the strandable fraction "
         "is larger than the paper's asymptotic ε but still bounded and paid for at full price."
     )
     return result

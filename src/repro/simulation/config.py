@@ -149,22 +149,6 @@ class SimulationConfig:
 
         return self.carol_budget + self.byzantine_count * self.node_budget
 
-    @property
-    def latency_bound(self) -> float:
-        """The paper's termination horizon ``O(n^(1+1/k))`` in slots.
-
-        Used as a safety cap by the engines: a correct execution terminates
-        well before a constant multiple of this bound.
-        """
-
-        return float(self.n ** (1.0 + 1.0 / self.k))
-
-    @property
-    def termination_threshold(self) -> float:
-        """The ``5·c·ln n`` noisy-slot threshold of the request phase."""
-
-        return 5.0 * self.c * self.log_n
-
     def with_(self, **changes: object) -> "SimulationConfig":
         """Return a copy of the configuration with the given fields replaced."""
 

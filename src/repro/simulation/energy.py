@@ -96,12 +96,6 @@ class EnergyLedger:
 
         return self.remaining < 1.0 and not math.isinf(self.budget)
 
-    @property
-    def overdraft(self) -> float:
-        """How far expenditure exceeds the budget (0 when within budget)."""
-
-        return max(self._spent - self.budget, 0.0)
-
     def spent_on(self, operation: EnergyOperation) -> float:
         """Energy spent on a particular operation kind."""
 
@@ -152,14 +146,6 @@ class EnergyLedger:
         self._by_operation[operation] = self._by_operation.get(operation, 0.0) + units
         return units
 
-    def snapshot(self) -> Dict[str, float]:
-        """A plain-dict summary suitable for metrics and reports."""
-
-        summary = {"spent": self._spent, "budget": self.budget, "overdraft": self.overdraft}
-        for operation in EnergyOperation:
-            summary[operation.value] = self._by_operation.get(operation, 0.0)
-        return summary
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"EnergyLedger(owner={self.owner!r}, spent={self._spent:g}, budget={self.budget:g})"
 
@@ -171,8 +157,7 @@ class LedgerArray:
     recorded, never refused: a correct node's budget sufficiency is a theorem
     to check, not a limit to impose.  Every charge goes through
     :meth:`charge_bulk_many`; reads go through :attr:`total_spent`,
-    :meth:`max_spent`, :meth:`spent_array`, :meth:`spent_on_array` and
-    :meth:`overdraft_array`.
+    :meth:`max_spent`, :meth:`spent_array` and :meth:`spent_on_array`.
 
     Parameters
     ----------
@@ -286,11 +271,6 @@ class LedgerArray:
 
         per_op = self._by_operation.get(operation)
         return np.zeros(self.count, dtype=float) if per_op is None else per_op.copy()
-
-    def overdraft_array(self) -> np.ndarray:
-        """Per-device overdraft (zeros when every budget held)."""
-
-        return np.maximum(self._spent - self.budget, 0.0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -110,18 +110,5 @@ class Network:
             "node_total": nodes.total_spent,
         }
 
-    def budget_overruns(self) -> Dict[str, float]:
-        """Per-participant budget overdrafts (empty when all budgets held)."""
-
-        overruns: Dict[str, float] = {}
-        if self.alice_ledger.overdraft > 0:
-            overruns["alice"] = self.alice_ledger.overdraft
-        node_overdrafts = self.node_ledgers.overdraft_array()
-        for node_id in np.flatnonzero(node_overdrafts > 0):
-            overruns[f"correct:{node_id}"] = float(node_overdrafts[node_id])
-        if self.adversary_ledger.overdraft > 0:
-            overruns["carol"] = self.adversary_ledger.overdraft
-        return overruns
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Network({self.config.describe()})"

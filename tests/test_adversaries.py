@@ -99,7 +99,7 @@ class TestContinuousJammer:
         assert plan.num_jam_slots == 7
 
     def test_negative_cap_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="max_total_spend"):
             ContinuousJammer(max_total_spend=-1)
 
 

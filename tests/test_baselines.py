@@ -37,10 +37,6 @@ class TestEpochPlans:
         baseline = BalancedBackoffBroadcast(config())
         assert baseline.alice_send_probability(8) == baseline.node_listen_probability(8)
 
-    def test_backoff_oversample_validation(self):
-        with pytest.raises(ValueError):
-            BalancedBackoffBroadcast(config(), oversample=0)
-
     def test_epoch_plan_is_inform_kind(self):
         plan = NaiveBroadcast(config()).epoch_plan(4)
         assert plan.kind is PhaseKind.INFORM

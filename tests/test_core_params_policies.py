@@ -1,4 +1,4 @@
-"""Unit tests for protocol parameters and the Alice/receiver policies."""
+"""Unit tests for protocol parameters and the schedule's per-side probabilities."""
 
 from __future__ import annotations
 
@@ -6,9 +6,8 @@ import math
 
 import pytest
 
-from repro.core import ProtocolParameters
-from repro.core.alice import AlicePolicy
-from repro.core.receiver import ReceiverPolicy
+from repro.core import ProtocolParameters, ScheduleBuilder
+from repro.core.phases import DECOY_LISTEN_BOOST, DECOY_RATE
 from repro.simulation import ConfigurationError, SimulationConfig
 
 
@@ -78,107 +77,182 @@ class TestProtocolParameters:
         assert other.c == 9.0 and params.c != 9.0
 
 
-class TestAlicePolicy:
+class TestAliceSchedule:
+    """Alice's side of the schedule: inform sending, request listening, quiet test."""
+
     def make(self, n=1024, figure=1, **kwargs):
-        return AlicePolicy(ProtocolParameters(k=kwargs.pop("k", 2), **kwargs), n, figure=figure)
+        return ScheduleBuilder(ProtocolParameters(k=kwargs.pop("k", 2), **kwargs), n, figure=figure)
 
     def test_inform_send_probability_formula(self):
-        policy = self.make()
+        schedule = self.make()
         i = 8
         expected = 2 * math.log(1024) / 2 ** i
-        assert policy.inform_send_probability(i) == pytest.approx(expected)
+        assert schedule.inform_phase(i).alice_send_prob == pytest.approx(expected)
 
     def test_inform_send_probability_clipped_early(self):
-        assert self.make().inform_send_probability(1) == 1.0
+        assert self.make().inform_phase(1).alice_send_prob == 1.0
 
     def test_figure2_uses_log_power_k(self):
-        policy = AlicePolicy(ProtocolParameters(k=3), 1024, figure=2)
+        schedule = ScheduleBuilder(ProtocolParameters(k=3), 1024, figure=2)
         i = 10
         expected = 2 * 2.0 * math.log(1024) ** 3 / 2 ** i
-        assert policy.inform_send_probability(i) == pytest.approx(min(expected, 1.0))
+        assert schedule.inform_phase(i).alice_send_prob == pytest.approx(min(expected, 1.0))
 
     def test_request_listen_probability_decreases_with_round(self):
-        policy = self.make()
-        assert policy.request_listen_probability(10) < policy.request_listen_probability(8)
+        schedule = self.make()
+        assert schedule.request_phase(10).alice_listen_prob < schedule.request_phase(8).alice_listen_prob
 
     def test_expected_request_listens_constant_per_round(self):
-        policy = self.make()
+        schedule = self.make()
         for i in (9, 10, 11):
-            expected = policy.request_listen_probability(i) * policy.request_phase_length(i)
+            request = schedule.request_phase(i)
+            expected = request.alice_listen_prob * request.num_slots
             assert expected == pytest.approx(
-                policy.params.c * math.log(1024) / (1 - math.exp(-4 * policy.params.epsilon_prime)),
+                schedule.params.c * math.log(1024) / (1 - math.exp(-4 * schedule.params.epsilon_prime)),
                 rel=0.05,
             )
 
     def test_should_terminate_requires_minimum_round(self):
-        policy = self.make()
-        early = policy.earliest_termination_round() - 1
-        assert not policy.should_terminate(0, early)
-        assert policy.should_terminate(0, policy.earliest_termination_round())
+        schedule = self.make()
+        early = schedule.earliest_termination_round(alice=True) - 1
+        assert not schedule.should_terminate(0, early, alice=True)
+        assert schedule.should_terminate(0, schedule.earliest_termination_round(alice=True), alice=True)
 
     def test_should_not_terminate_when_noisy(self):
-        policy = self.make()
-        late = policy.earliest_termination_round() + 1
-        assert not policy.should_terminate(10_000, late)
+        schedule = self.make()
+        late = schedule.earliest_termination_round(alice=True) + 1
+        assert not schedule.should_terminate(10_000, late, alice=True)
 
     def test_invalid_figure_rejected(self):
-        with pytest.raises(ValueError):
-            AlicePolicy(ProtocolParameters(), 64, figure=3)
+        with pytest.raises(ConfigurationError, match="figure"):
+            ScheduleBuilder(ProtocolParameters(), 64, figure=3)
 
 
-class TestReceiverPolicy:
+class TestNodeSchedule:
+    """The correct nodes' side: listening, relays, nacks, decoys, quiet test."""
+
     def make(self, n=1024, figure=1, decoy=False, k=2):
-        return ReceiverPolicy(ProtocolParameters(k=k), n, figure=figure, decoy_traffic=decoy)
+        return ScheduleBuilder(ProtocolParameters(k=k), n, figure=figure, decoy_traffic=decoy)
 
     def test_inform_listen_formula(self):
-        policy = self.make()
+        schedule = self.make()
         i = 9
-        expected = 2.0 / (policy.params.epsilon_prime * 2 ** i)
-        assert policy.inform_listen_probability(i) == pytest.approx(min(expected, 1.0))
+        expected = 2.0 / (schedule.params.epsilon_prime * 2 ** i)
+        assert schedule.inform_phase(i).uninformed_listen_prob == pytest.approx(min(expected, 1.0))
 
     def test_relay_and_nack_probabilities_are_one_over_n(self):
-        policy = self.make(n=500)
-        assert policy.relay_send_probability(7) == pytest.approx(1 / 500)
-        assert policy.nack_send_probability(7) == pytest.approx(1 / 500)
+        schedule = self.make(n=500)
+        assert schedule.propagation_step(7, 1).relay_send_prob == pytest.approx(1 / 500)
+        assert schedule.request_phase(7).nack_send_prob == pytest.approx(1 / 500)
 
-    def test_propagation_listen_figure1_vs_figure2_differ(self):
-        fig1 = self.make(figure=1).propagation_listen_probability(9)
-        fig2 = self.make(figure=2).propagation_listen_probability(9)
-        assert fig1 != fig2
+    def test_node_n_drives_node_probabilities_only(self):
+        schedule = ScheduleBuilder(ProtocolParameters(k=2), 64, node_n=4096)
+        assert schedule.propagation_step(7, 1).relay_send_prob == pytest.approx(1 / 4096)
+        assert schedule.termination_threshold() == pytest.approx(10 * math.log(4096))
+        assert schedule.termination_threshold(alice=True) == pytest.approx(10 * math.log(64))
+        alice_only = ScheduleBuilder(ProtocolParameters(k=2), 64)
+        assert schedule.inform_phase(9).alice_send_prob == alice_only.inform_phase(9).alice_send_prob
 
     def test_decoy_probability_zero_when_disabled(self):
-        assert self.make().decoy_send_probability(8) == 0.0
+        assert self.make().inform_phase(8).decoy_send_prob == 0.0
 
     def test_decoy_probability_scales_with_rate(self):
-        policy = ReceiverPolicy(ProtocolParameters(), 100, decoy_traffic=True, decoy_rate=0.75)
-        assert policy.decoy_send_probability(8) == pytest.approx(0.0075)
+        schedule = ScheduleBuilder(ProtocolParameters(), 100, decoy_traffic=True)
+        assert DECOY_RATE == 0.75
+        assert schedule.inform_phase(8).decoy_send_prob == pytest.approx(0.0075)
+        assert schedule.propagation_step(8, 1).decoy_send_prob == pytest.approx(0.0075)
+        assert schedule.request_phase(8).decoy_send_prob == 0.0
 
-    def test_decoy_boosts_listening(self):
-        base = self.make(decoy=False).inform_listen_probability(12)
-        boosted = self.make(decoy=True).inform_listen_probability(12)
-        assert boosted > base
+    def test_decoy_boost_is_two_e_to_the_rate(self):
+        # Round 12 leaves both listening probabilities unclipped, so their
+        # ratio is the boost itself: 2·e^{3/4}, not e^{3/4}.
+        base, boosted = self.make(decoy=False), self.make(decoy=True)
+        for phase in (lambda s: s.inform_phase(12), lambda s: s.propagation_step(12, 1)):
+            ratio = phase(boosted).uninformed_listen_prob / phase(base).uninformed_listen_prob
+            assert phase(boosted).uninformed_listen_prob < 1.0
+            assert ratio == pytest.approx(2.0 * math.exp(0.75), rel=1e-12)
+            assert ratio == pytest.approx(4.234, abs=5e-4)
+        assert DECOY_LISTEN_BOOST == 2.0 * math.exp(DECOY_RATE)
+        request_ratio = (
+            boosted.request_phase(12).uninformed_listen_prob
+            / base.request_phase(12).uninformed_listen_prob
+        )
+        assert request_ratio == 1.0  # request-phase listening is never boosted
 
-    def test_termination_threshold_uses_policy_n(self):
-        policy = self.make(n=2048)
-        assert policy.termination_threshold() == pytest.approx(10 * math.log(2048))
+    def test_termination_threshold_uses_node_n(self):
+        schedule = self.make(n=2048)
+        assert schedule.termination_threshold() == pytest.approx(10 * math.log(2048))
 
     def test_earliest_termination_round_is_sane(self):
-        policy = self.make()
-        earliest = policy.earliest_termination_round()
-        assert policy.params.start_round <= earliest <= policy.params.resolved_max_round(1024)
+        schedule = self.make()
+        earliest = schedule.earliest_termination_round()
+        assert schedule.params.start_round <= earliest <= schedule.params.resolved_max_round(1024)
 
-    def test_min_reliable_round_grows_with_threshold(self):
-        lenient = ReceiverPolicy(ProtocolParameters(c=1.0), 1024)
-        strict = ReceiverPolicy(ProtocolParameters(c=4.0), 1024)
-        assert strict.min_reliable_termination_round() >= lenient.min_reliable_termination_round()
+    def test_earliest_round_grows_with_threshold(self):
+        lenient = ScheduleBuilder(ProtocolParameters(c=1.0), 1024)
+        strict = ScheduleBuilder(ProtocolParameters(c=4.0), 1024)
+        assert strict.earliest_termination_round() >= lenient.earliest_termination_round()
 
     def test_should_terminate_threshold_boundary(self):
-        policy = self.make()
-        round_index = policy.earliest_termination_round()
-        threshold = policy.termination_threshold()
-        assert policy.should_terminate(int(threshold), round_index)
-        assert not policy.should_terminate(int(threshold) + 1, round_index)
+        schedule = self.make()
+        round_index = schedule.earliest_termination_round()
+        threshold = schedule.termination_threshold()
+        assert schedule.should_terminate(int(threshold), round_index)
+        assert not schedule.should_terminate(int(threshold) + 1, round_index)
 
-    def test_invalid_decoy_rate(self):
-        with pytest.raises(ValueError):
-            ReceiverPolicy(ProtocolParameters(), 64, decoy_rate=0.0)
+
+class TestFigure1VersusFigure2AtK2:
+    """At k = 2 the two pseudocodes differ in exactly two plan fields.
+
+    Measured at n = 256, c = 2, ε' = 1/64 over rounds 6-12: Alice's inform
+    sending is scaled by ``c·ln n`` and the uninformed nodes' propagation
+    listening by ``c/(2ε'(c+1))`` = 64/3.  Everything else — phase lengths,
+    inform listening, the whole request phase and the earliest termination
+    rounds — is equal.
+    """
+
+    N = 256
+    ROUNDS = range(6, 13)
+
+    def schedules(self):
+        params = ProtocolParameters(k=2, c=2.0, epsilon_prime=1.0 / 64.0)
+        return ScheduleBuilder(params, self.N, figure=1), ScheduleBuilder(params, self.N, figure=2)
+
+    def test_only_two_fields_differ(self):
+        fig1, fig2 = self.schedules()
+        differing = set()
+        for i in self.ROUNDS:
+            for one, two in zip(fig1.round_phases(i), fig2.round_phases(i)):
+                assert one.name == two.name
+                for name, value in vars(one).items():
+                    if getattr(two, name) != value:
+                        differing.add((one.name, name))
+        assert differing == {("inform", "alice_send_prob"), ("propagation:1", "uninformed_listen_prob")}
+
+    def test_factors_on_unclipped_rounds(self):
+        fig1, fig2 = self.schedules()
+        c, eps = 2.0, 1.0 / 64.0
+        inform_factor, propagation_factor = c * math.log(self.N), c / (2 * eps * (c + 1))
+        assert inform_factor == pytest.approx(11.09, abs=5e-3)
+        assert propagation_factor == pytest.approx(64 / 3)
+        inform_rounds, propagation_rounds = [], []
+        for i in self.ROUNDS:
+            if fig2.inform_phase(i).alice_send_prob < 1.0:
+                inform_rounds.append(i)
+                ratio = fig2.inform_phase(i).alice_send_prob / fig1.inform_phase(i).alice_send_prob
+                assert ratio == pytest.approx(inform_factor, rel=1e-12)
+            two = fig2.propagation_step(i, 1).uninformed_listen_prob
+            if two < 1.0:
+                propagation_rounds.append(i)
+                one = fig1.propagation_step(i, 1).uninformed_listen_prob
+                assert two / one == pytest.approx(propagation_factor, rel=1e-12)
+        assert inform_rounds == [7, 8, 9, 10, 11, 12]
+        # Figure 2's propagation listening stays clipped at 1 through round 9.
+        assert propagation_rounds == [10, 11, 12]
+        assert all(fig2.propagation_step(i, 1).uninformed_listen_prob == 1.0 for i in (6, 7, 8, 9))
+
+    def test_termination_rounds_equal(self):
+        fig1, fig2 = self.schedules()
+        for schedule in (fig1, fig2):
+            assert schedule.earliest_termination_round() == 10
+            assert schedule.earliest_termination_round(alice=True) == 8

@@ -6,11 +6,15 @@ import numpy as np
 import pytest
 
 from repro.core import ProtocolParameters, ScheduleBuilder
-from repro.core.alice import AlicePolicy
-from repro.core.receiver import ReceiverPolicy
 from repro.core.state import NodeStatus, ProtocolState
 from repro.core.termination import _heard_by, apply_request_phase
-from repro.simulation import PhaseKind, PhasePlan, PhaseResult, ProtocolViolationError
+from repro.simulation import (
+    ConfigurationError,
+    PhaseKind,
+    PhasePlan,
+    PhaseResult,
+    ProtocolViolationError,
+)
 
 
 class TestProtocolState:
@@ -82,10 +86,7 @@ class TestProtocolState:
 
 
 def build_schedule(n=1024, k=2, figure=1):
-    params = ProtocolParameters(k=k)
-    alice = AlicePolicy(params, n, figure=figure)
-    receiver = ReceiverPolicy(params, n, figure=figure)
-    return ScheduleBuilder(params, alice, receiver, figure=figure)
+    return ScheduleBuilder(ProtocolParameters(k=k), n, figure=figure)
 
 
 class TestScheduleBuilder:
@@ -118,26 +119,27 @@ class TestScheduleBuilder:
         schedule = build_schedule()
         assert schedule.round_length(7) == sum(p.num_slots for p in schedule.round_phases(7))
 
-    def test_probabilities_wired_from_policies(self):
+    def test_probabilities_follow_figure_1(self):
         schedule = build_schedule()
+        params = schedule.params
         inform = schedule.inform_phase(9)
-        assert inform.alice_send_prob == pytest.approx(schedule.alice.inform_send_probability(9))
-        assert inform.uninformed_listen_prob == pytest.approx(
-            schedule.receiver.inform_listen_probability(9)
-        )
+        assert inform.alice_send_prob == pytest.approx(2 * np.log(1024) / 2 ** 9)
+        assert inform.uninformed_listen_prob == pytest.approx(2 / (params.epsilon_prime * 2 ** 9))
         request = schedule.request_phase(9)
         assert request.nack_send_prob == pytest.approx(1 / 1024)
 
+    def test_default_figure_follows_k(self):
+        assert build_schedule(figure=None).figure == 1
+        assert build_schedule(k=3, figure=None).figure == 2
+
     def test_invalid_figure_rejected(self):
-        params = ProtocolParameters()
-        with pytest.raises(ValueError):
-            ScheduleBuilder(params, AlicePolicy(params, 64), ReceiverPolicy(params, 64), figure=5)
+        with pytest.raises(ConfigurationError, match="figure"):
+            ScheduleBuilder(ProtocolParameters(), 64, figure=5)
 
 
 class TestRequestPhaseTermination:
-    def make_policies(self, n=256):
-        params = ProtocolParameters(k=2)
-        return AlicePolicy(params, n), ReceiverPolicy(params, n)
+    def make_schedule(self, n=256):
+        return ScheduleBuilder(ProtocolParameters(k=2), n)
 
     def make_result(self, n, node_noise, alice_noise, round_index):
         plan = PhasePlan(
@@ -156,55 +158,55 @@ class TestRequestPhaseTermination:
 
     def test_quiet_phase_terminates_everyone(self):
         n = 256
-        alice_policy, receiver_policy = self.make_policies(n)
+        schedule = self.make_schedule(n)
         state = ProtocolState(n)
         round_index = max(
-            alice_policy.earliest_termination_round(), receiver_policy.earliest_termination_round()
+            schedule.earliest_termination_round(alice=True), schedule.earliest_termination_round()
         )
         result = self.make_result(n, {i: 0 for i in range(n)}, 0, round_index)
-        decision = apply_request_phase(state, result, alice_policy, receiver_policy, round_index)
+        decision = apply_request_phase(state, result, schedule, round_index)
         assert decision.alice_terminated
         assert decision.terminated_nodes.size == n
         assert state.alice_terminated
 
     def test_noisy_phase_keeps_everyone_running(self):
         n = 256
-        alice_policy, receiver_policy = self.make_policies(n)
+        schedule = self.make_schedule(n)
         state = ProtocolState(n)
-        round_index = receiver_policy.earliest_termination_round() + 1
+        round_index = schedule.earliest_termination_round() + 1
         noisy = {i: 10_000 for i in range(n)}
         result = self.make_result(n, noisy, 10_000, round_index)
-        decision = apply_request_phase(state, result, alice_policy, receiver_policy, round_index)
+        decision = apply_request_phase(state, result, schedule, round_index)
         assert not decision.alice_terminated
         assert decision.terminated_nodes.size == 0
 
     def test_termination_blocked_before_earliest_round(self):
         n = 256
-        alice_policy, receiver_policy = self.make_policies(n)
+        schedule = self.make_schedule(n)
         state = ProtocolState(n)
         result = self.make_result(n, {i: 0 for i in range(n)}, 0, round_index=1)
-        decision = apply_request_phase(state, result, alice_policy, receiver_policy, 1)
+        decision = apply_request_phase(state, result, schedule, 1)
         assert not decision.any_terminated
 
     def test_mixed_noise_terminates_only_quiet_nodes(self):
         n = 256
-        alice_policy, receiver_policy = self.make_policies(n)
+        schedule = self.make_schedule(n)
         state = ProtocolState(n)
-        round_index = receiver_policy.earliest_termination_round()
+        round_index = schedule.earliest_termination_round()
         noise = {i: (0 if i < 10 else 10_000) for i in range(n)}
         result = self.make_result(n, noise, 10_000, round_index)
-        decision = apply_request_phase(state, result, alice_policy, receiver_policy, round_index)
+        decision = apply_request_phase(state, result, schedule, round_index)
         assert decision.terminated_nodes.tolist() == list(range(10))
         assert state.terminated_uninformed_count() == 10
 
     def test_informed_nodes_are_not_evaluated(self):
         n = 64
-        alice_policy, receiver_policy = self.make_policies(n)
+        schedule = self.make_schedule(n)
         state = ProtocolState(n)
         state.mark_informed(range(32), slot=1)
-        round_index = receiver_policy.earliest_termination_round()
+        round_index = schedule.earliest_termination_round()
         result = self.make_result(n, {i: 0 for i in range(n)}, 10_000, round_index)
-        decision = apply_request_phase(state, result, alice_policy, receiver_policy, round_index)
+        decision = apply_request_phase(state, result, schedule, round_index)
         assert decision.nodes_evaluated == 32
         assert all(node >= 32 for node in decision.terminated_nodes)
 
@@ -221,8 +223,7 @@ class TestVectorisedTerminationRule:
     N = 300
 
     def run(self, round_offset, seed):
-        params = ProtocolParameters(k=2)
-        alice_policy, receiver_policy = AlicePolicy(params, self.N), ReceiverPolicy(params, self.N)
+        schedule = ScheduleBuilder(ProtocolParameters(k=2), self.N)
         rng = np.random.default_rng(seed)
         state = ProtocolState(self.N)
         state.mark_informed(rng.choice(self.N, size=40, replace=False), slot=1)
@@ -238,9 +239,9 @@ class TestVectorisedTerminationRule:
             rng.choice(active, size=active.size * 2 // 3, replace=False),
             rng.choice(self.N, size=30, replace=False),
         )
-        threshold = receiver_policy.termination_threshold()
+        threshold = schedule.termination_threshold()
         heard = rng.integers(0, int(2 * threshold) + 2, size=listeners.size)
-        round_index = receiver_policy.earliest_termination_round() + round_offset
+        round_index = schedule.earliest_termination_round() + round_offset
         plan = PhasePlan(
             name="request", kind=PhaseKind.REQUEST, round_index=round_index, num_slots=1024
         )
@@ -256,10 +257,10 @@ class TestVectorisedTerminationRule:
         by_node = dict(zip(listeners.tolist(), heard.tolist()))
         expected = [
             node for node in active.tolist()
-            if round_index >= receiver_policy.earliest_termination_round()
+            if round_index >= schedule.earliest_termination_round()
             and by_node.get(node, 0) <= threshold
         ]
-        decision = apply_request_phase(state, result, alice_policy, receiver_policy, round_index)
+        decision = apply_request_phase(state, result, schedule, round_index)
         return active, listeners, expected, decision, state
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -284,16 +285,16 @@ class TestVectorisedTerminationRule:
         np.testing.assert_array_equal(state.active_uninformed_array(), active)
 
     def test_scalar_and_array_calls_agree(self):
-        receiver = ReceiverPolicy(ProtocolParameters(k=2), self.N)
-        threshold = receiver.termination_threshold()
+        schedule = ScheduleBuilder(ProtocolParameters(k=2), self.N)
+        threshold = schedule.termination_threshold()
         counts = np.arange(0, int(2 * threshold) + 2, dtype=np.int64)
         for round_index in (
-            receiver.earliest_termination_round() - 1,
-            receiver.earliest_termination_round(),
+            schedule.earliest_termination_round() - 1,
+            schedule.earliest_termination_round(),
         ):
-            mask = receiver.should_terminate(counts, round_index)
+            mask = schedule.should_terminate(counts, round_index)
             assert mask.dtype == bool and mask.shape == counts.shape
-            scalar = [receiver.should_terminate(int(c), round_index) for c in counts]
+            scalar = [schedule.should_terminate(int(c), round_index) for c in counts]
             assert all(isinstance(flag, bool) for flag in scalar)
             assert mask.tolist() == scalar
 

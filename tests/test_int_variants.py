@@ -13,7 +13,33 @@ from repro import (
     run_broadcast,
 )
 from repro.adversary import PhaseBlockingAdversary, ReactiveJammer
+from repro.core import MultiHopBroadcast
 from repro.simulation import ConfigurationError, PhaseKind
+
+
+class TestNamedConfigurationErrors:
+    @pytest.mark.parametrize(
+        "protocol_cls, extra",
+        [
+            (EpsilonBroadcast, {}),
+            (GeneralKBroadcast, {}),
+            (DecoyBroadcast, {}),
+            (SizeEstimateBroadcast, {"size_estimate": 4096}),
+            (MultiHopBroadcast, {}),
+        ],
+    )
+    @pytest.mark.parametrize("figure", [0, 3])
+    def test_figure_outside_1_2_names_figure(self, protocol_cls, extra, figure):
+        with pytest.raises(ConfigurationError, match="figure"):
+            protocol_cls(SimulationConfig(n=64, seed=1), figure=figure, **extra)
+
+    def test_run_broadcast_rejects_bad_figure_and_negative_cap(self):
+        with pytest.raises(ConfigurationError, match="figure"):
+            run_broadcast(n=64, seed=1, figure=3)
+        with pytest.raises(ConfigurationError, match="max_total_spend"):
+            run_broadcast(
+                n=64, seed=1, adversary="continuous", adversary_kwargs={"max_total_spend": -1}
+            )
 
 
 class TestGeneralK:
@@ -49,14 +75,14 @@ class TestGeneralK:
 
     def test_general_k_with_k2_uses_figure2_probabilities(self):
         protocol = GeneralKBroadcast(SimulationConfig(n=64, k=2, seed=1))
-        assert protocol.figure == 2
+        assert protocol.schedule.figure == 2
 
 
 class TestDecoyVariant:
     def test_decoy_flag_enabled(self):
         protocol = DecoyBroadcast(SimulationConfig(n=64, seed=1))
-        assert protocol.decoy_traffic
-        assert protocol.receiver_policy.decoy_send_probability(5) > 0
+        assert protocol.schedule.decoy_traffic
+        assert protocol.schedule.inform_phase(5).decoy_send_prob > 0
 
     def test_decoy_roles_include_decoy_senders(self):
         protocol = DecoyBroadcast(SimulationConfig(n=64, seed=1))
@@ -137,10 +163,10 @@ class TestSizeEstimateVariant:
         requests = [p for p in protocol._round_phases(4) if p.kind is PhaseKind.REQUEST]
         assert len(requests) == 1
 
-    def test_receiver_policy_uses_estimate(self):
+    def test_node_schedule_uses_estimate(self):
         protocol = SizeEstimateBroadcast(SimulationConfig(n=64, seed=1), size_estimate=4096)
-        assert protocol.receiver_policy.n == 4096
-        assert protocol.alice_policy.n == 64  # Alice knows the true n
+        assert protocol.schedule.node_n == 4096
+        assert protocol.schedule.n == 64  # Alice knows the true n
 
     def test_delivery_preserved_with_overestimate(self):
         outcome = run_broadcast(

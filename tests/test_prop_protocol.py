@@ -8,9 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.fitting import fit_power_law
-from repro.core import ProtocolParameters
-from repro.core.alice import AlicePolicy
-from repro.core.receiver import ReceiverPolicy
+from repro.core import ProtocolParameters, ScheduleBuilder
 from repro.core.state import NodeStatus, ProtocolState
 from repro.simulation.errors import ProtocolViolationError
 
@@ -38,7 +36,7 @@ class TestParameterProperties:
         assert params.resolved_min_termination_round(n) <= params.resolved_max_round(n) + 1
 
 
-class TestPolicyProperties:
+class TestScheduleProperties:
     @given(
         n=st.integers(min_value=8, max_value=10_000),
         k=st.integers(min_value=2, max_value=4),
@@ -47,19 +45,14 @@ class TestPolicyProperties:
     )
     @settings(max_examples=150, deadline=None)
     def test_all_probabilities_are_valid(self, n, k, round_index, figure):
-        params = ProtocolParameters(k=k)
-        alice = AlicePolicy(params, n, figure=figure)
-        receiver = ReceiverPolicy(params, n, figure=figure, decoy_traffic=True)
+        schedule = ScheduleBuilder(ProtocolParameters(k=k), n, figure=figure, decoy_traffic=True)
         probabilities = [
-            alice.inform_send_probability(round_index),
-            alice.request_listen_probability(round_index),
-            receiver.inform_listen_probability(round_index),
-            receiver.propagation_listen_probability(round_index),
-            receiver.request_listen_probability(round_index),
-            receiver.relay_send_probability(round_index),
-            receiver.nack_send_probability(round_index),
-            receiver.decoy_send_probability(round_index),
+            value
+            for plan in schedule.round_phases(round_index)
+            for name, value in vars(plan).items()
+            if name.endswith("_prob")
         ]
+        assert len(probabilities) == 6 * (k + 1)
         assert all(0.0 <= p <= 1.0 for p in probabilities)
 
     @given(
@@ -68,13 +61,9 @@ class TestPolicyProperties:
     )
     @settings(max_examples=100, deadline=None)
     def test_listening_probabilities_never_increase_with_round(self, n, round_index):
-        receiver = ReceiverPolicy(ProtocolParameters(k=2), n)
-        assert receiver.inform_listen_probability(round_index + 1) <= receiver.inform_listen_probability(
-            round_index
-        )
-        assert receiver.request_listen_probability(round_index + 1) <= receiver.request_listen_probability(
-            round_index
-        )
+        schedule = ScheduleBuilder(ProtocolParameters(k=2), n)
+        for phase in (schedule.inform_phase, schedule.request_phase):
+            assert phase(round_index + 1).uninformed_listen_prob <= phase(round_index).uninformed_listen_prob
 
     @given(
         n=st.integers(min_value=8, max_value=10_000),
@@ -83,14 +72,15 @@ class TestPolicyProperties:
     )
     @settings(max_examples=150, deadline=None)
     def test_termination_is_monotone_in_noise(self, n, heard, round_index):
-        receiver = ReceiverPolicy(ProtocolParameters(k=2), n)
-        # If a node terminates having heard `heard` noisy slots, it must also
-        # terminate having heard fewer.
-        if receiver.should_terminate(heard, round_index):
-            assert receiver.should_terminate(max(heard - 1, 0), round_index)
-        # And never before its earliest allowed round.
-        if round_index < receiver.earliest_termination_round():
-            assert not receiver.should_terminate(0, round_index)
+        schedule = ScheduleBuilder(ProtocolParameters(k=2), n)
+        for alice in (False, True):
+            # If a listener terminates having heard `heard` noisy slots, it
+            # must also terminate having heard fewer.
+            if schedule.should_terminate(heard, round_index, alice=alice):
+                assert schedule.should_terminate(max(heard - 1, 0), round_index, alice=alice)
+            # And never before its earliest allowed round.
+            if round_index < schedule.earliest_termination_round(alice=alice):
+                assert not schedule.should_terminate(0, round_index, alice=alice)
 
 
 class TestProtocolStateProperties:

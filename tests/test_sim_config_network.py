@@ -80,17 +80,9 @@ class TestDerivedBudgets:
         assert config.byzantine_count == 0
         assert config.adversary_total_budget == pytest.approx(config.carol_budget)
 
-    def test_latency_bound(self):
-        config = SimulationConfig(n=100, k=2)
-        assert config.latency_bound == pytest.approx(100 ** 1.5)
-
     def test_eps_prime_default_and_override(self):
         assert SimulationConfig(n=64).eps_prime == pytest.approx(1 / 64)
         assert SimulationConfig(n=64, epsilon_prime=0.25).eps_prime == 0.25
-
-    def test_termination_threshold(self):
-        config = SimulationConfig(n=64, c=2.0)
-        assert config.termination_threshold == pytest.approx(10 * math.log(64))
 
 
 class TestNetwork:
@@ -142,28 +134,12 @@ class TestNetwork:
         assert network.node_ledgers.max_spent() == 11.0
         assert LedgerArray("correct", 0, 5.0).max_spent() == 0.0
 
-    def test_budget_overruns_empty_initially(self, small_config):
-        assert Network(small_config).budget_overruns() == {}
-
-    def test_budget_overruns_names_each_overdrawn_participant(self):
-        network = Network(SimulationConfig(n=8, seed=1))
-        node_budget = network.config.node_budget
-        network.node_ledgers.charge_bulk_many(
-            EnergyOperation.LISTEN, np.array([1, 3]), np.array([2.0, node_budget + 7.0])
-        )
-        network.alice_ledger.charge_bulk(EnergyOperation.SEND, network.config.alice_budget + 3.0)
-        assert network.budget_overruns() == {"alice": 3.0, "correct:3": 7.0}
-
-    def test_budget_overruns_never_names_capped_carol(self):
+    def test_adversary_ledger_caps_at_budget(self):
         network = Network(SimulationConfig(n=8, seed=1))
         network.adversary_ledger.charge_bulk(
             EnergyOperation.JAM, network.config.adversary_total_budget + 4.0
         )
-        network.node_ledgers.charge_bulk_many(
-            EnergyOperation.SEND, np.array([3, 5]), np.full(2, network.config.node_budget + 1.0)
-        )
         assert network.adversary_cost == network.config.adversary_total_budget
-        assert network.budget_overruns() == {"correct:3": 1.0, "correct:5": 1.0}
 
     def test_message_signature_verifies(self, small_config):
         network = Network(small_config)

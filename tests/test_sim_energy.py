@@ -51,7 +51,7 @@ class TestEnergyLedgerRecording:
         for _ in range(5):
             assert ledger.charge(EnergyOperation.LISTEN)
         assert ledger.spent == 5
-        assert ledger.overdraft == 3
+        assert ledger.spent - ledger.budget == 3
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -62,15 +62,6 @@ class TestEnergyLedgerRecording:
         ledger.charge_bulk(EnergyOperation.JAM, 1e9)
         assert not ledger.exhausted
         assert ledger.can_afford(1e12)
-
-    def test_snapshot_contains_all_operations(self):
-        ledger = EnergyLedger(owner="x", budget=4)
-        ledger.charge(EnergyOperation.JAM)
-        snapshot = ledger.snapshot()
-        assert snapshot["spent"] == 1
-        assert snapshot["budget"] == 4
-        for operation in EnergyOperation:
-            assert operation.value in snapshot
 
 
 class TestEnergyLedgerEnforcement:
@@ -110,7 +101,7 @@ class TestChargeBulk:
     def test_bulk_record_allows_overdraft(self):
         ledger = EnergyLedger(owner="x", budget=5, policy=BudgetPolicy.RECORD)
         assert ledger.charge_bulk(EnergyOperation.LISTEN, 9) == 9
-        assert ledger.overdraft == 4
+        assert ledger.spent - ledger.budget == 4
 
     def test_bulk_negative_rejected(self):
         ledger = EnergyLedger(owner="x", budget=5)

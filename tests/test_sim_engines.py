@@ -291,9 +291,14 @@ def ledger_readings(network):
         ledgers.spent_array().tolist(),
         [ledgers.spent_on_array(operation).tolist() for operation in EnergyOperation],
         ledgers.total_spent,
-        network.alice_ledger.snapshot(),
-        network.adversary_ledger.snapshot(),
+        [ledger_reading(network.alice_ledger), ledger_reading(network.adversary_ledger)],
     )
+
+
+def ledger_reading(ledger):
+    """One scalar ledger's total and per-operation spend."""
+
+    return ledger.spent, [ledger.spent_on(operation) for operation in EnergyOperation]
 
 
 def mixed_plan(num_slots=300):

@@ -200,7 +200,7 @@ PREAMBLE = """# EXPERIMENTS — paper claims versus measured results
 
 The paper is a theory paper with no numeric tables; every \"experiment\" below
 regenerates one of its quantitative claims on the simulated network substrate
-described in DESIGN.md.  Absolute numbers are not comparable to the paper
+described in docs/architecture.md.  Absolute numbers are not comparable to the paper
 (there is nothing to compare against — the paper proves asymptotic bounds);
 the reproduced quantities are the *shapes*: exponents, orderings, thresholds,
 and crossovers.  Every table below is regenerated by rerunning
@@ -208,7 +208,7 @@ and crossovers.  Every table below is regenerated by rerunning
 (`tests/test_paper_claims.py`) check each table against this file and each
 experiment's named claims at the same profile.
 
-Known, deliberate deviations at laptop scale (all discussed in DESIGN.md):
+Known, deliberate deviations at laptop scale (all discussed in docs/architecture.md):
 
 * ε′ defaults to 1/64 instead of the asymptotically tiny values the proofs
   renormalise away; this inflates constant factors, saturates probabilities in

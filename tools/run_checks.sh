@@ -40,9 +40,10 @@ run_step() {
 }
 
 # The test suite must behave identically everywhere, so the runner's env
-# knobs (REPRO_JOBS / REPRO_CACHE_DIR / REPRO_TRIAL_* — which CI sets for the
-# document regeneration and benchmark smokes below) are stripped here: tests
-# choose jobs/cache/fault policy explicitly.
+# knobs are stripped here: REPRO_JOBS / REPRO_CACHE_DIR (which CI sets for
+# the document regeneration and benchmark smokes below) and the fault-policy
+# knobs REPRO_TRIAL_* / REPRO_STRICT_FAULTS (which a local shell may set).
+# Tests choose jobs/cache/fault policy explicitly.
 run_step "tier-1 test suite" env -u REPRO_JOBS -u REPRO_CACHE_DIR \
     -u REPRO_TRIAL_TIMEOUT_S -u REPRO_TRIAL_RETRIES -u REPRO_STRICT_FAULTS \
     python -m pytest -x -q
@@ -88,6 +89,9 @@ if [[ "${1:-}" != "--no-bench" ]]; then
 
     run_step "million-device pipelined benchmark smoke" \
         python benchmarks/bench_million_device.py --smoke
+
+    run_step "sparse-topology benchmark smoke" \
+        python benchmarks/bench_sparse_topology.py --quick --engine-n 2000
 
     run_step "trace-overhead benchmark smoke (null-recorder neutrality)" \
         python benchmarks/bench_trace_overhead.py --smoke
