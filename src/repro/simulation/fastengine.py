@@ -36,13 +36,17 @@ when Carol jammed or spoofed, per-listener delivery windows only once
 someone is informed, and listener pairs only for non-empty event classes
 that some stage reads; and neither path charges the ledger an all-zero cost
 vector (no listening when ``p_listen`` is 0, no nacks when none were sent).
-The single-hop path also skips per-node binomials whose count is the scalar
-0 — a fully jammed phase has no quiet slots, a phase with no relays no noisy
-ones — and builds their zeros directly: numpy's ``binomial`` returns 0 for
-``n = 0`` without consuming bits (``tests/test_sim_rng.py`` pins this).
-Each skip leaves the generator calls that consume bits, their order and
-their arguments unchanged, so results are bit-identical to running every
-stage.
+The single-hop path draws its scalar-count per-node costs (listening heard
+and quiet, nacks, relay and decoy sends) through
+:func:`~repro.simulation.rng.binomial_iid`: a count of 0 — a fully jammed
+phase has no quiet slots, a phase with no relays no noisy ones — gives zeros
+without a generator call (numpy's ``binomial`` consumes no bits for
+``n = 0``; ``tests/test_sim_rng.py`` pins this), and a large draw in numpy's
+inversion region, such as a 4,096-node request-phase listen or nack, looks
+one uniform per node up in numpy's own cumulative table instead of running
+numpy's ``O(mean)`` loop per node.  Each skip and each table draw consumes
+exactly the bits ``Generator.binomial`` would, in the same order, so results
+are bit-identical to running every stage through numpy.
 
 Results are arrays: ``newly_informed`` is a sorted ``int64`` id array, and a
 request phase reports its cohort's noisy-slot counts as the ``int64``
@@ -125,6 +129,7 @@ from .energy import EnergyLedger, EnergyOperation
 from .jamming import materialize_jam_slots, materialize_spoof_slots
 from .network import Network
 from .phaseplan import JamPlan, PhaseKind, PhasePlan, PhaseResult, PhaseRoles, clip_probability
+from .rng import binomial_iid
 from .setops import isin_sorted, unique_sorted
 from .topology import NeighborCSR, _gather_ranges
 
@@ -446,19 +451,10 @@ class PhaseEngine:
         if num_u:
             if p_listen > 0:
                 noisy_per_node = per_node(noisy_for_victim, noisy_for_spared)
+                # A scalar count draws one binomial per node, as an array does.
                 size = None if victim is not None else num_u
-
-                def listens(count: "int | np.ndarray") -> np.ndarray:
-                    # A scalar count draws one binomial per node, as an array
-                    # does; a scalar 0 draws nothing (numpy consumes no bits
-                    # for n=0), so its zeros are built without the generator.
-                    if victim is None and count == 0:
-                        return np.zeros(num_u, dtype=np.int64)
-                    return rng.binomial(count, p_listen, size=size)
-
-                heard = listens(noisy_per_node)
-                quiet_listens = listens(s - noisy_per_node)
-                listen_cost = heard + quiet_listens
+                heard = binomial_iid(rng, noisy_per_node, p_listen, size)
+                listen_cost = heard + binomial_iid(rng, s - noisy_per_node, p_listen, size)
                 if informed_mask is not None and informed_mask.any():
                     listen_cost = self._truncate_informed_listening(
                         rng, listen_cost, informed_mask, good_per_node, p_listen, s
@@ -469,17 +465,17 @@ class PhaseEngine:
                 heard = np.zeros(num_u, dtype=np.int64)
 
             if plan.nack_send_prob > 0:
-                nack_cost = rng.binomial(s, plan.nack_send_prob, size=num_u)
+                nack_cost = binomial_iid(rng, s, plan.nack_send_prob, num_u)
                 ledgers.charge_bulk_many(EnergyOperation.SEND, uninformed, nack_cost)
             if plan.kind is PhaseKind.REQUEST:
                 noisy_listeners, node_noisy = uninformed, heard
 
         if relays.size and plan.relay_send_prob > 0:
-            relay_cost = rng.binomial(s, plan.relay_send_prob, size=relays.size)
+            relay_cost = binomial_iid(rng, s, plan.relay_send_prob, relays.size)
             ledgers.charge_bulk_many(EnergyOperation.SEND, relays, relay_cost)
 
         if decoys.size and plan.decoy_send_prob > 0:
-            decoy_cost = rng.binomial(s, plan.decoy_send_prob, size=decoys.size)
+            decoy_cost = binomial_iid(rng, s, plan.decoy_send_prob, decoys.size)
             ledgers.charge_bulk_many(EnergyOperation.SEND, decoys, decoy_cost)
 
         return PhaseResult(

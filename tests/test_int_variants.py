@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro import (
@@ -14,6 +17,8 @@ from repro import (
 )
 from repro.adversary import PhaseBlockingAdversary, ReactiveJammer
 from repro.core import MultiHopBroadcast
+from repro.core.params import ProtocolParameters
+from repro.core.phases import ScheduleBuilder
 from repro.simulation import ConfigurationError, PhaseKind
 
 
@@ -167,6 +172,17 @@ class TestSizeEstimateVariant:
         protocol = SizeEstimateBroadcast(SimulationConfig(n=64, seed=1), size_estimate=4096)
         assert protocol.schedule.node_n == 4096
         assert protocol.schedule.n == 64  # Alice knows the true n
+
+    @pytest.mark.parametrize("n, earliest, cap", [(64, 11, 10), (256, 12, 12)])
+    def test_squared_estimate_termination_window_as_quoted_under_e8(self, n, earliest, cap):
+        # With ν = n² the nodes' earliest quiet round reaches the run's cap
+        # (past it at n = 64); E8's commentary in EXPERIMENTS.md quotes both.
+        params = ProtocolParameters(k=2)
+        assert ScheduleBuilder(params, n, n * n).earliest_termination_round() == earliest
+        assert params.resolved_max_round(n) == cap
+        text = (Path(__file__).resolve().parent.parent / "EXPERIMENTS.md").read_text("utf-8")
+        e8 = re.search(r"^## E8 — (.*?)^```text", text, re.M | re.S).group(1)
+        assert f"{earliest} at n = {n} (cap {cap})" in " ".join(e8.split())
 
     def test_delivery_preserved_with_overestimate(self):
         outcome = run_broadcast(

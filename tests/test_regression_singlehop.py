@@ -39,6 +39,7 @@ from repro.adversary import (
 from repro.baselines import BalancedBackoffBroadcast, KSYStyleBroadcast, NaiveBroadcast
 from repro.core.broadcast import EpsilonBroadcast, MultiHopBroadcast
 from repro.core.decoy import DecoyBroadcast
+from repro.experiments.workloads import blocking_adversary
 from repro.simulation import EnergyOperation, SimulationConfig, TopologySpec
 
 ADVERSARIES = {
@@ -542,3 +543,33 @@ def test_baseline_matches_golden(baseline_name, adversary_name, engine, seed):
     snapshot, phases, _ = run_baseline(*key)
     assert snapshot == BASELINE_GOLDEN[key][0]
     assert tuple(map(phase_fields, phases)) == golden_phase_records(key)
+
+
+# seed -> the headline scenario at n = 4096: k = 2, f = 1, fast engine, the
+# reference phase blocker capped at 0.9 of Carol's aggregate budget.  The
+# request-phase listen and nack draws here are 4096-node binomials in numpy's
+# inversion region, the size at which ``binomial_iid`` takes its table path;
+# the n = 40 goldens above never reach it.  Captured with every per-node draw
+# still made by ``Generator.binomial`` (before ``binomial_iid`` existed), so
+# the table path must reproduce numpy's samples exactly.  ``node_costs`` is
+# the sha-256 of the final ``node_costs()`` float64 bytes.
+HEADLINE_GOLDEN = {
+    3: {"node_costs": "8e2bda17b8591b815b9d9f0a861955b1f67b5934569039c0623cdbd0751a9f20", "informed": 4096, "slots": 27527289, "alice": 13219.0, "adversary": 3782539.0},
+    11: {"node_costs": "c65b949ed0126ccf4a8af74e7c3fda1ae17e5f074b6d7f8bdea17fe4f9513127", "informed": 4096, "slots": 27527289, "alice": 13164.0, "adversary": 3782539.0},
+}
+
+
+@pytest.mark.parametrize("seed", sorted(HEADLINE_GOLDEN))
+def test_headline_scenario_at_n4096_matches_golden(seed):
+    config = SimulationConfig(n=4096, seed=seed, k=2, f=1.0)
+    adversary = blocking_adversary(0.9 * config.adversary_total_budget)
+    protocol = EpsilonBroadcast(config, adversary=adversary, engine="fast")
+    outcome = protocol.run()
+    network = protocol.network
+    assert {
+        "node_costs": hashlib.sha256(network.node_costs().tobytes()).hexdigest(),
+        "informed": outcome.delivery.informed,
+        "slots": outcome.delivery.slots_elapsed,
+        "alice": network.alice_cost,
+        "adversary": network.adversary_cost,
+    } == HEADLINE_GOLDEN[seed]

@@ -99,7 +99,13 @@ COMMENTARY = {
     "E8": (
         "Paper: a polynomial overestimate ν of n costs only an O(lg ν) factor (§4.2).  Measured: "
         "delivery is preserved for ν = 2n and ν = n², and the latency inflation matches the "
-        "predicted (2 + lg ν)/3 factor exactly (4.0× and 6.7× at n = 256/512)."
+        "predicted (2 + lg ν)/3 factor exactly (4.0× and 6.7× at n = 256/512).  The nodes run "
+        "their quiet test over ν's round window, which ends later than the run does: with "
+        "ν = n² their earliest termination round "
+        "(`ScheduleBuilder(ProtocolParameters(k=2), n, ν).earliest_termination_round()`) is "
+        "11 at n = 64 (cap 10) and 12 at n = 256 (cap 12), where the cap is the run's last round, "
+        "`resolved_max_round(n)`.  So under jamming an uninformed node in the ν = n² rows can "
+        "stop only at the cap; the quick tables here run without jamming and never reach that case."
     ),
     "E9": (
         "Paper: the protocol's per-slot independent randomness gives an adaptive scheduler no edge "
