@@ -142,18 +142,10 @@ class TrialCache:
     :attr:`disabled` for the rest of the run — reads return misses, writes
     become no-ops — and emits one :class:`RuntimeWarning` naming the cause.
     The sweep itself continues, merely uncached.
-
-    ``torn_write_bytes`` is a chaos knob for tests: when set, every completed
-    write is truncated to that many bytes, simulating a writer killed between
-    ``write`` and ``fsync`` on a filesystem that tore the page — the next read
-    of such an entry must degrade to a miss, never an exception.
     """
 
-    def __init__(
-        self, root: os.PathLike | str, *, torn_write_bytes: Optional[int] = None
-    ) -> None:
+    def __init__(self, root: os.PathLike | str) -> None:
         self.root = Path(root)
-        self.torn_write_bytes = torn_write_bytes
         self.disabled = False
         self.disabled_reason: Optional[str] = None
         try:
@@ -233,11 +225,6 @@ class TrialCache:
             except OSError:
                 pass
             raise
-        if self.torn_write_bytes is not None:
-            # Chaos mode: tear the entry we just published, as a crashed
-            # writer on a non-atomic filesystem would have.
-            with path.open("r+b") as handle:
-                handle.truncate(int(self.torn_write_bytes))
 
     def __len__(self) -> int:
         return sum(1 for _ in self.root.glob("*/*.pkl"))

@@ -10,20 +10,33 @@ delay they buy, and the per-device costs they force.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
+from ..adversary import Adversary, ContinuousJammer, NullAdversary, RandomJammer
 from ..analysis.stats import aggregate_records
 from ..core.api import run_broadcast
 from ..simulation.config import SimulationConfig
+from ..tournament import roster
 from .harness import Claim, ExperimentResult, ExperimentSettings
 from .runner import TrialSpec, run_sweep
-from .workloads import ablation_roster
 
 __all__ = ["run", "EXPERIMENT_ID", "TITLE", "CLAIM", "CHECKS"]
 
 EXPERIMENT_ID = "E9"
 TITLE = "Jamming-strategy ablation at equal spend"
 CLAIM = "The protocol yields no advantage to adaptive scheduling: at equal spend, all non-reactive strategies force comparable (and bounded) costs, and none defeats delivery"
+
+STRATEGIES: Dict[str, Callable[[Optional[float]], Adversary]] = {
+    "none": lambda cap: NullAdversary(),
+    "random": lambda cap: RandomJammer(rate=0.5, max_total_spend=cap),
+    "bursty": roster.bursty,
+    "continuous": lambda cap: ContinuousJammer(max_total_spend=cap),
+    "phase_blocker": roster.budget_blocker,
+    "request_spoofer": roster.request_spoofer,
+    "spoofing": roster.sybil,
+    "reactive": roster.reactive,
+}
+"""Table label → factory(spend_cap), in table order; five are roster entries."""
 
 
 def _trial(seed: int, n: int, engine: str, strategy: str, spend_cap: float) -> dict:
@@ -34,7 +47,7 @@ def _trial(seed: int, n: int, engine: str, strategy: str, spend_cap: float) -> d
         k=2,
         f=1.0,
         seed=seed,
-        adversary=ablation_roster(spend_cap)[strategy](),
+        adversary=STRATEGIES[strategy](spend_cap),
         engine=engine,
     )
     return outcome.as_record()
@@ -43,10 +56,10 @@ def _trial(seed: int, n: int, engine: str, strategy: str, spend_cap: float) -> d
 def run(settings: ExperimentSettings) -> ExperimentResult:
     config = SimulationConfig(n=settings.n, k=2, f=1.0, seed=settings.seed)
     spend_cap = config.adversary_total_budget / 4.0
-    roster = ablation_roster(spend_cap)
+    names = list(STRATEGIES)
     if settings.quick:
         keep = ["none", "random", "continuous", "phase_blocker", "request_spoofer", "reactive"]
-        roster = {name: factory for name, factory in roster.items() if name in keep}
+        names = [name for name in names if name in keep]
 
     result = ExperimentResult(
         experiment_id=EXPERIMENT_ID,
@@ -63,7 +76,6 @@ def run(settings: ExperimentSettings) -> ExperimentResult:
         ],
     )
 
-    names = list(roster)
     specs = [
         TrialSpec.point(
             _trial,

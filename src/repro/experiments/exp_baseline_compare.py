@@ -17,12 +17,11 @@ from typing import Dict, Sequence
 
 from ..analysis.fitting import fit_cost_exponent
 from ..analysis.stats import aggregate_records
-from ..baselines import BalancedBackoffBroadcast, KSYStyleBroadcast, NaiveBroadcast
-from ..core.api import run_broadcast
 from ..simulation.config import SimulationConfig
+from ..tournament.roster import budget_blocker, build_protocol
 from .harness import Claim, ExperimentResult, ExperimentSettings
 from .runner import TrialSpec, run_sweep
-from .workloads import blocking_adversary, spend_sweep
+from .workloads import spend_sweep
 
 __all__ = ["run", "EXPERIMENT_ID", "TITLE", "CLAIM", "CHECKS"]
 
@@ -30,33 +29,21 @@ EXPERIMENT_ID = "E5"
 TITLE = "ε-Broadcast vs naive, KSY-style, and balanced-backoff baselines"
 CLAIM = "ε-Broadcast's per-device cost exponent (≈1/3 for k=2) beats the naive Θ(T) strategy and the KSY receiver cost Θ(T); its sender cost also beats KSY's T^0.62"
 
-_BASELINES = {
-    "naive": NaiveBroadcast,
-    "ksy": KSYStyleBroadcast,
-    "balanced-backoff": BalancedBackoffBroadcast,
+PROTOCOLS = {
+    "epsilon-broadcast": "eps-broadcast",
+    "naive": "naive",
+    "ksy": "ksy",
+    "balanced-backoff": "backoff",
 }
-
-PROTOCOLS = ("epsilon-broadcast", "naive", "ksy", "balanced-backoff")
+"""Table label → roster protocol name, in table order."""
 
 
 def _trial(seed: int, n: int, engine: str, protocol: str, cap: float) -> dict:
     """One E5 trial: ``protocol`` against a fresh blocker with spend cap ``cap``."""
 
-    if protocol == "epsilon-broadcast":
-        outcome = run_broadcast(
-            n=n,
-            k=2,
-            f=1.0,
-            seed=seed,
-            adversary=blocking_adversary(cap),
-            engine=engine,
-        )
-    else:
-        config = SimulationConfig(n=n, k=2, f=1.0, seed=seed)
-        outcome = _BASELINES[protocol](
-            config, adversary=blocking_adversary(cap), engine=engine
-        ).run()
-    return outcome.as_record()
+    config = SimulationConfig(n=n, k=2, f=1.0, seed=seed)
+    protocol_variant = build_protocol(PROTOCOLS[protocol], config, budget_blocker(cap), engine)
+    return protocol_variant.run().as_record()
 
 
 def run(settings: ExperimentSettings) -> ExperimentResult:

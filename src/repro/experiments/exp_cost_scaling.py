@@ -18,9 +18,10 @@ from ..analysis.fitting import fit_cost_exponent
 from ..analysis.stats import aggregate_records
 from ..core.api import run_broadcast
 from ..simulation.config import SimulationConfig
+from ..tournament.roster import budget_blocker
 from .harness import Claim, ExperimentResult, ExperimentSettings
 from .runner import TrialSpec, run_sweep
-from .workloads import blocking_adversary, saturation_spend, spend_sweep
+from .workloads import saturation_spend, spend_sweep
 
 __all__ = ["run", "EXPERIMENT_ID", "TITLE", "CLAIM", "CHECKS"]
 
@@ -42,7 +43,7 @@ def _trial(seed: int, n: int, engine: str, cap: float) -> dict:
         k=2,
         f=1.0,
         seed=seed,
-        adversary=blocking_adversary(max_total_spend=cap),
+        adversary=budget_blocker(cap),
         engine=engine,
     )
     return outcome.as_record()

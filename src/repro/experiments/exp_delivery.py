@@ -14,12 +14,13 @@ from __future__ import annotations
 
 from typing import Dict, Sequence
 
+from ..adversary import NUniformSplitAdversary
 from ..analysis.stats import aggregate_records
 from ..core.api import run_broadcast
 from ..simulation.config import SimulationConfig
+from ..tournament.roster import budget_blocker
 from .harness import Claim, ExperimentResult, ExperimentSettings
 from .runner import TrialSpec, run_sweep
-from .workloads import blocking_adversary, splitting_adversary
 
 __all__ = ["run", "EXPERIMENT_ID", "TITLE", "CLAIM", "CHECKS"]
 
@@ -34,9 +35,9 @@ def _trial(seed: int, n: int, engine: str, attack: str, victims: int) -> dict:
     if attack == "none":
         adversary = "none"
     elif attack == "blocker":
-        adversary = blocking_adversary(None)
+        adversary = budget_blocker(None)
     else:
-        adversary = splitting_adversary(victims)
+        adversary = NUniformSplitAdversary(target_uninformed=victims)
     outcome = run_broadcast(
         n=n,
         k=2,

@@ -17,12 +17,11 @@ import math
 from typing import Dict, Optional
 
 from ..analysis.stats import aggregate_records
-from ..baselines import KSYStyleBroadcast
 from ..core.api import run_broadcast
 from ..simulation.config import SimulationConfig
+from ..tournament.roster import budget_blocker, build_protocol
 from .harness import Claim, ExperimentResult, ExperimentSettings
 from .runner import TrialSpec, run_sweep
-from .workloads import blocking_adversary
 
 __all__ = ["run", "EXPERIMENT_ID", "TITLE", "CLAIM", "CHECKS"]
 
@@ -34,7 +33,7 @@ CLAIM = "Alice and each correct node incur asymptotically equal costs, up to log
 def _trial(seed: int, n: int, engine: str, cap: Optional[float]) -> dict:
     """One ε-Broadcast E4 trial against a blocker capped at ``cap`` (None = no attack)."""
 
-    adversary = blocking_adversary(cap) if cap is not None else "none"
+    adversary = budget_blocker(cap) if cap is not None else "none"
     outcome = run_broadcast(n=n, k=2, f=1.0, seed=seed, adversary=adversary, engine=engine)
     return outcome.as_record()
 
@@ -43,9 +42,7 @@ def _ksy_trial(seed: int, n: int, engine: str, cap: float) -> dict:
     """The KSY-style contrast run: explicitly *not* load balanced."""
 
     config_trial = SimulationConfig(n=n, k=2, f=1.0, seed=seed)
-    outcome = KSYStyleBroadcast(
-        config_trial, adversary=blocking_adversary(cap), engine=engine
-    ).run()
+    outcome = build_protocol("ksy", config_trial, budget_blocker(cap), engine).run()
     return outcome.as_record()
 
 

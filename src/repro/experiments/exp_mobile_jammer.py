@@ -41,24 +41,17 @@ damage.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
-from ..adversary import (
-    MobileJammer,
-    MultiDiskJammer,
-    Orbit,
-    RandomWalk,
-    ReactiveDiskJammer,
-    SpatialJammer,
-    WaypointPatrol,
-)
+from ..adversary import Adversary, MobileJammer, Orbit, RandomWalk
 from ..analysis.stats import aggregate_records
 from ..core.broadcast import MultiHopBroadcast
 from ..core.quietrule import ConstantQuietRule
 from ..simulation.config import SimulationConfig
 from ..simulation.topology import TopologySpec, gilbert_connectivity_radius
+from ..tournament import roster
 from .harness import Claim, ExperimentResult, ExperimentSettings
 from .runner import TrialSpec, run_sweep
 
@@ -73,45 +66,30 @@ CLAIM = (
     "static disk's at equal radius and spend cap"
 )
 
-QUIET_RETRIES = 6
-"""Request-phase retry horizon used by every E12 run (a uniform
-``ConstantQuietRule``): ends the run while jamming still binds, so the
-delivery metrics can discriminate between strategies over one bounded
-window.  A fixed horizon — not the degree-aware default — keeps every
-scenario's window identical."""
 
-JAM_RADIUS = 0.25
-"""Disk radius shared by every scenario (the E11 default)."""
+def scenario_roster(seed: int = 0) -> Dict[str, Callable[[Optional[float]], Adversary]]:
+    """One factory(spend_cap) per scenario, in table order.
 
-PATROL_SPEED = 0.04
-"""Patrol distance per phase for the waypoint scenario."""
-
-
-def scenario_roster(seed: int = 0):
-    """Fresh adversaries, one factory per scenario, with no spend cap.
-
-    The caller sets each one's ``max_total_spend``, so every scenario runs
-    at the same cap.  ``seed`` seeds the random walk's trajectory.
+    Four scenarios are roster entries; the orbit and the random walk are
+    E12's own, at the roster's disk radius.  ``seed`` seeds the random
+    walk's trajectory.
     """
 
-    corners = [(0.25, 0.25), (0.75, 0.25), (0.75, 0.75), (0.25, 0.75)]
     return {
-        "static disk": lambda: SpatialJammer(center=(0.25, 0.25), radius=JAM_RADIUS),
-        "patrol": lambda: MobileJammer(
-            WaypointPatrol(corners, speed=PATROL_SPEED), radius=JAM_RADIUS
-        ),
-        "orbit": lambda: MobileJammer(
+        "static disk": roster.static_disk,
+        "patrol": roster.mobile_disk,
+        "orbit": lambda cap: MobileJammer(
             Orbit(center=(0.5, 0.5), orbit_radius=0.25, angular_speed=0.15),
-            radius=JAM_RADIUS,
+            radius=roster.JAM_RADIUS,
+            max_total_spend=cap,
         ),
-        "random walk": lambda: MobileJammer(
-            RandomWalk(start=(0.25, 0.25), step=0.05, seed=seed), radius=JAM_RADIUS
+        "random walk": lambda cap: MobileJammer(
+            RandomWalk(start=(0.25, 0.25), step=0.05, seed=seed),
+            radius=roster.JAM_RADIUS,
+            max_total_spend=cap,
         ),
-        "multi-disk k=3": lambda: MultiDiskJammer(
-            centers=[(0.2, 0.2), (0.8, 0.2), (0.5, 0.8)],
-            radius=JAM_RADIUS / (3 ** 0.5),  # equal total area to one disk
-        ),
-        "reactive disk": lambda: ReactiveDiskJammer(radius=JAM_RADIUS),
+        "multi-disk k=3": roster.multi_disk,
+        "reactive disk": roster.reactive_disk,
     }
 
 
@@ -149,17 +127,18 @@ def _trial(seed: int, n: int, engine: str, scenario: str, roster_seed: int) -> d
     radius = 2.0 * gilbert_connectivity_radius(n)
     spec = TopologySpec.gilbert(radius=radius)
     config = SimulationConfig(n=n, k=2, f=1.0, seed=seed, topology=spec)
-    adversary = scenario_roster(seed=roster_seed)[scenario]()
-    adversary.max_total_spend = 0.5 * config.adversary_total_budget
+    adversary = scenario_roster(seed=roster_seed)[scenario](0.5 * config.adversary_total_budget)
     # Sequential schedule (no pipelining): the equal-budget comparison needs
     # Carol's spend cap to bind, which requires the fixed-length relay
     # schedule — pipelined runs deliver before the budget is exhausted and
-    # the scenarios would no longer be compared at equal spend.
+    # the scenarios would no longer be compared at equal spend.  The roster's
+    # uniform retry horizon ends the run while jamming still binds, over one
+    # window shared by every scenario.
     protocol = MultiHopBroadcast(
         config,
         adversary=adversary,
         engine=engine,
-        quiet_rule=ConstantQuietRule(retries=QUIET_RETRIES),
+        quiet_rule=ConstantQuietRule(retries=roster.QUIET_RETRIES),
         pipeline=False,
     )
     outcome = protocol.run()

@@ -29,9 +29,9 @@ from ..analysis.stats import aggregate_records
 from ..core.broadcast import MultiHopBroadcast
 from ..simulation.config import SimulationConfig
 from ..simulation.topology import TopologySpec, gilbert_connectivity_radius
+from ..tournament.roster import build_topology_spec, static_disk, topology_grid
 from .harness import Claim, ExperimentResult, ExperimentSettings
 from .runner import TrialSpec, run_sweep
-from .workloads import spatial_adversary
 
 __all__ = ["run", "EXPERIMENT_ID", "TITLE", "CLAIM", "CHECKS"]
 
@@ -47,7 +47,12 @@ CLAIM = (
 def _scenarios(settings: ExperimentSettings):
     multipliers = [0.6, 0.9, 1.3, 2.0, 3.0]
     if settings.quick:
-        multipliers = [0.6, 1.3, 2.5]
+        # The roster's sub-, near- and super-threshold regimes.
+        multipliers = [
+            entry.radius_multiplier
+            for entry in topology_grid().values()
+            if entry.kind == "gilbert"
+        ]
     scenarios = [(f"gilbert r={m:g}·r_c", "gilbert", m, None) for m in multipliers]
     scenarios.append(("scale-free (α=2.5)", "scale_free", None, None))
     jam_multiplier = multipliers[-1]
@@ -70,9 +75,9 @@ def _trial(
     if kind == "gilbert":
         spec = TopologySpec.gilbert(radius=radius)
     else:
-        spec = TopologySpec.scale_free(alpha=2.5)
+        spec = build_topology_spec("scale-free", n)
     config = SimulationConfig(n=n, k=2, f=1.0, seed=seed, topology=spec)
-    adversary = spatial_adversary() if attack == "spatial" else None
+    adversary = static_disk(None) if attack == "spatial" else None
     protocol = MultiHopBroadcast(
         config,
         adversary=adversary,

@@ -27,10 +27,11 @@ from ..core.broadcast import MultiHopBroadcast
 from ..core.quietrule import ConstantQuietRule, DegreeAwareQuietRule, PaperQuietRule, QuietRule
 from ..simulation.config import SimulationConfig
 from ..simulation.topology import TopologySpec, gilbert_connectivity_radius
+from ..tournament.roster import QUIET_RETRIES, topology_grid
 from .harness import Claim, ExperimentResult, ExperimentSettings
 from .runner import TrialSpec, run_sweep
 
-__all__ = ["run", "EXPERIMENT_ID", "TITLE", "CLAIM", "CHECKS", "BASELINE_RETRIES"]
+__all__ = ["run", "EXPERIMENT_ID", "TITLE", "CLAIM", "CHECKS"]
 
 EXPERIMENT_ID = "E13"
 TITLE = "Quiet-rule ablation: request-phase termination policies on sparse Gilbert graphs"
@@ -41,13 +42,14 @@ CLAIM = (
     "global constant achieves"
 )
 
-BASELINE_RETRIES = 6
-"""The reference ``ConstantQuietRule`` horizon (the repo's E12 convention)."""
+# The roster's sub- and near-threshold radius multipliers.
+_SUB_MULTIPLIER = topology_grid()["gilbert-sub"].radius_multiplier
+_NEAR_MULTIPLIER = topology_grid()["gilbert-near"].radius_multiplier
 
-SUB = "sub-threshold 0.6·r_c"
-NEAR = "near-threshold 1.3·r_c"
+SUB = f"sub-threshold {_SUB_MULTIPLIER:g}·r_c"
+NEAR = f"near-threshold {_NEAR_MULTIPLIER:g}·r_c"
 PAPER = "paper"
-CONSTANT = f"constant R={BASELINE_RETRIES}"
+CONSTANT = f"constant R={QUIET_RETRIES}"
 DEGREE = "degree-aware (default)"
 DEGREE_HOPS_ONE = "degree hops=1"
 
@@ -55,7 +57,7 @@ DEGREE_HOPS_ONE = "degree hops=1"
 def _rules() -> "list[tuple[str, QuietRule]]":
     return [
         (PAPER, PaperQuietRule()),
-        (CONSTANT, ConstantQuietRule(retries=BASELINE_RETRIES)),
+        (CONSTANT, ConstantQuietRule(retries=QUIET_RETRIES)),
         (DEGREE_HOPS_ONE, DegreeAwareQuietRule(hops=1)),
         (DEGREE, DegreeAwareQuietRule()),
     ]
@@ -81,7 +83,7 @@ def _trial(seed: int, n: int, engine: str, radius: float, quiet_rule: QuietRule)
 def run(settings: ExperimentSettings) -> ExperimentResult:
     n = settings.n
     r_c = gilbert_connectivity_radius(n)
-    scenarios = [(SUB, 0.6), (NEAR, 1.3)]
+    scenarios = [(SUB, _SUB_MULTIPLIER), (NEAR, _NEAR_MULTIPLIER)]
     rules = _rules()
 
     result = ExperimentResult(

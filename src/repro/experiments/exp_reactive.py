@@ -18,9 +18,9 @@ from typing import Dict, List, Sequence
 from ..analysis.bounds import reactive_f_threshold
 from ..analysis.stats import aggregate_records
 from ..core.api import run_broadcast
+from ..tournament.roster import reactive
 from .harness import Claim, ExperimentResult, ExperimentSettings
 from .runner import TrialSpec, run_sweep
-from .workloads import reactive_adversary
 
 __all__ = ["run", "EXPERIMENT_ID", "TITLE", "CLAIM", "CHECKS"]
 
@@ -38,7 +38,7 @@ def _trial(seed: int, n: int, engine: str, variant: str, f: float, attack: bool)
         f=f,
         seed=seed,
         variant=variant,
-        adversary=reactive_adversary() if attack else "none",
+        adversary=reactive(None) if attack else "none",
         engine=engine,
     )
     record = outcome.as_record()

@@ -18,15 +18,27 @@ from typing import Dict, Optional
 from ..analysis.stats import aggregate_records
 from ..core.api import run_broadcast
 from ..simulation.config import SimulationConfig
+from ..tournament.roster import budget_blocker
 from .harness import Claim, ExperimentResult, ExperimentSettings
 from .runner import TrialSpec, run_sweep
-from .workloads import blocking_adversary
 
-__all__ = ["run", "EXPERIMENT_ID", "TITLE", "CLAIM", "CHECKS"]
+__all__ = ["run", "EXPERIMENT_ID", "TITLE", "CLAIM", "CHECKS", "predicted_factor"]
 
 EXPERIMENT_ID = "E8"
 TITLE = "Unknown n: polynomial overestimates cost only a logarithmic factor"
 CLAIM = "ε-Broadcast still works when nodes share only a polynomial overestimate ν of n, at an O(lg ν) factor in cost and latency (§4.2)"
+
+
+def predicted_factor(estimate: Optional[int], k: int = 2) -> float:
+    """The latency factor §4.2 predicts for the estimate ``ν`` (1 for exact n).
+
+    Sweeping the propagation steps over the unknown scale grows a round from
+    ``k+1`` phases to ``2 + (k-1)·⌈lg ν⌉`` phases.
+    """
+
+    if estimate is None:
+        return 1.0
+    return (2.0 + (k - 1) * math.ceil(math.log2(estimate))) / (k + 1.0)
 
 
 def _trial(
@@ -34,7 +46,7 @@ def _trial(
 ) -> dict:
     """One E8 trial: exact-n or size-estimate variant, clean or blocked."""
 
-    adversary = blocking_adversary(cap) if cap is not None else "none"
+    adversary = budget_blocker(cap) if cap is not None else "none"
     if estimate is None:
         outcome = run_broadcast(n=n, k=2, f=1.0, seed=seed, adversary=adversary, engine=engine)
     else:
@@ -103,14 +115,6 @@ def run(settings: ExperimentSettings) -> ExperimentResult:
             slots = summary["slots"].mean
             if baseline_slots is None:
                 baseline_slots = max(slots, 1.0)
-            # The round grows from k+1 phases to 2 + (k-1)·lg ν phases when the
-            # propagation steps are swept over the unknown scale (§4.2).
-            k = 2
-            predicted = (
-                1.0
-                if estimate is None
-                else (2.0 + (k - 1) * math.ceil(math.log2(estimate))) / (k + 1.0)
-            )
             result.add_row(
                 scenario=attack_label,
                 estimate=est_label,
@@ -119,7 +123,7 @@ def run(settings: ExperimentSettings) -> ExperimentResult:
                 alice_cost=summary["alice_cost"].mean,
                 slots=slots,
                 latency_inflation=slots / baseline_slots,
-                predicted_factor=predicted,
+                predicted_factor=predicted_factor(estimate),
             )
 
     result.add_note(

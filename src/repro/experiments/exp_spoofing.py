@@ -19,9 +19,9 @@ from ..analysis.fitting import fit_cost_exponent
 from ..analysis.stats import aggregate_records
 from ..core.api import run_broadcast
 from ..simulation.config import SimulationConfig
+from ..tournament.roster import request_spoofer
 from .harness import Claim, ExperimentResult, ExperimentSettings
 from .runner import TrialSpec, run_sweep
-from .workloads import spoofing_adversary
 
 __all__ = ["run", "EXPERIMENT_ID", "TITLE", "CLAIM", "CHECKS"]
 
@@ -33,7 +33,7 @@ CLAIM = "Keeping Alice executing past round i costs Carol Ω(2^{(b/2+1)i}) per e
 def _trial(seed: int, n: int, engine: str, cap: float) -> dict:
     """One E10 trial: the request-phase spoofer capped at ``cap`` (0 = no attack)."""
 
-    adversary = spoofing_adversary(cap) if cap > 0 else "none"
+    adversary = request_spoofer(cap) if cap > 0 else "none"
     outcome = run_broadcast(
         n=n, k=2, f=1.0, seed=seed, adversary=adversary, engine=engine
     )

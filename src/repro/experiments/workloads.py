@@ -1,44 +1,20 @@
-"""Adversary scenario catalogue shared by the experiments.
+"""Spend sweeps shared by the cost-scaling experiments.
 
-Each experiment needs adversaries configured consistently — in particular the
-cost-scaling experiments sweep "Carol spends (up to) T" scenarios, and the
-ablation experiment needs a roster of strategies normalised to the same spend
-cap.  Centralising the constructors here keeps experiment modules small and
-guarantees that two experiments asking for "a phase blocker with budget T"
-really get the same attacker.
+The experiments sweep "Carol spends (up to) T" scenarios over one geometric
+grid of spend caps; the attackers themselves come from
+:mod:`repro.tournament.roster`.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Dict, List, Optional
+from typing import List
 
-from ..adversary import (
-    Adversary,
-    BurstyJammer,
-    ContinuousJammer,
-    NullAdversary,
-    NUniformSplitAdversary,
-    PhaseBlockingAdversary,
-    RandomJammer,
-    ReactiveJammer,
-    RequestSpoofingAdversary,
-    SpatialJammer,
-    SpoofingAdversary,
-)
 from ..simulation.config import SimulationConfig
-from ..simulation.phaseplan import PhaseKind
 
-__all__ = [
-    "spend_sweep",
-    "saturation_spend",
-    "blocking_adversary",
-    "ablation_roster",
-    "splitting_adversary",
-    "reactive_adversary",
-    "spatial_adversary",
-    "spoofing_adversary",
-]
+# The roster's Lemma 10 blocker, under the name perfbench/workloads.py imports.
+from ..tournament.roster import budget_blocker as blocking_adversary
+
+__all__ = ["spend_sweep", "saturation_spend", "blocking_adversary"]
 
 
 def saturation_spend(config: SimulationConfig) -> float:
@@ -74,71 +50,3 @@ def spend_sweep(config: SimulationConfig, points: int = 5, quick: bool = True) -
         return [high]
     ratio = (high / low) ** (1.0 / (points - 1))
     return [low * ratio ** index for index in range(points)]
-
-
-def blocking_adversary(max_total_spend: Optional[float] = None) -> PhaseBlockingAdversary:
-    """The reference attacker of Lemma 10: block inform phases until broke."""
-
-    return PhaseBlockingAdversary(
-        kinds={PhaseKind.INFORM},
-        fraction=1.0,
-        max_total_spend=max_total_spend,
-    )
-
-
-def splitting_adversary(target_uninformed: int, max_total_spend: Optional[float] = None) -> NUniformSplitAdversary:
-    """The n-uniform splitter used by the delivery experiments (E2)."""
-
-    return NUniformSplitAdversary(
-        target_uninformed=target_uninformed,
-        max_total_spend=max_total_spend,
-    )
-
-
-def reactive_adversary(max_total_spend: Optional[float] = None) -> ReactiveJammer:
-    """A reactive jammer that drains its budget on payload-carrying phases."""
-
-    return ReactiveJammer(phase_budget_fraction=0.5, max_total_spend=max_total_spend)
-
-
-def spatial_adversary(
-    center: tuple = (0.25, 0.25),
-    radius: float = 0.25,
-    max_total_spend: Optional[float] = None,
-) -> SpatialJammer:
-    """A disk jammer for the multi-hop experiments (E11).
-
-    The off-centre default disk avoids Alice's default centre position, so the
-    attack targets relay traffic rather than silencing the source outright.
-    """
-
-    return SpatialJammer(center=center, radius=radius, max_total_spend=max_total_spend)
-
-
-def spoofing_adversary(max_total_spend: Optional[float] = None) -> RequestSpoofingAdversary:
-    """The request-phase spoofer of §2.2 (E10)."""
-
-    return RequestSpoofingAdversary(
-        fraction=1.0,
-        use_spoofed_nacks=True,
-        max_total_spend=max_total_spend,
-    )
-
-
-def ablation_roster(max_total_spend: float) -> Dict[str, Callable[[], Adversary]]:
-    """Strategy roster for the adversary-ablation experiment (E9).
-
-    Every entry is a zero-argument factory so each trial gets a fresh strategy
-    with the same spend cap.
-    """
-
-    return {
-        "none": lambda: NullAdversary(),
-        "random": lambda: RandomJammer(rate=0.5, max_total_spend=max_total_spend),
-        "bursty": lambda: BurstyJammer(burst_length=64, period=128, max_total_spend=max_total_spend),
-        "continuous": lambda: ContinuousJammer(max_total_spend=max_total_spend),
-        "phase_blocker": lambda: blocking_adversary(max_total_spend),
-        "request_spoofer": lambda: spoofing_adversary(max_total_spend),
-        "spoofing": lambda: SpoofingAdversary(max_total_spend=max_total_spend),
-        "reactive": lambda: reactive_adversary(max_total_spend),
-    }

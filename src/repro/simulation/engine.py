@@ -12,7 +12,7 @@ It is the reference semantics — the vectorised
 it is the engine of choice for unit and property tests at small ``n``.
 
 Spatial topologies need no special handling here: the engine hands every
-slot's transmissions and listeners to the network's channel, and a channel
+slot's transmissions and listeners to its own channel, and a channel
 built over a multi-hop :class:`~repro.simulation.topology.Topology` resolves
 per-listener audibility (who is in radio range of whom) by itself.  This
 keeps the slot engine exact under every topology, which is what the
@@ -25,8 +25,8 @@ from typing import Dict, List, Set
 
 import numpy as np
 
-from .auth import ALICE_ID
-from .channel import JamTargeting
+from .auth import ALICE_ID, Authenticator
+from .channel import Channel, JamTargeting
 from .energy import EnergyOperation
 from .errors import SimulationError
 from .jamming import materialize_jam_slots, materialize_spoof_slots
@@ -57,6 +57,12 @@ class SlotEngine:
         self._rng_alice = network.random_source.stream("engine:alice")
         self._rng_nodes = network.random_source.stream("engine:nodes")
         self._rng_adversary = network.random_source.stream("engine:adversary")
+        # Only this engine resolves frames, so it owns the channel, Alice's
+        # signing key and the signed message ``m``.
+        self.channel = Channel(topology=network.topology)
+        self.authenticator = Authenticator()
+        self.message_payload = "m"
+        self.message_signature = self.authenticator.sign(self.message_payload)
 
     # ------------------------------------------------------------------ #
     # Public API                                                          #
@@ -85,7 +91,7 @@ class SlotEngine:
                 adversary_spend=0.0,
             )
 
-        payload = make_payload(ALICE_ID, network.message_payload, network.message_signature)
+        payload = make_payload(ALICE_ID, self.message_payload, self.message_signature)
 
         active_uninformed: Set[int] = set(roles.active_uninformed_ids.tolist())
         relays = roles.relay_ids.tolist()
@@ -156,7 +162,7 @@ class SlotEngine:
                 for idx, relay_id in enumerate(relays):
                     if coins[idx] < plan.relay_send_prob:
                         transmissions.append(
-                            make_payload(relay_id, network.message_payload, network.message_signature)
+                            make_payload(relay_id, self.message_payload, self.message_signature)
                         )
                         senders.add(relay_id)
                         sending_nodes.add(relay_id)
@@ -243,7 +249,7 @@ class SlotEngine:
                     jam_this_slot = False
 
             # -- Channel resolution -------------------------------------- #
-            resolution = network.channel.resolve_slot(
+            resolution = self.channel.resolve_slot(
                 transmissions=transmissions,
                 listeners=listeners_with_alice,
                 jam=targeting,
@@ -263,7 +269,7 @@ class SlotEngine:
                     message = observation.message
                     if message is None:
                         raise SimulationError("MESSAGE observation without a message")
-                    if message.kind is MessageKind.PAYLOAD and network.authenticator.verify(message):
+                    if message.kind is MessageKind.PAYLOAD and self.authenticator.verify(message):
                         if listener_id in active_uninformed:
                             newly_informed.add(listener_id)
                             active_uninformed.discard(listener_id)

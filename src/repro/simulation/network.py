@@ -5,8 +5,9 @@ from a :class:`~repro.simulation.config.SimulationConfig`.  Each side of the
 game is its energy ledger: Alice's :class:`EnergyLedger`, one
 :class:`LedgerArray` row per correct node (node ``i`` is row ``i``), and the
 aggregate ledger of Carol plus her Byzantine devices.  Protocol state lives in
-:mod:`repro.core.state`; the network adds the radio graph, the shared channel,
-the authenticator, and the root random source.
+:mod:`repro.core.state`; the network adds the radio graph and the root random
+source.  The shared channel and Alice's authenticator belong to the slot
+engine, the only code that resolves frames.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from typing import Dict
 
 import numpy as np
 
-from .auth import Authenticator
-from .channel import Channel
 from .config import SimulationConfig
 from .energy import BudgetPolicy, EnergyLedger, LedgerArray
 from .errors import ConfigurationError
@@ -60,10 +59,6 @@ class Network:
             self.topology = topology
         else:
             self.topology = build_topology(config.topology, config.n, self.random_source)
-        self.channel = Channel(topology=self.topology)
-        self.authenticator = Authenticator()
-        self.message_payload = "m"
-        self.message_signature = self.authenticator.sign(self.message_payload)
 
         self.alice_ledger = EnergyLedger("alice", config.alice_budget)
         # The n correct nodes are a homogeneous population: their accounting

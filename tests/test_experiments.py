@@ -11,15 +11,15 @@ from repro.experiments import (
     render_result,
     render_table,
 )
-from repro.experiments import exp_cost_scaling, exp_mobile_jammer, exp_tournament
+from repro.experiments import (
+    exp_adversary_ablation,
+    exp_cost_scaling,
+    exp_mobile_jammer,
+    exp_tournament,
+)
 from repro.experiments.registry import EXPERIMENTS, experiment_ids, run_experiment
 from repro.experiments.reporting import format_value
-from repro.experiments.workloads import (
-    ablation_roster,
-    blocking_adversary,
-    saturation_spend,
-    spend_sweep,
-)
+from repro.experiments.workloads import blocking_adversary, saturation_spend, spend_sweep
 from repro.simulation import PhaseKind, SimulationConfig
 from repro.simulation.errors import ConfigurationError
 
@@ -170,9 +170,9 @@ class TestWorkloads:
         assert adversary.max_total_spend == 1000
 
     def test_ablation_roster_contents(self):
-        roster = ablation_roster(1000)
-        assert {"none", "continuous", "phase_blocker", "reactive"} <= set(roster)
-        adversary = roster["continuous"]()
+        strategies = exp_adversary_ablation.STRATEGIES
+        assert {"none", "continuous", "phase_blocker", "reactive"} <= set(strategies)
+        adversary = strategies["continuous"](1000)
         assert adversary.max_total_spend == 1000
 
 

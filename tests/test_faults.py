@@ -371,13 +371,6 @@ class TestCacheResilience:
         assert stats.cache_disabled == 1
         assert [e.data["fault"] for e in trace.of_kind("fault")] == ["cache-disabled"]
 
-    def test_torn_write_reads_as_miss(self, tmp_path):
-        cache = TrialCache(tmp_path, torn_write_bytes=4)
-        key = self._key()
-        cache.put(key, {"a": 1.0})
-        assert cache.path_for(key).stat().st_size == 4
-        assert cache.get(key) is None
-
     @pytest.mark.parametrize("shape", ["truncated", "zero-byte", "directory"])
     def test_corruption_shapes_read_as_miss_and_are_rewritten(self, tmp_path, shape):
         cache = TrialCache(tmp_path)

@@ -19,6 +19,7 @@ from repro.adversary import PhaseBlockingAdversary, ReactiveJammer
 from repro.core import MultiHopBroadcast
 from repro.core.params import ProtocolParameters
 from repro.core.phases import ScheduleBuilder
+from repro.experiments import DOCS_PROFILE
 from repro.simulation import ConfigurationError, PhaseKind
 
 
@@ -183,6 +184,29 @@ class TestSizeEstimateVariant:
         text = (Path(__file__).resolve().parent.parent / "EXPERIMENTS.md").read_text("utf-8")
         e8 = re.search(r"^## E8 — (.*?)^```text", text, re.M | re.S).group(1)
         assert f"{earliest} at n = {n} (cap {cap})" in " ".join(e8.split())
+
+    def test_quoted_latency_factors_match_e8_predicted_column(self):
+        # E8's commentary quotes the predicted factors of its own table.
+        text = (Path(__file__).resolve().parent.parent / "EXPERIMENTS.md").read_text("utf-8")
+        section = re.search(r"^## E8 — (.*?)^```$", text, re.M | re.S).group(1)
+        quoted = re.search(
+            r"\((\S+)× for ν = 2n and (\S+)× for ν = n² at n = (\d+)\)", section
+        )
+        assert quoted is not None
+        assert int(quoted.group(3)) == DOCS_PROFILE.n
+        table = [line for line in section.split("```text")[1].splitlines() if line.strip()]
+        header = next(i for i, line in enumerate(table) if line.startswith("scenario"))
+        columns = table[header].split()
+        rows = [
+            re.split(r"\s{2,}", line.strip())
+            for line in table[header + 2 :]
+            if not line.startswith("note:")
+        ]
+        predicted = {
+            row[columns.index("estimate")]: row[columns.index("predicted_factor")] for row in rows
+        }
+        assert quoted.group(1) == predicted["nu = 2n"]
+        assert quoted.group(2) == predicted["nu = n^2"]
 
     def test_delivery_preserved_with_overestimate(self):
         outcome = run_broadcast(

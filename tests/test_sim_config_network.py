@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from repro.simulation import (
-    ALICE_ID,
     BudgetPolicy,
     ConfigurationError,
     EnergyOperation,
@@ -140,13 +139,6 @@ class TestNetwork:
             EnergyOperation.JAM, network.config.adversary_total_budget + 4.0
         )
         assert network.adversary_cost == network.config.adversary_total_budget
-
-    def test_message_signature_verifies(self, small_config):
-        network = Network(small_config)
-        from repro.simulation import make_payload
-
-        frame = make_payload(ALICE_ID, network.message_payload, network.message_signature)
-        assert network.authenticator.verify(frame)
 
     def test_seed_override_changes_randomness(self, small_config):
         a = Network(small_config).random_source.stream("x").random(4)

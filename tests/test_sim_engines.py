@@ -234,6 +234,15 @@ class TestEngineBasics:
         assert result.busy_slots > 100
 
 
+class TestSlotEngineFrames:
+    def test_message_signature_verifies(self, small_config):
+        engine = SlotEngine(Network(small_config))
+        from repro.simulation import make_payload
+
+        frame = make_payload(ALICE_ID, engine.message_payload, engine.message_signature)
+        assert engine.authenticator.verify(frame)
+
+
 class TestResultBookkeeping:
     def test_delivery_and_busy_slot_counters(self, engine_factory):
         network = make_network()

@@ -11,6 +11,8 @@ confidence intervals, and ``nan != nan`` would flag identical runs.
 
 from __future__ import annotations
 
+import ast
+import enum
 import json
 import math
 import os
@@ -19,12 +21,23 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.adversary import ParamSpec
 from repro.analysis import fit_cost_exponent
-from repro.experiments import ExperimentSettings
+from repro.experiments import (
+    ExperimentSettings,
+    exp_adversary_ablation,
+    exp_baseline_compare,
+    exp_mobile_jammer,
+    exp_multihop,
+    exp_quiet_rule,
+    exp_reactive,
+    exp_spoofing,
+)
 from repro.experiments.runner import track_stats
+from repro.simulation import SimulationConfig
 from repro.simulation.errors import ConfigurationError
 from repro.tournament import (
     CellResult,
@@ -39,6 +52,7 @@ from repro.tournament import (
     topology_grid,
     tournament_cells,
 )
+from repro.tournament import roster
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -275,3 +289,137 @@ class TestRosterParameterConformance:
         )
         assert adversary.get_parameter("burst_length") == 8
         assert adversary.get_parameter("period") == 32
+
+
+def _state(value):
+    """``vars()`` all the way down, so nested trajectories and arrays compare by content."""
+
+    if isinstance(value, np.ndarray):
+        return ("ndarray", value.dtype.str, value.tolist())
+    if isinstance(value, np.random.Generator):
+        return ("generator", repr(value.bit_generator.state))
+    if isinstance(value, dict):
+        return {key: _state(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return (type(value).__name__, [_state(item) for item in value])
+    if hasattr(value, "__dict__") and not isinstance(value, (type, enum.Enum)):
+        return (type(value), _state(vars(value)))
+    return value
+
+
+def assert_same_strategy(built, name, cap):
+    expected = build_adversary(name, cap)
+    assert type(built) is type(expected)
+    assert _state(built) == _state(expected)
+
+
+class _Built(Exception):
+    """Raised by a stand-in protocol once it has seen the trial's adversary."""
+
+
+def trial_adversary(monkeypatch, module, protocol, trial, **params):
+    """The adversary (and protocol keywords) one experiment trial builds."""
+
+    seen = {}
+
+    def stand_in(*args, **kwargs):
+        seen.update(kwargs)
+        raise _Built
+
+    monkeypatch.setattr(module, protocol, stand_in)
+    with pytest.raises(_Built):
+        trial(seed=3, engine="fast", **params)
+    return seen["adversary"], seen
+
+
+class TestSharedCast:
+    """The experiments attack with the roster's own entries, not copies."""
+
+    CAPS = (None, 0.0, 250.0, 4096.0)
+
+    @pytest.mark.parametrize(
+        "label, name",
+        [
+            ("bursty", "bursty"),
+            ("phase_blocker", "budget_blocker"),
+            ("request_spoofer", "request_spoofer"),
+            ("spoofing", "sybil"),
+            ("reactive", "reactive"),
+        ],
+    )
+    def test_e9_strategies_are_roster_entries(self, label, name):
+        for cap in self.CAPS:
+            assert_same_strategy(exp_adversary_ablation.STRATEGIES[label](cap), name, cap)
+
+    @pytest.mark.parametrize(
+        "label, name",
+        [
+            ("static disk", "static_disk"),
+            ("patrol", "mobile_disk"),
+            ("multi-disk k=3", "multi_disk"),
+            ("reactive disk", "reactive_disk"),
+        ],
+    )
+    def test_e12_scenarios_are_roster_entries(self, label, name):
+        for cap in self.CAPS:
+            assert_same_strategy(exp_mobile_jammer.scenario_roster(seed=7)[label](cap), name, cap)
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_e12_trial_caps_the_roster_disk_at_half_the_budget(self, monkeypatch, n):
+        cap = 0.5 * SimulationConfig(n=n).adversary_total_budget
+        adversary, kwargs = trial_adversary(
+            monkeypatch, exp_mobile_jammer, "MultiHopBroadcast", exp_mobile_jammer._trial,
+            n=n, scenario="reactive disk", roster_seed=7,
+        )
+        assert_same_strategy(adversary, "reactive_disk", cap)
+        assert kwargs["quiet_rule"].retries == roster.QUIET_RETRIES
+
+    def test_e7_attacks_with_the_roster_reactive_jammer(self, monkeypatch):
+        adversary, _ = trial_adversary(
+            monkeypatch, exp_reactive, "run_broadcast", exp_reactive._trial,
+            n=64, variant="epsilon-broadcast", f=1.0, attack=True,
+        )
+        assert_same_strategy(adversary, "reactive", None)
+
+    @pytest.mark.parametrize("cap", [250.0, 4096.0])
+    def test_e10_attacks_with_the_roster_request_spoofer(self, monkeypatch, cap):
+        adversary, _ = trial_adversary(
+            monkeypatch, exp_spoofing, "run_broadcast", exp_spoofing._trial, n=64, cap=cap
+        )
+        assert_same_strategy(adversary, "request_spoofer", cap)
+
+    def test_e11_disk_row_attacks_with_the_roster_static_disk(self, monkeypatch):
+        adversary, _ = trial_adversary(
+            monkeypatch, exp_multihop, "MultiHopBroadcast", exp_multihop._trial,
+            n=64, kind="gilbert", radius=0.3, attack="spatial",
+        )
+        assert_same_strategy(adversary, "static_disk", None)
+
+    def test_e5_protocols_are_roster_entries(self):
+        assert set(exp_baseline_compare.PROTOCOLS.values()) <= set(protocol_roster())
+
+    def test_e12_and_e13_hold_the_roster_constants(self):
+        scenarios = exp_mobile_jammer.scenario_roster(seed=7)
+        for label in ("orbit", "random walk"):
+            assert scenarios[label](None).radius == roster.JAM_RADIUS
+        assert scenarios["patrol"](None).trajectory.speed == roster.PATROL_SPEED
+        rules = dict(exp_quiet_rule._rules())
+        assert rules[exp_quiet_rule.CONSTANT].retries == roster.QUIET_RETRIES
+        grid = topology_grid()
+        assert exp_quiet_rule.SUB.endswith(f" {grid['gilbert-sub'].radius_multiplier:g}·r_c")
+        assert exp_quiet_rule.NEAR.endswith(f" {grid['gilbert-near'].radius_multiplier:g}·r_c")
+
+    def test_shared_constants_are_assigned_in_the_roster_only(self):
+        names = {"JAM_RADIUS", "PATROL_SPEED", "QUIET_RETRIES"}
+        homes = {}
+        for path in sorted(Path(SRC, "repro").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+                targets = (
+                    node.targets if isinstance(node, ast.Assign)
+                    else [node.target] if isinstance(node, ast.AnnAssign)
+                    else []
+                )
+                for target in targets:
+                    if isinstance(target, ast.Name) and target.id in names:
+                        homes.setdefault(target.id, []).append(path.name)
+        assert homes == {name: ["roster.py"] for name in names}

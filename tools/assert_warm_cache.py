@@ -2,17 +2,17 @@
 """Assert the trial store is warm for the EXPERIMENTS.md profile.
 
 CI regenerates EXPERIMENTS.md cold (filling ``REPRO_CACHE_DIR``), then runs
-this script: it re-executes the given experiments at the **same** profile the
-generator used (``repro.experiments.DOCS_PROFILE``, so the two steps cannot
-drift apart) and fails unless every trial was served from the
-content-addressed store — zero recomputation, checked through the runner's
-execution counters.  A cache-key regression (settings drift, label
+this script: it re-executes the given experiments (every registered one when
+no ids are given) at the **same** profile the generator used
+(``repro.experiments.DOCS_PROFILE``, so the two steps cannot drift apart) and
+fails unless every trial was served from the content-addressed store — zero
+recomputation, checked through the runner's execution counters.  A cache-key regression (settings drift, label
 or params change, broken key derivation) therefore fails this step loudly
 instead of silently recomputing behind a green check.
 
 Usage::
 
-    REPRO_CACHE_DIR=... PYTHONPATH=src python tools/assert_warm_cache.py E2 E11
+    REPRO_CACHE_DIR=... PYTHONPATH=src python tools/assert_warm_cache.py [E2 E11 ...]
 """
 
 from __future__ import annotations
@@ -20,12 +20,13 @@ from __future__ import annotations
 import sys
 
 from repro.experiments import DOCS_PROFILE
+from repro.experiments.registry import experiment_ids as registered_ids
 from repro.experiments.registry import run_experiment
 from repro.experiments.runner import track_stats
 
 
 def main() -> int:
-    experiment_ids = sys.argv[1:] or ["E2", "E11"]
+    experiment_ids = sys.argv[1:] or registered_ids()
     settings = DOCS_PROFILE
     if settings.resolved_cache_dir is None:
         print("FAIL: no trial cache configured (set REPRO_CACHE_DIR)")
