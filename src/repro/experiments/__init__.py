@@ -10,7 +10,7 @@ from .faults import (
 )
 from .harness import DOCS_PROFILE, Claim, ExperimentResult, ExperimentSettings
 from .reporting import render_result, render_results, render_table
-from .runner import TrialSpec, run_point, run_sweep
+from .runner import TrialSpec, run_sweep
 
 __all__ = [
     "CACHE_VERSION",
@@ -28,7 +28,6 @@ __all__ = [
     "render_result",
     "render_results",
     "render_table",
-    "run_point",
     "run_sweep",
     "trial_key",
 ]

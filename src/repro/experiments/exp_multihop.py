@@ -23,7 +23,7 @@ measures three things:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..analysis.stats import aggregate_records
 from ..core.broadcast import MultiHopBroadcast
@@ -44,20 +44,36 @@ CLAIM = (
 )
 
 
+_FULL_MULTIPLIERS = (0.6, 0.9, 1.3, 2.0, 3.0)
+"""Radius multiples of ``r_c`` the full (``quick=False``) sweep runs."""
+
+
+def _regime(name: str) -> float:
+    """The roster's ``sub`` / ``near`` / ``super`` threshold radius multiplier."""
+
+    return topology_grid()[f"gilbert-{name}"].radius_multiplier
+
+
+def _multipliers(quick: bool) -> List[float]:
+    if not quick:
+        return list(_FULL_MULTIPLIERS)
+    # The roster's sub-, near- and super-threshold regimes.
+    return [
+        entry.radius_multiplier for entry in topology_grid().values() if entry.kind == "gilbert"
+    ]
+
+
+def _label(multiplier: float) -> str:
+    return f"gilbert r={multiplier:g}·r_c"
+
+
 def _scenarios(settings: ExperimentSettings):
-    multipliers = [0.6, 0.9, 1.3, 2.0, 3.0]
-    if settings.quick:
-        # The roster's sub-, near- and super-threshold regimes.
-        multipliers = [
-            entry.radius_multiplier
-            for entry in topology_grid().values()
-            if entry.kind == "gilbert"
-        ]
-    scenarios = [(f"gilbert r={m:g}·r_c", "gilbert", m, None) for m in multipliers]
+    multipliers = _multipliers(settings.quick)
+    scenarios = [(_label(m), "gilbert", m, None) for m in multipliers]
     scenarios.append(("scale-free (α=2.5)", "scale_free", None, None))
     jam_multiplier = multipliers[-1]
     scenarios.append(
-        (f"gilbert r={jam_multiplier:g}·r_c + disk jam", "gilbert", jam_multiplier, "spatial")
+        (f"{_label(jam_multiplier)} + disk jam", "gilbert", jam_multiplier, "spatial")
     )
     return scenarios
 
@@ -169,27 +185,27 @@ def run(settings: ExperimentSettings) -> ExperimentResult:
     return result
 
 
-def _rows(panel: Sequence[ExperimentResult], *radii: str, jammed: bool = False) -> List[dict]:
-    """Rows whose scenario names one of ``radii`` (e.g. ``"0.6·r_c"``), jammed ones if asked."""
+def _rows(panel: Sequence[ExperimentResult], keep: Callable[[float], bool]) -> List[dict]:
+    """The unjammed Gilbert rows whose radius multiplier passes ``keep``.
 
-    return [
-        row
-        for row in panel[0].rows
-        if any(radius in row["scenario"] for radius in radii)
-        and (jammed or "jam" not in row["scenario"])
-    ]
+    Rows are matched by their exact scenario label, for either sweep size.
+    """
+
+    multipliers = set(_multipliers(True)) | set(_multipliers(False))
+    labels = {_label(m) for m in multipliers if keep(m)}
+    return [row for row in panel[0].rows if row["scenario"] in labels]
 
 
 def _sub(panel: Sequence[ExperimentResult]) -> List[dict]:
-    return _rows(panel, "0.6·r_c", jammed=True)
+    return _rows(panel, lambda m: m <= _regime("sub"))
 
 
 def _near(panel: Sequence[ExperimentResult]) -> List[dict]:
-    return _rows(panel, "1.3·r_c")
+    return _rows(panel, lambda m: m == _regime("near"))
 
 
 def _sup(panel: Sequence[ExperimentResult]) -> List[dict]:
-    return _rows(panel, "2.5·r_c", "3·r_c")
+    return _rows(panel, lambda m: m >= _regime("super"))
 
 
 CHECKS: Dict[str, Claim] = {
@@ -206,6 +222,12 @@ CHECKS: Dict[str, Claim] = {
     ),
     "super_threshold_delivers": lambda panel: all(
         row["delivery_vs_reachable"] > 0.7 for row in _sup(panel)
+    ),
+    # Near the threshold the giant component already spans (essentially)
+    # everyone, and relaying reaches most of it.
+    "near_threshold_spans_and_delivers": lambda panel: all(
+        row["reachable_fraction"] > 0.9 and row["delivery_vs_reachable"] > 0.7
+        for row in _near(panel)
     ),
     # Delivery can never exceed what the radio graph reaches.
     "delivery_within_reach": lambda panel: all(

@@ -8,11 +8,11 @@ of those killed the *whole* sweep.  This module makes failure a first-class,
 deterministic input to the execution layer:
 
 * :class:`FaultPolicy` — the per-sweep knobs: chunk ``timeout_s``,
-  ``max_retries`` per trial, seeded-deterministic exponential backoff with
-  jitter, the pool-respawn budget before degrading to serial execution, and
-  ``strict`` mode (re-raise instead of quarantining).  Threaded through
-  :class:`~repro.experiments.harness.ExperimentSettings` with ``REPRO_*``
-  environment overrides.
+  ``max_retries`` per trial (a failed unit is re-dispatched at once), the
+  pool-respawn budget before degrading to serial execution, and ``strict``
+  mode (re-raise instead of quarantining).  It reaches the runner only as
+  :attr:`ExperimentSettings.fault_policy
+  <repro.experiments.harness.ExperimentSettings.fault_policy>`.
 * :class:`TrialFailure` — the quarantine sentinel.  A trial that keeps failing
   past its retry budget lands in the sweep's results as an explicit record of
   *what* failed and *why*, instead of killing the other 10,000 trials.
@@ -27,8 +27,8 @@ deterministic input to the execution layer:
 * :class:`FaultInjector` — the deterministic chaos harness: crash a worker,
   hang a chunk, or corrupt a just-written cache entry at chosen
   ``(labels, trial)`` coordinates.  Injection decisions are pure functions of
-  the coordinates and the dispatch attempt (faults fire only on a unit's
-  first dispatch by default), so an injected sweep *recovers* and its results
+  the coordinates and the dispatch attempt (crashes and hangs fire only on a
+  unit's first dispatch), so an injected sweep *recovers* and its results
   are bit-identical to a fault-free run — the property
   ``tests/test_faults.py`` gates.
 
@@ -59,7 +59,6 @@ __all__ = [
     "TrialFailure",
     "QuarantineError",
     "fault_event",
-    "backoff_delay",
     "FaultInjector",
     "quarantine_note",
 ]
@@ -81,13 +80,8 @@ class FaultPolicy:
     max_retries:
         How many times one trial may be *re*-dispatched after its first
         attempt (so a trial runs at most ``max_retries + 1`` times) before it
-        is quarantined into a :class:`TrialFailure`.
-    backoff_base_s / backoff_factor / backoff_jitter:
-        Delay before retry attempt ``a`` (1-based) is
-        ``base · factor^(a-1) · (1 + jitter · u)`` where ``u ∈ [0, 1)`` is
-        derived from a CRC-32 of the trial's coordinates — deterministic and
-        process-stable, like every other random-looking quantity in this
-        repository.  Set ``backoff_base_s=0`` to retry immediately.
+        is quarantined into a :class:`TrialFailure`.  A retry is dispatched
+        at once, on its own.
     max_pool_respawns:
         How many pool breakages (worker death or timeout kill) one sweep
         absorbs before giving up on parallelism: the next breakage degrades
@@ -101,9 +95,6 @@ class FaultPolicy:
 
     timeout_s: Optional[float] = None
     max_retries: int = 2
-    backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_jitter: float = 0.5
     max_pool_respawns: int = 3
     strict: bool = False
 
@@ -117,28 +108,12 @@ class FaultPolicy:
                 f"FaultPolicy.timeout_s must be a positive number or None, "
                 f"got {self.timeout_s!r}"
             )
-        if not isinstance(self.max_retries, Integral) or self.max_retries < 0:
-            raise ConfigurationError(
-                f"FaultPolicy.max_retries must be a non-negative integer, "
-                f"got {self.max_retries!r}"
-            )
-        if not isinstance(self.backoff_base_s, Real) or self.backoff_base_s < 0:
-            raise ConfigurationError(
-                f"FaultPolicy.backoff_base_s must be non-negative, got {self.backoff_base_s!r}"
-            )
-        if not isinstance(self.backoff_factor, Real) or self.backoff_factor < 1.0:
-            raise ConfigurationError(
-                f"FaultPolicy.backoff_factor must be >= 1, got {self.backoff_factor!r}"
-            )
-        if not isinstance(self.backoff_jitter, Real) or self.backoff_jitter < 0:
-            raise ConfigurationError(
-                f"FaultPolicy.backoff_jitter must be non-negative, got {self.backoff_jitter!r}"
-            )
-        if not isinstance(self.max_pool_respawns, Integral) or self.max_pool_respawns < 0:
-            raise ConfigurationError(
-                f"FaultPolicy.max_pool_respawns must be a non-negative integer, "
-                f"got {self.max_pool_respawns!r}"
-            )
+        for name in ("max_retries", "max_pool_respawns"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < 0:
+                raise ConfigurationError(
+                    f"FaultPolicy.{name} must be a non-negative integer, got {value!r}"
+                )
         if not isinstance(self.strict, bool):
             raise ConfigurationError(
                 f"FaultPolicy.strict must be a bool, got {self.strict!r}"
@@ -146,34 +121,13 @@ class FaultPolicy:
 
 
 DEFAULT_FAULT_POLICY = FaultPolicy()
-"""The policy a sweep runs under when none is configured anywhere.
+"""The default of ``ExperimentSettings.fault_policy``.
 
 No timeout (a watchdog needs a per-workload budget to be meaningful), two
-retries with short jittered backoff, three pool respawns, quarantine instead
-of raising.  With no faults occurring this policy is behaviourally invisible:
-no clock reads, no extra RNG, bit-identical records.
+immediate retries, three pool respawns, quarantine instead of raising.  With
+no faults occurring this policy is behaviourally invisible: no clock reads,
+no extra RNG, bit-identical records.
 """
-
-
-def backoff_delay(
-    policy: FaultPolicy, labels: Sequence[object], trial_index: int, attempt: int
-) -> float:
-    """Seconds to wait before retry ``attempt`` (1-based) of one trial.
-
-    Deterministic: the jitter term is derived from a CRC-32 of the trial's
-    coordinates and the attempt number, never from an RNG stream or the
-    clock, so two runs of the same failing sweep back off identically.
-    """
-
-    if policy.backoff_base_s <= 0.0:
-        return 0.0
-    token = f"{tuple(labels)!r}:{int(trial_index)}:{int(attempt)}"
-    u = zlib.crc32(token.encode("utf-8")) / 2**32
-    return float(
-        policy.backoff_base_s
-        * policy.backoff_factor ** (attempt - 1)
-        * (1.0 + policy.backoff_jitter * u)
-    )
 
 
 @dataclass(frozen=True)
@@ -222,12 +176,10 @@ def fault_event(
     trial_index: int = -1,
     attempt: int = 0,
     detail: str = "",
-    delay_s: float = 0.0,
 ) -> TraceEvent:
     """One fault-handling decision made by the runner, as a ``"fault"`` event.
 
-    ``kind`` is one of ``"retry"`` (a unit re-dispatched, with its backoff
-    delay), ``"timeout"`` (a chunk exceeded ``FaultPolicy.timeout_s`` and its
+    ``kind`` is one of ``"retry"`` (a unit re-dispatched), ``"timeout"`` (a chunk exceeded ``FaultPolicy.timeout_s`` and its
     pool was killed), ``"worker-death"`` (the process pool broke and was
     respawned), ``"quarantine"`` (a trial exhausted its retries),
     ``"cache-disabled"`` (the trial store hit a write failure and switched
@@ -244,7 +196,6 @@ def fault_event(
             "trial_index": int(trial_index),
             "attempt": int(attempt),
             "detail": detail,
-            "delay_s": float(delay_s),
         },
     )
 
@@ -289,9 +240,8 @@ class FaultInjector:
     Coordinates are ``(labels, trial_index)`` pairs; ``labels`` may be a
     *prefix* of a spec's label tuple (``("E2",)`` matches every E2 sweep
     point), and a bare string is treated as a one-element prefix.  Crash and
-    hang injections fire only while a unit's dispatch-attempt index is below
-    ``fire_attempts`` (default: first dispatch only), so the runner's retry
-    machinery recovers and the sweep's results remain bit-identical to a
+    hang injections fire only on a unit's first dispatch (attempt ``0``), so
+    the runner's retry machinery recovers and the sweep's results remain bit-identical to a
     fault-free run — which is exactly what the chaos tests assert.
 
     * **crashes** — the worker executing the unit calls ``os._exit``: the
@@ -314,7 +264,6 @@ class FaultInjector:
     hangs: Tuple[Tuple[Tuple[object, ...], int], ...] = ()
     corruptions: Tuple[Tuple[Tuple[object, ...], int], ...] = ()
     hang_s: float = 60.0
-    fire_attempts: int = 1
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "crashes", _coordinate_set(self.crashes))
@@ -323,11 +272,6 @@ class FaultInjector:
         if not isinstance(self.hang_s, Real) or float(self.hang_s) <= 0:
             raise ConfigurationError(
                 f"FaultInjector.hang_s must be a positive number, got {self.hang_s!r}"
-            )
-        if not isinstance(self.fire_attempts, Integral) or self.fire_attempts < 1:
-            raise ConfigurationError(
-                f"FaultInjector.fire_attempts must be a positive integer, "
-                f"got {self.fire_attempts!r}"
             )
 
     @staticmethod
@@ -345,10 +289,10 @@ class FaultInjector:
         return False
 
     def plans_crash(self, labels: Sequence[object], trial_index: int, attempt: int) -> bool:
-        return attempt < self.fire_attempts and self._matches(self.crashes, labels, trial_index)
+        return attempt == 0 and self._matches(self.crashes, labels, trial_index)
 
     def plans_hang(self, labels: Sequence[object], trial_index: int, attempt: int) -> bool:
-        return attempt < self.fire_attempts and self._matches(self.hangs, labels, trial_index)
+        return attempt == 0 and self._matches(self.hangs, labels, trial_index)
 
     def corrupts(self, labels: Sequence[object], trial_index: int) -> bool:
         return self._matches(self.corruptions, labels, trial_index)

@@ -5,7 +5,9 @@ Every experiment in :mod:`repro.experiments` produces an
 sweep point) plus free-form notes comparing the measurement against the
 paper's claim.  :class:`ExperimentSettings` centralises the knobs that every
 experiment shares — network size, number of repeated trials, base seed, and a
-``quick`` flag that shrinks sweeps to keep runtimes sensible.
+``quick`` flag that shrinks sweeps to keep runtimes sensible — and is the one
+carrier of the trial runner's configuration: worker count, trial store, fault
+policy and chaos injector.
 :data:`DOCS_PROFILE` is the one profile EXPERIMENTS.md is generated (and its
 claims checked) at, and a :data:`Claim` is one named check of an experiment's
 claim over the results of its seed panel.
@@ -32,6 +34,12 @@ __all__ = [
 
 VALID_ENGINES = ("fast", "slot")
 """Engine names the experiments accept (see ``repro.core.broadcast``)."""
+
+
+def _is_int(value: object) -> bool:
+    """An integral value that is not a bool (``True`` is not a trial count)."""
+
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -68,10 +76,8 @@ class ExperimentSettings:
         the environment variable).
     fault_policy:
         How the trial runner treats failing work
-        (:class:`repro.experiments.faults.FaultPolicy`: chunk timeouts,
-        retry/backoff budgets, quarantine vs strict).  ``None`` defers to the
-        ``REPRO_TRIAL_TIMEOUT_S`` / ``REPRO_TRIAL_RETRIES`` /
-        ``REPRO_STRICT_FAULTS`` environment variables layered over
+        (:class:`repro.experiments.faults.FaultPolicy`: chunk timeouts, retry
+        and pool-respawn budgets, quarantine vs strict).  Defaults to
         :data:`repro.experiments.faults.DEFAULT_FAULT_POLICY`.
     fault_injector:
         Optional deterministic chaos harness
@@ -88,7 +94,7 @@ class ExperimentSettings:
     engine: str = "fast"
     jobs: Optional[int] = None
     cache_dir: Optional[str] = None
-    fault_policy: Optional[FaultPolicy] = None
+    fault_policy: FaultPolicy = DEFAULT_FAULT_POLICY
     fault_injector: Optional[FaultInjector] = None
 
     def __post_init__(self) -> None:
@@ -100,21 +106,19 @@ class ExperimentSettings:
                 f"ExperimentSettings.engine must be one of {list(VALID_ENGINES)}, "
                 f"got {self.engine!r}"
             )
-        if not isinstance(self.n, Integral) or self.n < 2:
+        if not _is_int(self.n) or self.n < 2:
             raise ConfigurationError(
                 f"ExperimentSettings.n must be an integer >= 2, got {self.n!r}"
             )
-        if not isinstance(self.trials, Integral) or self.trials < 1:
+        if not _is_int(self.trials) or self.trials < 1:
             raise ConfigurationError(
                 f"ExperimentSettings.trials must be an integer >= 1, got {self.trials!r}"
             )
-        if not isinstance(self.seed, Integral):
+        if not _is_int(self.seed):
             raise ConfigurationError(
                 f"ExperimentSettings.seed must be an integer, got {self.seed!r}"
             )
-        if self.jobs is not None and (
-            not isinstance(self.jobs, Integral) or self.jobs < 1
-        ):
+        if self.jobs is not None and (not _is_int(self.jobs) or self.jobs < 1):
             raise ConfigurationError(
                 f"ExperimentSettings.jobs must be a positive integer or None, "
                 f"got {self.jobs!r}"
@@ -123,9 +127,9 @@ class ExperimentSettings:
             raise ConfigurationError(
                 f"ExperimentSettings.cache_dir must be a path or None, got {self.cache_dir!r}"
             )
-        if self.fault_policy is not None and not isinstance(self.fault_policy, FaultPolicy):
+        if not isinstance(self.fault_policy, FaultPolicy):
             raise ConfigurationError(
-                f"ExperimentSettings.fault_policy must be a FaultPolicy or None, "
+                f"ExperimentSettings.fault_policy must be a FaultPolicy, "
                 f"got {self.fault_policy!r}"
             )
         if self.fault_injector is not None and not isinstance(self.fault_injector, FaultInjector):
@@ -173,64 +177,6 @@ class ExperimentSettings:
         if env is None or env.strip() == "":
             return None
         return env
-
-    @property
-    def resolved_fault_policy(self) -> FaultPolicy:
-        """The effective fault policy: explicit ``fault_policy``, else env overrides.
-
-        Like ``resolved_jobs``, environment values are validated when they are
-        consulted and each failure names the variable it came from:
-
-        * ``REPRO_TRIAL_TIMEOUT_S`` — positive float; per-chunk watchdog.
-        * ``REPRO_TRIAL_RETRIES`` — non-negative integer; retry budget.
-        * ``REPRO_STRICT_FAULTS`` — ``1/true/yes/on`` or ``0/false/no/off``;
-          quarantine (default) vs re-raise.
-        """
-
-        if self.fault_policy is not None:
-            return self.fault_policy
-        changes: Dict[str, object] = {}
-        env = os.environ.get("REPRO_TRIAL_TIMEOUT_S")
-        if env is not None and env.strip() != "":
-            try:
-                timeout = float(env)
-            except ValueError:
-                raise ConfigurationError(
-                    f"REPRO_TRIAL_TIMEOUT_S must be a positive number, got {env!r}"
-                ) from None
-            if timeout <= 0:
-                raise ConfigurationError(
-                    f"REPRO_TRIAL_TIMEOUT_S must be a positive number, got {env!r}"
-                )
-            changes["timeout_s"] = timeout
-        env = os.environ.get("REPRO_TRIAL_RETRIES")
-        if env is not None and env.strip() != "":
-            try:
-                retries = int(env)
-            except ValueError:
-                raise ConfigurationError(
-                    f"REPRO_TRIAL_RETRIES must be a non-negative integer, got {env!r}"
-                ) from None
-            if retries < 0:
-                raise ConfigurationError(
-                    f"REPRO_TRIAL_RETRIES must be a non-negative integer, got {env!r}"
-                )
-            changes["max_retries"] = retries
-        env = os.environ.get("REPRO_STRICT_FAULTS")
-        if env is not None and env.strip() != "":
-            lowered = env.strip().lower()
-            if lowered in ("1", "true", "yes", "on"):
-                changes["strict"] = True
-            elif lowered in ("0", "false", "no", "off"):
-                changes["strict"] = False
-            else:
-                raise ConfigurationError(
-                    f"REPRO_STRICT_FAULTS must be a boolean flag "
-                    f"(1/true/yes/on or 0/false/no/off), got {env!r}"
-                )
-        if not changes:
-            return DEFAULT_FAULT_POLICY
-        return replace(DEFAULT_FAULT_POLICY, **changes)
 
     def trial_seed(self, *labels: object) -> int:
         """A deterministic seed for one trial of one sweep point."""

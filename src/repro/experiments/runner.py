@@ -33,15 +33,14 @@ Fault tolerance
 ---------------
 
 Failure is an ordinary input to the execution layer, governed by the sweep's
-:class:`~repro.experiments.faults.FaultPolicy` (from ``settings`` or the
-``policy=`` keyword):
+:class:`~repro.experiments.faults.FaultPolicy` (``settings.fault_policy``):
 
 * a **dead worker** (``BrokenProcessPool``) breaks only the chunks that were
   in flight: the pool is respawned and those units are re-dispatched;
 * a **hung chunk** that exceeds ``timeout_s`` is killed with its pool and
   re-dispatched the same way;
-* a unit that keeps failing is retried up to ``max_retries`` times with
-  seeded-deterministic backoff, then **quarantined** into an explicit
+* a unit that keeps failing is re-dispatched at once, on its own, up to
+  ``max_retries`` times, then **quarantined** into an explicit
   :class:`~repro.experiments.faults.TrialFailure` sentinel in the results
   (``strict=True`` raises :class:`~repro.experiments.faults.QuarantineError`
   instead), so one poisoned configuration cannot kill a 10,000-trial grid;
@@ -57,7 +56,7 @@ Observability
 -------------
 
 The runner reports through one event stream: the sinks opened with
-:func:`repro.observability.trace.observe` (or passed as ``recorder=``).
+:func:`repro.observability.trace.observe`.
 Events are built in the parent only, after the work they describe, so they
 cannot touch the invariants above:
 
@@ -101,16 +100,9 @@ from typing import (
     Tuple,
 )
 
-from ..observability.trace import TraceEvent, TraceRecorder, observe, observers
+from ..observability.trace import TraceEvent, observe, observers
 from .cache import TrialCache, trial_key
-from .faults import (
-    FaultInjector,
-    FaultPolicy,
-    QuarantineError,
-    TrialFailure,
-    backoff_delay,
-    fault_event,
-)
+from .faults import FaultInjector, QuarantineError, TrialFailure, fault_event
 from .harness import ExperimentSettings
 
 __all__ = [
@@ -119,7 +111,6 @@ __all__ = [
     "track_stats",
     "timed_span",
     "run_sweep",
-    "run_point",
 ]
 
 
@@ -268,7 +259,6 @@ class _Chunk:
     """A batch of units dispatched to one pool task."""
 
     units: List[_Unit]
-    not_before: float = 0.0  # monotonic time before which this chunk must wait
     deadline: float = 0.0  # monotonic dispatch deadline (0 = no watchdog)
 
 
@@ -334,14 +324,7 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
 
 
 def run_sweep(
-    specs: Sequence[TrialSpec],
-    settings: ExperimentSettings,
-    *,
-    jobs: Optional[int] = None,
-    cache: Optional[TrialCache] = None,
-    policy: Optional[FaultPolicy] = None,
-    injector: Optional[FaultInjector] = None,
-    recorder: Optional[TraceRecorder] = None,
+    specs: Sequence[TrialSpec], settings: ExperimentSettings
 ) -> List[List[Dict[str, object]]]:
     """Run every spec's trials, parallel and cache-aware; records per spec, in order.
 
@@ -350,27 +333,10 @@ def run_sweep(
     specs:
         The sweep, one :class:`TrialSpec` per point.
     settings:
-        Supplies ``trials``, the seed derivation, and — unless overridden by
-        the explicit keyword arguments — ``resolved_jobs``,
-        ``resolved_cache_dir``, ``resolved_fault_policy``, and
-        ``fault_injector``.
-    jobs:
-        Worker-process count override; ``None`` defers to the settings/env.
-    cache:
-        Trial-store override; ``None`` defers to the settings/env (and no
-        configured directory means caching is off).
-    policy:
-        Fault-handling override (:class:`~repro.experiments.faults.FaultPolicy`);
-        ``None`` defers to ``settings.resolved_fault_policy``.
-    injector:
-        Deterministic chaos override
-        (:class:`~repro.experiments.faults.FaultInjector`); ``None`` defers
-        to ``settings.fault_injector`` (normally: no injection).
-    recorder:
-        Optional :class:`~repro.observability.trace.TraceRecorder` opened
-        with :func:`~repro.observability.trace.observe` for this call only:
-        it receives the sweep's ``"progress"``, ``"fault"`` and ``"span"``
-        events (those its ``kinds`` admit), on top of any open scope.
+        The sweep's whole configuration: ``trials`` and the seed derivation,
+        plus ``resolved_jobs``, ``resolved_cache_dir`` (no directory means
+        caching is off), ``fault_policy`` and ``fault_injector``.  Events go
+        to the sinks opened with :func:`~repro.observability.trace.observe`.
 
     Returns
     -------
@@ -382,8 +348,8 @@ def run_sweep(
     Raises
     ------
     QuarantineError
-        Only with ``policy.strict``: the first trial to exhaust its retry
-        budget aborts the sweep.
+        Only with ``settings.fault_policy.strict``: the first trial to exhaust
+        its retry budget aborts the sweep.
     KeyboardInterrupt
         Re-raised after a clean teardown: workers are terminated (never
         orphaned), every trial that finished before the interrupt has been
@@ -394,51 +360,11 @@ def run_sweep(
         params cannot be pickled; raised before any worker starts.
     """
 
-    with observe(recorder):
-        return _sweep(specs, settings, jobs, cache, policy, injector)
-
-
-def _assert_picklable(units: Sequence[_Unit]) -> None:
-    """Pickle each distinct spec's ``(trial_fn, params)`` before a pool starts.
-
-    A closure or lambda that reached the pool would kill its feeder thread
-    instead of raising here, in the caller.
-    """
-
-    checked: Set[int] = set()
-    for unit in units:
-        if unit.spec_index in checked:
-            continue
-        checked.add(unit.spec_index)
-        try:
-            pickle.dumps((unit.trial_fn, unit.params))
-        except (pickle.PicklingError, AttributeError, TypeError) as exc:
-            raise TypeError(
-                f"spec {unit.labels!r}: trial function and params must be "
-                f"picklable to run in worker processes ({exc})"
-            ) from exc
-
-
-def _sweep(
-    specs: Sequence[TrialSpec],
-    settings: ExperimentSettings,
-    jobs: Optional[int],
-    cache: Optional[TrialCache],
-    policy: Optional[FaultPolicy],
-    injector: Optional[FaultInjector],
-) -> List[List[Dict[str, object]]]:
-    """The body of :func:`run_sweep`, run inside its ``recorder`` scope."""
-
-    jobs = settings.resolved_jobs if jobs is None else int(jobs)
-    if jobs < 1:
-        jobs = 1
-    if policy is None:
-        policy = settings.resolved_fault_policy
-    if injector is None:
-        injector = settings.fault_injector
-    if cache is None:
-        cache_dir = settings.resolved_cache_dir
-        cache = TrialCache(cache_dir) if cache_dir is not None else None
+    jobs = settings.resolved_jobs
+    policy = settings.fault_policy
+    injector = settings.fault_injector
+    cache_dir = settings.resolved_cache_dir
+    cache = TrialCache(cache_dir) if cache_dir is not None else None
 
     fault_sinks = observers("fault")
     progress_sinks = observers("progress")
@@ -556,12 +482,11 @@ def _sweep(
             raise QuarantineError(failure)
         results[unit.spec_index][unit.trial_index] = failure
 
-    def retry_delay(unit: _Unit, kind: str, detail: str) -> Optional[float]:
-        """Burn one failure: the backoff delay before re-dispatch, or ``None``
-        when the unit's budget is exhausted (it has been quarantined)."""
+    def retry(unit: _Unit, kind: str, detail: str) -> bool:
+        """Burn one failure: ``True`` when the unit may be re-dispatched,
+        ``False`` when its budget is exhausted (it has been quarantined)."""
 
         if unit.attempts <= policy.max_retries:
-            delay = backoff_delay(policy, unit.labels, unit.trial_index, unit.attempts)
             publish(
                 fault_event(
                     "retry",
@@ -569,13 +494,12 @@ def _sweep(
                     trial_index=unit.trial_index,
                     attempt=unit.attempts,
                     detail=detail,
-                    delay_s=delay,
                 )
             )
-            return delay
+            return True
         error_type, _, message = detail.partition(": ")
         quarantine(unit, kind, error_type or kind, message)
-        return None
+        return False
 
     def run_serially(units: Sequence[_Unit]) -> None:
         """The in-process path: ``jobs=1`` and the degraded-pool fallback.
@@ -596,12 +520,9 @@ def _sweep(
                 except KeyboardInterrupt:
                     raise
                 except Exception as exc:
-                    delay = retry_delay(unit, "error", f"{type(exc).__name__}: {exc}")
-                    if delay is None:
-                        break
-                    if delay > 0:
-                        time.sleep(delay)
-                    continue
+                    if retry(unit, "error", f"{type(exc).__name__}: {exc}"):
+                        continue
+                    break
                 complete(unit, record)
                 break
 
@@ -624,16 +545,12 @@ def _sweep(
         pool = ProcessPoolExecutor(max_workers=workers, mp_context=_pool_context())
 
         def requeue(chunk_units: Sequence[_Unit], kind: str, detail: str) -> None:
-            # Victims of a pool-level incident: each surviving unit becomes
-            # its own single-unit chunk, so a poisoned unit retries alone and
-            # its innocent former chunk-mates cannot be taken down with it
-            # again.  Backoff rides on the chunk's not-before time.
+            # Each unit that may retry becomes its own single-unit chunk, so a
+            # poisoned unit retries alone and its innocent former chunk-mates
+            # cannot be taken down with it again.
             for unit in chunk_units:
-                delay = retry_delay(unit, kind, detail)
-                if delay is None:
-                    continue
-                not_before = time.monotonic() + delay if delay > 0 else 0.0
-                queue.append(_Chunk(units=[unit], not_before=not_before))
+                if retry(unit, kind, detail):
+                    queue.append(_Chunk(units=[unit]))
 
         def breakage(kind: str, detail: str, victims: List[_Unit]) -> None:
             nonlocal pool, breakages, degraded
@@ -672,76 +589,45 @@ def _sweep(
                 pool = ProcessPoolExecutor(max_workers=workers, mp_context=_pool_context())
 
         try:
-            while queue or inflight:
-                if degraded:
-                    break
-                # Dispatch every ready chunk that fits in the worker budget.
-                submitted = True
-                while submitted and queue and len(inflight) < workers:
-                    submitted = False
-                    now: Optional[float] = None
-                    for index, chunk in enumerate(queue):
-                        if chunk.not_before > 0.0:
-                            if now is None:
-                                now = time.monotonic()
-                            if chunk.not_before > now:
-                                continue
-                        queue.pop(index)
-                        items = []
-                        for unit in chunk.units:
-                            items.append(
-                                (
-                                    unit.labels,
-                                    unit.trial_index,
-                                    unit.attempts,
-                                    unit.trial_fn,
-                                    unit.seed,
-                                    unit.params,
-                                )
+            while (queue or inflight) and not degraded:
+                # Dispatch queued chunks while a worker is free.
+                while queue and len(inflight) < workers and not degraded:
+                    chunk = queue.pop(0)
+                    items = []
+                    for unit in chunk.units:
+                        items.append(
+                            (
+                                unit.labels,
+                                unit.trial_index,
+                                unit.attempts,
+                                unit.trial_fn,
+                                unit.seed,
+                                unit.params,
                             )
-                            unit.attempts += 1
-                        if policy.timeout_s is not None:
-                            chunk.deadline = time.monotonic() + policy.timeout_s
-                        try:
-                            future = pool.submit(_run_chunk, items, injector)
-                        except BrokenProcessPool as exc:
-                            breakage(
-                                "worker-death",
-                                str(exc) or "pool broken at submit",
-                                list(chunk.units),
-                            )
-                            submitted = True
-                            break
-                        inflight[future] = chunk
-                        submitted = True
-                        break
-                if degraded:
-                    break
-                if not inflight:
-                    if queue:
-                        # Everything left is backing off: sleep to the
-                        # earliest release instead of spinning.
-                        pause = min(c.not_before for c in queue) - time.monotonic()
-                        if pause > 0:
-                            time.sleep(pause)
+                        )
+                        unit.attempts += 1
+                    if policy.timeout_s is not None:
+                        chunk.deadline = time.monotonic() + policy.timeout_s
+                    try:
+                        future = pool.submit(_run_chunk, items, injector)
+                    except BrokenProcessPool as exc:
+                        breakage(
+                            "worker-death",
+                            str(exc) or "pool broken at submit",
+                            list(chunk.units),
+                        )
+                        continue
+                    inflight[future] = chunk
+                if degraded or not inflight:
                     continue
 
                 timeout: Optional[float] = None
-                wake_at: Optional[float] = None
                 if policy.timeout_s is not None:
                     wake_at = min(chunk.deadline for chunk in inflight.values())
-                if queue and len(inflight) < workers:
-                    backing_off = [c.not_before for c in queue if c.not_before > 0.0]
-                    if backing_off:
-                        soonest = min(backing_off)
-                        wake_at = soonest if wake_at is None else min(wake_at, soonest)
-                if wake_at is not None:
                     timeout = max(0.0, wake_at - time.monotonic())
                 done, _ = wait(set(inflight), timeout=timeout, return_when=FIRST_COMPLETED)
 
                 if not done:
-                    if policy.timeout_s is None:
-                        continue
                     now = time.monotonic()
                     expired: List[_Unit] = []
                     for future, chunk in list(inflight.items()):
@@ -769,15 +655,8 @@ def _sweep(
                     for unit, outcome in zip(chunk.units, outcomes):
                         if outcome[0] == "ok":
                             complete(unit, outcome[1])
-                        else:
-                            delay = retry_delay(
-                                unit, "error", f"{outcome[1]}: {outcome[2]}"
-                            )
-                            if delay is not None:
-                                not_before = (
-                                    time.monotonic() + delay if delay > 0 else 0.0
-                                )
-                                queue.append(_Chunk(units=[unit], not_before=not_before))
+                        elif retry(unit, "error", f"{outcome[1]}: {outcome[2]}"):
+                            queue.append(_Chunk(units=[unit]))
                 if broken_victims:
                     breakage(
                         "worker-death",
@@ -827,12 +706,22 @@ def _sweep(
     return out
 
 
-def run_point(
-    trial_fn: Callable[..., Dict[str, object]],
-    settings: ExperimentSettings,
-    *labels: object,
-    **params: object,
-) -> List[Dict[str, object]]:
-    """Run one sweep point's trials through the runner and return its records."""
+def _assert_picklable(units: Sequence[_Unit]) -> None:
+    """Pickle each distinct spec's ``(trial_fn, params)`` before a pool starts.
 
-    return run_sweep([TrialSpec.point(trial_fn, *labels, **params)], settings)[0]
+    A closure or lambda that reached the pool would kill its feeder thread
+    instead of raising here, in the caller.
+    """
+
+    checked: Set[int] = set()
+    for unit in units:
+        if unit.spec_index in checked:
+            continue
+        checked.add(unit.spec_index)
+        try:
+            pickle.dumps((unit.trial_fn, unit.params))
+        except (pickle.PicklingError, AttributeError, TypeError) as exc:
+            raise TypeError(
+                f"spec {unit.labels!r}: trial function and params must be "
+                f"picklable to run in worker processes ({exc})"
+            ) from exc

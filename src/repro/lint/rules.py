@@ -287,7 +287,7 @@ class UnpicklableTrialRule(LintRule):
     )
 
     #: Call heads whose first/`trial_fn` argument crosses a process boundary.
-    SINKS = frozenset({"TrialSpec", "TrialSpec.point", "run_point"})
+    SINKS = frozenset({"TrialSpec", "TrialSpec.point"})
 
     def __init__(self, ctx: FileContext) -> None:
         super().__init__(ctx)
@@ -301,12 +301,8 @@ class UnpicklableTrialRule(LintRule):
                         self._nested_fns.add(inner.name)
 
     def visit_Call(self, node: ast.Call) -> None:
-        name = self.ctx.dotted_name(node.func)
-        is_sink = name is not None and (
-            name.split(".")[-1] in {"TrialSpec", "run_point"}
-            or ".".join(name.split(".")[-2:]) == "TrialSpec.point"
-        )
-        if is_sink:
+        parts = (self.ctx.dotted_name(node.func) or "").split(".")
+        if parts[-1] in self.SINKS or ".".join(parts[-2:]) in self.SINKS:
             candidate: Optional[ast.expr] = None
             if node.args:
                 candidate = node.args[0]

@@ -140,8 +140,8 @@ def runner_spans(events: Sequence[TraceEvent]) -> List[Dict[str, object]]:
 def fault_rows(events: Sequence[TraceEvent]) -> List[Dict[str, object]]:
     """The ``"fault"`` events (runner fault handling) as table rows, in order.
 
-    One row per fault-handling decision the trial runner recorded: retries
-    with their backoff delay, pool-level timeout / worker-death incidents,
+    One row per fault-handling decision the trial runner recorded: retries,
+    pool-level timeout / worker-death incidents,
     quarantines, cache-disable and pool-degradation notices.
     """
 
@@ -151,7 +151,6 @@ def fault_rows(events: Sequence[TraceEvent]) -> List[Dict[str, object]]:
             "labels": event.data.get("labels", ""),
             "trial": event.data.get("trial_index", ""),
             "attempt": event.data.get("attempt", ""),
-            "delay_s": event.data.get("delay_s", 0.0),
             "detail": event.data.get("detail", ""),
         }
         for event in events
@@ -221,7 +220,7 @@ def summarise_trace(events: Sequence[TraceEvent]) -> str:
         lines.append("")
         lines.append("runner faults:")
         lines.append(
-            _table(["fault", "labels", "trial", "attempt", "delay_s", "detail"], faults)
+            _table(["fault", "labels", "trial", "attempt", "detail"], faults)
         )
         counts: Dict[str, int] = {}
         for row in faults:

@@ -57,6 +57,9 @@ class TestExperimentSettings:
             ({"n": 2.5}, "n"),
             ({"trials": 0}, "trials"),
             ({"seed": "2012"}, "seed"),
+            ({"trials": True}, "trials"),
+            ({"seed": False}, "seed"),
+            ({"jobs": True}, "jobs"),
         ],
     )
     def test_degenerate_settings_rejected(self, kwargs, field):

@@ -1,7 +1,7 @@
 """Tests for fault-tolerant sweep execution.
 
-Covers the whole fault layer: :class:`FaultPolicy` validation and env
-resolution, deterministic backoff, quarantine semantics (sentinel vs strict),
+Covers the whole fault layer: :class:`FaultPolicy` validation and its
+settings default, quarantine semantics (sentinel vs strict, serial and pooled),
 the chaos :class:`FaultInjector` (worker crashes, hung chunks, cache
 corruption) recovering **bit-identically** to a fault-free serial run,
 pool degradation, trial-cache self-disable and corruption-shape handling,
@@ -24,7 +24,6 @@ from repro.experiments.faults import (
     FaultPolicy,
     QuarantineError,
     TrialFailure,
-    backoff_delay,
     quarantine_note,
 )
 from repro.experiments.runner import TrialSpec, run_sweep, track_stats
@@ -37,13 +36,7 @@ from repro.simulation.errors import ConfigurationError
 def _no_runner_env(monkeypatch):
     """Keep the runner's env knobs from leaking into (or out of) these tests."""
 
-    for name in (
-        "REPRO_JOBS",
-        "REPRO_CACHE_DIR",
-        "REPRO_TRIAL_TIMEOUT_S",
-        "REPRO_TRIAL_RETRIES",
-        "REPRO_STRICT_FAULTS",
-    ):
+    for name in ("REPRO_JOBS", "REPRO_CACHE_DIR"):
         monkeypatch.delenv(name, raising=False)
 
 
@@ -96,10 +89,9 @@ class TestFaultPolicy:
             (dict(timeout_s="soon"), "timeout_s"),
             (dict(max_retries=-1), "max_retries"),
             (dict(max_retries=1.5), "max_retries"),
-            (dict(backoff_base_s=-0.1), "backoff_base_s"),
-            (dict(backoff_factor=0.5), "backoff_factor"),
-            (dict(backoff_jitter=-0.1), "backoff_jitter"),
+            (dict(max_retries=True), "max_retries"),
             (dict(max_pool_respawns=-1), "max_pool_respawns"),
+            (dict(max_pool_respawns=False), "max_pool_respawns"),
             (dict(strict="yes"), "strict"),
         ],
     )
@@ -107,56 +99,12 @@ class TestFaultPolicy:
         with pytest.raises(ConfigurationError, match=field):
             FaultPolicy(**kwargs)
 
-    def test_backoff_is_deterministic_and_bounded(self):
-        policy = FaultPolicy(backoff_base_s=0.1, backoff_factor=2.0, backoff_jitter=0.5)
-        for attempt in (1, 2, 3):
-            delay = backoff_delay(policy, ("E2", "split"), 4, attempt)
-            assert delay == backoff_delay(policy, ("E2", "split"), 4, attempt)
-            lower = 0.1 * 2.0 ** (attempt - 1)
-            assert lower <= delay <= lower * 1.5
-
-    def test_zero_base_disables_backoff(self):
-        policy = FaultPolicy(backoff_base_s=0.0)
-        assert backoff_delay(policy, ("x",), 0, 3) == 0.0
-
-
-class TestEnvResolution:
-    def test_no_env_yields_the_default_policy(self):
-        assert ExperimentSettings().resolved_fault_policy is DEFAULT_FAULT_POLICY
-
-    def test_explicit_policy_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRIAL_RETRIES", "9")
-        policy = FaultPolicy(max_retries=1)
-        assert ExperimentSettings(fault_policy=policy).resolved_fault_policy is policy
-
-    def test_env_overrides_layer_over_defaults(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRIAL_TIMEOUT_S", "2.5")
-        monkeypatch.setenv("REPRO_TRIAL_RETRIES", "5")
-        monkeypatch.setenv("REPRO_STRICT_FAULTS", "yes")
-        policy = ExperimentSettings().resolved_fault_policy
-        assert policy.timeout_s == 2.5
-        assert policy.max_retries == 5
-        assert policy.strict is True
-        # Untouched knobs keep their defaults.
-        assert policy.backoff_base_s == DEFAULT_FAULT_POLICY.backoff_base_s
-
-    @pytest.mark.parametrize(
-        "name, value",
-        [
-            ("REPRO_TRIAL_TIMEOUT_S", "soon"),
-            ("REPRO_TRIAL_TIMEOUT_S", "0"),
-            ("REPRO_TRIAL_TIMEOUT_S", "-3"),
-            ("REPRO_TRIAL_RETRIES", "two"),
-            ("REPRO_TRIAL_RETRIES", "-1"),
-            ("REPRO_STRICT_FAULTS", "maybe"),
-        ],
-    )
-    def test_bad_env_values_name_their_variable(self, monkeypatch, name, value):
-        monkeypatch.setenv(name, value)
-        with pytest.raises(ConfigurationError, match=name):
-            ExperimentSettings().resolved_fault_policy
+    def test_settings_default_to_the_default_policy(self):
+        assert ExperimentSettings().fault_policy is DEFAULT_FAULT_POLICY
 
     def test_settings_reject_wrong_types(self):
+        with pytest.raises(ConfigurationError, match="fault_policy"):
+            ExperimentSettings(fault_policy=None)
         with pytest.raises(ConfigurationError, match="fault_policy"):
             ExperimentSettings(fault_policy=123)
         with pytest.raises(ConfigurationError, match="fault_injector"):
@@ -167,8 +115,6 @@ class TestFaultInjector:
     def test_validation(self):
         with pytest.raises(ConfigurationError, match="hang_s"):
             FaultInjector(hang_s=0.0)
-        with pytest.raises(ConfigurationError, match="fire_attempts"):
-            FaultInjector(fire_attempts=0)
 
     def test_prefix_and_string_coordinates(self):
         injector = FaultInjector(crashes=[("E2", 0)], hangs=[((("E3"), 128), 1)])
@@ -180,7 +126,7 @@ class TestFaultInjector:
         assert injector.plans_hang(("E3", 128, "extra"), 1, 0)
         assert not injector.plans_hang(("E3", 256), 1, 0)
 
-    def test_faults_fire_only_below_fire_attempts(self):
+    def test_faults_fire_only_on_the_first_dispatch(self):
         injector = FaultInjector(crashes=[(("p",), 0)])
         assert injector.plans_crash(("p",), 0, 0)
         assert not injector.plans_crash(("p",), 0, 1)  # the retry must succeed
@@ -193,14 +139,18 @@ class TestFaultInjector:
 
 
 class TestQuarantine:
-    def test_sentinel_fills_the_slot_and_the_sweep_completes(self):
+    """Each sweep has at least two pending units, so ``jobs=2`` reaches the pool
+    and the failing trial raises inside a worker."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sentinel_fills_the_slot_and_the_sweep_completes(self, jobs):
         specs = [
             TrialSpec.point(_toy_trial, "ok"),
             TrialSpec.point(_failing_trial, "bad"),
         ]
-        policy = FaultPolicy(max_retries=2, backoff_base_s=0.0)
+        settings = _settings(jobs=jobs, fault_policy=FaultPolicy(max_retries=2))
         with track_stats() as stats, observe(TraceCollector()) as trace:
-            results = run_sweep(specs, _settings(), policy=policy)
+            results = run_sweep(specs, settings)
 
         assert results[0][0]["seed"] == float(_settings().trial_seed("ok", 0))
         (failure,) = results[1]
@@ -228,10 +178,15 @@ class TestQuarantine:
         assert summary["value"].mean == 2.0
         assert summary["value"].count == 2
 
-    def test_strict_mode_raises_with_the_failure_attached(self):
-        policy = FaultPolicy(max_retries=0, backoff_base_s=0.0, strict=True)
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_strict_mode_raises_with_the_failure_attached(self, jobs):
+        specs = [
+            TrialSpec.point(_toy_trial, "ok"),
+            TrialSpec.point(_failing_trial, "bad"),
+        ]
+        settings = _settings(jobs=jobs, fault_policy=FaultPolicy(max_retries=0, strict=True))
         with pytest.raises(QuarantineError, match="poisoned") as excinfo:
-            run_sweep([TrialSpec.point(_failing_trial, "bad")], _settings(), policy=policy)
+            run_sweep(specs, settings)
         assert excinfo.value.failure.labels == ("bad",)
         assert excinfo.value.failure.attempts == 1
 
@@ -241,12 +196,12 @@ class TestQuarantine:
         assert trace.of_kind("fault") == []
         assert quarantine_note(trace.events) is None
 
-    def test_transient_failure_retries_to_an_identical_record(self, tmp_path):
-        settings = _settings(trials=2, seed=5)
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_transient_failure_retries_to_an_identical_record(self, tmp_path, jobs):
+        settings = _settings(trials=2, seed=5, jobs=jobs, fault_policy=FaultPolicy(max_retries=2))
         specs = [TrialSpec.point(_flaky_trial, "flaky", marker=str(tmp_path))]
-        policy = FaultPolicy(max_retries=2, backoff_base_s=0.0)
         with track_stats() as stats:
-            results = run_sweep(specs, settings, policy=policy)
+            results = run_sweep(specs, settings)
         assert stats.retries == 2  # one transient failure per trial
         assert stats.quarantined == 0
         assert results[0] == [
@@ -254,14 +209,9 @@ class TestQuarantine:
         ]
 
     def test_fault_events_reach_a_trace_recorder(self):
-        collector = TraceCollector()
-        policy = FaultPolicy(max_retries=1, backoff_base_s=0.0)
-        run_sweep(
-            [TrialSpec.point(_failing_trial, "bad")],
-            _settings(),
-            policy=policy,
-            recorder=collector,
-        )
+        settings = _settings(fault_policy=FaultPolicy(max_retries=1))
+        with observe(TraceCollector()) as collector:
+            run_sweep([TrialSpec.point(_failing_trial, "bad")], settings)
         faults = collector.of_kind("fault")
         assert [e.data["fault"] for e in faults] == ["retry", "quarantine"]
         rows = fault_rows(collector.events)
@@ -280,10 +230,11 @@ class TestChaosRecovery:
     def test_worker_crash_recovers_bit_identically(self):
         serial = run_sweep(self._specs(), _settings(trials=2))
         injector = FaultInjector(crashes=[(("p", 0), 0)])
-        policy = FaultPolicy(max_retries=3, backoff_base_s=0.0)
+        policy = FaultPolicy(max_retries=3)
         with track_stats() as stats, observe(TraceCollector()) as trace:
             chaos = run_sweep(
-                self._specs(), _settings(trials=2, jobs=2), policy=policy, injector=injector
+                self._specs(),
+                _settings(trials=2, jobs=2, fault_policy=policy, fault_injector=injector),
             )
         assert chaos == serial
         assert stats.worker_deaths >= 1
@@ -293,10 +244,10 @@ class TestChaosRecovery:
     def test_hung_chunk_is_killed_and_redispatched(self):
         serial = run_sweep(self._specs(), _settings())
         injector = FaultInjector(hangs=[(("p", 1), 0)], hang_s=600.0)
-        policy = FaultPolicy(timeout_s=1.0, max_retries=3, backoff_base_s=0.0)
+        policy = FaultPolicy(timeout_s=1.0, max_retries=3)
         with track_stats() as stats, observe(TraceCollector()) as trace:
             chaos = run_sweep(
-                self._specs(), _settings(jobs=2), policy=policy, injector=injector
+                self._specs(), _settings(jobs=2, fault_policy=policy, fault_injector=injector)
             )
         assert chaos == serial
         assert stats.timeouts >= 1
@@ -306,11 +257,12 @@ class TestChaosRecovery:
     def test_repeated_breakage_degrades_to_serial(self):
         serial = run_sweep(self._specs(), _settings())
         injector = FaultInjector(crashes=[(("p", 0), 0)])
-        policy = FaultPolicy(max_retries=3, backoff_base_s=0.0, max_pool_respawns=0)
+        policy = FaultPolicy(max_retries=3, max_pool_respawns=0)
         with pytest.warns(RuntimeWarning, match="degraded to serial"):
             with observe(TraceCollector()) as trace:
                 chaos = run_sweep(
-                    self._specs(), _settings(jobs=2), policy=policy, injector=injector
+                    self._specs(),
+                    _settings(jobs=2, fault_policy=policy, fault_injector=injector),
                 )
         assert chaos == serial
         assert "pool-degraded" in {e.data["fault"] for e in trace.of_kind("fault")}
@@ -318,7 +270,7 @@ class TestChaosRecovery:
     def test_injected_corruption_forces_a_warm_recompute(self, tmp_path):
         settings = _settings(cache_dir=str(tmp_path))
         injector = FaultInjector(seed=7, corruptions=[(("p", 2), 0)])
-        cold = run_sweep(self._specs(), settings, injector=injector)
+        cold = run_sweep(self._specs(), settings.with_(fault_injector=injector))
 
         with track_stats() as delta:
             warm = run_sweep(self._specs(), settings)
@@ -479,14 +431,13 @@ class TestKeyboardInterrupt:
 
 class TestNoFaultNeutrality:
     def test_policy_knobs_do_not_perturb_results(self):
-        # A sweep with a watchdog, a retry budget, and backoff configured —
-        # but no faults occurring — must be bit-identical to the default run:
-        # the fault machinery consumes no RNG and rewrites no records.
+        # A sweep with a watchdog and a retry budget configured — but no
+        # faults occurring — must be bit-identical to the default run: the
+        # fault machinery consumes no RNG and rewrites no records.
         specs = [TrialSpec.point(_toy_trial, "p", i, scale=float(i)) for i in range(4)]
         plain = run_sweep(specs, _settings(trials=2))
         armed = run_sweep(
             specs,
-            _settings(trials=2, jobs=2),
-            policy=FaultPolicy(timeout_s=60.0, max_retries=5, backoff_base_s=1.0),
+            _settings(trials=2, jobs=2, fault_policy=FaultPolicy(timeout_s=60.0, max_retries=5)),
         )
         assert armed == plain

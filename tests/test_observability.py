@@ -37,7 +37,6 @@ from test_regression_singlehop import (
 
 from repro.core.broadcast import EpsilonBroadcast, MultiHopBroadcast
 from repro.experiments import ExperimentSettings
-from repro.experiments.cache import TrialCache
 from repro.experiments.runner import TrialSpec, run_sweep, timed_span
 from repro.observability import (
     CliProgressRenderer,
@@ -322,15 +321,16 @@ class TestProgressCompleteness:
 
     @pytest.mark.parametrize("jobs", [1, 4])
     def test_cache_hits_are_reported_as_events(self, tmp_path, jobs):
-        settings = ExperimentSettings(n=8, trials=3, seed=2012, jobs=jobs, cache_dir="")
-        cache = TrialCache(str(tmp_path / "store"))
+        settings = ExperimentSettings(
+            n=8, trials=3, seed=2012, jobs=jobs, cache_dir=str(tmp_path / "store")
+        )
         total = len(_specs()) * settings.trials
 
         cold_trace, warm_trace = TraceCollector(), TraceCollector()
         with observe(cold_trace):
-            cold = run_sweep(_specs(), settings, cache=cache)
+            cold = run_sweep(_specs(), settings)
         with observe(warm_trace):
-            warm = run_sweep(_specs(), settings, cache=cache)
+            warm = run_sweep(_specs(), settings)
         cold_events = cold_trace.of_kind("progress")
         warm_events = warm_trace.of_kind("progress")
 
@@ -340,13 +340,13 @@ class TestProgressCompleteness:
         assert all(e.data["cache_miss"] for e in cold_events)
         assert all(e.data["source"] == "cache" for e in warm_events)
 
-    def test_recorder_and_scope_both_receive_events(self):
+    def test_nested_scopes_both_receive_events(self):
         settings = ExperimentSettings(n=8, trials=2, seed=2012, jobs=1, cache_dir="")
-        scoped, direct = TraceCollector(), TraceCollector()
-        with observe(scoped):
-            run_sweep(_specs(), settings, recorder=direct)
-        assert scoped.events == direct.events
-        assert len(direct.of_kind("progress")) == len(_specs()) * settings.trials
+        outer, inner = TraceCollector(), TraceCollector()
+        with observe(outer), observe(inner):
+            run_sweep(_specs(), settings)
+        assert outer.events == inner.events
+        assert len(inner.of_kind("progress")) == len(_specs()) * settings.trials
 
 
 class _CountingClock:
@@ -363,12 +363,9 @@ class _CountingClock:
         self.reads += 1
         return time.monotonic()
 
-    def sleep(self, seconds):
-        time.sleep(seconds)
-
 
 class TestUnobservedSweep:
-    """With no sink open and no ``recorder=``, a sweep never reads the clock."""
+    """With no sink open, a sweep never reads the clock."""
 
     @pytest.mark.parametrize("cached", [False, True])
     def test_serial_sweep_reads_no_clock(self, tmp_path, monkeypatch, cached):
@@ -376,16 +373,16 @@ class TestUnobservedSweep:
 
         clock = _CountingClock()
         monkeypatch.setattr(runner, "time", clock)
-        settings = ExperimentSettings(n=8, trials=2, seed=2012, jobs=1, cache_dir="")
-        cache = TrialCache(str(tmp_path / "store")) if cached else None
-        cold = run_sweep(_specs(), settings, cache=cache)
-        warm = run_sweep(_specs(), settings, cache=cache)
+        cache_dir = str(tmp_path / "store") if cached else ""
+        settings = ExperimentSettings(n=8, trials=2, seed=2012, jobs=1, cache_dir=cache_dir)
+        cold = run_sweep(_specs(), settings)
+        warm = run_sweep(_specs(), settings)
         assert warm == cold
         assert clock.reads == 0
 
         # The same sweep with a progress sink open does read it.
         with observe(ProgressMonitor()):
-            run_sweep(_specs(), settings, cache=cache)
+            run_sweep(_specs(), settings)
         assert clock.reads > 0
 
 

@@ -19,7 +19,7 @@ from repro.experiments.cache import CACHE_VERSION, TrialCache, stable_token, tri
 from repro.experiments.faults import FaultPolicy, QuarantineError, TrialFailure
 from repro.experiments.registry import experiment_ids
 import repro.experiments.runner as runner_module
-from repro.experiments.runner import TrialSpec, run_point, run_sweep, track_stats
+from repro.experiments.runner import TrialSpec, run_sweep, track_stats
 from repro.simulation.errors import ConfigurationError
 
 # Registry-wide settings for the golden tests: small enough that running all
@@ -34,9 +34,6 @@ def _no_runner_env(monkeypatch):
 
     monkeypatch.delenv("REPRO_JOBS", raising=False)
     monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-    monkeypatch.delenv("REPRO_TRIAL_TIMEOUT_S", raising=False)
-    monkeypatch.delenv("REPRO_TRIAL_RETRIES", raising=False)
-    monkeypatch.delenv("REPRO_STRICT_FAULTS", raising=False)
 
 
 def _toy_trial(seed: int, scale: float = 1.0) -> dict:
@@ -69,7 +66,7 @@ class TestSettingsKnobs:
         with pytest.raises(ConfigurationError, match="REPRO_JOBS"):
             ExperimentSettings().resolved_jobs
 
-    @pytest.mark.parametrize("jobs", [0, -2, 1.5, "4"])
+    @pytest.mark.parametrize("jobs", [0, -2, 1.5, "4", True, False])
     def test_bad_explicit_jobs_rejected_at_construction(self, jobs):
         with pytest.raises(ConfigurationError, match="ExperimentSettings.jobs"):
             ExperimentSettings(jobs=jobs)
@@ -152,7 +149,7 @@ class TestTrialCache:
 class TestRunSweep:
     def test_matches_trial_seed_derivation(self):
         settings = ExperimentSettings(n=16, trials=4, seed=11, cache_dir="")
-        records = run_point(_toy_trial, settings, "E0", 3.5, scale=1.0)
+        [records] = run_sweep([TrialSpec.point(_toy_trial, "E0", 3.5, scale=1.0)], settings)
         expected = [
             _toy_trial(settings.trial_seed("E0", 3.5, t)) for t in range(settings.trials)
         ]
@@ -168,13 +165,14 @@ class TestRunSweep:
 
     def test_cache_round_trip_and_probe(self, tmp_path):
         settings = ExperimentSettings(n=16, trials=3, seed=2, jobs=1, cache_dir=str(tmp_path))
+        specs = [TrialSpec.point(_toy_trial, "probe", scale=2.0)]
         with track_stats() as after_cold:
-            cold = run_point(_toy_trial, settings, "probe", scale=2.0)
+            cold = run_sweep(specs, settings)
         assert after_cold.executed == settings.trials
         assert after_cold.cache_misses == settings.trials
 
         with track_stats() as after_warm:
-            warm = run_point(_toy_trial, settings, "probe", scale=2.0)
+            warm = run_sweep(specs, settings)
         assert warm == cold
         assert after_warm.executed == 0
         assert after_warm.cache_hits == settings.trials
@@ -185,13 +183,13 @@ class TestRunSweep:
         # killing the sweep — the finished trials stay cached either way, so a
         # re-run resumes without recomputing the healthy part.
         settings = ExperimentSettings(n=16, trials=1, seed=2, jobs=1, cache_dir=str(tmp_path))
-        policy = FaultPolicy(max_retries=1, backoff_base_s=0.0)
+        policy = FaultPolicy(max_retries=1)
         specs = [
             TrialSpec.point(_exploding_trial, "a", boom=False),
             TrialSpec.point(_exploding_trial, "b", boom=False),
             TrialSpec.point(_exploding_trial, "c", boom=True),
         ]
-        results = run_sweep(specs, settings, policy=policy)
+        results = run_sweep(specs, settings.with_(fault_policy=policy))
         (failure,) = results[2]
         assert isinstance(failure, TrialFailure)
         assert failure.error_type == "RuntimeError"
@@ -199,9 +197,9 @@ class TestRunSweep:
         assert failure.attempts == policy.max_retries + 1
 
         # Strict mode turns the same quarantine into a raised error.
-        strict = FaultPolicy(max_retries=0, backoff_base_s=0.0, strict=True)
+        strict = FaultPolicy(max_retries=0, strict=True)
         with pytest.raises(QuarantineError, match="interruption"):
-            run_sweep(specs, settings, policy=strict)
+            run_sweep(specs, settings.with_(fault_policy=strict))
 
         with track_stats() as delta:
             resumed = run_sweep(specs[:2], settings)

@@ -233,6 +233,26 @@ class TestR4UnpicklableTrial:
         )
         assert rules_hit(violations) == {"R4"}
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "TrialSpec(lambda seed: {}, ())",
+            "TrialSpec(trial_fn=lambda seed: {}, labels=())",
+            "runner.TrialSpec.point(lambda seed: {}, 'E')",
+        ],
+    )
+    def test_flags_every_sink_call_form(self, call):
+        violations = lint(
+            f"""
+            from repro.experiments import runner
+            from repro.experiments.runner import TrialSpec
+
+            def build():
+                return {call}
+            """
+        )
+        assert rules_hit(violations) == {"R4"}
+
     def test_allows_top_level_trial_fn(self):
         violations = lint(
             """
@@ -884,6 +904,29 @@ def test_check_steps_run_only_existing_scripts(steps):
     assert scripts, f"{steps} names no script"
     missing = sorted(path for path in scripts if not (REPO_ROOT / path).is_file())
     assert missing == [], f"{steps} runs missing scripts: {missing}"
+
+
+def test_documented_env_knobs_are_read():
+    """Every ``REPRO_*`` name the checks, CI and docs use is read by some code.
+
+    A name counts as read when a Python file under ``src/`` or ``tools/``
+    spells it as a string literal (``os.environ.get("REPRO_JOBS")``), so a
+    deleted or renamed knob cannot linger in the documentation.
+    """
+
+    documents = ("tools/run_checks.sh", ".github/workflows/ci.yml", "README.md", "docs/architecture.md")
+    documented = set()
+    for doc in documents:
+        text = (REPO_ROOT / doc).read_text(encoding="utf-8")
+        documented |= set(re.findall(r"\bREPRO_[A-Z_]+", text))
+    assert documented, "no REPRO_* name documented"
+    code = "\n".join(
+        path.read_text(encoding="utf-8")
+        for root in ("src", "tools")
+        for path in sorted((REPO_ROOT / root).rglob("*.py"))
+    )
+    unread = sorted(name for name in documented if not re.search(f"[\"']{name}[\"']", code))
+    assert unread == [], f"documented but never read: {unread}"
 
 
 # --------------------------------------------------------------------- #

@@ -40,12 +40,10 @@ run_step() {
 }
 
 # The test suite must behave identically everywhere, so the runner's env
-# knobs are stripped here: REPRO_JOBS / REPRO_CACHE_DIR (which CI sets for
-# the document regeneration and benchmark smokes below) and the fault-policy
-# knobs REPRO_TRIAL_* / REPRO_STRICT_FAULTS (which a local shell may set).
-# Tests choose jobs/cache/fault policy explicitly.
+# knobs REPRO_JOBS / REPRO_CACHE_DIR (which CI sets for the document
+# regeneration and benchmark smokes below) are stripped here.  Tests choose
+# jobs and cache explicitly.
 run_step "tier-1 test suite" env -u REPRO_JOBS -u REPRO_CACHE_DIR \
-    -u REPRO_TRIAL_TIMEOUT_S -u REPRO_TRIAL_RETRIES -u REPRO_STRICT_FAULTS \
     python -m pytest -x -q
 
 # The determinism & invariant linter (repro.lint) gates the whole library

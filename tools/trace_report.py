@@ -5,7 +5,7 @@ Usage::
 
     # One trace: run header, per-round aggregates, totals, runner stages,
     # and — when the sweep hit faults — the runner's fault-handling log
-    # (retries with backoff, timeouts, worker deaths, quarantines).
+    # (retries, timeouts, worker deaths, quarantines).
     PYTHONPATH=src python tools/trace_report.py trace.jsonl
 
     # Two traces: positional phase-by-phase diff — where do the runs diverge?
