@@ -37,17 +37,19 @@ import hashlib
 import os
 import pickle
 import shutil
-import tempfile
 import time
 import warnings
 from pathlib import Path
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 __all__ = ["CACHE_VERSION", "stable_token", "trial_key", "TrialCache", "PruneStats"]
 
-CACHE_VERSION = 6
+# A temporary entry is a new file: ``O_EXCL`` refuses to reuse any name.
+_NEW_FILE = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+
+CACHE_VERSION = 7
 """Salt mixed into every trial key.
 
 Bump this whenever a change alters what any trial computes (engine semantics,
@@ -62,6 +64,8 @@ engine path (small-n E11/E13 trial records changed).  5 — single-hop
 phases draw their slot-class histogram and Alice is half-duplex (every
 single-hop record changed).  6 — multi-hop transmission events come from one
 sparse sampler at every grid size (E11–E14 multi-hop records changed).
+7 — per-node binomial draws of ≥ 1,024 nodes come from the windowed table;
+single-hop records at n ≥ 1,024 changed.
 """
 
 
@@ -148,6 +152,8 @@ class TrialCache:
         self.root = Path(root)
         self.disabled = False
         self.disabled_reason: Optional[str] = None
+        self._shards: Set[Path] = set()
+        self._writes = 0
         try:
             self.root.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -213,11 +219,28 @@ class TrialCache:
 
     def _write(self, key: str, record: Mapping[str, object]) -> None:
         path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        shard = path.parent
+        # Each shard directory is made once per store, not once per write.
+        if shard not in self._shards:
+            shard.mkdir(parents=True, exist_ok=True)
+            self._shards.add(shard)
+        data = memoryview(pickle.dumps(dict(record), protocol=pickle.HIGHEST_PROTOCOL))
+        self._writes += 1
+        # repro-lint: disable=R1 -- the pid only keeps concurrent writers' temporary names apart; it never reaches a record or key
+        tmp_name = f"{path}.{os.getpid()}-{self._writes}.tmp"
         try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(dict(record), handle, protocol=pickle.HIGHEST_PROTOCOL)
+            fd = os.open(tmp_name, _NEW_FILE, 0o600)
+        except FileNotFoundError:
+            # A prune (this store's or another run's) removed the empty shard.
+            shard.mkdir(parents=True, exist_ok=True)
+            fd = os.open(tmp_name, _NEW_FILE, 0o600)
+        try:
+            try:
+                # One call writes a whole entry; a short write resumes.
+                while data:
+                    data = data[os.write(fd, data) :]
+            finally:
+                os.close(fd)
             os.replace(tmp_name, path)
         except BaseException:
             try:

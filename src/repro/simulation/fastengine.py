@@ -41,12 +41,11 @@ and quiet, nacks, relay and decoy sends) through
 :func:`~repro.simulation.rng.binomial_iid`: a count of 0 — a fully jammed
 phase has no quiet slots, a phase with no relays no noisy ones — gives zeros
 without a generator call (numpy's ``binomial`` consumes no bits for
-``n = 0``; ``tests/test_sim_rng.py`` pins this), and a large draw in numpy's
-inversion region, such as a 4,096-node request-phase listen or nack, looks
-one uniform per node up in numpy's own cumulative table instead of running
-numpy's ``O(mean)`` loop per node.  Each skip and each table draw consumes
-exactly the bits ``Generator.binomial`` would, in the same order, so results
-are bit-identical to running every stage through numpy.
+``n = 0``; ``tests/test_sim_rng.py`` pins this), and a draw for a cohort of
+``rng.WINDOW_MIN_SIZE`` or more nodes, such as a 4,096-node listen or nack,
+looks one uniform per node up in the binomial's cumulative table instead of
+running numpy's per-node inversion loop or BTPE.  Smaller cohorts keep
+numpy's own draws.
 
 Results are arrays: ``newly_informed`` is a sorted ``int64`` id array, and a
 request phase reports its cohort's noisy-slot counts as the ``int64``

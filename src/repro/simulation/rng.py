@@ -13,19 +13,30 @@ properties matter for a reproduction of a randomized-protocol paper:
 Substreams are derived with :class:`numpy.random.SeedSequence.spawn`, the
 recommended mechanism for statistically independent child generators.
 
-:func:`binomial_iid` is a drop-in for ``Generator.binomial(n, p, size=size)``
-that returns the same array and leaves the generator in the same state.  For
-a scalar count in numpy's inversion region (``min(p, 1 - p)·n ≤ 30``) each
-of numpy's draws is a fixed function of one uniform double: walk numpy's own
-``px`` recurrence until the running sum passes the uniform (Kachitvichyanukul
-& Schmeiser 1988).  So a large draw takes ``size`` uniforms and looks each one
-up in the cumulative table through a guide table (Chen & Asau 1974; Devroye
-1986, §III.2) instead of running numpy's ``O(mean)`` loop per draw.  A
-uniform within :data:`EDGE_TOLERANCE` of a table edge, where numpy's
-sequential ``U -= px`` and the table's cumulative sum may round to different
-sides, or past numpy's ``bound``, where numpy draws again, rewinds the
-generator and defers the whole draw to numpy; identity therefore holds by
-construction, not in probability.
+:func:`binomial_iid` stands in for ``Generator.binomial(n, p, size=size)``
+when a phase draws one cost per node of a large cohort.  Below
+:data:`WINDOW_MIN_SIZE` draws, for array counts, ``size=None``, ``p`` of 0
+or 1 and invalid input it *is* ``generator.binomial``: the same samples, the
+same generator state afterwards and the same errors.  A scalar count drawn
+for :data:`WINDOW_MIN_SIZE` or more nodes at a mean ``min(p, 1 - p)·n`` of
+at most :data:`WINDOW_MAX_MEAN` comes instead from the *same distribution*
+by inversion: one ``generator.random(size)`` call, each uniform looked up in
+the binomial's cumulative table over a window around the mean through a
+guide table (Chen & Asau 1974; Devroye 1986, §III.2).  numpy runs an
+``O(mean)`` loop per draw up to mean 30 and the BTPE rejection sampler
+(Kachitvichyanukul & Schmeiser 1988) above it; the table costs one build
+and a few array passes at any mean.
+
+Exactness.  The window ``[lo, hi]`` leaves out less than ``2^-64`` of the
+binomial's mass (Bernstein's inequality, :func:`_window`), below the
+``2^-53`` resolution of the uniforms.  Inside it the table is the binomial
+pmf up to floating-point rounding: weights from the mode by the exact ratio
+``P(x+1)/P(x) = (n - x)·p / ((x + 1)·(1 - p))``, normalised by their sum.
+The lookup returns exactly the first table index whose cumulative value
+exceeds the uniform, so a draw is ``lo`` plus that index (``n`` minus it for
+``p > 1/2``).  Samples differ from numpy's above the floor, so results there
+are reproducible per seed but not numpy's stream; a call consumes exactly
+``size`` doubles.
 """
 
 from __future__ import annotations
@@ -40,29 +51,24 @@ from .errors import ConfigurationError
 
 __all__ = ["RandomSource", "binomial_iid", "derive_seed"]
 
-# Expected inversion-loop work, ``size·(mean + 1)`` draws plus loop steps,
-# above which a draw takes the table path.  Measured with numpy 2.4.6 on a
-# 2-vCPU x86-64 VM (best of five, means 0.5–28, sizes 256–8,192):
-# ``Generator.binomial`` costs about 1.5 µs + 16 ns per draw + 6.3 ns per
-# loop step, the table path 20–37 µs to build (more terms at higher means)
-# + 8.5 ns per draw.  Every measured draw above 8,000 was faster by table
-# (size 4,096 at mean 1: 61 against 92 µs), and a 256-draw, whose work is at
-# most 256·31 = 7,936, always stays with numpy.
-TABLE_MIN_WORK = 8_000
+# The smallest draw that takes the windowed table.  Measured with numpy
+# 2.4.6 on a 2-vCPU x86-64 VM (best of nine, sizes 512–4,096, means
+# 0.5–5·10^4): the table costs 20–75 µs to build over means 0.5–2·10^4 plus
+# about 8 ns per draw; numpy's inversion loop costs up to about 80 ns per
+# draw (mean 10) and BTPE about 27 ns (mean 10^4).  A 512-draw by table was
+# slower than numpy at every mean but 10; a 1,024-draw was faster at means
+# 2–300 (mean 10: 35 against 85 µs) and slower below 1 and above about
+# 1,000; a 4,096-draw was faster at every mean up to the cap.
+WINDOW_MIN_SIZE = 1_024
 
-# Half-width of the band around each cumulative-table edge in which a uniform
-# rewinds to numpy.  numpy decides ``U > C_k`` by ``k`` sequential
-# subtractions and the table by ``k`` sequential additions, each rounding by
-# at most 2^-53 on values ≤ 1; with at most 87 terms (``bound`` ≤ 30 +
-# 10·√31) the two differ by under 2·87·2^-53 ≈ 2e-14, fifty times inside
-# this band.  A 4,096-draw, 87-edge lookup rewinds with probability about
-# 4,096·87·2e-12 ≈ 7e-7.
-EDGE_TOLERANCE = 1e-12
+# The largest mean ``min(p, 1 - p)·n`` that takes the windowed table: the
+# window, and with it the build, grows as the standard deviation.  On the
+# same host a 4,096-draw took 89 against numpy's 110 µs at mean 10^4, 103
+# against 108 µs at 2·10^4 and 113 against 109 µs at 3·10^4.
+WINDOW_MAX_MEAN = 20_000
 
-# Guide-table buckets: ``floor(u·256)`` is exact for a power of two and maps
-# a uniform to the first table edge at or above its bucket's lower end.
-_GUIDE_BUCKETS = 256
-_GUIDE_STARTS = np.arange(_GUIDE_BUCKETS) / _GUIDE_BUCKETS
+# ``ln 2^65``: each tail left out of the window holds less than ``2^-65``.
+_LOG_TAIL_BOUND = 65.0 * math.log(2.0)
 
 
 def _stable_label_hash(label: object) -> int:
@@ -163,14 +169,15 @@ def binomial_iid(
     p: float,
     size: "int | tuple | None",
 ) -> "int | np.ndarray":
-    """``generator.binomial(n, p, size=size)``, the same samples for less work.
+    """``size`` independent ``Binomial(n, p)`` draws, cheaply for large cohorts.
 
-    Returns exactly what numpy returns, leaves ``generator`` in exactly the
-    state numpy leaves it in, and raises what numpy raises.  A count of 0
-    returns ``int64`` zeros without touching the generator (numpy consumes
-    no bits for ``n = 0``).  A scalar count in numpy's inversion region whose
-    expected loop work exceeds :data:`TABLE_MIN_WORK` takes the table path
-    (module docstring); every other draw is ``generator.binomial`` unchanged.
+    A count of 0 returns ``int64`` zeros without touching the generator
+    (numpy consumes no bits for ``n = 0``).  A scalar count ``n > 0`` with
+    ``0 < p < 1``, an int ``size`` of at least :data:`WINDOW_MIN_SIZE` and a
+    mean ``min(p, 1 - p)·n`` of at most :data:`WINDOW_MAX_MEAN` takes the
+    windowed table (module docstring): the same distribution, one uniform
+    per draw.  Every other draw is ``generator.binomial`` unchanged, so it
+    returns numpy's samples and raises numpy's errors.
     """
 
     if not isinstance(n, (int, np.integer)) or not isinstance(p, float) or size is None:
@@ -178,72 +185,65 @@ def binomial_iid(
     count = int(n)
     if count == 0 and 0.0 <= p <= 1.0:
         return np.zeros(size, dtype=np.int64)
-    # numpy returns 0 for p == 0 without a draw, and walks the table of
-    # min(p, 1 - p), mirrored for p > 1/2.
     mirrored = p > 0.5
-    p_small = 1.0 - p if mirrored else p
+    r = 1.0 - p if mirrored else p
     if not (
         isinstance(size, (int, np.integer))
+        and size >= WINDOW_MIN_SIZE
         and 0 < count < 2**63
-        and 0.0 < p <= 1.0
-        and p_small * count <= 30.0
-        and size * (p_small * count + 1.0) > TABLE_MIN_WORK
+        and 0.0 < p < 1.0
+        and r * count <= WINDOW_MAX_MEAN
     ):
         return generator.binomial(n, p, size=size)
-    drawn = _inversion_by_table(generator, count, p_small, int(size))
-    if drawn is None:
-        return generator.binomial(n, p, size=size)
+    drawn = _windowed_inversion(generator, count, r, int(size))
     return count - drawn if mirrored else drawn
 
 
-def _inversion_by_table(
-    generator: np.random.Generator, n: int, p: float, size: int
-) -> "np.ndarray | None":
-    """numpy's ``random_binomial_inversion`` for ``size`` draws, by table.
+def _window(n: int, r: float) -> "tuple[int, int]":
+    """The values ``[lo, hi]`` outside which ``Binomial(n, r)`` has mass below ``2^-64``.
 
-    Returns ``None`` with the generator rewound when any uniform lies within
-    :data:`EDGE_TOLERANCE` of a table edge or past numpy's ``bound``.
+    Bernstein's inequality for a sum of ``n`` Bernoulli(r) variables,
+    centred, each within 1 of its mean and of variance ``v = n·r·(1 - r)``
+    in total: ``P(X - n·r >= t) <= exp(-t^2 / (2·(v + t/3)))``, and the same
+    for ``n·r - X``.  Each tail is below ``2^-65`` once
+    ``t^2 - (2L/3)·t - 2L·v >= 0`` with ``L = ln 2^65``, i.e. from the root
+    ``t = L/3 + sqrt(L^2/9 + 2L·v)``.
     """
 
-    # numpy's constants and px recurrence, operation for operation.
-    q = 1.0 - p
-    px = math.exp(n * math.log(q))
-    mean = n * p
-    bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
-    total = px
-    edges = [-1.0, total]
-    for x in range(1, bound + 1):
-        px = ((n - x + 1) * p * px) / (x * q)
-        total += px
-        edges.append(total)
-    edges.append(2.0)
-    # below[x] is the edge under draw x (C_{x-1}, or -1 for x = 0), above[x]
-    # the edge it may not pass (C_x, or the sentinel 2 past the bound).
-    below = np.array(edges)
-    above = below[1:]
-    guide = np.searchsorted(above, _GUIDE_STARTS)
+    mean = n * r
+    t = _LOG_TAIL_BOUND / 3.0 + math.sqrt(
+        _LOG_TAIL_BOUND * _LOG_TAIL_BOUND / 9.0 + 2.0 * _LOG_TAIL_BOUND * mean * (1.0 - r)
+    )
+    return max(0, math.floor(mean - t)), min(n, math.ceil(mean + t))
 
-    def off_the_interval(uniforms: np.ndarray, drawn: np.ndarray) -> np.ndarray:
-        return (uniforms - below[drawn] < EDGE_TOLERANCE) | (
-            above[drawn] - uniforms < EDGE_TOLERANCE
-        )
 
-    state = generator.bit_generator.state
+def _windowed_inversion(
+    generator: np.random.Generator, n: int, r: float, size: int
+) -> np.ndarray:
+    """``size`` ``Binomial(n, r)`` draws for ``0 < r <= 1/2``, one uniform each."""
+
+    lo, hi = _window(n, r)
+    # Weights relative to the mode, by the pmf ratio recurrence outwards:
+    # ratio[i] = P(lo+i+1)/P(lo+i).
+    mode = min(int((n + 1) * r), hi) - lo
+    x = np.arange(lo, hi, dtype=float)
+    ratio = (n - x) * (r / (1.0 - r)) / (x + 1.0)
+    below = np.cumprod(1.0 / ratio[mode - 1 :: -1])[::-1] if mode else ()
+    cdf = np.cumsum(np.concatenate((below, [1.0], np.cumprod(ratio[mode:]))))
+    cdf /= cdf[-1]
+    # A power-of-two bucket count makes ``u·buckets`` and each bucket's lower
+    # end ``j/buckets`` exact, so guide[j], the number of entries at or below
+    # j/buckets, is the first index a uniform in bucket j can draw.
+    buckets = 1 << (cdf.size - 1).bit_length()
+    edges = np.ceil(cdf * buckets).astype(np.intp)
+    guide = np.cumsum(np.bincount(edges, minlength=buckets + 1)[:buckets])
     uniforms = generator.random(size)
-    if uniforms.max() > total - EDGE_TOLERANCE:
-        generator.bit_generator.state = state
-        return None
-    # A bucket holding at most one edge resolves in one comparison; a draw
-    # from a crowded bucket lands above its ``above`` edge and is redone by
-    # bisection with the near-edge draws.
-    drawn = guide[(uniforms * _GUIDE_BUCKETS).astype(np.intp)]
-    drawn += above[drawn] < uniforms
-    suspect = off_the_interval(uniforms, drawn)
-    if suspect.any():
-        rows = np.flatnonzero(suspect)
-        redrawn = np.searchsorted(above, uniforms[rows])
-        if off_the_interval(uniforms[rows], redrawn).any():
-            generator.bit_generator.state = state
-            return None
-        drawn[rows] = redrawn
-    return drawn
+    drawn = guide[(uniforms * buckets).astype(np.intp)]
+    # One step resolves a bucket holding at most one edge; the draws from
+    # crowded buckets are still at or below their entry and are redone.
+    drawn += cdf[drawn] <= uniforms
+    crowded = cdf[drawn] <= uniforms
+    if crowded.any():
+        rows = np.flatnonzero(crowded)
+        drawn[rows] = np.searchsorted(cdf, uniforms[rows], side="right")
+    return drawn + lo

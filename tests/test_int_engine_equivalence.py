@@ -14,6 +14,9 @@ moment checks over seeded trials).
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
 from equivalence import (
@@ -34,11 +37,16 @@ from repro.adversary import (
 from repro.simulation import (
     JamPlan,
     JamTargeting,
+    Network,
+    PhaseEngine,
     PhaseKind,
     PhasePlan,
     PhaseRoles,
+    SimulationConfig,
     TopologySpec,
 )
+from repro.simulation import rng as rng_module
+from repro.simulation.energy import EnergyOperation
 
 GILBERT = {"topology": TopologySpec.gilbert(radius=0.3)}
 
@@ -195,6 +203,58 @@ class TestPhaseLevelEquivalence:
         jam = lambda: JamPlan(num_jam_slots=25, reactive=True)
         records = paired_phase_records(plan, all_listening_roles, jam, n=12, trials=60)
         self._assert_fields_match(records, ["informed", "jammed_slots", "busy_slots", "adversary"])
+
+
+class TestLargeCohortCostDraws:
+    """At n = 4,096 the single-hop engine draws per-node costs from the
+    windowed binomial table (``rng.WINDOW_MIN_SIZE``), which the slot-engine
+    suites above, at n ≤ 48, never reach.  A request phase's per-node listen
+    cost is ``Binomial(noisy, p) + Binomial(s - noisy, p)``, which is
+    ``Binomial(s, p)`` whatever the channel did, and its nack cost is
+    ``Binomial(s, p_nack)``; both are checked against the exact binomial."""
+
+    N = 4096
+
+    @pytest.mark.parametrize("targeting", [JamTargeting.everyone(), JamTargeting.none()], ids=["ALL", "NONE"])
+    @pytest.mark.parametrize(
+        "slots,listen,nack",
+        # Listen means 200 and 12,000 (p > 1/2, mirrored); nack means 30 and 4.
+        [(20_000, 0.01, 0.0015), (20_000, 0.6, 0.0002)],
+    )
+    def test_listen_and_nack_costs_are_exact_binomials(self, monkeypatch, targeting, slots, listen, nack):
+        table_draws = []
+        windowed = rng_module._windowed_inversion
+
+        def counted(generator, n, r, size):
+            table_draws.append(size)
+            return windowed(generator, n, r, size)
+
+        monkeypatch.setattr(rng_module, "_windowed_inversion", counted)
+        network = Network(SimulationConfig(n=self.N, seed=33))
+        plan = PhasePlan(
+            name="request",
+            kind=PhaseKind.REQUEST,
+            round_index=6,
+            num_slots=slots,
+            uninformed_listen_prob=listen,
+            nack_send_prob=nack,
+        )
+        jam = JamPlan(num_jam_slots=slots // 4, targeting=targeting)
+        PhaseEngine(network).run_phase(plan, PhaseRoles(range(self.N)), jam)
+        # Heard and quiet listening, and the nacks, all took the table.
+        assert table_draws == [self.N] * 3
+        ledgers = network.node_ledgers
+        reference = np.random.default_rng(2012)
+        for operation, p in ((EnergyOperation.LISTEN, listen), (EnergyOperation.SEND, nack)):
+            costs = ledgers.spent_on_array(operation)
+            mean, var = slots * p, slots * p * (1.0 - p)
+            mean_z = (costs.mean() - mean) / math.sqrt(var / self.N)
+            kurtosis = (1.0 - 6.0 * p * (1.0 - p)) / var
+            var_z = (costs.var() - var) / (var * math.sqrt((2.0 + kurtosis) / self.N))
+            assert abs(mean_z) < 4.5 and abs(var_z) < 4.5, (operation, mean_z, var_z)
+            assert_same_distribution(
+                costs, reference.binomial(slots, p, self.N), label=f"{operation.name} cost"
+            )
 
 
 class TestMultiHopPhaseEquivalence:

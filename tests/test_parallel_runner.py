@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -144,6 +145,42 @@ class TestTrialCache:
         cache = TrialCache(tmp_path)
         cache.put(trial_key(_toy_trial, (), 1, {}), {"x": 1.0})
         assert not list(tmp_path.glob("**/*.tmp"))
+
+    @staticmethod
+    def _keys_in_one_shard(count):
+        keys = {}
+        for seed in range(10_000):
+            key = trial_key(_toy_trial, (), seed, {})
+            keys.setdefault(key[:2], []).append(key)
+            if len(keys[key[:2]]) == count:
+                return keys[key[:2]]
+        raise AssertionError("no shard filled")
+
+    def test_each_shard_is_made_once_per_store(self, tmp_path, monkeypatch):
+        made = []
+        real_mkdir = Path.mkdir
+
+        def counting_mkdir(self, *args, **kwargs):
+            made.append(self)
+            return real_mkdir(self, *args, **kwargs)
+
+        cache = TrialCache(tmp_path)
+        monkeypatch.setattr(Path, "mkdir", counting_mkdir)
+        first, second = self._keys_in_one_shard(2)
+        cache.put(first, {"x": 1.0})
+        cache.put(second, {"x": 2.0})
+        cache.put(first, {"x": 3.0})
+        assert made == [cache.path_for(first).parent]
+        assert (cache.get(first), cache.get(second)) == ({"x": 3.0}, {"x": 2.0})
+
+    def test_a_pruned_shard_is_made_again(self, tmp_path):
+        cache = TrialCache(tmp_path)
+        first, second = self._keys_in_one_shard(2)
+        cache.put(first, {"x": 1.0})
+        cache.prune(max_bytes=0)
+        assert not cache.path_for(first).parent.exists()
+        cache.put(second, {"x": 2.0})
+        assert cache.get(second) == {"x": 2.0} and not cache.disabled
 
 
 class TestRunSweep:

@@ -125,10 +125,6 @@ class CountingGenerator:
         self._generator = np.random.default_rng(seed)
         self.binomial_calls = 0
 
-    @property
-    def bit_generator(self):
-        return self._generator.bit_generator
-
     def random(self, size=None):
         return self._generator.random(size)
 
@@ -171,59 +167,44 @@ def binomial_cases(draw):
         p = min(1.0, mean / n) if n else 0.25
         if kind == "mirrored":
             p = 1.0 - p
-    # Sizes on both sides of the table path's crossover.
-    size = draw(st.one_of(st.integers(0, 300), st.integers(300, 8_000), st.integers(8_000, 20_000)))
+    # Every size below the windowed table's floor.
+    size = draw(st.one_of(st.integers(0, 300), st.integers(300, rng_module.WINDOW_MIN_SIZE - 1)))
     seed = draw(st.integers(0, 2**32 - 1))
     return n, p, size, seed
 
 
 class TestBinomialIid:
-    """``binomial_iid`` is ``Generator.binomial``: same array, same state, same errors."""
+    """Outside the windowed table, ``binomial_iid`` is ``Generator.binomial``:
+    same array, same state, same errors."""
 
     @settings(max_examples=300, deadline=None)
     @given(binomial_cases())
     def test_matches_numpy_array_and_next_draw(self, case):
         numpy_calls_drawing_like_numpy(*case)
 
-    @settings(max_examples=150, deadline=None)
-    @given(
-        st.integers(1, 10**7),
-        st.floats(0.0, 30.0),
-        st.booleans(),
-        st.integers(8_000, 20_000),
-        st.integers(0, 2**32 - 1),
+    @pytest.mark.parametrize(
+        "n,p",
+        # A mean past the cap, plain and mirrored; p = 0 and p = 1.
+        [(10**6, 0.03), (10**6, 0.97), (1_000, 0.0), (1_000, 1.0)],
     )
-    def test_matches_numpy_in_the_inversion_region(self, n, mean, mirrored, size, seed):
-        p = min(1.0, mean / n)
-        numpy_calls_drawing_like_numpy(n, 1.0 - p if mirrored else p, size, seed)
+    def test_large_draws_outside_the_table_match_numpy(self, n, p):
+        for seed in range(3):
+            assert numpy_calls_drawing_like_numpy(n, p, 4096, seed) == 1
 
     @pytest.mark.parametrize(
-        "n,p,size",
-        [(1_000, 0.028, 4096), (1_000, 0.972, 4096), (60, 0.5, 20_000), (10**7, 1e-6, 8192), (40, 1.0, 9000)],
+        "n,p", [(1_000, 0.031), (1_000, 0.969), (10**5, 0.01), (60, 0.5), (10**7, 5e-8)]
     )
-    def test_large_inversion_draws_take_the_table(self, n, p, size):
-        for seed in range(10):
-            assert numpy_calls_drawing_like_numpy(n, p, size, seed) == 0
+    def test_draws_below_the_floor_call_numpy(self, n, p):
+        # Means 31 (plain and mirrored), 1,000, 30 and 0.5.
+        assert rng_module.WINDOW_MIN_SIZE > 512
+        for seed in range(3):
+            assert numpy_calls_drawing_like_numpy(n, p, 512, seed) == 1
 
-    @pytest.mark.parametrize(
-        "n,p,size",
-        [(1_000, 0.028, 256), (1_000, 0.031, 4096), (1_000, 0.0005, 4096), (1_000, 0.0, 20_000)],
-    )
-    def test_small_work_and_btpe_draws_call_numpy(self, n, p, size):
-        # Size 256 stays under the crossover at any inversion-region mean;
-        # mean 31 is numpy's BTPE region; mean 0.5 at 4,096 draws is under
-        # the crossover; p = 0 is numpy's no-draw zero.
-        assert numpy_calls_drawing_like_numpy(n, p, size, 3) == 1
-
-    @pytest.mark.parametrize("tolerance", [1.0, 1e-5])
-    @pytest.mark.parametrize("seed", [0, 5, 20120717])
-    def test_forced_rewind_matches_numpy(self, monkeypatch, tolerance, seed):
-        # A band this wide catches a uniform at the bound (1.0) or, past the
-        # bound check, near one of the table's 82 edges (1e-5 at these
-        # seeds): every call rewinds and defers to numpy, from the state
-        # before its uniforms.
-        monkeypatch.setattr(rng_module, "EDGE_TOLERANCE", tolerance)
-        assert numpy_calls_drawing_like_numpy(1_000, 0.028, 4096, seed) == 1
+    def test_a_large_draw_in_the_table_makes_no_numpy_call(self):
+        generator = CountingGenerator(3)
+        drawn = binomial_iid(generator, 1_000, 0.031, 4096)
+        assert drawn.dtype == np.int64 and drawn.shape == (4096,)
+        assert generator.binomial_calls == 0
 
     def test_array_counts_call_numpy(self):
         generator = CountingGenerator(3)
@@ -252,3 +233,147 @@ class TestBinomialIid:
         with pytest.raises(expected.type) as raised:
             binomial_iid(np.random.default_rng(0), n, p, size)
         assert str(raised.value) == str(expected.value)
+
+
+def log_pmf(n, p, x):
+    """``log P(X = x)`` for ``X ~ Binomial(n, p)``, from ``math.lgamma``."""
+
+    return (
+        math.lgamma(n + 1)
+        - math.lgamma(x + 1)
+        - math.lgamma(n - x + 1)
+        + x * math.log(p)
+        + (n - x) * math.log1p(-p)
+    )
+
+
+def mass_outside(n, p, lo, hi):
+    """``P(X < lo) + P(X > hi)`` for ``X ~ Binomial(n, p)``, ``lo`` and ``hi``
+    on either side of the mode.
+
+    Each tail is summed outwards by the exact pmf ratio until a geometric
+    bound on the rest is negligible: past the mode the ratio only shrinks
+    outwards, so the rest is at most ``term / (1 - ratio)``.
+    """
+
+    total = 0.0
+    q = 1.0 - p
+    for x, step in ((hi + 1, 1), (lo - 1, -1)):
+        if not 0 <= x <= n:
+            continue
+        term = math.exp(log_pmf(n, p, x))
+        while term > 0.0:
+            if step > 0:
+                ratio = (n - x) * p / ((x + 1) * q) if x < n else 0.0
+            else:
+                ratio = x * q / ((n - x + 1) * p)
+            if ratio < 1e-3 or term * ratio / (1.0 - ratio) < 1e-9 * total:
+                total += term / (1.0 - ratio)
+                break
+            total += term
+            term *= ratio
+            x += step
+    return total
+
+
+def chi_square_critical(dof, z=3.719):
+    """The Wilson–Hilferty approximation of the χ² quantile at normal score
+    ``z`` (3.719: upper tail 10^-4)."""
+
+    h = 2.0 / (9.0 * dof)
+    return dof * (1.0 - h + z * math.sqrt(h)) ** 3
+
+
+# (n, p) pairs that take the windowed table at 4,096 or more draws: means
+# from 0.5 to the cap; p > 1/2 mirrored; windows clipped at 0 (small means)
+# and at n (n = 1, 10 and 60); r = 1/2 exactly; a count of 10^9.
+WINDOW_GRID = [
+    (10**7, 5e-8),
+    (1, 0.3),
+    (10, 0.3),
+    (60, 0.5),
+    (1_000, 0.031),
+    (1_000, 0.97),
+    (10**5, 1e-3),
+    (2_000, 0.75),
+    (10**5, 0.01),
+    (10**6, 0.99),
+    (40_000, 0.5),
+    (10**9, 2e-5),
+]
+
+
+class TestWindowedTable:
+    """Draws that take the windowed table follow ``Binomial(n, p)``.
+
+    Power: each case draws 10^6 values.  The mean z-test sees a table off
+    by one value at z = sqrt(10^6)/σ ≥ 7 for every grid σ (at most 141, at
+    mean 2·10^4), against a bound of 5; the variance z-test sees a window
+    that drops or doubles a tail; the χ² test over bins of expected count
+    ≥ 20 rejects at α = 10^-4 (a table that skips normalisation, or a
+    p > 1/2 draw that is not mirrored, exceeds the bound by orders of
+    magnitude).  Draws are seeded, so the verdicts are deterministic.
+    """
+
+    DRAWS = 10**6
+
+    @pytest.mark.parametrize("n,p", WINDOW_GRID)
+    def test_draws_follow_the_exact_pmf(self, n, p):
+        generator = CountingGenerator(20120717)
+        drawn = binomial_iid(generator, n, p, self.DRAWS)
+        assert generator.binomial_calls == 0
+        assert drawn.dtype == np.int64 and drawn.min() >= 0 and drawn.max() <= n
+
+        mean, var = n * p, n * p * (1.0 - p)
+        excess_kurtosis = (1.0 - 6.0 * p * (1.0 - p)) / var
+        mean_z = (drawn.mean() - mean) / math.sqrt(var / self.DRAWS)
+        var_z = (drawn.var() - var) / (var * math.sqrt((2.0 + excess_kurtosis) / self.DRAWS))
+        assert abs(mean_z) < 5.0 and abs(var_z) < 5.0, (mean_z, var_z)
+
+        # Bins of consecutive values, each expecting at least 20 draws; the
+        # values past either end pool into the end bins.
+        low = max(0, math.floor(mean - 12 * math.sqrt(var) - 12))
+        high = min(n, math.ceil(mean + 12 * math.sqrt(var) + 12))
+        values = np.arange(low, high + 1)
+        expected = np.array([math.exp(log_pmf(n, p, int(x))) for x in values]) * self.DRAWS
+        observed = np.bincount(np.clip(drawn, low, high) - low, minlength=values.size)
+        edges = [0]
+        running = 0.0
+        for index, count in enumerate(expected):
+            running += count
+            if running >= 20.0:
+                edges.append(index + 1)
+                running = 0.0
+        edges[-1] = values.size
+        observed_bins = np.add.reduceat(observed, edges[:-1])
+        expected_bins = np.add.reduceat(expected, edges[:-1])
+        statistic = float(np.sum((observed_bins - expected_bins) ** 2 / expected_bins))
+        dof = max(len(observed_bins) - 1, 1)
+        assert statistic < chi_square_critical(dof), (statistic, dof)
+
+    @pytest.mark.parametrize("n,p", WINDOW_GRID)
+    def test_window_leaves_out_under_2_to_the_minus_64(self, n, p):
+        r = min(p, 1.0 - p)
+        lo, hi = rng_module._window(n, r)
+        assert 0 <= lo <= n * r <= hi <= n
+        assert mass_outside(n, r, lo, hi) <= 2.0**-64
+
+    @pytest.mark.parametrize("n,p", [(1_000, 0.031), (1_000, 0.97), (10**9, 2e-5)])
+    def test_a_table_draw_consumes_exactly_size_doubles(self, n, p):
+        drawn = np.random.default_rng(5)
+        binomial_iid(drawn, n, p, 4096)
+        uniforms = np.random.default_rng(5)
+        uniforms.random(4096)
+        assert drawn.bit_generator.state == uniforms.bit_generator.state
+
+    def test_a_table_draw_is_the_inverse_cdf_of_its_uniforms(self):
+        n, p, size = 1_000, 0.97, 4096
+        r = 1.0 - p
+        lo, hi = rng_module._window(n, r)
+        values = np.arange(lo, hi + 1)
+        cdf = np.cumsum([math.exp(log_pmf(n, r, int(x))) for x in values])
+        uniforms = np.random.default_rng(9).random(size)
+        reference = n - values[np.searchsorted(cdf / cdf[-1], uniforms, side="right")]
+        drawn = binomial_iid(np.random.default_rng(9), n, p, size)
+        # Table rounding may move a uniform within about 1e-13 of an edge.
+        assert np.count_nonzero(drawn != reference) <= 1
