@@ -62,9 +62,8 @@ def peak_rss_bytes() -> int:
 def cap_slots(protocol: MultiHopBroadcast) -> int:
     """Slots of the full static schedule up to the round cap."""
 
-    start = protocol.params.start_round
-    stop = protocol.params.resolved_max_round(protocol.config.n)
-    return sum(protocol.schedule.round_length(i) for i in range(start, stop + 1))
+    schedule = protocol.schedule
+    return sum(schedule.round_length(i) for i in schedule.rounds)
 
 
 def run(n: int, seed: int, memory_ceiling: float) -> None:

@@ -20,7 +20,6 @@ from .core.decoy import DecoyBroadcast
 from .core.estimation import SizeEstimateBroadcast
 from .core.general_k import GeneralKBroadcast
 from .core.outcome import BroadcastOutcome
-from .core.params import ProtocolParameters
 from .core.quietrule import ConstantQuietRule, DegreeAwareQuietRule, PaperQuietRule, QuietRule
 from .simulation.config import SimulationConfig
 
@@ -36,7 +35,6 @@ __all__ = [
     "make_adversary",
     "MultiHopBroadcast",
     "PaperQuietRule",
-    "ProtocolParameters",
     "QuietRule",
     "run_broadcast",
     "SimulationConfig",

@@ -1,8 +1,8 @@
 """Adversary ("Carol") strategies.
 
-Every strategy implements the
-:class:`~repro.simulation.phaseplan.AdversaryStrategy` protocol by subclassing
-:class:`~repro.adversary.base.Adversary`.  The catalogue covers the attacks the
+Every strategy subclasses :class:`~repro.adversary.base.Adversary`, whose
+``observe_phase`` / ``plan_phase`` / ``observe_result`` hooks every
+orchestrator calls once per phase.  The catalogue covers the attacks the
 paper reasons about — phase blocking, n-uniform splitting, request-phase
 spoofing, reactive jamming — plus the oblivious comparators (random, bursty,
 continuous) used by the ablation experiments.

@@ -48,7 +48,7 @@ class EpochBaseline(abc.ABC):
     adversary:
         Carol's strategy; defaults to no attack.
     engine:
-        ``"fast"`` (default), ``"slot"``, or an engine instance.
+        ``"fast"`` (default) or ``"slot"``.
     network:
         An existing :class:`~repro.simulation.network.Network` to reuse;
         constructed from ``config`` when omitted.

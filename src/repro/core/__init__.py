@@ -6,7 +6,6 @@ from .decoy import DecoyBroadcast
 from .estimation import SizeEstimateBroadcast
 from .general_k import GeneralKBroadcast
 from .outcome import BroadcastOutcome
-from .params import ProtocolParameters
 from .phases import ScheduleBuilder
 from .quietrule import (
     ConstantQuietRule,
@@ -32,7 +31,6 @@ __all__ = [
     "NodeStatus",
     "PaperQuietRule",
     "PROTOCOL_VARIANTS",
-    "ProtocolParameters",
     "ProtocolState",
     "QuietRule",
     "RequestPhaseDecision",

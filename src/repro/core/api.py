@@ -41,7 +41,6 @@ from .decoy import DecoyBroadcast
 from .estimation import SizeEstimateBroadcast
 from .general_k import GeneralKBroadcast
 from .outcome import BroadcastOutcome
-from .params import ProtocolParameters
 
 __all__ = ["run_broadcast", "make_adversary", "ADVERSARY_CATALOGUE", "PROTOCOL_VARIANTS"]
 
@@ -112,7 +111,6 @@ def run_broadcast(
     engine: str = "fast",
     adversary_kwargs: Optional[dict] = None,
     config: Optional[SimulationConfig] = None,
-    params: Optional[ProtocolParameters] = None,
     topology: str | TopologySpec | None = None,
     topology_kwargs: Optional[dict] = None,
     **variant_kwargs: object,
@@ -191,7 +189,6 @@ def run_broadcast(
     protocol = protocol_cls(
         config,
         adversary=adversary_obj,
-        params=params,
         engine=engine,
         **variant_kwargs,  # type: ignore[arg-type]
     )

@@ -25,13 +25,11 @@ import numpy as np
 from ..adversary.base import Adversary
 from ..adversary.none import NullAdversary
 from ..simulation.config import SimulationConfig
-from ..simulation.errors import ConfigurationError
 from ..simulation.network import Network
 from ..simulation.phaseplan import PhaseKind, PhasePlan, PhaseResult, PhaseRoles
 from ..observability.trace import NULL_RECORDER, TraceEvent, TraceRecorder
 from .driver import EngineSpec, PhaseDriver, resolve_engine
 from .outcome import BroadcastOutcome
-from .params import ProtocolParameters
 from .phases import ScheduleBuilder
 from .quietrule import QuietRule, resolve_quiet_rule
 from .state import ProtocolState
@@ -54,11 +52,8 @@ class EpsilonBroadcast:
         Model parameters (network size, budgets, ``k``, ``ε``).
     adversary:
         The attack strategy Carol plays; defaults to no attack.
-    params:
-        Protocol constants; derived from ``config`` when omitted.
     engine:
-        ``"fast"`` (vectorised, default), ``"slot"`` (slot-faithful), or an
-        already-constructed engine instance.
+        ``"fast"`` (vectorised, default) or ``"slot"`` (slot-faithful).
     network:
         An existing :class:`~repro.simulation.network.Network` to reuse;
         constructed from ``config`` when omitted.
@@ -83,7 +78,6 @@ class EpsilonBroadcast:
         self,
         config: SimulationConfig,
         adversary: Optional[Adversary] = None,
-        params: Optional[ProtocolParameters] = None,
         engine: EngineSpec = "fast",
         network: Optional[Network] = None,
         record_events: bool = True,
@@ -94,11 +88,6 @@ class EpsilonBroadcast:
         self.config = config
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         self.adversary = adversary if adversary is not None else NullAdversary()
-        self.params = params if params is not None else ProtocolParameters.from_config(config)
-        if self.params.k != config.k:
-            raise ConfigurationError(
-                f"protocol k ({self.params.k}) disagrees with configuration k ({config.k})"
-            )
         self.network = network if network is not None else Network(config)
         self.engine = resolve_engine(engine, self.network)
         # Strategies that depend on the realised topology (e.g. spatial disk
@@ -106,7 +95,7 @@ class EpsilonBroadcast:
         self.adversary.bind_network(self.network)
         self.record_events = record_events
         self.schedule = ScheduleBuilder(
-            self.params, config.n, self._node_n(), figure=figure, decoy_traffic=decoy_traffic
+            config, self._node_n(), figure=figure, decoy_traffic=decoy_traffic
         )
         self._round_phase_cache: Dict[int, List[PhasePlan]] = {}
 
@@ -132,13 +121,10 @@ class EpsilonBroadcast:
             self.recorder,
             record_events=self.record_events,
         )
-        start_round = self.params.start_round
-        max_round = self.params.resolved_max_round(self.config.n)
         terminated_by_cap = False
         driver.start(**self._run_start_data())
 
-        round_index = start_round
-        while round_index <= max_round:
+        for round_index in self.schedule.rounds:
             for plan in self._iter_round_phases(round_index, state):
                 roles = self._roles_for(plan, state)
                 driver.step(plan, roles, state, round_index, self._apply_result)
@@ -146,10 +132,9 @@ class EpsilonBroadcast:
                     break
             if state.everyone_done():
                 break
-            round_index += 1
         else:
             terminated_by_cap = True
-            self._finalize_at_cap(state, max_round)
+            self._finalize_at_cap(state, round_index)
 
         # Keep the per-node end state inspectable: experiments that partition
         # delivery by population (e.g. a spatial jammer's victims) need node
@@ -160,7 +145,7 @@ class EpsilonBroadcast:
             extra["alice_terminated_round"] = float(state.alice_terminated_at_round)
         return driver.finish(
             state,
-            round_index=max_round if terminated_by_cap else round_index,
+            round_index=round_index,
             terminated_by_cap=terminated_by_cap,
             extra=extra,
         )
@@ -238,7 +223,7 @@ class EpsilonBroadcast:
         if plan.kind is PhaseKind.PROPAGATION:
             # Relays transmitted during this step and terminate at its end.
             state.terminate_informed(roles.relay_ids, round_index)
-            if plan.step >= self.params.k - 1:
+            if plan.step >= self.config.k - 1:
                 # Final propagation step of the round: nodes informed during it
                 # hold the message and have no further role, so they terminate
                 # too (§2.1: keeping S_i around is wasteful).

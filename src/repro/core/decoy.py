@@ -20,7 +20,6 @@ from ..adversary.base import Adversary
 from ..simulation.config import SimulationConfig
 from .broadcast import EpsilonBroadcast
 from .driver import EngineSpec
-from .params import ProtocolParameters
 
 __all__ = ["DecoyBroadcast"]
 
@@ -34,7 +33,6 @@ class DecoyBroadcast(EpsilonBroadcast):
         self,
         config: SimulationConfig,
         adversary: Optional[Adversary] = None,
-        params: Optional[ProtocolParameters] = None,
         engine: EngineSpec = "fast",
         **kwargs: object,
     ) -> None:
@@ -42,7 +40,6 @@ class DecoyBroadcast(EpsilonBroadcast):
         super().__init__(
             config,
             adversary=adversary,
-            params=params,
             engine=engine,
             **kwargs,  # type: ignore[arg-type]
         )

@@ -36,7 +36,9 @@ from .state import ProtocolState
 __all__ = ["Engine", "EngineSpec", "PhaseDriver", "StateTransition", "resolve_engine"]
 
 Engine = Union[SlotEngine, PhaseEngine]
-EngineSpec = Union[str, SlotEngine, PhaseEngine]
+
+#: An engine name: ``"fast"`` (:class:`PhaseEngine`) or ``"slot"`` (:class:`SlotEngine`).
+EngineSpec = str
 
 #: A protocol's state-transition hook, called once per phase as
 #: ``apply(plan, roles, result, state, round_index, slot)`` where ``slot`` is
@@ -45,13 +47,8 @@ StateTransition = Callable[[PhasePlan, PhaseRoles, PhaseResult, ProtocolState, i
 
 
 def resolve_engine(spec: EngineSpec, network: Network) -> Engine:
-    """The engine ``spec`` names (``"fast"`` or ``"slot"``) over ``network``.
+    """The engine ``spec`` names (``"fast"`` or ``"slot"``) over ``network``."""
 
-    An already-constructed engine is returned unchanged.
-    """
-
-    if isinstance(spec, (SlotEngine, PhaseEngine)):
-        return spec
     if spec == "fast":
         return PhaseEngine(network)
     if spec == "slot":

@@ -37,7 +37,6 @@ from ..simulation.errors import ConfigurationError
 from ..simulation.phaseplan import PhaseKind, PhasePlan, PhaseResult, PhaseRoles, clip_probability
 from .broadcast import EpsilonBroadcast
 from .driver import EngineSpec
-from .params import ProtocolParameters
 from .state import ProtocolState
 
 __all__ = ["SizeEstimateBroadcast"]
@@ -60,7 +59,6 @@ class SizeEstimateBroadcast(EpsilonBroadcast):
         config: SimulationConfig,
         size_estimate: int,
         adversary: Optional[Adversary] = None,
-        params: Optional[ProtocolParameters] = None,
         engine: EngineSpec = "fast",
         **kwargs: object,
     ) -> None:
@@ -72,7 +70,6 @@ class SizeEstimateBroadcast(EpsilonBroadcast):
         super().__init__(
             config,
             adversary=adversary,
-            params=params,
             engine=engine,
             **kwargs,  # type: ignore[arg-type]
         )

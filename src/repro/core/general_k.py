@@ -22,7 +22,6 @@ from ..adversary.base import Adversary
 from ..simulation.config import SimulationConfig
 from .broadcast import EpsilonBroadcast
 from .driver import EngineSpec
-from .params import ProtocolParameters
 
 __all__ = ["GeneralKBroadcast"]
 
@@ -44,7 +43,6 @@ class GeneralKBroadcast(EpsilonBroadcast):
         self,
         config: SimulationConfig,
         adversary: Optional[Adversary] = None,
-        params: Optional[ProtocolParameters] = None,
         engine: EngineSpec = "fast",
         **kwargs: object,
     ) -> None:
@@ -52,7 +50,6 @@ class GeneralKBroadcast(EpsilonBroadcast):
         super().__init__(
             config,
             adversary=adversary,
-            params=params,
             engine=engine,
             **kwargs,  # type: ignore[arg-type]
         )

@@ -3,7 +3,10 @@
 :class:`ScheduleBuilder` is the one home of the protocol's schedule.  It
 turns Figure 1 (``k = 2``) or Figure 2 (general ``k``) into the
 :class:`~repro.simulation.phaseplan.PhasePlan` objects the engines execute,
-and it holds both request-phase termination tests.  Round ``i`` has
+and it holds both request-phase termination tests.  It reads ``n``, ``k``,
+``c`` and ``ε'`` from the :class:`~repro.simulation.config.SimulationConfig`;
+the exponents are the values Lemma 11 derives, ``a = 1/k`` and ``b = 1``.
+Round ``i`` has
 
 * one **inform** phase of ``2^{(a+b)i}`` slots.  Alice sends ``m`` in each
   slot with probability ``2·ln n / 2^{b·i}`` (Figure 1) or
@@ -44,9 +47,9 @@ from typing import Dict, List, Optional, Tuple, overload
 
 import numpy as np
 
+from ..simulation.config import SimulationConfig
 from ..simulation.errors import ConfigurationError
 from ..simulation.phaseplan import PhaseKind, PhasePlan, clip_probability
-from .params import ProtocolParameters
 
 __all__ = ["DECOY_LISTEN_BOOST", "DECOY_RATE", "RELIABILITY_MARGIN", "ScheduleBuilder"]
 
@@ -68,16 +71,43 @@ A slot carrying ``m`` survives the cover traffic with probability at least
 RELIABILITY_MARGIN = 1.5
 """How far the expected noisy count must clear the threshold before a side may terminate."""
 
+_FIRST_ROUND = 1
+"""The first round index ``i`` executed; the paper's nodes start at ``i = 1``."""
+
+_REQUEST_EXPONENT = 1.0 / 2.0 + 1.0
+"""Figure 1's request-phase exponent ``b/2 + 1`` with ``b = 1``."""
+
+
+def _last_round(n: int) -> int:
+    """The safety cap on round indices for a network of size ``n``: ``⌈lg n⌉ + 4``."""
+
+    return int(math.ceil(math.log2(n))) + 4
+
+
+def _earliest_round(n: int) -> int:
+    """``⌈3·lg ln n⌉``: where the paper's analysis of the termination test begins.
+
+    Terminating earlier would let nodes give up before the noisy-slot
+    statistics are meaningful.
+    """
+
+    return int(math.ceil(3.0 * math.log2(max(math.log(n), 2.0))))
+
 
 class ScheduleBuilder:
     """Builds the per-round phase plans of ε-Broadcast and its termination tests.
 
+    The protocol's constants are read from the configuration (``n``, ``k``,
+    ``c``, ``ε'``); the exponents are Lemma 11's ``a = 1/k`` and ``b = 1``.
+    :attr:`rounds` runs from round 1 to the safety cap ``⌈lg n⌉ + 4``
+    (``lg n + O(1)`` in the paper); a run that reaches the cap terminates
+    every participant still active.
+
     Parameters
     ----------
-    params:
-        Protocol constants (``k``, ``a``, ``b``, ``c``, ``ε'``, round window).
-    n:
-        The network size Alice computes with.
+    config:
+        The model parameters; ``config.n`` is the network size Alice
+        computes with.
     node_n:
         The network size the correct nodes compute with; ``n`` when omitted.
         The §4.2 variant passes its overestimate ``ν ≥ n``.
@@ -91,22 +121,25 @@ class ScheduleBuilder:
 
     def __init__(
         self,
-        params: ProtocolParameters,
-        n: int,
+        config: SimulationConfig,
         node_n: Optional[int] = None,
         figure: Optional[int] = None,
         decoy_traffic: bool = False,
     ) -> None:
         if figure is None:
-            figure = 1 if params.k == 2 else 2
+            figure = 1 if config.k == 2 else 2
         if figure not in (1, 2):
             raise ConfigurationError(f"figure must be 1 or 2, got {figure!r}")
-        self.params = params
-        self.n = n
-        self.node_n = n if node_n is None else node_n
+        self.config = config
+        self.n = config.n
+        self.node_n = self.n if node_n is None else node_n
         self.figure = figure
         self.decoy_traffic = decoy_traffic
-        self._log_n = math.log(max(n, 2))
+        self.rounds = range(_FIRST_ROUND, _last_round(self.n) + 1)
+        self._log_n = config.log_n
+        a = 1.0 / config.k
+        self._phase_exponent = a + 1.0  # a + b
+        self._listen_exponent = a + 1.0 / 2.0  # a + b/2
 
     # ------------------------------------------------------------------ #
     # Phase construction                                                  #
@@ -115,19 +148,19 @@ class ScheduleBuilder:
     def inform_phase(self, round_index: int) -> PhasePlan:
         """The inform phase of round ``i``: Alice seeds the set ``S_{i,1}``."""
 
-        params = self.params
+        config = self.config
         if self.figure == 1:
-            alice_send = 2.0 * self._log_n / (2.0 ** (params.b_value * round_index))
-            exponent = (params.a_value + params.b_value / 2.0) * round_index
+            alice_send = 2.0 * self._log_n / (2.0 ** round_index)
+            exponent = self._listen_exponent * round_index
         else:
-            alice_send = 2.0 * params.c * (self._log_n ** params.k) / (2.0 ** round_index)
+            alice_send = 2.0 * config.c * (self._log_n ** config.k) / (2.0 ** round_index)
             exponent = float(round_index)
-        listen = 2.0 / (params.epsilon_prime * (2.0 ** exponent))
+        listen = 2.0 / (config.eps_prime * (2.0 ** exponent))
         return PhasePlan(
             name="inform",
             kind=PhaseKind.INFORM,
             round_index=round_index,
-            num_slots=params.phase_length(round_index),
+            num_slots=self.phase_length(round_index),
             alice_send_prob=alice_send,
             uninformed_listen_prob=self._boosted(listen),
             decoy_send_prob=self._decoy_send_probability(),
@@ -141,17 +174,17 @@ class ScheduleBuilder:
         remain in flight (see :class:`~repro.core.broadcast.MultiHopBroadcast`).
         """
 
-        params = self.params
+        config = self.config
         if self.figure == 1:
-            exponent = (params.a_value + params.b_value / 2.0) * round_index
-            listen = 4.0 * math.e * (params.c + 1.0) / (2.0 ** exponent)
+            exponent = self._listen_exponent * round_index
+            listen = 4.0 * math.e * (config.c + 1.0) / (2.0 ** exponent)
         else:
-            listen = 2.0 * math.e * params.c / (params.epsilon_prime * (2.0 ** round_index))
+            listen = 2.0 * math.e * config.c / (config.eps_prime * (2.0 ** round_index))
         return PhasePlan(
             name=f"propagation:{step}",
             kind=PhaseKind.PROPAGATION,
             round_index=round_index,
-            num_slots=params.phase_length(round_index),
+            num_slots=self.phase_length(round_index),
             step=step,
             relay_send_prob=1.0 / self.node_n,
             uninformed_listen_prob=self._boosted(listen),
@@ -161,7 +194,7 @@ class ScheduleBuilder:
     def propagation_steps(self, round_index: int) -> List[PhasePlan]:
         """The ``k - 1`` propagation steps of round ``i``."""
 
-        return [self.propagation_step(round_index, step) for step in range(1, self.params.k)]
+        return [self.propagation_step(round_index, step) for step in range(1, self.config.k)]
 
     def request_phase(self, round_index: int) -> PhasePlan:
         """The request phase of round ``i``: nacks, listening, termination."""
@@ -180,20 +213,34 @@ class ScheduleBuilder:
     def _request_terms(self, round_index: int) -> Tuple[int, float, float]:
         """Round ``i``'s request-phase length and Alice's and a node's clipped listening."""
 
-        params = self.params
+        config = self.config
         if self.figure == 1:
-            num_slots = params.request_phase_length(round_index)
-            exponent = (params.b_value / 2.0 + 1.0) * round_index
+            num_slots = self.request_phase_length(round_index)
+            exponent = _REQUEST_EXPONENT * round_index
         else:
-            num_slots = params.phase_length(round_index)
-            exponent = (1.0 + 1.0 / params.k) * round_index
-        alice_denominator = (1.0 - math.exp(-4.0 * params.epsilon_prime)) * (2.0 ** exponent)
-        node_denominator = (1.0 - math.exp(-64.0 * params.epsilon_prime)) * (2.0 ** round_index)
+            num_slots = self.phase_length(round_index)
+            exponent = (1.0 + 1.0 / config.k) * round_index
+        alice_denominator = (1.0 - math.exp(-4.0 * config.eps_prime)) * (2.0 ** exponent)
+        node_denominator = (1.0 - math.exp(-64.0 * config.eps_prime)) * (2.0 ** round_index)
         return (
             num_slots,
-            clip_probability(params.c * self._log_n / alice_denominator),
-            clip_probability((params.c + 1.0) / node_denominator),
+            clip_probability(config.c * self._log_n / alice_denominator),
+            clip_probability((config.c + 1.0) / node_denominator),
         )
+
+    def phase_length(self, round_index: int) -> int:
+        """Slots in an inform or propagation phase of round ``i``: ``2^{(a+b)i}``.
+
+        Figure 2's ``2^{(1+1/k)i}`` is the same length, since ``a = 1/k`` and
+        ``b = 1``.
+        """
+
+        return max(1, int(round(2.0 ** (self._phase_exponent * round_index))))
+
+    def request_phase_length(self, round_index: int) -> int:
+        """Slots in Figure 1's request phase of round ``i``: ``2^{(b/2+1)i}``."""
+
+        return max(1, int(round(2.0 ** (_REQUEST_EXPONENT * round_index))))
 
     def round_phases(self, round_index: int) -> List[PhasePlan]:
         """All phases of round ``i``, in execution order."""
@@ -276,16 +323,15 @@ class ScheduleBuilder:
         noise lets it give up while the broadcast is still blocked.
         """
 
-        params = self.params
         n = self.n if alice else self.node_n
-        threshold = params.termination_threshold(n)
+        threshold = 5.0 * self.config.c * math.log(n)
         p_busy = 1.0 - (1.0 - 1.0 / n) ** n
-        max_round = params.resolved_max_round(n)
+        max_round = _last_round(n)
         reliable = max_round
-        for round_index in range(params.start_round, max_round + 1):
+        for round_index in range(_FIRST_ROUND, max_round + 1):
             num_slots, alice_listen, node_listen = self._request_terms(round_index)
             listen = alice_listen if alice else node_listen
             if listen * num_slots * p_busy >= RELIABILITY_MARGIN * threshold:
                 reliable = round_index
                 break
-        return threshold, max(params.resolved_min_termination_round(n), reliable)
+        return threshold, max(_earliest_round(n), reliable)

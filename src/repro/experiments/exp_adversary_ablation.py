@@ -39,7 +39,7 @@ STRATEGIES: Dict[str, Callable[[Optional[float]], Adversary]] = {
 """Table label → factory(spend_cap), in table order; five are roster entries."""
 
 
-def _trial(seed: int, n: int, engine: str, strategy: str, spend_cap: float) -> dict:
+def _trial(seed: int, n: int, strategy: str, spend_cap: float) -> dict:
     """One E9 trial: a fresh roster strategy at the shared spend cap."""
 
     outcome = run_broadcast(
@@ -48,7 +48,6 @@ def _trial(seed: int, n: int, engine: str, strategy: str, spend_cap: float) -> d
         f=1.0,
         seed=seed,
         adversary=STRATEGIES[strategy](spend_cap),
-        engine=engine,
     )
     return outcome.as_record()
 
@@ -82,7 +81,6 @@ def run(settings: ExperimentSettings) -> ExperimentResult:
             EXPERIMENT_ID,
             name,
             n=settings.n,
-            engine=settings.engine,
             strategy=name,
             spend_cap=spend_cap,
         )

@@ -38,11 +38,11 @@ PROTOCOLS = {
 """Table label → roster protocol name, in table order."""
 
 
-def _trial(seed: int, n: int, engine: str, protocol: str, cap: float) -> dict:
+def _trial(seed: int, n: int, protocol: str, cap: float) -> dict:
     """One E5 trial: ``protocol`` against a fresh blocker with spend cap ``cap``."""
 
     config = SimulationConfig(n=n, k=2, f=1.0, seed=seed)
-    protocol_variant = build_protocol(PROTOCOLS[protocol], config, budget_blocker(cap), engine)
+    protocol_variant = build_protocol(PROTOCOLS[protocol], config, budget_blocker(cap))
     return protocol_variant.run().as_record()
 
 
@@ -72,7 +72,6 @@ def run(settings: ExperimentSettings) -> ExperimentResult:
             name,
             cap,
             n=settings.n,
-            engine=settings.engine,
             protocol=name,
             cap=cap,
         )

@@ -30,7 +30,7 @@ TITLE = "Per-device cost vs adversary spend T (k = 2)"
 CLAIM = "Alice and each node pay Õ(T^(1/3) + 1) when Carol jams for T slots (Theorem 1, k = 2)"
 
 
-def _trial(seed: int, n: int, engine: str, cap: float) -> dict:
+def _trial(seed: int, n: int, cap: float) -> dict:
     """One E1 trial: ε-Broadcast against a phase blocker capped at ``cap``.
 
     Returns only the flat record: shipping the full ``BroadcastOutcome``
@@ -44,7 +44,6 @@ def _trial(seed: int, n: int, engine: str, cap: float) -> dict:
         f=1.0,
         seed=seed,
         adversary=budget_blocker(cap),
-        engine=engine,
     )
     return outcome.as_record()
 
@@ -71,7 +70,7 @@ def run(settings: ExperimentSettings) -> ExperimentResult:
     )
 
     specs = [
-        TrialSpec.point(_trial, EXPERIMENT_ID, cap, n=settings.n, engine=settings.engine, cap=cap)
+        TrialSpec.point(_trial, EXPERIMENT_ID, cap, n=settings.n, cap=cap)
         for cap in sweep
     ]
     per_point = run_sweep(specs, settings)

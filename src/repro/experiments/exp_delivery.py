@@ -29,7 +29,7 @@ TITLE = "Delivery fraction under worst-case n-uniform attacks"
 CLAIM = "At least (1-ε)n correct nodes receive m w.h.p.; stranding even an ε-fraction costs Carol a constant fraction of her total budget"
 
 
-def _trial(seed: int, n: int, engine: str, attack: str, victims: int) -> dict:
+def _trial(seed: int, n: int, attack: str, victims: int) -> dict:
     """One E2 trial; ``attack`` picks the adversary family, ``victims`` its size."""
 
     if attack == "none":
@@ -44,7 +44,6 @@ def _trial(seed: int, n: int, engine: str, attack: str, victims: int) -> dict:
         f=1.0,
         seed=seed,
         adversary=adversary,
-        engine=engine,
     )
     record = outcome.as_record()
     record["uninformed"] = float(outcome.config.n - outcome.delivery.informed)
@@ -90,7 +89,6 @@ def run(settings: ExperimentSettings) -> ExperimentResult:
             EXPERIMENT_ID,
             label,
             n=settings.n,
-            engine=settings.engine,
             attack=attack,
             victims=victims,
         )

@@ -29,7 +29,7 @@ TITLE = "General k: cost exponent 1/(k+1) and Θ(k) latency overhead"
 CLAIM = "For budget exponent k the per-device cost is Õ(T^{1/(k+1)}) while latency and overall cost grow by a Θ(k) factor (§3, §3.2)"
 
 
-def _trial(seed: int, n: int, engine: str, k: int, cap: float) -> dict:
+def _trial(seed: int, n: int, k: int, cap: float) -> dict:
     """One E6 trial: the general-k variant against a capped phase blocker."""
 
     outcome = run_broadcast(
@@ -39,7 +39,6 @@ def _trial(seed: int, n: int, engine: str, k: int, cap: float) -> dict:
         seed=seed,
         variant="general-k",
         adversary=budget_blocker(cap),
-        engine=engine,
     )
     return outcome.as_record()
 
@@ -74,9 +73,7 @@ def run(settings: ExperimentSettings) -> ExperimentResult:
     }
     points = [(k, cap) for k in ks for cap in sweeps[k]]
     specs = [
-        TrialSpec.point(
-            _trial, EXPERIMENT_ID, k, cap, n=settings.n, engine=settings.engine, k=k, cap=cap
-        )
+        TrialSpec.point(_trial, EXPERIMENT_ID, k, cap, n=settings.n, k=k, cap=cap)
         for k, cap in points
     ]
     records_by_point = dict(zip(points, run_sweep(specs, settings)))

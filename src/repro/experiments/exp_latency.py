@@ -27,7 +27,7 @@ TITLE = "Latency vs network size under maximal jamming"
 CLAIM = "All correct participants terminate within O(n^{1+1/k}) slots, which is asymptotically optimal (Corollary 1)"
 
 
-def _trial(seed: int, n: int, engine: str) -> dict:
+def _trial(seed: int, n: int) -> dict:
     """One E3 trial: a jammed and an unjammed run of the same size ``n``."""
 
     jammed = run_broadcast(
@@ -36,9 +36,8 @@ def _trial(seed: int, n: int, engine: str) -> dict:
         f=1.0,
         seed=seed,
         adversary=ContinuousJammer(),
-        engine=engine,
     )
-    clean = run_broadcast(n=n, k=2, f=1.0, seed=seed + 1, adversary="none", engine=engine)
+    clean = run_broadcast(n=n, k=2, f=1.0, seed=seed + 1, adversary="none")
     return {
         "slots_jammed": float(jammed.slots_elapsed),
         "slots_clean": float(clean.slots_elapsed),
@@ -65,10 +64,7 @@ def run(settings: ExperimentSettings) -> ExperimentResult:
         ],
     )
 
-    specs = [
-        TrialSpec.point(_trial, EXPERIMENT_ID, n, n=n, engine=settings.engine)
-        for n in sizes
-    ]
+    specs = [TrialSpec.point(_trial, EXPERIMENT_ID, n, n=n) for n in sizes]
     per_point = run_sweep(specs, settings)
 
     jammed_latencies = []

@@ -30,19 +30,19 @@ TITLE = "Load balance: Alice cost vs per-node cost"
 CLAIM = "Alice and each correct node incur asymptotically equal costs, up to logarithmic factors (load balancing, §1 / Lemma 11)"
 
 
-def _trial(seed: int, n: int, engine: str, cap: Optional[float]) -> dict:
+def _trial(seed: int, n: int, cap: Optional[float]) -> dict:
     """One ε-Broadcast E4 trial against a blocker capped at ``cap`` (None = no attack)."""
 
     adversary = budget_blocker(cap) if cap is not None else "none"
-    outcome = run_broadcast(n=n, k=2, f=1.0, seed=seed, adversary=adversary, engine=engine)
+    outcome = run_broadcast(n=n, k=2, f=1.0, seed=seed, adversary=adversary)
     return outcome.as_record()
 
 
-def _ksy_trial(seed: int, n: int, engine: str, cap: float) -> dict:
+def _ksy_trial(seed: int, n: int, cap: float) -> dict:
     """The KSY-style contrast run: explicitly *not* load balanced."""
 
     config_trial = SimulationConfig(n=n, k=2, f=1.0, seed=seed)
-    outcome = build_protocol("ksy", config_trial, budget_blocker(cap), engine).run()
+    outcome = build_protocol("ksy", config_trial, budget_blocker(cap)).run()
     return outcome.as_record()
 
 
@@ -75,9 +75,7 @@ def run(settings: ExperimentSettings) -> ExperimentResult:
     polylog_envelope = math.log(settings.n) ** 3
 
     specs = [
-        TrialSpec.point(
-            _trial, EXPERIMENT_ID, label, n=settings.n, engine=settings.engine, cap=cap
-        )
+        TrialSpec.point(_trial, EXPERIMENT_ID, label, n=settings.n, cap=cap)
         for label, cap in scenarios
     ]
     specs.append(
@@ -86,7 +84,6 @@ def run(settings: ExperimentSettings) -> ExperimentResult:
             EXPERIMENT_ID,
             "ksy",
             n=settings.n,
-            engine=settings.engine,
             cap=budget / 2.0,
         )
     )

@@ -117,7 +117,7 @@ def victim_metrics(protocol, outcome, adversary, n: int) -> dict:
     }
 
 
-def _trial(seed: int, n: int, engine: str, scenario: str, roster_seed: int) -> dict:
+def _trial(seed: int, n: int, scenario: str, roster_seed: int) -> dict:
     """One E12 trial: the named roster scenario at half of Carol's budget.
 
     ``roster_seed`` seeds the roster's random-walk trajectory exactly as the
@@ -137,7 +137,6 @@ def _trial(seed: int, n: int, engine: str, scenario: str, roster_seed: int) -> d
     protocol = MultiHopBroadcast(
         config,
         adversary=adversary,
-        engine=engine,
         quiet_rule=ConstantQuietRule(retries=roster.QUIET_RETRIES),
         pipeline=False,
     )
@@ -174,7 +173,6 @@ def run(settings: ExperimentSettings) -> ExperimentResult:
             EXPERIMENT_ID,
             label,
             n=n,
-            engine=settings.engine,
             scenario=label,
             roster_seed=settings.seed,
         )

@@ -81,7 +81,6 @@ def _scenarios(settings: ExperimentSettings):
 def _trial(
     seed: int,
     n: int,
-    engine: str,
     kind: str,
     radius: Optional[float],
     attack: Optional[str],
@@ -94,11 +93,7 @@ def _trial(
         spec = build_topology_spec("scale-free", n)
     config = SimulationConfig(n=n, k=2, f=1.0, seed=seed, topology=spec)
     adversary = static_disk(None) if attack == "spatial" else None
-    protocol = MultiHopBroadcast(
-        config,
-        adversary=adversary,
-        engine=engine,
-    )
+    protocol = MultiHopBroadcast(config, adversary=adversary)
     outcome = protocol.run()
     topology = protocol.network.topology
     reachable = len(topology.reachable_from_alice())
@@ -138,7 +133,6 @@ def run(settings: ExperimentSettings) -> ExperimentResult:
             EXPERIMENT_ID,
             label,
             n=n,
-            engine=settings.engine,
             kind=kind,
             radius=(multiplier * r_c if multiplier is not None else None),
             attack=attack,

@@ -63,13 +63,13 @@ def _rules() -> "list[tuple[str, QuietRule]]":
     ]
 
 
-def _trial(seed: int, n: int, engine: str, radius: float, quiet_rule: QuietRule) -> dict:
+def _trial(seed: int, n: int, radius: float, quiet_rule: QuietRule) -> dict:
     """One E13 trial: a multi-hop run under one termination policy."""
 
     config = SimulationConfig(
         n=n, k=2, f=1.0, seed=seed, topology=TopologySpec.gilbert(radius=radius)
     )
-    protocol = MultiHopBroadcast(config, engine=engine, quiet_rule=quiet_rule)
+    protocol = MultiHopBroadcast(config, quiet_rule=quiet_rule)
     outcome = protocol.run()
     reachable = len(protocol.network.topology.reachable_from_alice())
     record = outcome.as_record()
@@ -108,7 +108,6 @@ def run(settings: ExperimentSettings) -> ExperimentResult:
             EXPERIMENT_ID,
             scenario_label,
             n=n,
-            engine=settings.engine,
             radius=multiplier * r_c,
             quiet_rule=rule,
         )

@@ -29,7 +29,7 @@ TITLE = "Reactive jamming vs the decoy-traffic variant"
 CLAIM = "With decoy traffic the protocol stays resource-competitive against a reactive adversary for f < 1/24 (Lemma 19); without decoys a reactive jammer blocks m at cost comparable to Alice's"
 
 
-def _trial(seed: int, n: int, engine: str, variant: str, f: float, attack: bool) -> dict:
+def _trial(seed: int, n: int, variant: str, f: float, attack: bool) -> dict:
     """One E7 trial: ``variant`` at jam-rate ``f``, reactively jammed or clean."""
 
     outcome = run_broadcast(
@@ -39,7 +39,6 @@ def _trial(seed: int, n: int, engine: str, variant: str, f: float, attack: bool)
         seed=seed,
         variant=variant,
         adversary=reactive(None) if attack else "none",
-        engine=engine,
     )
     record = outcome.as_record()
     record["carol_over_alice"] = (
@@ -81,7 +80,6 @@ def run(settings: ExperimentSettings) -> ExperimentResult:
             label,
             f,
             n=settings.n,
-            engine=settings.engine,
             variant=variant,
             f=f,
             attack=attack,

@@ -41,14 +41,12 @@ def predicted_factor(estimate: Optional[int], k: int = 2) -> float:
     return (2.0 + (k - 1) * math.ceil(math.log2(estimate))) / (k + 1.0)
 
 
-def _trial(
-    seed: int, n: int, engine: str, estimate: Optional[int], cap: Optional[float]
-) -> dict:
+def _trial(seed: int, n: int, estimate: Optional[int], cap: Optional[float]) -> dict:
     """One E8 trial: exact-n or size-estimate variant, clean or blocked."""
 
     adversary = budget_blocker(cap) if cap is not None else "none"
     if estimate is None:
-        outcome = run_broadcast(n=n, k=2, f=1.0, seed=seed, adversary=adversary, engine=engine)
+        outcome = run_broadcast(n=n, k=2, f=1.0, seed=seed, adversary=adversary)
     else:
         outcome = run_broadcast(
             n=n,
@@ -58,7 +56,6 @@ def _trial(
             adversary=adversary,
             variant="size-estimate",
             size_estimate=estimate,
-            engine=engine,
         )
     return outcome.as_record()
 
@@ -99,7 +96,6 @@ def run(settings: ExperimentSettings) -> ExperimentResult:
             attack_label,
             est_label,
             n=n,
-            engine=settings.engine,
             estimate=estimate,
             cap=cap,
         )

@@ -30,13 +30,11 @@ TITLE = "Request-phase spoofing: the price of delaying termination"
 CLAIM = "Keeping Alice executing past round i costs Carol Ω(2^{(b/2+1)i}) per extra round, while Alice's extra cost grows only as Õ(T^{a/(b/2+1)}) (§2.2, Lemma 10)"
 
 
-def _trial(seed: int, n: int, engine: str, cap: float) -> dict:
+def _trial(seed: int, n: int, cap: float) -> dict:
     """One E10 trial: the request-phase spoofer capped at ``cap`` (0 = no attack)."""
 
     adversary = request_spoofer(cap) if cap > 0 else "none"
-    outcome = run_broadcast(
-        n=n, k=2, f=1.0, seed=seed, adversary=adversary, engine=engine
-    )
+    outcome = run_broadcast(n=n, k=2, f=1.0, seed=seed, adversary=adversary)
     record = outcome.as_record()
     record["alice_round"] = record.get("extra_alice_terminated_round", float("nan"))
     return record
@@ -69,7 +67,6 @@ def run(settings: ExperimentSettings) -> ExperimentResult:
             EXPERIMENT_ID,
             fraction,
             n=settings.n,
-            engine=settings.engine,
             cap=fraction * budget,
         )
         for fraction in fractions

@@ -29,11 +29,7 @@ __all__ = [
     "DOCS_PROFILE",
     "ExperimentSettings",
     "ExperimentResult",
-    "VALID_ENGINES",
 ]
-
-VALID_ENGINES = ("fast", "slot")
-"""Engine names the experiments accept (see ``repro.core.broadcast``)."""
 
 
 def _is_int(value: object) -> bool:
@@ -58,10 +54,6 @@ class ExperimentSettings:
         When ``True``, experiments shrink their sweeps (fewer points, smaller
         ``n``) so that the full benchmark suite completes in minutes.  The
         reproduced *shape* is unchanged; only statistical resolution drops.
-    engine:
-        Execution engine passed to the protocols (``"fast"`` or ``"slot"``).
-        Validated on construction: a typo would otherwise only surface deep
-        inside the first protocol run of a sweep.
     jobs:
         Worker-process count for the trial runner
         (:func:`repro.experiments.runner.run_sweep`).  ``None`` defers to the
@@ -91,7 +83,6 @@ class ExperimentSettings:
     trials: int = 3
     seed: int = 2012
     quick: bool = True
-    engine: str = "fast"
     jobs: Optional[int] = None
     cache_dir: Optional[str] = None
     fault_policy: FaultPolicy = DEFAULT_FAULT_POLICY
@@ -101,11 +92,6 @@ class ExperimentSettings:
         # Validation failures name the offending field and echo the received
         # value: a typo'd sweep setting would otherwise only surface deep
         # inside the first protocol run, far from the call that caused it.
-        if self.engine not in VALID_ENGINES:
-            raise ConfigurationError(
-                f"ExperimentSettings.engine must be one of {list(VALID_ENGINES)}, "
-                f"got {self.engine!r}"
-            )
         if not _is_int(self.n) or self.n < 2:
             raise ConfigurationError(
                 f"ExperimentSettings.n must be an integer >= 2, got {self.n!r}"

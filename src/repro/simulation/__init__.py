@@ -26,7 +26,6 @@ from .metrics import CostBreakdown, DeliveryStats, resource_competitive_ratio
 from .network import Network
 from .observation import ChannelState, Observation
 from .phaseplan import (
-    AdversaryStrategy,
     JamPlan,
     PhaseContext,
     PhaseKind,
@@ -49,7 +48,6 @@ from .topology import (
 
 __all__ = [
     "ALICE_ID",
-    "AdversaryStrategy",
     "AuthenticationError",
     "Authenticator",
     "BudgetPolicy",

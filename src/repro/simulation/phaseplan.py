@@ -7,11 +7,12 @@ engines therefore execute one :class:`PhasePlan` at a time and return a
 :class:`PhaseResult`; the protocol orchestrators in :mod:`repro.core` own all
 state transitions between phases.
 
-The adversary participates through the :class:`AdversaryStrategy` protocol: at
-the start of every phase she is shown a :class:`PhaseContext` (everything an
-adaptive adversary is allowed to know about the upcoming phase — the plan, the
-node roles, the configuration, and her remaining budget) and must commit to a
-:class:`JamPlan`; afterwards she observes the phase's :class:`PhaseResult`.
+The adversary participates through the hooks of
+:class:`~repro.adversary.base.Adversary`: at the start of every phase she is
+shown a :class:`PhaseContext` (everything an adaptive adversary is allowed to
+know about the upcoming phase — the plan, the node roles, the configuration,
+and her remaining budget) and must commit to a :class:`JamPlan`; afterwards
+she observes the phase's :class:`PhaseResult`.
 Reactive capabilities (jamming conditioned on within-slot channel activity) are
 expressed by the plan's ``reactive`` flag and are honoured by both engines.
 """
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Optional, Protocol, Tuple, runtime_checkable
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -35,7 +36,6 @@ __all__ = [
     "PhaseContext",
     "JamPlan",
     "PhaseResult",
-    "AdversaryStrategy",
     "clip_probability",
 ]
 
@@ -205,7 +205,7 @@ class PhaseContext:
     of coin flips in the current slot.  The context therefore exposes the
     upcoming plan, the identities of active/informed nodes, and her remaining
     budget — but nothing about future randomness.  Past phases reach her
-    through :meth:`AdversaryStrategy.observe_result`, so a strategy that
+    through :meth:`~repro.adversary.base.Adversary.observe_result`, so a strategy that
     adapts to history keeps whatever it needs of it itself.
     """
 
@@ -314,22 +314,3 @@ class PhaseResult:
         if self.plan.num_slots == 0:
             return 0.0
         return self.jammed_slots / self.plan.num_slots
-
-
-@runtime_checkable
-class AdversaryStrategy(Protocol):
-    """Structural interface every adversary implementation satisfies."""
-
-    def observe_phase(self, context: PhaseContext) -> None:
-        """See the upcoming phase before planning.
-
-        Orchestrators call this exactly once per phase, before
-        :meth:`plan_phase`; strategies whose victim set is a function of time
-        (mobile/adaptive disk jammers) re-resolve their targets here.
-        """
-
-    def plan_phase(self, context: PhaseContext) -> JamPlan:
-        """Commit to an attack plan for the upcoming phase."""
-
-    def observe_result(self, context: PhaseContext, result: PhaseResult) -> None:
-        """Receive the phase outcome (adaptive adversaries learn from it)."""

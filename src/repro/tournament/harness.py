@@ -184,7 +184,6 @@ def tournament_cells(
 def tournament_trial(
     seed: int,
     n: int,
-    engine: str,
     adversary: str,
     protocol: str,
     topology: str,
@@ -201,7 +200,7 @@ def tournament_trial(
     config = SimulationConfig(n=n, k=2, f=1.0, seed=seed, topology=spec)
     cap = spend_fraction * config.adversary_total_budget
     strategy = build_adversary(adversary, cap, adversary_params)
-    orchestrator = build_protocol(protocol, config, strategy, engine)
+    orchestrator = build_protocol(protocol, config, strategy)
     outcome = orchestrator.run()
     record = outcome.as_record()
     record["spend_fraction"] = spend_fraction
@@ -223,7 +222,7 @@ def run_tournament(
     ----------
     settings:
         An :class:`~repro.experiments.harness.ExperimentSettings`; supplies
-        ``n``, trials, seeds, the engine, and the jobs/cache knobs.
+        ``n``, trials, seeds, and the jobs/cache knobs.
     cells:
         Grid to run; defaults to the full :func:`tournament_cells` grid.
     spend_fractions:
@@ -256,7 +255,6 @@ def run_tournament(
                     cell.topology,
                     f"{fraction:g}",
                     n=settings.n,
-                    engine=settings.engine,
                     adversary=cell.adversary,
                     protocol=cell.protocol,
                     topology=cell.topology,

@@ -179,7 +179,6 @@ def _run_candidate(
         cell.topology,
         f"{spend_fraction:g}",
         n=settings.n,
-        engine=settings.engine,
         adversary=cell.adversary,
         protocol=cell.protocol,
         topology=cell.topology,

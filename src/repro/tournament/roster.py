@@ -47,7 +47,6 @@ from ..adversary import (
 from ..baselines import BalancedBackoffBroadcast, KSYStyleBroadcast, NaiveBroadcast
 from ..baselines.base import EpochBaseline
 from ..core.broadcast import EpsilonBroadcast, MultiHopBroadcast
-from ..core.driver import EngineSpec
 from ..core.quietrule import ConstantQuietRule
 from ..simulation.config import SimulationConfig
 from ..simulation.errors import ConfigurationError
@@ -259,10 +258,8 @@ class ProtocolEntry:
     description: str = ""
     kwargs: Mapping[str, Any] = field(default_factory=dict)
 
-    def build(
-        self, config: SimulationConfig, adversary: Adversary, engine: EngineSpec
-    ) -> ProtocolVariant:
-        return self.protocol(config, adversary=adversary, engine=engine, **self.kwargs)
+    def build(self, config: SimulationConfig, adversary: Adversary) -> ProtocolVariant:
+        return self.protocol(config, adversary=adversary, **self.kwargs)
 
 
 _SINGLE_HOP = ("single_hop",)
@@ -296,15 +293,13 @@ def protocol_roster() -> Dict[str, ProtocolEntry]:
     return {entry.name: entry for entry in entries}
 
 
-def build_protocol(
-    name: str, config: SimulationConfig, adversary: Adversary, engine: EngineSpec
-) -> ProtocolVariant:
+def build_protocol(name: str, config: SimulationConfig, adversary: Adversary) -> ProtocolVariant:
     roster = protocol_roster()
     if name not in roster:
         raise ConfigurationError(
             f"unknown tournament protocol {name!r} (known: {', '.join(sorted(roster))})"
         )
-    return roster[name].build(config, adversary, engine)
+    return roster[name].build(config, adversary)
 
 
 # --------------------------------------------------------------------- #

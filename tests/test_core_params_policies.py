@@ -1,4 +1,4 @@
-"""Unit tests for protocol parameters and the schedule's per-side probabilities."""
+"""Unit tests for the schedule's constants and its per-side probabilities."""
 
 from __future__ import annotations
 
@@ -6,82 +6,80 @@ import math
 
 import pytest
 
-from repro.core import ProtocolParameters, ScheduleBuilder
+from repro.core import ScheduleBuilder
 from repro.core.phases import DECOY_LISTEN_BOOST, DECOY_RATE
 from repro.simulation import ConfigurationError, SimulationConfig
 
 
-class TestProtocolParameters:
-    def test_defaults_match_lemma_11(self):
-        params = ProtocolParameters(k=2)
-        assert params.a_value == pytest.approx(0.5)
-        assert params.b_value == 1.0
+def schedule_for(n=1024, figure=None, **config):
+    return ScheduleBuilder(SimulationConfig(n=n, **config), figure=figure)
 
-    def test_general_k_a_value(self):
-        assert ProtocolParameters(k=4).a_value == pytest.approx(0.25)
 
-    def test_explicit_a_override(self):
-        assert ProtocolParameters(k=2, a=0.4).a_value == 0.4
-
-    @pytest.mark.parametrize("field,value", [
-        ("k", 1),
-        ("a", 1.5),
-        ("b", 0.0),
-        ("c", -1.0),
-        ("epsilon_prime", 0.0),
-        ("start_round", 0),
-        ("min_termination_round", 0),
-    ])
-    def test_validation(self, field, value):
-        with pytest.raises(ConfigurationError):
-            ProtocolParameters(**{field: value})
-
-    def test_max_round_before_start_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ProtocolParameters(start_round=5, max_round=4)
+class TestScheduleConstants:
+    def test_phase_lengths_use_lemma_11_exponents(self):
+        # a = 1/k and b = 1: inform/propagation phases last 2^{(1/k+1)i}.
+        assert schedule_for(k=2).phase_length(4) == 2 ** 6
+        assert schedule_for(k=4).phase_length(8) == 2 ** 10
 
     def test_phase_length_grows_geometrically(self):
-        params = ProtocolParameters(k=2)
-        assert params.phase_length(4) == pytest.approx(2 ** 6, abs=1)
-        assert params.phase_length(6) / params.phase_length(4) == pytest.approx(8.0, rel=0.01)
+        schedule = schedule_for(k=2)
+        assert schedule.phase_length(4) == pytest.approx(2 ** 6, abs=1)
+        assert schedule.phase_length(6) / schedule.phase_length(4) == pytest.approx(8.0, rel=0.01)
 
     def test_request_phase_length_k2(self):
-        params = ProtocolParameters(k=2)
-        assert params.request_phase_length(4) == pytest.approx(2 ** 6, abs=1)
+        assert schedule_for(k=2).request_phase_length(4) == pytest.approx(2 ** 6, abs=1)
 
-    def test_resolved_round_window(self):
-        params = ProtocolParameters(k=2)
-        n = 1024
-        assert params.resolved_min_termination_round(n) >= 3
-        assert params.resolved_max_round(n) >= math.log2(n)
-
-    def test_explicit_round_window_respected(self):
-        params = ProtocolParameters(min_termination_round=5, max_round=9)
-        assert params.resolved_min_termination_round(4096) == 5
-        assert params.resolved_max_round(4096) == 9
+    def test_round_window(self):
+        schedule = schedule_for(n=1024)
+        assert schedule.rounds[0] == 1
+        assert schedule.rounds[-1] == 14  # ⌈lg n⌉ + 4
+        assert schedule.earliest_termination_round() >= 3
 
     def test_termination_threshold(self):
-        params = ProtocolParameters(c=2.0)
-        assert params.termination_threshold(100) == pytest.approx(10 * math.log(100))
+        schedule = schedule_for(n=100, c=2.0)
+        assert schedule.termination_threshold() == pytest.approx(10 * math.log(100))
 
-    def test_from_config_inherits_fields(self):
+    @pytest.mark.parametrize("k,round_index,log_length", [
+        (2, 4, 6), (3, 6, 8), (4, 8, 10), (5, 10, 12), (8, 8, 9),
+    ])
+    def test_lemma_11_exponents_for_each_k(self, k, round_index, log_length):
+        # a = 1/k, b = 1: phases last 2^{(1/k+1)i}, with k - 1 propagation steps.
+        schedule = schedule_for(k=k)
+        assert schedule.phase_length(round_index) == 2 ** log_length
+        assert len(schedule.propagation_steps(round_index)) == k - 1
+
+    @pytest.mark.parametrize("n,last_round", [
+        (2, 5), (64, 10), (1024, 14), (4096, 16), (50_000, 20),
+    ])
+    def test_round_window_for_each_n(self, n, last_round):
+        schedule = schedule_for(n=n)
+        assert schedule.rounds[0] == 1
+        assert schedule.rounds[-1] == last_round  # ⌈lg n⌉ + 4
+        lower = math.ceil(3 * math.log2(max(math.log(n), 2.0)))  # ⌈3·lg ln n⌉
+        for alice in (False, True):
+            assert lower <= schedule.earliest_termination_round(alice) <= last_round
+
+    @pytest.mark.parametrize("n,c", [(100, 2.0), (128, 4.0), (4096, 1.0)])
+    def test_threshold_is_five_c_ln_n_on_both_sides(self, n, c):
+        schedule = schedule_for(n=n, c=c)
+        for alice in (False, True):
+            assert schedule.termination_threshold(alice) == pytest.approx(5 * c * math.log(n))
+
+    def test_constants_come_from_config(self):
         config = SimulationConfig(n=128, k=3, c=4.0, epsilon_prime=0.03)
-        params = ProtocolParameters.from_config(config)
-        assert params.k == 3
-        assert params.c == 4.0
-        assert params.epsilon_prime == 0.03
-
-    def test_with_returns_copy(self):
-        params = ProtocolParameters(k=2)
-        other = params.with_(c=9.0)
-        assert other.c == 9.0 and params.c != 9.0
+        schedule = ScheduleBuilder(config)
+        assert schedule.termination_threshold() == pytest.approx(5 * 4.0 * math.log(128))
+        i = 9
+        expected = 2.0 / (0.03 * 2 ** i)
+        assert schedule.inform_phase(i).uninformed_listen_prob == pytest.approx(expected)
+        assert len(schedule.propagation_steps(i)) == 2
 
 
 class TestAliceSchedule:
     """Alice's side of the schedule: inform sending, request listening, quiet test."""
 
-    def make(self, n=1024, figure=1, **kwargs):
-        return ScheduleBuilder(ProtocolParameters(k=kwargs.pop("k", 2), **kwargs), n, figure=figure)
+    def make(self, n=1024, figure=1):
+        return schedule_for(n=n, figure=figure)
 
     def test_inform_send_probability_formula(self):
         schedule = self.make()
@@ -93,7 +91,7 @@ class TestAliceSchedule:
         assert self.make().inform_phase(1).alice_send_prob == 1.0
 
     def test_figure2_uses_log_power_k(self):
-        schedule = ScheduleBuilder(ProtocolParameters(k=3), 1024, figure=2)
+        schedule = schedule_for(n=1024, k=3, figure=2)
         i = 10
         expected = 2 * 2.0 * math.log(1024) ** 3 / 2 ** i
         assert schedule.inform_phase(i).alice_send_prob == pytest.approx(min(expected, 1.0))
@@ -108,7 +106,7 @@ class TestAliceSchedule:
             request = schedule.request_phase(i)
             expected = request.alice_listen_prob * request.num_slots
             assert expected == pytest.approx(
-                schedule.params.c * math.log(1024) / (1 - math.exp(-4 * schedule.params.epsilon_prime)),
+                schedule.config.c * math.log(1024) / (1 - math.exp(-4 * schedule.config.eps_prime)),
                 rel=0.05,
             )
 
@@ -125,19 +123,21 @@ class TestAliceSchedule:
 
     def test_invalid_figure_rejected(self):
         with pytest.raises(ConfigurationError, match="figure"):
-            ScheduleBuilder(ProtocolParameters(), 64, figure=3)
+            schedule_for(n=64, figure=3)
 
 
 class TestNodeSchedule:
     """The correct nodes' side: listening, relays, nacks, decoys, quiet test."""
 
     def make(self, n=1024, figure=1, decoy=False, k=2):
-        return ScheduleBuilder(ProtocolParameters(k=k), n, figure=figure, decoy_traffic=decoy)
+        return ScheduleBuilder(
+            SimulationConfig(n=n, k=k), figure=figure, decoy_traffic=decoy
+        )
 
     def test_inform_listen_formula(self):
         schedule = self.make()
         i = 9
-        expected = 2.0 / (schedule.params.epsilon_prime * 2 ** i)
+        expected = 2.0 / (schedule.config.eps_prime * 2 ** i)
         assert schedule.inform_phase(i).uninformed_listen_prob == pytest.approx(min(expected, 1.0))
 
     def test_relay_and_nack_probabilities_are_one_over_n(self):
@@ -146,18 +146,18 @@ class TestNodeSchedule:
         assert schedule.request_phase(7).nack_send_prob == pytest.approx(1 / 500)
 
     def test_node_n_drives_node_probabilities_only(self):
-        schedule = ScheduleBuilder(ProtocolParameters(k=2), 64, node_n=4096)
+        schedule = ScheduleBuilder(SimulationConfig(n=64), node_n=4096)
         assert schedule.propagation_step(7, 1).relay_send_prob == pytest.approx(1 / 4096)
         assert schedule.termination_threshold() == pytest.approx(10 * math.log(4096))
         assert schedule.termination_threshold(alice=True) == pytest.approx(10 * math.log(64))
-        alice_only = ScheduleBuilder(ProtocolParameters(k=2), 64)
+        alice_only = schedule_for(n=64)
         assert schedule.inform_phase(9).alice_send_prob == alice_only.inform_phase(9).alice_send_prob
 
     def test_decoy_probability_zero_when_disabled(self):
         assert self.make().inform_phase(8).decoy_send_prob == 0.0
 
     def test_decoy_probability_scales_with_rate(self):
-        schedule = ScheduleBuilder(ProtocolParameters(), 100, decoy_traffic=True)
+        schedule = ScheduleBuilder(SimulationConfig(n=100), decoy_traffic=True)
         assert DECOY_RATE == 0.75
         assert schedule.inform_phase(8).decoy_send_prob == pytest.approx(0.0075)
         assert schedule.propagation_step(8, 1).decoy_send_prob == pytest.approx(0.0075)
@@ -186,11 +186,11 @@ class TestNodeSchedule:
     def test_earliest_termination_round_is_sane(self):
         schedule = self.make()
         earliest = schedule.earliest_termination_round()
-        assert schedule.params.start_round <= earliest <= schedule.params.resolved_max_round(1024)
+        assert schedule.rounds[0] <= earliest <= schedule.rounds[-1]
 
     def test_earliest_round_grows_with_threshold(self):
-        lenient = ScheduleBuilder(ProtocolParameters(c=1.0), 1024)
-        strict = ScheduleBuilder(ProtocolParameters(c=4.0), 1024)
+        lenient = schedule_for(n=1024, c=1.0)
+        strict = schedule_for(n=1024, c=4.0)
         assert strict.earliest_termination_round() >= lenient.earliest_termination_round()
 
     def test_should_terminate_threshold_boundary(self):
@@ -215,8 +215,8 @@ class TestFigure1VersusFigure2AtK2:
     ROUNDS = range(6, 13)
 
     def schedules(self):
-        params = ProtocolParameters(k=2, c=2.0, epsilon_prime=1.0 / 64.0)
-        return ScheduleBuilder(params, self.N, figure=1), ScheduleBuilder(params, self.N, figure=2)
+        config = SimulationConfig(n=self.N, k=2, c=2.0, epsilon_prime=1.0 / 64.0)
+        return ScheduleBuilder(config, figure=1), ScheduleBuilder(config, figure=2)
 
     def test_only_two_fields_differ(self):
         fig1, fig2 = self.schedules()

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import ProtocolParameters, ScheduleBuilder
+from repro.core import ScheduleBuilder
 from repro.core.state import NodeStatus, ProtocolState
 from repro.core.termination import _heard_by, apply_request_phase
 from repro.simulation import (
@@ -14,6 +14,7 @@ from repro.simulation import (
     PhasePlan,
     PhaseResult,
     ProtocolViolationError,
+    SimulationConfig,
 )
 
 
@@ -86,7 +87,7 @@ class TestProtocolState:
 
 
 def build_schedule(n=1024, k=2, figure=1):
-    return ScheduleBuilder(ProtocolParameters(k=k), n, figure=figure)
+    return ScheduleBuilder(SimulationConfig(n=n, k=k), figure=figure)
 
 
 class TestScheduleBuilder:
@@ -106,14 +107,14 @@ class TestScheduleBuilder:
     def test_phase_lengths_match_parameters(self):
         schedule = build_schedule()
         plan = schedule.inform_phase(8)
-        assert plan.num_slots == schedule.params.phase_length(8)
+        assert plan.num_slots == schedule.phase_length(8)
         request = schedule.request_phase(8)
-        assert request.num_slots == schedule.params.request_phase_length(8)
+        assert request.num_slots == schedule.request_phase_length(8)
 
     def test_figure2_request_length_uses_phase_length(self):
         schedule = build_schedule(k=3, figure=2)
         request = schedule.request_phase(9)
-        assert request.num_slots == schedule.params.phase_length(9)
+        assert request.num_slots == schedule.phase_length(9)
 
     def test_round_length_sums_phases(self):
         schedule = build_schedule()
@@ -121,10 +122,9 @@ class TestScheduleBuilder:
 
     def test_probabilities_follow_figure_1(self):
         schedule = build_schedule()
-        params = schedule.params
         inform = schedule.inform_phase(9)
         assert inform.alice_send_prob == pytest.approx(2 * np.log(1024) / 2 ** 9)
-        assert inform.uninformed_listen_prob == pytest.approx(2 / (params.epsilon_prime * 2 ** 9))
+        assert inform.uninformed_listen_prob == pytest.approx(2 / (schedule.config.eps_prime * 2 ** 9))
         request = schedule.request_phase(9)
         assert request.nack_send_prob == pytest.approx(1 / 1024)
 
@@ -134,12 +134,12 @@ class TestScheduleBuilder:
 
     def test_invalid_figure_rejected(self):
         with pytest.raises(ConfigurationError, match="figure"):
-            ScheduleBuilder(ProtocolParameters(), 64, figure=5)
+            ScheduleBuilder(SimulationConfig(n=64), figure=5)
 
 
 class TestRequestPhaseTermination:
     def make_schedule(self, n=256):
-        return ScheduleBuilder(ProtocolParameters(k=2), n)
+        return ScheduleBuilder(SimulationConfig(n=n))
 
     def make_result(self, n, node_noise, alice_noise, round_index):
         plan = PhasePlan(
@@ -223,7 +223,7 @@ class TestVectorisedTerminationRule:
     N = 300
 
     def run(self, round_offset, seed):
-        schedule = ScheduleBuilder(ProtocolParameters(k=2), self.N)
+        schedule = ScheduleBuilder(SimulationConfig(n=self.N))
         rng = np.random.default_rng(seed)
         state = ProtocolState(self.N)
         state.mark_informed(rng.choice(self.N, size=40, replace=False), slot=1)
@@ -285,7 +285,7 @@ class TestVectorisedTerminationRule:
         np.testing.assert_array_equal(state.active_uninformed_array(), active)
 
     def test_scalar_and_array_calls_agree(self):
-        schedule = ScheduleBuilder(ProtocolParameters(k=2), self.N)
+        schedule = ScheduleBuilder(SimulationConfig(n=self.N))
         threshold = schedule.termination_threshold()
         counts = np.arange(0, int(2 * threshold) + 2, dtype=np.int64)
         for round_index in (

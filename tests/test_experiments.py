@@ -36,20 +36,6 @@ class TestExperimentSettings:
         assert settings.with_(n=128).n == 128
         assert settings.n == 512
 
-    def test_valid_engines_accepted(self):
-        assert ExperimentSettings(engine="fast").engine == "fast"
-        assert ExperimentSettings(engine="slot").engine == "slot"
-
-    @pytest.mark.parametrize("engine", ["phase", "FAST", "", "vectorised"])
-    def test_unknown_engine_rejected_at_construction(self, engine):
-        with pytest.raises(ConfigurationError, match="ExperimentSettings.engine"):
-            ExperimentSettings(engine=engine)
-
-    def test_unknown_engine_rejected_via_with_(self):
-        settings = ExperimentSettings()
-        with pytest.raises(ConfigurationError, match="ExperimentSettings.engine"):
-            settings.with_(engine="slto")
-
     @pytest.mark.parametrize(
         "kwargs,field",
         [

@@ -7,14 +7,12 @@ import pytest
 from repro import EpsilonBroadcast, SimulationConfig, run_broadcast
 from repro.adversary import (
     ContinuousJammer,
-    NullAdversary,
     NUniformSplitAdversary,
     PhaseBlockingAdversary,
     RequestSpoofingAdversary,
 )
 from repro.analysis.bounds import latency_bound
-from repro.core import ProtocolParameters
-from repro.simulation import PhaseKind
+from repro.simulation import ConfigurationError, PhaseKind
 
 
 class TestNoAdversaryRuns:
@@ -141,25 +139,36 @@ class TestSpoofingAttacks:
 
 
 class TestOrchestratorConfiguration:
-    def test_mismatched_k_rejected(self):
-        config = SimulationConfig(n=64, k=2)
-        with pytest.raises(Exception):
-            EpsilonBroadcast(config, params=ProtocolParameters(k=3))
-
     def test_unknown_engine_rejected(self):
         config = SimulationConfig(n=64)
         with pytest.raises(Exception):
             EpsilonBroadcast(config, engine="warp-drive")
 
+    @pytest.mark.parametrize("engine", ["fast", "slot"])
+    def test_engine_names_accepted(self, engine):
+        outcome = run_broadcast(64, seed=3, engine=engine)
+        assert outcome.delivery.all_terminated
+
+    @pytest.mark.parametrize("engine", ["phase", "FAST", "", "vectorised"])
+    def test_unknown_engine_name_rejected(self, engine):
+        with pytest.raises(ConfigurationError, match="unknown engine"):
+            run_broadcast(64, engine=engine)
+
+    def test_engine_instance_rejected(self):
+        # Engines are chosen by name only; each run builds its own.
+        config = SimulationConfig(n=64)
+        built = EpsilonBroadcast(config).engine
+        with pytest.raises(ConfigurationError, match="unknown engine"):
+            EpsilonBroadcast(config, engine=built)
+
     def test_round_cap_forces_termination(self):
-        config = SimulationConfig(n=64, seed=2)
-        protocol = EpsilonBroadcast(
-            config,
-            adversary=NullAdversary(),
-            params=ProtocolParameters(k=2, max_round=3, min_termination_round=10),
-        )
+        # A jammer with a huge budget blocks every round up to the cap.
+        config = SimulationConfig(n=64, seed=1, budget_constant=1e3)
+        protocol = EpsilonBroadcast(config, adversary=ContinuousJammer())
         outcome = protocol.run()
         assert outcome.terminated_by_cap
+        assert outcome.delivery.rounds_executed == protocol.schedule.rounds[-1] == 10
+        assert outcome.delivery.informed == 0
         assert outcome.delivery.all_terminated
 
     def test_phase_records_track_adversary_spend(self):

@@ -17,7 +17,6 @@ from repro import (
 )
 from repro.adversary import PhaseBlockingAdversary, ReactiveJammer
 from repro.core import MultiHopBroadcast
-from repro.core.params import ProtocolParameters
 from repro.core.phases import ScheduleBuilder
 from repro.experiments import DOCS_PROFILE
 from repro.simulation import ConfigurationError, PhaseKind
@@ -178,9 +177,9 @@ class TestSizeEstimateVariant:
     def test_squared_estimate_termination_window_as_quoted_under_e8(self, n, earliest, cap):
         # With ν = n² the nodes' earliest quiet round reaches the run's cap
         # (past it at n = 64); E8's commentary in EXPERIMENTS.md quotes both.
-        params = ProtocolParameters(k=2)
-        assert ScheduleBuilder(params, n, n * n).earliest_termination_round() == earliest
-        assert params.resolved_max_round(n) == cap
+        schedule = ScheduleBuilder(SimulationConfig(n=n), n * n)
+        assert schedule.earliest_termination_round() == earliest
+        assert schedule.rounds[-1] == cap
         text = (Path(__file__).resolve().parent.parent / "EXPERIMENTS.md").read_text("utf-8")
         e8 = re.search(r"^## E8 — (.*?)^```text", text, re.M | re.S).group(1)
         assert f"{earliest} at n = {n} (cap {cap})" in " ".join(e8.split())

@@ -51,9 +51,8 @@ SUB_THRESHOLD = dict(
 def cap_slots(protocol: MultiHopBroadcast) -> int:
     """Total slots of the full static schedule up to the round cap."""
 
-    start = protocol.params.start_round
-    stop = protocol.params.resolved_max_round(protocol.config.n)
-    return sum(protocol.schedule.round_length(i) for i in range(start, stop + 1))
+    schedule = protocol.schedule
+    return sum(schedule.round_length(i) for i in schedule.rounds)
 
 
 # --------------------------------------------------------------------------- #
@@ -76,7 +75,7 @@ class TestCapAwareTruncation:
             n=SUB_THRESHOLD["n"], seed=SUB_THRESHOLD["seed"], topology=spec
         )
         protocol = MultiHopBroadcast(config, engine="fast")
-        max_round = protocol.params.resolved_max_round(config.n)
+        max_round = protocol.schedule.rounds[-1]
         budget = cap_slots(protocol)
         reachable = len(protocol.network.topology.reachable_from_alice())
 

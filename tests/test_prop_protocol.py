@@ -8,8 +8,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.fitting import fit_power_law
-from repro.core import ProtocolParameters, ScheduleBuilder
+from repro.core import ScheduleBuilder
 from repro.core.state import NodeStatus, ProtocolState
+from repro.simulation import SimulationConfig
 from repro.simulation.errors import ProtocolViolationError
 
 
@@ -20,10 +21,13 @@ class TestParameterProperties:
     )
     @settings(max_examples=100, deadline=None)
     def test_phase_lengths_positive_and_monotone(self, k, round_index):
-        params = ProtocolParameters(k=k)
-        assert params.phase_length(round_index) >= 1
-        assert params.phase_length(round_index + 1) > params.phase_length(round_index)
-        assert params.request_phase_length(round_index + 1) > params.request_phase_length(round_index)
+        schedule = ScheduleBuilder(SimulationConfig(n=64, k=k))
+        assert schedule.phase_length(round_index) >= 1
+        assert schedule.phase_length(round_index + 1) > schedule.phase_length(round_index)
+        assert (
+            schedule.request_phase_length(round_index + 1)
+            > schedule.request_phase_length(round_index)
+        )
 
     @given(
         k=st.integers(min_value=2, max_value=6),
@@ -31,9 +35,10 @@ class TestParameterProperties:
     )
     @settings(max_examples=100, deadline=None)
     def test_round_window_ordering(self, k, n):
-        params = ProtocolParameters(k=k)
-        assert params.start_round <= params.resolved_min_termination_round(n)
-        assert params.resolved_min_termination_round(n) <= params.resolved_max_round(n) + 1
+        schedule = ScheduleBuilder(SimulationConfig(n=n, k=k))
+        for alice in (False, True):
+            earliest = schedule.earliest_termination_round(alice=alice)
+            assert schedule.rounds[0] <= earliest <= schedule.rounds[-1]
 
 
 class TestScheduleProperties:
@@ -45,7 +50,9 @@ class TestScheduleProperties:
     )
     @settings(max_examples=150, deadline=None)
     def test_all_probabilities_are_valid(self, n, k, round_index, figure):
-        schedule = ScheduleBuilder(ProtocolParameters(k=k), n, figure=figure, decoy_traffic=True)
+        schedule = ScheduleBuilder(
+            SimulationConfig(n=n, k=k), figure=figure, decoy_traffic=True
+        )
         probabilities = [
             value
             for plan in schedule.round_phases(round_index)
@@ -61,7 +68,7 @@ class TestScheduleProperties:
     )
     @settings(max_examples=100, deadline=None)
     def test_listening_probabilities_never_increase_with_round(self, n, round_index):
-        schedule = ScheduleBuilder(ProtocolParameters(k=2), n)
+        schedule = ScheduleBuilder(SimulationConfig(n=n))
         for phase in (schedule.inform_phase, schedule.request_phase):
             assert phase(round_index + 1).uninformed_listen_prob <= phase(round_index).uninformed_listen_prob
 
@@ -72,7 +79,7 @@ class TestScheduleProperties:
     )
     @settings(max_examples=150, deadline=None)
     def test_termination_is_monotone_in_noise(self, n, heard, round_index):
-        schedule = ScheduleBuilder(ProtocolParameters(k=2), n)
+        schedule = ScheduleBuilder(SimulationConfig(n=n))
         for alice in (False, True):
             # If a listener terminates having heard `heard` noisy slots, it
             # must also terminate having heard fewer.

@@ -30,7 +30,9 @@ class TestSimulationConfigValidation:
         ("epsilon", 0.0),
         ("epsilon", 1.0),
         ("c", 0.0),
+        ("c", -1.0),
         ("budget_constant", 0.0),
+        ("epsilon_prime", 0.0),
         ("epsilon_prime", 1.5),
         ("seed", -3),
     ])

@@ -328,7 +328,7 @@ def trial_adversary(monkeypatch, module, protocol, trial, **params):
 
     monkeypatch.setattr(module, protocol, stand_in)
     with pytest.raises(_Built):
-        trial(seed=3, engine="fast", **params)
+        trial(seed=3, **params)
     return seen["adversary"], seen
 
 

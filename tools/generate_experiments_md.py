@@ -112,9 +112,9 @@ COMMENTARY = {
         f"predicted (2 + lg ν)/3 factor exactly ({_E8_FACTORS}).  The nodes run "
         "their quiet test over ν's round window, which ends later than the run does: with "
         "ν = n² their earliest termination round "
-        "(`ScheduleBuilder(ProtocolParameters(k=2), n, ν).earliest_termination_round()`) is "
+        "(`ScheduleBuilder(SimulationConfig(n=n), ν).earliest_termination_round()`) is "
         "11 at n = 64 (cap 10) and 12 at n = 256 (cap 12), where the cap is the run's last round, "
-        "`resolved_max_round(n)`.  So under jamming an uninformed node in the ν = n² rows can "
+        "`rounds[-1]` of the same schedule.  So under jamming an uninformed node in the ν = n² rows can "
         "stop only at the cap; the quick tables here run without jamming and never reach that case."
     ),
     "E9": (
