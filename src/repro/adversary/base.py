@@ -223,11 +223,8 @@ class Adversary(abc.ABC):
         remaining_for_spoofs -= spoof_payload
         spoof_nack = min(plan.spoof_nack_slots, remaining_for_spoofs)
 
-        # Rate-based plans cannot be capped exactly in advance; they are
-        # bounded by the ledger inside the engines.  We pass them through.
         return JamPlan(
             num_jam_slots=num_jam,
-            jam_rate=plan.jam_rate,
             slot_indices=slot_indices,
             targeting=plan.targeting,
             reactive=plan.reactive,

@@ -14,7 +14,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..simulation.channel import JamTargeting
 from ..simulation.errors import ConfigurationError
 from ..simulation.phaseplan import JamPlan, PhaseContext
 from .base import Adversary
@@ -32,9 +31,8 @@ class BurstyJammer(Adversary):
         Number of consecutive slots jammed in each burst.
     period:
         Distance (in slots) between the starts of consecutive bursts; must be
-        at least ``burst_length``.
-    offset:
-        Slot offset of the first burst within each phase.
+        at least ``burst_length``.  Each phase's first burst starts at its
+        first slot.
     max_total_spend:
         Optional cap on total expenditure.
     """
@@ -52,9 +50,7 @@ class BurstyJammer(Adversary):
         self,
         burst_length: int,
         period: int,
-        offset: int = 0,
         max_total_spend: Optional[float] = None,
-        targeting: Optional[JamTargeting] = None,
     ) -> None:
         super().__init__(max_total_spend=max_total_spend)
         if burst_length <= 0:
@@ -63,12 +59,8 @@ class BurstyJammer(Adversary):
             raise ConfigurationError(
                 f"period ({period}) must be at least burst_length ({burst_length})"
             )
-        if offset < 0:
-            raise ConfigurationError(f"offset must be non-negative, got {offset}")
         self.burst_length = burst_length
         self.period = period
-        self.offset = offset
-        self.targeting = targeting if targeting is not None else JamTargeting.everyone()
 
     def _validate_parameters(self) -> None:
         # The constructor's cross-field constraint, re-checked after a
@@ -82,11 +74,8 @@ class BurstyJammer(Adversary):
     def burst_slots(self, num_slots: int) -> Tuple[int, ...]:
         """The explicit slot offsets jammed within a phase of ``num_slots``."""
 
-        slots = np.arange(self.offset, num_slots, dtype=np.int64)
-        return tuple(slots[(slots - self.offset) % self.period < self.burst_length].tolist())
+        slots = np.arange(num_slots, dtype=np.int64)
+        return tuple(slots[slots % self.period < self.burst_length].tolist())
 
     def _plan(self, context: PhaseContext, allowance: float) -> JamPlan:
-        return JamPlan(
-            slot_indices=self.burst_slots(context.plan.num_slots),
-            targeting=self.targeting,
-        )
+        return JamPlan(slot_indices=self.burst_slots(context.plan.num_slots))

@@ -9,9 +9,6 @@ but no longer.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..simulation.channel import JamTargeting
 from ..simulation.phaseplan import JamPlan, PhaseContext
 from .base import Adversary
 
@@ -19,28 +16,15 @@ __all__ = ["ContinuousJammer"]
 
 
 class ContinuousJammer(Adversary):
-    """Jam every slot until the budget is exhausted.
+    """Jam every slot, for every listener, until the budget is exhausted.
 
     Parameters
     ----------
     max_total_spend:
         Optional cap on total expenditure (the experiment knob ``T``).
-    targeting:
-        Jam victims per slot; defaults to everyone (1-uniform blanket noise).
     """
 
     name = "continuous"
 
-    def __init__(
-        self,
-        max_total_spend: Optional[float] = None,
-        targeting: Optional[JamTargeting] = None,
-    ) -> None:
-        super().__init__(max_total_spend=max_total_spend)
-        self.targeting = targeting if targeting is not None else JamTargeting.everyone()
-
     def _plan(self, context: PhaseContext, allowance: float) -> JamPlan:
-        return JamPlan(
-            num_jam_slots=context.plan.num_slots,
-            targeting=self.targeting,
-        )
+        return JamPlan(num_jam_slots=context.plan.num_slots)

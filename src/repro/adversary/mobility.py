@@ -1,7 +1,7 @@
 """Mobile and adaptive spatial adversaries.
 
-PR 1's :class:`~repro.adversary.spatial.SpatialJammer` resolves its disk into
-a victim set *once*, at ``bind_network`` time.  Real spatial denial is mobile:
+:class:`~repro.adversary.spatial.SpatialJammer` resolves its disk into a
+victim set *once*, at ``bind_network`` time.  Real spatial denial is mobile:
 a jammer drives, patrols, or chases.  This module makes the victim set a
 function of time — every strategy here re-resolves its disk(s) against the
 topology **each phase** through the orchestrators'
@@ -15,11 +15,11 @@ Three strategy families:
 * :class:`MobileJammer` — one disk whose centre follows a :class:`Trajectory`
   (:class:`WaypointPatrol`, :class:`RandomWalk`, :class:`Orbit`).  Oblivious:
   the path is fixed before the run, only the *victims* vary with time.
-* :class:`MultiDiskJammer` — one budget split across ``k`` independently
-  placed disks (each optionally on its own trajectory); the victim set is the
-  union of the disks.  The geometric analogue of hitting several clusters at
-  once, motivated by the heavy-tailed Gilbert graphs of arXiv:1411.6824 where
-  a few well-placed disks over hubs are disproportionately damaging.
+* :class:`MultiDiskJammer` — one budget split across ``k`` fixed disks of
+  one shared radius; the victim set is the union of the disks.  The
+  geometric analogue of hitting several clusters at once, motivated by the
+  heavy-tailed Gilbert graphs of arXiv:1411.6824 where a few well-placed
+  disks over hubs are disproportionately damaging.
 * :class:`ReactiveDiskJammer` — adaptive, knowledge-of-state (in the spirit
   of :mod:`repro.adversary.reactive`): each phase it re-centres greedily on
   the densest cluster of *active uninformed* listeners, optionally limited to
@@ -89,31 +89,26 @@ class Trajectory(abc.ABC):
 
 
 class WaypointPatrol(Trajectory):
-    """Patrol a waypoint polyline at constant speed.
+    """Patrol a closed waypoint loop at constant speed.
 
     Parameters
     ----------
     waypoints:
         Two or more ``(x, y)`` points (one point gives a stationary jammer).
+        After the last waypoint the patrol returns to the first and loops.
     speed:
         Distance travelled per phase, in unit-square units.
-    closed:
-        ``True`` (default) loops back to the first waypoint; ``False``
-        ping-pongs back and forth along the open path.
     """
 
-    def __init__(
-        self, waypoints: Sequence[Sequence[float]], speed: float, closed: bool = True
-    ) -> None:
+    def __init__(self, waypoints: Sequence[Sequence[float]], speed: float) -> None:
         if not waypoints:
             raise ConfigurationError("WaypointPatrol needs at least one waypoint")
         if speed < 0:
             raise ConfigurationError(f"patrol speed must be non-negative, got {speed}")
         self.waypoints: List[Point] = [_as_point(w, "waypoint") for w in waypoints]
         self.speed = float(speed)
-        self.closed = bool(closed)
         points = np.asarray(self.waypoints, dtype=float)
-        if self.closed and len(self.waypoints) > 1 and tuple(points[-1]) != tuple(points[0]):
+        if len(self.waypoints) > 1 and tuple(points[-1]) != tuple(points[0]):
             points = np.vstack([points, points[0]])
         self._points = points
         segment_lengths = np.sqrt((np.diff(points, axis=0) ** 2).sum(axis=1))
@@ -123,14 +118,7 @@ class WaypointPatrol(Trajectory):
     def position(self, phase_index: int) -> Point:
         if self._total == 0.0 or self.speed == 0.0:
             return self.waypoints[0]
-        distance = phase_index * self.speed
-        if self.closed:
-            distance = distance % self._total
-        else:
-            period = 2.0 * self._total
-            distance = distance % period
-            if distance > self._total:
-                distance = period - distance
+        distance = (phase_index * self.speed) % self._total
         segment = int(np.searchsorted(self._cumulative, distance, side="right")) - 1
         segment = min(max(segment, 0), self._points.shape[0] - 2)
         seg_start = self._cumulative[segment]
@@ -143,7 +131,8 @@ class WaypointPatrol(Trajectory):
 class Orbit(Trajectory):
     """Circle a fixed point: ``centre + r·(cos θ_t, sin θ_t)``.
 
-    ``θ_t = initial_angle + angular_speed · t`` (radians per phase).
+    ``θ_t = angular_speed · t`` (radians per phase), so phase 0 sits due east
+    of the centre.
     """
 
     def __init__(
@@ -151,17 +140,15 @@ class Orbit(Trajectory):
         center: Sequence[float] = (0.5, 0.5),
         orbit_radius: float = 0.25,
         angular_speed: float = 0.2,
-        initial_angle: float = 0.0,
     ) -> None:
         if orbit_radius < 0:
             raise ConfigurationError(f"orbit radius must be non-negative, got {orbit_radius}")
         self.center = _as_point(center, "orbit center")
         self.orbit_radius = float(orbit_radius)
         self.angular_speed = float(angular_speed)
-        self.initial_angle = float(initial_angle)
 
     def position(self, phase_index: int) -> Point:
-        angle = self.initial_angle + self.angular_speed * phase_index
+        angle = self.angular_speed * phase_index
         return (
             self.center[0] + self.orbit_radius * math.cos(angle),
             self.center[1] + self.orbit_radius * math.sin(angle),
@@ -227,13 +214,8 @@ class _PerPhaseDiskJammer(Adversary):
     strategy — so the victim set tracks time even while the strategy idles.
     """
 
-    def __init__(
-        self,
-        max_total_spend: Optional[float] = None,
-        jam_request_phases: bool = False,
-    ) -> None:
+    def __init__(self, max_total_spend: Optional[float] = None) -> None:
         super().__init__(max_total_spend=max_total_spend)
-        self.jam_request_phases = jam_request_phases
         self._network = None
         self._victims: Optional[np.ndarray] = None
         self._phase_index = 0
@@ -268,7 +250,7 @@ class _PerPhaseDiskJammer(Adversary):
             # plan_phase without a preceding observe_phase (direct engine
             # harnesses): resolve in place without advancing the clock.
             self._victims = self._resolve_victims(context)
-        plan = plan_disk_jam(context, self._victims, self.jam_request_phases)
+        plan = plan_disk_jam(context, self._victims)
         if plan.attacks_anything and allowance >= 1.0:
             # Coverage counts devices actually subjected to jamming: the disk
             # keeps moving after the budget dies, but those fly-overs are not
@@ -324,8 +306,6 @@ class MobileJammer(_PerPhaseDiskJammer):
         Disk radius.
     max_total_spend:
         Optional cap on total expenditure (the experiment knob ``T``).
-    jam_request_phases:
-        Also jam request phases inside the disk (off by default).
     """
 
     name = "mobile"
@@ -340,9 +320,8 @@ class MobileJammer(_PerPhaseDiskJammer):
         trajectory: Trajectory,
         radius: float = 0.25,
         max_total_spend: Optional[float] = None,
-        jam_request_phases: bool = False,
     ) -> None:
-        super().__init__(max_total_spend=max_total_spend, jam_request_phases=jam_request_phases)
+        super().__init__(max_total_spend=max_total_spend)
         if not isinstance(trajectory, Trajectory):
             raise ConfigurationError(
                 f"trajectory must be a Trajectory, got {type(trajectory).__name__}"
@@ -366,7 +345,7 @@ class MobileJammer(_PerPhaseDiskJammer):
 
 
 class MultiDiskJammer(_PerPhaseDiskJammer):
-    """One budget split across ``k`` independently-placed disks.
+    """One budget split across ``k`` fixed disks of one shared radius.
 
     The victim set is the union of the disks, re-resolved every phase; the
     strategy's single ledger (and optional ``max_total_spend`` cap) pays for
@@ -378,10 +357,9 @@ class MultiDiskJammer(_PerPhaseDiskJammer):
     centers:
         One ``(x, y)`` centre per disk.
     radius:
-        Shared disk radius, or one radius per disk.
-    trajectories:
-        Optional per-disk :class:`Trajectory` (``None`` entries stay at their
-        centre); length must match ``centers``.
+        The radius of every disk.
+    max_total_spend:
+        Optional cap on total expenditure (the experiment knob ``T``).
     """
 
     name = "multi_disk"
@@ -394,57 +372,22 @@ class MultiDiskJammer(_PerPhaseDiskJammer):
     def __init__(
         self,
         centers: Sequence[Sequence[float]],
-        radius: "float | Sequence[float]" = 0.15,
-        trajectories: Optional[Sequence[Optional[Trajectory]]] = None,
+        radius: float = 0.15,
         max_total_spend: Optional[float] = None,
-        jam_request_phases: bool = False,
     ) -> None:
-        super().__init__(max_total_spend=max_total_spend, jam_request_phases=jam_request_phases)
+        super().__init__(max_total_spend=max_total_spend)
         if not centers:
             raise ConfigurationError("MultiDiskJammer needs at least one disk centre")
+        if radius < 0:
+            raise ConfigurationError(f"jam radius must be non-negative, got {radius}")
         self.centers: List[Point] = [_as_point(c, "disk centre") for c in centers]
-        k = len(self.centers)
-        radii = [float(radius)] * k if np.isscalar(radius) else [float(r) for r in radius]
-        if len(radii) != k:
-            raise ConfigurationError(
-                f"got {len(radii)} radii for {k} disks; pass one radius or one per disk"
-            )
-        if any(r < 0 for r in radii):
-            raise ConfigurationError(f"disk radii must be non-negative, got {radii}")
-        self.radii = radii
-        if trajectories is not None and len(trajectories) != k:
-            raise ConfigurationError(
-                f"got {len(trajectories)} trajectories for {k} disks"
-            )
-        self.trajectories = list(trajectories) if trajectories is not None else [None] * k
-        for trajectory in self.trajectories:
-            if trajectory is not None and not isinstance(trajectory, Trajectory):
-                raise ConfigurationError(
-                    f"trajectories entries must be Trajectory or None, "
-                    f"got {type(trajectory).__name__}"
-                )
-
-    @property
-    def radius(self) -> float:
-        """The shared disk radius (the first, under per-disk radii)."""
-
-        return self.radii[0]
-
-    @radius.setter
-    def radius(self, value: float) -> None:
-        # The introspection surface exposes one "radius" knob; setting it
-        # resizes every disk, matching the scalar-radius constructor form.
-        self.radii = [float(value)] * len(self.radii)
+        self.radius = float(radius)
 
     def _resolve_victims(self, context: PhaseContext) -> np.ndarray:
-        network = self._require_bound()
-        topology = network.topology
-        disks: List[np.ndarray] = []
-        for center, radius, trajectory in zip(self.centers, self.radii, self.trajectories):
-            if trajectory is not None:
-                center = trajectory.position(self._phase_index)
-            disks.append(topology.nodes_in_disk(center, radius))
-        return unique_sorted(np.concatenate(disks))
+        topology = self._require_bound().topology
+        return unique_sorted(
+            np.concatenate([topology.nodes_in_disk(c, self.radius) for c in self.centers])
+        )
 
 
 class ReactiveDiskJammer(_PerPhaseDiskJammer):
@@ -481,9 +424,8 @@ class ReactiveDiskJammer(_PerPhaseDiskJammer):
         speed: Optional[float] = None,
         start: Sequence[float] = (0.5, 0.5),
         max_total_spend: Optional[float] = None,
-        jam_request_phases: bool = False,
     ) -> None:
-        super().__init__(max_total_spend=max_total_spend, jam_request_phases=jam_request_phases)
+        super().__init__(max_total_spend=max_total_spend)
         if radius < 0:
             raise ConfigurationError(f"jam radius must be non-negative, got {radius}")
         if speed is not None and speed < 0:

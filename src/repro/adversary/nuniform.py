@@ -68,6 +68,8 @@ class NUniformSplitAdversary(Adversary):
             raise ConfigurationError(
                 f"target_uninformed must be non-negative, got {target_uninformed}"
             )
+        if start_round < 0:
+            raise ConfigurationError(f"start_round must be non-negative, got {start_round}")
         self.target_uninformed = target_uninformed
         self.start_round = start_round
         self._victims: Optional[np.ndarray] = None

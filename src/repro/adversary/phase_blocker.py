@@ -6,21 +6,18 @@ the protocol into ever longer rounds.  Because rounds grow geometrically,
 every additional round she blocks costs her geometrically more, which is the
 mechanism behind the ``T^{1/(k+1)}`` resource-competitive bound.
 
-The strategy exposes two practical knobs used heavily by the experiments:
-
-* which phase kinds to block (the inform phase is the cheapest effective
-  target: with no informed relays the whole round is sterile), and
-* the fraction of each targeted phase to jam.  The paper's *analysis* calls a
-  phase blocked when more than half its slots are jammed; to actually prevent
-  delivery a non-reactive Carol must jam essentially every slot, so the
-  default fraction is 1.0.
+She blocks the inform phase, the cheapest effective target: with no
+informed relays the whole round is sterile.  Her main knob is the fraction
+of each inform phase to jam.  The paper's *analysis* calls a phase
+blocked when more than half its slots are jammed; to actually prevent
+delivery a non-reactive Carol must jam essentially every slot, so the
+default fraction is 1.0.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Set
+from typing import Optional
 
-from ..simulation.channel import JamTargeting
 from ..simulation.errors import ConfigurationError
 from ..simulation.phaseplan import JamPlan, PhaseContext, PhaseKind
 from .base import Adversary
@@ -30,20 +27,14 @@ __all__ = ["PhaseBlockingAdversary"]
 
 
 class PhaseBlockingAdversary(Adversary):
-    """Jam a fixed fraction of every phase of the targeted kinds.
+    """Jam a fixed fraction of every inform phase, for every listener.
 
     Parameters
     ----------
-    kinds:
-        Which :class:`~repro.simulation.phaseplan.PhaseKind` values to attack.
-        Defaults to the inform phase only (the cheapest way to sterilise a
-        round).
     fraction:
-        Fraction of each targeted phase's slots to jam, in ``(0, 1]``.
+        Fraction of each inform phase's slots to jam, in ``(0, 1]``.
     max_total_spend:
         Optional cap on total expenditure (the experiment knob ``T``).
-    targeting:
-        Per-slot victim selection; defaults to everyone.
     skip_rounds_below:
         Do not bother attacking rounds with index lower than this (attacking
         tiny early rounds wastes energy without delaying anything measurable).
@@ -53,36 +44,34 @@ class PhaseBlockingAdversary(Adversary):
 
     tunable = (
         ParamSpec("fraction", 0.05, 1.0,
-                  description="fraction of each targeted phase's slots jammed"),
+                  description="fraction of each inform phase's slots jammed"),
         ParamSpec("skip_rounds_below", 0, 32, integer=True,
                   description="rounds left untouched before the blocking starts"),
     )
 
     def __init__(
         self,
-        kinds: Optional[Iterable[PhaseKind]] = None,
         fraction: float = 1.0,
         max_total_spend: Optional[float] = None,
-        targeting: Optional[JamTargeting] = None,
         skip_rounds_below: int = 0,
     ) -> None:
         super().__init__(max_total_spend=max_total_spend)
         if not (0.0 < fraction <= 1.0):
             raise ConfigurationError(f"fraction must lie in (0, 1], got {fraction}")
-        self.kinds: Set[PhaseKind] = set(kinds) if kinds is not None else {PhaseKind.INFORM}
-        if not self.kinds:
-            raise ConfigurationError("at least one phase kind must be targeted")
+        if skip_rounds_below < 0:
+            raise ConfigurationError(
+                f"skip_rounds_below must be non-negative, got {skip_rounds_below}"
+            )
         self.fraction = fraction
-        self.targeting = targeting if targeting is not None else JamTargeting.everyone()
         self.skip_rounds_below = skip_rounds_below
 
     def _plan(self, context: PhaseContext, allowance: float) -> JamPlan:
         plan = context.plan
-        if plan.kind not in self.kinds:
+        if plan.kind is not PhaseKind.INFORM:
             return JamPlan.idle()
         if plan.round_index < self.skip_rounds_below:
             return JamPlan.idle()
         num_jam = int(round(self.fraction * plan.num_slots))
         if num_jam <= 0:
             return JamPlan.idle()
-        return JamPlan(num_jam_slots=num_jam, targeting=self.targeting)
+        return JamPlan(num_jam_slots=num_jam)

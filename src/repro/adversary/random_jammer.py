@@ -1,16 +1,16 @@
 """Random (oblivious) jamming.
 
-Carol jams each slot independently with a fixed probability, in the spirit of
-the random-fault model of Pelc & Peleg cited in the paper's related work.  A
-random jammer wastes much of its energy on slots nobody was using, which is
-exactly why the paper's adversary model is strictly stronger.
+Carol jams a uniformly random ``rate`` share of each phase's slots, chosen
+without looking at the channel, in the spirit of the random-fault model of
+Pelc & Peleg cited in the paper's related work.  A random jammer wastes much
+of its energy on slots nobody was using, which is exactly why the paper's
+adversary model is strictly stronger.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from ..simulation.channel import JamTargeting
 from ..simulation.errors import ConfigurationError
 from ..simulation.phaseplan import JamPlan, PhaseContext
 from .base import Adversary
@@ -20,41 +20,31 @@ __all__ = ["RandomJammer"]
 
 
 class RandomJammer(Adversary):
-    """Jam each slot independently with probability ``rate``.
+    """Jam a uniformly random subset of ``round(rate · s)`` slots per phase.
 
     Parameters
     ----------
     rate:
-        Per-slot jamming probability in ``[0, 1]``.
+        Share of each phase's ``s`` slots to jam, in ``[0, 1]``.
     max_total_spend:
         Optional cap on total expenditure.
-    targeting:
-        Victim selection per jammed slot; defaults to everyone.
     """
 
     name = "random"
 
     tunable = (
         ParamSpec("rate", 0.0, 1.0,
-                  description="per-slot jamming probability"),
+                  description="share of each phase's slots jammed"),
     )
 
-    def __init__(
-        self,
-        rate: float,
-        max_total_spend: Optional[float] = None,
-        targeting: Optional[JamTargeting] = None,
-    ) -> None:
+    def __init__(self, rate: float, max_total_spend: Optional[float] = None) -> None:
         super().__init__(max_total_spend=max_total_spend)
         if not (0.0 <= rate <= 1.0):
             raise ConfigurationError(f"jam rate must lie in [0, 1], got {rate}")
         self.rate = rate
-        self.targeting = targeting if targeting is not None else JamTargeting.everyone()
 
     def _plan(self, context: PhaseContext, allowance: float) -> JamPlan:
-        # Express the rate as an expected slot count so the base-class cap can
-        # bound the worst case; the engine realises it as per-slot coin flips
-        # via ``num_jam_slots`` drawn uniformly, which matches the rate in
-        # expectation and keeps the spend bounded by the allowance.
-        expected = int(round(self.rate * context.plan.num_slots))
-        return JamPlan(num_jam_slots=expected, targeting=self.targeting)
+        # A slot count, not per-slot coin flips: both engines jam a uniform
+        # subset of exactly this many slots, so the base-class cap can bound
+        # the spend in advance.
+        return JamPlan(num_jam_slots=int(round(self.rate * context.plan.num_slots)))

@@ -30,15 +30,15 @@ __all__ = ["ReactiveJammer"]
 class ReactiveJammer(Adversary):
     """Jam only slots that carry correct-side transmissions.
 
+    The strategy attacks the inform and propagation phases, which is where
+    reactivity pays off.
+
     Parameters
     ----------
     phase_budget_fraction:
         Fraction of the remaining allowance the strategy is willing to commit
         to a single phase.  ``1.0`` lets a single long phase drain everything;
         smaller values spread the attack across rounds.
-    target_kinds:
-        Which phase kinds to attack; defaults to the payload-carrying phases
-        (inform and propagation), which is where reactivity pays off.
     max_total_spend:
         Optional cap on total expenditure.
     """
@@ -53,7 +53,6 @@ class ReactiveJammer(Adversary):
     def __init__(
         self,
         phase_budget_fraction: float = 1.0,
-        target_kinds: Optional[set] = None,
         max_total_spend: Optional[float] = None,
     ) -> None:
         super().__init__(max_total_spend=max_total_spend)
@@ -62,15 +61,10 @@ class ReactiveJammer(Adversary):
                 f"phase_budget_fraction must lie in (0, 1], got {phase_budget_fraction}"
             )
         self.phase_budget_fraction = phase_budget_fraction
-        self.target_kinds = (
-            set(target_kinds)
-            if target_kinds is not None
-            else {PhaseKind.INFORM, PhaseKind.PROPAGATION}
-        )
 
     def _plan(self, context: PhaseContext, allowance: float) -> JamPlan:
         plan = context.plan
-        if plan.kind not in self.target_kinds:
+        if plan.kind not in (PhaseKind.INFORM, PhaseKind.PROPAGATION):
             return JamPlan.idle()
         phase_allotment = int(math.floor(allowance * self.phase_budget_fraction))
         if phase_allotment <= 0:

@@ -29,6 +29,13 @@ __all__ = ["RequestSpoofingAdversary"]
 class RequestSpoofingAdversary(Adversary):
     """Keep the request phase noisy to delay termination.
 
+    The noise is injected as spoofed nack transmissions, indistinguishable
+    from legitimate nacks.  Each costs one unit, like a jammed slot, and
+    defeats the "silence means done" check, which is the point of the
+    lemmas.  Lemma 10's second-case strategy (block the payload phases as
+    well) is this spoofer combined with the phase blocker: the tournament
+    roster's ``composite``.
+
     Parameters
     ----------
     fraction:
@@ -36,17 +43,8 @@ class RequestSpoofingAdversary(Adversary):
         The termination rules compare against a constant-fraction threshold,
         so anything above roughly ``(1 - e^{-4ε'})`` works; default is 1.0
         (make every slot noisy).
-    use_spoofed_nacks:
-        When ``True`` the noise is injected as spoofed nack transmissions
-        (indistinguishable from legitimate nacks); when ``False`` plain
-        jamming is used.  Both cost one unit per slot and both defeat the
-        "silence means done" check, which is the point of the lemmas.
     max_total_spend:
         Optional cap on total expenditure.
-    also_block_payload_phases:
-        When ``True`` the strategy additionally blocks inform/propagation
-        phases (the combined strategy of Lemma 10's second case, where
-        ``r' > r``).
     """
 
     name = "request_spoofer"
@@ -59,26 +57,18 @@ class RequestSpoofingAdversary(Adversary):
     def __init__(
         self,
         fraction: float = 1.0,
-        use_spoofed_nacks: bool = True,
         max_total_spend: Optional[float] = None,
-        also_block_payload_phases: bool = False,
     ) -> None:
         super().__init__(max_total_spend=max_total_spend)
         if not (0.0 < fraction <= 1.0):
             raise ConfigurationError(f"fraction must lie in (0, 1], got {fraction}")
         self.fraction = fraction
-        self.use_spoofed_nacks = use_spoofed_nacks
-        self.also_block_payload_phases = also_block_payload_phases
 
     def _plan(self, context: PhaseContext, allowance: float) -> JamPlan:
         plan = context.plan
-        if plan.kind is PhaseKind.REQUEST:
-            slots = int(round(self.fraction * plan.num_slots))
-            if slots <= 0:
-                return JamPlan.idle()
-            if self.use_spoofed_nacks:
-                return JamPlan(spoof_nack_slots=slots, targeting=JamTargeting.none())
-            return JamPlan(num_jam_slots=slots, targeting=JamTargeting.everyone())
-        if self.also_block_payload_phases and plan.kind in (PhaseKind.INFORM, PhaseKind.PROPAGATION):
-            return JamPlan(num_jam_slots=plan.num_slots, targeting=JamTargeting.everyone())
-        return JamPlan.idle()
+        if plan.kind is not PhaseKind.REQUEST:
+            return JamPlan.idle()
+        slots = int(round(self.fraction * plan.num_slots))
+        if slots <= 0:
+            return JamPlan.idle()
+        return JamPlan(spoof_nack_slots=slots, targeting=JamTargeting.none())

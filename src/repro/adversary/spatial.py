@@ -25,7 +25,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..simulation.auth import ALICE_ID
 from ..simulation.channel import JamTargeting
 from ..simulation.errors import ConfigurationError
 from ..simulation.phaseplan import JamPlan, PhaseContext, PhaseKind
@@ -36,41 +35,28 @@ from .parameters import ParamSpec
 __all__ = ["SpatialJammer", "plan_disk_jam"]
 
 
-def plan_disk_jam(
-    context: PhaseContext,
-    victims: np.ndarray,
-    jam_request_phases: bool = False,
-) -> JamPlan:
+def plan_disk_jam(context: PhaseContext, victims: np.ndarray) -> JamPlan:
     """The shared "jam payload slots for a victim set" planning rule.
 
     Used by :class:`SpatialJammer` and every mobile variant in
-    :mod:`repro.adversary.mobility`: jam all slots of payload-carrying phases
-    (optionally request phases too), targeted at the sorted id array
-    ``victims``, and idle whenever no *active* victim would perceive the
-    noise — jamming outside the victims' earshot is wasted energy.  Payload
-    phases matter only to the disk's uninformed listeners; Alice (who listens
-    in request phases alone) only when this is one.
+    :mod:`repro.adversary.mobility`: jam all slots of payload-carrying,
+    non-request phases, targeted at the sorted id array ``victims``, and
+    idle whenever no *active uninformed* victim would perceive the noise —
+    jamming outside the victims' earshot is wasted energy.
     """
 
-    if not victims.size:
+    plan = context.plan
+    if not victims.size or plan.kind is PhaseKind.REQUEST or not plan.carries_payload:
         return JamPlan.idle()
-    if context.plan.kind is PhaseKind.REQUEST and not jam_request_phases:
+    if not isin_sorted(victims, context.roles.active_uninformed_ids).any():
         return JamPlan.idle()
-    if not context.plan.carries_payload and context.plan.kind is not PhaseKind.REQUEST:
-        return JamPlan.idle()
-    active = isin_sorted(victims, context.roles.active_uninformed_ids)
-    if context.plan.kind is PhaseKind.REQUEST:
-        active |= victims == ALICE_ID
-    if not active.any():
-        return JamPlan.idle()
-    return JamPlan(
-        num_jam_slots=context.plan.num_slots,
-        targeting=JamTargeting.only(victims),
-    )
+    return JamPlan(num_jam_slots=plan.num_slots, targeting=JamTargeting.only(victims))
 
 
 class SpatialJammer(Adversary):
     """Jam every payload-carrying slot inside a disk of the deployment area.
+
+    Request phases run clean, matching the splitter's economy of §2.3.
 
     Parameters
     ----------
@@ -80,9 +66,6 @@ class SpatialJammer(Adversary):
         Radius of the jammed disk.
     max_total_spend:
         Optional cap on total expenditure (the experiment knob ``T``).
-    jam_request_phases:
-        Also jam request phases (delays termination inside the disk at extra
-        cost).  Off by default, matching the splitter's economy of §2.3.
     """
 
     name = "spatial"
@@ -97,14 +80,12 @@ class SpatialJammer(Adversary):
         center: Tuple[float, float] = (0.5, 0.5),
         radius: float = 0.25,
         max_total_spend: Optional[float] = None,
-        jam_request_phases: bool = False,
     ) -> None:
         super().__init__(max_total_spend=max_total_spend)
         if radius < 0:
             raise ConfigurationError(f"jam radius must be non-negative, got {radius}")
         self.center = (float(center[0]), float(center[1]))
         self.radius = float(radius)
-        self.jam_request_phases = jam_request_phases
         self._victims: Optional[np.ndarray] = None
 
     def _set_parameter(self, name: str, value: float) -> None:
@@ -154,4 +135,4 @@ class SpatialJammer(Adversary):
                 "SpatialJammer used without bind_network(); the orchestrator must "
                 "bind the adversary to the realised topology first"
             )
-        return plan_disk_jam(context, self._victims, self.jam_request_phases)
+        return plan_disk_jam(context, self._victims)

@@ -49,7 +49,6 @@ class JamMode(enum.Enum):
     NONE = "none"
     ALL = "all"
     ONLY = "only"
-    EXCEPT = "except"
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,10 +56,10 @@ class JamTargeting:
     """The adversary's per-slot, per-listener jamming decision.
 
     ``ALL`` jams every listener; ``ONLY`` jams exactly the listeners in
-    ``nodes``; ``EXCEPT`` jams everyone *except* those in ``nodes`` (this is
-    how an n-uniform Carol "decides which nodes receive m" during a blocked
-    phase); ``NONE`` jams nobody.  Alice is addressed by her device id (-1)
-    like any other listener.  ``nodes`` is held as a sorted ``int64`` id
+    ``nodes`` (this is how an n-uniform Carol "decides which nodes receive
+    m": she jams a victim set and lets the rest listen); ``NONE`` jams
+    nobody.  Alice is addressed by her device id (-1) like any other
+    listener.  ``nodes`` is held as a sorted ``int64`` id
     array (:func:`~repro.simulation.setops.as_sorted_ids` normalises any
     iterable of ids at construction).
     """
@@ -91,12 +90,6 @@ class JamTargeting:
     def only(nodes: "Iterable[int] | np.ndarray") -> "JamTargeting":
         return JamTargeting(JamMode.ONLY, nodes)
 
-    @staticmethod
-    def sparing(nodes: "Iterable[int] | np.ndarray") -> "JamTargeting":
-        """Jam everyone except ``nodes`` (the n-uniform "spare a set" move)."""
-
-        return JamTargeting(JamMode.EXCEPT, nodes)
-
     @property
     def is_active(self) -> bool:
         """Whether this decision jams at least one potential listener."""
@@ -122,8 +115,7 @@ class JamTargeting:
             return np.zeros(listener_ids.size, dtype=bool)
         if self.mode is JamMode.ALL:
             return np.ones(listener_ids.size, dtype=bool)
-        membership = isin_sorted(listener_ids, self.nodes)
-        return membership if self.mode is JamMode.ONLY else ~membership
+        return isin_sorted(listener_ids, self.nodes)
 
 
 @dataclass(frozen=True)

@@ -127,7 +127,7 @@ from .channel import JamMode
 from .energy import EnergyLedger, EnergyOperation
 from .jamming import materialize_jam_slots, materialize_spoof_slots
 from .network import Network
-from .phaseplan import JamPlan, PhaseKind, PhasePlan, PhaseResult, PhaseRoles, clip_probability
+from .phaseplan import JamPlan, PhaseKind, PhasePlan, PhaseResult, PhaseRoles
 from .rng import binomial_iid
 from .setops import isin_sorted, unique_sorted
 from .topology import NeighborCSR, _gather_ranges
@@ -396,7 +396,7 @@ class PhaseEngine:
         # Victims come from the plan's targeting every phase: mobile and
         # reactive disk jammers re-target, so nothing here is cached per run.
         # Targeting everyone or no one makes every per-node quantity below
-        # one scalar; only ONLY/EXCEPT need the per-node victim mask.
+        # one scalar; only ONLY needs the per-node victim mask.
         mode = jam_plan.targeting.mode
         victim: np.ndarray | None = None
         if mode is JamMode.ALL:
@@ -868,11 +868,7 @@ class PhaseEngine:
         else:
             if jam_plan.reactive:
                 pool = [0] + hist[1:]  # reactive jams hit only slots with traffic
-            if jam_plan.jam_rate is None:
-                wanted = min(max(jam_plan.num_jam_slots, 0), sum(pool))
-            else:
-                pool = rng.binomial(pool, clip_probability(jam_plan.jam_rate)).tolist()
-                wanted = sum(pool)
+            wanted = min(max(jam_plan.num_jam_slots, 0), sum(pool))
         jams, payload, nack, spend = charge_adversary_actions(
             self.network.adversary_ledger, s, wanted, jam_plan
         )

@@ -4,7 +4,6 @@ Both engines share this logic so that a given adversary strategy produces the
 same *kind* of attack regardless of which engine executes it:
 
 * explicit ``slot_indices`` are used verbatim (clipped to the phase length);
-* a ``jam_rate`` is realised as independent per-slot coin flips;
 * a ``num_jam_slots`` count is realised as a uniformly random subset of the
   phase's slots — or, for *reactive* plans, as the earliest slots that carry
   correct-side channel activity (the reactive jammer senses the channel within
@@ -43,11 +42,11 @@ def materialize_jam_slots(
     num_slots:
         Length of the phase.
     rng:
-        Random generator used for rate-based and random-subset selection.
+        Random generator used for random-subset selection.
     activity_mask:
         For reactive plans, a boolean array of length ``num_slots`` marking
         slots that carry correct-side transmissions.  Required when
-        ``plan.reactive`` is set and the plan selects by count or rate.
+        ``plan.reactive`` is set and the plan selects by count.
     """
 
     if num_slots <= 0:
@@ -61,15 +60,7 @@ def materialize_jam_slots(
         if activity_mask is None:
             raise ValueError("reactive jam plans require an activity mask")
         active = np.flatnonzero(np.asarray(activity_mask, dtype=bool))
-        if plan.jam_rate is not None:
-            keep = rng.random(active.size) < plan.jam_rate
-            return active[keep]
-        count = min(plan.num_jam_slots, active.size)
-        return active[:count]
-
-    if plan.jam_rate is not None:
-        mask = rng.random(num_slots) < plan.jam_rate
-        return np.flatnonzero(mask)
+        return active[: min(plan.num_jam_slots, active.size)]
 
     count = min(plan.num_jam_slots, num_slots)
     if count <= 0:

@@ -219,22 +219,19 @@ class PhaseContext:
 class JamPlan:
     """The adversary's committed attack plan for one phase.
 
-    Exactly one of the slot-selection mechanisms is used, checked in this
-    order:
+    Carol's jammed slots are either ``slot_indices`` — explicit slots (bursty
+    attacks), used when set — or ``num_jam_slots``, a count realised as a
+    uniformly random subset of the phase, or as its *first* active slots
+    when ``reactive`` is set.
 
-    1. ``slot_indices`` — explicit slots to jam (bursty / scheduled attacks);
-    2. ``jam_rate`` — jam each slot independently with this probability;
-    3. ``num_jam_slots`` — jam this many slots (a uniformly random subset, or
-       the *first* active slots when ``reactive`` is set).
-
-    ``targeting`` selects the victims per jammed slot (n-uniform jamming).
-    ``spoof_nack_slots`` / ``spoof_payload_slots`` additionally make a
-    Byzantine device transmit forged frames in that many slots; each such
-    transmission costs one unit like any send.
+    ``targeting`` selects the victims per jammed slot: everyone (the
+    default), or only a chosen set (n-uniform jamming).  ``spoof_nack_slots`` /
+    ``spoof_payload_slots`` additionally make a Byzantine device transmit
+    forged frames in that many slots; each such transmission costs one unit
+    like any send.
     """
 
     num_jam_slots: int = 0
-    jam_rate: Optional[float] = None
     slot_indices: Optional[Tuple[int, ...]] = None
     targeting: JamTargeting = field(default_factory=JamTargeting.everyone)
     reactive: bool = False
@@ -251,7 +248,6 @@ class JamPlan:
     def attacks_anything(self) -> bool:
         return (
             self.num_jam_slots > 0
-            or (self.jam_rate is not None and self.jam_rate > 0)
             or bool(self.slot_indices)
             or self.spoof_nack_slots > 0
             or self.spoof_payload_slots > 0
@@ -308,9 +304,3 @@ class PhaseResult:
             elif mine != theirs:
                 return False
         return True
-
-    @property
-    def jammed_fraction(self) -> float:
-        if self.plan.num_slots == 0:
-            return 0.0
-        return self.jammed_slots / self.plan.num_slots

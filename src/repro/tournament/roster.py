@@ -173,7 +173,11 @@ def reactive_disk(spend_cap: Optional[float]) -> ReactiveDiskJammer:
 
 
 def composite(spend_cap: Optional[float]) -> CompositeAdversary:
-    """The blocker and the request spoofer on one budget."""
+    """Lemma 10's second-case strategy: the blocker and the request spoofer on one budget.
+
+    Carol blocks inform phases while the blocker has budget and spoofs the
+    request phases that follow, delaying termination as well as delivery.
+    """
 
     return CompositeAdversary(
         [budget_blocker(None), request_spoofer(None)], max_total_spend=spend_cap

@@ -29,6 +29,7 @@ from repro.simulation import (
     PhaseRoles,
     SimulationConfig,
 )
+from repro.simulation.jamming import materialize_jam_slots
 
 
 def make_context(kind=PhaseKind.INFORM, num_slots=256, round_index=5, remaining=1e9, uninformed=None, n=64):
@@ -112,6 +113,16 @@ class TestRandomJammer:
         plan = RandomJammer(rate=0.25).plan_phase(make_context(num_slots=400))
         assert plan.num_jam_slots == 100
 
+    @pytest.mark.parametrize("rate", [0.0, 0.01, 0.5, 1.0])
+    @pytest.mark.parametrize("num_slots", [0, 1, 7, 400])
+    def test_jams_a_subset_of_exactly_the_rounded_share(self, rate, num_slots):
+        """Not per-slot coin flips: exactly ``round(rate · s)`` distinct slots."""
+
+        plan = RandomJammer(rate=rate).plan_phase(make_context(num_slots=num_slots))
+        slots = materialize_jam_slots(plan, num_slots, np.random.default_rng(3)).tolist()
+        assert len(slots) == len(set(slots)) == round(rate * num_slots)
+        assert all(0 <= slot < num_slots for slot in slots)
+
 
 class TestBurstyJammer:
     def test_burst_geometry_validation(self):
@@ -129,31 +140,39 @@ class TestBurstyJammer:
         assert plan.slot_indices == (0, 1, 8, 9)
 
     @staticmethod
-    def loop_burst_slots(burst_length, period, offset, num_slots):
+    def loop_burst_slots(burst_length, period, num_slots):
         """The per-slot loop ``burst_slots`` replaced, as the oracle."""
 
         slots = []
-        start = offset
+        start = 0
         while start < num_slots:
             for slot in range(start, min(start + burst_length, num_slots)):
                 slots.append(slot)
             start += period
         return tuple(slots)
 
-    @pytest.mark.parametrize("burst_length,period", [(1, 1), (1, 4), (3, 3), (3, 7), (5, 16)])
-    @pytest.mark.parametrize("offset", [0, 1, 6, 40])
+    # Duty cycles from one slot in a period to every slot, with periods that
+    # divide, straddle or exceed the phase lengths below.
+    @pytest.mark.parametrize(
+        "burst_length,period",
+        [
+            (1, 1), (1, 2), (2, 2), (2, 3), (1, 4), (3, 3), (1, 6), (6, 6), (3, 7), (4, 7),
+            (6, 7), (7, 7), (5, 16), (1, 40), (39, 40), (40, 40), (2, 41), (128, 256), (1, 300),
+        ],
+    )
     @pytest.mark.parametrize("num_slots", [0, 1, 6, 7, 40, 41, 257])
-    def test_burst_slots_match_loop(self, burst_length, period, offset, num_slots):
-        jammer = BurstyJammer(burst_length=burst_length, period=period, offset=offset)
+    def test_burst_slots_match_loop(self, burst_length, period, num_slots):
+        jammer = BurstyJammer(burst_length=burst_length, period=period)
         slots = jammer.burst_slots(num_slots)
-        assert slots == self.loop_burst_slots(burst_length, period, offset, num_slots)
+        assert slots == self.loop_burst_slots(burst_length, period, num_slots)
         assert all(type(slot) is int for slot in slots)
 
 
 class TestPhaseBlocker:
-    def test_blocks_only_targeted_kinds(self):
-        blocker = PhaseBlockingAdversary(kinds={PhaseKind.INFORM})
+    def test_blocks_only_inform_phases(self):
+        blocker = PhaseBlockingAdversary()
         assert blocker.plan_phase(make_context(PhaseKind.INFORM)).attacks_anything
+        assert not blocker.plan_phase(make_context(PhaseKind.PROPAGATION)).attacks_anything
         assert not blocker.plan_phase(make_context(PhaseKind.REQUEST)).attacks_anything
 
     def test_fraction_of_slots(self):
@@ -165,9 +184,9 @@ class TestPhaseBlocker:
         with pytest.raises(ConfigurationError):
             PhaseBlockingAdversary(fraction=0.0)
 
-    def test_empty_kinds_rejected(self):
+    def test_negative_skip_rounds_rejected(self):
         with pytest.raises(ConfigurationError):
-            PhaseBlockingAdversary(kinds=[])
+            PhaseBlockingAdversary(skip_rounds_below=-5)
 
     def test_skip_early_rounds(self):
         blocker = PhaseBlockingAdversary(skip_rounds_below=6)
@@ -208,6 +227,10 @@ class TestNUniformSplit:
         with pytest.raises(ConfigurationError):
             NUniformSplitAdversary(target_uninformed=-1)
 
+    def test_negative_start_round_rejected(self):
+        with pytest.raises(ConfigurationError):
+            NUniformSplitAdversary(target_uninformed=4, start_round=-2)
+
 
 class TestRequestSpoofer:
     def test_spoofs_nacks_in_request_phase(self):
@@ -216,18 +239,9 @@ class TestRequestSpoofer:
         assert plan.spoof_nack_slots == 50
         assert plan.num_jam_slots == 0
 
-    def test_jamming_mode(self):
-        adversary = RequestSpoofingAdversary(fraction=1.0, use_spoofed_nacks=False)
-        plan = adversary.plan_phase(make_context(PhaseKind.REQUEST, num_slots=100))
-        assert plan.num_jam_slots == 100
-
     def test_payload_phases_untouched_by_default(self):
         adversary = RequestSpoofingAdversary()
         assert not adversary.plan_phase(make_context(PhaseKind.INFORM)).attacks_anything
-
-    def test_combined_strategy_blocks_payload_phases(self):
-        adversary = RequestSpoofingAdversary(also_block_payload_phases=True)
-        assert adversary.plan_phase(make_context(PhaseKind.INFORM)).num_jam_slots == 256
 
 
 class TestReactiveJammer:
@@ -265,7 +279,7 @@ class TestSpoofingAdversary:
 class TestComposites:
     def test_composite_uses_first_non_idle(self):
         composite = CompositeAdversary(
-            [RequestSpoofingAdversary(), PhaseBlockingAdversary(kinds={PhaseKind.INFORM})]
+            [RequestSpoofingAdversary(), PhaseBlockingAdversary()]
         )
         inform_plan = composite.plan_phase(make_context(PhaseKind.INFORM))
         request_plan = composite.plan_phase(make_context(PhaseKind.REQUEST))

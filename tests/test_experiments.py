@@ -20,7 +20,7 @@ from repro.experiments import (
 from repro.experiments.registry import EXPERIMENTS, experiment_ids, run_experiment
 from repro.experiments.reporting import format_value
 from repro.experiments.workloads import blocking_adversary, saturation_spend, spend_sweep
-from repro.simulation import PhaseKind, SimulationConfig
+from repro.simulation import PhaseContext, PhaseKind, PhasePlan, PhaseRoles, SimulationConfig
 from repro.simulation.errors import ConfigurationError
 
 
@@ -155,8 +155,13 @@ class TestWorkloads:
 
     def test_blocking_adversary_targets_inform_only(self):
         adversary = blocking_adversary(1000)
-        assert adversary.kinds == {PhaseKind.INFORM}
         assert adversary.max_total_spend == 1000
+        config = SimulationConfig(n=64)
+        for kind in PhaseKind:
+            plan = PhasePlan(name=kind.value, kind=kind, round_index=3, num_slots=100)
+            context = PhaseContext(plan=plan, roles=PhaseRoles(range(64)), config=config)
+            jam = adversary.plan_phase(context)
+            assert jam.num_jam_slots == (100 if kind is PhaseKind.INFORM else 0), kind
 
     def test_ablation_roster_contents(self):
         strategies = exp_adversary_ablation.STRATEGIES

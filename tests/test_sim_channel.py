@@ -41,16 +41,11 @@ class TestJamTargeting:
         assert targeting.affects(1)
         assert not targeting.affects(3)
 
-    def test_sparing_affects_everyone_else(self):
-        targeting = JamTargeting.sparing({1, 2})
-        assert not targeting.affects(1)
-        assert targeting.affects(3)
-
     def test_mode_enumeration(self):
         assert JamTargeting.none().mode is JamMode.NONE
         assert JamTargeting.everyone().mode is JamMode.ALL
         assert JamTargeting.only([1]).mode is JamMode.ONLY
-        assert JamTargeting.sparing([1]).mode is JamMode.EXCEPT
+        assert set(JamMode) == {JamMode.NONE, JamMode.ALL, JamMode.ONLY}
 
 
 class TestChannelResolution:
@@ -77,7 +72,7 @@ class TestChannelResolution:
 
     def test_n_uniform_jamming_spares_chosen_listener(self, channel):
         resolution = channel.resolve_slot(
-            [payload()], {1, 2}, JamTargeting.sparing({1}), senders=[ALICE_ID]
+            [payload()], {1, 2}, JamTargeting.only({2}), senders=[ALICE_ID]
         )
         assert resolution.observations[1].state is ChannelState.MESSAGE
         assert resolution.observations[2].state is ChannelState.NOISE

@@ -130,8 +130,9 @@ class TestEngineBasics:
         network = make_network()
         engine = engine_factory(network)
         spared = frozenset(range(8))
+        victims = [ALICE_ID, *range(8, network.n)]
         plan = inform_plan(num_slots=300, alice=0.5, listen=0.8)
-        jam = JamPlan(num_jam_slots=300, targeting=JamTargeting.sparing(spared))
+        jam = JamPlan(num_jam_slots=300, targeting=JamTargeting.only(victims))
         result = engine.run_phase(plan, PhaseRoles(range(network.n)), jam)
         assert result.newly_informed.tolist() == sorted(spared)
 
@@ -252,13 +253,13 @@ class TestResultBookkeeping:
         assert 0 < result.delivery_slots <= result.busy_slots <= 200
         assert result.alice_send_slots == pytest.approx(100, abs=40)
 
-    def test_jammed_fraction_property(self, engine_factory):
+    def test_jammed_slots_count_the_jam(self, engine_factory):
         network = make_network()
         engine = engine_factory(network)
         plan = inform_plan(num_slots=100)
         jam = JamPlan(num_jam_slots=50, targeting=JamTargeting.everyone())
         result = engine.run_phase(plan, PhaseRoles(range(network.n)), jam)
-        assert result.jammed_fraction == pytest.approx(0.5)
+        assert result.jammed_slots == 50
 
 
 class TestDeterministicResultOrdering:
@@ -334,9 +335,9 @@ class TestUniformTargetingShortcuts:
 
     JAMS = [
         dict(num_jam_slots=60),
-        dict(jam_rate=0.2),
         dict(num_jam_slots=40, spoof_payload_slots=8, spoof_nack_slots=8),
-        dict(jam_rate=0.3, reactive=True),
+        dict(num_jam_slots=30, reactive=True),
+        dict(slot_indices=tuple(range(0, 300, 7)), spoof_nack_slots=4),
     ]
 
     @pytest.mark.parametrize("multihop", [False, True])
@@ -350,10 +351,12 @@ class TestUniformTargetingShortcuts:
         ],
     )
     @pytest.mark.parametrize("jam", JAMS)
-    def test_everyone_equals_sparing_nobody(self, multihop, make_plan, jam):
+    def test_everyone_equals_only_every_device(self, multihop, make_plan, jam):
         topology = TopologySpec.gilbert(radius=0.35) if multihop else None
         outcomes = []
-        for targeting in (JamTargeting.everyone(), JamTargeting.sparing(())):
+        # everyone() jams Alice too, so the ONLY set must name her.
+        every_device = JamTargeting.only([ALICE_ID, *range(48)])
+        for targeting in (JamTargeting.everyone(), every_device):
             network = Network(SimulationConfig(n=48, seed=21, topology=topology))
             engine = PhaseEngine(network)
             roles = PhaseRoles(

@@ -96,7 +96,7 @@ def run_once(runner, plan, roles, jam_plan, seed, adversary_remaining):
 def draw_independent(jam_plan):
     """Count and index plans: Carol's actions do not depend on the draws."""
 
-    return not jam_plan.reactive and jam_plan.jam_rate is None
+    return not jam_plan.reactive
 
 
 def assert_matches_reference(plan, roles, jam_plan, seed=11, adversary_remaining=None):
@@ -124,14 +124,14 @@ def assert_matches_reference(plan, roles, jam_plan, seed=11, adversary_remaining
 
 JAM_PLANS = {
     "idle": JamPlan.idle(),
+    "one-count": JamPlan(num_jam_slots=1),
     "count": JamPlan(num_jam_slots=40),
     "full-count": JamPlan(num_jam_slots=SLOTS),
     "over-count": JamPlan(num_jam_slots=10 * SLOTS),
-    "rate": JamPlan(jam_rate=0.2),
     "indices": JamPlan(slot_indices=(-3, 0, 1, 2, 7, 7, 50, 51, 299, 300, 10_000)),
     "prefix-indices": JamPlan(slot_indices=(0, 1, 2, 3)),
     "reactive-count": JamPlan(num_jam_slots=15, reactive=True),
-    "reactive-rate": JamPlan(jam_rate=0.5, reactive=True),
+    "reactive-over-count": JamPlan(num_jam_slots=10 * SLOTS, reactive=True),
 }
 
 TARGETINGS = {
@@ -148,7 +148,7 @@ BUDGET_PLANS = {
     "prefix": JamPlan(num_jam_slots=SLOTS, spoof_payload_slots=4, spoof_nack_slots=4),
     "random-subset": JamPlan(num_jam_slots=120, spoof_payload_slots=4, spoof_nack_slots=4),
     "gapped-indices": JamPlan(slot_indices=tuple(range(5, SLOTS, 3)), spoof_nack_slots=9),
-    "reactive-rate": JamPlan(jam_rate=0.5, reactive=True, spoof_payload_slots=3),
+    "reactive-count": JamPlan(num_jam_slots=SLOTS, reactive=True, spoof_payload_slots=3),
 }
 
 
@@ -156,7 +156,6 @@ def with_attack(jam_plan, targeting, spoofs):
     payload, nack = spoofs
     return JamPlan(
         num_jam_slots=jam_plan.num_jam_slots,
-        jam_rate=jam_plan.jam_rate,
         slot_indices=jam_plan.slot_indices,
         targeting=targeting,
         reactive=jam_plan.reactive,
@@ -187,7 +186,7 @@ def test_every_source_combination(kind, sources, jam):
 
 
 @pytest.mark.parametrize("kind", list(PhaseKind), ids=lambda k: k.value)
-@pytest.mark.parametrize("jam", ["idle", "full-count", "reactive-rate"])
+@pytest.mark.parametrize("jam", ["idle", "full-count", "reactive-count"])
 def test_empty_listener_cohort(kind, jam):
     jam_plan = with_attack(JAM_PLANS[jam], JamTargeting.everyone(), SPOOFS["both"])
     assert_matches_reference(make_plan(kind), make_roles(listeners=False), jam_plan)
@@ -220,7 +219,7 @@ def test_budget_truncation(jam_plan, remaining):
 
 @pytest.mark.parametrize("s", [0, 1, 2, 7])
 @pytest.mark.parametrize("kind", list(PhaseKind), ids=lambda k: k.value)
-@pytest.mark.parametrize("jam", ["full-count", "rate", "indices", "reactive-count"])
+@pytest.mark.parametrize("jam", ["full-count", "indices", "reactive-count", "reactive-over-count"])
 def test_tiny_phases(s, kind, jam):
     jam_plan = with_attack(JAM_PLANS[jam], JamTargeting.everyone(), SPOOFS["both"])
     assert_matches_reference(make_plan(kind, s=s), make_roles(), jam_plan)
@@ -352,7 +351,7 @@ def test_law_each_targeting(targeting):
     assert_same_law(make_plan(PhaseKind.REQUEST), make_roles(), jam_plan)
 
 
-@pytest.mark.parametrize("plan_name", ["random-subset", "gapped-indices", "reactive-rate"])
+@pytest.mark.parametrize("plan_name", ["random-subset", "gapped-indices", "reactive-count"])
 def test_law_budget_truncation(plan_name):
     """A prefix of a full-phase jam is drawn exactly like a random subset's."""
 

@@ -138,13 +138,12 @@ def extreme_phases(draw):
         else (),
         alice_active=draw(st.booleans()),
     )
-    selection = draw(st.sampled_from(["count", "rate", "indices"]))
+    selection = draw(st.sampled_from(["count", "indices"]))
     targeting = draw(
         st.sampled_from([JamTargeting.everyone(), JamTargeting.none(), JamTargeting.only([0])])
     )
     jam_plan = JamPlan(
         num_jam_slots=draw(st.integers(0, 6)) if selection == "count" else 0,
-        jam_rate=draw(EXTREME_P) if selection == "rate" else None,
         slot_indices=tuple(draw(st.lists(st.integers(-1, 6), max_size=4)))
         if selection == "indices"
         else None,

@@ -595,7 +595,7 @@ class TestEnginePathEquivalence:
             alice_listen_prob=0.3, uninformed_listen_prob=0.3, nack_send_prob=0.04,
         )
         jam = lambda: JamPlan(
-            jam_rate=0.3, targeting=JamTargeting.only(range(0, self.N, 2))
+            num_jam_slots=58, targeting=JamTargeting.only(range(0, self.N, 2))
         )
         records = multihop_phase_records(
             plan, lambda net: PhaseRoles(range(net.n)), jam_builder=jam, n=self.N
